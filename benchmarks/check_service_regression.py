@@ -23,14 +23,13 @@ import pathlib
 import sys
 
 TOLERANCE = 0.15  # +/-15% (model-time metrics: pure functions, no noise)
-#: Wall-clock speedup drift band (the raw-speed refactor's before/after
-#: ratio is dimensionless and roughly machine-portable, but it is still
-#: a wall measurement).
-THROUGHPUT_TOLERANCE = 0.20  # +/-20%
-#: Acceptance floor for the raw-speed refactor: the fastpath must keep
-#: the saturated-campaign wall throughput at least this many times the
-#: legacy paths.
-SPEEDUP_FLOOR = 5.0
+#: Absolute wall-clock floor (requests per second, best of the baseline's
+#: ``repeats``) for the saturated campaign.  Wall time is machine-specific,
+#: so this is a floor and not a band: about a third of the committed
+#: 41.0k req/s, and more than twice the 6.35k req/s the deleted
+#: full-sort queue reached on that same machine — a change that brings
+#: back per-dispatch O(backlog) work lands below it, a slow runner does not.
+THROUGHPUT_FLOOR_RPS = 15000.0
 
 
 def _within(name: str, measured: float, baseline: float) -> bool:
@@ -299,25 +298,13 @@ def main(argv: list[str]) -> int:
             iterations=tc.pop("iterations"),
             seed=tc.pop("seed", 7),
         )
-        # Wall-clock rps is machine-specific, so only the dimensionless
-        # speedup is held to the baseline (THROUGHPUT_TOLERANCE, wider
-        # than the model-time TOLERANCE because wall time is noisy even
-        # best-of-N) — plus the raw-speed refactor's acceptance floor.
-        floor_ok = fresh_thr["speedup"] >= SPEEDUP_FLOOR
+        floor_ok = fresh_thr["rps"] >= THROUGHPUT_FLOOR_RPS
         print(
-            f"{'throughput.speedup_floor':42s} measured "
-            f"{fresh_thr['speedup']:8.4f}  floor    {SPEEDUP_FLOOR:8.4f}  "
+            f"{'throughput.rps_floor':42s} measured "
+            f"{fresh_thr['rps']:8.0f}  floor    {THROUGHPUT_FLOOR_RPS:8.0f}  "
             f"{'ok' if floor_ok else 'REGRESSION'}"
         )
-        base_speedup = baseline["throughput"]["speedup"]
-        drift = abs(fresh_thr["speedup"] - base_speedup) / base_speedup
-        drift_ok = drift <= THROUGHPUT_TOLERANCE
-        print(
-            f"{'throughput.speedup':42s} measured "
-            f"{fresh_thr['speedup']:8.4f}  baseline {base_speedup:8.4f}  "
-            f"{'ok' if drift_ok else f'REGRESSION (tolerance {THROUGHPUT_TOLERANCE:.0%})'}"
-        )
-        checks += [floor_ok, drift_ok]
+        checks.append(floor_ok)
 
     if all(checks):
         print("service bench within tolerance of baseline")

@@ -8,8 +8,8 @@ BLAS vs PCIe vs waiting on the network).
 
 The second half of the module profiles the *host*, not the model:
 :func:`hotspot_profile` runs the saturated scheduler campaign under
-``cProfile`` with per-phase wall-time attribution — the evidence trail
-behind the raw-speed refactor (``repro profile --hotspots``).
+``cProfile`` with per-phase wall-time attribution
+(``repro profile --hotspots``).
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ def hotspot_profile(
     n_requests: int = 1024,
     *,
     top: int = 15,
-    fast: bool | None = None,
     **campaign_kwargs,
 ) -> dict:
     """CPU hotspots of the saturated scheduler campaign.
@@ -140,53 +139,37 @@ def hotspot_profile(
     Runs the shared hot campaign (:func:`repro.bench.harness.hot_campaign`,
     the same workload the throughput benchmark times) under ``cProfile``
     and reports the top ``top`` functions by cumulative wall time plus a
-    per-phase attribution (workload build / campaign / report render /
-    packed-record encode), each phase timed with ``perf_counter``.
-
-    ``fast`` pins the :mod:`repro.fastpath` switch for the run (``None``
-    keeps the process's current setting), so ``--hotspots`` can show
-    either the legacy profile that motivated the refactor or the
-    refactored one.
+    per-phase attribution (workload build / campaign / report render),
+    each phase timed with ``perf_counter``.
     """
     import cProfile
     import pstats
     import time as _time
 
-    from .. import codec, fastpath
     from ..service import SolveService
     from .harness import hot_campaign
 
-    before = fastpath.enabled()
-    if fast is not None:
-        fastpath.set_enabled(fast)
-    try:
-        phases: list[tuple[str, float]] = []
-        t0 = _time.perf_counter()
-        config, workload = hot_campaign(n_requests, **campaign_kwargs)
-        service = SolveService(config)
-        t1 = _time.perf_counter()
-        phases.append(("build workload + service", t1 - t0))
+    phases: list[tuple[str, float]] = []
+    t0 = _time.perf_counter()
+    config, workload = hot_campaign(n_requests, **campaign_kwargs)
+    service = SolveService(config)
+    t1 = _time.perf_counter()
+    phases.append(("build workload + service", t1 - t0))
 
-        profiler = cProfile.Profile()
-        profiler.enable()
-        campaign = service.run(workload)
-        profiler.disable()
-        t2 = _time.perf_counter()
-        phases.append(("run campaign (profiled)", t2 - t1))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    campaign = service.run(workload)
+    profiler.disable()
+    t2 = _time.perf_counter()
+    phases.append(("run campaign (profiled)", t2 - t1))
 
-        report_json = campaign.report.render_json()
-        t3 = _time.perf_counter()
-        phases.append(("collect + render report", t3 - t2))
-
-        packed = campaign.report.to_record_bytes()
-        t4 = _time.perf_counter()
-        phases.append(("encode packed telemetry", t4 - t3))
-    finally:
-        fastpath.set_enabled(before)
+    report_json = campaign.report.render_json()
+    t3 = _time.perf_counter()
+    phases.append(("collect + render report", t3 - t2))
 
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
-    total_s = t4 - t0
+    total_s = t3 - t0
     rows = []
     for func, (cc, nc, tt, ct, _callers) in sorted(
         stats.stats.items(), key=lambda kv: -kv[1][3]
@@ -206,14 +189,11 @@ def hotspot_profile(
         if len(rows) >= top:
             break
     return {
-        "fastpath": fastpath.enabled() if fast is None else bool(fast),
         "requests": n_requests,
         "completed": campaign.report.to_json()["completed"],
         "total_wall_s": round(total_s, 6),
         "wall_rps": round(n_requests / total_s, 1),
         "report_bytes_json": len(report_json.encode()),
-        "report_bytes_packed": len(packed),
-        "packed_magic_ok": codec.is_packed(packed),
         "phases": [
             {"phase": name, "wall_ms": round(dt * 1e3, 3)}
             for name, dt in phases
@@ -225,12 +205,10 @@ def hotspot_profile(
 def render_hotspots(prof: dict) -> str:
     """The ``repro profile --hotspots`` table pair."""
     lines = [
-        f"{prof['requests']} requests "
-        f"({'fast' if prof['fastpath'] else 'legacy'} path): "
+        f"{prof['requests']} requests: "
         f"{prof['total_wall_s'] * 1e3:.1f} ms wall, "
-        f"{prof['wall_rps']:.0f} req/s; packed report "
-        f"{prof['report_bytes_packed']} B vs {prof['report_bytes_json']} B "
-        "JSON",
+        f"{prof['wall_rps']:.0f} req/s; report "
+        f"{prof['report_bytes_json']} B JSON",
         "",
         format_table(
             ["phase", "wall (ms)"],

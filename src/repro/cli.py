@@ -133,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign size for --hotspots")
     p.add_argument("--top", type=int, default=15,
                    help="hotspot rows to print for --hotspots")
-    p.add_argument("--legacy", action="store_true",
-                   help="profile the pre-refactor (fastpath-off) code "
-                   "paths with --hotspots")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the --hotspots profile as JSON")
 
@@ -522,7 +519,6 @@ def _cmd_profile(args) -> int:
         prof = hotspot_profile(
             args.requests,
             top=args.top,
-            fast=False if args.legacy else None,
             iterations=args.iterations,
         )
         print(render_hotspots(prof))

@@ -41,8 +41,6 @@ from typing import Any
 
 import numpy as np
 
-from .. import codec
-
 __all__ = [
     "LinkFaults",
     "StallSpec",
@@ -111,17 +109,10 @@ def checksum_payload(data: Any) -> int:
         if not isinstance(part, np.ndarray):
             part = np.asarray(part)
         if part.dtype == object:
-            # Object arrays serialize as pointers — hash a packed binary
-            # encoding of the value instead so the digest stays a pure
-            # function of the value.  struct-packed bytes beat the old
-            # repr() round trip (no giant intermediate string) and are
-            # stable against float formatting; repr remains the fallback
-            # for payload types the codec does not model.
-            value = part.tolist()
-            try:
-                c = checksum_bytes(codec.pack_value(value), c)
-            except TypeError:
-                c = checksum_bytes(repr(value).encode(), c)
+            # Object arrays serialize as pointers — hash the value's repr
+            # instead, so the digest stays a pure function of the value
+            # (repr accepts every payload type; floats print round-trip).
+            c = checksum_bytes(repr(part.tolist()).encode(), c)
         else:
             c = checksum_bytes(np.ascontiguousarray(part).tobytes(), c)
     return c

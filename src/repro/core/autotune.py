@@ -20,9 +20,9 @@ and can emit the QUDA-style generated header.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from ..gpu.perfmodel import (
     DEFAULT_PARAMS,
     PerfModelParams,
@@ -88,13 +88,7 @@ class TuneResult:
         )
 
 
-#: Memo for :func:`occupancy_of` — a pure function of hashable args
-#: called thousands of times per campaign (every sweep-cost evaluation
-#: walks all kernel x precision x block-size candidates).
-_occupancy_memo: dict[tuple, tuple[int, float]] = {}
-fastpath.register_cache(_occupancy_memo)
-
-
+@functools.lru_cache(maxsize=None)
 def occupancy_of(
     spec: GPUSpec, precision: Precision, regs_per_thread: int, block_size: int
 ) -> tuple[int, float]:
@@ -103,23 +97,13 @@ def occupancy_of(
     Limits: the register file (precision dependent), the resident-thread
     ceiling, and the hardware blocks-per-MP cap.  Returns ``(0, 0.0)``
     when even one block does not fit.
+
+    Memoized: a pure function of hashable arguments over a small domain
+    (specs x precisions x register counts x block sizes), called for
+    every candidate of every sweep-cost evaluation.
     """
     if block_size % 64 or block_size <= 0:
         raise ValueError("block size must be a positive multiple of 64")
-    if fastpath.enabled():
-        key = (spec, precision, regs_per_thread, block_size)
-        hit = _occupancy_memo.get(key)
-        if hit is not None:
-            return hit
-        result = _occupancy_of_uncached(spec, precision, regs_per_thread, block_size)
-        _occupancy_memo[key] = result
-        return result
-    return _occupancy_of_uncached(spec, precision, regs_per_thread, block_size)
-
-
-def _occupancy_of_uncached(
-    spec: GPUSpec, precision: Precision, regs_per_thread: int, block_size: int
-) -> tuple[int, float]:
     regfile = (
         spec.registers_per_mp_dp
         if precision is Precision.DOUBLE
@@ -224,14 +208,12 @@ _TRIAL_REALS_PER_SITE = 48
 _TRIALS_PER_CANDIDATE = 3
 
 
-#: Memo for :func:`tune_sweep_cost_s`.  The top warm-path hotspot before
-#: this refactor: the placement engine re-derived the full sweep cost on
-#: *every* batch (cache hits included, to credit ``saved_s``), and the
-#: function is a pure function of its arguments.  Keys use object
+#: Memo for :func:`tune_sweep_cost_s`: the placement engine asks for the
+#: full sweep cost on *every* batch (cache hits included, to credit
+#: ``saved_s``), and it is a pure function of its arguments.  Keys use object
 #: identity for the unhashable params/kernels arguments; the value tuple
 #: retains references so the ids stay unique for the memo's lifetime.
 _sweep_memo: dict[tuple, tuple] = {}
-fastpath.register_cache(_sweep_memo)
 
 
 def tune_sweep_cost_s(
@@ -254,31 +236,12 @@ def tune_sweep_cost_s(
     """
     if local_volume < 1:
         raise ValueError("local_volume must be >= 1")
-    if fastpath.enabled():
-        key = (spec, id(params), id(kernels), local_volume)
-        hit = _sweep_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        total = _sweep_cost_uncached(
-            spec, local_volume=local_volume, params=params, kernels=kernels
-        )
-        _sweep_memo[key] = (total, params, kernels)
-        return total
-    return _sweep_cost_uncached(
-        spec, local_volume=local_volume, params=params, kernels=kernels
-    )
-
-
-def _sweep_cost_uncached(
-    spec: GPUSpec,
-    *,
-    local_volume: int,
-    params: PerfModelParams,
-    kernels: dict[str, dict[Precision, int]] | None,
-) -> float:
-    kernels = kernels or KERNEL_REGISTERS
+    key = (spec, id(params), id(kernels), local_volume)
+    hit = _sweep_memo.get(key)
+    if hit is not None:
+        return hit[0]
     total = 0.0
-    for _, per_prec in sorted(kernels.items()):
+    for _, per_prec in sorted((kernels or KERNEL_REGISTERS).items()):
         for precision, regs in sorted(per_prec.items(), key=lambda kv: kv[0].name):
             for block in BLOCK_SIZES:
                 blocks, occ = occupancy_of(spec, precision, regs, block)
@@ -295,4 +258,5 @@ def _sweep_cost_uncached(
                     occupancy=occ,
                 ) + params.submit_overhead_s
                 total += _TRIALS_PER_CANDIDATE * trial
+    _sweep_memo[key] = (total, params, kernels)
     return total

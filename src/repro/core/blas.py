@@ -30,7 +30,6 @@ import numpy as np
 from ..comms.qmp import QMPMachine
 from ..gpu.device import VirtualGPU
 from ..gpu.fields import DeviceSpinorField
-from ..lattice import hotloops
 
 __all__ = [
     "copy",
@@ -195,10 +194,7 @@ def norm2(
     local = 0.0
     if gpu.execute:
         w = x.working()
-        if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in image
-            local = float(hotloops.norm2_loops(np.ascontiguousarray(w)))
-        else:
-            local = float(np.vdot(w, w).real)
+        local = float(np.vdot(w, w).real)
     return float(_reduce(gpu, qmp, local))
 
 
@@ -214,15 +210,7 @@ def cdot(
     _launch(gpu, "blas_cdot", (x, y), 2, 8 * _n_complex(x), occupancy)
     local = 0.0 + 0.0j
     if gpu.execute:
-        if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in image
-            local = complex(
-                hotloops.cdot_loops(
-                    np.ascontiguousarray(x.working()),
-                    np.ascontiguousarray(y.working()),
-                )
-            )
-        else:
-            local = complex(np.vdot(x.working(), y.working()))
+        local = complex(np.vdot(x.working(), y.working()))
     return complex(_reduce(gpu, qmp, local))
 
 
@@ -238,15 +226,7 @@ def redot(
     _launch(gpu, "blas_redot", (x, y), 2, 4 * _n_complex(x), occupancy)
     local = 0.0
     if gpu.execute:
-        if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in image
-            local = float(
-                hotloops.cdot_loops(
-                    np.ascontiguousarray(x.working()),
-                    np.ascontiguousarray(y.working()),
-                ).real
-            )
-        else:
-            local = float(np.vdot(x.working(), y.working()).real)
+        local = float(np.vdot(x.working(), y.working()).real)
     return float(_reduce(gpu, qmp, local))
 
 
@@ -284,27 +264,9 @@ def axpy_norm(
     local = 0.0
     if gpu.execute:
         cdtype = y.precision.complex_compute_dtype
-        if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in image
-            out = np.ascontiguousarray(y.working())
-            fused = hotloops.axpy_norm_loops(
-                complex(np.asarray(a, dtype=cdtype)),
-                np.ascontiguousarray(x.working()),
-                out,
-            )
-            y.set_working(out)
-            # The reduction must read what was *stored*: half precision
-            # quantizes on store, so re-reduce then; the wider dtypes
-            # store exactly what the fused pass computed.
-            w = y.working()
-            local = (
-                float(fused)
-                if not y.precision.needs_norm
-                else float(hotloops.norm2_loops(np.ascontiguousarray(w)))
-            )
-        else:
-            out = y.working() + np.asarray(a, dtype=cdtype) * x.working()
-            y.set_working(out)
-            # The reduction reads what was *stored* (quantized for half).
-            w = y.working()
-            local = float(np.vdot(w, w).real)
+        out = y.working() + np.asarray(a, dtype=cdtype) * x.working()
+        y.set_working(out)
+        # The reduction reads what was *stored* (quantized for half).
+        w = y.working()
+        local = float(np.vdot(w, w).real)
     return float(_reduce(gpu, qmp, local))

@@ -9,16 +9,16 @@ no extra matrix applications, just a device→host download of ``y``.
 
 :class:`SolveCheckpoint` is the serializable snapshot — enough state to
 resume the Krylov solve (solution, iteration count, residual history,
-solver identity, sloppy precision).  Serialization is a packed binary
-record (:mod:`repro.codec`): struct-packed tagged values behind a
-versioned, CRC32-protected frame, so the bytes are a pure function of
-the state — no zip timestamps, no pickle — and two same-seed runs
-produce byte-identical checkpoints.  A torn or corrupted checkpoint is
-rejected (``ValueError``) on load, and the store falls back to the
-previous verified commit instead of resuming a solve from damaged
-state.  Snapshots written by the pre-codec format (``RPCK\\x01`` magic,
-JSON header + ``.npy`` stream) still restore: ``from_bytes`` detects
-the frame and dispatches.
+solver identity, sloppy precision).  Serialization is one
+:mod:`repro.codec` record: a canonical-JSON header (bookkeeping plus the
+solution's dtype and shape) followed by the raw solution bytes, both
+inside the versioned, CRC32-protected frame, so the bytes are a pure
+function of the state — no zip timestamps, no pickle — and two
+same-seed runs produce byte-identical checkpoints.  A torn or corrupted
+checkpoint is rejected (``ValueError``) on load, and the store falls
+back to the previous verified commit instead of resuming a solve from
+damaged state.  That is the only format: anything else, including
+streams written before the frame existed, is rejected.
 
 :class:`CheckpointStore` is the rank-collective side: every rank
 contributes its slab at a refresh; when all ranks of the current attempt
@@ -30,8 +30,6 @@ regardless of the old rank layout.
 
 from __future__ import annotations
 
-import io
-import json
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -39,14 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ... import codec
-from ...comms.faults import checksum_bytes
 from .resilience import RecoveryEvent
 
 __all__ = ["SolveCheckpoint", "CheckpointStore"]
 
-#: Magic of the pre-codec (JSON header + npy stream) format, kept so
-#: old on-disk checkpoints keep restoring.
-_LEGACY_MAGIC = b"RPCK\x01"
+#: Payload layout: u32 header length, JSON header, raw ``x_full`` bytes.
+_HEADER_LEN = struct.Struct("<I")
 
 
 @dataclass
@@ -75,10 +71,10 @@ class SolveCheckpoint:
     def to_bytes(self) -> bytes:
         """Serialize to deterministic bytes (same state → same bytes).
 
-        One packed :mod:`repro.codec` record: the frame CRC covers the
-        whole payload (bookkeeping *and* solution data), so a snapshot
-        validates itself on load."""
-        return codec.encode_record(
+        The frame CRC covers the whole payload (bookkeeping *and*
+        solution data), so a snapshot validates itself on load."""
+        x = self.x_full
+        header = codec.canonical_bytes(
             {
                 "iteration": self.iteration,
                 "rnorm": self.rnorm,
@@ -86,54 +82,46 @@ class SolveCheckpoint:
                 "history": [float(h) for h in self.history],
                 "solver": self.solver,
                 "sloppy_precision": self.sloppy_precision,
-                "x": None if self.x_full is None else self.x_full,
-            },
-            kind=codec.KIND_CHECKPOINT,
+                # dtype.str spells the byte order out ("<c16").
+                "x": None if x is None else {"dtype": x.dtype.str, "shape": x.shape},
+            }
+        )
+        raw = b"" if x is None else np.ascontiguousarray(x).tobytes()
+        return codec.encode_frame(
+            b"".join((_HEADER_LEN.pack(len(header)), header, raw)),
+            codec.KIND_CHECKPOINT,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SolveCheckpoint":
-        if codec.is_packed(data):
-            _, header = codec.decode_record(
-                data, expect_kind=codec.KIND_CHECKPOINT
+        _, payload = codec.decode_frame(data, expect_kind=codec.KIND_CHECKPOINT)
+        # Past the CRC, a layout error means to_bytes did not write this
+        # payload; callers handle ValueError, so every such error is one.
+        try:
+            (hlen,) = _HEADER_LEN.unpack_from(payload)
+            body = _HEADER_LEN.size + hlen
+            header = codec.parse_json(payload[_HEADER_LEN.size : body])
+            spec = header["x"]
+            x_full = (
+                None
+                if spec is None
+                else np.frombuffer(payload[body:], dtype=np.dtype(spec["dtype"]))
+                .reshape(spec["shape"])
+                .copy()
             )
-            x_full = header["x"]
-        elif data[: len(_LEGACY_MAGIC)] == _LEGACY_MAGIC:
-            header, x_full = cls._decode_legacy(data)
-        else:
-            raise ValueError("not a SolveCheckpoint stream")
-        return cls(
-            iteration=header["iteration"],
-            rnorm=header["rnorm"],
-            reliable_updates=header["reliable_updates"],
-            history=list(header["history"]),
-            solver=header["solver"],
-            sloppy_precision=header["sloppy_precision"],
-            x_full=x_full,
-        )
-
-    @staticmethod
-    def _decode_legacy(data: bytes) -> tuple[dict, np.ndarray | None]:
-        """Decode the pre-codec format (JSON header + ``.npy`` stream)."""
-        buf = io.BytesIO(data)
-        buf.read(len(_LEGACY_MAGIC))
-        (hlen,) = struct.unpack("<I", buf.read(4))
-        header = json.loads(buf.read(hlen).decode())
-        body_bytes = buf.read()
-        expected = header.get("checksum")
-        if expected is not None:
-            actual = checksum_bytes(body_bytes)
-            if actual != expected:
-                raise ValueError(
-                    f"checkpoint checksum mismatch: {actual:#010x} != "
-                    f"{expected:#010x} (iteration {header['iteration']})"
-                )
-        x_full = (
-            np.lib.format.read_array(io.BytesIO(body_bytes))
-            if header["has_x"]
-            else None
-        )
-        return header, x_full
+            return cls(
+                iteration=header["iteration"],
+                rnorm=header["rnorm"],
+                reliable_updates=header["reliable_updates"],
+                history=list(header["history"]),
+                solver=header["solver"],
+                sloppy_precision=header["sloppy_precision"],
+                x_full=x_full,
+            )
+        except (struct.error, KeyError, TypeError) as exc:
+            raise codec.UnknownFormat(
+                f"not a SolveCheckpoint payload: {exc!r}"
+            ) from exc
 
 
 class CheckpointStore:

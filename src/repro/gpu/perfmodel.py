@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from .precision import Precision
 from .specs import GPUSpec
 
@@ -107,7 +106,6 @@ class PerfModelParams:
         # given params instance, and the kernel-time roofline evaluates
         # it on every single launch the timeline charges.
         object.__setattr__(self, "_bw_memo", {})
-        fastpath.register_cache(self._bw_memo)
 
     def effective_bandwidth(
         self,
@@ -118,27 +116,14 @@ class PerfModelParams:
         camping: bool = False,
     ) -> float:
         """Achievable device-memory bandwidth in bytes/second."""
-        if fastpath.enabled():
-            key = (spec, precision, occupancy, camping)
-            hit = self._bw_memo.get(key)
-            if hit is not None:
-                return hit
-            eff = self._bandwidth_uncached(spec, precision, occupancy, camping)
+        key = (spec, precision, occupancy, camping)
+        eff = self._bw_memo.get(key)
+        if eff is None:
+            eff = spec.bandwidth_gbs * GB * self.bw_efficiency[precision]
+            eff *= occupancy_factor(occupancy)
+            if camping:
+                eff *= self.camping_penalty
             self._bw_memo[key] = eff
-            return eff
-        return self._bandwidth_uncached(spec, precision, occupancy, camping)
-
-    def _bandwidth_uncached(
-        self,
-        spec: GPUSpec,
-        precision: Precision,
-        occupancy: float,
-        camping: bool,
-    ) -> float:
-        eff = spec.bandwidth_gbs * GB * self.bw_efficiency[precision]
-        eff *= occupancy_factor(occupancy)
-        if camping:
-            eff *= self.camping_penalty
         return eff
 
 

@@ -24,27 +24,16 @@ import numpy as np
 from .geometry import NDIM, LatticeGeometry
 from . import gamma as _gamma
 from . import su3
-from .fields import CloverField, GaugeField, apply_chiral_blocks
+from .fields import CloverField, GaugeField
 
 __all__ = [
     "field_strength",
     "make_clover",
-    "clover_apply",
     "pack_clover",
     "unpack_clover",
     "CLOVER_REALS_PER_SITE",
 ]
 
-
-def clover_apply(clover: CloverField, psi: np.ndarray) -> np.ndarray:
-    """``A psi`` on raw spinor data — the hot per-iteration entry point.
-
-    Thin alias over :func:`repro.lattice.fields.apply_chiral_blocks`,
-    which dispatches to the compiled site-block loop
-    (:mod:`repro.lattice.hotloops`) when numba is live and the einsum
-    reference otherwise.
-    """
-    return apply_chiral_blocks(clover.data, psi)
 
 #: Real numbers needed to describe one clover matrix (paper footnote 1).
 CLOVER_REALS_PER_SITE = 72

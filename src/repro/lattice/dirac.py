@@ -28,22 +28,13 @@ import numpy as np
 from .geometry import NDIM, LatticeGeometry
 from . import gamma as _gamma
 from . import su3
-from . import hotloops
 from .fields import CloverField, GaugeField, SpinorField
 
 __all__ = [
     "hopping_term",
-    "hopping_term_reference",
     "WilsonCloverOperator",
     "apply_gamma5",
 ]
-
-
-def _projector_stack(basis: str, sgn: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(P(-sgn)mu, P(+sgn)mu)`` stacked over mu, for the loop kernel."""
-    minus = np.stack([_gamma.projector(mu, -sgn, basis) for mu in range(NDIM)])
-    plus = np.stack([_gamma.projector(mu, +sgn, basis) for mu in range(NDIM)])
-    return minus, plus
 
 
 def hopping_term(
@@ -53,38 +44,7 @@ def hopping_term(
 
     Returns raw spinor data of shape ``(V, 4, 3)``.  ``D^dag`` swaps the
     roles of ``P(+)`` and ``P(-)`` (equivalently ``gamma_5 D gamma_5``).
-
-    Dispatch: the compiled loop kernel when numba is live
-    (:data:`repro.jit.JIT_ENABLED`), the vectorized einsum reference
-    otherwise — same arithmetic per site term, so the two agree to
-    rounding (pinned by ``tests/lattice/test_hotloops.py``).
     """
-    if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in test image
-        geo = gauge.geometry
-        if psi.geometry.dims != geo.dims:
-            raise ValueError("gauge and spinor live on different lattices")
-        sgn = -1 if dagger else +1
-        proj_minus, proj_plus = _projector_stack(psi.basis, sgn)
-        out = np.zeros_like(psi.data)
-        hotloops.hopping_term_loops(
-            gauge.data,
-            psi.data,
-            geo.neighbor_fwd,
-            geo.neighbor_bwd,
-            geo.boundary_phase_fwd,
-            geo.boundary_phase_bwd,
-            proj_minus,
-            proj_plus,
-            out,
-        )
-        return out
-    return hopping_term_reference(gauge, psi, dagger=dagger)
-
-
-def hopping_term_reference(
-    gauge: GaugeField, psi: SpinorField, *, dagger: bool = False
-) -> np.ndarray:
-    """The trusted vectorized NumPy stencil (einsum over site gathers)."""
     geo = gauge.geometry
     if psi.geometry.dims != geo.dims:
         raise ValueError("gauge and spinor live on different lattices")

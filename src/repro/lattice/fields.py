@@ -26,7 +26,6 @@ import numpy as np
 from .geometry import NDIM, LatticeGeometry
 from .su3 import NCOLOR
 from .gamma import NSPIN
-from . import hotloops
 
 __all__ = [
     "SpinorField",
@@ -217,20 +216,11 @@ def apply_chiral_blocks(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply per-site chiral 6x6 blocks to spinor data ``(V, 4, 3)``.
 
     ``blocks`` has shape ``(V, 2, 6, 6)``.  Works for any leading volume as
-    long as the two arrays agree.  Dispatches to the compiled site-block
-    loop when numba is live, the einsum reference otherwise.
+    long as the two arrays agree.
     """
     v = psi.shape[0]
     if blocks.shape[0] != v:
         raise ValueError("clover blocks and spinor have different volumes")
-    if hotloops.JIT_ENABLED:  # pragma: no cover - numba not in test image
-        out = np.zeros_like(psi)
-        hotloops.clover_apply_loops(
-            np.ascontiguousarray(blocks),
-            np.ascontiguousarray(psi),
-            out,
-        )
-        return out
     half = psi.reshape(v, 2, CloverField.BLOCK)
     out = np.einsum("vcab,vcb->vca", blocks, half)
     return out.reshape(psi.shape)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from .request import PRIORITY_HIGH, RequestRecord
 
 __all__ = ["BatchPolicy", "Batch", "select_batch"]
@@ -125,41 +124,11 @@ def select_batch(
     upstream charges exactly one clock per dispatch.  Untenanted
     records all share the ``None`` partition — grouping (and therefore
     scheduling) is unchanged for tenancy-free campaigns.
-    """
-    if fastpath.enabled():
-        return _select_batch_fast(ordered, now, policy)
-    groups: dict[tuple, list[RequestRecord]] = {}
-    order: list[tuple] = []
-    for rec in ordered:
-        key = (rec.request.tenant, rec.request.compat_key)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
-    for key in order:
-        group = groups[key][: policy.max_batch]
-        head = group[0]
-        ready = (
-            len(group) >= policy.max_batch
-            or now - head.request.arrival_s >= policy.max_wait_s - _WAIT_SLACK_S
-            or head.request.priority <= policy.expedite_priority
-        )
-        if ready:
-            return group
-    return None
 
-
-def _select_batch_fast(
-    ordered: list[RequestRecord], now: float, policy: BatchPolicy
-) -> list[RequestRecord] | None:
-    """Early-exit formulation of the same selection rule.
-
-    Identical result to the legacy full scan (the fastpath equivalence
-    suite pins this), but it avoids materializing the whole group map
-    whenever the head group decides the outcome — the common case under
-    a saturated queue, where the head group is window-expired (or
-    expedited, or fills to ``max_batch``) and the legacy scan was an
-    O(backlog) dict build per scheduler pass.
+    The scan exits early: when the head group is window-expired or
+    expedited it wins whatever its size, so only its members are
+    collected; otherwise groups are built in one pass capped at
+    ``max_batch`` and the head group returns the moment it fills.
     """
     if not ordered:
         return None
@@ -181,7 +150,7 @@ def _select_batch_fast(
     # The head group is ready only if it fills.  Scan in order, capping
     # every group at max_batch; the moment the head group fills it wins
     # outright (it is checked first).  Readiness of later groups is
-    # evaluated after the scan, exactly like the legacy pass.
+    # evaluated after the scan, in first-seen order.
     groups: dict[tuple, list[RequestRecord]] = {head_key: []}
     order = [head_key]
     for rec in ordered:

@@ -14,12 +14,11 @@ drain/arrival estimators, the autoscaler's position) must not evaporate.
 batch boundaries — the campaign analogue of a reliable-update refresh
 point, where the scheduler's view is globally consistent: no event is
 half-processed, every request is in a well-defined lifecycle state.
-Serialization is one packed :mod:`repro.codec` record — struct-packed
-tagged values behind a versioned CRC32 frame — so the bytes are a pure
-function of the state and a torn or corrupted snapshot is *rejected on
-load* rather than resuming a campaign from damaged bookkeeping.  The
-pre-codec format (``RPCS\\x01`` magic + length-prefixed canonical JSON +
-checksum) still restores; ``from_bytes`` auto-detects the frame.
+Serialization is one :mod:`repro.codec` record — canonical JSON behind
+a versioned CRC32 frame — so the bytes are a pure function of the state
+and a torn or corrupted snapshot is *rejected on load* rather than
+resuming a campaign from damaged bookkeeping.  That is the only format:
+anything else is rejected.
 
 :class:`CampaignCheckpointStore` keeps the latest commit plus one
 verified fallback (exactly like the solve-level store) and optionally
@@ -32,14 +31,10 @@ resumed run, so the no-lost-requests invariant holds across the crash.
 
 from __future__ import annotations
 
-import io
-import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 from .. import codec
-from ..comms.faults import checksum_bytes
 from .request import RequestRecord
 
 __all__ = [
@@ -48,11 +43,6 @@ __all__ = [
     "MirroredCheckpointStore",
     "SchedulerCrash",
 ]
-
-#: Magic of the pre-codec (length-prefixed canonical JSON) format, kept
-#: so old on-disk checkpoint mirrors keep restoring.
-_LEGACY_MAGIC = b"RPCS\x01"
-
 
 class SchedulerCrash(RuntimeError):
     """The (simulated) scheduler process died mid-campaign.
@@ -207,29 +197,8 @@ class CampaignCheckpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CampaignCheckpoint":
-        if codec.is_packed(data):
-            _, body = codec.decode_record(data, expect_kind=codec.KIND_CAMPAIGN)
-            return cls.from_json(body)
-        if data[: len(_LEGACY_MAGIC)] == _LEGACY_MAGIC:
-            return cls._decode_legacy(data)
-        raise ValueError("not a CampaignCheckpoint stream")
-
-    @classmethod
-    def _decode_legacy(cls, data: bytes) -> "CampaignCheckpoint":
-        """Decode the pre-codec (length-prefixed canonical JSON) format."""
-        buf = io.BytesIO(data)
-        buf.read(len(_LEGACY_MAGIC))
-        blen, expected = struct.unpack("<II", buf.read(8))
-        body = buf.read(blen)
-        if len(body) != blen:
-            raise ValueError("truncated CampaignCheckpoint stream")
-        actual = checksum_bytes(body)
-        if actual != expected:
-            raise ValueError(
-                f"campaign checkpoint checksum mismatch: "
-                f"{actual:#010x} != {expected:#010x}"
-            )
-        return cls.from_json(json.loads(body.decode()))
+        _, body = codec.decode_record(data, expect_kind=codec.KIND_CAMPAIGN)
+        return cls.from_json(body)
 
     # ------------------------------------------------------------------ #
 
@@ -265,9 +234,13 @@ class CampaignCheckpointStore:
         del self._blobs[:-2]  # latest + one verified fallback
         self.committed += 1
         if self.path:
+            # Flush to the disk before the rename publishes the file, or
+            # a host crash can leave an empty/torn mirror under the name.
             tmp = f"{self.path}.tmp"
             with open(tmp, "wb") as fh:
                 fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, self.path)
 
     def latest(self) -> CampaignCheckpoint | None:

@@ -704,25 +704,3 @@ class ServiceReport:
 
     def render_json(self) -> str:
         return codec.pretty_json(self.to_json())
-
-    # ------------------------------------------------------------------ #
-    # Packed telemetry records
-    # ------------------------------------------------------------------ #
-
-    def to_record_bytes(self) -> bytes:
-        """The report as one packed telemetry record (:mod:`repro.codec`).
-
-        The durable/wire form for scorecard shipping: CRC32-framed,
-        several times smaller and faster than the JSON artifact, which
-        remains the human/debug format (:meth:`render_json`).
-        """
-        return codec.encode_record(self.to_json(), kind=codec.KIND_TELEMETRY)
-
-    @classmethod
-    def from_record_bytes(cls, data: bytes) -> "ServiceReport":
-        """Rebuild a report from :meth:`to_record_bytes` output **or**
-        legacy JSON bytes (the format is auto-detected; damage in a
-        packed buffer still raises the structured codec errors)."""
-        return cls.from_json(
-            codec.decode_auto(data, expect_kind=codec.KIND_TELEMETRY)
-        )

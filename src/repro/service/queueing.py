@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .. import fastpath
 from .request import RequestRecord
 
 __all__ = ["AdmissionQueue", "DrainEstimator", "partition_by_tenant"]
@@ -135,15 +134,13 @@ def partition_by_tenant(
 class AdmissionQueue:
     """Bounded, priority/deadline-ordered request queue.
 
-    The scheduling order is maintained *incrementally* (SoA-style
-    parallel key/record lists kept sorted by binary-insertion) instead
-    of re-sorting the whole backlog on every :meth:`ordered` call: the
-    scheduler asks for the order at every dispatch opportunity, and
-    under a deep backlog the repeated full sorts — each one recomputing
-    every record's key tuple through two dataclass hops — were a top
-    profile entry.  Keys are computed exactly once per admission (they
-    are immutable for a queued record), so ``ordered()`` is a plain
-    list copy.
+    The scheduling order is maintained *incrementally* (parallel
+    key/record lists kept sorted by binary insertion): the scheduler
+    asks for the order at every dispatch opportunity, and under a deep
+    backlog a full sort per call — recomputing every record's key tuple
+    through two dataclass hops — dominated the campaign.  Keys are
+    computed once per admission (they are immutable for a queued
+    record), so ``ordered()`` is a plain list copy.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -191,35 +188,20 @@ class AdmissionQueue:
             # still physically present — flush it first so the list
             # never holds the same record twice.
             self._compact()
-        fresh = len(self._sorted_recs) == len(self._ids)
         self._items.append(rec)
         self._ids.add(id(rec))
-        if fastpath.enabled() and fresh:
-            key = _order_key(rec)
-            # bisect_right keeps equal keys in insertion order, matching
-            # the stable full sort this replaces (keys end in req_id, so
-            # true ties cannot occur anyway).
-            i = bisect_right(self._sorted_keys, key)
-            self._sorted_keys.insert(i, key)
-            self._sorted_recs.insert(i, rec)
+        key = _order_key(rec)
+        # bisect_right keeps equal keys in insertion order, like a stable
+        # sort of the snapshot (keys end in req_id, so true ties cannot
+        # occur anyway).
+        i = bisect_right(self._sorted_keys, key)
+        self._sorted_keys.insert(i, key)
+        self._sorted_recs.insert(i, rec)
         return True
 
     def ordered(self) -> list[RequestRecord]:
         """The scheduling order: priority, then deadline, then arrival."""
-        if fastpath.enabled():
-            if len(self._sorted_recs) != len(self._ids):
-                # The sorted view went stale across a fastpath toggle;
-                # rebuild it once and resume incremental maintenance.
-                self._compact()
-                pairs = sorted(
-                    ((_order_key(r), r) for r in self._items),
-                    key=lambda kr: kr[0],
-                )
-                self._sorted_keys = [k for k, _ in pairs]
-                self._sorted_recs = [r for _, r in pairs]
-            return list(self._sorted_recs)
-        self._compact()
-        return sorted(self._items, key=_order_key)
+        return list(self._sorted_recs)
 
     def remove(self, recs: list[RequestRecord]) -> None:
         """Withdraw dispatched records (identity comparison)."""

@@ -31,11 +31,14 @@ class TestGenerate:
     def test_provenance_note(self, text):
         assert "python -m repro.bench.experiments_md" in text
 
-    def test_main_writes_file(self, tmp_path, capsys, monkeypatch):
+    def test_main_writes_file(self, text, tmp_path, capsys, monkeypatch):
+        """``main`` writes what ``generate`` returns; the report itself is
+        the module fixture (its structure is asserted above, once)."""
         import repro.bench.experiments_md as mod
 
-        # Patch the default iteration count for speed.
-        monkeypatch.setattr(mod, "FIXED_ITERATIONS", 2)
+        monkeypatch.setattr(mod, "generate", lambda: text)
         out = tmp_path / "E.md"
         assert main([str(out)]) == 0
+        assert out.read_text() == text
         assert out.read_text().startswith("# EXPERIMENTS")
+        assert f"wrote {out}" in capsys.readouterr().out

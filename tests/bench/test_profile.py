@@ -64,3 +64,30 @@ class TestProfileSolve:
         a = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
         b = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
         assert [(o.name, o.start) for o in a] == [(o.name, o.start) for o in b]
+
+
+class TestHotspots:
+    def test_phases_sum_to_the_wall_and_name_the_one_path(self):
+        """``repro profile --hotspots``: three phases that account for the
+        whole wall time, the scheduler on top, and no record of a path
+        selector (there is one path)."""
+        from repro.bench.profile import hotspot_profile, render_hotspots
+
+        prof = hotspot_profile(48, top=5, iterations=4)
+        assert prof["completed"] == prof["requests"] == 48
+        assert [p["phase"] for p in prof["phases"]] == [
+            "build workload + service",
+            "run campaign (profiled)",
+            "collect + render report",
+        ]
+        assert sum(p["wall_ms"] for p in prof["phases"]) == pytest.approx(
+            prof["total_wall_s"] * 1e3, abs=0.01
+        )
+        assert len(prof["hotspots"]) == 5
+        assert prof["report_bytes_json"] > 0
+        assert set(prof) == {
+            "requests", "completed", "total_wall_s", "wall_rps",
+            "report_bytes_json", "phases", "hotspots",
+        }
+        text = render_hotspots(prof)
+        assert "48 requests:" in text and "req/s" in text

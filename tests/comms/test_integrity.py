@@ -46,6 +46,43 @@ class TestChecksums:
         b[3] += 1e-9
         assert checksum_payload(a) != checksum_payload(b)
 
+    def test_digest_is_a_pure_function_of_any_payload_value(self):
+        """Arrays, tuples, scalars and values NumPy can only hold as
+        ``object`` (dicts, ``None`` among numbers): equal values digest
+        equal — fresh objects, so no address leaks in — and changing any
+        one element changes the digest."""
+        import copy
+
+        def payloads():
+            return {
+                "array": np.arange(6, dtype=np.complex64),
+                "tuple": (np.arange(4.0), np.ones(3, np.float32)),
+                "tuple with None part": (np.arange(4.0), None),
+                "scalar": 3.5,
+                "complex scalar": 1 + 2j,
+                "dict": {"norm": 1.5, "iters": [3, 4], "tag": "x"},
+                "None among numbers": [1.0, None, 3],
+                "mixed tuple": (np.arange(3.0), 2.5, {"k": [1, 2.0, None]}),
+            }
+
+        base = {name: checksum_payload(v) for name, v in payloads().items()}
+        again = {
+            name: checksum_payload(copy.deepcopy(v)) for name, v in payloads().items()
+        }
+        assert again == base
+
+        changed = payloads()
+        changed["array"][5] += 1
+        changed["tuple"][1][2] = 2.0
+        changed["tuple with None part"][0][0] = -1.0
+        changed["scalar"] = 3.5000000000000004
+        changed["complex scalar"] = 1 + 2.0000000000000004j
+        changed["dict"]["iters"][1] = 5
+        changed["None among numbers"][2] = 4
+        changed["mixed tuple"][2]["k"][1] = 2.0000000000000004
+        for name, value in changed.items():
+            assert checksum_payload(value) != base[name], name
+
     def test_single_bitflip_changes_checksum(self):
         rng_key = dict(seed_key=(1, 2, 3), mode="bitflip", bits=1)
         a = np.ones(64)

@@ -7,8 +7,10 @@ from repro.core.autotune import (
     KERNEL_REGISTERS,
     autotune,
     occupancy_of,
+    tune_sweep_cost_s,
 )
 from repro.gpu import Precision
+from repro.gpu.perfmodel import DEFAULT_PARAMS, PerfModelParams
 from repro.gpu.specs import GTX285
 
 
@@ -38,6 +40,55 @@ class TestOccupancyModel:
     def test_oversized_block_yields_zero(self):
         blocks, occ = occupancy_of(GTX285, Precision.DOUBLE, 120, 512)
         assert blocks == 0 and occ == 0.0
+
+
+class TestMemoization:
+    """The memoized evaluations are pure functions of their arguments: a
+    hit returns what a fresh computation returns, keys never alias, and
+    argument validation still runs on every call."""
+
+    def test_occupancy_hit_equals_the_formula(self):
+        for _ in range(2):  # second pass is served from the cache
+            for precision, regs in ((Precision.SINGLE, 64), (Precision.DOUBLE, 112)):
+                for block in BLOCK_SIZES:
+                    regfile = (
+                        GTX285.registers_per_mp_dp
+                        if precision is Precision.DOUBLE
+                        else GTX285.registers_per_mp_sp
+                    )
+                    blocks = min(
+                        regfile // (regs * block),
+                        GTX285.max_threads_per_mp // block,
+                        GTX285.max_blocks_per_mp,
+                    )
+                    occ = blocks * block / GTX285.max_threads_per_mp
+                    assert occupancy_of(GTX285, precision, regs, block) == (blocks, occ)
+
+    def test_sweep_cost_hit_equals_a_fresh_computation(self):
+        first = tune_sweep_cost_s(GTX285, local_volume=4096)
+        assert tune_sweep_cost_s(GTX285, local_volume=4096) == first
+        # An equal-but-distinct kernels table misses the identity-keyed
+        # memo, so this is an independent evaluation of the same sweep.
+        fresh = tune_sweep_cost_s(
+            GTX285, local_volume=4096, kernels={k: dict(v) for k, v in KERNEL_REGISTERS.items()}
+        )
+        assert fresh == first
+        assert tune_sweep_cost_s(GTX285, local_volume=8192) > first
+
+    def test_sweep_memo_does_not_confuse_params_instances(self):
+        slow = PerfModelParams(kernel_overhead_s=1e-3)
+        a = tune_sweep_cost_s(GTX285, local_volume=512, params=DEFAULT_PARAMS)
+        b = tune_sweep_cost_s(GTX285, local_volume=512, params=slow)
+        assert b > a
+
+    def test_invalid_arguments_rejected_after_a_hit(self):
+        occupancy_of(GTX285, Precision.SINGLE, 64, 64)
+        tune_sweep_cost_s(GTX285, local_volume=64)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                occupancy_of(GTX285, Precision.SINGLE, 64, 65)
+            with pytest.raises(ValueError):
+                tune_sweep_cost_s(GTX285, local_volume=0)
 
 
 class TestAutotune:

@@ -69,7 +69,7 @@ class TestSerialization:
         assert SolveCheckpoint.from_bytes(a).to_bytes() == a
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="not a SolveCheckpoint"):
+        with pytest.raises(ValueError, match="bad magic"):
             SolveCheckpoint.from_bytes(b"NOPE" + b"\x00" * 32)
 
     def test_flipped_payload_byte_rejected(self):
@@ -82,7 +82,7 @@ class TestSerialization:
 
     @staticmethod
     def _legacy_bytes(ck, *, with_checksum):
-        """The pre-codec stream: RPCK magic + JSON header + .npy body."""
+        """The pre-frame stream: RPCK magic + JSON header + .npy body."""
         import io
         import json
         import struct
@@ -110,32 +110,44 @@ class TestSerialization:
         ).encode()
         return b"RPCK\x01" + struct.pack("<I", len(blob)) + blob + body_bytes
 
-    def test_legacy_stream_still_loads(self):
-        """Back-compat: pre-codec checkpoints restore bit-for-bit."""
-        ck = _checkpoint(np.complex64, "HALF")
-        back = SolveCheckpoint.from_bytes(
-            self._legacy_bytes(ck, with_checksum=True)
-        )
-        assert back.iteration == ck.iteration
-        np.testing.assert_array_equal(back.x_full, ck.x_full)
+    @pytest.mark.parametrize("with_checksum", [True, False])
+    def test_legacy_stream_rejected(self, with_checksum):
+        """One on-disk format: a pre-frame ``RPCK`` stream is refused with
+        a structured error, never decoded."""
+        from repro import codec
 
-    def test_headerless_checksum_tolerated(self):
-        """Back-compat: a legacy stream without the checksum key loads."""
         ck = _checkpoint(np.complex64, "HALF")
-        legacy = self._legacy_bytes(ck, with_checksum=False)
-        back = SolveCheckpoint.from_bytes(legacy)
-        assert back.iteration == 12
+        with pytest.raises(codec.UnknownFormat, match="bad magic"):
+            SolveCheckpoint.from_bytes(
+                self._legacy_bytes(ck, with_checksum=with_checksum)
+            )
 
     def test_legacy_corruption_still_rejected(self):
-        """Back-compat: the legacy embedded checksum is still enforced."""
         blob = bytearray(
             self._legacy_bytes(
                 _checkpoint(np.complex128, "SINGLE"), with_checksum=True
             )
         )
         blob[-10] ^= 0x40
-        with pytest.raises(ValueError, match="checksum mismatch"):
+        with pytest.raises(ValueError):
             SolveCheckpoint.from_bytes(bytes(blob))
+
+    def test_campaign_record_is_not_a_solve_checkpoint(self):
+        from repro import codec
+
+        blob = codec.encode_record({"iteration": 1}, codec.KIND_CAMPAIGN)
+        with pytest.raises(ValueError, match="expected a checkpoint record"):
+            SolveCheckpoint.from_bytes(blob)
+
+    def test_crc_valid_foreign_payload_rejected(self):
+        """A frame that passes its CRC but was not laid out by ``to_bytes``
+        is still a ValueError, never a half-built checkpoint."""
+        from repro import codec
+
+        for payload in (b"", b"\xff\xff\xff\x7f{}", b"\x02\x00\x00\x00{}"):
+            blob = codec.encode_frame(payload, codec.KIND_CHECKPOINT)
+            with pytest.raises(ValueError):
+                SolveCheckpoint.from_bytes(blob)
 
 
 class TestCheckpointStore:

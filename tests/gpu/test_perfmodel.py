@@ -130,6 +130,25 @@ class TestCalibration:
         assert 160 < rates[Precision.HALF] < 230
         assert 35 < rates[Precision.DOUBLE] < 55
 
+    def test_effective_bandwidth_memo_is_per_instance_and_exact(self):
+        """The memoized bandwidth equals the formula, on a miss and on a
+        hit, and two params instances never share an entry."""
+        fast = PerfModelParams()
+        camped = PerfModelParams(camping_penalty=0.25)
+        for params in (fast, camped, fast, camped):
+            for camping in (False, True):
+                want = (
+                    GTX285.bandwidth_gbs
+                    * 1e9
+                    * params.bw_efficiency[Precision.SINGLE]
+                    * occupancy_factor(0.25)
+                    * (params.camping_penalty if camping else 1.0)
+                )
+                got = params.effective_bandwidth(
+                    GTX285, Precision.SINGLE, occupancy=0.25, camping=camping
+                )
+                assert got == pytest.approx(want, rel=1e-15)
+
     def test_params_are_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_PARAMS.ib_bw = 1.0

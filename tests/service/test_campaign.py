@@ -109,8 +109,21 @@ class TestCheckpointBytes:
     def test_bad_magic_rejected(self):
         blob = bytearray(_checkpoint().to_bytes())
         blob[0] ^= 0xFF
-        with pytest.raises(ValueError, match="not a CampaignCheckpoint"):
+        with pytest.raises(ValueError, match="bad magic"):
             CampaignCheckpoint.from_bytes(bytes(blob))
+
+    def test_pre_frame_stream_rejected(self):
+        """One on-disk format: the ``RPCS`` length-prefixed JSON stream that
+        predates the frame is refused, never decoded."""
+        import struct
+        import zlib
+
+        from repro import codec
+
+        body = json.dumps(_checkpoint().to_json(), sort_keys=True).encode()
+        stream = b"RPCS\x01" + struct.pack("<II", len(body), zlib.crc32(body)) + body
+        with pytest.raises(codec.UnknownFormat, match="bad magic"):
+            CampaignCheckpoint.from_bytes(stream)
 
     def test_corrupted_body_rejected(self):
         blob = bytearray(_checkpoint().to_bytes())
@@ -164,6 +177,33 @@ class TestCheckpointStore:
         store.commit(_checkpoint(checkpoints_committed=2))
         loaded = CampaignCheckpointStore.load(path)
         assert loaded.latest().checkpoints_committed == 2
+
+    def test_commit_reaches_the_disk_before_the_rename(self, tmp_path, monkeypatch):
+        """Crash safety of the file mirror: the whole blob is written and
+        fsynced to the temporary file *before* ``os.replace`` publishes it
+        under the real name (write -> fsync -> replace)."""
+        import os
+
+        path = str(tmp_path / "campaign.ckpt")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            # fstat sees only what write + flush already handed to the OS.
+            events.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store = CampaignCheckpointStore(path)
+        store.commit(_checkpoint())
+        blob = store._blobs[-1]
+        assert events == [("fsync", len(blob)), ("replace", f"{path}.tmp", path)]
+        assert open(path, "rb").read() == blob
 
     def test_loaded_corrupt_file_yields_none(self, tmp_path):
         path = tmp_path / "campaign.ckpt"

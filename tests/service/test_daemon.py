@@ -401,31 +401,6 @@ class TestReportRoundTrip:
         blob = rep.to_json()
         assert ServiceReport.from_json(blob).to_json() == blob
 
-    def test_packed_telemetry_round_trip(self):
-        """The packed record form is smaller than the JSON artifact and
-        restores to the same fixed point; legacy JSON bytes auto-detect."""
-        from repro import codec
-        from repro.service import ServiceReport
-
-        rep = SolveService(_config()).serve(_stream()).report
-        blob = rep.to_record_bytes()
-        assert codec.is_packed(blob)
-        assert len(blob) < len(rep.render_json().encode())
-        assert ServiceReport.from_record_bytes(blob).to_json() == rep.to_json()
-        legacy = rep.render_json().encode()
-        assert ServiceReport.from_record_bytes(legacy).to_json() == rep.to_json()
-
-    def test_packed_telemetry_corruption_rejected(self):
-        from repro import codec
-        from repro.service import ServiceReport
-
-        blob = bytearray(
-            SolveService(_config()).serve(_stream()).report.to_record_bytes()
-        )
-        blob[-3] ^= 0x10
-        with pytest.raises(codec.ChecksumMismatch):
-            ServiceReport.from_record_bytes(bytes(blob))
-
     def test_from_json_defaults_for_pre_resilience_blobs(self):
         """A PR-6-era scorecard (no resilience keys) still loads — the
         new counters default to zero rather than KeyError."""

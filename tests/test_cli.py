@@ -373,10 +373,23 @@ class TestServeDaemon:
 
 
 class TestExperiments:
-    @pytest.mark.slow
-    def test_writes_report(self, tmp_path, capsys):
+    def test_writes_report(self, tmp_path, capsys, monkeypatch):
+        """The subcommand is plumbing: ``--iterations`` reaches the
+        generator and its text lands in ``--out``.  The report's content
+        is asserted once, in ``tests/bench/test_experiments_md.py``."""
+        import repro.bench.experiments_md as mod
+
+        seen = []
+
+        def generate(iterations):
+            seen.append(iterations)
+            return "# EXPERIMENTS\n## fig5a\nratio\n"
+
+        monkeypatch.setattr(mod, "generate", generate)
         out_path = tmp_path / "EXP.md"
         rc = main(["experiments", "--out", str(out_path), "--iterations", "3"])
         assert rc == 0
+        assert seen == [3]
         text = out_path.read_text()
         assert "fig5a" in text and "ratio" in text
+        assert f"wrote {out_path}" in capsys.readouterr().out
