@@ -32,7 +32,7 @@ resumed run, so the no-lost-requests invariant holds across the crash.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .. import codec
 from .request import RequestRecord
@@ -62,11 +62,19 @@ class SchedulerCrash(RuntimeError):
         self.store = store
 
 
+def _object(item) -> dict:
+    if not isinstance(item, dict):
+        raise TypeError(f"expected a JSON object, got {type(item).__name__}")
+    return item
+
+
 @dataclass
 class CampaignCheckpoint:
     """One committed recovery point of a streaming campaign.
 
-    Everything the resumed scheduler needs, keyed by lifecycle class:
+    The scheduler kernel's own state, keyed by lifecycle class, plus one
+    opaque blob per stateful *part* (estimators, tunecache, autoscaler,
+    breakers, brownout, hedge and domain ledgers, tenancy):
 
     * ``terminal`` — records already completed/failed/rejected: restored
       verbatim (their outcomes were acked; re-running them would violate
@@ -77,12 +85,18 @@ class CampaignCheckpoint:
     * ``arrivals_consumed`` — how many arrivals the scheduler had pulled
       from the (deterministic) source; the resumed run regenerates the
       source and skips exactly this prefix.
-    * pool state — per-worker residency keys, busy time, retired flags —
+    * ``workers`` — per-worker residency keys, busy time, retired flags:
       the *workers* survived the scheduler; their devices still hold
       gauge configurations, and throwing that warmth away on every
       scheduler restart would repay setup the whole placement layer
-      exists to avoid.  Plus the serialized tunecache, estimator states,
-      and autoscaler position for the same reason.
+      exists to avoid.
+    * ``parts`` — ``{name: part.to_json()}`` for every part the campaign
+      was configured with.  The checkpoint does not know what a part
+      holds; the part's own ``restore`` reads its blob back.  Breaker
+      quarantines, the brownout level, token-bucket levels and fairness
+      clocks are *state*, not recomputable — a resumed scheduler must
+      not hand a known-flaky worker traffic again, rediscover an
+      overload from NORMAL, or re-charge a tenant.
     """
 
     time_s: float = 0.0
@@ -91,106 +105,52 @@ class CampaignCheckpoint:
     next_req_seq: int = 0
     makespan_s: float = 0.0
     checkpoints_committed: int = 0
-    preemptions: int = 0
     completion_order: list[int] = field(default_factory=list)
     #: ``RequestRecord.to_json()`` dicts, split by lifecycle class.
     terminal: list[dict] = field(default_factory=list)
     pending: list[dict] = field(default_factory=list)
     #: Per-worker ``{"resident": key-or-None, "busy_s": float, ...}``.
     workers: list[dict] = field(default_factory=list)
-    #: ``SharedTuneCache.to_json()`` (``None`` when tunecache disabled).
-    tunecache: dict | None = None
-    #: EWMA states: ``{"ewma": ..., "samples": ...}``.
-    drain: dict = field(default_factory=dict)
-    arrival_rate: dict = field(default_factory=dict)
-    #: Autoscaler position: scale events so far + cooldown clock.
-    elastic: dict = field(default_factory=dict)
-    #: Circuit-breaker board (``HealthBoard.to_json()``): per-worker
-    #: ledgers and states, so a resumed scheduler *preserves*
-    #: quarantines — restarting a known-flaky worker at HEALTHY would
-    #: hand it traffic the breaker had already taken away.
-    health: dict = field(default_factory=dict)
-    #: Brownout level + ledger (``BrownoutController.to_json()``): the
-    #: level is state, not recomputable — a resumed scheduler facing the
-    #: restored backlog must keep shedding rather than rediscover the
-    #: overload from NORMAL one admission at a time.
-    brownout: dict = field(default_factory=dict)
-    #: Hedge accounting carried across the crash (launched/won/cancelled).
-    hedges: dict = field(default_factory=dict)
-    #: Whole-worker kills already applied before the commit.
-    workers_killed: int = 0
-    #: Domain-breaker board (``DomainBoard.to_json()``): a resumed
-    #: scheduler preserves whole-node quarantines for the same reason it
-    #: preserves per-worker ones.
-    domain_health: dict = field(default_factory=dict)
-    #: Campaign-side failure-domain state: elastic worker→node
-    #: assignments, dead nodes, applied HCA factors, partitioned racks,
-    #: and the domain counters — all already-applied fault effects, so
-    #: the refired fault events replay idempotently after a crash.
-    domains: dict = field(default_factory=dict)
-    #: Multi-tenant state (``TenantRegistry.to_json()``): token-bucket
-    #: levels with their refill clocks, weighted-fair virtual clocks, and
-    #: per-tenant counters.  Buckets restore *verbatim* — a resumed
-    #: scheduler must not re-charge tokens for admissions the crashed one
-    #: already consumed.
-    tenancy: dict = field(default_factory=dict)
+    parts: dict[str, dict] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # Deterministic serialization (PR-2 recipe: magic + JSON + checksum)
     # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
-        return {
-            "time_s": self.time_s,
-            "arrivals_consumed": self.arrivals_consumed,
-            "next_batch_id": self.next_batch_id,
-            "next_req_seq": self.next_req_seq,
-            "makespan_s": self.makespan_s,
-            "checkpoints_committed": self.checkpoints_committed,
-            "preemptions": self.preemptions,
-            "completion_order": list(self.completion_order),
-            "terminal": list(self.terminal),
-            "pending": list(self.pending),
-            "workers": list(self.workers),
-            "tunecache": self.tunecache,
-            "drain": dict(self.drain),
-            "arrival_rate": dict(self.arrival_rate),
-            "elastic": dict(self.elastic),
-            "health": dict(self.health),
-            "brownout": dict(self.brownout),
-            "hedges": dict(self.hedges),
-            "workers_killed": self.workers_killed,
-            "domain_health": dict(self.domain_health),
-            "domains": dict(self.domains),
-            "tenancy": dict(self.tenancy),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "CampaignCheckpoint":
-        return cls(
-            time_s=float(data["time_s"]),
-            arrivals_consumed=int(data["arrivals_consumed"]),
-            next_batch_id=int(data["next_batch_id"]),
-            next_req_seq=int(data["next_req_seq"]),
-            makespan_s=float(data["makespan_s"]),
-            checkpoints_committed=int(data["checkpoints_committed"]),
-            preemptions=int(data.get("preemptions", 0)),
-            completion_order=[int(r) for r in data["completion_order"]],
-            terminal=list(data["terminal"]),
-            pending=list(data["pending"]),
-            workers=list(data["workers"]),
-            tunecache=data["tunecache"],
-            drain=dict(data["drain"]),
-            arrival_rate=dict(data["arrival_rate"]),
-            elastic=dict(data["elastic"]),
-            health=dict(data.get("health", {})),
-            brownout=dict(data.get("brownout", {})),
-            hedges=dict(data.get("hedges", {})),
-            workers_killed=int(data.get("workers_killed", 0)),
-            domain_health=dict(data.get("domain_health", {})),
-            domains=dict(data.get("domains", {})),
-            tenancy=dict(data.get("tenancy", {})),
-        )
+        """Rebuild from :meth:`to_json` output.
+
+        A CRC-valid frame only proves the bytes are the ones written,
+        not that this build wrote them: a body of any other shape —
+        including the pre-``parts`` layout with one field per feature —
+        raises :class:`~repro.codec.UnknownFormat`, so
+        :meth:`CampaignCheckpointStore.latest` falls back to the
+        previous commit instead of dying on a ``KeyError``.
+        """
+        try:
+            return cls(
+                time_s=float(data["time_s"]),
+                arrivals_consumed=int(data["arrivals_consumed"]),
+                next_batch_id=int(data["next_batch_id"]),
+                next_req_seq=int(data["next_req_seq"]),
+                makespan_s=float(data["makespan_s"]),
+                checkpoints_committed=int(data["checkpoints_committed"]),
+                completion_order=[int(r) for r in data["completion_order"]],
+                terminal=[_object(d) for d in data["terminal"]],
+                pending=[_object(d) for d in data["pending"]],
+                workers=[_object(d) for d in data["workers"]],
+                parts={
+                    name: _object(blob) for name, blob in data["parts"].items()
+                },
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise codec.UnknownFormat(
+                f"campaign checkpoint body has the wrong shape: {exc!r}"
+            ) from exc
 
     def to_bytes(self) -> bytes:
         return codec.encode_record(self.to_json(), kind=codec.KIND_CAMPAIGN)

@@ -34,7 +34,7 @@ ledger of :class:`ScaleEvent`\\ s lands in the service report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .queueing import DrainEstimator
 
@@ -128,12 +128,13 @@ class ArrivalRateEstimator:
     def to_json(self) -> dict:
         return {"gaps": self._gaps.to_json(), "last_arrival_s": self.last_arrival_s}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ArrivalRateEstimator":
-        est = cls()
-        est._gaps = DrainEstimator.from_json(data["gaps"])
-        est.last_arrival_s = data["last_arrival_s"]
-        return est
+    def restore(self, data: dict) -> None:
+        self._gaps.restore(data["gaps"])
+        self.last_arrival_s = data["last_arrival_s"]
+
+    def summary(self) -> dict:
+        """Nothing of its own: the rate shows in the scale-event reasons."""
+        return {}
 
 
 class PoolController:
@@ -242,37 +243,25 @@ class PoolController:
                 self.last_scale_s if self.last_scale_s != float("-inf") else None
             ),
             "spinup_spent_s": self.spinup_spent_s,
-            "events": [
-                {
-                    "time_s": e.time_s,
-                    "kind": e.kind,
-                    "n_before": e.n_before,
-                    "n_after": e.n_after,
-                    "reason": e.reason,
-                }
-                for e in self.events
-            ],
+            "events": [asdict(e) for e in self.events],
         }
 
-    @classmethod
-    def from_json(cls, policy: ElasticPolicy, data: dict) -> "PoolController":
-        ctl = cls(policy)
-        ctl.last_scale_s = (
+    def restore(self, data: dict) -> None:
+        self.last_scale_s = (
             data["last_scale_s"] if data["last_scale_s"] is not None
             else float("-inf")
         )
-        ctl.spinup_spent_s = float(data["spinup_spent_s"])
-        ctl.events = [
-            ScaleEvent(
-                time_s=float(e["time_s"]),
-                kind=e["kind"],
-                n_before=int(e["n_before"]),
-                n_after=int(e["n_after"]),
-                reason=e["reason"],
-            )
-            for e in data["events"]
-        ]
-        return ctl
+        self.spinup_spent_s = float(data["spinup_spent_s"])
+        self.events = [ScaleEvent(**e) for e in data["events"]]
+
+    def summary(self) -> dict:
+        """The report's autoscaler ledger."""
+        return {
+            "scale_ups": self.scale_ups,
+            "scale_downs": self.scale_downs,
+            "scale_events": [e.to_json() for e in self.events],
+            "spinup_spent_s": self.spinup_spent_s,
+        }
 
 
 def spread_domain(loads: dict, healthy: list) -> int:

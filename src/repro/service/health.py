@@ -37,7 +37,9 @@ deterministic functions of the schedule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from ..comms.cluster import Topology
 
 __all__ = [
     "HEALTHY",
@@ -50,7 +52,9 @@ __all__ = [
     "DomainPolicy",
     "DomainHealth",
     "DomainBoard",
+    "DomainState",
     "HedgePolicy",
+    "HedgeLedger",
     "BROWNOUT_NORMAL",
     "BROWNOUT_SHED_LOW",
     "BROWNOUT_DEGRADE",
@@ -163,33 +167,11 @@ class WorkerHealth:
             )
 
     def to_json(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "state": self.state,
-            "ewma_failure": self.ewma_failure,
-            "samples": self.samples,
-            "completions": self.completions,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "slow_batches": self.slow_batches,
-            "strikes": self.strikes,
-            "cooldown_until_s": self.cooldown_until_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "WorkerHealth":
-        return cls(
-            worker_id=int(data["worker_id"]),
-            state=data["state"],
-            ewma_failure=data["ewma_failure"],
-            samples=int(data["samples"]),
-            completions=int(data["completions"]),
-            crashes=int(data["crashes"]),
-            timeouts=int(data["timeouts"]),
-            slow_batches=int(data["slow_batches"]),
-            strikes=int(data["strikes"]),
-            cooldown_until_s=float(data["cooldown_until_s"]),
-        )
+        return cls(**data)
 
 
 class HealthBoard:
@@ -203,15 +185,17 @@ class HealthBoard:
 
     def __init__(self, policy: HealthPolicy) -> None:
         self.policy = policy
-        self.workers: dict[int, WorkerHealth] = {}
+        #: By worker id.  :class:`DomainBoard` uses the same name, so a
+        #: restore re-arms both boards' probes through one loop.
+        self.ledgers: dict[int, WorkerHealth] = {}
         self.quarantines = 0
         self.reinstated = 0
         self.retired_sick = 0
 
     def tracker(self, worker_id: int) -> WorkerHealth:
-        if worker_id not in self.workers:
-            self.workers[worker_id] = WorkerHealth(worker_id)
-        return self.workers[worker_id]
+        if worker_id not in self.ledgers:
+            self.ledgers[worker_id] = WorkerHealth(worker_id)
+        return self.ledgers[worker_id]
 
     # ------------------------------------------------------------------ #
     # Observations
@@ -284,7 +268,7 @@ class HealthBoard:
     # ------------------------------------------------------------------ #
 
     def state(self, worker_id: int) -> str:
-        wh = self.workers.get(worker_id)
+        wh = self.ledgers.get(worker_id)
         return wh.state if wh is not None else HEALTHY
 
     def is_serving(self, worker_id: int) -> bool:
@@ -296,7 +280,7 @@ class HealthBoard:
         """Workers currently held out by the breaker (quarantined or
         probing) — capacity the autoscaler must not also retire."""
         return sum(
-            1 for wh in self.workers.values()
+            1 for wh in self.ledgers.values()
             if wh.state in (QUARANTINED, PROBING)
         )
 
@@ -317,20 +301,18 @@ class HealthBoard:
             "reinstated": self.reinstated,
             "retired_sick": self.retired_sick,
             "workers": [
-                self.workers[w].to_json() for w in sorted(self.workers)
+                self.ledgers[w].to_json() for w in sorted(self.ledgers)
             ],
         }
 
-    @classmethod
-    def from_json(cls, policy: HealthPolicy, data: dict) -> "HealthBoard":
-        board = cls(policy)
-        board.quarantines = int(data["quarantines"])
-        board.reinstated = int(data["reinstated"])
-        board.retired_sick = int(data["retired_sick"])
-        for wd in data["workers"]:
-            wh = WorkerHealth.from_json(wd)
-            board.workers[wh.worker_id] = wh
-        return board
+    def restore(self, data: dict) -> None:
+        self.quarantines = int(data["quarantines"])
+        self.reinstated = int(data["reinstated"])
+        self.retired_sick = int(data["retired_sick"])
+        self.ledgers = {
+            int(wd["worker_id"]): WorkerHealth.from_json(wd)
+            for wd in data["workers"]
+        }
 
 
 @dataclass(frozen=True)
@@ -381,25 +363,11 @@ class DomainHealth:
     cooldown_until_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "node": self.node,
-            "state": self.state,
-            "strikes": [[t, w] for t, w in self.strikes],
-            "probe_strikes": self.probe_strikes,
-            "quarantines": self.quarantines,
-            "cooldown_until_s": self.cooldown_until_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "DomainHealth":
-        return cls(
-            node=int(data["node"]),
-            state=data["state"],
-            strikes=[[float(t), int(w)] for t, w in data["strikes"]],
-            probe_strikes=int(data["probe_strikes"]),
-            quarantines=int(data["quarantines"]),
-            cooldown_until_s=float(data["cooldown_until_s"]),
-        )
+        return cls(**data)
 
 
 class DomainBoard:
@@ -414,7 +382,8 @@ class DomainBoard:
 
     def __init__(self, policy: DomainPolicy) -> None:
         self.policy = policy
-        self.domains: dict[int, DomainHealth] = {}
+        #: By node id.
+        self.ledgers: dict[int, DomainHealth] = {}
         self.quarantines = 0
         self.reinstated = 0
         self.retired = 0
@@ -422,9 +391,9 @@ class DomainBoard:
         self.by_domain: dict[int, int] = {}
 
     def tracker(self, node: int) -> DomainHealth:
-        if node not in self.domains:
-            self.domains[node] = DomainHealth(node)
-        return self.domains[node]
+        if node not in self.ledgers:
+            self.ledgers[node] = DomainHealth(node)
+        return self.ledgers[node]
 
     # ------------------------------------------------------------------ #
     # Observations
@@ -477,7 +446,7 @@ class DomainBoard:
     # ------------------------------------------------------------------ #
 
     def state(self, node: int) -> str:
-        dh = self.domains.get(node)
+        dh = self.ledgers.get(node)
         return dh.state if dh is not None else HEALTHY
 
     def is_serving(self, node: int) -> bool:
@@ -485,18 +454,21 @@ class DomainBoard:
 
     def n_quarantined(self) -> int:
         return sum(
-            1 for dh in self.domains.values()
+            1 for dh in self.ledgers.values()
             if dh.state in (QUARANTINED, PROBING)
         )
 
     def summary(self) -> dict:
+        """The breaker's rows of the report's ``domains`` scorecard."""
         return {
-            "domain_quarantines": self.quarantines,
-            "domain_reinstated": self.reinstated,
-            "domain_retired": self.retired,
-            "quarantines_by_domain": {
-                str(n): self.by_domain[n] for n in sorted(self.by_domain)
-            },
+            "domains": {
+                "domain_quarantines": self.quarantines,
+                "domain_reinstated": self.reinstated,
+                "domain_retired": self.retired,
+                "quarantines_by_domain": {
+                    str(n): self.by_domain[n] for n in sorted(self.by_domain)
+                },
+            }
         }
 
     # ------------------------------------------------------------------ #
@@ -509,22 +481,132 @@ class DomainBoard:
             "reinstated": self.reinstated,
             "retired": self.retired,
             "by_domain": {str(n): c for n, c in sorted(self.by_domain.items())},
-            "domains": [self.domains[n].to_json() for n in sorted(self.domains)],
+            "domains": [self.ledgers[n].to_json() for n in sorted(self.ledgers)],
         }
 
-    @classmethod
-    def from_json(cls, policy: DomainPolicy, data: dict) -> "DomainBoard":
-        board = cls(policy)
-        board.quarantines = int(data["quarantines"])
-        board.reinstated = int(data["reinstated"])
-        board.retired = int(data["retired"])
-        board.by_domain = {
+    def restore(self, data: dict) -> None:
+        self.quarantines = int(data["quarantines"])
+        self.reinstated = int(data["reinstated"])
+        self.retired = int(data["retired"])
+        self.by_domain = {
             int(n): int(c) for n, c in data["by_domain"].items()
         }
-        for dd in data["domains"]:
-            dh = DomainHealth.from_json(dd)
-            board.domains[dh.node] = dh
-        return board
+        self.ledgers = {
+            int(dd["node"]): DomainHealth.from_json(dd)
+            for dd in data["domains"]
+        }
+
+
+class DomainState:
+    """Campaign-side failure-domain state, beside the domain breaker.
+
+    Where each worker lives, and which fault effects have already been
+    applied — dead nodes, partitioned and healed racks, the domain
+    counters.  All of it is checkpointed (except ``hca_factor``), so
+    the fault events a resumed scheduler refires replay idempotently:
+    a restored dead node is not killed, or counted, twice.
+    """
+
+    def __init__(self, topology: Topology, boot_workers: int) -> None:
+        self.topology = topology
+        self.boot_workers = boot_workers
+        #: Explicit node assignments for elastic scale-ups; boot workers
+        #: map through the topology's arithmetic.
+        self.worker_node: dict[int, int] = {}
+        self.dead_nodes: set[int] = set()
+        #: Deliberately NOT checkpointed — rebuilt workers carry base
+        #: straggler factors, and the refired HCA event re-applies the
+        #: slowdown exactly once.
+        self.hca_factor: dict[int, float] = {}
+        self.partitioned: set[int] = set()
+        self.healed_racks: set[int] = set()
+        self.nodes_killed = 0
+        self.partitions_seen = 0
+        self.partition_heals = 0
+        self.anti_affinity_hedges = 0
+        #: First model time each worker was held out of service by a
+        #: breaker (worker or domain) — the time-to-isolate witness.
+        self.isolation_s: dict[int, float] = {}
+
+    def node_of(self, worker_id: int) -> int:
+        """The failure domain a worker lives on."""
+        node = self.worker_node.get(worker_id)
+        if node is not None:
+            return node
+        return self.topology.node_of_worker(worker_id)
+
+    def members(self, node: int, pool_size: int) -> list[int]:
+        """Every worker (any lifecycle state) of a ``pool_size`` pool
+        that lives on ``node``."""
+        return [w for w in range(pool_size) if self.node_of(w) == node]
+
+    def reachable(self, node: int) -> bool:
+        """Whether the node's rack is on the scheduler's side of every
+        switch partition."""
+        return self.topology.rack_of_node(node) not in self.partitioned
+
+    def isolation_ms(self) -> dict:
+        """Per-node time-to-isolate: the instant the *last* boot worker
+        on the node was held out of service.  Only nodes whose every
+        boot worker has been isolated appear — a partial hold is not
+        isolation."""
+        out: dict[str, float] = {}
+        for node in range(self.topology.n_nodes):
+            members = [
+                w
+                for w in self.topology.workers_on_node(node)
+                if w < self.boot_workers
+            ]
+            if members and all(w in self.isolation_s for w in members):
+                out[str(node)] = round(
+                    max(self.isolation_s[w] for w in members) * 1e3, 6
+                )
+        return out
+
+    def to_json(self) -> dict:
+        return {
+            "worker_nodes": {
+                str(w): n for w, n in sorted(self.worker_node.items())
+            },
+            "dead_nodes": sorted(self.dead_nodes),
+            "partitioned": sorted(self.partitioned),
+            "healed_racks": sorted(self.healed_racks),
+            "nodes_killed": self.nodes_killed,
+            "partitions_seen": self.partitions_seen,
+            "partition_heals": self.partition_heals,
+            "anti_affinity_hedges": self.anti_affinity_hedges,
+            "isolation_s": {
+                str(w): t for w, t in sorted(self.isolation_s.items())
+            },
+        }
+
+    def restore(self, data: dict) -> None:
+        self.worker_node = {
+            int(w): int(n) for w, n in data["worker_nodes"].items()
+        }
+        self.dead_nodes = {int(n) for n in data["dead_nodes"]}
+        self.partitioned = {int(r) for r in data["partitioned"]}
+        self.healed_racks = {int(r) for r in data["healed_racks"]}
+        self.nodes_killed = int(data["nodes_killed"])
+        self.partitions_seen = int(data["partitions_seen"])
+        self.partition_heals = int(data["partition_heals"])
+        self.anti_affinity_hedges = int(data["anti_affinity_hedges"])
+        self.isolation_s = {
+            int(w): float(t) for w, t in data["isolation_s"].items()
+        }
+
+    def summary(self) -> dict:
+        """The fault rows of the report's ``domains`` scorecard."""
+        return {
+            "domains": {
+                "topology": str(self.topology),
+                "nodes_killed": self.nodes_killed,
+                "partitions": self.partitions_seen,
+                "partition_heals": self.partition_heals,
+                "anti_affinity_hedges": self.anti_affinity_hedges,
+                "isolation_ms": self.isolation_ms(),
+            }
+        }
 
 
 @dataclass(frozen=True)
@@ -549,6 +631,38 @@ class HedgePolicy:
             raise ValueError("refresh_points must be >= 1")
         if self.min_samples < 0:
             raise ValueError("min_samples must be >= 0")
+
+
+class HedgeLedger:
+    """One campaign's hedge accounting, beside the policy it runs under:
+    replicas launched, replicas that beat their original, losers
+    cancelled at a refresh boundary.  Checkpointed, so a resumed
+    campaign reports the whole campaign's hedges."""
+
+    def __init__(self, policy: HedgePolicy) -> None:
+        self.policy = policy
+        self.launched = 0
+        self.won = 0
+        self.cancelled = 0
+
+    def to_json(self) -> dict:
+        return {
+            "launched": self.launched,
+            "won": self.won,
+            "cancelled": self.cancelled,
+        }
+
+    def restore(self, data: dict) -> None:
+        self.launched = int(data["launched"])
+        self.won = int(data["won"])
+        self.cancelled = int(data["cancelled"])
+
+    def summary(self) -> dict:
+        return {
+            "hedges_launched": self.launched,
+            "hedges_won": self.won,
+            "hedges_cancelled": self.cancelled,
+        }
 
 
 @dataclass(frozen=True)
@@ -634,19 +748,22 @@ class BrownoutController:
         return self.level
 
     def summary(self) -> dict:
+        """The report's ``brownout`` block."""
         return {
-            "final_level": BROWNOUT_NAMES[self.level],
-            "max_level": BROWNOUT_NAMES[self.max_level],
-            "shed": self.shed,
-            "brownout_rejected": self.brownout_rejected,
-            "transitions": [
-                {
-                    "time_us": round(t * 1e6, 3),
-                    "level": BROWNOUT_NAMES[level],
-                    "pressure_us": round(p * 1e6, 3),
-                }
-                for t, level, p in self.transitions
-            ],
+            "brownout": {
+                "final_level": BROWNOUT_NAMES[self.level],
+                "max_level": BROWNOUT_NAMES[self.max_level],
+                "shed": self.shed,
+                "brownout_rejected": self.brownout_rejected,
+                "transitions": [
+                    {
+                        "time_us": round(t * 1e6, 3),
+                        "level": BROWNOUT_NAMES[level],
+                        "pressure_us": round(p * 1e6, 3),
+                    }
+                    for t, level, p in self.transitions
+                ],
+            }
         }
 
     # ------------------------------------------------------------------ #
@@ -666,16 +783,11 @@ class BrownoutController:
             ],
         }
 
-    @classmethod
-    def from_json(
-        cls, policy: BrownoutPolicy, data: dict
-    ) -> "BrownoutController":
-        ctl = cls(policy)
-        ctl.level = int(data["level"])
-        ctl.shed = int(data["shed"])
-        ctl.brownout_rejected = int(data["brownout_rejected"])
-        ctl.transitions = [
+    def restore(self, data: dict) -> None:
+        self.level = int(data["level"])
+        self.shed = int(data["shed"])
+        self.brownout_rejected = int(data["brownout_rejected"])
+        self.transitions = [
             (float(t), int(level), float(p))
             for t, level, p in data["transitions"]
         ]
-        return ctl

@@ -213,6 +213,25 @@ class ServiceReport:
         tenants = cls._tenant_scorecard(
             daemon.get("tenancy", {}), cols, horizon
         )
+        # The daemon block fills every report field it has a key for —
+        # counters and ledgers the scheduler's parts report under the
+        # field's own name; a part that is off leaves the default.
+        carried = {
+            name: value
+            for name, value in daemon.items()
+            if name in cls.__dataclass_fields__
+        }
+        carried.setdefault("final_workers", len(worker_busy_s))
+        if "domains" in carried:
+            # Two rows of the scorecard are other layers' counters: the
+            # placement engine's diversions and the store's fallbacks.
+            carried["domains"] = {
+                **carried["domains"],
+                "anti_affinity_placements": (placement or {}).get(
+                    "anti_affinity_placements", 0
+                ),
+                "mirror_restores": daemon.get("mirror_restores", 0),
+            }
         return cls(
             n_requests=cols.n,
             admitted=cols.n - n_rejected,
@@ -247,19 +266,6 @@ class ServiceReport:
             priority_latency=by_priority,
             throughput_windows=throughput_windows,
             window_s=window_s if n_completed else 0.0,
-            preemptions=daemon.get("preemptions", 0),
-            resumed_batches=daemon.get("resumed_batches", 0),
-            scale_ups=daemon.get("scale_ups", 0),
-            scale_downs=daemon.get("scale_downs", 0),
-            scale_events=daemon.get("scale_events", []),
-            final_workers=daemon.get("final_workers", len(worker_busy_s)),
-            spinup_spent_s=daemon.get("spinup_spent_s", 0.0),
-            checkpoints_committed=daemon.get("checkpoints_committed", 0),
-            checkpoint_restores=daemon.get("checkpoint_restores", 0),
-            restored_requests=daemon.get("restored_requests", 0),
-            hedges_launched=daemon.get("hedges_launched", 0),
-            hedges_won=daemon.get("hedges_won", 0),
-            hedges_cancelled=daemon.get("hedges_cancelled", 0),
             shed_low=cols.count(
                 cols.rejected & cols.shed & (cols.priority == PRIORITY_LOW)
             ),
@@ -267,13 +273,8 @@ class ServiceReport:
                 cols.rejected & cols.shed & (cols.priority != PRIORITY_LOW)
             ),
             degraded_served=cols.count(cols.completed & cols.degraded),
-            brownout=daemon.get("brownout", {}),
-            quarantines=daemon.get("quarantines", 0),
-            reinstated=daemon.get("reinstated", 0),
-            retired_sick=daemon.get("retired_sick", 0),
-            workers_killed=daemon.get("workers_killed", 0),
-            domains=daemon.get("domains", {}),
             tenants=tenants,
+            **carried,
         )
 
     @staticmethod
@@ -425,126 +426,6 @@ class ServiceReport:
                 for name, t in sorted(self.tenants.items())
             }
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ServiceReport":
-        """Rebuild a report from :meth:`to_json` output.
-
-        The round trip is a fixed point —
-        ``from_json(to_json(r)).to_json() == r.to_json()`` — so reports
-        survive the JSON artifacts (CI scorecards, ``BENCH_service.json``)
-        without drift.  Keys the writing version predates default to
-        their zero values.
-        """
-        p = data.get("placement", {})
-        placement = (
-            {
-                "grids": dict(p["grids"]),
-                "residency_hits": p["residency_hits"],
-                "residency_misses": p["residency_misses"],
-                "residency_hit_rate": p["residency_hit_rate"],
-                "gauge_saved_s": p["gauge_saved_us"] / 1e6,
-                "anti_affinity_placements": p.get(
-                    "anti_affinity_placements", 0
-                ),
-                "tunecache_hits": p["tunecache_hits"],
-                "tunecache_misses": p["tunecache_misses"],
-                "tunecache_hit_rate": p["tunecache_hit_rate"],
-                "tune_setup_spent_s": p["tune_setup_spent_us"] / 1e6,
-                "tune_setup_saved_s": p["tune_setup_saved_us"] / 1e6,
-            }
-            if p
-            else {}
-        )
-        return cls(
-            n_requests=data["requests"],
-            admitted=data["admitted"],
-            rejected=data["rejected"],
-            completed=data["completed"],
-            failed=data["failed"],
-            retries=data["retries"],
-            recoveries=data["recoveries"],
-            worker_crashes=data["worker_crashes"],
-            n_batches=data["batches"],
-            mean_batch_size=data["mean_batch_size"],
-            batch_occupancy=data["batch_occupancy"],
-            wait_p50_s=data["wait_p50_us"] / 1e6,
-            wait_p95_s=data["wait_p95_us"] / 1e6,
-            wait_p99_s=data["wait_p99_us"] / 1e6,
-            latency_p50_s=data["latency_p50_us"] / 1e6,
-            latency_p99_s=data["latency_p99_us"] / 1e6,
-            makespan_s=data["makespan_us"] / 1e6,
-            throughput_rps=data["throughput_rps"],
-            goodput_rps=data["goodput_rps"],
-            slo_attainment=data["slo_attainment"],
-            worker_utilization=list(data["worker_utilization"]),
-            placement=placement,
-            priority_latency={
-                name: {
-                    "completed": tier["completed"],
-                    "p50_s": (
-                        tier["p50_us"] / 1e6
-                        if tier["p50_us"] is not None
-                        else None
-                    ),
-                    "p99_s": (
-                        tier["p99_us"] / 1e6
-                        if tier["p99_us"] is not None
-                        else None
-                    ),
-                }
-                for name, tier in data["priority_latency"].items()
-            },
-            throughput_windows=list(data["throughput_windows_rps"]),
-            window_s=data["window_us"] / 1e6,
-            preemptions=data.get("preemptions", 0),
-            resumed_batches=data.get("resumed_batches", 0),
-            scale_ups=data.get("scale_ups", 0),
-            scale_downs=data.get("scale_downs", 0),
-            scale_events=list(data.get("scale_events", [])),
-            final_workers=data.get("final_workers", 0),
-            spinup_spent_s=data.get("spinup_spent_us", 0.0) / 1e6,
-            checkpoints_committed=data.get("checkpoints_committed", 0),
-            checkpoint_restores=data.get("checkpoint_restores", 0),
-            restored_requests=data.get("restored_requests", 0),
-            hedges_launched=data.get("hedges_launched", 0),
-            hedges_won=data.get("hedges_won", 0),
-            hedges_cancelled=data.get("hedges_cancelled", 0),
-            shed_low=data.get("shed_low", 0),
-            brownout_rejected=data.get("brownout_rejected", 0),
-            degraded_served=data.get("degraded_served", 0),
-            brownout=dict(data.get("brownout", {})),
-            quarantines=data.get("quarantines", 0),
-            reinstated=data.get("reinstated", 0),
-            retired_sick=data.get("retired_sick", 0),
-            workers_killed=data.get("workers_killed", 0),
-            domains=dict(data.get("domains", {})),
-            tenants={
-                name: {
-                    "weight": t["weight"],
-                    "weight_share": t["weight_share"],
-                    "requests": t["requests"],
-                    "completed": t["completed"],
-                    "failed": t["failed"],
-                    "rejected": t["rejected"],
-                    "quota_rejected": t["quota_rejected"],
-                    "shed": t["shed"],
-                    "p50_s": (
-                        t["p50_us"] / 1e6 if t["p50_us"] is not None else None
-                    ),
-                    "p95_s": (
-                        t["p95_us"] / 1e6 if t["p95_us"] is not None else None
-                    ),
-                    "p99_s": (
-                        t["p99_us"] / 1e6 if t["p99_us"] is not None else None
-                    ),
-                    "slo_attainment": t["slo_attainment"],
-                    "goodput_rps": t["goodput_rps"],
-                    "goodput_share": t["goodput_share"],
-                }
-                for name, t in data.get("tenants", {}).items()
-            },
-        )
 
     def _placement_json(self) -> dict:
         p = self.placement

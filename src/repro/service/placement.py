@@ -408,20 +408,29 @@ class SharedTuneCache:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SharedTuneCache":
-        cache = cls()
-        for entry in data["entries"]:
-            res = TuneResult.from_json(entry)
-            cache._entries[
-                (
-                    entry["kernel"],
-                    entry["precision"],
-                    int(entry["local_volume"]),
-                    entry["spec"],
-                )
-            ] = res
-        return cache
+    def restore(self, data: dict) -> None:
+        """Hold exactly the checkpointed entries: one tuned after the
+        commit is dropped, so the resumed run pays its sweep again just
+        as the crashed one did."""
+        self._entries = {
+            (
+                entry["kernel"],
+                entry["precision"],
+                int(entry["local_volume"]),
+                entry["spec"],
+            ): TuneResult.from_json(entry)
+            for entry in data["entries"]
+        }
+
+    def summary(self) -> dict:
+        """The tunecache rows of the report's placement block."""
+        return {
+            "tunecache_hits": self.hits,
+            "tunecache_misses": self.misses,
+            "tunecache_hit_rate": self.hit_rate,
+            "tune_setup_spent_s": self.spent_s,
+            "tune_setup_saved_s": self.saved_s,
+        }
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -430,8 +439,10 @@ class SharedTuneCache:
 
     @classmethod
     def load(cls, path: str) -> "SharedTuneCache":
+        cache = cls()
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            cache.restore(json.load(fh))
+        return cache
 
 
 # --------------------------------------------------------------------- #
@@ -611,11 +622,5 @@ class PlacementEngine:
             "tune_setup_saved_s": 0.0,
         }
         if self.tune_cache is not None:
-            out.update(
-                tunecache_hits=self.tune_cache.hits,
-                tunecache_misses=self.tune_cache.misses,
-                tunecache_hit_rate=self.tune_cache.hit_rate,
-                tune_setup_spent_s=self.tune_cache.spent_s,
-                tune_setup_saved_s=self.tune_cache.saved_s,
-            )
+            out.update(self.tune_cache.summary())
         return out

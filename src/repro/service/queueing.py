@@ -96,12 +96,15 @@ class DrainEstimator:
             "ewma": self._ewma,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DrainEstimator":
-        est = cls(alpha=float(data["alpha"]), initial_s=float(data["initial_s"]))
-        est.samples = int(data["samples"])
-        est._ewma = data["ewma"]
-        return est
+    def restore(self, data: dict) -> None:
+        self.alpha = float(data["alpha"])
+        self.initial_s = float(data["initial_s"])
+        self.samples = int(data["samples"])
+        self._ewma = data["ewma"]
+
+    def summary(self) -> dict:
+        """Nothing of its own: the estimate shows in retry-after hints."""
+        return {}
 
 
 def _order_key(rec: RequestRecord) -> tuple:

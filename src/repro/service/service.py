@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator
 
 from ..comms.cluster import ClusterSpec, Topology
@@ -91,8 +91,10 @@ from .health import (
     BrownoutPolicy,
     DomainBoard,
     DomainPolicy,
+    DomainState,
     HealthBoard,
     HealthPolicy,
+    HedgeLedger,
     HedgePolicy,
 )
 from .metrics import ServiceReport
@@ -148,6 +150,10 @@ _EV_HCA_DEGRADE = 10
 _EV_PARTITION = 11
 _EV_HEAL = 12
 _EV_DOMAIN_PROBE = 13
+
+#: The breaker boards and the event kind that probes a quarantined
+#: ledger of each — what a restore must push again.
+_PROBE_EVENT = {HealthBoard: _EV_PROBE, DomainBoard: _EV_DOMAIN_PROBE}
 
 #: Float-rounding slack for refresh-boundary arithmetic (same scale as
 #: the batching window slack).
@@ -330,7 +336,8 @@ class _ProbeRun:
     """
 
     worker_id: int
-    execution: BatchExecution
+    #: Filled in by :meth:`_Campaign._run_probe` once the probe has run.
+    execution: BatchExecution | None = None
 
 
 @dataclass
@@ -344,7 +351,6 @@ class _DeadRun:
     """
 
     batch: Batch
-    start_s: float
 
 
 @dataclass
@@ -352,8 +358,7 @@ class _DomainProbeRun:
     """The domain breaker's single probe for a quarantined node."""
 
     node: int
-    worker_id: int
-    execution: BatchExecution
+    execution: BatchExecution | None = None
 
 
 @dataclass
@@ -371,6 +376,39 @@ class _PreemptedRun:
     priority: int
     preempted_s: float
     from_batch: int
+
+
+@dataclass
+class _Counters:
+    """Counters of the two features the kernel implements itself —
+    preemption and whole-worker kills — as one checkpoint part.
+
+    ``resumed_batches`` is reported but not carried across a scheduler
+    crash: the carried set is frozen by the ledger's pinned
+    ``serve-durable`` report, so a resumed campaign under-reports it
+    (ROADMAP item 5, "bug the artifact still shows").
+    """
+
+    preemptions: int = 0
+    resumed_batches: int = 0
+    workers_killed: int = 0
+
+    def to_json(self) -> dict:
+        return {
+            "preemptions": self.preemptions,
+            "workers_killed": self.workers_killed,
+        }
+
+    def restore(self, data: dict) -> None:
+        self.preemptions = int(data["preemptions"])
+        self.workers_killed = int(data["workers_killed"])
+
+    def summary(self) -> dict:
+        return asdict(self)
+
+
+def _on(policy) -> bool:
+    return policy is not None and policy.enabled
 
 
 class SolveService:
@@ -509,9 +547,22 @@ class SolveService:
 class _Campaign:
     """One daemon run: the event loop and all of its mutable state.
 
-    Promoted out of closure-land so the state is *enumerable* — the
-    campaign checkpoint is a method over these attributes, not a
-    parallel bookkeeping structure that could drift.
+    The *kernel* is the heap, the clock, the queue, dispatch and the
+    no-lost-requests invariant, plus a few verbs every feature goes
+    through instead of reaching into ``running`` / ``cancelled`` /
+    ``predicted`` / ``idle`` itself: :meth:`_eligible`,
+    :meth:`_release` and :meth:`_hold` (who may take traffic, the one
+    sorted re-idle), :meth:`_launch` (the dispatch tail),
+    :meth:`_teardown` (a batch leaves its worker early),
+    :meth:`_surrender` (a lost batch's records: hedged partner, retry
+    budget, terminal failure), :meth:`_refuse`, :meth:`_next_boundary`,
+    :meth:`_run_probe` and :meth:`_after_batch`.
+
+    Every stateful feature object sits in ``parts`` behind the same
+    three methods — ``to_json()``, ``restore(data)``, ``summary()`` —
+    so checkpoint commit, restore and the report's daemon block are
+    loops over ``parts``, not a parallel list of features that could
+    drift.
     """
 
     def __init__(
@@ -545,46 +596,11 @@ class _Campaign:
         self.makespan = 0.0
         self.batch_seq = 0
         self.arrivals_consumed = 0
-        self.preemptions_total = 0
-        self.resumed_batches = 0
         self.checkpoints_committed = 0
         self.batches_since_commit = 0
         self.restored_requests = 0
         self.restored = False
         self.pending_up: set[int] = set()
-        self.drain = DrainEstimator(
-            alpha=cfg.drain_alpha, initial_s=cfg.service_time_hint_s
-        )
-        self.arrival_est = ArrivalRateEstimator(
-            alpha=cfg.elastic.alpha if cfg.elastic else 0.3
-        )
-        self.controller = (
-            PoolController(cfg.elastic) if cfg.elastic is not None else None
-        )
-        self.board = (
-            HealthBoard(cfg.health)
-            if cfg.health is not None and cfg.health.enabled
-            else None
-        )
-        self.brownout = (
-            BrownoutController(cfg.brownout)
-            if cfg.brownout is not None and cfg.brownout.enabled
-            else None
-        )
-        self.hedge = (
-            cfg.hedge if cfg.hedge is not None and cfg.hedge.enabled else None
-        )
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.hedges_cancelled = 0
-        self.workers_killed = 0
-        #: Multi-tenant state machine (quotas, fairness clocks, per-tenant
-        #: counters); ``None`` keeps every tenancy hook inert.
-        self.tenants = (
-            TenantRegistry(cfg.tenancy)
-            if cfg.tenancy is not None and cfg.tenancy.enabled
-            else None
-        )
         #: Drain-model estimate taken at each batch's dispatch — the
         #: baseline hedging and the slow-completion signal compare to.
         self.predicted: dict[int, float] = {}
@@ -592,41 +608,61 @@ class _Campaign:
         #: batch a quarantined worker must survive to be reinstated.
         self.probe_template: SolveRequest | None = None
 
-        # ---- failure-domain state (all inert when topology is None) --
-        self.topology = cfg.topology
-        self.domain_board = (
-            DomainBoard(cfg.domain_health)
-            if cfg.domain_health is not None and cfg.domain_health.enabled
+        self.drain = DrainEstimator(
+            alpha=cfg.drain_alpha, initial_s=cfg.service_time_hint_s
+        )
+        self.arrival_est = ArrivalRateEstimator(
+            alpha=cfg.elastic.alpha if cfg.elastic else 0.3
+        )
+        self.counters = _Counters()
+        # Each optional feature is its object or ``None``; ``None``
+        # keeps every hook of that feature inert.
+        self.controller = (
+            PoolController(cfg.elastic) if cfg.elastic is not None else None
+        )
+        self.board = HealthBoard(cfg.health) if _on(cfg.health) else None
+        self.hedge = HedgeLedger(cfg.hedge) if _on(cfg.hedge) else None
+        self.brownout = (
+            BrownoutController(cfg.brownout) if _on(cfg.brownout) else None
+        )
+        self.tenants = TenantRegistry(cfg.tenancy) if _on(cfg.tenancy) else None
+        self.domains = (
+            DomainState(cfg.topology, cfg.n_workers)
+            if cfg.topology is not None
             else None
         )
-        #: Explicit node assignments for elastic scale-ups; boot workers
-        #: map through the topology's arithmetic.
-        self.worker_node: dict[int, int] = {}
-        self.dead_nodes: set[int] = set()
-        self.hca_factor: dict[int, float] = {}
-        self.partitioned: set[int] = set()
-        self.healed_racks: set[int] = set()
-        self.nodes_killed = 0
-        self.partitions_seen = 0
-        self.partition_heals = 0
-        self.anti_affinity_hedges = 0
-        #: First model time each worker was held out of service by a
-        #: breaker (worker or domain) — the time-to-isolate witness.
-        self.isolation_s: dict[int, float] = {}
+        self.domain_board = (
+            DomainBoard(cfg.domain_health) if _on(cfg.domain_health) else None
+        )
+        #: Everything that checkpoints and reports, in restore order
+        #: (the worker board re-arms its probes before the domain board:
+        #: re-arm pushes consume ``seq``).
+        parts = {
+            "drain": self.drain,
+            "arrival_rate": self.arrival_est,
+            "tunecache": self.placement.tune_cache,
+            "counters": self.counters,
+            "elastic": self.controller,
+            "health": self.board,
+            "hedge": self.hedge,
+            "brownout": self.brownout,
+            "tenancy": self.tenants,
+            "domains": self.domains,
+            "domain_health": self.domain_board,
+        }
+        self.parts: dict[str, object] = {
+            name: part for name, part in parts.items() if part is not None
+        }
 
         if restore is not None:
             self._restore(restore)
         self.placement.reset_stats()
         self.idle = sorted(
-            w.worker_id
-            for w in self.workers
-            if not w.retired
-            and (self.board is None or self.board.is_serving(w.worker_id))
-            and self._idle_ok(w.worker_id)
+            w.worker_id for w in self.workers if self._eligible(w.worker_id)
         )
 
     # ------------------------------------------------------------------ #
-    # Restore (scheduler self-healing)
+    # Checkpoint commit / restore (scheduler self-healing)
     # ------------------------------------------------------------------ #
 
     def _restore(self, ckpt: CampaignCheckpoint) -> None:
@@ -636,7 +672,6 @@ class _Campaign:
         self.makespan = ckpt.makespan_s
         self.batch_seq = ckpt.next_batch_id
         self.arrivals_consumed = ckpt.arrivals_consumed
-        self.preemptions_total = ckpt.preemptions
         self.checkpoints_committed = ckpt.checkpoints_committed
         self.completion_order = list(ckpt.completion_order)
         terminal, pending = ckpt.restored_records()
@@ -650,90 +685,34 @@ class _Campaign:
             self.records.append(rec)
             self.queue.offer(rec, force=True)
         self.restored_requests = len(pending)
-        d = ckpt.domains
-        if d:
-            # Parsed *before* the worker rebuild: elastic workers need
-            # their node assignment to reproduce the (domain, seed)
-            # straggler factor.  ``hca_factor`` is deliberately NOT
-            # checkpointed — rebuilt workers carry base factors, and the
-            # refired HCA event re-applies the slowdown exactly once.
-            self.worker_node = {
-                int(k): int(v) for k, v in d.get("worker_nodes", {}).items()
-            }
-            self.dead_nodes = {int(n) for n in d.get("dead_nodes", [])}
-            self.partitioned = {int(r) for r in d.get("partitioned", [])}
-            self.healed_racks = {int(r) for r in d.get("healed_racks", [])}
-            self.nodes_killed = int(d.get("nodes_killed", 0))
-            self.partitions_seen = int(d.get("partitions_seen", 0))
-            self.partition_heals = int(d.get("partition_heals", 0))
-            self.anti_affinity_hedges = int(d.get("anti_affinity_hedges", 0))
-            self.isolation_s = {
-                int(k): float(v) for k, v in d.get("isolation_s", {}).items()
-            }
+        for name, part in self.parts.items():
+            if name in ckpt.parts:
+                part.restore(ckpt.parts[name])
+        # After the parts: a worker added by a scale-up is rebuilt on
+        # its restored node assignment, which fixes its straggler factor.
         for wd in ckpt.workers:
             while wd["worker_id"] >= len(self.workers):
                 wid = len(self.workers)
                 self.workers.append(
-                    self.service._make_worker(
-                        wid, node=self.worker_node.get(wid)
-                    )
+                    self.service._make_worker(wid, node=self._assigned_node(wid))
                 )
             self.workers[wd["worker_id"]].restore_state(wd)
-        if ckpt.tunecache is not None and self.placement.tune_cache is not None:
-            self.placement.tune_cache = SharedTuneCache.from_json(ckpt.tunecache)
-        self.drain = DrainEstimator.from_json(ckpt.drain)
-        if ckpt.arrival_rate:
-            self.arrival_est = ArrivalRateEstimator.from_json(ckpt.arrival_rate)
-        if self.controller is not None and ckpt.elastic:
-            self.controller = PoolController.from_json(
-                self.cfg.elastic, ckpt.elastic
-            )
-        if self.board is not None and ckpt.health:
-            self.board = HealthBoard.from_json(self.cfg.health, ckpt.health)
-            # Re-arm the breaker's pending probes: quarantines survive
-            # the crash (a known-flaky worker must not restart HEALTHY),
-            # but their probe events died with the scheduler.  A worker
-            # caught mid-probe re-enters QUARANTINED — its probe batch
-            # is gone, so it earns a fresh one.
-            for wh in self.board.workers.values():
-                if wh.state == PROBING:
-                    wh.state = QUARANTINED
-                if wh.state == QUARANTINED:
+        # Re-arm pending probes: quarantines survive the crash (a
+        # known-flaky worker must not restart HEALTHY), but their probe
+        # events died with the scheduler.  A ledger caught mid-probe
+        # re-enters QUARANTINED — its probe batch is gone, so it earns
+        # a fresh one.
+        for part in self.parts.values():
+            kind = _PROBE_EVENT.get(type(part))
+            if kind is None:
+                continue
+            for ident, ledger in part.ledgers.items():
+                if ledger.state == PROBING:
+                    ledger.state = QUARANTINED
+                if ledger.state == QUARANTINED:
                     self._push(
-                        max(wh.cooldown_until_s, self.now),
-                        _EV_PROBE,
-                        wh.worker_id,
+                        max(ledger.cooldown_until_s, self.now), kind, ident
                     )
-        if self.domain_board is not None and ckpt.domain_health:
-            # Same re-arm recipe as the worker board: quarantines
-            # survive the crash, in-flight probes do not.
-            self.domain_board = DomainBoard.from_json(
-                self.cfg.domain_health, ckpt.domain_health
-            )
-            for dh in self.domain_board.domains.values():
-                if dh.state == PROBING:
-                    dh.state = QUARANTINED
-                if dh.state == QUARANTINED:
-                    self._push(
-                        max(dh.cooldown_until_s, self.now),
-                        _EV_DOMAIN_PROBE,
-                        dh.node,
-                    )
-        if self.brownout is not None and ckpt.brownout:
-            self.brownout = BrownoutController.from_json(
-                self.cfg.brownout, ckpt.brownout
-            )
-        if ckpt.hedges:
-            self.hedges_launched = int(ckpt.hedges.get("launched", 0))
-            self.hedges_won = int(ckpt.hedges.get("won", 0))
-            self.hedges_cancelled = int(ckpt.hedges.get("cancelled", 0))
-        if self.tenants is not None and ckpt.tenancy:
-            # Bucket levels and refill clocks restore verbatim (the
-            # resumed clock continues from the commit time, so no tenant
-            # is re-charged for admissions the checkpoint already saw),
-            # and the fairness clocks pick up exactly where they ran.
-            self.tenants.restore(ckpt.tenancy)
-        self.workers_killed = ckpt.workers_killed
 
     def _commit_checkpoint(self) -> None:
         """Serialize the campaign at a batch boundary (every request in
@@ -747,62 +726,11 @@ class _Campaign:
             next_req_seq=len(self.records),
             makespan_s=self.makespan,
             checkpoints_committed=self.checkpoints_committed + 1,
-            preemptions=self.preemptions_total,
             completion_order=list(self.completion_order),
             terminal=[r.to_json() for r in self.records if r.terminal],
             pending=[r.to_json() for r in self.records if not r.terminal],
             workers=[w.state_json() for w in self.workers],
-            tunecache=(
-                self.placement.tune_cache.to_json()
-                if self.placement.tune_cache is not None
-                else None
-            ),
-            drain=self.drain.to_json(),
-            arrival_rate=self.arrival_est.to_json(),
-            elastic=(
-                self.controller.to_json() if self.controller is not None else {}
-            ),
-            health=self.board.to_json() if self.board is not None else {},
-            brownout=(
-                self.brownout.to_json() if self.brownout is not None else {}
-            ),
-            hedges=(
-                {
-                    "launched": self.hedges_launched,
-                    "won": self.hedges_won,
-                    "cancelled": self.hedges_cancelled,
-                }
-                if self.hedge is not None
-                else {}
-            ),
-            workers_killed=self.workers_killed,
-            tenancy=(
-                self.tenants.to_json() if self.tenants is not None else {}
-            ),
-            domain_health=(
-                self.domain_board.to_json()
-                if self.domain_board is not None
-                else {}
-            ),
-            domains=(
-                {
-                    "worker_nodes": {
-                        str(w): n for w, n in sorted(self.worker_node.items())
-                    },
-                    "dead_nodes": sorted(self.dead_nodes),
-                    "partitioned": sorted(self.partitioned),
-                    "healed_racks": sorted(self.healed_racks),
-                    "nodes_killed": self.nodes_killed,
-                    "partitions_seen": self.partitions_seen,
-                    "partition_heals": self.partition_heals,
-                    "anti_affinity_hedges": self.anti_affinity_hedges,
-                    "isolation_s": {
-                        str(w): t for w, t in sorted(self.isolation_s.items())
-                    },
-                }
-                if self.topology is not None
-                else {}
-            ),
+            parts={name: part.to_json() for name, part in self.parts.items()},
         )
         self.store.commit(ckpt)
         self.checkpoints_committed += 1
@@ -826,6 +754,70 @@ class _Campaign:
         self.batch_seq += 1
         return bid
 
+    def _next_boundary(self, start: float, end: float, points: int) -> float:
+        """The first of a batch's ``points`` refresh boundaries at or
+        after now (one on this very instant counts: its checkpoint is
+        consistent now).  May lie at or past ``end``; callers clamp."""
+        interval = (end - start) / points
+        k = max(
+            1,
+            -int(-(self.now - start - _BOUNDARY_SLACK_S) // interval),
+        )
+        return start + k * interval
+
+    @staticmethod
+    def _partner_id(batch: Batch) -> int | None:
+        """The other copy of a hedged pair (``None`` = not hedged)."""
+        return (
+            batch.hedge_of if batch.hedge_of is not None else batch.hedge_batch_id
+        )
+
+    @staticmethod
+    def _grid_label(grid: tuple[int, int] | None) -> str:
+        return "time-sliced" if grid is None else f"grid {grid[0]}x{grid[1]}"
+
+    # ------------------------------------------------------------------ #
+    # Who may take traffic
+    # ------------------------------------------------------------------ #
+
+    def _domain_ok(self, worker_id: int) -> bool:
+        """May this worker take traffic, as far as *domain* state knows?
+
+        True by construction when no topology is configured, so every
+        call site degenerates to the legacy schedule byte-for-byte.
+        """
+        if self.domains is None:
+            return True
+        node = self.domains.node_of(worker_id)
+        if self.domain_board is not None and not self.domain_board.is_serving(
+            node
+        ):
+            return False
+        return self.domains.reachable(node)
+
+    def _eligible(self, worker_id: int) -> bool:
+        """The one predicate: may this worker take traffic?  Not
+        retired, not held by the per-worker breaker, not in a held or
+        unreachable domain — direct checks, not a loop over features:
+        this runs per worker on every admission and completion."""
+        if self.workers[worker_id].retired:
+            return False
+        if self.board is not None and not self.board.is_serving(worker_id):
+            return False
+        return self.domains is None or self._domain_ok(worker_id)
+
+    def _release(self, worker_id: int) -> None:
+        """A worker has nothing to do: back to the idle set, if it is
+        eligible and not there already."""
+        if worker_id not in self.idle and self._eligible(worker_id):
+            self.idle.append(worker_id)
+            self.idle.sort()
+
+    def _hold(self, worker_id: int) -> None:
+        """Take a worker out of the idle set (it may not be in it)."""
+        if worker_id in self.idle:
+            self.idle.remove(worker_id)
+
     def _active_workers(self) -> int:
         return sum(1 for w in self.workers if not w.retired)
 
@@ -839,61 +831,59 @@ class _Campaign:
         domain quarantine parks most of the pool, computing against the
         full pool would tell shed clients to come back far too soon.
         """
-        if self.board is None and self.topology is None:
+        if self.board is None and self.domains is None:
             return self._active_workers()
-        return sum(
-            1
-            for w in self.workers
-            if not w.retired
-            and (self.board is None or self.board.is_serving(w.worker_id))
-            and self._idle_ok(w.worker_id)
+        return sum(1 for w in self.workers if self._eligible(w.worker_id))
+
+    def _refuse(
+        self,
+        rec: RequestRecord,
+        event: str,
+        why: str,
+        retry_after_s: float | None = None,
+        basis: str = "",
+    ) -> None:
+        """The rejection transition.  The come-back hint defaults to the
+        drain estimate: the backlog over the pool actually serving."""
+        if retry_after_s is None:
+            retry_after_s = self.drain.retry_after_s(
+                len(self.queue),
+                max_batch=self.cfg.policy.max_batch,
+                n_workers=max(self._serving_workers(), 1),
+            )
+        rec.state = REJECTED
+        rec.completed_s = self.now
+        rec.retry_after_s = retry_after_s
+        rec.note(
+            self.now,
+            event,
+            f"{why}; retry after {retry_after_s * 1e6:.1f}us{basis}",
         )
 
     # ------------------------------------------------------------------ #
     # Failure-domain helpers (all vacuous when topology is None)
     # ------------------------------------------------------------------ #
 
-    def _node_of(self, worker_id: int) -> int:
-        """The failure domain a worker lives on."""
-        node = self.worker_node.get(worker_id)
-        if node is not None:
-            return node
-        return self.topology.node_of_worker(worker_id)
-
     def _members(self, node: int) -> list[int]:
         """Every pool worker (any lifecycle state) on ``node``."""
-        return [
-            w.worker_id
-            for w in self.workers
-            if self._node_of(w.worker_id) == node
-        ]
+        return self.domains.members(node, len(self.workers))
+
+    def _assigned_node(self, worker_id: int) -> int | None:
+        """The node an elastic scale-up landed on (``None`` for boot
+        workers and topology-free pools)."""
+        if self.domains is None:
+            return None
+        return self.domains.worker_node.get(worker_id)
 
     def _node_dead(self, worker_id: int) -> bool:
         return (
-            self.topology is not None
-            and self._node_of(worker_id) in self.dead_nodes
+            self.domains is not None
+            and self.domains.node_of(worker_id) in self.domains.dead_nodes
         )
 
-    def _idle_ok(self, worker_id: int) -> bool:
-        """May this worker take traffic, as far as *domain* state knows?
-
-        True by construction when no topology is configured, so every
-        call site degenerates to the legacy schedule byte-for-byte.
-        """
-        if self.topology is None:
-            return True
-        node = self._node_of(worker_id)
-        if self.domain_board is not None and not self.domain_board.is_serving(
-            node
-        ):
-            return False
-        if self.topology.rack_of_node(node) in self.partitioned:
-            return False
-        return True
-
     def _record_isolation(self, worker_id: int) -> None:
-        if self.topology is not None:
-            self.isolation_s.setdefault(worker_id, self.now)
+        if self.domains is not None:
+            self.domains.isolation_s.setdefault(worker_id, self.now)
 
     def _domain_strike(self, worker_id: int) -> None:
         """One worker-level fault is one strike against its domain; the
@@ -901,7 +891,7 @@ class _Campaign:
         whole-domain quarantine."""
         if self.domain_board is None:
             return
-        node = self._node_of(worker_id)
+        node = self.domains.node_of(worker_id)
         if self.domain_board.observe_strike(node, worker_id, self.now):
             self._quarantine_domain(node)
 
@@ -909,33 +899,20 @@ class _Campaign:
         """Return every eligible parked worker on ``nodes`` to the idle
         set (after a heal or a domain reinstate)."""
         busy = {b.worker_id for b, _, _, _ in self.running.values()}
-        changed = False
         for node in nodes:
             for wid in self._members(node):
-                worker = self.workers[wid]
-                if (
-                    worker.retired
-                    or wid in busy
-                    or wid in self.pending_up
-                    or wid in self.idle
-                ):
-                    continue
-                if self.board is not None and not self.board.is_serving(wid):
-                    continue
-                if not self._idle_ok(wid):
-                    continue
-                self.idle.append(wid)
-                changed = True
-        if changed:
-            self.idle.sort()
-
-    @staticmethod
-    def _grid_label(grid: tuple[int, int] | None) -> str:
-        return "time-sliced" if grid is None else f"grid {grid[0]}x{grid[1]}"
+                if wid not in busy and wid not in self.pending_up:
+                    self._release(wid)
 
     # ------------------------------------------------------------------ #
     # Admission
     # ------------------------------------------------------------------ #
+
+    def _arrive(self, req: SolveRequest) -> RequestRecord | None:
+        self.arrivals_consumed += 1
+        probe = self._admit(req)
+        self._push_next_arrival()
+        return probe
 
     def _admit(self, req: SolveRequest) -> RequestRecord | None:
         """Process one arrival; returns the record when it might warrant
@@ -956,14 +933,12 @@ class _Campaign:
             # worker's.
             retry = self.tenants.admit(req.tenant, self.now)
             if retry is not None:
-                rec.state = REJECTED
-                rec.completed_s = self.now
-                rec.retry_after_s = retry
-                rec.note(
-                    self.now,
+                self._refuse(
+                    rec,
                     "quota",
-                    f"tenant {req.tenant} over quota; retry after "
-                    f"{retry * 1e6:.1f}us (bucket refill)",
+                    f"tenant {req.tenant} over quota",
+                    retry_after_s=retry,
+                    basis=" (bucket refill)",
                 )
                 return None
         level = self._update_brownout()
@@ -983,39 +958,15 @@ class _Campaign:
                     else:
                         self.tenants.note_shed(req.tenant)
                 if shed:
-                    rec.state = REJECTED
                     rec.shed = True
-                    rec.completed_s = self.now
-                    rec.retry_after_s = self.drain.retry_after_s(
-                        len(self.queue),
-                        max_batch=cfg.policy.max_batch,
-                        n_workers=max(self._serving_workers(), 1),
-                    )
                     if req.priority == PRIORITY_LOW:
                         self.brownout.shed += 1
                     else:
                         self.brownout.brownout_rejected += 1
-                    rec.note(
-                        self.now,
-                        "shed",
-                        f"brownout level {level}; retry after "
-                        f"{rec.retry_after_s * 1e6:.1f}us",
-                    )
+                    self._refuse(rec, "shed", f"brownout level {level}")
                     return None
         if not self.queue.offer(rec):
-            rec.state = REJECTED
-            rec.completed_s = self.now
-            rec.retry_after_s = self.drain.retry_after_s(
-                len(self.queue),
-                max_batch=cfg.policy.max_batch,
-                n_workers=max(self._serving_workers(), 1),
-            )
-            rec.note(
-                self.now,
-                "reject",
-                f"queue full ({cfg.queue_capacity}); retry after "
-                f"{rec.retry_after_s * 1e6:.1f}us",
-            )
+            self._refuse(rec, "reject", f"queue full ({cfg.queue_capacity})")
             return None
         rec.admitted_s = self.now
         rec.note(self.now, "admit", f"depth {len(self.queue)}")
@@ -1027,6 +978,10 @@ class _Campaign:
         ):
             return rec
         return None
+
+    def _on_timeout(self, _payload: None) -> None:
+        """A batching window expired.  Nothing to do here: the event
+        exists to reach the dispatch pass that follows every event."""
 
     # ------------------------------------------------------------------ #
     # Elastic pool
@@ -1054,8 +1009,8 @@ class _Campaign:
                 node = self._scale_up_node()
                 self.workers.append(self.service._make_worker(wid, node=node))
                 if node is not None:
-                    self.worker_node[wid] = node
-                    factor = self.hca_factor.get(node)
+                    self.domains.worker_node[wid] = node
+                    factor = self.domains.hca_factor.get(node)
                     if factor is not None:
                         # New capacity on a degraded node inherits the
                         # node's sick HCA like every co-resident worker.
@@ -1077,27 +1032,28 @@ class _Campaign:
         """Not-retired workers parked by a *domain* hold (quarantine or
         partition) that the worker board still considers serving — the
         controller must not read them as shrinkable idle capacity."""
-        if self.topology is None:
+        if self.domains is None:
             return 0
         return sum(
             1
             for w in self.workers
             if not w.retired
             and (self.board is None or self.board.is_serving(w.worker_id))
-            and not self._idle_ok(w.worker_id)
+            and not self._domain_ok(w.worker_id)
         )
 
     def _scale_up_node(self) -> int | None:
         """Anti-pack the elastic surge: least-loaded healthy domain,
         lowest node id on ties.  ``None`` without a topology."""
-        if self.topology is None:
+        domains = self.domains
+        if domains is None:
             return None
-        nodes = list(range(self.topology.n_nodes))
+        nodes = list(range(domains.topology.n_nodes))
         healthy = [
             n
             for n in nodes
-            if n not in self.dead_nodes
-            and self.topology.rack_of_node(n) not in self.partitioned
+            if n not in domains.dead_nodes
+            and domains.reachable(n)
             and (
                 self.domain_board is None or self.domain_board.is_serving(n)
             )
@@ -1105,7 +1061,7 @@ class _Campaign:
         loads: dict[int, int] = {}
         for w in self.workers:
             if not w.retired:
-                n = self._node_of(w.worker_id)
+                n = domains.node_of(w.worker_id)
                 loads[n] = loads.get(n, 0) + 1
         # With every domain unhealthy the pool still must not starve:
         # fall back to spreading across all nodes.
@@ -1113,9 +1069,7 @@ class _Campaign:
 
     def _worker_up(self, worker_id: int) -> None:
         self.pending_up.discard(worker_id)
-        if not self.workers[worker_id].retired and self._idle_ok(worker_id):
-            self.idle.append(worker_id)
-            self.idle.sort()
+        self._release(worker_id)
 
     # ------------------------------------------------------------------ #
     # Preemption
@@ -1132,7 +1086,7 @@ class _Campaign:
                 # arrival must not re-preempt it (it will free the
                 # worker at that same boundary anyway).
                 continue
-            if batch.hedge_of is not None or batch.hedge_batch_id is not None:
+            if self._partner_id(batch) is not None:
                 # Hedged pairs are off-limits: preempting either copy
                 # would double-account the shared records' lifecycle
                 # (the pair resolves at first completion instead).
@@ -1151,12 +1105,7 @@ class _Campaign:
         if best is None:
             return
         _, batch, start, end = best
-        interval = (end - start) / pre.refresh_points
-        k = max(
-            1,
-            -int(-(self.now - start - _BOUNDARY_SLACK_S) // interval),
-        )
-        boundary = start + k * interval
+        boundary = self._next_boundary(start, end, pre.refresh_points)
         if boundary >= end - _BOUNDARY_SLACK_S:
             return  # no checkpoint boundary left before completion
         batch.preempt_at_s = boundary
@@ -1173,16 +1122,11 @@ class _Campaign:
     def _do_preempt(self, batch: Batch) -> None:
         """Yield a running batch at its refresh boundary: checkpoint,
         free the worker, park the remainder for resume."""
-        entry = self.running.pop(batch.batch_id, None)
-        if entry is None or batch.ok is not None:
+        entry = self._teardown(batch.batch_id, self.now)
+        if entry is None:
             return  # completed (or failed) before the boundary
-        _, execution, start, end = entry
-        self.cancelled.add(batch.batch_id)
-        worker = self.workers[batch.worker_id]
-        worker.busy_s -= end - self.now  # unspent occupancy credited back
+        _, execution, _, end = entry
         batch.preempted = True
-        batch.completed_s = self.now
-        batch.duration_s = self.now - start
         batch.detail = "preempted at refresh boundary"
         batch.trace.append(
             (self.now, "preempt", f"{(end - self.now) * 1e6:.1f}us remaining")
@@ -1210,10 +1154,8 @@ class _Campaign:
                 from_batch=batch.batch_id,
             )
         )
-        self.preemptions_total += 1
-        if not worker.retired and self._idle_ok(worker.worker_id):
-            self.idle.append(worker.worker_id)
-            self.idle.sort()
+        self.counters.preemptions += 1
+        self._release(batch.worker_id)
 
     # ------------------------------------------------------------------ #
     # Failure-domain resilience: brownout, hedging, breaker, kills
@@ -1236,11 +1178,13 @@ class _Campaign:
         """Schedule the straggler check: if the batch is still running
         when elapsed time crosses ``trigger_factor`` x the dispatch-time
         drain estimate, it earns a speculative replica."""
-        if self.hedge is None or self.drain.samples < self.hedge.min_samples:
+        if self.hedge is None:
+            return
+        policy = self.hedge.policy
+        if self.drain.samples < policy.min_samples:
             return
         self._push(
-            self.now
-            + self.hedge.trigger_factor * self.predicted[batch.batch_id],
+            self.now + policy.trigger_factor * self.predicted[batch.batch_id],
             _EV_HEDGE,
             batch,
         )
@@ -1252,7 +1196,7 @@ class _Campaign:
         entry = self.running.get(batch.batch_id)
         if entry is None or batch.preempt_at_s is not None:
             return
-        if batch.hedge_of is not None or batch.hedge_batch_id is not None:
+        if self._partner_id(batch) is not None:
             return
         if not self.idle:
             return  # no healthy idle worker to hedge on
@@ -1260,32 +1204,27 @@ class _Campaign:
         if end - self.now <= _BOUNDARY_SLACK_S:
             return  # completing at this very instant anyway
         pick = 0
-        if self.cfg.anti_affinity and self.topology is not None:
+        if self.cfg.anti_affinity:
             # A hedge exists because the primary looks sick; a replica
             # sharing the primary's failure domain shares its fate.
             # Prefer an idle worker on a *different* node — gauge-
             # resident ones first, so the diversion never trades warmth
             # for diversity when it can have both.
-            primary_node = self._node_of(batch.worker_id)
+            node_of = self.domains.node_of
+            primary_node = node_of(batch.worker_id)
             head = batch.records[0].request
             rkey = (head.config_id, head.dims, head.mode, batch.grid)
             best = None
             for i, cand in enumerate(self.idle):
-                if self._node_of(cand) == primary_node:
+                if node_of(cand) == primary_node:
                     continue
                 score = (0 if self.workers[cand].resident_key == rkey else 1, i)
                 if best is None or score < best[0]:
                     best = (score, i)
             if best is not None:
                 pick = best[1]
+                self.domains.anti_affinity_hedges += 1
         wid = self.idle.pop(pick)
-        if (
-            self.cfg.anti_affinity
-            and self.topology is not None
-            and self._node_of(wid) != self._node_of(batch.worker_id)
-        ):
-            self.anti_affinity_hedges += 1
-        worker = self.workers[wid]
         replica = Batch(
             batch_id=self._next_batch_id(),
             records=batch.records,
@@ -1298,16 +1237,7 @@ class _Campaign:
         )
         batch.hedge_batch_id = replica.batch_id
         self.batches.append(replica)
-        requests = [r.request for r in batch.records]
-        if batch.degraded_mode is not None:
-            requests = [
-                replace(q, mode=batch.degraded_mode) for q in requests
-            ]
-        execution = worker.execute(
-            requests, grid=batch.grid, tune_cache=self.placement.tune_cache
-        )
-        worker.busy_s += execution.duration_s
-        self.hedges_launched += 1
+        self.hedge.launched += 1
         batch.trace.append(
             (
                 self.now,
@@ -1326,37 +1256,24 @@ class _Campaign:
                 "hedge",
                 f"replica batch {replica.batch_id} launched on worker {wid}",
             )
-        hend = self.now + execution.duration_s
-        self.running[replica.batch_id] = (replica, execution, self.now, hend)
-        self._push(hend, _EV_DONE, (replica, execution))
-        if self._node_dead(wid):
-            self._condemn(replica.batch_id)
+        self._launch(replica, self._run_batch(replica))
 
     def _resolve_hedge(self, batch: Batch) -> None:
         """``batch`` completed first: cancel the surviving copy at its
         next refresh-point boundary (the earliest instant the worker can
         abandon the solve with consistent device state), crediting back
         the occupancy it will not spend."""
-        partner_id = (
-            batch.hedge_of if batch.hedge_of is not None else batch.hedge_batch_id
-        )
-        entry = self.running.pop(partner_id, None)
+        partner_id = self._partner_id(batch)
+        entry = self.running.get(partner_id)
         if entry is None:
             return
         loser, _, lstart, lend = entry
-        self.cancelled.add(partner_id)
-        self.predicted.pop(partner_id, None)
-        interval = (lend - lstart) / self.hedge.refresh_points
-        k = max(
-            1,
-            -int(-(self.now - lstart - _BOUNDARY_SLACK_S) // interval),
+        free_at = min(
+            self._next_boundary(lstart, lend, self.hedge.policy.refresh_points),
+            lend,
         )
-        free_at = min(lstart + k * interval, lend)
-        lworker = self.workers[loser.worker_id]
-        lworker.busy_s -= lend - free_at
+        self._teardown(partner_id, free_at)
         loser.hedge_cancelled = True
-        loser.completed_s = free_at
-        loser.duration_s = free_at - lstart
         loser.detail = f"hedge: batch {batch.batch_id} finished first"
         loser.trace.append(
             (
@@ -1366,47 +1283,54 @@ class _Campaign:
                 f"{free_at * 1e6:.1f}us",
             )
         )
-        self.hedges_cancelled += 1
+        self.hedge.cancelled += 1
         if batch.hedge_of is not None:
-            self.hedges_won += 1
+            self.hedge.won += 1
+        # The loser's worker rejoins the idle set at its abandon
+        # boundary (unless retired or quarantined in the meantime).
         self._push(free_at, _EV_HEDGE_CANCEL, loser.worker_id)
-
-    def _hedge_worker_free(self, worker_id: int) -> None:
-        """A cancelled hedge loser reached its abandon boundary: its
-        worker rejoins the idle set (unless retired or quarantined in
-        the meantime)."""
-        worker = self.workers[worker_id]
-        if worker.retired:
-            return
-        if self.board is not None and not self.board.is_serving(worker_id):
-            return
-        if not self._idle_ok(worker_id):
-            return
-        if worker_id not in self.idle:
-            self.idle.append(worker_id)
-            self.idle.sort()
 
     def _quarantine(self, worker_id: int) -> None:
         """Open the breaker: hold the worker out of the idle set, evict
         its warm residency (a sick device's warmth must not keep
         attracting traffic), and schedule the post-cooldown probe."""
         wh = self.board.quarantine(worker_id, self.now)
-        if worker_id in self.idle:
-            self.idle.remove(worker_id)
+        self._hold(worker_id)
         self.workers[worker_id].evict_residency()
         self._push(wh.cooldown_until_s, _EV_PROBE, worker_id)
         self._record_isolation(worker_id)
         self._domain_strike(worker_id)
 
+    def _run_probe(self, worker: SimWorker, req_id: int, run) -> None:
+        """Run one seeded probe batch on ``worker`` — representative
+        work (the head request of the most recent fresh dispatch) at LOW
+        priority, outside the campaign's records — and deliver ``run``,
+        carrying the execution, when it is done."""
+        probe_req = replace(
+            self.probe_template,
+            req_id=req_id,
+            priority=PRIORITY_LOW,
+            arrival_s=self.now,
+            deadline_s=None,
+        )
+        execution = worker.execute(
+            [probe_req], grid=None, tune_cache=self.placement.tune_cache
+        )
+        duration = execution.duration_s
+        if self._node_dead(worker.worker_id):
+            # A probe sent to a dead node can only time out.
+            execution = replace(execution, ok=False)
+            duration = self.cfg.domain_faults.detect_s
+        run.execution = execution
+        worker.busy_s += duration
+        self._push(self.now + duration, _EV_DONE, run)
+
     def _start_probe(self, worker_id: int) -> None:
-        """Cooldown expired: run one seeded probe batch (representative
-        work — the head request of the most recent fresh dispatch — at
-        LOW priority, outside the campaign's records) on the quarantined
-        worker."""
+        """Cooldown expired: probe the quarantined worker."""
         worker = self.workers[worker_id]
         if worker.retired or self.board.state(worker_id) != QUARANTINED:
             return
-        if self.topology is not None and not self._idle_ok(worker_id):
+        if not self._domain_ok(worker_id):
             # The whole domain is held (quarantined or partitioned): a
             # per-worker probe would race the domain's single probe.
             # Retry once the domain resolves.
@@ -1416,37 +1340,14 @@ class _Campaign:
                 worker_id,
             )
             return
-        template = self.probe_template
-        if template is None:
+        if self.probe_template is None:
             # Nothing dispatched yet to probe with; close the breaker
             # optimistically — the ledger re-opens it on the next fault.
             self.board.reinstate(worker_id)
-            self.idle.append(worker_id)
-            self.idle.sort()
+            self._release(worker_id)
             return
         self.board.start_probe(worker_id)
-        probe_req = replace(
-            template,
-            req_id=-(worker_id + 1),
-            priority=PRIORITY_LOW,
-            arrival_s=self.now,
-            deadline_s=None,
-        )
-        execution = worker.execute(
-            [probe_req], grid=None, tune_cache=self.placement.tune_cache
-        )
-        if self._node_dead(worker_id):
-            # A probe sent to a dead node can only time out.
-            execution = replace(execution, ok=False)
-            duration = self.cfg.domain_faults.detect_s
-        else:
-            duration = execution.duration_s
-        worker.busy_s += duration
-        self._push(
-            self.now + duration,
-            _EV_DONE,
-            _ProbeRun(worker_id, execution),
-        )
+        self._run_probe(worker, -(worker_id + 1), _ProbeRun(worker_id))
 
     def _probe_done(self, run: _ProbeRun) -> None:
         """The probe's verdict: clean closes the breaker with a reset
@@ -1458,9 +1359,7 @@ class _Campaign:
             return
         if run.execution.ok:
             self.board.reinstate(wid)
-            if self._idle_ok(wid):
-                self.idle.append(wid)
-                self.idle.sort()
+            self._release(wid)
             return
         self.board.observe_failure(wid, "probe")
         if self.board.tracker(wid).strikes >= self.board.policy.max_strikes:
@@ -1477,70 +1376,24 @@ class _Campaign:
         fail its in-flight batches, and hand their requests back to the
         queue — the no-lost-requests invariant does not care whose fault
         the loss was."""
-        cfg = self.cfg
         if not 0 <= worker_id < len(self.workers):
             return
         worker = self.workers[worker_id]
         if worker.retired:
             return
         worker.retire()
-        self.workers_killed += 1
-        if worker_id in self.idle:
-            self.idle.remove(worker_id)
+        self.counters.workers_killed += 1
+        self._hold(worker_id)
         if self.board is not None:
             self.board.observe_failure(worker_id, "kill")
             self.board.retire_sick(worker_id)
         self._record_isolation(worker_id)
         self._domain_strike(worker_id)
-        doomed = sorted(
-            bid
-            for bid, (b, _, _, _) in self.running.items()
-            if b.worker_id == worker_id
-        )
-        for bid in doomed:
-            batch, _, start, end = self.running.pop(bid)
-            self.cancelled.add(bid)
-            self.predicted.pop(bid, None)
-            worker.busy_s -= end - self.now
-            batch.completed_s = self.now
-            batch.duration_s = self.now - start
-            batch.ok = False
-            batch.detail = f"worker {worker_id} killed"
-            batch.trace.append(
-                (self.now, "killed", "worker died mid-batch")
-            )
-            partner_id = (
-                batch.hedge_of
-                if batch.hedge_of is not None
-                else batch.hedge_batch_id
-            )
-            if partner_id is not None and partner_id in self.running:
-                continue  # the surviving copy still serves these records
-            for rec in batch.records:
-                if rec.attempts <= cfg.max_retries:
-                    rec.state = QUEUED
-                    self.queue.offer(rec, force=True)
-                    rec.note(
-                        self.now,
-                        "requeue",
-                        f"worker {worker_id} killed; "
-                        f"retry {rec.attempts}/{cfg.max_retries}",
-                    )
-                else:
-                    rec.state = FAILED
-                    rec.completed_s = self.now
-                    rec.failure = StructuredFailure(
-                        kind="worker_crash",
-                        detail=f"worker {worker_id} killed",
-                        model_time=self.now,
-                        attempts=rec.attempts,
-                    )
-                    rec.note(
-                        self.now,
-                        "fail",
-                        f"worker {worker_id} killed; retries exhausted",
-                    )
-                    self.completion_order.append(rec.request.req_id)
+        detail = f"worker {worker_id} killed"
+        for bid in self._running_on({worker_id}):
+            batch = self._teardown(bid, self.now)[0]
+            batch.trace.append((self.now, "killed", "worker died mid-batch"))
+            self._surrender(batch, kind="worker_crash", detail=detail)
         self._evaluate_scale()
 
     # ------------------------------------------------------------------ #
@@ -1555,36 +1408,28 @@ class _Campaign:
 
         Idempotent on the restored ``dead_nodes`` set so the refired
         event replays safely after a scheduler resume."""
-        if self.topology is None or node in self.dead_nodes:
+        domains = self.domains
+        if domains is None or node in domains.dead_nodes:
             return
-        self.dead_nodes.add(node)
-        self.nodes_killed += 1
+        domains.dead_nodes.add(node)
+        domains.nodes_killed += 1
         if self.store is not None and hasattr(self.store, "lose_domain"):
             # The checkpoint replica hosted on this node goes with it.
             self.store.lose_domain(node)
-        doomed = sorted(
-            bid
-            for bid, (b, _, _, _) in self.running.items()
-            if self._node_of(b.worker_id) == node
-        )
-        for bid in doomed:
+        for bid in self._running_on(self._members(node)):
             self._condemn(bid)
 
     def _condemn(self, batch_id: int) -> None:
         """A batch is in flight to (or running on) a dead node: its
         completion will never arrive.  Replace it with a timeout firing
         ``detect_s`` from now — the earliest instant the scheduler can
-        notice anything is wrong."""
-        entry = self.running.pop(batch_id, None)
-        if entry is None:
-            return
-        batch, _, start, end = entry
-        self.cancelled.add(batch_id)
+        notice anything is wrong.  Occupancy past the detection point is
+        never spent; occupancy before it models the scheduler believing
+        the worker is busy."""
         fail_at = self.now + self.cfg.domain_faults.detect_s
-        # Occupancy past the detection point is never spent; occupancy
-        # before it models the scheduler believing the worker is busy.
-        self.workers[batch.worker_id].busy_s -= max(end - fail_at, 0.0)
-        self._push(fail_at, _EV_DONE, _DeadRun(batch, start))
+        entry = self._teardown(batch_id, fail_at)
+        if entry is not None:
+            self._push(fail_at, _EV_DONE, _DeadRun(entry[0]))
 
     def _dead_done(self, run: _DeadRun) -> None:
         """The send timeout fired: surface the condemned batch's failure
@@ -1594,70 +1439,26 @@ class _Campaign:
         breakers catch on: that detection lag is the cost the domain
         quarantine exists to bound."""
         batch = run.batch
-        cfg = self.cfg
         wid = batch.worker_id
-        worker = self.workers[wid]
-        node = self._node_of(wid)
-        self.predicted.pop(batch.batch_id, None)
-        batch.completed_s = self.now
-        batch.duration_s = self.now - run.start_s
-        batch.ok = False
-        batch.detail = f"node {node} unreachable"
+        node = self.domains.node_of(wid)
         batch.trace.append(
             (
                 self.now,
                 "node_dead",
                 f"send to worker {wid} timed out after "
-                f"{cfg.domain_faults.detect_s * 1e6:.1f}us",
+                f"{self.cfg.domain_faults.detect_s * 1e6:.1f}us",
             )
         )
-        partner_id = (
-            batch.hedge_of if batch.hedge_of is not None else batch.hedge_batch_id
+        self._surrender(
+            batch,
+            kind="node_lost",
+            detail=f"node {node} unreachable",
+            why=f"worker {wid} unreachable (node {node} lost)",
         )
-        if partner_id is not None and partner_id in self.running:
-            batch.trace.append(
-                (
-                    self.now,
-                    "hedge_survivor",
-                    f"records stay with running batch {partner_id}",
-                )
-            )
-        else:
-            for rec in batch.records:
-                if rec.attempts <= cfg.max_retries:
-                    rec.state = QUEUED
-                    self.queue.offer(rec, force=True)
-                    rec.note(
-                        self.now,
-                        "requeue",
-                        f"worker {wid} unreachable (node {node} lost); "
-                        f"retry {rec.attempts}/{cfg.max_retries}",
-                    )
-                else:
-                    rec.state = FAILED
-                    rec.completed_s = self.now
-                    rec.failure = StructuredFailure(
-                        kind="node_lost",
-                        detail=f"node {node} unreachable",
-                        model_time=self.now,
-                        attempts=rec.attempts,
-                    )
-                    rec.note(
-                        self.now,
-                        "fail",
-                        f"node {node} unreachable; retries exhausted",
-                    )
-                    self.completion_order.append(rec.request.req_id)
-        if (
-            not worker.retired
-            and (self.board is None or self.board.is_serving(wid))
-            and self._idle_ok(wid)
-        ):
-            self.idle.append(wid)
-            self.idle.sort()
+        self._release(wid)
         if (
             self.board is not None
-            and not worker.retired
+            and not self.workers[wid].retired
             and self.board.state(wid) == HEALTHY
         ):
             self.board.observe_failure(wid, "crash")
@@ -1666,20 +1467,16 @@ class _Campaign:
                 batch.trace.append(
                     (self.now, "quarantine", f"worker {wid} quarantined")
                 )
-        self._update_brownout()
-        self._evaluate_scale()
-        self.batches_since_commit += 1
-        if self.batches_since_commit >= cfg.checkpoint_every:
-            self._commit_checkpoint()
+        self._after_batch()
 
     def _hca_degrade(self, spec: HcaDegrade) -> None:
         """A node's HCA rots: every co-resident worker slows by the
         spec's factor (in-flight batches keep their schedule; only
         future executions pay).  Re-applies exactly once after resume
         because rebuilt workers carry base factors."""
-        if spec.node in self.hca_factor:
+        if spec.node in self.domains.hca_factor:
             return
-        self.hca_factor[spec.node] = spec.factor
+        self.domains.hca_factor[spec.node] = spec.factor
         for wid in self._members(spec.node):
             worker = self.workers[wid]
             if not worker.retired:
@@ -1691,79 +1488,36 @@ class _Campaign:
         requeues their in-flight work immediately.  The rack is not
         retired; the seeded heal returns it."""
         rack = spec.rack
-        if rack in self.partitioned or rack in self.healed_racks:
+        domains = self.domains
+        if rack in domains.partitioned or rack in domains.healed_racks:
             return
-        self.partitioned.add(rack)
-        self.partitions_seen += 1
+        domains.partitioned.add(rack)
+        domains.partitions_seen += 1
         member_ids = {
             wid
-            for node in self.topology.nodes_in_rack(rack)
+            for node in domains.topology.nodes_in_rack(rack)
             for wid in self._members(node)
         }
         for wid in sorted(member_ids):
-            if wid in self.idle:
-                self.idle.remove(wid)
-        cfg = self.cfg
-        doomed = sorted(
-            bid
-            for bid, (b, _, _, _) in self.running.items()
-            if b.worker_id in member_ids
-        )
-        for bid in doomed:
-            batch, _, start, end = self.running.pop(bid)
-            self.cancelled.add(bid)
-            self.predicted.pop(bid, None)
-            worker = self.workers[batch.worker_id]
-            worker.busy_s -= end - self.now
-            batch.completed_s = self.now
-            batch.duration_s = self.now - start
-            batch.ok = False
-            batch.detail = f"rack {rack} partitioned"
+            self._hold(wid)
+        detail = f"rack {rack} partitioned"
+        for bid in self._running_on(member_ids):
+            batch = self._teardown(bid, self.now)[0]
             batch.trace.append(
                 (self.now, "partitioned", "switch uplink lost mid-batch")
             )
-            partner_id = (
-                batch.hedge_of
-                if batch.hedge_of is not None
-                else batch.hedge_batch_id
-            )
-            if partner_id is not None and partner_id in self.running:
-                continue  # the surviving copy still serves these records
-            for rec in batch.records:
-                if rec.attempts <= cfg.max_retries:
-                    rec.state = QUEUED
-                    self.queue.offer(rec, force=True)
-                    rec.note(
-                        self.now,
-                        "requeue",
-                        f"rack {rack} partitioned; "
-                        f"retry {rec.attempts}/{cfg.max_retries}",
-                    )
-                else:
-                    rec.state = FAILED
-                    rec.completed_s = self.now
-                    rec.failure = StructuredFailure(
-                        kind="partition",
-                        detail=f"rack {rack} partitioned",
-                        model_time=self.now,
-                        attempts=rec.attempts,
-                    )
-                    rec.note(
-                        self.now,
-                        "fail",
-                        f"rack {rack} partitioned; retries exhausted",
-                    )
-                    self.completion_order.append(rec.request.req_id)
+            self._surrender(batch, kind="partition", detail=detail)
         self._update_brownout()
         self._evaluate_scale()
 
     def _heal(self, rack: int) -> None:
-        if rack not in self.partitioned:
+        domains = self.domains
+        if rack not in domains.partitioned:
             return
-        self.partitioned.discard(rack)
-        self.healed_racks.add(rack)
-        self.partition_heals += 1
-        self._reidle_members(self.topology.nodes_in_rack(rack))
+        domains.partitioned.discard(rack)
+        domains.healed_racks.add(rack)
+        domains.partition_heals += 1
+        self._reidle_members(domains.topology.nodes_in_rack(rack))
         self._evaluate_scale()
 
     # ------------------------------------------------------------------ #
@@ -1780,8 +1534,7 @@ class _Campaign:
             worker = self.workers[wid]
             if worker.retired:
                 continue
-            if wid in self.idle:
-                self.idle.remove(wid)
+            self._hold(wid)
             worker.evict_residency()
             self._record_isolation(wid)
         self._push(dh.cooldown_until_s, _EV_DOMAIN_PROBE, node)
@@ -1802,7 +1555,7 @@ class _Campaign:
         if not members:
             self.domain_board.retire_sick(node)
             return
-        if self.topology.rack_of_node(node) in self.partitioned:
+        if not self.domains.reachable(node):
             # Unreachable domains cannot be probed; wait out the heal.
             self._push(
                 self.now + max(self.domain_board.policy.cooldown_s, 1e-6),
@@ -1810,35 +1563,16 @@ class _Campaign:
                 node,
             )
             return
-        template = self.probe_template
-        if template is None:
+        if self.probe_template is None:
             self.domain_board.reinstate(node)
             self._reidle_members((node,))
             return
         self.domain_board.start_probe(node)
-        wid = members[0]
-        worker = self.workers[wid]
-        probe_req = replace(
-            template,
+        self._run_probe(
+            self.workers[members[0]],
             # Below the per-worker probe id range, so traces never alias.
-            req_id=-(len(self.workers) + node + 1),
-            priority=PRIORITY_LOW,
-            arrival_s=self.now,
-            deadline_s=None,
-        )
-        execution = worker.execute(
-            [probe_req], grid=None, tune_cache=self.placement.tune_cache
-        )
-        if node in self.dead_nodes:
-            execution = replace(execution, ok=False)
-            duration = self.cfg.domain_faults.detect_s
-        else:
-            duration = execution.duration_s
-        worker.busy_s += duration
-        self._push(
-            self.now + duration,
-            _EV_DONE,
-            _DomainProbeRun(node, wid, execution),
+            -(len(self.workers) + node + 1),
+            _DomainProbeRun(node),
         )
 
     def _domain_probe_done(self, run: _DomainProbeRun) -> None:
@@ -1862,31 +1596,161 @@ class _Campaign:
                 if not worker.retired:
                     worker.retire()
                     self._record_isolation(wid)
-                if wid in self.idle:
-                    self.idle.remove(wid)
+                self._hold(wid)
             self._evaluate_scale()  # the pool lost a whole node
         else:
             dh = self.domain_board.quarantine(node, self.now)
             self._push(dh.cooldown_until_s, _EV_DOMAIN_PROBE, node)
 
     # ------------------------------------------------------------------ #
-    # Dispatch
+    # A batch leaves its worker: launch, teardown, surrender
     # ------------------------------------------------------------------ #
 
-    def _fail_placement(self, selected: list[RequestRecord], detail: str) -> None:
-        """No decomposition fits the pool: the request can never run
-        here, so it fails terminally (structured, not silently)."""
-        for rec in selected:
-            rec.state = FAILED
-            rec.completed_s = self.now
-            rec.failure = StructuredFailure(
-                kind="infeasible_volume",
-                detail=detail,
-                model_time=self.now,
-                attempts=rec.attempts,
+    def _run_batch(self, batch: Batch) -> BatchExecution:
+        """Run the batch on its worker, at the precision tier it was
+        dispatched at (its requests' own mode unless brownout degraded
+        it)."""
+        requests = [r.request for r in batch.records]
+        if batch.degraded_mode is not None:
+            requests = [replace(q, mode=batch.degraded_mode) for q in requests]
+        return self.workers[batch.worker_id].execute(
+            requests, grid=batch.grid, tune_cache=self.placement.tune_cache
+        )
+
+    def _launch(self, batch: Batch, execution: BatchExecution) -> None:
+        """The dispatch tail: occupy the worker, schedule the
+        completion — or the send timeout, when the worker's node is
+        silently dead."""
+        duration = execution.duration_s
+        self.workers[batch.worker_id].busy_s += duration
+        if batch.hedge_of is None:
+            # A replica is no sample of the drain model, is judged
+            # against no prediction and earns no replica of its own.
+            self.predicted[batch.batch_id] = self.drain.batch_s
+            self._arm_hedge(batch)
+            self.drain.observe(duration)
+        end = self.now + duration
+        self.running[batch.batch_id] = (batch, execution, self.now, end)
+        self._push(end, _EV_DONE, (batch, execution))
+        if self._node_dead(batch.worker_id):
+            self._condemn(batch.batch_id)
+
+    def _running_on(self, worker_ids) -> list[int]:
+        """Ids of the batches running on any of ``worker_ids``, oldest
+        first (a snapshot: callers tear batches down while iterating)."""
+        return sorted(
+            bid
+            for bid, (batch, _, _, _) in self.running.items()
+            if batch.worker_id in worker_ids
+        )
+
+    def _teardown(
+        self, batch_id: int, at: float
+    ) -> tuple[Batch, BatchExecution, float, float] | None:
+        """Take a running batch off its worker at model time ``at``
+        (now, or the future instant it is abandoned): its completion
+        event is void from here on, the occupancy it will not spend is
+        credited back, and the batch is stamped.  Returns the running
+        entry ``(batch, execution, start, end)``, or ``None`` when the
+        batch is no longer running."""
+        entry = self.running.pop(batch_id, None)
+        if entry is None:
+            return None
+        batch, _, start, end = entry
+        self.cancelled.add(batch_id)
+        self.predicted.pop(batch_id, None)
+        self.workers[batch.worker_id].busy_s -= max(end - at, 0.0)
+        batch.completed_s = at
+        batch.duration_s = at - start
+        return entry
+
+    def _surrender(
+        self,
+        batch: Batch,
+        *,
+        kind: str,
+        detail: str,
+        why: str = "",
+        failed_rank: int = -1,
+        exhausted: str = "{detail}; retries exhausted",
+    ) -> None:
+        """A batch was lost (rank crash, worker kill, node loss, rack
+        partition): decide what becomes of its records.
+
+        The one hedged-partner check and the one retry-budget decision.
+        A partner copy still running keeps the records; otherwise each
+        record re-queues while it has retry budget (``why``, else
+        ``detail``, opens the note) or fails terminally as ``kind``
+        (``exhausted`` is the note, formatted with ``detail`` and the
+        record's ``attempts``).
+        """
+        batch.ok = False
+        batch.detail = detail
+        partner_id = self._partner_id(batch)
+        if partner_id is not None and partner_id in self.running:
+            # The other copy of the hedged pair is still running and
+            # owns the shared records — no requeue, no terminal fail.
+            batch.trace.append(
+                (
+                    self.now,
+                    "hedge_survivor",
+                    f"records stay with running batch {partner_id}",
+                )
             )
-            rec.note(self.now, "fail", f"placement: {detail}")
-            self.completion_order.append(rec.request.req_id)
+            return
+        max_retries = self.cfg.max_retries
+        for rec in batch.records:
+            if rec.attempts <= max_retries:
+                rec.state = QUEUED
+                self.queue.offer(rec, force=True)
+                rec.note(
+                    self.now,
+                    "requeue",
+                    f"{why or detail}; retry {rec.attempts}/{max_retries}",
+                )
+            else:
+                self._fail(
+                    rec,
+                    kind,
+                    detail,
+                    exhausted.format(detail=detail, attempts=rec.attempts),
+                    failed_rank,
+                )
+
+    def _fail(
+        self,
+        rec: RequestRecord,
+        kind: str,
+        detail: str,
+        note: str,
+        failed_rank: int = -1,
+    ) -> None:
+        """The terminal-failure transition: structured, never silent."""
+        rec.state = FAILED
+        rec.completed_s = self.now
+        rec.failure = StructuredFailure(
+            kind=kind,
+            detail=detail,
+            failed_rank=failed_rank,
+            model_time=self.now,
+            attempts=rec.attempts,
+        )
+        rec.note(self.now, "fail", note)
+        self.completion_order.append(rec.request.req_id)
+
+    def _after_batch(self) -> None:
+        """Every batch boundary, in this order: the backlog it leaves
+        sets the brownout level, the pool re-sizes against it, and the
+        checkpoint cadence advances."""
+        self._update_brownout()
+        self._evaluate_scale()
+        self.batches_since_commit += 1
+        if self.batches_since_commit >= self.cfg.checkpoint_every:
+            self._commit_checkpoint()
+
+    # ------------------------------------------------------------------ #
+    # Dispatch
+    # ------------------------------------------------------------------ #
 
     def _best_preempted(self) -> _PreemptedRun | None:
         best = None
@@ -1928,7 +1792,6 @@ class _Campaign:
         return tier[self.tenants.wfq.pick(names)]
 
     def _dispatch(self) -> None:
-        cfg = self.cfg
         while self.idle and (len(self.queue) or self.preempted):
             selected = self._select_fresh()
             resume = self._best_preempted()
@@ -1949,21 +1812,27 @@ class _Campaign:
             decision = self.placement.place(
                 selected,
                 self.idle,
-                node_of=(self._node_of if self.topology is not None else None),
+                node_of=(
+                    self.domains.node_of if self.domains is not None else None
+                ),
                 anti_affinity=cfg.anti_affinity,
             )
         except ValueError as exc:
-            self._fail_placement(selected, str(exc))
+            # No decomposition fits the pool: the request can never run
+            # here, so it fails terminally (structured, not silently).
+            for rec in selected:
+                self._fail(rec, "infeasible_volume", str(exc), f"placement: {exc}")
             return
-        if self.domain_board is not None and not self.domain_board.is_serving(
-            self._node_of(decision.worker_id)
-        ):
-            # Structural invariant (the idle set never holds a worker in
-            # a quarantined domain); a trip here is a scheduler bug.
-            raise ServiceInvariantError(
-                f"batch dispatched to worker {decision.worker_id} in "
-                f"quarantined domain {self._node_of(decision.worker_id)}"
-            )
+        if self.domain_board is not None:
+            node = self.domains.node_of(decision.worker_id)
+            if not self.domain_board.is_serving(node):
+                # Structural invariant (the idle set never holds a
+                # worker in a quarantined domain); a trip here is a
+                # scheduler bug.
+                raise ServiceInvariantError(
+                    f"batch dispatched to worker {decision.worker_id} in "
+                    f"quarantined domain {node}"
+                )
         self.idle.remove(decision.worker_id)
         worker = self.workers[decision.worker_id]
         degraded = None
@@ -2029,23 +1898,7 @@ class _Campaign:
                 + (f", degraded to {degraded}" if degraded is not None else ""),
             )
         )
-        requests = [r.request for r in selected]
-        if degraded is not None:
-            requests = [replace(q, mode=degraded) for q in requests]
-        execution = worker.execute(
-            requests,
-            grid=decision.grid,
-            tune_cache=self.placement.tune_cache,
-        )
-        worker.busy_s += execution.duration_s
-        self.predicted[batch.batch_id] = self.drain.batch_s
-        self._arm_hedge(batch)
-        self.drain.observe(execution.duration_s)
-        end = self.now + execution.duration_s
-        self.running[batch.batch_id] = (batch, execution, self.now, end)
-        self._push(end, _EV_DONE, (batch, execution))
-        if self._node_dead(batch.worker_id):
-            self._condemn(batch.batch_id)
+        self._launch(batch, self._run_batch(batch))
 
     def _dispatch_resume(self, run: _PreemptedRun) -> None:
         """Resume a preempted batch from its refresh-point checkpoint:
@@ -2056,8 +1909,6 @@ class _Campaign:
             run.residency_key, self.idle
         )
         self.idle.remove(worker_id)
-        worker = self.workers[worker_id]
-        duration = run.remaining_s + self.cfg.preemption.resume_overhead_s
         batch = Batch(
             batch_id=self._next_batch_id(),
             records=run.records,
@@ -2085,36 +1936,39 @@ class _Campaign:
                 f"worker {worker_id}, from batch {run.from_batch}",
             )
         )
-        execution = replace(
-            run.execution,
-            duration_s=duration,
-            residency_hit=hit,
-            gauge_saved_s=0.0,
+        self.workers[worker_id].resident_key = run.residency_key
+        self.counters.resumed_batches += 1
+        self._launch(
+            batch,
+            replace(
+                run.execution,
+                duration_s=(
+                    run.remaining_s + self.cfg.preemption.resume_overhead_s
+                ),
+                residency_hit=hit,
+                gauge_saved_s=0.0,
+            ),
         )
-        worker.busy_s += duration
-        worker.resident_key = run.residency_key
-        self.predicted[batch.batch_id] = self.drain.batch_s
-        self._arm_hedge(batch)
-        self.drain.observe(duration)
-        self.resumed_batches += 1
-        end = self.now + duration
-        self.running[batch.batch_id] = (batch, execution, self.now, end)
-        self._push(end, _EV_DONE, (batch, execution))
-        if self._node_dead(batch.worker_id):
-            self._condemn(batch.batch_id)
 
     # ------------------------------------------------------------------ #
     # Completion
     # ------------------------------------------------------------------ #
 
+    def _done(self, payload) -> None:
+        """``_EV_DONE`` carries a batch completion or one of the
+        out-of-band runs; the payload's type says which."""
+        self._DONE_HANDLERS[type(payload)](self, payload)
+
+    def _batch_done(self, payload: tuple[Batch, BatchExecution]) -> None:
+        batch, execution = payload
+        if batch.batch_id not in self.cancelled:
+            self._complete(batch, execution)
+
     def _complete(self, batch: Batch, execution: BatchExecution) -> None:
-        cfg = self.cfg
         self.running.pop(batch.batch_id, None)
         predicted = self.predicted.pop(batch.batch_id, 0.0)
         worker = self.workers[batch.worker_id]
-        if not worker.retired and self._idle_ok(batch.worker_id):
-            self.idle.append(worker.worker_id)
-            self.idle.sort()
+        self._release(batch.worker_id)
         batch.completed_s = self.now
         batch.duration_s = execution.duration_s
         batch.ok = execution.ok
@@ -2142,56 +1996,22 @@ class _Campaign:
                     ),
                 )
                 self.completion_order.append(rec.request.req_id)
-            if batch.hedge_of is not None or batch.hedge_batch_id is not None:
+            if self._partner_id(batch) is not None:
                 self._resolve_hedge(batch)
         else:
             failure = execution.failure
-            batch.detail = str(failure)
             batch.trace.append((self.now, "worker_failure", str(failure)))
-            partner_id = (
-                batch.hedge_of
-                if batch.hedge_of is not None
-                else batch.hedge_batch_id
+            self._surrender(
+                batch,
+                kind="worker_crash",
+                detail=str(failure),
+                why=(
+                    f"worker {batch.worker_id} failed "
+                    f"(rank {failure.rank} {failure.mode})"
+                ),
+                failed_rank=failure.rank,
+                exhausted="retries exhausted after {attempts} attempts: {detail}",
             )
-            if partner_id is not None and partner_id in self.running:
-                # The other copy of the hedged pair is still running and
-                # owns the shared records — no requeue, no terminal fail.
-                batch.trace.append(
-                    (
-                        self.now,
-                        "hedge_survivor",
-                        f"records stay with running batch {partner_id}",
-                    )
-                )
-            else:
-                for rec in batch.records:
-                    if rec.attempts <= cfg.max_retries:
-                        rec.state = QUEUED
-                        self.queue.offer(rec, force=True)
-                        rec.note(
-                            self.now,
-                            "requeue",
-                            f"worker {batch.worker_id} failed "
-                            f"(rank {failure.rank} {failure.mode}); "
-                            f"retry {rec.attempts}/{cfg.max_retries}",
-                        )
-                    else:
-                        rec.state = FAILED
-                        rec.completed_s = self.now
-                        rec.failure = StructuredFailure(
-                            kind="worker_crash",
-                            detail=str(failure),
-                            failed_rank=failure.rank,
-                            model_time=self.now,
-                            attempts=rec.attempts,
-                        )
-                        rec.note(
-                            self.now,
-                            "fail",
-                            f"retries exhausted after {rec.attempts} "
-                            f"attempts: {failure}",
-                        )
-                        self.completion_order.append(rec.request.req_id)
         if (
             self.board is not None
             and not worker.retired
@@ -2228,15 +2048,39 @@ class _Campaign:
                         f"{self.board.tracker(batch.worker_id).failure_rate:.2f})",
                     )
                 )
-        self._update_brownout()
-        self._evaluate_scale()
-        self.batches_since_commit += 1
-        if self.batches_since_commit >= cfg.checkpoint_every:
-            self._commit_checkpoint()
+        self._after_batch()
 
     # ------------------------------------------------------------------ #
     # The loop
     # ------------------------------------------------------------------ #
+
+    #: ``_EV_DONE`` payload type -> handler.
+    _DONE_HANDLERS = {
+        tuple: _batch_done,
+        _ProbeRun: _probe_done,
+        _DomainProbeRun: _domain_probe_done,
+        _DeadRun: _dead_done,
+    }
+
+    #: Event kind -> handler, called with the event's payload.  Only
+    #: the arrival handler returns something: the record that may
+    #: warrant a preemption probe after the dispatch pass.
+    _HANDLERS = {
+        _EV_DONE: _done,
+        _EV_PREEMPT: _do_preempt,
+        _EV_WORKER_UP: _worker_up,
+        _EV_ARRIVAL: _arrive,
+        _EV_TIMEOUT: _on_timeout,
+        _EV_HEDGE: _maybe_hedge,
+        _EV_HEDGE_CANCEL: _release,
+        _EV_KILL: _kill_worker,
+        _EV_PROBE: _start_probe,
+        _EV_NODE_KILL: _kill_node,
+        _EV_HCA_DEGRADE: _hca_degrade,
+        _EV_PARTITION: _partition,
+        _EV_HEAL: _heal,
+        _EV_DOMAIN_PROBE: _start_domain_probe,
+    }
 
     def run(self) -> ServiceResult:
         if self.cfg.worker_faults is not None:
@@ -2265,46 +2109,7 @@ class _Campaign:
                     else CampaignCheckpointStore(),
                 )
             self.now = t
-            probe = None
-            if kind == _EV_DONE:
-                if isinstance(payload, _ProbeRun):
-                    self._probe_done(payload)
-                elif isinstance(payload, _DomainProbeRun):
-                    self._domain_probe_done(payload)
-                elif isinstance(payload, _DeadRun):
-                    self._dead_done(payload)
-                else:
-                    batch, execution = payload
-                    if batch.batch_id not in self.cancelled:
-                        self._complete(batch, execution)
-            elif kind == _EV_PREEMPT:
-                self._do_preempt(payload)
-            elif kind == _EV_WORKER_UP:
-                self._worker_up(payload)
-            elif kind == _EV_ARRIVAL:
-                self.arrivals_consumed += 1
-                probe = self._admit(payload)
-                self._push_next_arrival()
-            elif kind == _EV_HEDGE:
-                self._maybe_hedge(payload)
-            elif kind == _EV_HEDGE_CANCEL:
-                self._hedge_worker_free(payload)
-            elif kind == _EV_KILL:
-                self._kill_worker(payload)
-            elif kind == _EV_PROBE:
-                self._start_probe(payload)
-            elif kind == _EV_NODE_KILL:
-                self._kill_node(payload)
-            elif kind == _EV_HCA_DEGRADE:
-                self._hca_degrade(payload)
-            elif kind == _EV_PARTITION:
-                self._partition(payload)
-            elif kind == _EV_HEAL:
-                self._heal(payload)
-            elif kind == _EV_DOMAIN_PROBE:
-                self._start_domain_probe(payload)
-            # _EV_TIMEOUT carries no payload: it exists to revisit the
-            # queue once a batching window has expired.
+            probe = self._HANDLERS[kind](self, payload)
             self._dispatch()
             if probe is not None and probe.state == QUEUED:
                 self._maybe_preempt(probe)
@@ -2334,70 +2139,20 @@ class _Campaign:
         )
 
     def _daemon_summary(self) -> dict:
+        """The report's daemon block: the kernel's own counters, then
+        whatever each part has to say (two parts may fill one nested
+        block of the report, so those merge one level deep)."""
         out = {
-            "preemptions": self.preemptions_total,
-            "resumed_batches": self.resumed_batches,
             "final_workers": self._active_workers(),
             "checkpoints_committed": self.checkpoints_committed,
             "checkpoint_restores": 1 if self.restored else 0,
             "restored_requests": self.restored_requests,
+            "mirror_restores": int(getattr(self.store, "mirror_restores", 0)),
         }
-        if self.controller is not None:
-            out.update(
-                scale_ups=self.controller.scale_ups,
-                scale_downs=self.controller.scale_downs,
-                scale_events=[e.to_json() for e in self.controller.events],
-                spinup_spent_s=self.controller.spinup_spent_s,
-            )
-        if self.board is not None:
-            out.update(self.board.summary())
-        if self.hedge is not None:
-            out.update(
-                hedges_launched=self.hedges_launched,
-                hedges_won=self.hedges_won,
-                hedges_cancelled=self.hedges_cancelled,
-            )
-        if self.brownout is not None:
-            out["brownout"] = self.brownout.summary()
-        if self.cfg.worker_faults is not None:
-            out["workers_killed"] = self.workers_killed
-        if self.tenants is not None:
-            out["tenancy"] = self.tenants.summary()
-        if self.topology is not None:
-            scorecard = {
-                "topology": str(self.topology),
-                "nodes_killed": self.nodes_killed,
-                "partitions": self.partitions_seen,
-                "partition_heals": self.partition_heals,
-                "anti_affinity_placements": (
-                    self.placement.stats.anti_affinity_placements
-                ),
-                "anti_affinity_hedges": self.anti_affinity_hedges,
-                "mirror_restores": (
-                    int(getattr(self.store, "mirror_restores", 0))
-                    if self.store is not None
-                    else 0
-                ),
-                "isolation_ms": self._isolation_ms(),
-            }
-            if self.domain_board is not None:
-                scorecard.update(self.domain_board.summary())
-            out["domains"] = scorecard
-        return out
-
-    def _isolation_ms(self) -> dict:
-        """Per-node time-to-isolate: the instant the *last* boot worker
-        on the node was held out of service.  Only nodes whose every
-        boot worker has been isolated appear — a partial hold is not
-        isolation."""
-        out: dict[str, float] = {}
-        boot = self.cfg.n_workers
-        for node in range(self.topology.n_nodes):
-            members = [
-                w for w in self.topology.workers_on_node(node) if w < boot
-            ]
-            if members and all(w in self.isolation_s for w in members):
-                out[str(node)] = round(
-                    max(self.isolation_s[w] for w in members) * 1e3, 6
-                )
+        for part in self.parts.values():
+            for key, value in part.summary().items():
+                if isinstance(value, dict):
+                    out.setdefault(key, {}).update(value)
+                else:
+                    out[key] = value
         return out

@@ -67,23 +67,6 @@ class TenantSpec:
         if self.quota_burst is not None and self.quota_burst < 1:
             raise ValueError("quota_burst must be >= 1 when set")
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "quota_qps": self.quota_qps,
-            "quota_burst": self.quota_burst,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TenantSpec":
-        return cls(
-            name=data["name"],
-            weight=float(data["weight"]),
-            quota_qps=data["quota_qps"],
-            quota_burst=data["quota_burst"],
-        )
-
 
 @dataclass(frozen=True)
 class TenancyPolicy:
@@ -369,8 +352,10 @@ class TenantRegistry:
     def summary(self) -> dict:
         """The tenancy block the per-tenant scorecard builds on."""
         return {
-            "weights": dict(self.wfq.weights),
-            "counters": self.counters(),
+            "tenancy": {
+                "weights": dict(self.wfq.weights),
+                "counters": self.counters(),
+            }
         }
 
     # ------------------------------------------------------------------ #

@@ -37,7 +37,6 @@ def _checkpoint(**overrides) -> CampaignCheckpoint:
         next_req_seq=7,
         makespan_s=2.5e-3,
         checkpoints_committed=2,
-        preemptions=1,
         completion_order=[0, 2, 1],
         terminal=[_record(i, terminal=True).to_json() for i in range(3)],
         pending=[_record(i).to_json() for i in range(3, 7)],
@@ -55,10 +54,10 @@ def _checkpoint(**overrides) -> CampaignCheckpoint:
                 },
             }
         ],
-        tunecache=None,
-        drain={"alpha": 0.3, "initial_s": 2e-3, "samples": 2, "ewma": 1e-3},
-        arrival_rate={},
-        elastic={},
+        parts={
+            "drain": {"alpha": 0.3, "initial_s": 2e-3, "samples": 2, "ewma": 1e-3},
+            "counters": {"preemptions": 1, "workers_killed": 0},
+        },
     )
     kw.update(overrides)
     return CampaignCheckpoint(**kw)
@@ -136,6 +135,42 @@ class TestCheckpointBytes:
         with pytest.raises(ValueError):
             CampaignCheckpoint.from_bytes(blob[: len(blob) // 2])
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            [],
+            {**_checkpoint().to_json(), "terminal": [[]]},
+            {**_checkpoint().to_json(), "parts": {"drain": None}},
+            {**_checkpoint().to_json(), "time_s": "soon"},
+        ],
+    )
+    def test_wrong_shaped_body_is_unknown_format(self, body):
+        """A CRC-valid frame only proves the bytes are the ones written:
+        a body of the wrong shape is a structured rejection, never a
+        ``KeyError`` out of the middle of a resume."""
+        from repro import codec
+
+        blob = codec.encode_record(body, kind=codec.KIND_CAMPAIGN)
+        with pytest.raises(codec.UnknownFormat, match="wrong shape"):
+            CampaignCheckpoint.from_bytes(blob)
+
+    def test_pre_parts_layout_rejected(self):
+        """The 22-field layout (one field per feature, no ``parts``) is
+        refused by the same shape check, not auto-detected."""
+        from repro import codec
+
+        old = _checkpoint().to_json()
+        parts = old.pop("parts")
+        old.update(
+            preemptions=1, tunecache=None, drain=parts["drain"],
+            arrival_rate={}, elastic={}, health={}, brownout={}, hedges={},
+            workers_killed=0, domain_health={}, domains={}, tenancy={},
+        )
+        blob = codec.encode_record(old, kind=codec.KIND_CAMPAIGN)
+        with pytest.raises(codec.UnknownFormat, match="parts"):
+            CampaignCheckpoint.from_bytes(blob)
+
     def test_restored_records_split(self):
         terminal, pending = _checkpoint().restored_records()
         assert [r.request.req_id for r in terminal] == [0, 1, 2]
@@ -169,6 +204,32 @@ class TestCheckpointStore:
         blob[-1] ^= 0x01
         store._blobs[-1] = bytes(blob)
         assert store.latest().checkpoints_committed == 1
+
+    def test_wrong_shaped_latest_falls_back(self):
+        """Good commit, then a CRC-valid frame whose body is ``{}``: the
+        verified-fallback loop discards it like any torn blob."""
+        from repro import codec
+
+        store = CampaignCheckpointStore()
+        store.commit(_checkpoint(checkpoints_committed=1))
+        store._blobs.append(codec.encode_record({}, kind=codec.KIND_CAMPAIGN))
+        assert store.latest().checkpoints_committed == 1
+        assert len(store) == 1
+
+    def test_mirrored_store_falls_back_past_a_wrong_shaped_frame(self):
+        from repro import codec
+        from repro.service import MirroredCheckpointStore
+
+        empty = codec.encode_record({}, kind=codec.KIND_CAMPAIGN)
+        store = MirroredCheckpointStore()
+        store.commit(_checkpoint(checkpoints_committed=1))
+        store.primary._blobs.append(empty)
+        assert store.latest().checkpoints_committed == 1
+        assert store.mirror_restores == 0
+        # With the primary holding nothing else, the mirror serves.
+        store.primary._blobs[:] = [empty]
+        assert store.latest().checkpoints_committed == 1
+        assert store.mirror_restores == 1
 
     def test_file_mirror_and_load(self, tmp_path):
         path = str(tmp_path / "campaign.ckpt")

@@ -234,9 +234,35 @@ class TestDomainBoard:
         board = self._board()
         board.observe_strike(1, 3, now=1e-3)
         board.quarantine(1, now=1e-3)
-        clone = DomainBoard.from_json(board.policy, board.to_json())
+        clone = DomainBoard(board.policy)
+        clone.restore(board.to_json())
         assert clone.to_json() == board.to_json()
         assert clone.state(1) == QUARANTINED
+
+
+class TestDomainState:
+    def test_restore_round_trip_and_node_lookup(self):
+        from repro.service.health import DomainState
+
+        topo = Topology.parse("3x2@3")
+        state = DomainState(topo, boot_workers=6)
+        state.worker_node[7] = 2  # an elastic scale-up pinned off-arithmetic
+        state.dead_nodes.add(1)
+        state.partitioned.add(2)
+        state.healed_racks.add(0)
+        state.nodes_killed = state.partitions_seen = 1
+        state.hca_factor[0] = 2.5
+        for wid, t in ((2, 1e-3), (3, 2e-3)):
+            state.isolation_s[wid] = t
+        clone = DomainState(topo, boot_workers=6)
+        clone.restore(json.loads(json.dumps(state.to_json())))
+        assert clone.to_json() == state.to_json()
+        assert clone.hca_factor == {}  # re-applied by the refired event
+        assert clone.node_of(7) == 2 and clone.node_of(5) == 2
+        assert clone.members(2, pool_size=8) == [4, 5, 7]
+        assert not clone.reachable(2) and clone.reachable(0)
+        # Node 1's boot workers (2, 3) are both isolated; the last at 2 ms.
+        assert clone.summary()["domains"]["isolation_ms"] == {"1": 2.0}
 
 
 class TestSpreadDomain:

@@ -54,8 +54,10 @@ class TestArrivalRateEstimator:
         est = ArrivalRateEstimator(alpha=0.5)
         for t in (0.0, 1e-3, 3e-3):
             est.observe(t)
-        clone = ArrivalRateEstimator.from_json(est.to_json())
+        clone = ArrivalRateEstimator()
+        clone.restore(est.to_json())
         assert clone.rate_rps(5e-3) == est.rate_rps(5e-3)
+        assert clone.to_json() == est.to_json()
 
 
 def _controller(**policy_kw) -> PoolController:
@@ -156,14 +158,16 @@ class TestDecide:
                    batch_s=1e-3, max_batch=8, backlog=0)
         ctl.decide(1.0, current=4, idle=3, rate_rps=0.0,
                    batch_s=1e-3, max_batch=8, backlog=0)
-        clone = PoolController.from_json(ctl.policy, ctl.to_json())
+        clone = PoolController(ctl.policy)
+        clone.restore(ctl.to_json())
         assert clone.last_scale_s == ctl.last_scale_s
         assert clone.spinup_spent_s == ctl.spinup_spent_s
         assert clone.events == ctl.events
 
     def test_json_round_trip_untouched(self):
         ctl = _controller()
-        clone = PoolController.from_json(ctl.policy, ctl.to_json())
+        clone = PoolController(ctl.policy)
+        clone.restore(ctl.to_json())
         assert clone.last_scale_s == float("-inf")
         assert clone.events == []
 

@@ -207,7 +207,8 @@ class TestHealthBoard:
         board.observe_success(1, duration_s=1e-3, predicted_s=1e-3)
         board.quarantine(0, now=2e-3)
         blob = board.to_json()
-        back = HealthBoard.from_json(board.policy, blob)
+        back = HealthBoard(board.policy)
+        back.restore(blob)
         assert back.to_json() == blob
         assert back.state(0) == QUARANTINED
         assert back.tracker(0).strikes == 1
@@ -248,7 +249,7 @@ class TestBrownoutController:
     def test_summary_speaks_level_names(self):
         ctl = BrownoutController(BrownoutPolicy(enabled=True))
         ctl.update(0.0, 5e-3)
-        out = ctl.summary()
+        out = ctl.summary()["brownout"]
         assert out["final_level"] == "shed_low"
         assert out["max_level"] == "shed_low"
         assert out["transitions"][0]["level"] == "shed_low"
@@ -260,10 +261,25 @@ class TestBrownoutController:
         ctl.shed = 3
         ctl.brownout_rejected = 1
         blob = ctl.to_json()
-        back = BrownoutController.from_json(policy, blob)
+        back = BrownoutController(policy)
+        back.restore(blob)
         assert back.to_json() == blob
         assert back.level == BROWNOUT_DEGRADE
         assert back.max_level == BROWNOUT_DEGRADE
+
+
+class TestHedgeLedger:
+    def test_restore_round_trip_and_report_names(self):
+        from repro.service.health import HedgeLedger
+
+        ledger = HedgeLedger(HedgePolicy(enabled=True))
+        ledger.launched, ledger.won, ledger.cancelled = 3, 1, 2
+        clone = HedgeLedger(ledger.policy)
+        clone.restore(ledger.to_json())
+        assert clone.to_json() == ledger.to_json()
+        assert clone.summary() == {
+            "hedges_launched": 3, "hedges_won": 1, "hedges_cancelled": 2,
+        }
 
 
 # --------------------------------------------------------------------- #
@@ -583,7 +599,9 @@ class TestResumePreservesQuarantine:
             )
         snap = store.latest()
         assert snap is not None
-        states = {w["worker_id"]: w["state"] for w in snap.health["workers"]}
+        states = {
+            w["worker_id"]: w["state"] for w in snap.parts["health"]["workers"]
+        }
         assert states[0] in (QUARANTINED, PROBING)
 
         resumed = SolveService(cfg).resume(_stream(n=32), checkpoint=store)
