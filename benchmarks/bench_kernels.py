@@ -3,13 +3,38 @@
 These measure the *simulator's* real execution speed (useful when working
 on the library); the paper-shape results come from the model-time benches
 in the other files.
+
+The dslash cases are the shapes the functional solver actually issues: a
+T-partitioned rank's fused kernel (clover multiply + xpay) on the
+``interior``, ``boundary`` and ``full`` regions of the 8^3 x 8 local
+volume of the ledger's ``solve-mixed`` (1,536 / 512 / 2,048 rows) and the
+4^3 x 8 local volume of ``solve-small-double`` (192 / 64 / 256), at every
+storage precision.  Two ways to run them::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py   # pytest-benchmark
+    PYTHONPATH=src python benchmarks/bench_kernels.py --record change
+
+The second form writes per-call medians into ``BENCH_kernels.json`` under
+the given label; pointing ``PYTHONPATH`` at another checkout's ``src``
+records that commit with the identical benchmark code (the file uses only
+the public kernel/field API).  ``check_kernel_regression.py`` guards the
+committed numbers.
 """
+
+import argparse
+import json
+import pathlib
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import blas
 from repro.gpu import (
+    BACKWARD,
+    FORWARD,
+    DeviceCloverField,
     DeviceGaugeField,
     DeviceSpinorField,
     Precision,
@@ -23,9 +48,91 @@ from repro.lattice import (
     random_spinor,
     weak_field_gauge,
 )
-from repro.lattice.evenodd import EVEN, full_to_parity
+from repro.lattice.evenodd import EVEN
 
 DIMS = (8, 8, 8, 8)
+BASELINE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+
+#: Local volumes of the two functional ledger workloads on two ranks.
+LOCAL_VOLUMES = {"8x8x8x8": (8, 8, 8, 8), "4x4x4x8": (4, 4, 4, 8)}
+REGIONS = ("interior", "boundary", "full")
+DSLASH_CASES = [
+    (volume, region, precision.name.lower())
+    for volume in LOCAL_VOLUMES
+    for region in REGIONS
+    for precision in Precision
+]
+
+
+def case_name(volume: str, region: str, precision: str) -> str:
+    return f"{volume}/{region}/{precision}"
+
+
+def fused_dslash_case(volume: str, region: str, precision: str):
+    """``(apply, rows)``: one T-partitioned fused kernel application."""
+    rng = np.random.default_rng(1)
+    geo = LatticeGeometry(LOCAL_VOLUMES[volume])
+    prec = Precision.parse(precision)
+    host_gauge = weak_field_gauge(geo, rng, 0.1)
+    vh, face = geo.half_volume, geo.face_half_sites(3)
+    gpu = VirtualGPU(enforce_memory=False)
+    gauge = DeviceGaugeField(
+        gpu, sites=geo.volume, precision=prec,
+        ghost_sites=geo.spatial_volume, pad_sites=geo.spatial_volume,
+    )
+    gauge.set(host_gauge.data)
+    gauge.set_ghost(host_gauge.data[3][-geo.spatial_volume:])
+
+    def spinor(label):
+        field = DeviceSpinorField(gpu, sites=vh, precision=prec, face_sites=face, label=label)
+        field.set(rng.standard_normal((vh, 4, 3)) + 1j * rng.standard_normal((vh, 4, 3)))
+        return field
+
+    src, x, dst = spinor("src"), spinor("x"), spinor("dst")
+    for direction in (BACKWARD, FORWARD):
+        src.set_ghost(
+            direction,
+            rng.standard_normal((face, 2, 3)) + 1j * rng.standard_normal((face, 2, 3)),
+        )
+    blocks = make_clover(host_gauge).data[geo.sites_of_parity[EVEN]]
+    blocks[:, :, np.arange(6), np.arange(6)] += 4.1
+    clover = DeviceCloverField(gpu, sites=vh, precision=prec)
+    clover.set(blocks)
+    tables = dslash_tables(geo, EVEN)
+
+    def apply():
+        dslash_kernel(
+            gpu, tables, gauge, src, dst, region=region, partitioned=True,
+            clover=clover, clover_target="xpay", xpay=(-0.25, x),
+        )
+        gpu.timeline.ops.clear()  # the model clock is not what is timed
+
+    return apply, tables.rows_for(region, (3,)).size
+
+
+def median_seconds(apply, *, budget_s: float = 0.5, min_calls: int = 20) -> float:
+    """Median wall seconds of one call, after two warm-up calls."""
+    apply()
+    apply()
+    samples = []
+    began = time.perf_counter()
+    while len(samples) < min_calls or time.perf_counter() - began < budget_s:
+        start = time.perf_counter()
+        apply()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def measure_all() -> dict:
+    """Per-call medians (milliseconds) of every dslash case, with row counts."""
+    out = {}
+    for volume, region, precision in DSLASH_CASES:
+        apply, rows = fused_dslash_case(volume, region, precision)
+        out[case_name(volume, region, precision)] = {
+            "rows": rows,
+            "ms_per_call": round(1e3 * median_seconds(apply), 4),
+        }
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -44,32 +151,10 @@ def test_host_wilson_clover_apply(benchmark, setup):
     benchmark(op.apply, psi)
 
 
-def test_device_dslash_single(benchmark, setup):
-    geo, gauge, clover, psi = setup
-    gpu = VirtualGPU(enforce_memory=False)
-    dg = DeviceGaugeField(gpu, sites=geo.volume, precision=Precision.SINGLE)
-    dg.set(gauge.data)
-    src = DeviceSpinorField(gpu, sites=geo.half_volume, precision=Precision.SINGLE)
-    src.set(full_to_parity(geo, psi.data, 1))
-    dst = DeviceSpinorField(
-        gpu, sites=geo.half_volume, precision=Precision.SINGLE, label="dst"
-    )
-    tables = dslash_tables(geo, EVEN)
-    benchmark(dslash_kernel, gpu, tables, dg, src, dst)
-
-
-def test_device_dslash_half(benchmark, setup):
-    geo, gauge, clover, psi = setup
-    gpu = VirtualGPU(enforce_memory=False)
-    dg = DeviceGaugeField(gpu, sites=geo.volume, precision=Precision.HALF)
-    dg.set(gauge.data)
-    src = DeviceSpinorField(gpu, sites=geo.half_volume, precision=Precision.HALF)
-    src.set(full_to_parity(geo, psi.data, 1))
-    dst = DeviceSpinorField(
-        gpu, sites=geo.half_volume, precision=Precision.HALF, label="dst"
-    )
-    tables = dslash_tables(geo, EVEN)
-    benchmark(dslash_kernel, gpu, tables, dg, src, dst)
+@pytest.mark.parametrize("volume,region,precision", DSLASH_CASES)
+def test_device_fused_dslash(benchmark, volume, region, precision):
+    apply, _ = fused_dslash_case(volume, region, precision)
+    benchmark(apply)
 
 
 def test_clover_construction(benchmark, setup):
@@ -110,3 +195,32 @@ def test_clover_field_pack(benchmark, setup):
     from repro.lattice.clover import pack_clover
 
     benchmark(pack_clover, clover)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--record", metavar="LABEL",
+        help="store the medians under LABEL (e.g. parent, change) in the baseline file",
+    )
+    parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
+    args = parser.parse_args(argv)
+    results = measure_all()
+    for name, row in results.items():
+        print(f"{name:32s} {row['rows']:5d} rows  {row['ms_per_call']:8.3f} ms/call")
+    if args.record:
+        doc = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
+        doc.setdefault(
+            "what",
+            "per-call wall-clock medians (ms) of one T-partitioned fused dslash "
+            "application (clover + xpay), benchmarks/bench_kernels.py, BLAS pinned "
+            "to one thread",
+        )
+        doc[args.record] = results
+        args.baseline.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"recorded {len(results)} case(s) under {args.record!r} in {args.baseline}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

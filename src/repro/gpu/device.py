@@ -25,6 +25,7 @@ process are slower, reproducing the maroon curve of Fig. 5(a).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,10 @@ class VirtualGPU:
     name: str = "gpu0"
     allocator: DeviceAllocator = field(init=False)
     timeline: Timeline = field(init=False)
+    #: Weak reference to the gauge field whose kernel-derived tables are
+    #: held at present — one field per card at a time; see
+    #: :meth:`repro.gpu.fields.DeviceGaugeField.derived`.
+    derived_holder: weakref.ref | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.allocator = DeviceAllocator(

@@ -27,7 +27,9 @@ Ghost storage follows the paper:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +179,25 @@ class DeviceSpinorField:
         else:
             self._store.array[...] = data
 
+    def set_rows(self, rows: np.ndarray, data: np.ndarray) -> None:
+        """Store ``data`` ``(len(rows), 4, 3)`` into the body sites ``rows``.
+
+        Half precision quantizes each site against its own norm, so writing
+        a subset of rows stores exactly what :meth:`set` of the whole field
+        would store in them — a region-partial kernel needs no
+        read-modify-write of the rest.
+        """
+        if not self.gpu.execute:
+            return
+        if data.shape != (len(rows), 4, 3):
+            raise ValueError(f"expected {(len(rows), 4, 3)}, got {data.shape}")
+        if self.precision.needs_norm:
+            self._store.array[rows], self._norms[rows] = quantize_block(
+                spinor_to_reals(data)
+            )
+        else:
+            self._store.array[rows] = data
+
     def get(self) -> np.ndarray:
         """Download as complex128 ``(sites, 4, 3)`` (dequantizing)."""
         self._require_execute()
@@ -185,17 +206,24 @@ class DeviceSpinorField:
             return reals_to_spinor(reals.astype(np.float64))
         return self._store.array.astype(np.complex128)
 
-    def working(self) -> np.ndarray:
-        """The array kernels compute on: complex, in compute dtype.
+    def working(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """What kernels compute on: complex, in compute dtype.
 
-        For half precision this performs the texture-style decode; results
-        written back must go through :meth:`set_working`.
+        The whole body, or the sites ``rows`` of it.  For half precision
+        this performs the texture-style decode — of the sites asked for,
+        not the field — and results written back must go through
+        :meth:`set_working` / :meth:`set_rows`; other precisions read the
+        store itself.
         """
         self._require_execute()
-        if self.precision.needs_norm:
-            reals = dequantize_block(self._store.array, self._norms)
-            return reals_to_spinor(reals).astype(np.complex64)
-        return self._store.array
+        if not self.precision.needs_norm:
+            return self._store.array if rows is None else self._store.array[rows]
+        if rows is None:
+            rows = slice(None)
+        reals = dequantize_block(self._store.array[rows], self._norms[rows])
+        # (re, im) pairs of float32 *are* complex64: one rounding per
+        # real, as in reals_to_spinor(reals).astype(complex64).
+        return reals.astype(np.float32).view(np.complex64).reshape(-1, 4, 3)
 
     def set_working(self, data: np.ndarray) -> None:
         """Store kernel output (re-quantizing for half precision)."""
@@ -308,6 +336,8 @@ class DeviceGaugeField:
     #: directions need dedicated buffers, accounted explicitly.
     ghosts: dict[int, int] | None = None
     layout: FieldLayout = field(init=False)
+    #: What kernels derived from the stored links (see :meth:`derived`).
+    _derived: dict = field(init=False, default_factory=dict, repr=False)
 
     T_DIR = 3
 
@@ -396,6 +426,7 @@ class DeviceGaugeField:
             return
         if data.shape != (4, self.sites, 3, 3):
             raise ValueError(f"expected {(4, self.sites, 3, 3)}, got {data.shape}")
+        self._derived.clear()
         for mu in range(4):
             self._store.array[mu] = self._encode(data[mu])
 
@@ -404,6 +435,34 @@ class DeviceGaugeField:
         self._require_execute()
         return self._decode(self._store.array[mu])
 
+    def derived(self, key, build):
+        """``build()``, computed once per ``key`` for the links now stored.
+
+        "The link matrices are constant throughout the execution of the
+        linear solver" (Section VI-B), so whatever a kernel derives from
+        them — decoded, reconstructed, reordered — is kept from one
+        application to the next.  The field owns those results so that it
+        can drop them the moment the links change (:meth:`set`,
+        :meth:`set_ghost`) or the storage goes away (:meth:`release`).
+
+        One field per card holds tables at a time: a mixed-precision solve
+        keeps two operators on a card but applies them in long runs of
+        one, so the field being applied takes over and the other's tables
+        are rebuilt when its turn comes (twice per reliable update)
+        rather than both sets staying resident.
+        """
+        holder = self.gpu.derived_holder
+        previous = holder() if holder is not None else None
+        if previous is not self:
+            if previous is not None:
+                previous._derived.clear()
+            self.gpu.derived_holder = weakref.ref(self)
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
     def set_ghost(self, links: np.ndarray, mu: int = T_DIR) -> None:
         """Store the ``mu`` gauge ghost slice (done once at init)."""
         if not self.gpu.execute:
@@ -411,6 +470,7 @@ class DeviceGaugeField:
         n = self.ghosts[mu]
         if links.shape != (n, 3, 3):
             raise ValueError(f"expected {(n, 3, 3)}, got {links.shape}")
+        self._derived.clear()
         self._ghost[mu][...] = self._encode(links)
 
     def ghost_links(self, mu: int = T_DIR) -> np.ndarray:
@@ -427,6 +487,7 @@ class DeviceGaugeField:
             raise RuntimeError("field data is not materialized in timing-only mode")
 
     def release(self) -> None:
+        self._derived.clear()
         self.gpu.free(self._store)
 
 
@@ -490,13 +551,21 @@ class DeviceCloverField:
         else:
             self._store.array[...] = blocks
 
-    def blocks(self) -> np.ndarray:
-        """Decoded chiral blocks in compute dtype."""
+    def blocks(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Chiral blocks in compute dtype: of every site, or of ``rows``.
+
+        Half precision decodes on every call, and only the sites asked
+        for: a region-partial kernel pays for its rows, not the field, and
+        nothing field-sized is kept beside the store.
+        """
         self._require_execute()
-        if self.precision.needs_norm:
-            packed = dequantize_block(self._store.array, self._norms)
-            return _unpack_blocks(packed.astype(np.float64)).astype(np.complex64)
-        return self._store.array
+        if not self.precision.needs_norm:
+            return self._store.array if rows is None else self._store.array[rows]
+        if rows is None:
+            rows = slice(None)
+        return _unpack_blocks(
+            dequantize_block(self._store.array[rows], self._norms[rows])
+        )
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Blockwise apply to spinor data ``(sites, 4, 3)``."""
@@ -512,7 +581,7 @@ class DeviceCloverField:
         """
         from ..lattice.fields import apply_chiral_blocks
 
-        return apply_chiral_blocks(self.blocks()[rows], psi_rows)
+        return apply_chiral_blocks(self.blocks(rows), psi_rows)
 
     def _require_execute(self) -> None:
         if not self.gpu.execute:
@@ -536,17 +605,37 @@ def _pack_blocks(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unpack_blocks(packed: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pack_blocks`."""
-    v = packed.shape[0]
-    blocks = np.zeros((v, 2, 6, 6), dtype=np.complex128)
-    tri = np.tril_indices(6, k=-1)
+@lru_cache(maxsize=None)
+def _unpack_map() -> tuple[np.ndarray, np.ndarray]:
+    """Where each real of an unpacked site comes from, and its sign.
+
+    For the 2 x 6 x 6 x (re, im) reals of one site's blocks: the index of
+    the packed real that fills it (``CLOVER_REALS`` = "none", a zero) and
+    +1 or -1 (the upper triangle is the conjugate of the lower).
+    """
+    source = np.full((2, 6, 6, 2), CLOVER_REALS, dtype=np.intp)
+    sign = np.ones((2, 6, 6, 2), dtype=np.float32)
+    row, col = np.tril_indices(6, k=-1)
     for c in range(2):
         base = 36 * c
-        blocks[:, c, np.arange(6), np.arange(6)] = packed[:, base : base + 6]
-        lower = packed[:, base + 6 : base + 36 : 2] + 1j * packed[
-            :, base + 7 : base + 36 : 2
-        ]
-        blocks[:, c, tri[0], tri[1]] = lower
-        blocks[:, c, tri[1], tri[0]] = np.conj(lower)
-    return blocks
+        source[c, np.arange(6), np.arange(6), 0] = base + np.arange(6)
+        lower = base + 6 + 2 * np.arange(row.size)
+        for part in (0, 1):
+            source[c, row, col, part] = lower + part
+            source[c, col, row, part] = lower + part
+        sign[c, col, row, 1] = -1.0
+    source, sign = source.reshape(-1), sign.reshape(-1)
+    source.setflags(write=False)
+    sign.setflags(write=False)
+    return source, sign
+
+
+def _unpack_blocks(packed: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack_blocks`, as complex64 ``(V, 2, 6, 6)``."""
+    v = packed.shape[0]
+    source, sign = _unpack_map()
+    reals = np.zeros((v, CLOVER_REALS + 1), dtype=np.float32)
+    reals[:, :CLOVER_REALS] = packed
+    blocks = np.take(reals, source, axis=1)
+    blocks *= sign
+    return blocks.view(np.complex64).reshape(v, 2, 6, 6)

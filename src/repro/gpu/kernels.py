@@ -28,6 +28,38 @@ kernel accepts any subset of the partitionable directions {Z, T} via the
 meaning.  Each partitioned direction contributes its own pair of ghost
 faces; the Wilson stencil is strictly nearest-neighbor per direction, so
 no corner exchanges are needed.
+
+**Data flow of one application.**  The functional body rests on the same
+three facts as the CUDA kernel.  The spin projector has rank 2, so each
+of the eight hops is projected to a half spinor *first* and the link
+multiplies 2 x 3, not 4 x 3 (Sections V-C2 / VI-C — the trick that also
+halves the face traffic).  Fields are traversed with the site index
+fastest (eqs. (4)-(5)): every work array has the sites as its last axis,
+in the *region order* of a :class:`HopPlan`, so the interior, boundary
+and full regions are slices of every table and each arithmetic step is
+one vectorised call over the site axis.  And "the link matrices are
+constant throughout the execution of the linear solver" (Section VI-B):
+links are read from a table the gauge field holds
+(:meth:`~repro.gpu.fields.DeviceGaugeField.derived`) — decoded,
+reconstructed, phases folded in, every link once — not re-derived per
+call.  Spinor bodies and clover blocks change or are cheap to decode, so
+those are decoded from their stores on each call, and only the rows the
+region needs; results are written row-wise.
+
+**Arithmetic.**  A hop is evaluated in double precision from the stored
+values and rounded to the field's compute precision once, as it is added
+to the accumulator; the fused epilogue runs in the field's precision.
+That is the rounding sequence the kernel has always had for local hops
+(its earlier einsum form promoted them to complex128 through the float64
+boundary phase), and the functional solves are pinned to it: a
+half-precision solve is chaotic in its int16 stores, so a formulation
+that rounds differently — the same steps in complex64 take half the time
+per hop — changes iteration, reliable-update and message counts from the
+first applications on.  For the same reason a half spinor read from the
+end zone is multiplied in the field's own precision by one batched
+``matmul`` over the face, the call the einsum form made.  The test oracle
+(``tests/gpu/_reference_dslash.py``) is that einsum form; single and half
+precision agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +70,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..lattice import gamma as _gamma
-from ..lattice import su3
 from ..lattice.geometry import LatticeGeometry, NDIM, T_DIR
 from .device import VirtualGPU
 from .fields import (
@@ -110,11 +141,84 @@ class FaceTables:
     #: what the sender packs for its -mu / +mu neighbor.
     gather_low: np.ndarray
     gather_high: np.ndarray
-    #: For each low/high boundary *target*, the position of its site
-    #: within the full boundary slice's lex enumeration — the index into
-    #: the gauge ghost slice (which carries both parities).
+    #: Per target row, its ordinal among the low/high boundary targets
+    #: (meaningful where ``on_low`` / ``on_high`` is set).  The ghost face
+    #: is ordered by the boundary slice's lex enumeration, so the k-th
+    #: target-parity site on the slice (in cb order) pairs with the k-th
+    #: ghost entry (the ordering argument of Fig. 3, per direction).
+    ordinal_low: np.ndarray
+    ordinal_high: np.ndarray
+    #: For each low/high boundary *target* (indexed by that ordinal), the
+    #: position of its site within the full boundary slice's lex
+    #: enumeration — the index into the gauge ghost slice (which carries
+    #: both parities).
     gauge_pos_low: np.ndarray
     gauge_pos_high: np.ndarray
+
+
+@dataclass(frozen=True)
+class GhostHop:
+    """One hop of a partitioned direction that reads a ghost face."""
+
+    #: ``2 * mu`` for the forward gather (reads the FORWARD end zone),
+    #: ``2 * mu + 1`` for the backward one (reads the BACKWARD end zone).
+    hop: int
+    #: Columns of :attr:`HopPlan.order` holding this face's targets ...
+    cols: np.ndarray
+    #: ... and each one's position within the ghost face.
+    ordinals: np.ndarray
+
+    @property
+    def mu(self) -> int:
+        return self.hop // 2
+
+    @property
+    def direction(self) -> str:
+        return BACKWARD if self.hop % 2 else FORWARD
+
+
+@dataclass(frozen=True)
+class HopPlan:
+    """Where each hop reads, for one (tables, partitioned dirs) pair.
+
+    Target rows are taken in *region order* — the interior rows, then the
+    boundary rows — so each of the three kernel regions is one contiguous
+    span of columns, and anything tabulated in this order is sliced per
+    call, never gathered.  Indices only: safe to share between ranks.
+
+    The link table the gauge field holds (:func:`_hop_links`) has one
+    column per lattice site: the even sites in the region order of the
+    even-target plan, then the odd sites in that of the odd-target plan.
+    A forward hop multiplies by the link *at* the target, a contiguous
+    span of that table; a backward hop by the adjoint of the link at
+    ``x - mu``, a site of the other parity, found through
+    :attr:`bwd_link` — so every link is tabulated once, not once per
+    orientation.
+    """
+
+    #: Target rows: ``rows_for("interior")`` then ``rows_for("boundary")``.
+    order: np.ndarray
+    n_interior: int
+    #: ``(8, Vh)`` source-parity cb index of hop ``k``'s neighbour of
+    #: ``order[j]``.  A ghost target keeps its periodic-wrap neighbour so
+    #: that every index is valid; the kernel overwrites those columns
+    #: from the end zone.
+    nbr: np.ndarray
+    #: Link-table column of the first target (``target_parity * Vh``).
+    link_base: int
+    #: ``(4, Vh)`` link-table column of ``order[j] - mu``.
+    bwd_link: np.ndarray
+    #: Per direction: ``None``, or ``(Vh,)`` signs where the boundary phase
+    #: of the backward hop differs from the one folded into the link it
+    #: borrows (a sub-lattice wrapped onto itself; never in a solve).
+    bwd_sign: tuple
+    ghosts: tuple[GhostHop, ...]
+
+    def span(self, region: str) -> tuple[int, int]:
+        """Column range of a kernel region."""
+        if region == "interior":
+            return 0, self.n_interior
+        return (self.n_interior if region == "boundary" else 0), self.order.size
 
 
 @dataclass(frozen=True)
@@ -133,18 +237,32 @@ class DslashTables:
     # (4, Vh) neighbor cb indices into the source parity.
     nbr_fwd: np.ndarray
     nbr_bwd: np.ndarray
-    # (4, Vh) boundary phases at the target sites.
-    ph_fwd: np.ndarray
-    ph_bwd: np.ndarray
-    # (4, Vh) full-lattice indices of x - mu_hat (for the backward links).
-    bwd_sites: np.ndarray
     # Per-direction face tables for the partitionable directions.
     faces: dict[int, FaceTables] = field(repr=False)
     _rows_cache: dict = field(default_factory=dict, repr=False)
+    _plan_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_sites(self) -> int:
         return self.tgt_sites.size
+
+    # Read when a link table is built, not per application: gathered from
+    # the geometry on demand rather than held.
+
+    @property
+    def ph_fwd(self) -> np.ndarray:
+        """``(4, Vh)`` boundary phases of the forward hops at the targets."""
+        return self.geometry.boundary_phase_fwd[:, self.tgt_sites]
+
+    @property
+    def ph_bwd(self) -> np.ndarray:
+        """``(4, Vh)`` boundary phases of the backward hops at the targets."""
+        return self.geometry.boundary_phase_bwd[:, self.tgt_sites]
+
+    @property
+    def bwd_sites(self) -> np.ndarray:
+        """``(4, Vh)`` full-lattice indices of ``x - mu_hat``."""
+        return self.geometry.neighbor_bwd[:, self.tgt_sites]
 
     def face(self, mu: int) -> FaceTables:
         try:
@@ -197,12 +315,10 @@ class DslashTables:
             raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
         key = (region, dirs)
         if key not in self._rows_cache:
-            if region == "full" or not dirs:
+            if region == "boundary" and not dirs:
+                rows = np.arange(0)
+            elif region == "full" or not dirs:
                 rows = np.arange(self.n_sites)
-                if region == "interior" and dirs == ():
-                    rows = np.arange(self.n_sites)
-                if region == "boundary" and not dirs:
-                    rows = np.arange(0)
             else:
                 on_boundary = np.zeros(self.n_sites, dtype=bool)
                 for mu in dirs:
@@ -219,6 +335,57 @@ class DslashTables:
     def rows(self, region: str) -> np.ndarray:
         """Legacy temporal-only region rows."""
         return self.rows_for(region, (T_DIR,))
+
+    def hop_plan(self, dirs: tuple[int, ...]) -> HopPlan:
+        """The gather plan for ``dirs`` (built once, indices only)."""
+        if dirs not in self._plan_cache:
+            self._plan_cache[dirs] = self._build_hop_plan(dirs)
+        return self._plan_cache[dirs]
+
+    def region_order(self, dirs: tuple[int, ...]) -> np.ndarray:
+        """Target rows with the interior first, then the boundary."""
+        return np.concatenate(
+            [self.rows_for("interior", dirs), self.rows_for("boundary", dirs)]
+        )
+
+    def _build_hop_plan(self, dirs: tuple[int, ...]) -> HopPlan:
+        order = self.region_order(dirs)
+        vh = order.size
+        ghosts = []
+        for mu in dirs:
+            f = self.face(mu)
+            for step, mask, ordinal in (
+                (0, f.on_high, f.ordinal_high),
+                (1, f.on_low, f.ordinal_low),
+            ):
+                cols = np.nonzero(mask[order])[0]
+                ghosts.append(GhostHop(2 * mu + step, cols, ordinal[order[cols]]))
+        # x - mu sits at cb index nbr_bwd of the other parity, which the
+        # link table lists in *that* parity's region order.
+        other = dslash_tables(self.geometry, 1 - self.target_parity)
+        other_column = np.empty(vh, dtype=np.intp)
+        other_column[other.region_order(dirs)] = (1 - self.target_parity) * vh + np.arange(vh)
+        behind = self.nbr_bwd[:, order]
+        borrowed = other.ph_fwd[np.arange(NDIM)[:, None], behind]
+        sign = borrowed * self.ph_bwd[:, order]
+        for g in ghosts:
+            if g.direction == BACKWARD:
+                sign[g.mu, g.cols] = 1.0  # those columns read the ghost link
+        return HopPlan(
+            order=order,
+            n_interior=self.rows_for("interior", dirs).size,
+            nbr=np.stack(
+                [
+                    nbr[mu][order]
+                    for mu in range(NDIM)
+                    for nbr in (self.nbr_fwd, self.nbr_bwd)
+                ]
+            ).astype(np.int32),
+            link_base=self.target_parity * vh,
+            bwd_link=other_column[behind].astype(np.int32),
+            bwd_sign=tuple(None if np.all(s == 1.0) else s.copy() for s in sign),
+            ghosts=tuple(ghosts),
+        )
 
 
 @dataclass(frozen=True)
@@ -319,6 +486,8 @@ def _face_tables(geometry: LatticeGeometry, target_parity: int, mu: int) -> Face
         on_high=on_high,
         gather_low=geometry.boundary_sites_of_parity(mu, -1, source_parity),
         gather_high=geometry.boundary_sites_of_parity(mu, +1, source_parity),
+        ordinal_low=np.cumsum(on_low) - 1,
+        ordinal_high=np.cumsum(on_high) - 1,
         gauge_pos_low=slice_pos(on_low, 0),
         gauge_pos_high=slice_pos(on_high, high),
     )
@@ -336,9 +505,6 @@ def dslash_tables(geometry: LatticeGeometry, target_parity: int) -> DslashTables
         tgt_sites=tgt_sites,
         nbr_fwd=geometry.eo_neighbor_fwd[target_parity],
         nbr_bwd=geometry.eo_neighbor_bwd[target_parity],
-        ph_fwd=geometry.boundary_phase_fwd[:, tgt_sites],
-        ph_bwd=geometry.boundary_phase_bwd[:, tgt_sites],
-        bwd_sites=geometry.neighbor_bwd[:, tgt_sites],
         faces={
             mu: _face_tables(geometry, target_parity, mu) for mu in PARTITIONABLE
         },
@@ -427,7 +593,7 @@ def project_face(
         return None, None
     q, _ = _gamma.projector_decomposition(mu, sign, src.basis)
     cdtype = src.precision.complex_compute_dtype
-    halves = np.einsum("ht,xta->xha", q.astype(cdtype), src.working()[rows])
+    halves = np.einsum("ht,xta->xha", q.astype(cdtype), src.working(rows))
     norms = None
     if src.precision.needs_norm:
         flat_abs = np.maximum(np.abs(halves.real), np.abs(halves.imag))
@@ -543,104 +709,154 @@ def dslash_kernel(
     if not gpu.execute or rows.size == 0:
         return
 
-    basis = src.basis
-    sgn = -1 if dagger else +1
-    body = src.working()
+    # ----- functional body: project, multiply, reconstruct --------------- #
+    # Site index last on every array, rows in the region order of the hop
+    # plan; a hop is evaluated in double and rounded to the field's
+    # precision as it is accumulated (module docstring, "Data flow" and
+    # "Arithmetic").
     cdtype = src.precision.complex_compute_dtype
-    out = np.zeros((rows.size, 4, 3), dtype=cdtype)
+    plan = tables.hop_plan(dirs)
+    first, last = plan.span(region)
+    rows = plan.order[first:last]
+    n = rows.size
+    links = gauge.derived(
+        ("hop_links", tables.geometry, dirs),
+        lambda: _hop_links(tables.geometry, gauge, dirs),
+    )
+    spin_q, spin_r = _hop_spin(src.basis, dagger)
+    ghosts = plan.ghosts if last > plan.n_interior else ()
+    if ghosts:
+        ghost_links = gauge.derived(
+            ("ghost_links", tables.geometry, tables.target_parity, dirs),
+            lambda: _ghost_links(tables, gauge, dirs),
+        )
 
-    for mu in range(NDIM):
-        p_minus = _gamma.projector(mu, -sgn, basis)
-        p_plus = _gamma.projector(mu, +sgn, basis)
-        ph_f = tables.ph_fwd[mu][rows]
-        ph_b = tables.ph_bwd[mu][rows]
-        u_mu = gauge.links(mu)
+    source = np.ascontiguousarray(src.working().reshape(src.sites, 12).T)
+    acc = None
+    for k in range(2 * NDIM):
+        mu, backward = divmod(k, 2)
+        # The link of the hop as u[b, a]: U_mu(x) forward, the adjoint of
+        # U_mu(x - mu) backward (the conjugate, indices as stored).
+        if backward:
+            u = np.take(
+                links[mu].reshape(9, -1), plan.bwd_link[mu, first:last], axis=1,
+                mode="clip",
+            ).reshape(3, 3, n)
+            np.conjugate(u, out=u)
+            if plan.bwd_sign[mu] is not None:
+                u *= plan.bwd_sign[mu][first:last].astype(u.real.dtype)
+        else:
+            at_target = slice(plan.link_base + first, plan.link_base + last)
+            u = links[mu, :, :, at_target].transpose(1, 0, 2)
+        # Half spinor Q psi(x +/- mu) of every target: 2 x 3 a site.
+        psi = np.take(source, plan.nbr[k, first:last], axis=1, mode="clip")
+        half = (spin_q[k] @ psi.reshape(4, 3 * n)).reshape(2, 3, n)
+        # U (2 x 3): three multiply-adds over the site axis.
+        u_half = u[0] * half[:, 0, None]
+        u_half += u[1] * half[:, 1, None]
+        u_half += u[2] * half[:, 2, None]
+        hop = (spin_r[k] @ u_half.reshape(2, 3 * n)).reshape(4, 3, n)
+        for g in ghosts:
+            if g.hop == k:
+                # A target on the face reads the end zone instead, whose
+                # half spinors arrived projected (Section VI-C), and going
+                # backward the neighbouring rank's link (Section VI-B).
+                cols = g.cols - first
+                face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals]
+                u_cols = ghost_links[k] if backward else u[:, :, cols]
+                u_t = np.ascontiguousarray(u_cols.transpose(2, 0, 1))
+                u_face = np.matmul(face, u_t).transpose(1, 2, 0)
+                hop[:, :, cols] = (
+                    spin_r[k] @ u_face.reshape(2, 3 * cols.size)
+                ).reshape(4, 3, cols.size)
+        if acc is None:
+            acc = hop.astype(cdtype)
+        else:
+            acc += hop
 
-        if mu not in dirs:
-            # Plain local periodic wrap.
-            u_here = u_mu[tables.tgt_sites[rows]]
-            psi_f = body[tables.nbr_fwd[mu][rows]] * ph_f[:, None, None]
-            out += np.einsum("st,xab,xtb->xsa", p_minus, u_here, psi_f, optimize=True)
-            u_back = su3.adjoint(u_mu[tables.bwd_sites[mu][rows]])
-            psi_b = body[tables.nbr_bwd[mu][rows]] * ph_b[:, None, None]
-            out += np.einsum("st,xab,xtb->xsa", p_plus, u_back, psi_b, optimize=True)
-            continue
-
-        f = tables.face(mu)
-        on_low = f.on_low[rows]
-        on_high = f.on_high[rows]
-        # Forward gather, local part (everything not on the high slice).
-        loc = ~on_high
-        u_here = u_mu[tables.tgt_sites[rows[loc]]]
-        psi_f = body[tables.nbr_fwd[mu][rows[loc]]] * ph_f[loc][:, None, None]
-        out[loc] += np.einsum("st,xab,xtb->xsa", p_minus, u_here, psi_f, optimize=True)
-        # Forward gather from the +mu ghost: R(-mu) [U_mu(x) @ Q(-mu) psi].
-        if np.any(on_high):
-            _, r_minus = _gamma.projector_decomposition(mu, -sgn, basis)
-            pos = _positions_within(f.on_high, rows, on_high)
-            halves = src.get_ghost(FORWARD, mu=mu)[pos].astype(cdtype)
-            u_here = u_mu[tables.tgt_sites[rows[on_high]]]
-            u_h = np.einsum("xab,xhb->xha", u_here, halves, optimize=True)
-            out[on_high] += ph_f[on_high][:, None, None] * np.einsum(
-                "sh,xha->xsa", r_minus, u_h, optimize=True
-            )
-        # Backward gather, local part.
-        loc = ~on_low
-        u_back = su3.adjoint(u_mu[tables.bwd_sites[mu][rows[loc]]])
-        psi_b = body[tables.nbr_bwd[mu][rows[loc]]] * ph_b[loc][:, None, None]
-        out[loc] += np.einsum("st,xab,xtb->xsa", p_plus, u_back, psi_b, optimize=True)
-        # Backward gather from the -mu ghost: R(+mu) [U_ghost^dag @ Q(+mu)
-        # psi], the ghost links from the neighbor's high slice
-        # (Section VI-B, generalized per direction).
-        if np.any(on_low):
-            _, r_plus = _gamma.projector_decomposition(mu, +sgn, basis)
-            pos = _positions_within(f.on_low, rows, on_low)
-            halves = src.get_ghost(BACKWARD, mu=mu)[pos].astype(cdtype)
-            gpos = f.gauge_pos_low[_mask_rank(f.on_low, rows[on_low])]
-            u_back = su3.adjoint(gauge.ghost_links(mu)[gpos])
-            u_h = np.einsum("xab,xhb->xha", u_back, halves, optimize=True)
-            out[on_low] += ph_b[on_low][:, None, None] * np.einsum(
-                "sh,xha->xsa", r_plus, u_h, optimize=True
-            )
+    # Back to one spinor per row for the epilogue and the store.
+    out = np.ascontiguousarray(acc.reshape(12, n).T).reshape(n, 4, 3)
 
     # ----- fused epilogue: clover multiply and accumulate ---------------- #
     if clover is not None and clover_target == "result":
         out = clover.apply_rows(out, rows)
     if xpay is not None:
         coeff, x_field = xpay
-        x_rows = x_field.working()[rows]
+        x_rows = x_field.working(rows)
         if clover is not None and clover_target == "xpay":
             x_rows = clover.apply_rows(x_rows, rows)
         out = x_rows + np.asarray(coeff, dtype=cdtype) * out
-
-    # Region-partial writes merge into the destination body.
-    if region == "full":
-        full = np.zeros((tables.n_sites, 4, 3), dtype=cdtype)
-        full[rows] = out
-        dst.set_working(full)
-    else:
-        merged = np.array(dst.working(), dtype=cdtype, copy=True)
-        merged[rows] = out
-        dst.set_working(merged)
+    dst.set_rows(rows, out)
 
 
-def _positions_within(face_mask: np.ndarray, rows: np.ndarray, sub_mask: np.ndarray) -> np.ndarray:
-    """Ghost-array positions of the selected boundary targets.
+@lru_cache(maxsize=None)
+def _hop_spin(basis: str, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, R)`` of all eight hops, shapes ``(8, 2, 4)`` and ``(8, 4, 2)``.
 
-    The ghost face is ordered by the boundary slice's lex enumeration; the
-    k-th target-parity site on the slice (in cb order) pairs with the k-th
-    ghost entry (the ordering argument of Fig. 3, per direction).  Given
-    the full boundary mask over all target rows and the subset actually
-    processed (``rows[sub_mask]``), return each one's ordinal on the face.
+    Hop ``2 * mu`` gathers from ``x + mu`` through ``P(-mu)``, hop
+    ``2 * mu + 1`` from ``x - mu`` through ``P(+mu)``; a dagger swaps the
+    signs.  ``P = R @ Q`` is the rank-2 factorization the face exchange
+    already relies on (Section VI-C).
     """
-    ordinal = np.cumsum(face_mask) - 1  # per target row: rank on the face
-    return ordinal[rows[sub_mask]]
+    sgn = -1 if dagger else +1
+    pairs = [
+        _gamma.projector_decomposition(mu, sign, basis)
+        for mu in range(NDIM)
+        for sign in (-sgn, +sgn)
+    ]
+    q = np.stack([q for q, _ in pairs])
+    r = np.stack([r for _, r in pairs])
+    q.setflags(write=False)
+    r.setflags(write=False)
+    return q, r
 
 
-def _mask_rank(face_mask: np.ndarray, selected_rows: np.ndarray) -> np.ndarray:
-    """Ordinal of ``selected_rows`` among the True entries of ``face_mask``."""
-    ordinal = np.cumsum(face_mask) - 1
-    return ordinal[selected_rows]
+def _hop_links(
+    geometry: LatticeGeometry, gauge: DeviceGaugeField, dirs: tuple[int, ...]
+) -> np.ndarray:
+    """The ``(4, 3, 3, V)`` link table behind every application.
+
+    ``[mu, :, :, c]`` is ``U_mu`` at the site of column ``c`` — the even
+    sites in the region order of the even-target hop plan, then the odd
+    sites in that of the odd-target plan (see :class:`HopPlan`) — decoded,
+    reconstructed, multiplied by the boundary phase of the forward hop out
+    of that site, site index fastest.
+    """
+    links = np.empty(
+        (NDIM, 3, 3, geometry.volume), dtype=gauge.precision.complex_compute_dtype
+    )
+    sites = np.concatenate(
+        [
+            tables.tgt_sites[tables.hop_plan(dirs).order]
+            for tables in (dslash_tables(geometry, 0), dslash_tables(geometry, 1))
+        ]
+    )
+    phase = geometry.boundary_phase_fwd[:, sites].astype(links.real.dtype)
+    for mu in range(NDIM):
+        u_mu = gauge.links(mu)[sites]
+        links[mu] = (u_mu * phase[mu][:, None, None]).transpose(1, 2, 0)
+    return links
+
+
+def _ghost_links(
+    tables: DslashTables, gauge: DeviceGaugeField, dirs: tuple[int, ...]
+) -> dict[int, np.ndarray]:
+    """Backward links of the low-face targets, per ghost hop.
+
+    ``[hop]`` is ``(3, 3, face)``: the conjugate of the neighbouring
+    rank's ``U_mu`` (from the gauge ghost slice, Section VI-B) times the
+    boundary phase of the hop, one column per face target in ghost order
+    of the hop plan — what the local table would hold as ``u[b, a]`` if
+    the link were local.
+    """
+    plan = tables.hop_plan(dirs)
+    out = {}
+    for g in plan.ghosts:
+        if g.direction == BACKWARD:
+            ghost = gauge.ghost_links(g.mu)[tables.face(g.mu).gauge_pos_low[g.ordinals]]
+            phase = tables.ph_bwd[g.mu][plan.order[g.cols]].astype(ghost.real.dtype)
+            out[g.hop] = (np.conj(ghost) * phase[:, None, None]).transpose(1, 2, 0)
+    return out
 
 
 def clover_kernel(
