@@ -163,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank that dies loudly mid-solve")
     p.add_argument("--fail-after-us", type=float, default=500.0,
                    help="model time at which the stalled/crashed rank dies")
-    p.add_argument("--op-timeout", type=float, default=5.0,
-                   help="wall seconds before a blocked op reports the failure")
     p.add_argument("--schedule", action="store_true",
                    help="print the full injected-fault schedule")
     p.add_argument("--recover", action="store_true",
@@ -570,7 +568,6 @@ def _cmd_chaos(args) -> int:
                            args.spike_prob, args.jitter_us * 1e-6,
                            **corrupt),
             send_fail_prob=args.send_fail_prob,
-            op_timeout_s=args.op_timeout,
             corrupt_budget=args.corrupt_budget,
         )
         if args.resident is not None:

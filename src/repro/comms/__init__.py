@@ -1,10 +1,11 @@
-"""Message-passing substrate: SimMPI threads, a QMP layer, and the
-cluster (PCIe/NUMA/InfiniBand) model of the JLab "9g" machine.
+"""Message-passing substrate: SimMPI, a QMP layer, and the cluster
+(PCIe/NUMA/InfiniBand) model of the JLab "9g" machine.
 
 mpi4py and InfiniBand hardware are unavailable in this reproduction, so
-ranks run as threads exchanging real NumPy buffers, while a LogP-style
-timestamp protocol carries simulated time across ranks (see
-:mod:`repro.comms.mpi_sim` for the details and determinism argument).
+ranks run one at a time under a cooperative scheduler, exchanging real
+NumPy buffers, while a LogP-style timestamp protocol carries simulated
+time across ranks (see :mod:`repro.comms.mpi_sim` for the scheduler and
+the determinism argument).
 Deterministic fault injection (latency jitter, transient send failures,
 rank stalls/crashes, silent payload/resident corruption) and the
 checksummed-envelope integrity layer live in :mod:`repro.comms.faults`.

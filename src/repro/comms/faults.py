@@ -23,8 +23,8 @@ traffic at the envelope level —
 
 Every decision is a pure function of ``(seed, link, message sequence
 number)`` via :class:`numpy.random.SeedSequence`, so the fault schedule
-is byte-identical run to run regardless of OS thread scheduling — the
-same determinism argument the model-time protocol itself relies on.
+depends only on the program's communication pattern — the same
+determinism argument the model-time protocol itself relies on.
 Latency faults perturb *time*, never payload bits; corruption faults
 perturb payload bits, and the matching detection layer
 (:class:`IntegrityPolicy` checksummed envelopes in
@@ -332,8 +332,9 @@ def schedule_sort_key(e: FaultEvent) -> tuple:
     """The stable ordering of a fault schedule: model time, then rank,
     then event kind — with every remaining field as a tiebreaker, so
     two events are ever reordered only if they are byte-identical.
-    (Without the full key, same-time same-rank events of new kinds could
-    land in thread-arrival order and flake schedule goldens.)"""
+    This is the presentation order the schedule goldens pin; events are
+    *logged* in the scheduler's interleaving, which is just as reproducible
+    but follows who ran when, not the model clock."""
     return (e.time, e.rank, e.kind, e.op, e.peer, e.delay_s, e.detail)
 
 
@@ -390,7 +391,7 @@ class StallSpec:
     """One planned rank failure: the rank stops at a model time.
 
     ``mode='stall'`` models a hung process: the rank silently stops
-    participating (peers detect it via the op timeout, not a message).
+    participating (peers find it on the failure board, not in a message).
     ``mode='crash'`` models a loud death: the rank raises and registers
     on the failure board immediately.
     """
@@ -685,8 +686,7 @@ class FaultPlan:
     Bind one to a world via ``SimMPI(size, cluster, fault_plan=plan)`` or
     pass ``fault_plan=`` to :func:`repro.core.invert`.  All sampling is
     keyed on ``(seed, link, per-link message sequence number)``, so the
-    schedule depends only on the program's communication pattern — never
-    on thread timing.
+    schedule depends only on the program's communication pattern.
     """
 
     seed: int = 0
@@ -696,18 +696,14 @@ class FaultPlan:
     max_send_attempts: int = 5  # attempts before the send goes through
     retry_backoff_s: float = 5e-6  # first backoff; doubles per retry
     stalls: tuple[StallSpec, ...] = ()
-    #: Wall-clock budget (seconds) within which an operation waiting on a
-    #: stalled peer must surface a RankFailedError.  Much smaller than
-    #: the deadlock timeout: a bound fault plan *expects* trouble.
-    op_timeout_s: float = 5.0
     # --- silent data corruption --------------------------------------- #
     #: Planned resident-field corruptions (at most one per rank).
     resident: tuple[ResidentCorruption, ...] = ()
     #: Cap on corrupted *messages per rank* (-1 = unlimited).  With a cap
     #: of 1 and probability 1, exactly each rank's first transmission is
     #: corrupted — the deterministic single-event plans the regression
-    #: tests use.  Per-rank (not global) so the cap is independent of
-    #: thread interleaving.
+    #: tests use.  Per-rank (not global): a rank's faults are a function
+    #: of its own traffic, whatever its peers send.
     corrupt_budget: int = -1
     #: Per-contribution chance that a rank's collective (global-sum)
     #: contribution is poisoned in flight.
@@ -718,8 +714,8 @@ class FaultPlan:
             raise ValueError("send_fail_prob must be in [0, 1)")
         if self.max_send_attempts < 1:
             raise ValueError("max_send_attempts must be >= 1")
-        if self.retry_backoff_s < 0 or self.op_timeout_s <= 0:
-            raise ValueError("retry_backoff_s >= 0 and op_timeout_s > 0 required")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
         if not 0.0 <= self.coll_corrupt_prob <= 1.0:
             raise ValueError("coll_corrupt_prob must be in [0, 1]")
         if self.corrupt_budget < -1:
@@ -842,7 +838,7 @@ class FaultPlan:
 
     @property
     def lethal(self) -> bool:
-        """Whether any rank is scheduled to die (tightens op timeouts)."""
+        """Whether any rank is scheduled to die."""
         return bool(self.stalls)
 
     def stall_for(self, rank: int) -> StallSpec | None:
@@ -914,8 +910,8 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
 
     def _u(self, salt: int, *key: int) -> float:
-        """Uniform in [0, 1) keyed on (seed, salt, key) — thread-safe and
-        platform-stable (SeedSequence hashing, no shared RNG state)."""
+        """Uniform in [0, 1) keyed on (seed, salt, key) — platform-stable
+        (SeedSequence hashing, no shared RNG state)."""
         state = np.random.SeedSequence([self.seed, salt, *key]).generate_state(1)
         return float(state[0]) / float(2**32)
 

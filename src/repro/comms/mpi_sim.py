@@ -1,56 +1,70 @@
-"""SimMPI: a thread-based message-passing runtime with model-time carry.
+"""SimMPI: a message-passing runtime with one runnable rank and model-time carry.
 
-``mpi4py`` (and an InfiniBand fabric) are not available in this
-environment, so the multi-GPU code runs on this substitute: each MPI rank
-is a Python thread executing the same SPMD function, and messages are
-real NumPy buffers moved through rendezvous queues.  Functionally this is
-message passing — face data genuinely crosses between ranks, collectives
-genuinely combine per-rank values — so the ghost-zone exchange of the
-parallel dslash is exercised for real.
+``mpi4py`` (and an InfiniBand fabric) are not available here, so the
+multi-GPU code runs on this substitute: every rank executes the same SPMD
+function, and messages are real NumPy buffers moved through per-link
+mailboxes.  Face data genuinely crosses between ranks and collectives
+genuinely combine per-rank values, so the ghost-zone exchange of the
+parallel dslash is exercised for real.  The API mirrors the mpi4py subset
+the paper's patterns need: ``Send/Recv``, ``Isend/Irecv`` + ``wait``,
+``Sendrecv``, ``Allreduce``, ``Barrier``.
 
-**Model time.**  Each rank may bind its :class:`~repro.gpu.streams.Timeline`
-(its host clock) and a :class:`~repro.comms.cluster.ClusterSpec` to the
-communicator.  Messages then carry the sender's model time; a receive
-completes at ``sender_post_time + network_time`` (per the cluster's
-shared-memory/InfiniBand model), advancing the receiver's clock — a
-LogP-style parallel time simulation.  Because completion times are pure
-functions of the carried timestamps, the simulated times are
-deterministic regardless of OS thread scheduling.
+**The baton.**  Ranks share one interpreter lock, so at most one could
+ever run; the runtime says so instead of letting N threads fight over
+it.  Each rank keeps a thread *as a stack only* — rank bodies stay
+ordinary blocking code — and exactly one of them holds the baton:
 
-**Fault injection.**  A :class:`~repro.comms.faults.FaultPlan` bound to
-the world perturbs traffic deterministically (latency jitter, transient
-send failures with retry/backoff, rank stalls/crashes).  Failures are
-surfaced structurally: a dead peer raises
-:class:`~repro.comms.faults.RankFailedError` within the plan's op
-timeout via the world's shared failure board, instead of hanging until
-the wall-clock deadlock timer.  :meth:`SimMPI.run` can return partial
-results (``return_partial=True``) so surviving ranks unwind cleanly with
-no leaked threads.
+==============  ======================================================
+``gates[r]``    rank ``r``'s own lock: shut while ``r`` is parked, opened
+                by whoever hands ``r`` the baton
+``ready``       min-heap of runnable ranks that do not hold the baton
+``waiting[r]``  what parked rank ``r`` waits on: a ``(source, tag)``
+                message, collective ``#k``, or its planned stall
+who wakes whom  ``send`` wakes the rank parked on that ``(src, dst,
+                tag)``; the last arrival at a collective wakes the other
+                contributors; a rank that dies, stalls or returns wakes
+                whoever waits on it (to raise); an empty ``ready`` with a
+                non-empty ``waiting`` wakes *everyone* (to raise)
+==============  ======================================================
 
-**Data integrity.**  An :class:`~repro.comms.faults.IntegrityPolicy`
-(armed automatically when the bound plan injects corruption) makes every
-envelope carry an xxhash-style checksum of its pristine payload.
-Receivers verify on delivery — a mismatch triggers NACK + bounded
-modelled resends, then a structured
-:class:`~repro.comms.faults.CorruptionDetected` — and collectives verify
-each rank's contribution before combining.  The hashing cost is charged
-on the model clock so the protection overhead is measurable.
+An operation that cannot complete parks its caller and hands the baton
+to the lowest-numbered runnable rank.  "No runnable rank while some rank
+is still live" *is* deadlock: :class:`MPIDeadlockError` is raised at once
+in every waiter, naming who waits on whom — no timer runs anywhere.  The
+rank threads stay on the CPU the launching thread is on: they are one
+logical thread, and a hand-off costs a few µs on one core where waking a
+halted sibling core costs ~100.
 
+**Model time.**  Each rank binds a :class:`~repro.gpu.streams.Timeline`
+(its host clock); messages carry the sender's model time, and a receive
+completes at ``sender_post_time + network_time`` per the
+:class:`~repro.comms.cluster.ClusterSpec` link model — a LogP-style
+parallel time simulation.  Completion times are pure functions of the
+carried timestamps and per-link delivery is FIFO, so *any* fixed hand-off
+order yields the same model clocks (lowest rank first is the cheapest to
+state), and the interleaving of rank bodies is itself a function of the
+program: a run repeats event for event.
 
-The API deliberately mirrors the mpi4py subset the paper's communication
-patterns need: ``Send/Recv``, ``Isend/Irecv`` + ``wait``, ``Sendrecv``,
-``Allreduce``, ``Barrier``.
+**Faults and integrity.**  A bound :class:`~repro.comms.faults.FaultPlan`
+perturbs traffic deterministically (jitter, send retries, stalls, crashes,
+corruption).  A dead or stalled peer is on the failure board the moment
+it dies, and whoever waits on it is woken to raise
+:class:`~repro.comms.faults.RankFailedError`; the stalled rank itself
+stays parked until nothing else can run.  Under an
+:class:`~repro.comms.faults.IntegrityPolicy` (armed when the plan injects
+corruption) envelopes and collective contributions carry checksums:
+a mismatch costs NACK + bounded modelled resends on the model clock, then
+raises :class:`~repro.comms.faults.CorruptionDetected`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time as _time
-from collections import defaultdict
-from dataclasses import dataclass, field
-from queue import Empty, Queue
-from typing import Any, Callable
+from collections import defaultdict, deque
+from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -79,20 +93,10 @@ __all__ = [
     "run_spmd",
 ]
 
-#: How long (wall-clock seconds) a blocking receive waits before declaring
-#: deadlock.  Generous for slow CI machines, small enough to fail fast;
-#: override with the ``REPRO_MPI_DEADLOCK_TIMEOUT`` environment variable
-#: (CI sets it to ~20 s so genuine hangs fail the job quickly).
-DEADLOCK_TIMEOUT_S = float(os.environ.get("REPRO_MPI_DEADLOCK_TIMEOUT", "120"))
-
-#: Wall-clock polling slice while waiting: how often a blocked operation
-#: rechecks the failure board.  Queue waits still wake immediately on
-#: message arrival; this only bounds failure-detection latency.
-_POLL_S = 0.02
-
 
 class MPIDeadlockError(RuntimeError):
-    """A blocking operation found no matching partner in time."""
+    """A blocking operation can never complete: its partner returned
+    without posting, or no rank of the world is runnable."""
 
 
 def _corrupt_contribution(
@@ -139,49 +143,127 @@ class _FailRecord:
     mode: str  # 'crashed' | 'stalled'
 
 
-class _SharedState:
-    """State shared by all ranks of one SimMPI world."""
+_EVERYONE = -1  # _Wait.source of a collective: every rank must arrive
+_NOBODY = -2  # ... and of a planned stall: nothing a peer does completes it
+
+
+class _Wait(NamedTuple):
+    """What a parked rank waits on."""
+
+    op: str
+    source: int  # the rank whose send completes it, _EVERYONE or _NOBODY
+    tag: int = 0  # message tag, or the collective's index
+
+    def __str__(self) -> str:
+        if self.source == _NOBODY:
+            return f"nothing (planned stall in {self.op})"
+        if self.source == _EVERYONE:
+            return f"{self.op} #{self.tag}"
+        return f"{self.op} tag {self.tag}"
+
+
+@dataclass
+class _CollSlot:
+    """One collective in flight."""
+
+    # rank -> (sent value, entry time, digest of intended value, pristine copy)
+    entries: dict[int, tuple[Any, float, Any, Any]] = field(default_factory=dict)
+    departed: int = 0  # the last rank to leave frees the slot
+
+
+class _Baton:
+    """Scheduler, mailboxes and boards of one :meth:`SimMPI.run` call.
+
+    Only the rank holding the baton touches this object (the launcher
+    does before the first hand-off and after the last), so nothing in it
+    needs a lock: the gates *are* the synchronisation.
+    """
 
     def __init__(self, size: int) -> None:
-        self.size = size
-        self.queues: dict[tuple[int, int, int], Queue] = defaultdict(Queue)
-        self.queue_lock = threading.Lock()
-        self.barrier = threading.Barrier(size)
-        self.coll_lock = threading.Lock()
-        # Per-collective slot: rank -> (sent value, entry time, digest of
-        # the intended value, pristine copy).
-        self.coll_slots: dict[int, dict[int, tuple[Any, float, Any, Any]]] = {}
-        # --- failure board (all guarded by fail_lock) ------------------- #
-        self.fail_lock = threading.Lock()
-        self.failed: dict[int, _FailRecord] = {}  # loudly dead ranks
-        self.stalled: dict[int, _FailRecord] = {}  # silently parked ranks
+        self.gates = [threading.Lock() for _ in range(size)]
+        for gate in self.gates:
+            gate.acquire()
+        self.ready: list[int] = list(range(size))  # sorted, hence a heap
+        self.waiting: dict[int, _Wait] = {}
+        self.parks = 0
+        #: Why no parked rank can ever be woken: the who-waits-on-whom
+        #: table of a deadlock, or the launcher's interrupt.  Terminal.
+        self.verdict: str | None = None
+        self.mailboxes: dict[tuple, deque[_Envelope]] = defaultdict(deque)
+        self.coll_slots: dict[int, _CollSlot] = defaultdict(_CollSlot)
+        self.dead: dict[int, _FailRecord] = {}  # failure board
         self.finished: set[int] = set()  # ranks whose fn returned
-        self.shutdown = threading.Event()  # releases parked stalled ranks
-        self.fault_events: dict[int, list[FaultEvent]] = defaultdict(list)
+        self.fault_log: list[FaultEvent] = []  # in arrival order
 
-    def queue(self, src: int, dst: int, tag: int) -> Queue:
-        with self.queue_lock:
-            return self.queues[(src, dst, tag)]
+    def _next(self) -> int | None:
+        """The lowest runnable rank.  With none runnable but some parked,
+        the world is deadlocked: every waiter is made runnable, to raise."""
+        if not self.ready:
+            if not self.waiting:
+                return None
+            self.verdict = "no runnable rank: " + "; ".join(
+                f"rank {r} waits on {w}" for r, w in sorted(self.waiting.items())
+            )
+            self.ready = sorted(self.waiting)
+            self.waiting.clear()
+        return heappop(self.ready)
 
-    def peer_fate(self, rank: int) -> _FailRecord | None:
-        """Failure-board record for ``rank``, if it died."""
-        with self.fail_lock:
-            return self.failed.get(rank) or self.stalled.get(rank)
+    def park(self, rank: int, wait: _Wait) -> None:
+        """Hand the baton on and block until ``rank`` is handed it back."""
+        self.parks += 1
+        self.waiting[rank] = wait
+        nxt = self._next()
+        if nxt != rank:
+            self.gates[nxt].release()
+            self.gates[rank].acquire()
+
+    def wake(self, rank: int) -> None:
+        if self.waiting.pop(rank, None) is not None:
+            heappush(self.ready, rank)
+
+    def pass_on(self) -> None:
+        """Hand the baton to the next rank, if any, without waiting for it
+        back (the launcher's first move, a rank's last)."""
+        nxt = self._next()
+        if nxt is not None:
+            self.gates[nxt].release()
+
+    def exit(self, rank: int, fate: _FailRecord | None) -> None:
+        """``rank``'s body returned (``fate is None``) or died."""
+        if fate is None:
+            self.finished.add(rank)
+            self._wake_waiters_on(rank)
+        else:
+            self.record_failure(fate)
+        self.pass_on()
 
     def record_failure(self, rec: _FailRecord) -> None:
-        board = self.stalled if rec.mode == "stalled" else self.failed
-        with self.fail_lock:
-            board.setdefault(rec.rank, rec)
+        """Put ``rec`` on the board (a rank's first fate stands) and wake
+        whoever waits on that rank."""
+        self.dead.setdefault(rec.rank, rec)
+        self._wake_waiters_on(rec.rank)
 
-    def any_failure(self, exclude: int) -> _FailRecord | None:
-        """Lowest-rank failure other than ``exclude`` (for collectives)."""
-        with self.fail_lock:
-            records = [
-                r
-                for r in (*self.failed.values(), *self.stalled.values())
-                if r.rank != exclude
-            ]
-        return min(records, key=lambda r: r.rank) if records else None
+    def _wake_waiters_on(self, rank: int) -> None:
+        for r, w in list(self.waiting.items()):
+            if w.source == rank or w.source == _EVERYONE:
+                self.wake(r)
+
+    def hopeless(self, rank: int, wait: _Wait) -> _FailRecord | str | None:
+        """Why ``wait`` can never complete — a sentence, or the fate of
+        the peer it needs — or ``None`` while it still can."""
+        if self.verdict is not None:
+            return self.verdict
+        if wait.source == _EVERYONE:
+            first = min((r for r in self.dead if r != rank), default=None)
+            if first is not None:
+                return self.dead[first]
+            if self.finished:
+                return f"rank {min(self.finished)} returned without entering it"
+        elif wait.source in self.dead:
+            return self.dead[wait.source]
+        elif wait.source in self.finished:
+            return f"rank {wait.source} finished without sending (tag {wait.tag})"
+        return None
 
 
 @dataclass
@@ -214,12 +296,7 @@ class CommStats:
     integrity_overhead_s: float = 0.0  # model time spent hashing/verifying
 
     def snapshot(self) -> "CommStats":
-        return CommStats(
-            self.sends, self.recvs, self.collectives, self.retries,
-            self.fault_delay_s, self.corruptions_detected,
-            self.corruptions_corrected, self.resends,
-            self.integrity_overhead_s,
-        )
+        return replace(self)
 
 
 @dataclass
@@ -228,7 +305,7 @@ class Comm:
 
     rank: int
     size: int
-    _state: _SharedState
+    _state: _Baton
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     timeline: Timeline | None = None
     plan: FaultPlan | None = None
@@ -278,7 +355,7 @@ class Comm:
             raise ValueError(f"peer rank {peer} outside communicator of {self.size}")
 
     def _record_event(self, ev: FaultEvent) -> None:
-        self._state.fault_events[self.rank].append(ev)
+        self._state.fault_log.append(ev)
 
     # ------------------------------------------------------------------ #
     # Fault machinery
@@ -300,13 +377,12 @@ class Comm:
             FaultEvent(now, self.rank, spec.mode, op, detail="rank dies here")
         )
         self._state.record_failure(_FailRecord(self.rank, op, now, mode))
-        if spec.mode == "crash":
-            raise RankFailedError(self.rank, op, now, mode="crashed")
-        # Stall: model a hung process — stop responding without a word.
-        # The thread parks until the world shuts down, then unwinds so no
-        # thread leaks; peers detect the silence via the failure board.
-        self._state.shutdown.wait()
-        raise RankFailedError(self.rank, op, now, mode="stalled")
+        if spec.mode != "crash":
+            # Stall: model a hung process — stop responding without a word.
+            # Peers see the silence on the failure board; the rank itself
+            # stays parked until nothing else can run, then unwinds.
+            self._state.park(self.rank, _Wait(op, _NOBODY))
+        raise RankFailedError(self.rank, op, now, mode=mode)
 
     def take_resident_corruption(self) -> tuple[ResidentCorruption, int] | None:
         """One-shot poll: the planned resident-field corruption for this
@@ -329,44 +405,21 @@ class Comm:
         )
         return spec, self.plan.seed
 
-    def _peer_failure(self, source: int, op: str) -> RankFailedError | None:
-        fate = self._state.peer_fate(source)
-        if fate is None:
-            return None
-        return RankFailedError(
-            fate.rank,
-            op,
-            self._now(),
-            mode=fate.mode,
-            detail=f"peer died in {fate.op} at t={fate.model_time * 1e6:.3f}us",
-        )
-
-    def _wait_envelope(self, q: Queue, source: int, tag: int, op: str) -> _Envelope:
-        """Blocking queue wait that converts peer death into a structured
-        error instead of riding out the wall-clock deadlock timer."""
-        deadline = _time.monotonic() + DEADLOCK_TIMEOUT_S
-        while True:
-            try:
-                return q.get(timeout=_POLL_S)
-            except Empty:
-                pass
-            # Messages drain before fates are consulted: q.get above sees
-            # anything the peer posted before it died.
-            failure = self._peer_failure(source, op)
-            if failure is not None and q.empty():
-                raise failure
-            with self._state.fail_lock:
-                peer_done = source in self._state.finished
-            if peer_done and q.empty():
-                raise MPIDeadlockError(
-                    f"rank {self.rank}: {op}: rank {source} finished without "
-                    f"sending (tag {tag}) — deadlock"
+    def _await(self, wait: _Wait, satisfied: Callable[[], Any]) -> None:
+        """Park until ``satisfied()``; raise the structured reason if that
+        can no longer happen.  ``satisfied`` is tested first, so whatever
+        a peer posted before it died drains before its fate is consulted."""
+        state = self._state
+        while not satisfied():
+            why = state.hopeless(self.rank, wait)
+            if isinstance(why, _FailRecord):
+                died = f"peer died in {why.op} at t={why.model_time * 1e6:.3f}us"
+                raise RankFailedError(
+                    why.rank, wait.op, self._now(), mode=why.mode, detail=died
                 )
-            if _time.monotonic() > deadline:
-                raise MPIDeadlockError(
-                    f"rank {self.rank}: no message from rank {source} tag {tag} "
-                    f"within {DEADLOCK_TIMEOUT_S}s — deadlock?"
-                )
+            if why is not None:
+                raise MPIDeadlockError(f"rank {self.rank}: {wait.op}: {why} — deadlock")
+            state.park(self.rank, wait)
 
     # ------------------------------------------------------------------ #
     # Point to point
@@ -480,7 +533,11 @@ class Comm:
             pristine=pristine,
             corrupt_count=corrupt_count,
         )
-        self._state.queue(self.rank, dest, tag).put(env)
+        state = self._state
+        state.mailboxes[(self.rank, dest, tag)].append(env)
+        parked = state.waiting.get(dest)
+        if parked is not None and parked.source == self.rank and parked.tag == tag:
+            state.wake(dest)
 
     def recv(
         self, source: int, tag: int = 0, *, with_checksum: bool = False
@@ -497,8 +554,10 @@ class Comm:
         self._fault_checkpoint("MPI_Recv")
         self.stats.recvs += 1
         op = f"MPI_Recv(from {source})"
-        q = self._state.queue(source, self.rank, tag)
-        env = self._wait_envelope(q, source, tag, op)
+        box = self._state.mailboxes[(source, self.rank, tag)]
+        if not box:
+            self._await(_Wait(op, source, tag), box.__len__)
+        env = box.popleft()
         arrival = env.sent_at + self.cluster.message_time(
             source, self.rank, env.nbytes
         )
@@ -613,30 +672,6 @@ class Comm:
     # Collectives
     # ------------------------------------------------------------------ #
 
-    def _barrier_wait(self, op: str) -> None:
-        """Barrier entry that surfaces peer death as RankFailedError."""
-        timeout = (
-            self.plan.op_timeout_s
-            if self.plan is not None and self.plan.lethal
-            else DEADLOCK_TIMEOUT_S
-        )
-        try:
-            self._state.barrier.wait(timeout=timeout)
-        except threading.BrokenBarrierError:
-            failure = self._state.any_failure(exclude=self.rank)
-            if failure is not None:
-                raise RankFailedError(
-                    failure.rank,
-                    op,
-                    self._now(),
-                    mode=failure.mode,
-                    detail=(
-                        f"peer died in {failure.op} "
-                        f"at t={failure.model_time * 1e6:.3f}us"
-                    ),
-                ) from None
-            raise
-
     def _collective(
         self,
         value: Any,
@@ -678,11 +713,17 @@ class Comm:
             cost = self.integrity.cost_s(max(nbytes, 16))
             self._charge(cost, f"integrity:hash({op})")
             self.stats.integrity_overhead_s += cost
-        with self._state.coll_lock:
-            slot = self._state.coll_slots.setdefault(key, {})
-            slot[self.rank] = (sent, self._now(), chk, pristine)
-        self._barrier_wait(op)
-        entries = self._state.coll_slots[key]
+        state = self._state
+        slot = state.coll_slots[key]
+        entries = slot.entries
+        entries[self.rank] = (sent, self._now(), chk, pristine)
+        if len(entries) == self.size:  # last to arrive: release the rest
+            for r in entries:
+                state.wake(r)
+        else:
+            self._await(
+                _Wait(op, _EVERYONE, key), lambda: len(entries) == self.size
+            )
         latest = max(entries[r][1] for r in range(self.size))
         values = []
         n_bad = 0
@@ -725,10 +766,9 @@ class Comm:
                 )
         else:
             self._advance(completion, op)
-        self._barrier_wait(op)
-        if self.rank == 0:
-            with self._state.coll_lock:
-                del self._state.coll_slots[key]
+        slot.departed += 1
+        if slot.departed == self.size:
+            del state.coll_slots[key]
         return result
 
     def allreduce(self, value: float | complex | np.ndarray) -> Any:
@@ -789,8 +829,8 @@ class SpmdOutcome:
 
     def root_failure(self) -> RankFailure:
         """The failure that started it: planned deaths outrank collateral
-        fallout (peers observing the death, broken barriers), earliest
-        model time breaks ties.  Raises ``ValueError`` when nothing
+        fallout (peers observing the death), earliest model time breaks
+        ties.  Raises ``ValueError`` when nothing
         failed."""
         if not self.failures:
             raise ValueError("outcome has no failures")
@@ -799,6 +839,16 @@ class SpmdOutcome:
             key=lambda f: (f.mode == "collateral", f.model_time, f.rank),
         )
         return ranked[0]
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread is on (field 39 of its ``stat`` line),
+    or ``None`` where the kernel does not say."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 class SimMPI:
@@ -814,16 +864,12 @@ class SimMPI:
         if size < 1:
             raise ValueError("world size must be >= 1")
         if fault_plan is not None:
-            for spec in fault_plan.stalls:
-                if not 0 <= spec.rank < size:
-                    raise ValueError(
-                        f"fault plan stalls rank {spec.rank}, world has {size}"
-                    )
-            for rc in fault_plan.resident:
-                if not 0 <= rc.rank < size:
-                    raise ValueError(
-                        f"fault plan corrupts rank {rc.rank}, world has {size}"
-                    )
+            for verb, specs in (("stalls", fault_plan.stalls), ("corrupts", fault_plan.resident)):
+                for spec in specs:
+                    if not 0 <= spec.rank < size:
+                        raise ValueError(
+                            f"fault plan {verb} rank {spec.rank}, world has {size}"
+                        )
         self.size = size
         self.cluster = cluster or ClusterSpec()
         self.fault_plan = fault_plan
@@ -839,37 +885,16 @@ class SimMPI:
                 else IntegrityPolicy.off()
             )
         self.integrity = integrity
-        self._state = _SharedState(size)
+        self._state: _Baton | None = None  # the last run's
         self._comms: list[Comm] | None = None
 
-    def comm(self, rank: int) -> Comm:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside world of size {self.size}")
-        return Comm(
-            rank=rank,
-            size=self.size,
-            _state=self._state,
-            cluster=self.cluster,
-            plan=self.fault_plan,
-            integrity=self.integrity,
-            # A default clock so model time advances (and time-based fault
-            # plans fire) even for bare workloads; the solver rebinds this
-            # to the rank's GPU host clock via bind_timeline().
-            timeline=Timeline(),
-        )
-
     def fault_events(self) -> list[FaultEvent]:
-        """All injected faults, merged across ranks in a stable order.
-
-        Per-rank lists are walked in rank order (never dict insertion
-        order, which tracks thread timing) and sorted with the full
-        schedule key, so the merged schedule is byte-reproducible."""
-        merged = [
-            ev
-            for rank in sorted(self._state.fault_events)
-            for ev in self._state.fault_events[rank]
-        ]
-        return sorted(merged, key=schedule_sort_key)
+        """All faults injected into the last :meth:`run`, in schedule
+        order (``schedule_sort_key``, which the schedule goldens pin; the
+        log itself is in arrival order, just as reproducible)."""
+        if self._state is None:
+            return []
+        return sorted(self._state.fault_log, key=schedule_sort_key)
 
     def comm_stats(self) -> list[CommStats]:
         """Per-rank comm counters of the last :meth:`run` (snapshots)."""
@@ -882,42 +907,57 @@ class SimMPI:
     # ------------------------------------------------------------------ #
 
     def run(
-        self,
-        fn: Callable[[Comm], Any],
-        *,
-        timeout_s: float = 600.0,
-        return_partial: bool = False,
+        self, fn: Callable[[Comm], Any], *, return_partial: bool = False
     ) -> list[Any] | SpmdOutcome:
-        """Run ``fn(comm)`` on every rank (threads); return per-rank results.
+        """Run ``fn(comm)`` on every rank; return per-rank results.
 
-        Default mode re-raises any rank's exception in the caller,
+        Every call builds its own scheduler, mailboxes and boards: a
+        world can be run again, and nothing of one run leaks into the
+        next.  Default mode re-raises any rank's exception in the caller,
         annotated with the rank, after all threads have been joined.
         With ``return_partial=True`` nothing is raised: a
         :class:`SpmdOutcome` reports surviving ranks' results alongside
         structured failures — the graceful-degradation path for chaos
-        runs.
+        runs.  There is no wall-clock guard: a body that never reaches a
+        comms operation holds the baton, as a spinning process its node.
         """
-        state = self._state
+        state = self._state = _Baton(self.size)
         results: list[Any] = [None] * self.size
         errors: list[tuple[int, BaseException]] = []
-        comms = [self.comm(r) for r in range(self.size)]
-        self._comms = comms
+        comms = self._comms = [
+            Comm(
+                rank=rank,
+                size=self.size,
+                _state=state,
+                cluster=self.cluster,
+                plan=self.fault_plan,
+                integrity=self.integrity,
+                # A default clock so model time advances (and time-based
+                # fault plans fire) even for bare workloads; the solver
+                # rebinds it to the rank's GPU host clock (bind_timeline).
+                timeline=Timeline(),
+            )
+            for rank in range(self.size)
+        ]
+        cpu = _current_cpu()
 
         def worker(rank: int) -> None:
+            if cpu is not None:
+                try:  # this thread only; the caller's mask is not touched
+                    os.sched_setaffinity(0, {cpu})
+                except (AttributeError, OSError):
+                    pass  # no thread affinity here, or refused: run anyway
+            state.gates[rank].acquire()
+            fate = None
             try:
                 results[rank] = fn(comms[rank])
-                with state.fail_lock:
-                    state.finished.add(rank)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors.append((rank, exc))
                 # Planned stalls/crashes already registered themselves;
                 # anything else (user code, collateral) goes on the board
-                # so peers blocked on this rank unwind promptly.
-                state.record_failure(
-                    _FailRecord(rank, "user code", comms[rank]._now(), "crashed")
-                )
-                # Unblock peers stuck in barriers.
-                state.barrier.abort()
+                # so peers blocked on this rank unwind at once.
+                fate = _FailRecord(rank, "user code", comms[rank]._now(), "crashed")
+            state.exit(rank, fate)
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"simmpi-rank{r}")
@@ -925,92 +965,48 @@ class SimMPI:
         ]
         for t in threads:
             t.start()
-        deadline = _time.monotonic() + timeout_s
+        state.pass_on()
         try:
-            while any(t.is_alive() for t in threads):
-                if _time.monotonic() > deadline:
-                    break
-                alive_ranks = {
-                    r for r, t in enumerate(threads) if t.is_alive()
-                }
-                with state.fail_lock:
-                    parked = set(state.stalled)
-                if alive_ranks and alive_ranks <= parked:
-                    # Everything still running is a parked stalled rank:
-                    # release them so their threads unwind and join.
-                    state.shutdown.set()
-                next(t for t in threads if t.is_alive()).join(timeout=0.05)
-        finally:
-            state.shutdown.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        alive = [t.name for t in threads if t.is_alive()]
+            for t in threads:
+                t.join()
+        except BaseException:
+            # Interrupted while ranks are parked: have each unwind (raise
+            # at its next blocking operation) before re-raising.
+            state.verdict = "run interrupted in the launcher"
+            for t in threads:
+                t.join()
+            raise
 
         if return_partial:
-            return self._partial_outcome(results, errors, alive, comms)
-        if alive and not errors:
-            raise MPIDeadlockError(f"ranks did not finish: {alive}")
+            return self._partial_outcome(results, errors)
         if errors:
-            rank, exc = self._primary_error(errors)
+            # Prefer the root cause over the fallout it triggered: peers'
+            # observations of *another* rank's death rank below the death.
+            primary = [
+                (rank, exc)
+                for rank, exc in errors
+                if not (isinstance(exc, RankFailedError) and exc.rank != rank)
+            ] or errors
+            rank, exc = min(primary, key=lambda e: e[0])
             wrapped = RuntimeError(f"rank {rank} failed: {exc!r}")
             wrapped.fault_events = self.fault_events()
             raise wrapped from exc
         return results
 
-    @staticmethod
-    def _primary_error(
-        errors: list[tuple[int, BaseException]]
-    ) -> tuple[int, BaseException]:
-        """Prefer the root cause over the fallout it triggered: collateral
-        BrokenBarrierErrors and peers' observations of *another* rank's
-        death rank below the failure itself."""
-
-        def is_collateral(rank: int, exc: BaseException) -> bool:
-            if isinstance(exc, threading.BrokenBarrierError):
-                return True
-            return isinstance(exc, RankFailedError) and exc.rank != rank
-        primary = [e for e in errors if not is_collateral(*e)] or errors
-        return sorted(primary, key=lambda e: e[0])[0]
-
     def _partial_outcome(
-        self,
-        results: list[Any],
-        errors: list[tuple[int, BaseException]],
-        alive: list[str],
-        comms: list[Comm],
+        self, results: list[Any], errors: list[tuple[int, BaseException]]
     ) -> SpmdOutcome:
         failures: dict[int, RankFailure] = {}
         for rank, exc in sorted(errors, key=lambda e: e[0]):
-            if rank in failures:
-                continue
             if isinstance(exc, RankFailedError):
                 mode = exc.mode if exc.rank == rank else "collateral"
-                failures[rank] = RankFailure(
-                    rank, exc.op, exc.model_time, mode, exc
-                )
+                failures[rank] = RankFailure(rank, exc.op, exc.model_time, mode, exc)
             else:
                 failures[rank] = RankFailure(
-                    rank, "user code", comms[rank]._now(), "collateral"
-                    if isinstance(exc, threading.BrokenBarrierError)
-                    else "crashed", exc,
+                    rank, "user code", self._comms[rank]._now(), "crashed", exc
                 )
-        for name in alive:  # leaked thread: report, never hide
-            rank = int(name.removeprefix("simmpi-rank"))
-            failures.setdefault(
-                rank,
-                RankFailure(
-                    rank, "unknown", comms[rank]._now(), "stalled",
-                    MPIDeadlockError(f"{name} did not finish"),
-                ),
-            )
-        for rank in failures:
             results[rank] = None
-        return SpmdOutcome(
-            results=results,
-            failures=failures,
-            fault_events=self.fault_events(),
-            stats=[c.stats.snapshot() for c in comms],
-        )
+        return SpmdOutcome(results, failures, self.fault_events(), self.comm_stats())
 
 
 def run_spmd(

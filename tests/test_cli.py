@@ -142,7 +142,6 @@ class TestChaos:
         rc = main([
             "chaos", "--seed", "1", "--dims", "8,8,8,16", "--gpus", "2",
             "--iterations", "20", "--stall", "1", "--fail-after-us", "200",
-            "--op-timeout", "3",
         ])
         out = capsys.readouterr().out
         assert rc == 1

@@ -26,12 +26,26 @@ def _src_text():
 
 
 def test_documented_knobs_are_exactly_the_knobs_src_reads():
+    """Both sets are empty since the baton scheduler took the deadlock
+    timer (and ``REPRO_MPI_DEADLOCK_TIMEOUT``) away; a knob that comes
+    back must come back on both sides."""
     read = set(_READ.findall(_src_text()))
     documented = set()
     for name in DOCS:
         documented |= set(_NAME.findall((ROOT / name).read_text()))
-    assert read, "the audit's regex no longer finds any environment read"
-    assert documented == read
+    assert documented == read == set()
+
+
+def test_the_audit_regex_still_finds_an_environment_read():
+    """With nothing left to find, the regex is checked on samples."""
+    for sample in (
+        'os.environ.get("REPRO_X")',
+        "os.environ['REPRO_X']",
+        'os.getenv( "REPRO_X", "1")',
+        'float(environ.get("REPRO_X", "120"))',
+    ):
+        assert _READ.findall(sample) == ["REPRO_X"], sample
+    assert _READ.findall('print("REPRO_X")') == []
 
 
 def test_src_names_no_knob_it_does_not_read():
