@@ -10,30 +10,26 @@ sides, so the batched schedule must finish the same campaign in less
 model time (higher throughput) by a measured margin.
 """
 
-import json
-import pathlib
-
 from repro.bench.harness import (
-    daemon_benchmark,
-    residency_benchmark,
-    service_benchmark,
+    ABLATIONS,
+    capacity_sweep,
+    render_capacity_map,
+    run_ablation,
 )
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-N_REQUESTS = 64
-DIMS = (16, 16, 16, 64)
-ITERATIONS = 10
+def _ablation(run_once, name):
+    """Run ablation ``name`` at its defaults — the campaign that
+    ``BENCH_service.json`` records, which is the one committed artifact
+    (``write_service_bench()`` its one writer) — and return
+    ``(result, ON scorecard, OFF scorecard)``."""
+    result = run_once(lambda: run_ablation(name))
+    on, off = (result[arm] for arm in ABLATIONS[name].arms)
+    return result, on, off
 
 
 def test_batched_service_beats_unbatched(run_once):
-    result = run_once(
-        lambda: service_benchmark(
-            N_REQUESTS, dims=DIMS, iterations=ITERATIONS
-        )
-    )
-    batched = result["batched"]
-    unbatched = result["unbatched"]
+    result, batched, unbatched = _ablation(run_once, "batching")
     speedup = result["batched_vs_unbatched_throughput"]
     print(
         f"\nbatched:   {batched['throughput_rps']:.1f} req/s over "
@@ -45,13 +41,9 @@ def test_batched_service_beats_unbatched(run_once):
         f"({unbatched['batches']} batches)"
         f"\nspeedup:   {speedup:.3f}x"
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "service_campaign.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
     # No request may be dropped either way.
     for report in (batched, unbatched):
-        assert report["completed"] == N_REQUESTS
+        assert report["completed"] == result["campaign"]["requests"]
         assert report["failed"] == 0
         assert report["rejected"] == 0
     # Batching pays one device setup per batch instead of per request:
@@ -69,9 +61,7 @@ def test_warm_pool_beats_cold_pool(run_once):
     workers settles into one-config-per-worker affinity when residency
     routing is on, so most batches skip the host→device gauge upload and
     the whole campaign finishes strictly sooner than the cold run."""
-    result = run_once(lambda: residency_benchmark(iterations=ITERATIONS))
-    warm = result["warm"]
-    cold = result["cold"]
+    result, warm, cold = _ablation(run_once, "residency_ablation")
     print(
         f"\nwarm: {warm['makespan_us'] / 1e3:.1f} ms "
         f"({warm['placement']['residency_hits']} residency hits, "
@@ -79,10 +69,6 @@ def test_warm_pool_beats_cold_pool(run_once):
         f"\ncold: {cold['makespan_us'] / 1e3:.1f} ms "
         f"({cold['placement']['residency_hits']} residency hits)"
         f"\ncold/warm makespan: {result['cold_vs_warm_makespan']:.4f}x"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "service_residency.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
     for report in (warm, cold):
         assert report["failed"] == 0
@@ -101,19 +87,13 @@ def test_preemption_improves_high_p99_on_elastic_pool(run_once):
     at least one scale-up and the quiet tail at least one scale-down,
     and letting HIGH arrivals claim a worker at a refresh boundary must
     beat queueing behind a full LOW batch at the HIGH p99."""
-    result = run_once(lambda: daemon_benchmark(iterations=ITERATIONS))
-    on = result["preempt_on"]
-    off = result["preempt_off"]
+    result, on, off = _ablation(run_once, "daemon")
     print(
         f"\npreempt on:  HIGH p99 {on['priority_latency']['high']['p99_us'] / 1e3:.1f} ms, "
         f"{on['preemptions']} yield(s), {on['resumed_batches']} resume(s)"
         f"\npreempt off: HIGH p99 {off['priority_latency']['high']['p99_us'] / 1e3:.1f} ms"
         f"\nscale events: {on['scale_ups']} up / {on['scale_downs']} down"
         f"\nHIGH p99 off/on: {result['high_p99_off_vs_on']:.4f}x"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "service_daemon.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
     for report in (on, off):
         assert report["completed"] + report["failed"] + report["rejected"] \
@@ -140,11 +120,7 @@ def test_resilience_beats_undefended_run(run_once):
     on vs off.  The defended run must quarantine and reinstate the flaky
     worker, shed LOW under the burst, keep every admitted request
     terminal in both runs, and win the HIGH tail outright."""
-    from repro.bench.harness import resilience_benchmark
-
-    result = run_once(lambda: resilience_benchmark(iterations=ITERATIONS))
-    on = result["resilience_on"]
-    off = result["resilience_off"]
+    result, on, off = _ablation(run_once, "resilience")
     print(
         f"\nresilience on:  HIGH p99 "
         f"{on['priority_latency']['high']['p99_us'] / 1e3:.1f} ms, "
@@ -156,10 +132,6 @@ def test_resilience_beats_undefended_run(run_once):
         f"\nHIGH p99 off/on: {result['high_p99_off_vs_on']:.4f}x"
         f"\nSLO attainment: {on['slo_attainment']:.4f} on vs "
         f"{off['slo_attainment']:.4f} off"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "service_resilience.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
     # Zero lost requests in both runs: every admitted request terminal.
     for report in (on, off):
@@ -192,13 +164,7 @@ def test_domain_aware_isolation_beats_ledger_at_a_time(run_once):
     one-ledger-at-a-time OFF run with HIGH p99 no worse and zero lost
     requests either way, and the mirror mini-run must resume from the
     cross-domain checkpoint replica after losing the primary's node."""
-    from repro.bench.harness import domain_resilience_benchmark
-
-    result = run_once(
-        lambda: domain_resilience_benchmark(iterations=ITERATIONS)
-    )
-    on = result["domain_on"]
-    off = result["domain_off"]
+    result, on, off = _ablation(run_once, "domain_resilience")
     print(
         f"\ndomains on:  node isolated in "
         f"{result['time_to_isolate_ms_on']:.3f} ms, HIGH p99 "
@@ -211,10 +177,6 @@ def test_domain_aware_isolation_beats_ledger_at_a_time(run_once):
         f"HIGH p99 off/on: {result['high_p99_off_vs_on']:.4f}x"
         f"\nmirror resume: {result['mirror_resume']['mirror_restores']} "
         f"restore(s), {result['mirror_resume']['failed']} lost"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "service_domains.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
     # Zero lost requests in both runs: every admitted request terminal.
     for report in (on, off):
@@ -243,27 +205,8 @@ def test_capacity_map_locates_knee_and_holds_fair_shares(run_once):
     SLO-attainment knee with monotone degradation past it, equal-weight
     tenants split saturated dispatch near 1:1, and 3:1 weights hold the
     saturated shares near 3:1."""
-    from repro.bench.harness import capacity_sweep, render_capacity_map
-
-    result = run_once(lambda: capacity_sweep())
+    result = run_once(capacity_sweep)
     print("\n" + render_capacity_map(result))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    # The full capacity map is committed once, as the "capacity_map"
-    # entry of BENCH_service.json (the CI regression baseline); this
-    # results file is just the pointer, so the two copies cannot drift.
-    (RESULTS_DIR / "service_capacity.json").write_text(
-        json.dumps(
-            {
-                "see": "../../BENCH_service.json#capacity_map",
-                "note": "single source of truth for the capacity map is "
-                "the committed service-bench baseline; regenerate with "
-                "write_service_bench()",
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
     # Zero lost requests at every point of the map.
     for cell in result["cells"]:
         assert cell["lost"] == 0, cell

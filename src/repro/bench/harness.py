@@ -10,6 +10,8 @@ array data); small lattices can run fully numerically through
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 
@@ -31,8 +33,13 @@ __all__ = [
     "ChaosReport",
     "chaos_solve",
     "chaos_invert",
-    "service_benchmark",
+    "Ablation",
+    "ABLATIONS",
+    "run_ablation",
+    "campaign_params",
+    "ablation_block",
     "throughput_benchmark",
+    "service_bench",
     "write_service_bench",
     "capacity_sweep",
     "render_capacity_map",
@@ -329,24 +336,125 @@ def chaos_invert(
 
 
 # --------------------------------------------------------------------- #
-# Solve-service benchmark (closed-loop, batched vs unbatched)
+# Solve-service ablations: one ON/OFF runner over a declared table
 # --------------------------------------------------------------------- #
 
-def service_benchmark(
-    n_requests: int = 64,
-    *,
-    dims: tuple[int, int, int, int] = (16, 16, 16, 64),
-    mode: str = "single-half",
-    workers: int = 2,
-    ranks: int = 2,
-    max_batch: int = 8,
-    rate_rps: float = 2000.0,
-    iterations: int = 10,
-    seed: int = 2010,
-) -> dict:
-    """Serve one synthetic campaign twice — multi-RHS batching on
-    (``max_batch``) versus off (batch size 1) — and report both
-    scorecards plus the throughput ratio.
+#: How a parameter is recorded in the ``campaign`` entry of a
+#: ``BENCH_service.json`` block: ``parameter -> (key, scale)``, the
+#: recorded value being ``value * scale`` (model seconds are recorded in
+#: milliseconds).  A parameter not listed is recorded under its own
+#: name.  :func:`_record` writes through this table and
+#: :func:`campaign_params` inverts it; nothing else knows a recorded key.
+_RECORDED_AS = {
+    "n_requests": ("requests", 1),
+    "ranks": ("ranks_per_worker", 1),
+    "rates": ("rates_rps", 1),
+    "burst_start_s": ("burst_start_ms", 1e3),
+    "burst_len_s": ("burst_len_ms", 1e3),
+    "deadline_slack_s": ("deadline_slack_ms", 1e3),
+    "kill_at_s": ("kill_at_ms", 1e3),
+    "partition_at_s": ("partition_at_ms", 1e3),
+    "heal_mean_s": ("heal_mean_ms", 1e3),
+}
+
+
+def _record(params: dict) -> dict:
+    """The ``campaign`` entry of the block ``params`` produced."""
+    campaign = {}
+    for name, value in params.items():
+        key, scale = _RECORDED_AS.get(name, (name, 1))
+        if isinstance(value, tuple):
+            value = list(value)
+        elif scale != 1:
+            value = value * scale
+        campaign[key] = value
+    return campaign
+
+
+def campaign_params(campaign: dict, names) -> dict:
+    """Invert :func:`_record`: the parameters ``names`` as a block's
+    ``campaign`` entry records them, ready to run the block again."""
+    params = {}
+    for name in names:
+        key, scale = _RECORDED_AS.get(name, (name, 1))
+        value = campaign[key]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif scale != 1:
+            value = value / scale
+        params[name] = value
+    return params
+
+
+def _params(defaults: dict, overrides: dict) -> dict:
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise TypeError(f"unknown parameter(s) {unknown}; expected {sorted(defaults)}")
+    return {**defaults, **overrides}
+
+
+def _service_config(p: dict, n_workers: int, queue_capacity: int | None = None, **features):
+    """The part of a ``ServiceConfig`` every campaign below shares."""
+    from ..service import BatchPolicy, ServiceConfig
+
+    if queue_capacity is None:
+        queue_capacity = max(4 * p["n_requests"], 64)
+    return ServiceConfig(
+        queue_capacity=queue_capacity,
+        policy=BatchPolicy(max_batch=p["max_batch"]),
+        n_workers=n_workers,
+        ranks_per_worker=p["ranks"],
+        fixed_iterations=p["iterations"],
+        **features,
+    )
+
+
+def _poisson_workload(p: dict, **shape):
+    from ..service import synthetic_workload
+
+    return synthetic_workload(
+        p["n_requests"],
+        seed=p["seed"],
+        rate_rps=p["rate_rps"],
+        dims=p["dims"],
+        mode=p["mode"],
+        **shape,
+    )
+
+
+def _bursty_workload(p: dict, priority_mix: tuple[float, float, float], **shape):
+    from ..service import bursty_workload
+
+    return bursty_workload(
+        p["n_requests"],
+        seed=p["seed"],
+        base_rps=p["base_rps"],
+        burst_rps=p["burst_rps"],
+        burst_start_s=p["burst_start_s"],
+        burst_len_s=p["burst_len_s"],
+        dims=p["dims"],
+        mode=p["mode"],
+        priority_mix=priority_mix,
+        **shape,
+    )
+
+
+def _breaker():
+    """The per-worker circuit breaker of the two resilience campaigns.
+
+    One hard failure trips it; the soft slow signal is muted
+    (``slow_ratio=1e3``) so a known straggler is handled by hedging, not
+    by repeatedly parking a third of the pool.
+    """
+    from ..service import HealthPolicy
+
+    return HealthPolicy(
+        enabled=True, min_samples=1, trip_rate=0.5, cooldown_s=1e-3, slow_ratio=1e3
+    )
+
+
+def _batching_config(p: dict, batched: bool):
+    """Multi-RHS batching on (``max_batch``) versus off (batch size 1).
 
     Setup (gauge upload, ghost-zone allocation, operator construction)
     is paid once per *batch*, so the batched schedule completes the same
@@ -354,70 +462,18 @@ def service_benchmark(
     because the setup transfers scale with the gauge field while the
     per-iteration cost is amortized over right-hand sides.
     """
-    from ..service import (
-        BatchPolicy,
-        ServiceConfig,
-        SolveService,
-        synthetic_workload,
+    return _service_config(
+        p if batched else {**p, "max_batch": 1},
+        p["workers"],
+        queue_capacity=max(p["n_requests"], 1),
     )
 
-    workload = synthetic_workload(
-        n_requests, seed=seed, rate_rps=rate_rps, dims=dims, mode=mode
-    )
 
-    def serve(batch: int) -> dict:
-        config = ServiceConfig(
-            queue_capacity=max(n_requests, 1),
-            policy=BatchPolicy(max_batch=batch),
-            n_workers=workers,
-            ranks_per_worker=ranks,
-            fixed_iterations=iterations,
-        )
-        return SolveService(config).run(workload).report.to_json()
-
-    batched = serve(max_batch)
-    unbatched = serve(1)
-    speedup = (
-        batched["throughput_rps"] / unbatched["throughput_rps"]
-        if unbatched["throughput_rps"]
-        else float("inf")
-    )
-    return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "workers": workers,
-            "ranks_per_worker": ranks,
-            "max_batch": max_batch,
-            "rate_rps": rate_rps,
-            "iterations": iterations,
-            "seed": seed,
-        },
-        "batched": batched,
-        "unbatched": unbatched,
-        "batched_vs_unbatched_throughput": round(speedup, 4),
-    }
-
-
-def residency_benchmark(
-    n_requests: int = 48,
-    *,
-    dims: tuple[int, int, int, int] = (16, 16, 16, 64),
-    mode: str = "single-half",
-    workers: int = 2,
-    ranks: int = 2,
-    n_configs: int = 2,
-    max_batch: int = 8,
-    rate_rps: float = 2000.0,
-    iterations: int = 10,
-    seed: int = 2010,
-) -> dict:
-    """Serve one ``n_configs``-configuration campaign twice — gauge
-    residency on (*warm pool*: batches route to a worker whose device
-    already holds the configuration, the upload is charged only on a
-    miss) versus off (*cold*: every batch pays the host→device gauge
-    upload) — and report both scorecards plus the makespan ratio.
+def _residency_config(p: dict, warm: bool):
+    """Gauge residency on (*warm pool*: batches route to a worker whose
+    device already holds the configuration, the upload is charged only
+    on a miss) versus off (*cold*: every batch pays the host→device
+    gauge upload).
 
     With two configurations interleaving over two workers, the warm run
     settles into one-config-per-worker affinity and most batches are
@@ -425,77 +481,18 @@ def residency_benchmark(
     tunecache is enabled in both runs, so the measured margin isolates
     the residency credit.
     """
-    from ..service import (
-        BatchPolicy,
-        PlacementPolicy,
-        ServiceConfig,
-        SolveService,
-        synthetic_workload,
+    from ..service import PlacementPolicy
+
+    return _service_config(
+        p,
+        p["workers"],
+        queue_capacity=max(p["n_requests"], 1),
+        placement=PlacementPolicy(residency=warm),
     )
 
-    workload = synthetic_workload(
-        n_requests,
-        seed=seed,
-        rate_rps=rate_rps,
-        dims=dims,
-        mode=mode,
-        n_configs=n_configs,
-    )
 
-    def serve(residency: bool) -> dict:
-        config = ServiceConfig(
-            queue_capacity=max(n_requests, 1),
-            policy=BatchPolicy(max_batch=max_batch),
-            n_workers=workers,
-            ranks_per_worker=ranks,
-            fixed_iterations=iterations,
-            placement=PlacementPolicy(residency=residency),
-        )
-        return SolveService(config).run(workload).report.to_json()
-
-    warm = serve(True)
-    cold = serve(False)
-    ratio = (
-        cold["makespan_us"] / warm["makespan_us"]
-        if warm["makespan_us"]
-        else float("inf")
-    )
-    return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "workers": workers,
-            "ranks_per_worker": ranks,
-            "configs": n_configs,
-            "max_batch": max_batch,
-            "rate_rps": rate_rps,
-            "iterations": iterations,
-            "seed": seed,
-        },
-        "warm": warm,
-        "cold": cold,
-        "cold_vs_warm_makespan": round(ratio, 4),
-    }
-
-
-def daemon_benchmark(
-    n_requests: int = 96,
-    *,
-    dims: tuple[int, int, int, int] = (8, 8, 8, 32),
-    mode: str = "single-half",
-    ranks: int = 2,
-    max_batch: int = 8,
-    base_rps: float = 300.0,
-    burst_rps: float = 12000.0,
-    burst_start_s: float = 0.01,
-    burst_len_s: float = 0.01,
-    iterations: int = 10,
-    seed: int = 11,
-) -> dict:
-    """Stream one seeded bursty campaign through the daemon twice —
-    refresh-boundary preemption on versus off — on an elastic pool, and
-    report both scorecards plus the HIGH-priority p99 ratio.
+def _daemon_config(p: dict, preempt: bool):
+    """Refresh-boundary preemption on versus off, on an elastic pool.
 
     The burst drives the autoscaler up and the quiet tail back down
     (both runs share the scale trajectory: preemption does not change
@@ -503,85 +500,21 @@ def daemon_benchmark(
     the next refresh boundary instead of queueing behind a full LOW
     batch, so the HIGH p99 improves while LOW pays the resume overhead.
     """
-    from ..service import (
-        BatchPolicy,
-        ElasticPolicy,
-        PreemptionPolicy,
-        ServiceConfig,
-        SolveService,
-        bursty_workload,
+    from ..service import ElasticPolicy, PreemptionPolicy
+
+    return _service_config(
+        p,
+        1,
+        preemption=PreemptionPolicy(enabled=preempt),
+        elastic=ElasticPolicy(min_workers=1, max_workers=6),
     )
 
-    def serve(preempt: bool) -> dict:
-        config = ServiceConfig(
-            queue_capacity=max(4 * n_requests, 64),
-            policy=BatchPolicy(max_batch=max_batch),
-            n_workers=1,
-            ranks_per_worker=ranks,
-            fixed_iterations=iterations,
-            preemption=PreemptionPolicy(enabled=preempt),
-            elastic=ElasticPolicy(min_workers=1, max_workers=6),
-        )
-        workload = bursty_workload(
-            n_requests,
-            seed=seed,
-            base_rps=base_rps,
-            burst_rps=burst_rps,
-            burst_start_s=burst_start_s,
-            burst_len_s=burst_len_s,
-            dims=dims,
-            mode=mode,
-            priority_mix=(0.2, 0.3, 0.5),
-        )
-        return SolveService(config).serve(workload).report.to_json()
 
-    preempt_on = serve(True)
-    preempt_off = serve(False)
-    p99_on = preempt_on["priority_latency"]["high"]["p99_us"]
-    p99_off = preempt_off["priority_latency"]["high"]["p99_us"]
-    return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "ranks_per_worker": ranks,
-            "max_batch": max_batch,
-            "base_rps": base_rps,
-            "burst_rps": burst_rps,
-            "burst_start_ms": burst_start_s * 1e3,
-            "burst_len_ms": burst_len_s * 1e3,
-            "iterations": iterations,
-            "seed": seed,
-        },
-        "preempt_on": preempt_on,
-        "preempt_off": preempt_off,
-        "high_p99_off_vs_on": (
-            round(p99_off / p99_on, 4) if p99_on else float("inf")
-        ),
-    }
-
-
-def resilience_benchmark(
-    n_requests: int = 64,
-    *,
-    dims: tuple[int, int, int, int] = (4, 4, 4, 8),
-    mode: str = "double-half",
-    ranks: int = 2,
-    workers: int = 3,
-    max_batch: int = 8,
-    base_rps: float = 1500.0,
-    burst_rps: float = 12000.0,
-    burst_start_s: float = 1e-3,
-    burst_len_s: float = 3e-3,
-    deadline_slack_s: float = 0.3,
-    straggler_factor: float = 3.0,
-    iterations: int = 10,
-    seed: int = 23,
-) -> dict:
-    """The PR-7 acceptance campaign: one seeded overloaded bursty stream
-    served twice — resilience (breaker + hedging + brownout) on versus
-    off — against the same hostile pool: worker 0 flaky (one planned
-    crash), worker 2 a ``straggler_factor``x straggler.
+def _resilience_config(p: dict, resilient: bool):
+    """The PR-7 acceptance campaign: resilience (breaker + hedging +
+    brownout) on versus off against the same hostile pool — worker 0
+    flaky (one planned crash), worker 2 a ``straggler_factor``x
+    straggler.
 
     With resilience on, the breaker quarantines the flaky worker and
     reinstates it after a clean probe, hedged replicas rescue straggling
@@ -590,40 +523,14 @@ def resilience_benchmark(
     better and the SLO attainment no worse than the undefended run,
     while *both* runs terminate every admitted request.
     """
-    from ..comms.faults import FaultPlan, WorkerFaultPlan
-    from ..service import (
-        BatchPolicy,
-        BrownoutPolicy,
-        HealthPolicy,
-        HedgePolicy,
-        ServiceConfig,
-        SolveService,
-        bursty_workload,
-    )
+    from ..comms.faults import WorkerFaultPlan
+    from ..service import BrownoutPolicy, HedgePolicy
 
-    def serve(resilient: bool) -> dict:
-        config = ServiceConfig(
-            queue_capacity=max(4 * n_requests, 64),
-            policy=BatchPolicy(max_batch=max_batch),
-            n_workers=workers,
-            ranks_per_worker=ranks,
-            fixed_iterations=iterations,
-            max_retries=2,
-            fault_plan=FaultPlan(seed=3).with_stall(
-                0, after_s=0.0, mode="crash"
-            ),
-            chaos_workers=(0,),
-            worker_faults=WorkerFaultPlan().with_straggler(
-                2, factor=straggler_factor
-            ),
-            # One hard failure trips the breaker; the soft slow signal
-            # is muted (slow_ratio) so the known straggler is handled by
-            # hedging, not by repeatedly parking a third of the pool.
-            health=HealthPolicy(
-                enabled=True, min_samples=1, trip_rate=0.5,
-                cooldown_s=1e-3, slow_ratio=1e3,
-            ) if resilient else None,
-            hedge=HedgePolicy(enabled=True) if resilient else None,
+    defences = {}
+    if resilient:
+        defences = dict(
+            health=_breaker(),
+            hedge=HedgePolicy(enabled=True),
             # Thresholds scaled to this campaign's ~50 ms batches: LOW
             # sheds at about one queued batch per worker, precision
             # degrades at two, and only a three-deep backlog refuses
@@ -633,77 +540,23 @@ def resilience_benchmark(
                 shed_low_at_s=60e-3,
                 degrade_at_s=120e-3,
                 reject_at_s=240e-3,
-            ) if resilient else None,
+            ),
         )
-        workload = bursty_workload(
-            n_requests,
-            seed=seed,
-            base_rps=base_rps,
-            burst_rps=burst_rps,
-            burst_start_s=burst_start_s,
-            burst_len_s=burst_len_s,
-            dims=dims,
-            mode=mode,
-            priority_mix=(0.25, 0.5, 0.25),
-            deadline_slack_s=deadline_slack_s,
-        )
-        return SolveService(config).serve(workload).report.to_json()
-
-    on = serve(True)
-    off = serve(False)
-    p99_on = on["priority_latency"]["high"]["p99_us"]
-    p99_off = off["priority_latency"]["high"]["p99_us"]
-    return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "workers": workers,
-            "ranks_per_worker": ranks,
-            "max_batch": max_batch,
-            "base_rps": base_rps,
-            "burst_rps": burst_rps,
-            "burst_start_ms": burst_start_s * 1e3,
-            "burst_len_ms": burst_len_s * 1e3,
-            "deadline_slack_ms": deadline_slack_s * 1e3,
-            "straggler_factor": straggler_factor,
-            "iterations": iterations,
-            "seed": seed,
-        },
-        "resilience_on": on,
-        "resilience_off": off,
-        "high_p99_off_vs_on": (
-            round(p99_off / p99_on, 4) if p99_on else float("inf")
-        ),
-    }
+    return _service_config(
+        p,
+        p["workers"],
+        max_retries=2,
+        fault_plan=FaultPlan(seed=3).with_stall(0, after_s=0.0, mode="crash"),
+        chaos_workers=(0,),
+        worker_faults=WorkerFaultPlan().with_straggler(2, factor=p["straggler_factor"]),
+        **defences,
+    )
 
 
-def domain_resilience_benchmark(
-    n_requests: int = 64,
-    *,
-    dims: tuple[int, int, int, int] = (4, 4, 4, 8),
-    mode: str = "double-half",
-    ranks: int = 2,
-    nodes: int = 3,
-    workers_per_node: int = 3,
-    racks: int = 3,
-    max_batch: int = 4,
-    base_rps: float = 1500.0,
-    burst_rps: float = 12000.0,
-    burst_start_s: float = 1e-3,
-    burst_len_s: float = 3e-3,
-    kill_node: int = 1,
-    kill_at_s: float = 2e-3,
-    partition_rack: int = 2,
-    partition_at_s: float = 3e-3,
-    heal_mean_s: float = 2e-3,
-    iterations: int = 10,
-    n_configs: int = 4,
-    seed: int = 11,
-) -> dict:
-    """The PR-8 acceptance campaign: one seeded bursty stream served
-    twice against the same correlated faults — a *silent* node kill plus
-    a switch partition — with the failure-domain layer on versus off.
+def _domain_config(p: dict, domain_aware: bool, checkpoint_every: int = 1000000):
+    """The PR-8 acceptance campaign: the failure-domain layer on versus
+    off against the same correlated faults — a *silent* node kill plus a
+    switch partition.
 
     Both runs carry the full per-worker resilience stack (breaker,
     hedging); the ablation isolates exactly the domain features.  OFF
@@ -711,161 +564,202 @@ def domain_resilience_benchmark(
     attracting traffic until its own ledger trips); ON escalates the
     second correlated strike into a whole-node quarantine, so its
     time-to-isolate is strictly lower and its HIGH p99 no worse, while
-    both runs terminate every admitted request.  A separate mini-run
-    crashes the scheduler after the node hosting the primary checkpoint
-    replica dies and must resume from the cross-domain mirror.
+    both runs terminate every admitted request.
     """
     from ..comms.cluster import Topology
     from ..comms.faults import DomainFaultPlan
-    from ..service import (
-        BatchPolicy,
-        DomainPolicy,
-        HealthPolicy,
-        HedgePolicy,
-        MirroredCheckpointStore,
-        SchedulerCrash,
-        ServiceConfig,
-        SolveService,
-        bursty_workload,
-    )
+    from ..service import DomainPolicy, HedgePolicy
 
-    topology = Topology(
-        n_nodes=nodes, workers_per_node=workers_per_node, n_racks=racks
-    )
-    faults = (
-        DomainFaultPlan(seed=seed)
-        .with_node_kill(kill_node, at_s=kill_at_s)
+    topology = Topology.parse(p["topology"])
+    return _service_config(
+        p,
+        topology.n_workers,
+        max_retries=4,
+        seed=p["seed"],
+        topology=topology,
+        domain_faults=DomainFaultPlan(seed=p["seed"])
+        .with_node_kill(p["kill_node"], at_s=p["kill_at_s"])
         .with_partition(
-            partition_rack, at_s=partition_at_s, mean_heal_s=heal_mean_s
-        )
+            p["partition_rack"], at_s=p["partition_at_s"], mean_heal_s=p["heal_mean_s"]
+        ),
+        domain_health=(
+            DomainPolicy(enabled=True, strike_k=2, cooldown_s=2e-3) if domain_aware else None
+        ),
+        anti_affinity=domain_aware,
+        health=_breaker(),
+        hedge=HedgePolicy(enabled=True),
+        checkpoint_every=checkpoint_every,
     )
 
-    def config(domain_aware: bool, checkpoint_every: int = 1000000):
-        return ServiceConfig(
-            queue_capacity=max(4 * n_requests, 64),
-            policy=BatchPolicy(max_batch=max_batch),
-            n_workers=topology.n_workers,
-            ranks_per_worker=ranks,
-            fixed_iterations=iterations,
-            max_retries=4,
-            seed=seed,
-            topology=topology,
-            domain_faults=faults,
-            domain_health=(
-                DomainPolicy(enabled=True, strike_k=2, cooldown_s=2e-3)
-                if domain_aware
-                else None
-            ),
-            anti_affinity=domain_aware,
-            health=HealthPolicy(
-                enabled=True, min_samples=1, trip_rate=0.5,
-                cooldown_s=1e-3, slow_ratio=1e3,
-            ),
-            hedge=HedgePolicy(enabled=True),
-            checkpoint_every=checkpoint_every,
-        )
 
-    def workload():
-        return bursty_workload(
-            n_requests,
-            seed=seed,
-            base_rps=base_rps,
-            burst_rps=burst_rps,
-            burst_start_s=burst_start_s,
-            burst_len_s=burst_len_s,
-            dims=dims,
-            mode=mode,
-            priority_mix=(0.25, 0.5, 0.25),
-            deadline_slack_s=0.5,
-            n_configs=n_configs,
-        )
-
-    on = SolveService(config(True)).serve(workload()).report.to_json()
-    off = SolveService(config(False)).serve(workload()).report.to_json()
-    isolate_on = on["domains"]["isolation_ms"].get(str(kill_node))
-    isolate_off = off["domains"]["isolation_ms"].get(str(kill_node))
-    p99_on = on["priority_latency"]["high"]["p99_us"]
-    p99_off = off["priority_latency"]["high"]["p99_us"]
-
-    # Cross-domain checkpoint replication: the primary replica lives on
-    # the node the kill takes out; the scheduler then crashes and must
-    # come back from the mirror with nothing lost.
-    store = MirroredCheckpointStore(
-        primary_domain=kill_node,
-        mirror_domain=(kill_node + 1) % nodes,
+def _domain_workload(p: dict):
+    return _bursty_workload(
+        p, (0.25, 0.5, 0.25), deadline_slack_s=0.5, n_configs=p["n_configs"]
     )
-    try:
-        SolveService(config(True, checkpoint_every=2)).serve(
-            workload(), checkpoint=store, crash_at_s=kill_at_s + 2e-3
-        )
-        mirror_report = None  # pragma: no cover - crash always fires
-    except SchedulerCrash as crash:
-        mirror_report = (
-            SolveService(config(True, checkpoint_every=2))
-            .resume(workload(), checkpoint=crash.store)
-            .report.to_json()
-        )
 
+
+def _domain_isolation(p: dict, on: dict, off: dict) -> dict:
+    """What the domain block reports beyond its ratio: the time each arm
+    took to isolate the killed node, and the mirror-resume leg."""
+    node = str(p["kill_node"])
+    isolate_on = on["domains"]["isolation_ms"].get(node)
+    isolate_off = off["domains"]["isolation_ms"].get(node)
     return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "topology": str(topology),
-            "ranks_per_worker": ranks,
-            "max_batch": max_batch,
-            "base_rps": base_rps,
-            "burst_rps": burst_rps,
-            "burst_start_ms": burst_start_s * 1e3,
-            "burst_len_ms": burst_len_s * 1e3,
-            "kill_node": kill_node,
-            "kill_at_ms": kill_at_s * 1e3,
-            "partition_rack": partition_rack,
-            "partition_at_ms": partition_at_s * 1e3,
-            "heal_mean_ms": heal_mean_s * 1e3,
-            "iterations": iterations,
-            "n_configs": n_configs,
-            "seed": seed,
-        },
-        "domain_on": on,
-        "domain_off": off,
         "time_to_isolate_ms_on": isolate_on,
         "time_to_isolate_ms_off": isolate_off,
         "isolate_off_vs_on": (
-            round(isolate_off / isolate_on, 4)
-            if isolate_on and isolate_off
-            else None
+            round(isolate_off / isolate_on, 4) if isolate_on and isolate_off else None
         ),
-        "high_p99_off_vs_on": (
-            round(p99_off / p99_on, 4) if p99_on else float("inf")
-        ),
-        "mirror_resume": {
-            "mirror_restores": (
-                mirror_report["domains"]["mirror_restores"]
-                if mirror_report
-                else 0
-            ),
-            "checkpoint_restores": (
-                mirror_report["checkpoint_restores"] if mirror_report else 0
-            ),
-            "failed": mirror_report["failed"] if mirror_report else None,
-        },
+        "mirror_resume": _mirror_resume(p),
     }
 
 
-def capacity_sweep(
-    n_requests: int = 192,
-    *,
-    dims: tuple[int, int, int, int] = (4, 4, 4, 8),
-    mode: str = "double-half",
-    ranks: int = 2,
-    max_batch: int = 4,
-    rates: tuple[float, ...] = (40.0, 80.0, 160.0, 320.0),
-    workers: tuple[int, ...] = (2, 4),
-    deadline_slack_s: float = 0.15,
-    iterations: int = 10,
-    seed: int = 31,
-) -> dict:
+def _mirror_resume(p: dict) -> dict:
+    """Cross-domain checkpoint replication: the primary replica lives on
+    the node the kill takes out; the scheduler then crashes and must
+    come back from the mirror with nothing lost."""
+    from ..service import MirroredCheckpointStore, SchedulerCrash, SolveService
+
+    config = _domain_config(p, True, checkpoint_every=2)
+    store = MirroredCheckpointStore(
+        primary_domain=p["kill_node"],
+        mirror_domain=(p["kill_node"] + 1) % config.topology.n_nodes,
+    )
+    try:
+        SolveService(config).serve(
+            _domain_workload(p), checkpoint=store, crash_at_s=p["kill_at_s"] + 2e-3
+        )
+    except SchedulerCrash as crash:
+        report = (
+            SolveService(config)
+            .resume(_domain_workload(p), checkpoint=crash.store)
+            .report.to_json()
+        )
+        return {
+            "mirror_restores": report["domains"]["mirror_restores"],
+            "checkpoint_restores": report["checkpoint_restores"],
+            "failed": report["failed"],
+        }
+    raise RuntimeError("the scheduler crash did not fire")  # pragma: no cover
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One ON/OFF experiment on the solve service: the same seeded
+    workload served with one feature set on and off.  The *reason* for
+    each lives in the docstring of its ``config`` function."""
+
+    #: Result keys of the ON and the OFF scorecard.
+    arms: tuple[str, str]
+    #: Every parameter and its default; a run may override any of them.
+    defaults: dict
+    #: ``(params, on) -> ServiceConfig`` for one arm.
+    config: Callable[[dict, bool], object]
+    #: ``params -> arrivals``, called once per arm.
+    workload: Callable[[dict], object]
+    #: ``(result key, dotted path into a scorecard, ON over OFF?)``.
+    ratio: tuple[str, str, bool]
+    #: ``(params, on, off) -> further result entries``, after the arms.
+    after: Callable[[dict, dict, dict], dict] | None = None
+
+
+_HIGH_P99_GAIN = ("high_p99_off_vs_on", "priority_latency.high.p99_us", False)
+
+#: Keyed as the blocks of ``BENCH_service.json`` are.
+ABLATIONS = {
+    "batching": Ablation(
+        arms=("batched", "unbatched"),
+        defaults=dict(
+            n_requests=64, dims=(16, 16, 16, 64), mode="single-half", workers=2,
+            ranks=2, max_batch=8, rate_rps=2000.0, iterations=10, seed=2010,
+        ),
+        config=_batching_config,
+        workload=_poisson_workload,
+        ratio=("batched_vs_unbatched_throughput", "throughput_rps", True),
+    ),
+    "residency_ablation": Ablation(
+        arms=("warm", "cold"),
+        defaults=dict(
+            n_requests=48, dims=(16, 16, 16, 64), mode="single-half", workers=2,
+            ranks=2, configs=2, max_batch=8, rate_rps=2000.0, iterations=10, seed=2010,
+        ),
+        config=_residency_config,
+        workload=lambda p: _poisson_workload(p, n_configs=p["configs"]),
+        ratio=("cold_vs_warm_makespan", "makespan_us", False),
+    ),
+    "daemon": Ablation(
+        arms=("preempt_on", "preempt_off"),
+        defaults=dict(
+            n_requests=96, dims=(8, 8, 8, 32), mode="single-half", ranks=2,
+            max_batch=8, base_rps=300.0, burst_rps=12000.0, burst_start_s=0.01,
+            burst_len_s=0.01, iterations=10, seed=11,
+        ),
+        config=_daemon_config,
+        workload=lambda p: _bursty_workload(p, (0.2, 0.3, 0.5)),
+        ratio=_HIGH_P99_GAIN,
+    ),
+    "resilience": Ablation(
+        arms=("resilience_on", "resilience_off"),
+        defaults=dict(
+            n_requests=64, dims=(4, 4, 4, 8), mode="double-half", workers=3, ranks=2,
+            max_batch=8, base_rps=1500.0, burst_rps=12000.0, burst_start_s=1e-3,
+            burst_len_s=3e-3, deadline_slack_s=0.3, straggler_factor=3.0,
+            iterations=10, seed=23,
+        ),
+        config=_resilience_config,
+        workload=lambda p: _bursty_workload(
+            p, (0.25, 0.5, 0.25), deadline_slack_s=p["deadline_slack_s"]
+        ),
+        ratio=_HIGH_P99_GAIN,
+    ),
+    "domain_resilience": Ablation(
+        arms=("domain_on", "domain_off"),
+        defaults=dict(
+            n_requests=64, dims=(4, 4, 4, 8), mode="double-half", topology="3x3@3",
+            ranks=2, max_batch=4, base_rps=1500.0, burst_rps=12000.0,
+            burst_start_s=1e-3, burst_len_s=3e-3, kill_node=1, kill_at_s=2e-3,
+            partition_rack=2, partition_at_s=3e-3, heal_mean_s=2e-3, iterations=10,
+            n_configs=4, seed=11,
+        ),
+        config=_domain_config,
+        workload=_domain_workload,
+        ratio=_HIGH_P99_GAIN,
+        after=_domain_isolation,
+    ),
+}
+
+
+def run_ablation(name: str, **overrides) -> dict:
+    """Serve ``ABLATIONS[name]``'s campaign twice — feature on, feature
+    off — and report both scorecards, the ratios the entry declares and
+    the parameters that produced them (``campaign``)."""
+    from ..service import SolveService
+
+    spec = ABLATIONS[name]
+    p = _params(spec.defaults, overrides)
+    on, off = (
+        SolveService(spec.config(p, arm)).serve(spec.workload(p)).report.to_json()
+        for arm in (True, False)
+    )
+    result = {"campaign": _record(p), spec.arms[0]: on, spec.arms[1]: off}
+    key, path, on_over_off = spec.ratio
+    num, den = (on, off) if on_over_off else (off, on)
+    for part in path.split("."):
+        num, den = num[part], den[part]
+    result[key] = round(num / den, 4) if den else float("inf")
+    if spec.after is not None:
+        result.update(spec.after(p, on, off))
+    return result
+
+
+CAPACITY_DEFAULTS = dict(
+    n_requests=192, dims=(4, 4, 4, 8), mode="double-half", ranks=2, max_batch=4,
+    rates=(40.0, 80.0, 160.0, 320.0), workers=(2, 4), deadline_slack_s=0.15,
+    iterations=10, seed=31,
+)
+
+
+def capacity_sweep(**overrides) -> dict:
     """The multi-tenant saturation map: arrival rate x tenant mix x
     worker count, one seeded streaming campaign per cell.
 
@@ -879,14 +773,9 @@ def capacity_sweep(
     degrades monotonically with offered load, which is the capacity
     contract the CI smoke job pins.
     """
-    from ..service import (
-        BatchPolicy,
-        ServiceConfig,
-        SolveService,
-        TenancyPolicy,
-        stream_workload,
-    )
+    from ..service import SolveService, TenancyPolicy, stream_workload
 
+    p = _params(CAPACITY_DEFAULTS, overrides)
     slo_floor = 0.95
     mixes = {
         "equal": ("atlas", "bell", (1.0, 1.0)),
@@ -894,27 +783,22 @@ def capacity_sweep(
     }
     cells = []
     for mix_name, (a, b, mix_weights) in mixes.items():
-        for n_workers in workers:
-            for rate in rates:
-                config = ServiceConfig(
-                    queue_capacity=max(4 * n_requests, 64),
-                    policy=BatchPolicy(max_batch=max_batch),
-                    n_workers=n_workers,
-                    ranks_per_worker=ranks,
-                    fixed_iterations=iterations,
-                    seed=seed,
-                    tenancy=TenancyPolicy.build(
-                        (a, b), weights=mix_weights
-                    ),
+        for n_workers in p["workers"]:
+            for rate in p["rates"]:
+                config = _service_config(
+                    p,
+                    n_workers,
+                    seed=p["seed"],
+                    tenancy=TenancyPolicy.build((a, b), weights=mix_weights),
                 )
                 workload = stream_workload(
-                    n_requests,
-                    seed=seed,
+                    p["n_requests"],
+                    seed=p["seed"],
                     rate_rps=rate,
-                    dims=dims,
-                    mode=mode,
+                    dims=p["dims"],
+                    mode=p["mode"],
                     priority_mix=(0.0, 1.0, 0.0),
-                    deadline_slack_s=deadline_slack_s,
+                    deadline_slack_s=p["deadline_slack_s"],
                     tenants=(a, b),
                 )
                 result = SolveService(config).serve(workload)
@@ -978,7 +862,7 @@ def capacity_sweep(
                 )
     knees = []
     for mix_name in mixes:
-        for n_workers in workers:
+        for n_workers in p["workers"]:
             series = [
                 c
                 for c in cells
@@ -1043,19 +927,7 @@ def capacity_sweep(
             ),
         }
     return {
-        "campaign": {
-            "requests": n_requests,
-            "dims": list(dims),
-            "mode": mode,
-            "ranks_per_worker": ranks,
-            "max_batch": max_batch,
-            "rates_rps": list(rates),
-            "workers": list(workers),
-            "deadline_slack_ms": deadline_slack_s * 1e3,
-            "iterations": iterations,
-            "seed": seed,
-            "slo_floor": slo_floor,
-        },
+        "campaign": {**_record(p), "slo_floor": slo_floor},
         "cells": cells,
         "knees": knees,
         "fairness": fairness,
@@ -1082,18 +954,12 @@ def hot_campaign(
     evaluation) rather than by the simulated solves.  Returns
     ``(config, workload)``; the same seed always yields the same campaign.
     """
-    from ..service import (
-        BatchPolicy,
-        ServiceConfig,
-        synthetic_workload,
-    )
+    from ..service import synthetic_workload
 
-    config = ServiceConfig(
-        queue_capacity=queue_capacity,
-        policy=BatchPolicy(max_batch=max_batch),
-        n_workers=workers,
-        ranks_per_worker=ranks,
-        fixed_iterations=iterations,
+    config = _service_config(
+        dict(max_batch=max_batch, ranks=ranks, iterations=iterations),
+        workers,
+        queue_capacity,
     )
     workload = synthetic_workload(
         n_requests, seed=seed, rate_rps=rate_rps, dims=dims
@@ -1146,20 +1012,19 @@ def throughput_benchmark(
     rps = max(measure(n_requests) for _ in range(repeats))
     config, _ = hot_campaign(n_requests, **campaign_kwargs)
     return {
-        "campaign": {
-            "requests": n_requests,
-            "warmup_requests": warmup_requests,
-            "repeats": repeats,
-            "queue_capacity": config.queue_capacity,
-            "max_batch": config.policy.max_batch,
-            "workers": config.n_workers,
-            "ranks_per_worker": config.ranks_per_worker,
-            "iterations": config.fixed_iterations,
-            **{
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in campaign_kwargs.items()
-            },
-        },
+        "campaign": _record(
+            dict(
+                n_requests=n_requests,
+                warmup_requests=warmup_requests,
+                repeats=repeats,
+                queue_capacity=config.queue_capacity,
+                max_batch=config.policy.max_batch,
+                workers=config.n_workers,
+                ranks=config.ranks_per_worker,
+                iterations=config.fixed_iterations,
+                **campaign_kwargs,
+            )
+        ),
         "rps": round(rps, 1),
     }
 
@@ -1204,23 +1069,29 @@ def render_capacity_map(cap: dict) -> str:
     return "\n".join(lines)
 
 
-def write_service_bench(path: str = "BENCH_service.json", **kwargs) -> dict:
-    """Run :func:`service_benchmark` plus the gauge-residency ablation
-    (:func:`residency_benchmark`), the daemon-era preemption/elastic
-    benchmark (:func:`daemon_benchmark`), and the resilience-era
-    failure-domain benchmark (:func:`resilience_benchmark`), and write
-    the machine-readable scorecard (wait percentiles, throughput, batch
-    occupancy, warm- vs cold-pool makespans, HIGH-p99 preemption margin,
-    scale events, breaker/hedging/brownout ledgers) to ``path``."""
-    import json
+#: The ablation whose block is the top level of a service bench, not an
+#: entry of it: it was the whole file once.
+_TOP_LEVEL = "batching"
 
-    result = service_benchmark(**kwargs)
-    result["residency_ablation"] = residency_benchmark()
-    result["daemon"] = daemon_benchmark()
-    result["resilience"] = resilience_benchmark()
-    result["domain_resilience"] = domain_resilience_benchmark()
-    result["capacity_map"] = capacity_sweep()
-    # Wall-clock (not model-time), so machine-specific.
+
+def ablation_block(bench: dict, name: str) -> dict:
+    """Ablation ``name``'s block of a service bench."""
+    return bench if name == _TOP_LEVEL else bench[name]
+
+
+def service_bench() -> dict:
+    """Every model-time block of ``BENCH_service.json`` at its defaults:
+    pure functions of the schedule, so two runs are equal value for
+    value (``tests/bench/test_service_bench.py`` holds the file to it)."""
+    blocks = {name: run_ablation(name) for name in ABLATIONS}
+    return {**blocks.pop(_TOP_LEVEL), **blocks, "capacity_map": capacity_sweep()}
+
+
+def write_service_bench(path: str = "BENCH_service.json") -> dict:
+    """Write :func:`service_bench` plus the wall-clock (machine-specific)
+    :func:`throughput_benchmark` to ``path``: the one service-bench
+    artifact, and this its one writer."""
+    result = service_bench()
     result["throughput"] = {**throughput_benchmark(), "history": THROUGHPUT_HISTORY}
     with open(path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

@@ -84,11 +84,6 @@ class QMPMachine:
         """Lattice directions actually split across ranks."""
         return tuple(mu for mu in sorted(self.grid) if self.grid[mu] > 1)
 
-    @property
-    def is_partitioned(self) -> bool:
-        """Single-rank machines need no communication at all."""
-        return bool(self.partitioned_dirs)
-
     def logical_coords(self, mu: int) -> int:
         return self._coords[mu]
 
@@ -106,16 +101,6 @@ class QMPMachine:
             rank += c * stride
             stride *= n
         return rank
-
-    # -- legacy 1-D (temporal) accessors ---------------------------------- #
-
-    @property
-    def minus_neighbor(self) -> int:
-        return self.neighbor(3, -1)
-
-    @property
-    def plus_neighbor(self) -> int:
-        return self.neighbor(3, +1)
 
     # ------------------------------------------------------------------ #
     # Neighbour relays

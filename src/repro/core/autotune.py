@@ -27,7 +27,6 @@ from ..gpu.perfmodel import (
     DEFAULT_PARAMS,
     PerfModelParams,
     kernel_time,
-    occupancy_factor,
 )
 from ..gpu.precision import Precision
 from ..gpu.specs import GPUSpec, GTX285
@@ -63,10 +62,6 @@ class TuneResult:
     block_size: int
     blocks_per_mp: int
     occupancy: float
-
-    @property
-    def bandwidth_factor(self) -> float:
-        return occupancy_factor(self.occupancy)
 
     def to_json(self) -> dict:
         return {

@@ -232,10 +232,6 @@ class EscalationLadder:
     def taken(self) -> int:
         return self._taken
 
-    @property
-    def restores_taken(self) -> int:
-        return self._restores
-
     def next_step(self) -> EscalationStep | None:
         """The next rung, or ``None`` when the ladder is exhausted."""
         if self._taken >= len(self._rungs):

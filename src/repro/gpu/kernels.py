@@ -276,36 +276,12 @@ class DslashTables:
     # -- legacy temporal-only accessors (the paper's decomposition) ------- #
 
     @property
-    def on_first(self) -> np.ndarray:
-        return self.face(T_DIR).on_low
-
-    @property
-    def on_last(self) -> np.ndarray:
-        return self.face(T_DIR).on_high
-
-    @property
     def gather_first(self) -> np.ndarray:
         return self.face(T_DIR).gather_low
 
     @property
-    def gather_last(self) -> np.ndarray:
-        return self.face(T_DIR).gather_high
-
-    @property
-    def face_sites(self) -> int:
-        return self.face(T_DIR).gather_low.size
-
-    @property
     def interior_rows(self) -> np.ndarray:
         return self.rows_for("interior", (T_DIR,))
-
-    @property
-    def boundary_rows(self) -> np.ndarray:
-        return self.rows_for("boundary", (T_DIR,))
-
-    @property
-    def all_rows(self) -> np.ndarray:
-        return self.rows_for("full", (T_DIR,))
 
     # -- region row sets --------------------------------------------------- #
 
@@ -410,18 +386,6 @@ class DslashTableCounts:
 
     def face_half_sites(self, mu: int) -> int:
         return self.geometry.face_half_sites(mu)
-
-    @property
-    def face_sites(self) -> int:
-        return self.face_half_sites(T_DIR)
-
-    @property
-    def gather_first(self) -> _SizedRows:
-        return _SizedRows(self.face_sites)
-
-    @property
-    def gather_last(self) -> _SizedRows:
-        return _SizedRows(self.face_sites)
 
     def rows_for(self, region: str, dirs: tuple[int, ...]) -> _SizedRows:
         if region not in REGIONS:

@@ -150,10 +150,6 @@ class DeviceAllocator:
         buf.freed = True
         buf.array = np.zeros(0, dtype=buf.array.dtype)
 
-    def free_all(self) -> None:
-        for buf in list(self._live.values()):
-            self.free(buf)
-
     def report(self) -> str:
         """Human-readable allocation table (largest first)."""
         rows = sorted(self._live.values(), key=lambda b: -b.nbytes)

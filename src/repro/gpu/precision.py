@@ -15,8 +15,8 @@ in [-1, 1].
   mixes all spin/color components of a site (paper footnote 2).
 
 This module implements the encode/decode pair and quantization-error
-bounds; the texture-cache read path is modelled in
-:mod:`repro.gpu.texture`.
+bounds; the device fields of :mod:`repro.gpu.fields` call the decode
+where a kernel reads (``DeviceSpinorField.working``).
 """
 
 from __future__ import annotations

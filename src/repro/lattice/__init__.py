@@ -52,16 +52,12 @@ __all__ = [
 
 # Future-work extensions (paper Section VIII).
 from .montecarlo import Ensemble, heatbath_sweep, overrelaxation_sweep, wilson_action
-from .multigrid import AdaptiveMultigrid, BlockGeometry, fgmres
 
 __all__ += [
     "Ensemble",
     "heatbath_sweep",
     "overrelaxation_sweep",
     "wilson_action",
-    "AdaptiveMultigrid",
-    "BlockGeometry",
-    "fgmres",
 ]
 
 # Analysis-phase toolkit: observables and field storage.

@@ -123,10 +123,6 @@ class WilsonCloverOperator:
             out += self.clover.apply(psi.data)
         return SpinorField(psi.geometry, out, psi.basis)
 
-    def apply_normal(self, psi: SpinorField) -> SpinorField:
-        """``M^dag M psi`` — the SPD operator used by CGNE/CGNR."""
-        return self.apply(self.apply(psi), dagger=True)
-
     # -- flat-vector interface for the host Krylov solvers ----------------
 
     def as_linear_operator(self, *, dagger: bool = False):

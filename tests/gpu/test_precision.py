@@ -12,7 +12,6 @@ from repro.gpu.precision import (
     quantize_block,
     quantize_normalized,
 )
-from repro.gpu.texture import ReadMode, texture_read
 
 
 class TestPrecisionEnum:
@@ -131,30 +130,3 @@ class TestBlockQuantization:
                 np.max(np.abs(back - reals))
                 <= half_roundtrip_bound(norms) + 1e-30
             )
-
-
-class TestTextureRead:
-    def test_element_type_passthrough(self, rng):
-        data = rng.standard_normal(10).astype(np.float32)
-        assert texture_read(data, ReadMode.ELEMENT_TYPE) is data
-
-    def test_element_type_rejects_int16(self):
-        with pytest.raises(TypeError, match="NORMALIZED_FLOAT"):
-            texture_read(np.zeros(4, np.int16), ReadMode.ELEMENT_TYPE)
-
-    def test_normalized_requires_int16(self):
-        with pytest.raises(TypeError, match="int16"):
-            texture_read(np.zeros(4, np.float32), ReadMode.NORMALIZED_FLOAT)
-
-    def test_normalized_decode(self):
-        stored = np.array([32767, -32767, 0], dtype=np.int16)
-        out = texture_read(stored, ReadMode.NORMALIZED_FLOAT)
-        np.testing.assert_allclose(out, [1.0, -1.0, 0.0])
-        assert out.dtype == np.float32
-
-    def test_rescaling(self, rng):
-        """The norm-array rescale (Section III: 'rescaling capability')."""
-        reals = rng.standard_normal((5, 24))
-        q, norms = quantize_block(reals)
-        out = texture_read(q, ReadMode.NORMALIZED_FLOAT, norms=norms)
-        np.testing.assert_allclose(out, reals, atol=half_roundtrip_bound(norms) + 1e-6)

@@ -302,9 +302,9 @@ class TestDomainCampaigns:
     def test_time_to_isolate_on_beats_off(self):
         """ISSUE acceptance: domain-aware isolation is strictly faster
         than per-worker discovery, HIGH p99 no worse, nothing lost."""
-        from repro.bench.harness import domain_resilience_benchmark
+        from repro.bench.harness import run_ablation
 
-        result = domain_resilience_benchmark()
+        result = run_ablation("domain_resilience")
         assert result["time_to_isolate_ms_on"] is not None
         assert result["time_to_isolate_ms_off"] is not None
         assert (
