@@ -47,9 +47,11 @@ __all__ = [
     "VERSION",
     "KIND_CHECKPOINT",
     "KIND_CAMPAIGN",
+    "KIND_CAMPAIGN_LOG",
     "KIND_NAMES",
     "encode_frame",
     "decode_frame",
+    "split_frames",
     "parse_json",
     "encode_record",
     "decode_record",
@@ -74,13 +76,17 @@ class UnknownFormat(CodecError):
     what the frame says it is."""
 
 
+#: ``json.dumps`` builds one of these per call; a commit encodes twice.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_bytes(obj: Any) -> bytes:
     """Canonical JSON as UTF-8: sorted keys, no whitespace.
 
     The one deterministic-bytes convention: two writers of the same
     state produce the same bytes by construction.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL.encode(obj).encode()
 
 
 def pretty_json(obj: Any) -> str:
@@ -93,10 +99,12 @@ VERSION = 2
 
 KIND_CHECKPOINT = 2
 KIND_CAMPAIGN = 3
+KIND_CAMPAIGN_LOG = 4
 
 KIND_NAMES = {
     KIND_CHECKPOINT: "checkpoint",
     KIND_CAMPAIGN: "campaign",
+    KIND_CAMPAIGN_LOG: "campaign log",
 }
 
 _HEADER = struct.Struct("<4sBBHII")
@@ -163,6 +171,24 @@ def decode_frame(
             f"got {KIND_NAMES[kind]}"
         )
     return kind, payload
+
+
+def split_frames(data: bytes) -> list[bytes]:
+    """The frames of an append-only stream, cut by header length alone.
+
+    Stops at the first header that is short, foreign or promises more
+    payload than remains — a torn tail — and drops the rest.  Nothing is
+    verified here: each frame still goes through :func:`decode_frame`.
+    """
+    frames, offset = [], 0
+    while len(data) - offset >= _HEADER.size:
+        magic, _, _, _, length, _ = _HEADER.unpack_from(data, offset)
+        end = offset + _HEADER.size + length
+        if magic != MAGIC or end > len(data):
+            break
+        frames.append(data[offset:end])
+        offset = end
+    return frames
 
 
 def parse_json(payload: bytes | memoryview) -> Any:

@@ -73,6 +73,7 @@ from .batching import Batch, BatchPolicy, select_batch
 from .campaign import (
     CampaignCheckpoint,
     CampaignCheckpointStore,
+    CampaignDelta,
     MirroredCheckpointStore,
     SchedulerCrash,
 )
@@ -174,6 +175,7 @@ __all__ = [
     "bursty_workload",
     "CampaignCheckpoint",
     "CampaignCheckpointStore",
+    "CampaignDelta",
     "SchedulerCrash",
     "PreemptionPolicy",
     "ElasticPolicy",

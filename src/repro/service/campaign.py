@@ -14,19 +14,31 @@ drain/arrival estimators, the autoscaler's position) must not evaporate.
 batch boundaries — the campaign analogue of a reliable-update refresh
 point, where the scheduler's view is globally consistent: no event is
 half-processed, every request is in a well-defined lifecycle state.
-Serialization is one :mod:`repro.codec` record — canonical JSON behind
-a versioned CRC32 frame — so the bytes are a pure function of the state
-and a torn or corrupted snapshot is *rejected on load* rather than
+Serialization is :mod:`repro.codec` records — canonical JSON behind a
+versioned CRC32 frame — so the bytes are a pure function of the state
+and a torn or corrupted commit is *rejected on load* rather than
 resuming a campaign from damaged bookkeeping.  That is the only format:
 anything else is rejected.
 
-:class:`CampaignCheckpointStore` keeps the latest commit plus one
-verified fallback (exactly like the solve-level store) and optionally
-mirrors each commit to a file, so a restarted process — not just a
-surviving one — can resume.  Restore semantics are at-least-once:
-whatever happened after the last commit (completions the scheduler never
-acked, arrivals it never logged) is deterministically *replayed* by the
-resumed run, so the no-lost-requests invariant holds across the crash.
+A commit writes what changed, not the campaign.  Most of a checkpoint is
+history that is never rewritten — a request's terminal record, the
+completion order, a part's ledger of level changes — so
+:class:`CampaignCheckpointStore` keeps two streams: an append-only *log*
+with one frame per commit (:class:`CampaignDelta`: what became final
+since the previous commit), and a small *head* that is overwritten (the
+clock, the counters, the pending requests, workers and parts), of which
+it holds the latest plus one verified fallback, exactly like the
+solve-level store.  Commit number ``c`` is the head that covers log
+frames ``[0, c)``; :meth:`CampaignCheckpointStore.latest` folds a head
+and the frames it covers back into one :class:`CampaignCheckpoint`.
+With a ``path`` every commit is durable — the log frame is appended and
+fsynced *before* the head that cites it is published — so a restarted
+process, not just a surviving one, can resume.  Restore semantics are
+at-least-once: whatever happened after the last commit (completions the
+scheduler never acked, arrivals it never logged) is deterministically
+*replayed* by the resumed run, whose first commit drops the log frames
+past the head it resumed from, so the no-lost-requests invariant holds
+across the crash and nothing is logged twice.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from .request import RequestRecord
 __all__ = [
     "CampaignCheckpoint",
     "CampaignCheckpointStore",
+    "CampaignDelta",
     "MirroredCheckpointStore",
     "SchedulerCrash",
 ]
@@ -115,6 +128,9 @@ class CampaignCheckpoint:
 
     # ------------------------------------------------------------------ #
     # Deterministic serialization (PR-2 recipe: magic + JSON + checksum)
+    # of the whole checkpoint as one record — what a reader of
+    # ``latest()`` gets in one piece.  The store writes heads and log
+    # frames instead and never reads this layout back.
     # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
@@ -170,61 +186,206 @@ class CampaignCheckpoint:
         )
 
 
-class CampaignCheckpointStore:
-    """Latest + one verified fallback commit, optionally file-mirrored.
+#: The checkpoint fields that only grow: a head leaves them out, the log
+#: holds them.
+_LOGGED = ("terminal", "completion_order")
 
-    The in-memory pair mirrors the solve-level store's contract: a
-    commit that later fails its checksum on load is discarded (once)
-    and the previous verified commit restores instead.  ``path`` makes
-    each commit durable, so a *restarted* scheduler process — not just a
-    surviving supervisor — can :meth:`load` and resume.
+
+@dataclass
+class CampaignDelta:
+    """What became final between two commits — one frame of the log.
+
+    * ``epoch`` — the commit number the writing incarnation started from
+      (0 for a fresh campaign, the restored ``checkpoints_committed``
+      after a resume).  A resume restores terminal records first, so the
+      folded ``terminal`` list is ordered by ``(epoch, position)``.
+    * ``terminal`` — ``[position, RequestRecord.to_json()]`` for each
+      record that became terminal since the previous commit; the
+      position is its index in that incarnation's ``records``.
+    * ``completion_order`` — the request ids appended since then.
+    * ``ledgers`` — ``{part: {key: rows}}``, the rows each part's
+      append-only ledger gained (possibly none); the fold hands them
+      back whole as ``parts[part][key]``.
+    """
+
+    epoch: int = 0
+    terminal: list[list] = field(default_factory=list)
+    completion_order: list[int] = field(default_factory=list)
+    ledgers: dict[str, dict[str, list]] = field(default_factory=dict)
+
+
+def _head_body(blob: bytes) -> dict:
+    _, body = codec.decode_record(blob, expect_kind=codec.KIND_CAMPAIGN)
+    if not isinstance(body, dict) or any(key in body for key in _LOGGED):
+        raise codec.UnknownFormat(
+            "not a checkpoint head (a whole-campaign snapshot is not read)"
+        )
+    return body
+
+
+def _publish(path: str, blob: bytes) -> None:
+    """Replace ``path`` atomically.  The bytes reach the disk before the
+    rename publishes them, or a host crash can leave an empty or torn
+    file under the name."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+class CampaignCheckpointStore:
+    """The log, the latest head and one verified fallback head.
+
+    The in-memory heads mirror the solve-level store's contract: a head
+    that later fails its checksum on load — or cites log frames that are
+    missing or damaged — is discarded (once) and the previous verified
+    commit restores instead.  ``path`` makes each commit durable in two
+    files, the head at ``path`` and the log at ``path + ".log"``, so a
+    *restarted* scheduler process — not just a surviving supervisor —
+    can :meth:`load` and resume.
     """
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
+        #: Number of the newest commit (the campaign's own counter).
         self.committed = 0
-        self._blobs: list[bytes] = []
+        #: Frame ``i`` was appended by commit ``i + 1``.
+        self._log: list[bytes] = []
+        #: ``(commit number, frame)``, oldest first, at most two.
+        self._heads: list[tuple[int, bytes]] = []
 
     def __len__(self) -> int:
-        return len(self._blobs)
+        return len(self._heads)
 
-    def commit(self, checkpoint: CampaignCheckpoint) -> None:
-        blob = checkpoint.to_bytes()
-        self._blobs.append(blob)
-        del self._blobs[:-2]  # latest + one verified fallback
-        self.committed += 1
+    def commit(self, head: CampaignCheckpoint, delta: CampaignDelta) -> None:
+        """Append ``delta`` to the log, then publish ``head`` — the
+        checkpoint with its ``terminal`` and ``completion_order`` left
+        empty and its parts' ledgers left out, all of which the log
+        holds.  ``head.checkpoints_committed`` numbers the commit."""
+        number = head.checkpoints_committed
+        base = number - 1  # log frames this commit builds on
+        rewound = len(self._log) != base
+        if rewound:
+            # A resumed campaign replays what was logged past the head
+            # it restored (and a new one starts over): neither those
+            # frames nor a head that cites them may survive.
+            del self._log[base:]
+            self._heads = [h for h in self._heads if h[0] <= base]
+        frame = codec.encode_record(
+            {
+                "commit": number,
+                "epoch": delta.epoch,
+                "terminal": delta.terminal,
+                "completion_order": delta.completion_order,
+                "ledgers": delta.ledgers,
+            },
+            kind=codec.KIND_CAMPAIGN_LOG,
+        )
+        body = head.to_json()
+        for key in _LOGGED:
+            del body[key]
+        blob = codec.encode_record(body, kind=codec.KIND_CAMPAIGN)
+        self._log.append(frame)
+        self._heads = [*self._heads[-1:], (number, blob)]
+        self.committed = number
         if self.path:
-            # Flush to the disk before the rename publishes the file, or
-            # a host crash can leave an empty/torn mirror under the name.
-            tmp = f"{self.path}.tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            # The log first: a published head never cites a frame that
+            # is not on the disk.  A torn append is past every head.
+            log_path = f"{self.path}.log"
+            if rewound or not base:
+                _publish(log_path, b"".join(self._log))
+            else:
+                with open(log_path, "ab") as fh:
+                    fh.write(frame)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            _publish(self.path, blob)
 
     def latest(self) -> CampaignCheckpoint | None:
-        """Most recent commit whose checksum validates (fallback on a
-        torn latest), or ``None`` when nothing committed."""
-        while self._blobs:
+        """Most recent commit that verifies — its head and every log
+        frame it covers — folded into one checkpoint (fallback on a torn
+        latest), or ``None`` when nothing committed."""
+        while self._heads:
             try:
-                return CampaignCheckpoint.from_bytes(self._blobs[-1])
+                return self._fold(self._heads[-1][1])
             except ValueError:
-                self._blobs.pop()
+                self._heads.pop()
         return None
 
-    def destroy(self) -> None:
-        """Drop every blob — the domain hosting this replica died.
+    def _fold(self, head: bytes) -> CampaignCheckpoint:
+        body = _head_body(head)
+        try:
+            covered = int(body["checkpoints_committed"])
+            if covered > len(self._log):
+                raise codec.TruncatedRecord(
+                    f"head cites {covered} log frame(s), "
+                    f"the log holds {len(self._log)}"
+                )
+            terminal, completion_order = [], []
+            for index, frame in enumerate(self._log[:covered]):
+                _, delta = codec.decode_record(
+                    frame, expect_kind=codec.KIND_CAMPAIGN_LOG
+                )
+                if delta["commit"] != index + 1:
+                    raise codec.UnknownFormat(
+                        f"log frame {index} was written by commit "
+                        f"{delta['commit']!r}"
+                    )
+                epoch = int(delta["epoch"])
+                terminal.extend(
+                    (epoch, int(pos), record) for pos, record in delta["terminal"]
+                )
+                completion_order.extend(delta["completion_order"])
+                for part, grown in delta["ledgers"].items():
+                    for key, rows in grown.items():
+                        body["parts"][part].setdefault(key, []).extend(rows)
+            terminal.sort(key=lambda entry: entry[:2])
+        except codec.CodecError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise codec.UnknownFormat(
+                f"campaign log has the wrong shape: {exc!r}"
+            ) from exc
+        return CampaignCheckpoint.from_json(
+            {
+                **body,
+                "terminal": [record for _, _, record in terminal],
+                "completion_order": completion_order,
+            }
+        )
 
-        The file mirror (if any) is left alone: a dead node's disk is
+    def destroy(self) -> None:
+        """Drop the log and every head — the domain hosting this replica
+        died.
+
+        The files (if any) are left alone: a dead node's disk is
         unreachable, not rewritten."""
-        self._blobs.clear()
+        self._log.clear()
+        self._heads.clear()
 
     @classmethod
     def load(cls, path: str) -> "CampaignCheckpointStore":
+        """What reached the disk under ``path``.  A head that does not
+        verify leaves the store empty (the resume starts from scratch);
+        a torn log tail is past the head and is cut off."""
         store = cls(path)
         with open(path, "rb") as fh:
-            store._blobs = [fh.read()]
+            blob = fh.read()
+        try:
+            number = int(_head_body(blob)["checkpoints_committed"])
+        except (ValueError, KeyError, TypeError):
+            return store
+        with open(f"{path}.log", "rb") as fh:
+            log = fh.read()
+        store._log = codec.split_frames(log)
+        whole = sum(map(len, store._log))
+        if whole != len(log):
+            # Cut the torn tail off, or the next commit appends after it.
+            os.truncate(f"{path}.log", whole)
+        store._heads = [(number, blob)]
+        store.committed = number
         return store
 
 
@@ -236,11 +397,12 @@ class MirroredCheckpointStore:
     campaign loses its resume point along with the workers.  Every
     commit therefore lands on *two* replicas pinned to different failure
     domains; :meth:`latest` reads the primary and falls back to the
-    mirror (each replica keeping its own CRC/verified-fallback recipe),
-    and :meth:`lose_domain` — called by the scheduler when a node dies —
-    wipes whichever replica that node hosted.  Duck-type compatible with
-    :class:`CampaignCheckpointStore` everywhere the scheduler touches a
-    store (``commit`` / ``latest`` / ``committed`` / ``len``).
+    mirror (each replica keeping its own log, heads and CRC/verified-
+    fallback recipe), and :meth:`lose_domain` — called by the scheduler
+    when a node dies — wipes whichever replica that node hosted.
+    Duck-type compatible with :class:`CampaignCheckpointStore`
+    everywhere the scheduler touches a store (``commit`` / ``latest`` /
+    ``committed`` / ``len``).
     """
 
     def __init__(
@@ -265,12 +427,12 @@ class MirroredCheckpointStore:
     def __len__(self) -> int:
         return max(len(self.primary), len(self.mirror))
 
-    def commit(self, checkpoint: CampaignCheckpoint) -> None:
+    def commit(self, head: CampaignCheckpoint, delta: CampaignDelta) -> None:
         if self.primary_domain not in self.lost:
-            self.primary.commit(checkpoint)
+            self.primary.commit(head, delta)
         if self.mirror_domain not in self.lost:
-            self.mirror.commit(checkpoint)
-        self.committed += 1
+            self.mirror.commit(head, delta)
+        self.committed = head.checkpoints_committed
 
     def lose_domain(self, node: int) -> None:
         """The node died; wipe whichever replica it hosted (if any)."""

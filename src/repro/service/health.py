@@ -37,7 +37,7 @@ deterministic functions of the schedule:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..comms.cluster import Topology
 
@@ -167,7 +167,18 @@ class WorkerHealth:
             )
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "worker_id": self.worker_id,
+            "state": self.state,
+            "ewma_failure": self.ewma_failure,
+            "samples": self.samples,
+            "completions": self.completions,
+            "crashes": self.crashes,
+            "timeouts": self.timeouts,
+            "slow_batches": self.slow_batches,
+            "strikes": self.strikes,
+            "cooldown_until_s": self.cooldown_until_s,
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "WorkerHealth":
@@ -363,7 +374,14 @@ class DomainHealth:
     cooldown_until_s: float = 0.0
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "node": self.node,
+            "state": self.state,
+            "strikes": [list(strike) for strike in self.strikes],
+            "probe_strikes": self.probe_strikes,
+            "quarantines": self.quarantines,
+            "cooldown_until_s": self.cooldown_until_s,
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "DomainHealth":
@@ -711,6 +729,11 @@ class BrownoutController:
     shedding and serving at the boundary pressure).
     """
 
+    #: ``transitions`` only grows, so a campaign checkpoint logs its new
+    #: rows instead of rewriting the list: :meth:`to_json` leaves it
+    #: out, :meth:`restore` gets it back whole under the same key.
+    LEDGER = "transitions"
+
     def __init__(self, policy: BrownoutPolicy) -> None:
         self.policy = policy
         self.level = BROWNOUT_NORMAL
@@ -778,9 +801,6 @@ class BrownoutController:
             "level": self.level,
             "shed": self.shed,
             "brownout_rejected": self.brownout_rejected,
-            "transitions": [
-                [t, level, p] for t, level, p in self.transitions
-            ],
         }
 
     def restore(self, data: dict) -> None:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator
 
 from ..comms.cluster import ClusterSpec, Topology
@@ -71,7 +71,12 @@ from ..comms.faults import (
 from ..core import RetryPolicy
 from ..gpu.specs import GTX285, GPUSpec
 from .batching import Batch, BatchPolicy, select_batch
-from .campaign import CampaignCheckpoint, CampaignCheckpointStore, SchedulerCrash
+from .campaign import (
+    CampaignCheckpoint,
+    CampaignCheckpointStore,
+    CampaignDelta,
+    SchedulerCrash,
+)
 from .elastic import (
     ArrivalRateEstimator,
     ElasticPolicy,
@@ -404,7 +409,11 @@ class _Counters:
         self.workers_killed = int(data["workers_killed"])
 
     def summary(self) -> dict:
-        return asdict(self)
+        return {
+            "preemptions": self.preemptions,
+            "resumed_batches": self.resumed_batches,
+            "workers_killed": self.workers_killed,
+        }
 
 
 def _on(policy) -> bool:
@@ -598,6 +607,18 @@ class _Campaign:
         self.arrivals_consumed = 0
         self.checkpoints_committed = 0
         self.batches_since_commit = 0
+        #: What the checkpoint log does not hold yet.  A terminal record
+        #: never changes again, so each is serialised by exactly one
+        #: commit: ``open`` is the positions in ``records`` that were
+        #: not terminal at the last commit, ``records[scanned:]`` has
+        #: not met one, and ``logged`` is how much of each append-only
+        #: list (``completion_order``, a part's ``LEDGER``) is written,
+        #: by owner.
+        #: ``epoch`` is the commit this incarnation started from.
+        self.epoch = 0
+        self.open: list[int] = []
+        self.scanned = 0
+        self.logged: dict[str, int] = {}
         self.restored_requests = 0
         self.restored = False
         self.pending_up: set[int] = set()
@@ -672,10 +693,12 @@ class _Campaign:
         self.makespan = ckpt.makespan_s
         self.batch_seq = ckpt.next_batch_id
         self.arrivals_consumed = ckpt.arrivals_consumed
-        self.checkpoints_committed = ckpt.checkpoints_committed
+        self.checkpoints_committed = self.epoch = ckpt.checkpoints_committed
         self.completion_order = list(ckpt.completion_order)
         terminal, pending = ckpt.restored_records()
         self.records.extend(terminal)
+        self.open = list(range(len(terminal), len(terminal) + len(pending)))
+        self.scanned = len(terminal) + len(pending)
         for rec in pending:
             # The record's batch (if any) died with the scheduler:
             # re-queue at the restore clock.  Not counted against the
@@ -688,6 +711,7 @@ class _Campaign:
         for name, part in self.parts.items():
             if name in ckpt.parts:
                 part.restore(ckpt.parts[name])
+        self._grown()  # everything restored came out of the log
         # After the parts: a worker added by a scale-up is rebuilt on
         # its restored node assignment, which fixes its straggler factor.
         for wd in ckpt.workers:
@@ -714,25 +738,59 @@ class _Campaign:
                         max(ledger.cooldown_until_s, self.now), kind, ident
                     )
 
+    def _grown(self) -> tuple[list[int], dict[str, dict[str, list]]]:
+        """What every append-only list — the completion order, each
+        part's ``LEDGER`` attribute — gained since the last call, as
+        :class:`CampaignDelta` takes it."""
+
+        def tail(name: str, rows: list) -> list:
+            start = self.logged.get(name, 0)
+            self.logged[name] = len(rows)
+            return rows[start:]
+
+        return tail("completion_order", self.completion_order), {
+            name: {part.LEDGER: tail(name, getattr(part, part.LEDGER))}
+            for name, part in self.parts.items()
+            if hasattr(part, "LEDGER")
+        }
+
     def _commit_checkpoint(self) -> None:
-        """Serialize the campaign at a batch boundary (every request in
-        a well-defined lifecycle state; no event half-processed)."""
+        """Commit the campaign at a batch boundary (every request in a
+        well-defined lifecycle state; no event half-processed): what
+        became final since the last commit goes to the log, the rest —
+        the head — is written whole."""
         if self.store is None:
             return
-        ckpt = CampaignCheckpoint(
+        done, pending, still_open = [], [], []
+        for pos in itertools.chain(
+            self.open, range(self.scanned, len(self.records))
+        ):
+            rec = self.records[pos]
+            if rec.terminal:
+                done.append([pos, rec.to_json()])
+            else:
+                pending.append(rec.to_json())
+                still_open.append(pos)
+        self.open, self.scanned = still_open, len(self.records)
+        completion_order, ledgers = self._grown()
+        delta = CampaignDelta(
+            epoch=self.epoch,
+            terminal=done,
+            completion_order=completion_order,
+            ledgers=ledgers,
+        )
+        head = CampaignCheckpoint(
             time_s=self.now,
             arrivals_consumed=self.arrivals_consumed,
             next_batch_id=self.batch_seq,
             next_req_seq=len(self.records),
             makespan_s=self.makespan,
             checkpoints_committed=self.checkpoints_committed + 1,
-            completion_order=list(self.completion_order),
-            terminal=[r.to_json() for r in self.records if r.terminal],
-            pending=[r.to_json() for r in self.records if not r.terminal],
+            pending=pending,
             workers=[w.state_json() for w in self.workers],
             parts={name: part.to_json() for name, part in self.parts.items()},
         )
-        self.store.commit(ckpt)
+        self.store.commit(head, delta)
         self.checkpoints_committed += 1
         self.batches_since_commit = 0
 

@@ -9,6 +9,7 @@ daemon campaign's report is byte-identical to the committed golden
 fixture.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -238,6 +239,10 @@ class TestDomainBoard:
         clone.restore(board.to_json())
         assert clone.to_json() == board.to_json()
         assert clone.state(1) == QUARANTINED
+        # The hand-written field dict is what ``asdict`` used to deep-copy.
+        dh = board.tracker(1)
+        assert json.dumps(dh.to_json()) == json.dumps(dataclasses.asdict(dh))
+        assert dh.to_json()["strikes"][0] is not dh.strikes[0]
 
 
 class TestDomainState:

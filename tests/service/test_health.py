@@ -9,6 +9,9 @@ scenario: a seeded overloaded bursty campaign with one flaky worker
 and one straggler, resilience ON vs OFF.
 """
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.comms.faults import FaultPlan, WorkerFaultPlan
@@ -218,6 +221,9 @@ class TestHealthBoard:
                           samples=4, crashes=2, strikes=1,
                           cooldown_until_s=3e-3)
         assert WorkerHealth.from_json(wh.to_json()).to_json() == wh.to_json()
+        # The hand-written field dict is what ``asdict`` used to deep-copy
+        # at every commit, key order included.
+        assert json.dumps(wh.to_json()) == json.dumps(dataclasses.asdict(wh))
 
 
 # --------------------------------------------------------------------- #
@@ -260,10 +266,14 @@ class TestBrownoutController:
         ctl.update(0.0, 9e-3)
         ctl.shed = 3
         ctl.brownout_rejected = 1
-        blob = ctl.to_json()
+        # The level changes are a ledger: a checkpoint logs new rows
+        # and hands the whole list back under the same key.
+        assert ctl.LEDGER not in ctl.to_json()
+        blob = {**ctl.to_json(), ctl.LEDGER: [list(row) for row in ctl.transitions]}
         back = BrownoutController(policy)
-        back.restore(blob)
-        assert back.to_json() == blob
+        back.restore(json.loads(json.dumps(blob)))
+        assert back.to_json() == ctl.to_json()
+        assert back.transitions == ctl.transitions
         assert back.level == BROWNOUT_DEGRADE
         assert back.max_level == BROWNOUT_DEGRADE
 

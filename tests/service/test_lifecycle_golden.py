@@ -16,6 +16,15 @@ Two SHA-256 digests per scenario, over canonical JSON
 * ``batches`` — each batch's ``(batch_id, worker_id, ok, detail,
   preempted, hedge_of, resumed_from, trace)``.
 
+The ``durable_*`` scenarios crash and resume the ``serve-durable``
+feature stack of the wall-clock ledger (at 10 % / 50 % / 90 % of the
+campaign, twice in a row, before the first commit, through the mirror
+after the primary's node died, and through a store loaded from its
+file) at two seeds each, and add a third digest, ``report`` — the
+SHA-256 of ``render_json()``.  They were recorded at the commit *before*
+the checkpoint became a log plus a head, so they hold that change to
+the old whole-snapshot behaviour byte for byte.
+
 The second half of the file is the failure-handling table: the four
 sources of a lost batch (rank crash, worker kill, node loss, rack
 partition) crossed with {retry budget left, budget exhausted, hedged
@@ -29,6 +38,7 @@ Re-record (only for a deliberate, explained lifecycle change)::
 import hashlib
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -262,6 +272,109 @@ def crash_resume_mirrored_store():
 
 
 # --------------------------------------------------------------------- #
+# Crash and resume on the ledger's ``serve-durable`` stack
+# --------------------------------------------------------------------- #
+
+_DURABLE_N = 120
+_DURABLE_RPS = 100.0
+#: Arrivals span ``n / rps`` model seconds; crash points are fractions of it.
+_DURABLE_SPAN_S = _DURABLE_N / _DURABLE_RPS
+DURABLE_SEEDS = (2010, 2011)
+
+
+def _durable_config(**overrides) -> ServiceConfig:
+    """``benchmarks/ledger/workloads.py``'s ``serve-durable`` stack."""
+    kw = dict(
+        queue_capacity=4096,
+        policy=BatchPolicy(max_batch=4),
+        n_workers=4,
+        ranks_per_worker=2,
+        preemption=PreemptionPolicy(enabled=True),
+        health=HealthPolicy(enabled=True),
+        hedge=HedgePolicy(enabled=True),
+        brownout=BrownoutPolicy(enabled=True),
+        tenancy=TenancyPolicy.build(("atlas", "bell"), weights=(3.0, 1.0)),
+    )
+    kw.update(overrides)
+    return ServiceConfig(**kw)
+
+
+def _durable_stream(seed):
+    return lambda: stream_workload(
+        _DURABLE_N, seed=seed, rate_rps=_DURABLE_RPS, dims=DIMS,
+        mode="double-half", priority_mix=(0.1, 0.7, 0.2),
+        deadline_slack_s=0.15, tenants=("atlas", "bell"),
+    )
+
+
+def _survive(cfg, arrivals, store, *crash_fractions, reload=None):
+    """Serve, crashing at each fraction of the arrival span in turn and
+    resuming from the store the crash carried (``reload`` swaps it for a
+    fresh one first, as a restarted process would)."""
+    service = SolveService(cfg)
+    run, kw = service.serve, {"checkpoint": store}
+    for fraction in crash_fractions:
+        with pytest.raises(SchedulerCrash) as exc:
+            run(arrivals(), crash_at_s=fraction * _DURABLE_SPAN_S, **kw)
+        store = exc.value.store if reload is None else reload()
+        run, kw = SolveService(cfg).resume, {"checkpoint": store}
+    return run(arrivals(), **kw)
+
+
+def durable_crash(seed, *fractions):
+    return _survive(
+        _durable_config(), _durable_stream(seed), CampaignCheckpointStore(),
+        *fractions,
+    )
+
+
+def durable_mirror_primary_lost(seed):
+    """The node hosting the primary replica dies at 20 %, the scheduler
+    at 50 %: the resume reads the mirror."""
+    cfg = _durable_config(
+        topology=Topology.parse("2x2@2"),
+        domain_faults=DomainFaultPlan(seed=seed).with_node_kill(
+            1, at_s=0.2 * _DURABLE_SPAN_S
+        ),
+    )
+    store = MirroredCheckpointStore(primary_domain=1, mirror_domain=0)
+    result = _survive(cfg, _durable_stream(seed), store, 0.5)
+    assert store.mirror_restores == 1
+    return result
+
+
+def durable_file_resume(seed):
+    """The resume sees only what reached ``PATH``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "campaign.ckpt")
+        return _survive(
+            _durable_config(), _durable_stream(seed),
+            CampaignCheckpointStore(path), 0.5,
+            reload=lambda: CampaignCheckpointStore.load(path),
+        )
+
+
+DURABLE = {
+    "durable_crash_10pct": lambda seed: durable_crash(seed, 0.1),
+    "durable_crash_50pct": lambda seed: durable_crash(seed, 0.5),
+    "durable_crash_90pct": lambda seed: durable_crash(seed, 0.9),
+    "durable_double_crash": lambda seed: durable_crash(seed, 0.3, 0.6),
+    "durable_crash_before_first_commit": lambda seed: durable_crash(seed, 1e-9),
+    "durable_mirror_primary_lost": durable_mirror_primary_lost,
+    "durable_file_resume": durable_file_resume,
+}
+
+
+def durable_digests(result) -> dict:
+    report = result.report
+    assert report.completed + report.failed + report.rejected == _DURABLE_N
+    return {
+        **digests(result),
+        "report": hashlib.sha256(report.render_json().encode()).hexdigest(),
+    }
+
+
+# --------------------------------------------------------------------- #
 # The failure-handling table: four sources x three budget situations
 # --------------------------------------------------------------------- #
 
@@ -370,14 +483,29 @@ SCENARIOS = {
 }
 
 
+DURABLE_SCENARIOS = {
+    f"{name}_seed{seed}": (lambda fn=fn, seed=seed: fn(seed))
+    for name, fn in DURABLE.items()
+    for seed in DURABLE_SEEDS
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_lifecycle_digest(name):
     golden = json.loads(GOLDEN.read_text())
     assert digests(SCENARIOS[name]()) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(DURABLE_SCENARIOS))
+def test_durable_crash_resume_digest(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert durable_digests(DURABLE_SCENARIOS[name]()) == golden[name]
+
+
 def test_golden_covers_exactly_the_scenarios():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(SCENARIOS)
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(
+        [*SCENARIOS, *DURABLE_SCENARIOS]
+    )
 
 
 @pytest.mark.parametrize("situation", SITUATIONS)
@@ -424,11 +552,9 @@ def test_lost_batch_table(source, situation):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps(
-            {name: digests(fn()) for name, fn in sorted(SCENARIOS.items())},
-            indent=2,
-        )
-        + "\n"
+    recorded = {name: digests(fn()) for name, fn in SCENARIOS.items()}
+    recorded.update(
+        {name: durable_digests(fn()) for name, fn in DURABLE_SCENARIOS.items()}
     )
-    print(f"recorded {len(SCENARIOS)} scenario(s) in {GOLDEN}")
+    GOLDEN.write_text(json.dumps(dict(sorted(recorded.items())), indent=2) + "\n")
+    print(f"recorded {len(recorded)} scenario(s) in {GOLDEN}")
