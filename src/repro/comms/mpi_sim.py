@@ -169,6 +169,22 @@ class _CollSlot:
     # rank -> (sent value, entry time, digest of intended value, pristine copy)
     entries: dict[int, tuple[Any, float, Any, Any]] = field(default_factory=dict)
     departed: int = 0  # the last rank to leave frees the slot
+    # Filled in once, by the last rank to arrive:
+    latest: float = 0.0  # the latest entry time
+    values: list[Any] = field(default_factory=list)  # verified, in rank order
+    n_bad: int = 0  # contributions repaired from their pristine copy
+
+    def settle(self, verify: bool) -> None:
+        """Verify every contribution and fix the rank order, once."""
+        entries = self.entries
+        self.latest = max(entry[1] for entry in entries.values())
+        for r in range(len(entries)):
+            sv, _, sc, pv = entries[r]
+            if verify and sc is not None and checksum_payload(sv) != sc:
+                self.n_bad += 1
+                self.values.append(pv)
+            else:
+                self.values.append(sv)
 
 
 class _Baton:
@@ -683,8 +699,10 @@ class Comm:
         everyone leaves at ``max(entry times) + allreduce_time``.
 
         With verification armed, each contribution carries a digest of
-        the value the rank *meant* to contribute; every rank verifies all
-        contributions before combining.  A poisoned contribution is
+        the value the rank *meant* to contribute; the last rank to arrive
+        verifies all contributions, once, into the slot, and every rank
+        then applies ``combine`` to that one list itself.  A poisoned
+        contribution is
         repaired from the pristine copy and costs one extra reduction
         round (modelled NACK + re-contribution); detections are counted
         on rank 0 only so aggregate stats stay world-size independent.
@@ -717,29 +735,17 @@ class Comm:
         slot = state.coll_slots[key]
         entries = slot.entries
         entries[self.rank] = (sent, self._now(), chk, pristine)
-        if len(entries) == self.size:  # last to arrive: release the rest
+        if len(entries) == self.size:  # last to arrive: settle, release
+            slot.settle(self.integrity.verify)
             for r in entries:
                 state.wake(r)
         else:
             self._await(
                 _Wait(op, _EVERYONE, key), lambda: len(entries) == self.size
             )
-        latest = max(entries[r][1] for r in range(self.size))
-        values = []
-        n_bad = 0
-        for r in range(self.size):
-            sv, _, sc, pv = entries[r]
-            if (
-                self.integrity.verify
-                and sc is not None
-                and checksum_payload(sv) != sc
-            ):
-                n_bad += 1
-                values.append(pv)
-            else:
-                values.append(sv)
-        result = combine(values)
-        completion = latest + self.cluster.allreduce_time(self.size, nbytes)
+        n_bad = slot.n_bad
+        result = combine(slot.values)
+        completion = slot.latest + self.cluster.allreduce_time(self.size, nbytes)
         if n_bad:
             # Each poisoned contribution costs one extra reduction round
             # (NACK + re-contribution) before anyone can leave.

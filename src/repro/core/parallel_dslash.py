@@ -34,11 +34,20 @@ cost the paper anticipates for going beyond time-only slicing.
 
 On a single GPU (or an unpartitioned machine) the function degrades to a
 plain full-volume kernel with local periodic wraps.
+
+Functional and timing-only solves run this one code path; a timing-only
+paper-scale sweep calls it thousands of times per rank to move no data.
+So everything that depends only on a field's shape — transfer sizes,
+block counts, the labels of the dozen copies — lives in a
+:class:`FaceExchangePlan` built once per ``(mu, face sites, precision,
+Nvec)`` and shared by every field and rank of that shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from ..comms.faults import CorruptionDetected, RankFailedError, checksum_payload
 from ..comms.qmp import QMPMachine
@@ -80,25 +89,46 @@ class FaceExchangePlan:
     #: Non-temporal faces are strided in the layout: a pack kernel
     #: gathers them into a contiguous buffer before the (single) copy.
     needs_gather_kernel: bool
+    #: Per face direction, the ``(label, nbytes)`` of every copy that moves
+    #: it device-to-host (one per layout block, then the norms) ...
+    downloads: MappingProxyType = field(compare=False, repr=False)
+    #: ... and host-to-device (the contiguous end zone, then the norms).
+    uploads: MappingProxyType = field(compare=False, repr=False)
 
     @classmethod
     def for_field(cls, src: DeviceSpinorField, mu: int = T_DIR) -> "FaceExchangePlan":
-        sites = src.faces.get(mu, 0)
-        payload = sites * 12 * src.precision.real_bytes
-        norm = sites * 4 if src.precision.needs_norm else 0
-        temporal = mu == T_DIR
-        return cls(
-            mu=mu,
-            face_sites=sites,
-            message_bytes=payload + norm,
-            payload_bytes=payload,
-            norm_bytes=norm,
-            # Temporal: 12 face reals per site span 12/Nvec layout blocks
-            # (3 float4 in single, 6 double2 in double, 3 short4 in half).
-            # Other directions: one copy of the packed gather buffer.
-            d2h_blocks=(12 // src.layout.nvec) if temporal else 1,
-            needs_gather_kernel=not temporal,
-        )
+        return _plan(mu, src.faces.get(mu, 0), src.precision, src.layout.nvec)
+
+
+@lru_cache(maxsize=1024)
+def _plan(mu: int, sites: int, precision, nvec: int) -> FaceExchangePlan:
+    """The one plan of a field shape (a few shapes per solve)."""
+    payload = sites * 12 * precision.real_bytes
+    norm = sites * 4 if precision.needs_norm else 0
+    temporal = mu == T_DIR
+    # Temporal: 12 face reals per site span 12/Nvec layout blocks (3 float4
+    # in single, 6 double2 in double, 3 short4 in half).  Other directions:
+    # one copy of the packed gather buffer.
+    blocks = (12 // nvec) if temporal else 1
+    downloads, uploads = {}, {}
+    for direction in (BACKWARD, FORWARD):
+        down = [(f"face_d2h[{mu}][{direction}][{i}]", payload // blocks) for i in range(blocks)]
+        up = [(f"face_h2d[{mu}][{direction}]", payload)]
+        if norm:
+            down.append((f"face_d2h_norm[{mu}][{direction}]", norm))
+            up.append((f"face_h2d_norm[{mu}][{direction}]", norm))
+        downloads[direction], uploads[direction] = tuple(down), tuple(up)
+    return FaceExchangePlan(
+        mu=mu,
+        face_sites=sites,
+        message_bytes=payload + norm,
+        payload_bytes=payload,
+        norm_bytes=norm,
+        d2h_blocks=blocks,
+        needs_gather_kernel=not temporal,
+        downloads=MappingProxyType(downloads),
+        uploads=MappingProxyType(uploads),
+    )
 
 
 def _download_face(
@@ -110,23 +140,8 @@ def _download_face(
     asynchronous: bool,
 ) -> None:
     """Move one face device-to-host: one copy per layout block (+ norms)."""
-    block_bytes = plan.payload_bytes // plan.d2h_blocks
-    for i in range(plan.d2h_blocks):
-        gpu.memcpy(
-            f"face_d2h[{plan.mu}][{direction}][{i}]",
-            "d2h",
-            block_bytes,
-            stream=stream,
-            asynchronous=asynchronous,
-        )
-    if plan.norm_bytes:
-        gpu.memcpy(
-            f"face_d2h_norm[{plan.mu}][{direction}]",
-            "d2h",
-            plan.norm_bytes,
-            stream=stream,
-            asynchronous=asynchronous,
-        )
+    for name, nbytes in plan.downloads[direction]:
+        gpu.memcpy(name, "d2h", nbytes, stream=stream, asynchronous=asynchronous)
 
 
 def _upload_face(
@@ -139,21 +154,8 @@ def _upload_face(
 ) -> None:
     """Move one received face host-to-device: a single copy (the end zone
     is contiguous), plus one for the norm face in half precision."""
-    gpu.memcpy(
-        f"face_h2d[{plan.mu}][{direction}]",
-        "h2d",
-        plan.payload_bytes,
-        stream=stream,
-        asynchronous=asynchronous,
-    )
-    if plan.norm_bytes:
-        gpu.memcpy(
-            f"face_h2d_norm[{plan.mu}][{direction}]",
-            "h2d",
-            plan.norm_bytes,
-            stream=stream,
-            asynchronous=asynchronous,
-        )
+    for name, nbytes in plan.uploads[direction]:
+        gpu.memcpy(name, "h2d", nbytes, stream=stream, asynchronous=asynchronous)
 
 
 def dslash_with_exchange(

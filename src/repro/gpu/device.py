@@ -21,6 +21,11 @@ tests assert.
 ``numa_ok`` records whether the owning process is bound to the socket
 that hosts this GPU's PCIe bus (Section VII-D); transfers from a mis-bound
 process are slower, reproducing the maroon curve of Fig. 5(a).
+
+``spec``, ``params`` and ``numa_ok`` are fixed for the life of a device,
+so the model duration of a launch or a transfer is a pure function of its
+shape and is computed once per shape: a solve issues the same few dozen
+shapes thousands of times.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ class VirtualGPU:
     #: held at present — one field per card at a time; see
     #: :meth:`repro.gpu.fields.DeviceGaugeField.derived`.
     derived_holder: weakref.ref | None = field(default=None, init=False, repr=False)
+    #: ``(precision, bytes, flops, occupancy, camping)`` -> roofline duration.
+    _kernel_times: dict = field(default_factory=dict, init=False, repr=False)
+    #: ``(nbytes, direction, asynchronous)`` -> PCIe model duration.
+    _copy_times: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.allocator = DeviceAllocator(
@@ -91,15 +100,18 @@ class VirtualGPU:
         camping: bool = False,
     ) -> TimelineOp:
         """Launch a kernel with model duration from the roofline model."""
-        duration = kernel_time(
-            self.spec,
-            self.params,
-            precision,
-            bytes_moved,
-            flops,
-            occupancy=occupancy,
-            camping=camping,
-        )
+        key = (precision, bytes_moved, flops, occupancy, camping)
+        duration = self._kernel_times.get(key)
+        if duration is None:
+            duration = self._kernel_times[key] = kernel_time(
+                self.spec,
+                self.params,
+                precision,
+                bytes_moved,
+                flops,
+                occupancy=occupancy,
+                camping=camping,
+            )
         return self.timeline.submit_kernel(
             name, duration, stream=stream, nbytes=bytes_moved, flops=flops
         )
@@ -114,13 +126,16 @@ class VirtualGPU:
         asynchronous: bool = False,
     ) -> TimelineOp:
         """A PCIe transfer; duration per the Fig. 7 latency/bandwidth model."""
-        duration = pcie_time(
-            self.params,
-            nbytes,
-            direction,
-            asynchronous=asynchronous,
-            numa_ok=self.numa_ok,
-        )
+        key = (nbytes, direction, asynchronous)
+        duration = self._copy_times.get(key)
+        if duration is None:
+            duration = self._copy_times[key] = pcie_time(
+                self.params,
+                nbytes,
+                direction,
+                asynchronous=asynchronous,
+                numa_ok=self.numa_ok,
+            )
         return self.timeline.submit_copy(
             name, direction, nbytes, duration, stream=stream, asynchronous=asynchronous
         )

@@ -273,16 +273,6 @@ class DslashTables:
                 f"{PARTITIONABLE})"
             ) from None
 
-    # -- legacy temporal-only accessors (the paper's decomposition) ------- #
-
-    @property
-    def gather_first(self) -> np.ndarray:
-        return self.face(T_DIR).gather_low
-
-    @property
-    def interior_rows(self) -> np.ndarray:
-        return self.rows_for("interior", (T_DIR,))
-
     # -- region row sets --------------------------------------------------- #
 
     def rows_for(self, region: str, dirs: tuple[int, ...]) -> np.ndarray:
@@ -307,10 +297,6 @@ class DslashTables:
                 )
             self._rows_cache[key] = rows
         return self._rows_cache[key]
-
-    def rows(self, region: str) -> np.ndarray:
-        """Legacy temporal-only region rows."""
-        return self.rows_for(region, (T_DIR,))
 
     def hop_plan(self, dirs: tuple[int, ...]) -> HopPlan:
         """The gather plan for ``dirs`` (built once, indices only)."""
@@ -404,9 +390,6 @@ class DslashTableCounts:
         if region == "interior":
             return _SizedRows(interior)
         return _SizedRows(self.n_sites - interior)
-
-    def rows(self, region: str) -> _SizedRows:
-        return self.rows_for(region, (T_DIR,))
 
 
 @lru_cache(maxsize=64)

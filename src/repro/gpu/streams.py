@@ -28,11 +28,19 @@ execution rules that shape the paper's results:
 The host itself is modelled as a sequential timeline: submitting work
 costs a few microseconds; blocking calls advance host time to the
 operation's completion.
+
+Every operation is recorded, in functional and timing-only runs alike:
+the solvers attribute flops from the record (:meth:`Timeline.flops_since`)
+and the Gantt trace and profiler read it.  A timing-only paper-scale sweep
+submits hundreds of thousands of them, so a record is a
+:class:`~typing.NamedTuple` (built in a third of a frozen dataclass's
+time, and smaller) and the two submit paths do their bookkeeping inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .perfmodel import PerfModelParams, DEFAULT_PARAMS
 
@@ -42,8 +50,7 @@ __all__ = ["TimelineOp", "Timeline", "Event"]
 DEFAULT_STREAM = 0
 
 
-@dataclass(frozen=True)
-class TimelineOp:
+class TimelineOp(NamedTuple):
     """One completed operation on the device/host timeline."""
 
     name: str
@@ -80,7 +87,6 @@ class Timeline:
     #: parts like the Tesla C2050, where h2d and d2h proceed
     #: bidirectionally (paper footnote 4).
     copy_engines: int = 1
-    record_ops: bool = True
     host_time: float = 0.0
     _stream_ready: dict[int, float] = field(default_factory=dict)
     _compute_free: float = 0.0
@@ -93,15 +99,6 @@ class Timeline:
 
     def _stream(self, stream: int) -> float:
         return self._stream_ready.get(stream, 0.0)
-
-    def _engine(self, direction: str) -> str:
-        """Which copy engine serves a transfer direction."""
-        return direction if self.copy_engines >= 2 else "all"
-
-    def _record(self, op: TimelineOp) -> TimelineOp:
-        if self.record_ops:
-            self.ops.append(op)
-        return op
 
     # ------------------------------------------------------------------ #
     # Operations
@@ -121,14 +118,14 @@ class Timeline:
         The kernel starts when its stream is ready *and* the (single)
         compute engine is free; the host only pays the submission cost.
         """
-        self.host_time += self.params.submit_overhead_s
-        start = max(self.host_time, self._stream(stream), self._compute_free)
+        self.host_time = host = self.host_time + self.params.submit_overhead_s
+        start = max(host, self._stream_ready.get(stream, 0.0), self._compute_free)
         end = start + duration
         self._stream_ready[stream] = end
         self._compute_free = end
-        return self._record(
-            TimelineOp(name, "kernel", stream, start, end, nbytes, flops)
-        )
+        op = TimelineOp(name, "kernel", stream, start, end, nbytes, flops)
+        self.ops.append(op)
+        return op
 
     def submit_copy(
         self,
@@ -148,17 +145,20 @@ class Timeline:
         """
         if direction not in ("h2d", "d2h"):
             raise ValueError(f"bad copy direction {direction!r}")
-        self.host_time += self.params.submit_overhead_s
-        engine = self._engine(direction)
+        host = self.host_time + self.params.submit_overhead_s
+        # Which copy engine serves the transfer: one per direction on
+        # Fermi, one for both on GT200.
+        engine = direction if self.copy_engines >= 2 else "all"
         start = max(
-            self.host_time, self._stream(stream), self._copy_free.get(engine, 0.0)
+            host, self._stream_ready.get(stream, 0.0), self._copy_free.get(engine, 0.0)
         )
         end = start + duration
         self._stream_ready[stream] = end
         self._copy_free[engine] = end
-        if not asynchronous:
-            self.host_time = end
-        return self._record(TimelineOp(name, direction, stream, start, end, nbytes))
+        self.host_time = host if asynchronous else end
+        op = TimelineOp(name, direction, stream, start, end, nbytes)
+        self.ops.append(op)
+        return op
 
     def host_busy(
         self, name: str, duration: float, *, fault: bool = False
@@ -166,16 +166,14 @@ class Timeline:
         """Host-side work (buffer packing, MPI library time, ...)."""
         start = self.host_time
         self.host_time += duration
-        return self._record(
-            TimelineOp(name, "host", -1, start, self.host_time, fault=fault)
-        )
+        op = TimelineOp(name, "host", -1, start, self.host_time, fault=fault)
+        self.ops.append(op)
+        return op
 
     def host_wait_until(self, t: float, name: str = "wait", *, fault: bool = False) -> None:
         """Block the host until model time ``t`` (e.g. a message arrival)."""
         if t > self.host_time:
-            self._record(
-                TimelineOp(name, "wait", -1, self.host_time, t, fault=fault)
-            )
+            self.ops.append(TimelineOp(name, "wait", -1, self.host_time, t, fault=fault))
             self.host_time = t
 
     # ------------------------------------------------------------------ #

@@ -1,15 +1,21 @@
-"""Launch-sequence golden: the model clock's inputs, pinned.
+"""Launch-sequence golden: the model clock's inputs and outputs, pinned.
 
 Model time is a pure function of what each rank puts on its
 :class:`~repro.gpu.streams.Timeline` — every op's name, kind, stream,
 byte count and flop count, in issue order.  A change to the *functional*
 body of a kernel (how the NumPy arithmetic is carried out) must leave all
-of that alone, so each scenario here runs one small functional solve,
+of that alone, so each functional scenario here runs one small solve,
 hashes the ordered ``(name, kind, stream, nbytes, flops)`` of every
 ``TimelineOp`` on every rank, and compares against a digest recorded
 before the change.  The op count and the iteration count are stored next
 to the digest so a mismatch says whether the schedule changed shape or
 the solver merely took a different number of steps.
+
+The timing-only scenarios (``model_*``) pin the model *times* as well:
+they run :func:`~repro.core.invert_model` with overlap on and off and
+hash every op's ``repr`` of its start and end next to the rest, so a
+change to how an op is recorded, memoised or costed that moves any
+timestamp by one ulp fails here.
 
 Re-record (only for a deliberate, explained change to the schedule)::
 
@@ -23,7 +29,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import invert, paper_invert_param, quda
+from repro.core import invert, invert_model, paper_invert_param, quda
 from repro.lattice import LatticeGeometry, random_spinor, weak_field_gauge
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_launch_sequence.json"
@@ -36,6 +42,46 @@ SCENARIOS = {
     "zt_grid_2x2": dict(grid=(2, 2)),
 }
 
+#: name -> invert_model() keyword arguments (timing-only, 8^3 x 16).
+MODEL_SCENARIOS = {
+    f"model_{machine}_{'overlap' if overlap else 'serial'}": dict(
+        overlap=overlap, **placement
+    )
+    for machine, placement in (("4_ranks", dict(n_gpus=4)), ("zt_grid_2x2", dict(grid=(2, 2))))
+    for overlap in (True, False)
+}
+
+
+class _Recorder:
+    """Collects every VirtualGPU the solver builds while active."""
+
+    def __init__(self):
+        self.gpus = []
+
+    def __enter__(self):
+        gpus = self.gpus
+
+        class RecordingGPU(quda.VirtualGPU):
+            def __post_init__(self):
+                super().__post_init__()
+                gpus.append(self)
+
+        self._original = quda.VirtualGPU
+        quda.VirtualGPU = RecordingGPU
+        return self
+
+    def __exit__(self, *exc):
+        quda.VirtualGPU = self._original
+
+    def digest(self, fields) -> tuple[str, int]:
+        digest = hashlib.sha256()
+        n_ops = 0
+        for gpu in sorted(self.gpus, key=lambda g: g.name):
+            for op in gpu.timeline.ops:
+                digest.update(repr((gpu.name, *fields(op))).encode())
+                n_ops += 1
+        return digest.hexdigest(), n_ops
+
 
 def launch_record(**invert_kwargs) -> dict:
     """Run one 4^3 x 8 single-half solve; digest every rank's timeline."""
@@ -43,35 +89,45 @@ def launch_record(**invert_kwargs) -> dict:
     geometry = LatticeGeometry((4, 4, 4, 8))
     gauge = weak_field_gauge(geometry, rng, 0.1)
     source = random_spinor(geometry, rng)
-    gpus = []
-
-    class RecordingGPU(quda.VirtualGPU):
-        def __post_init__(self):
-            super().__post_init__()
-            gpus.append(self)
-
-    original = quda.VirtualGPU
-    quda.VirtualGPU = RecordingGPU
-    try:
+    with _Recorder() as rec:
         result = invert(
             gauge, source, paper_invert_param("single-half", mass=0.1), **invert_kwargs
         )
-    finally:
-        quda.VirtualGPU = original
-    digest = hashlib.sha256()
-    n_ops = 0
-    for gpu in sorted(gpus, key=lambda g: g.name):
-        for op in gpu.timeline.ops:
-            digest.update(
-                repr((gpu.name, op.name, op.kind, op.stream, op.nbytes, op.flops)).encode()
-            )
-            n_ops += 1
+    sha, n_ops = rec.digest(
+        lambda op: (op.name, op.kind, op.stream, op.nbytes, op.flops)
+    )
     return {
-        "sha256": digest.hexdigest(),
+        "sha256": sha,
         "ops": n_ops,
         "iterations": result.stats.iterations,
         "reliable_updates": result.stats.reliable_updates,
     }
+
+
+def model_record(*, overlap: bool, **placement) -> dict:
+    """Run one timing-only 8^3 x 16 single-half solve; digest every rank's
+    timeline including the ``repr`` of each op's start and end."""
+    inv = paper_invert_param("single-half", overlap_comms=overlap, fixed_iterations=4)
+    with _Recorder() as rec:
+        result = invert_model((8, 8, 8, 16), inv, **placement)
+    sha, n_ops = rec.digest(
+        lambda op: (
+            op.name, op.kind, op.stream, repr(op.start), repr(op.end),
+            op.nbytes, op.flops,
+        )
+    )
+    return {
+        "sha256": sha,
+        "ops": n_ops,
+        "model_time": repr(result.stats.model_time),
+        "total_flops": repr(result.stats.total_flops),
+    }
+
+
+def _all_records() -> dict:
+    records = {name: launch_record(**kw) for name, kw in SCENARIOS.items()}
+    records.update({name: model_record(**kw) for name, kw in MODEL_SCENARIOS.items()})
+    return dict(sorted(records.items()))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -80,13 +136,14 @@ def test_launch_sequence_matches_golden(name):
     assert launch_record(**SCENARIOS[name]) == golden
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_SCENARIOS))
+def test_model_clock_matches_golden(name):
+    golden = json.loads(GOLDEN.read_text())[name]
+    assert model_record(**MODEL_SCENARIOS[name]) == golden
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps(
-            {name: launch_record(**kw) for name, kw in sorted(SCENARIOS.items())},
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"recorded {len(SCENARIOS)} scenario(s) in {GOLDEN}")
+    records = _all_records()
+    GOLDEN.write_text(json.dumps(records, indent=2) + "\n")
+    print(f"recorded {len(records)} scenario(s) in {GOLDEN}")

@@ -14,6 +14,7 @@ from repro.comms import QMPMachine, run_spmd
 from repro.core.dslash import DeviceSchurOperator
 from repro.core.parallel_dslash import FaceExchangePlan
 from repro.gpu import DeviceSpinorField, Precision, VirtualGPU
+from repro.gpu.fields import BACKWARD, FORWARD
 from repro.lattice import LatticeGeometry, make_clover, weak_field_gauge
 
 
@@ -137,6 +138,28 @@ class TestFaceExchangePlan:
         gpu = VirtualGPU(enforce_memory=False)
         f = DeviceSpinorField(gpu, sites=128, precision=Precision.SINGLE, face_sites=16)
         assert FaceExchangePlan.for_field(f).norm_bytes == 0
+
+    def test_one_plan_per_field_shape(self):
+        """Fields of one shape share a plan, on any device; its copies
+        cover the face exactly and the tables cannot be edited."""
+        fields = [
+            DeviceSpinorField(
+                VirtualGPU(enforce_memory=False), sites=128,
+                precision=Precision.HALF, face_sites=16,
+            )
+            for _ in range(2)
+        ]
+        plan = FaceExchangePlan.for_field(fields[0])
+        assert FaceExchangePlan.for_field(fields[1]) is plan
+        for direction in (BACKWARD, FORWARD):
+            down, up = plan.downloads[direction], plan.uploads[direction]
+            assert [name for name, _ in down] == [
+                f"face_d2h[3][{direction}][0]", f"face_d2h[3][{direction}][1]",
+                f"face_d2h[3][{direction}][2]", f"face_d2h_norm[3][{direction}]",
+            ]
+            assert sum(n for _, n in down) == sum(n for _, n in up) == plan.message_bytes
+        with pytest.raises(TypeError):
+            plan.downloads[BACKWARD] = ()
 
 
 class TestStrategyTimes:

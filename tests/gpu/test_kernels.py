@@ -27,6 +27,7 @@ from repro.gpu.kernels import (
 )
 from repro.lattice import LatticeGeometry, SchurOperator, make_clover, weak_field_gauge
 from repro.lattice.evenodd import EVEN, ODD, dslash_parity
+from repro.lattice.geometry import T_DIR
 from repro.lattice import gamma as _gamma
 
 TOL = {Precision.DOUBLE: 1e-12, Precision.SINGLE: 2e-5, Precision.HALF: 6e-3}
@@ -251,9 +252,8 @@ class TestGhostZones:
         dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=True)
         expected = dslash_parity(gauge, psi, EVEN)
         got = dst.get()
-        np.testing.assert_allclose(
-            got[tables.interior_rows], expected[tables.interior_rows], atol=1e-12
-        )
+        interior = tables.rows_for("interior", (T_DIR,))
+        np.testing.assert_allclose(got[interior], expected[interior], atol=1e-12)
 
     def test_gather_projects_correctly(self, gpu, geo, gauge, rng):
         """The packed face is Q(sign) psi on the right timeslice."""
@@ -262,7 +262,7 @@ class TestGhostZones:
         tables = dslash_tables(geo, EVEN)
         halves, _ = gather_face_kernel(gpu, tables, src, BACKWARD)
         q, _r = _gamma.projector_decomposition(3, -1, "degrand_rossi")
-        expected = np.einsum("ht,xta->xha", q, psi[tables.gather_first])
+        expected = np.einsum("ht,xta->xha", q, psi[tables.face(T_DIR).gather_low])
         np.testing.assert_allclose(halves, expected, atol=1e-12)
 
     def test_bad_direction_rejected(self, gpu, geo, gauge, rng):
