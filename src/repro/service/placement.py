@@ -326,10 +326,16 @@ class SharedTuneCache:
     batch (a *miss*, accumulated in ``spent_s``).  ``save``/``load``
     persist the entries as JSON so the sweep amortizes across campaigns
     and across scheduler restarts.
+
+    A complete cache is assembled once per ``(spec, local volume)`` and
+    handed to every later batch of that shape; callers only read it.
+    Changing the entries (``store``, ``restore``) drops the assembled
+    caches.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, str, int, str], TuneResult] = {}
+        self._assembled: dict[tuple[str, int], TuneCache] = {}
         self.hits = 0
         self.misses = 0
         self.saved_s = 0.0
@@ -355,6 +361,9 @@ class SharedTuneCache:
     def lookup(self, spec: GPUSpec, local_volume: int) -> TuneCache | None:
         """A complete per-device cache for this local volume, or ``None``
         if any (kernel, precision) variant is missing."""
+        cache = self._assembled.get((spec.name, local_volume))
+        if cache is not None:
+            return cache
         cache = TuneCache(spec_name=spec.name)
         for kernel, per_prec in KERNEL_REGISTERS.items():
             for precision in per_prec:
@@ -364,9 +373,11 @@ class SharedTuneCache:
                 if res is None:
                     return None
                 cache.results[(kernel, precision)] = res
+        self._assembled[(spec.name, local_volume)] = cache
         return cache
 
     def store(self, spec: GPUSpec, local_volume: int, cache: TuneCache) -> None:
+        self._assembled.clear()
         for (kernel, precision), res in cache.results.items():
             self._entries[(kernel, precision.name, local_volume, spec.name)] = res
 
@@ -412,6 +423,7 @@ class SharedTuneCache:
         """Hold exactly the checkpointed entries: one tuned after the
         commit is dropped, so the resumed run pays its sweep again just
         as the crashed one did."""
+        self._assembled.clear()
         self._entries = {
             (
                 entry["kernel"],

@@ -560,8 +560,9 @@ class _Campaign:
     no-lost-requests invariant, plus a few verbs every feature goes
     through instead of reaching into ``running`` / ``cancelled`` /
     ``predicted`` / ``idle`` itself: :meth:`_eligible`,
-    :meth:`_release` and :meth:`_hold` (who may take traffic, the one
-    sorted re-idle), :meth:`_launch` (the dispatch tail),
+    :meth:`_reassess`, :meth:`_release` and :meth:`_hold` (who may take
+    traffic, the view of it kept on change, the one sorted re-idle),
+    :meth:`_launch` (the dispatch tail),
     :meth:`_teardown` (a batch leaves its worker early),
     :meth:`_surrender` (a lost batch's records: hedged partner, retry
     budget, terminal failure), :meth:`_refuse`, :meth:`_next_boundary`,
@@ -678,9 +679,13 @@ class _Campaign:
         if restore is not None:
             self._restore(restore)
         self.placement.reset_stats()
-        self.idle = sorted(
+        #: The workers :meth:`_eligible` admits, kept by :meth:`_reassess`
+        #: at every transition that can change the answer, so admission
+        #: and completion read it instead of recounting the pool.
+        self.serving = {
             w.worker_id for w in self.workers if self._eligible(w.worker_id)
-        )
+        }
+        self.idle = sorted(self.serving)
 
     # ------------------------------------------------------------------ #
     # Checkpoint commit / restore (scheduler self-healing)
@@ -856,18 +861,30 @@ class _Campaign:
     def _eligible(self, worker_id: int) -> bool:
         """The one predicate: may this worker take traffic?  Not
         retired, not held by the per-worker breaker, not in a held or
-        unreachable domain — direct checks, not a loop over features:
-        this runs per worker on every admission and completion."""
+        unreachable domain — direct checks, not a loop over features.
+        Readers take the kept answer, ``serving``; only
+        :meth:`_reassess` (and the constructor) ask this."""
         if self.workers[worker_id].retired:
             return False
         if self.board is not None and not self.board.is_serving(worker_id):
             return False
         return self.domains is None or self._domain_ok(worker_id)
 
+    def _reassess(self, worker_ids) -> None:
+        """Re-derive ``serving`` for ``worker_ids`` after a transition
+        that can change :meth:`_eligible` for them: a retire, a
+        scale-up, a breaker opening or closing, a domain hold or its
+        heal."""
+        for wid in worker_ids:
+            if self._eligible(wid):
+                self.serving.add(wid)
+            else:
+                self.serving.discard(wid)
+
     def _release(self, worker_id: int) -> None:
         """A worker has nothing to do: back to the idle set, if it is
         eligible and not there already."""
-        if worker_id not in self.idle and self._eligible(worker_id):
+        if worker_id not in self.idle and worker_id in self.serving:
             self.idle.append(worker_id)
             self.idle.sort()
 
@@ -889,9 +906,7 @@ class _Campaign:
         domain quarantine parks most of the pool, computing against the
         full pool would tell shed clients to come back far too soon.
         """
-        if self.board is None and self.domains is None:
-            return self._active_workers()
-        return sum(1 for w in self.workers if self._eligible(w.worker_id))
+        return len(self.serving)
 
     def _refuse(
         self,
@@ -954,11 +969,14 @@ class _Campaign:
             self._quarantine_domain(node)
 
     def _reidle_members(self, nodes) -> None:
-        """Return every eligible parked worker on ``nodes`` to the idle
-        set (after a heal or a domain reinstate)."""
+        """After a heal or a domain reinstate: re-derive who on
+        ``nodes`` may serve, and return every eligible parked worker
+        there to the idle set."""
         busy = {b.worker_id for b, _, _, _ in self.running.values()}
         for node in nodes:
-            for wid in self._members(node):
+            members = self._members(node)
+            self._reassess(members)
+            for wid in members:
                 if wid not in busy and wid not in self.pending_up:
                     self._release(wid)
 
@@ -1073,6 +1091,7 @@ class _Campaign:
                         # New capacity on a degraded node inherits the
                         # node's sick HCA like every co-resident worker.
                         self.workers[wid].straggler_factor *= factor
+                self._reassess((wid,))
                 self.pending_up.add(wid)
                 self._push(
                     self.now + self.cfg.elastic.spinup_s, _EV_WORKER_UP, wid
@@ -1085,6 +1104,7 @@ class _Campaign:
             wid = max(self.idle)
             self.idle.remove(wid)
             self.workers[wid].retire()
+            self._reassess((wid,))
 
     def _domain_held_workers(self) -> int:
         """Not-retired workers parked by a *domain* hold (quarantine or
@@ -1225,11 +1245,14 @@ class _Campaign:
         (NORMAL when brownout is disabled)."""
         if self.brownout is None:
             return BROWNOUT_NORMAL
-        pressure = self.drain.backlog_drain_s(
-            len(self.queue),
-            max_batch=self.cfg.policy.max_batch,
-            n_workers=max(self._serving_workers(), 1),
-        )
+        backlog = len(self.queue)
+        pressure = 0.0  # what the drain estimate gives an empty queue
+        if backlog:
+            pressure = self.drain.backlog_drain_s(
+                backlog,
+                max_batch=self.cfg.policy.max_batch,
+                n_workers=max(self._serving_workers(), 1),
+            )
         return self.brownout.update(self.now, pressure)
 
     def _arm_hedge(self, batch: Batch) -> None:
@@ -1353,6 +1376,7 @@ class _Campaign:
         its warm residency (a sick device's warmth must not keep
         attracting traffic), and schedule the post-cooldown probe."""
         wh = self.board.quarantine(worker_id, self.now)
+        self._reassess((worker_id,))
         self._hold(worker_id)
         self.workers[worker_id].evict_residency()
         self._push(wh.cooldown_until_s, _EV_PROBE, worker_id)
@@ -1402,6 +1426,7 @@ class _Campaign:
             # Nothing dispatched yet to probe with; close the breaker
             # optimistically — the ledger re-opens it on the next fault.
             self.board.reinstate(worker_id)
+            self._reassess((worker_id,))
             self._release(worker_id)
             return
         self.board.start_probe(worker_id)
@@ -1417,10 +1442,12 @@ class _Campaign:
             return
         if run.execution.ok:
             self.board.reinstate(wid)
+            self._reassess((wid,))
             self._release(wid)
             return
         self.board.observe_failure(wid, "probe")
         if self.board.tracker(wid).strikes >= self.board.policy.max_strikes:
+            # Probing, so already out of ``serving``.
             self.board.retire_sick(wid)
             worker.retire()
             self._evaluate_scale()  # the pool may want a replacement
@@ -1440,6 +1467,7 @@ class _Campaign:
         if worker.retired:
             return
         worker.retire()
+        self._reassess((worker_id,))
         self.counters.workers_killed += 1
         self._hold(worker_id)
         if self.board is not None:
@@ -1556,6 +1584,7 @@ class _Campaign:
             for node in domains.topology.nodes_in_rack(rack)
             for wid in self._members(node)
         }
+        self._reassess(member_ids)
         for wid in sorted(member_ids):
             self._hold(wid)
         detail = f"rack {rack} partitioned"
@@ -1588,7 +1617,9 @@ class _Campaign:
         eviction and residency eviction for every member, one probe for
         the node instead of one per worker."""
         dh = self.domain_board.quarantine(node, self.now)
-        for wid in self._members(node):
+        members = self._members(node)
+        self._reassess(members)
+        for wid in members:
             worker = self.workers[wid]
             if worker.retired:
                 continue
@@ -1648,6 +1679,8 @@ class _Campaign:
             self._reidle_members((node,))
             return
         if dh.probe_strikes >= self.domain_board.policy.max_strikes:
+            # The domain is probing, so its members are already out of
+            # ``serving``.
             self.domain_board.retire_sick(node)
             for wid in self._members(node):
                 worker = self.workers[wid]
@@ -1667,10 +1700,11 @@ class _Campaign:
     def _run_batch(self, batch: Batch) -> BatchExecution:
         """Run the batch on its worker, at the precision tier it was
         dispatched at (its requests' own mode unless brownout degraded
-        it)."""
+        it).  The worker takes the recipe from the head request alone,
+        so only the head is rebuilt at the degraded mode."""
         requests = [r.request for r in batch.records]
         if batch.degraded_mode is not None:
-            requests = [replace(q, mode=batch.degraded_mode) for q in requests]
+            requests[0] = replace(requests[0], mode=batch.degraded_mode)
         return self.workers[batch.worker_id].execute(
             requests, grid=batch.grid, tune_cache=self.placement.tune_cache
         )

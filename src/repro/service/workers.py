@@ -310,7 +310,8 @@ class SimWorker:
         """Run one batch to completion or structured failure.
 
         All requests share a compatibility key (the scheduler's
-        invariant); the head request supplies the recipe.  ``grid``
+        invariant); the head request supplies the recipe, and of the
+        others only ``req_id`` and ``source_seed`` are read.  ``grid``
         reshapes the worker's ranks into a (Z, T) process grid;
         ``tune_cache`` swaps per-batch retuning for the shared store.
         """

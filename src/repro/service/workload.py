@@ -12,9 +12,10 @@ Two shapes of workload are offered:
   arrivals materialized up front, for one-shot campaigns.
 * :func:`stream_workload` / :func:`bursty_workload` — *lazy* arrival
   processes for the daemon (``repro serve --stream``): requests are
-  generated one at a time as the event loop consumes them, so the
-  admission channel outlives any fixed list, and a resumed scheduler can
-  regenerate exactly the same stream and skip what it already consumed.
+  handed out one at a time as the event loop consumes them (drawn a
+  block at a time), so the admission channel outlives any fixed list,
+  and a resumed scheduler can regenerate exactly the same stream and
+  skip what it already consumed.
   ``bursty_workload`` is a piecewise-constant-rate Poisson process (a
   quiet baseline, a burst window, quiet again) — the canonical traffic
   shape that forces an elastic pool to scale up and back down.
@@ -38,12 +39,32 @@ _SALT_TENANT = 0xA884
 #: Per-priority deadline slack multipliers (HIGH is the tight tier).
 _SLACK = {PRIORITY_HIGH: 0.5, PRIORITY_NORMAL: 1.0, PRIORITY_LOW: 2.0}
 
+#: Arrivals drawn per RNG call.  The size changes no request: each
+#: generator below consumes its bit stream for one array draw exactly as
+#: for that many scalar draws (``tests/service/test_workload_stream.py``
+#: holds the stream to the per-arrival generator it replaced).
+_BLOCK = 256
 
-def _normalized_mix(priority_mix) -> np.ndarray:
-    mix = np.asarray(priority_mix, dtype=float)
-    if mix.min() < 0 or mix.sum() <= 0:
-        raise ValueError("priority_mix must be nonnegative with positive sum")
+_PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
+
+
+def _normalized_mix(weights, *, what: str = "priority_mix", size: int = 3) -> np.ndarray:
+    """``weights`` scaled to sum to one: exactly ``size`` finite,
+    nonnegative weights with a positive sum, else :class:`ValueError`."""
+    mix = np.asarray(weights, dtype=float)
+    if mix.shape != (size,):
+        raise ValueError(f"{what} needs {size} weight(s), got {mix.size}")
+    if not np.isfinite(mix).all() or mix.min() < 0 or mix.sum() <= 0:
+        raise ValueError(f"{what} must be finite, nonnegative, with positive sum")
     return mix / mix.sum()
+
+
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s own table for ``p=probabilities``: a uniform
+    draw ``u`` picks index ``cdf.searchsorted(u, side="right")``."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _tenant_mix(tenants, tenant_mix) -> np.ndarray | None:
@@ -62,7 +83,7 @@ def _tenant_mix(tenants, tenant_mix) -> np.ndarray | None:
         raise ValueError(
             f"{len(tenants)} tenant(s) but {len(tenant_mix)} mix weight(s)"
         )
-    return _normalized_mix(tenant_mix)
+    return _normalized_mix(tenant_mix, what="tenant_mix", size=len(tenants))
 
 
 def synthetic_workload(
@@ -164,10 +185,11 @@ def _stream(
 ) -> Iterator[SolveRequest]:
     """Shared lazy generator behind the streaming workloads.
 
-    ``gap_for(rng, now)`` draws the next interarrival gap — the hook the
-    bursty process uses to vary the rate over event time.  Generation is
-    incremental draws from per-purpose ``SeedSequence``-keyed RNGs, so
-    the stream is byte-identical across runs and a resumed scheduler can
+    ``gap_for(e, now)`` turns a standard-exponential draw ``e`` into the
+    next interarrival gap — the hook the bursty process uses to vary the
+    rate over event time.  Generation draws from per-purpose
+    ``SeedSequence``-keyed RNGs, ``_BLOCK`` arrivals per call, so the
+    stream is byte-identical across runs and a resumed scheduler can
     regenerate it and skip the prefix it already consumed.
 
     Validation happens here, eagerly; the inner generator only draws.
@@ -209,6 +231,7 @@ def _stream_gen(
     arrival_rng = np.random.default_rng(np.random.SeedSequence([seed, _SALT_ARRIVAL]))
     prio_rng = np.random.default_rng(np.random.SeedSequence([seed, _SALT_PRIORITY]))
     config_rng = np.random.default_rng(np.random.SeedSequence([seed, _SALT_CONFIG]))
+    prio_cdf = _cdf(mix)
     # The tenant RNG exists only for tenanted streams: untenanted runs
     # make exactly the draws pre-tenancy builds made, byte for byte.
     tenant_rng = None
@@ -216,35 +239,43 @@ def _stream_gen(
         tenant_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _SALT_TENANT])
         )
+        tenant_cdf = _cdf(tmix)
     now = 0.0
     i = 0
     while n_requests is None or i < n_requests:
-        now += gap_for(arrival_rng, now)
-        if duration_s is not None and now > duration_s:
-            return
-        priority = int(
-            prio_rng.choice([PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW], p=mix)
-        )
-        deadline = None
-        if deadline_slack_s is not None:
-            deadline = now + deadline_slack_s * _SLACK[priority]
-        tenant = None
+        gaps = arrival_rng.standard_exponential(_BLOCK).tolist()
+        tiers = prio_cdf.searchsorted(prio_rng.random(_BLOCK), side="right")
+        configs = config_rng.integers(0, n_configs, size=_BLOCK).tolist()
+        owners = [None] * _BLOCK
         if tenant_rng is not None:
-            tenant = tenants[int(tenant_rng.choice(len(tenants), p=tmix))]
-        yield SolveRequest(
-            req_id=i,
-            config_id=int(config_rng.integers(0, n_configs)),
-            dims=dims,
-            mode=mode,
-            solver=solver,
-            mass=mass,
-            source_seed=seed,
-            priority=priority,
-            arrival_s=now,
-            deadline_s=deadline,
-            tenant=tenant,
-        )
-        i += 1
+            picks = tenant_cdf.searchsorted(tenant_rng.random(_BLOCK), side="right")
+            owners = [tenants[k] for k in picks.tolist()]
+        for gap, tier, config_id, tenant in zip(
+            gaps, tiers.tolist(), configs, owners
+        ):
+            if i == n_requests:
+                return
+            now += gap_for(gap, now)
+            if duration_s is not None and now > duration_s:
+                return
+            priority = _PRIORITIES[tier]
+            deadline = None
+            if deadline_slack_s is not None:
+                deadline = now + deadline_slack_s * _SLACK[priority]
+            yield SolveRequest(
+                req_id=i,
+                config_id=config_id,
+                dims=dims,
+                mode=mode,
+                solver=solver,
+                mass=mass,
+                source_seed=seed,
+                priority=priority,
+                arrival_s=now,
+                deadline_s=deadline,
+                tenant=tenant,
+            )
+            i += 1
 
 
 def stream_workload(
@@ -271,8 +302,9 @@ def stream_workload(
     """
     if rate_rps <= 0:
         raise ValueError("rate_rps must be > 0")
+    scale = 1.0 / rate_rps
     return _stream(
-        lambda rng, now: float(rng.exponential(1.0 / rate_rps)),
+        lambda e, now: scale * e,
         n_requests,
         duration_s,
         seed=seed,
@@ -319,10 +351,10 @@ def bursty_workload(
     if burst_len_s < 0:
         raise ValueError("burst_len_s must be >= 0")
 
-    def gap(rng, now: float) -> float:
+    def gap(e: float, now: float) -> float:
         in_burst = burst_start_s <= now < burst_start_s + burst_len_s
         rate = burst_rps if in_burst else base_rps
-        return float(rng.exponential(1.0 / rate))
+        return (1.0 / rate) * e
 
     return _stream(
         gap,

@@ -1,6 +1,7 @@
 """Placement layer tests: grid selection, residency, shared tunecache."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -229,6 +230,50 @@ class TestSharedTuneCache:
         assert len(tc) == n_entries and tc.misses == 0
         _, cost = tc.acquire(GTX285, 256)
         assert cost == 0.0
+
+    def test_assembled_cache_is_shared_until_the_entries_change(self):
+        """Every hit on one shape hands out the one assembled cache;
+        ``store`` and ``restore`` drop it, and each hit still counts."""
+        tc = SharedTuneCache()
+        tc.acquire(GTX285, 256)  # the miss
+        assembled, _ = tc.acquire(GTX285, 256)
+        again, _ = tc.acquire(GTX285, 256)
+        assert again is assembled and tc.hits == 2
+        tc.store(GTX285, 512, autotune(GTX285))
+        after_store, _ = tc.acquire(GTX285, 256)
+        assert after_store is not assembled
+        assert after_store.results == assembled.results
+        tc.restore(tc.to_json())
+        after_restore, _ = tc.acquire(GTX285, 256)
+        assert after_restore is not after_store
+        assert after_restore.results == assembled.results
+        assert tc.hits == 4 and tc.misses == 1
+
+    def test_campaign_over_two_local_volumes(self):
+        """One miss per local volume, a hit for every other batch, and
+        no caller changes the assembled caches it is handed."""
+        small = synthetic_workload(12, seed=3, dims=DIMS)
+        large = [
+            replace(r, req_id=r.req_id + 100, dims=(4, 4, 4, 16))
+            for r in synthetic_workload(12, seed=4, dims=DIMS)
+        ]
+        cfg = ServiceConfig(
+            n_workers=2, ranks_per_worker=2, fixed_iterations=5,
+            policy=BatchPolicy(max_batch=2),
+        )
+        tc = SharedTuneCache()
+        result = SolveService(cfg, tune_cache=tc).run(small + large)
+        p = result.report.placement
+        assert p["tunecache_misses"] == 2
+        assert p["tunecache_hits"] == len(result.batches) - 2 > 0
+        volumes = (4 * 4 * 4 * 8 // 2, 4 * 4 * 4 * 16 // 2)
+        handed = {v: tc.lookup(GTX285, v) for v in volumes}
+        before = {v: dict(cache.results) for v, cache in handed.items()}
+        again = SolveService(cfg, tune_cache=tc).run(small + large)
+        assert again.report.placement["tunecache_misses"] == 0
+        for v, cache in handed.items():
+            assert tc.lookup(GTX285, v) is cache
+            assert cache.results == before[v] == autotune(GTX285).results
 
 
 class TestServicePlacement:

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     PRIORITY_HIGH,
@@ -12,6 +14,8 @@ from repro.service import (
     stream_workload,
     synthetic_workload,
 )
+
+from ._reference_stream import reference_bursty, reference_stream
 
 
 def _sig(req):
@@ -234,3 +238,111 @@ class TestTenantMix:
         pre-tenancy checkpoint bytes are reproduced exactly."""
         req = next(iter(stream_workload(1, seed=3)))
         assert "tenant" not in req.to_json()
+
+
+class TestMixValidation:
+    """A malformed mix fails when the workload is built, not at the
+    first draw (and never as a silently wrong priority)."""
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            (0.5, 0.5),
+            (0.1, 0.2, 0.3, 0.4),
+            (float("nan"), 0.5, 0.5),
+            (0.2, float("inf"), 0.5),
+            (-0.1, 0.6, 0.5),
+            (0.0, 0.0, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make", [stream_workload, bursty_workload, synthetic_workload]
+    )
+    def test_bad_priority_mix(self, make, mix):
+        with pytest.raises(ValueError, match="priority_mix"):
+            make(10, priority_mix=mix)
+
+    @pytest.mark.parametrize("mix", [(float("nan"), 1.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize(
+        "make", [stream_workload, bursty_workload, synthetic_workload]
+    )
+    def test_non_finite_tenant_mix(self, make, mix):
+        with pytest.raises(ValueError, match="tenant_mix"):
+            make(10, tenants=("alice", "bob"), tenant_mix=mix)
+
+
+# --------------------------------------------------------------------- #
+# Block draws against the per-arrival oracle
+# --------------------------------------------------------------------- #
+
+_weights = st.floats(min_value=0.0, max_value=10.0)
+_priority_mix = st.tuples(_weights, _weights, _weights).filter(lambda m: sum(m) > 0)
+_tenancy = st.one_of(
+    st.none(),
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.just(("alice", "bob", "carol")[:k]),
+            st.one_of(
+                st.none(),
+                st.lists(_weights, min_size=k, max_size=k)
+                .filter(lambda m: sum(m) > 0)
+                .map(tuple),
+            ),
+        )
+    ),
+)
+#: Counts on either side of a 256-arrival block edge; durations long
+#: enough for several blocks at the rates below.
+_bounds = st.one_of(
+    st.tuples(st.sampled_from([0, 1, 255, 256, 257, 600]), st.none()),
+    st.tuples(st.none(), st.floats(min_value=1e-3, max_value=0.6)),
+    st.tuples(st.integers(0, 700), st.floats(min_value=1e-3, max_value=0.6)),
+)
+_skips = st.one_of(
+    st.sampled_from([0, 255, 256, 257, 511, 512, 513]), st.integers(0, 700)
+)
+
+
+class TestMatchesPerArrivalOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bursty=st.booleans(),
+        priority_mix=_priority_mix,
+        tenancy=_tenancy,
+        n_configs=st.integers(1, 7),
+        bounds=_bounds,
+        slack=st.one_of(st.none(), st.just(0.15)),
+        skip=_skips,
+    )
+    def test_request_for_request(
+        self, seed, bursty, priority_mix, tenancy, n_configs, bounds, slack, skip
+    ):
+        n_requests, duration_s = bounds
+        tenants, tenant_mix = tenancy if tenancy is not None else (None, None)
+        kw = dict(
+            seed=seed, n_configs=n_configs, priority_mix=priority_mix,
+            deadline_slack_s=slack, tenants=tenants, tenant_mix=tenant_mix,
+            duration_s=duration_s,
+        )
+        if bursty:
+            rates = dict(
+                base_rps=500.0, burst_rps=8000.0, burst_start_s=0.05,
+                burst_len_s=0.03,
+            )
+
+            def got():
+                return bursty_workload(n_requests, **rates, **kw)
+
+            want = list(reference_bursty(n_requests, **rates, **kw))
+        else:
+
+            def got():
+                return stream_workload(n_requests, rate_rps=1000.0, **kw)
+
+            want = list(reference_stream(n_requests, rate_rps=1000.0, **kw))
+        # ``==`` on the frozen request compares every field exactly.
+        assert list(got()) == want
+        # A resumed campaign regenerates the stream and skips what it
+        # already consumed.
+        assert list(itertools.islice(got(), skip, None)) == want[skip:]
