@@ -12,16 +12,22 @@ The wall-clock ledger's ``serve-steady`` workload — 20,000 requests of a
   request.  Recounting the serving pool costs one call per worker; a
   view kept at the transitions that change it costs one per worker a
   transition touches.  The count repeats exactly.
+* ``health_calls_per_request`` — calls to the public methods of
+  ``HealthBoard`` and ``BrownoutController`` (the wall-clock ledger's
+  ``service.health`` span), inherited ones included, per request.  A
+  completion that asks the breaker once instead of five times halves
+  it.  The count repeats exactly.
 
 Times are medians of ``REPEATS`` runs after a warm-up.  Everything is
-read from outside (``_eligible`` is wrapped on the class), so pointing
-``PYTHONPATH`` at another checkout's ``src`` records that commit with
-identical code::
+read from outside (the counted methods are wrapped on their classes),
+so pointing ``PYTHONPATH`` at another checkout's ``src`` records that
+commit with identical code::
 
     PYTHONPATH=src python benchmarks/bench_scheduler.py --record change
 """
 
 import argparse
+import inspect
 import json
 import pathlib
 import statistics
@@ -80,21 +86,39 @@ def timed(fn, n: int) -> float:
     return time.perf_counter() - start
 
 
-def eligible_calls(n: int) -> int:
-    """``_Campaign._eligible`` calls in one campaign of ``n`` requests."""
+def counted_calls(n: int, methods) -> int:
+    """Calls to ``methods`` — ``(class, name)`` pairs, wrapped on the
+    class — in one campaign of ``n`` requests."""
     calls = [0]
-    real = _Campaign._eligible
+    real = [(owner, name, vars(owner)[name]) for owner, name in methods]
 
-    def counting(campaign, worker_id):
-        calls[0] += 1
-        return real(campaign, worker_id)
+    def counting(fn):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
 
-    _Campaign._eligible = counting
+        return call
+
+    for owner, name, fn in real:
+        setattr(owner, name, counting(fn))
     try:
         serve(n)
     finally:
-        _Campaign._eligible = real
+        for owner, name, fn in real:
+            setattr(owner, name, fn)
     return calls[0]
+
+
+def health_methods() -> list:
+    """The public methods of ``HealthBoard`` and ``BrownoutController``,
+    own and inherited."""
+    owners = {*service.HealthBoard.__mro__, *service.BrownoutController.__mro__}
+    return [
+        (owner, name)
+        for owner in owners - {object}
+        for name, fn in vars(owner).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+    ]
 
 
 def measure(n: int = N, repeats: int = REPEATS) -> dict:
@@ -107,7 +131,10 @@ def measure(n: int = N, repeats: int = REPEATS) -> dict:
         "requests": n,
         "arrival_us": round(1e6 * statistics.median(arrivals) / n, 2),
         "request_us": round(1e6 * statistics.median(requests) / n, 2),
-        "pool_recounts_per_request": round(eligible_calls(n) / n, 3),
+        "pool_recounts_per_request": round(
+            counted_calls(n, [(_Campaign, "_eligible")]) / n, 3
+        ),
+        "health_calls_per_request": round(counted_calls(n, health_methods()) / n, 3),
     }
 
 
@@ -123,7 +150,8 @@ def main(argv=None) -> int:
     print(
         f"{row['requests']} requests  {row['arrival_us']:.2f} us/arrival  "
         f"{row['request_us']:.2f} us/request  "
-        f"{row['pool_recounts_per_request']:.3f} pool recounts/request"
+        f"{row['pool_recounts_per_request']:.3f} pool recounts/request  "
+        f"{row['health_calls_per_request']:.3f} health calls/request"
     )
     if args.record:
         doc = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}

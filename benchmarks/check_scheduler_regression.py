@@ -6,15 +6,19 @@ The ledger's ``serve-steady`` stream and campaign at 20,000 requests,
 measured now, against the ``change`` row of ``BENCH_scheduler.json``:
 
 * **per arrival**: µs per generated arrival at most ``CEILING_FACTOR``
-  times the committed median (the per-arrival draws it replaced, the
-  ``parent`` row, sit at 8.0 times);
+  times the committed median (the per-arrival draws the block draws
+  replaced cost 8.0 times as much);
 * **per request**: µs per request of the whole campaign at most
-  ``CEILING_FACTOR`` times the committed median (the parent, which
-  recounted the pool, sits at 1.56 times);
+  ``CEILING_FACTOR`` times the committed median (recounting the pool per
+  event cost 1.56 times as much);
 * **generation stays a small share**: µs per arrival at most
-  ``ARRIVAL_SHARE`` of µs per request (it reads 0.05; the parent 0.27);
+  ``ARRIVAL_SHARE`` of µs per request (it reads 0.05);
 * **no pool recounts come back**: ``_Campaign._eligible`` calls per
-  request no more than committed (0.019; the parent 7.9 — the count
+  request no more than committed (0.019; recounting made 7.9 — the
+  count repeats exactly);
+* **one breaker call per completion**: public ``HealthBoard`` and
+  ``BrownoutController`` calls per request no more than committed
+  (2.36; the ``parent`` row, asking five times, reads 4.89 — the count
   repeats exactly).
 
 Usage::
@@ -65,6 +69,12 @@ def main() -> int:
         recounts <= limit,
         f"pool recounts: {recounts:.3f} per request, committed {limit:.3f}",
         "the serving pool is recounted per event again",
+    )
+    calls, limit = now["health_calls_per_request"], committed["health_calls_per_request"]
+    check(
+        calls <= limit,
+        f"health calls: {calls:.3f} per request, committed {limit:.3f}",
+        "a completion asks the breaker more than once again",
     )
     return 1 if failures else 0
 

@@ -38,7 +38,7 @@ checkpoints at batch boundaries
 (:class:`~repro.service.campaign.CampaignCheckpointStore`) so a
 scheduler crash resumes with no lost requests, LOW batches yield to HIGH
 arrivals at refresh-point boundaries
-(:class:`~repro.service.service.PreemptionPolicy`), and the worker pool
+(:class:`~repro.service.preemption.PreemptionPolicy`), and the worker pool
 scales elastically against the measured arrival rate
 (:class:`~repro.service.elastic.ElasticPolicy`).
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .request import PRIORITY_HIGH, RequestRecord
 
-__all__ = ["BatchPolicy", "Batch", "select_batch"]
+__all__ = ["BatchPolicy", "Batch", "next_boundary", "select_batch"]
 
 #: Window-expiry slack: a timeout scheduled at ``arrival + max_wait``
 #: re-enters the scheduler at a clock where ``(arrival + max_wait) -
@@ -33,6 +33,10 @@ __all__ = ["BatchPolicy", "Batch", "select_batch"]
 #: One nanosecond of model time is far below any modeled duration and
 #: far above double rounding error at any reachable model time.
 _WAIT_SLACK_S = 1e-9
+
+#: Float-rounding slack for refresh-boundary arithmetic (same scale as
+#: the batching window slack).
+BOUNDARY_SLACK_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,22 @@ class Batch:
     def size(self) -> int:
         return len(self.records)
 
+    @property
+    def partner_id(self) -> int | None:
+        """The other copy of a hedged pair (``None`` = not hedged)."""
+        return self.hedge_of if self.hedge_of is not None else self.hedge_batch_id
+
     def occupancy(self, policy: BatchPolicy) -> float:
         return self.size / policy.max_batch
+
+
+def next_boundary(now: float, start: float, end: float, points: int) -> float:
+    """The first of a batch's ``points`` refresh boundaries at or after
+    ``now`` (one on this very instant counts: its checkpoint is
+    consistent now).  May lie at or past ``end``; callers clamp."""
+    interval = (end - start) / points
+    k = max(1, -int(-(now - start - BOUNDARY_SLACK_S) // interval))
+    return start + k * interval
 
 
 def select_batch(

@@ -46,6 +46,10 @@ __all__ = [
     "spread_domain",
 ]
 
+#: Event kind of a spun-up worker taking traffic: before arrivals, so
+#: fresh capacity takes same-instant traffic.
+_EV_WORKER_UP = 2
+
 
 @dataclass(frozen=True)
 class ElasticPolicy:
@@ -140,11 +144,11 @@ class ArrivalRateEstimator:
 class PoolController:
     """Desired-size computation + the scale-event ledger.
 
-    The controller never touches workers itself — it answers "how many
-    should exist" and records what it decided; the service applies the
-    delta (spinning up with the modeled delay, retiring only idle
-    workers).  Keeping actuation in the event loop keeps every scale
-    effect a totally-ordered event like any other.
+    :meth:`decide` answers "how many should exist" and records what it
+    decided; installed in a campaign, the controller applies the delta
+    (spinning up with the modeled delay, retiring only idle workers)
+    after every admission, at every batch boundary and on the kernel's
+    ``rescale``, so every scale effect stays a totally-ordered event.
     """
 
     def __init__(self, policy: ElasticPolicy) -> None:
@@ -152,6 +156,46 @@ class PoolController:
         self.events: list[ScaleEvent] = []
         self.last_scale_s = float("-inf")
         self.spinup_spent_s = 0.0
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.handlers[_EV_WORKER_UP] = self._worker_up
+        campaign.on_admit.append(lambda rec: self._evaluate())
+        campaign.after_batch.append(self._evaluate)
+        campaign.rescale = self._evaluate
+
+    def _evaluate(self) -> None:
+        k = self.campaign
+        delta = self.decide(
+            k.now,
+            current=k._serving_workers() + len(k.pending_up),
+            idle=len(k.idle),
+            rate_rps=k.arrival_est.rate_rps(k.now),
+            batch_s=k.drain.batch_s,
+            max_batch=k.cfg.policy.max_batch,
+            backlog=len(k.queue),
+            quarantined=sum(holder.n_quarantined() for holder in k.holders),
+        )
+        if delta > 0:
+            for _ in range(delta):
+                wid = len(k.workers)
+                k.workers.append(k.make_worker(wid))
+                k._reassess((wid,))
+                k.pending_up.add(wid)
+                k._push(k.now + self.policy.spinup_s, _EV_WORKER_UP, wid)
+        elif delta < 0:
+            # Retire from the top so worker ids stay dense at the bottom
+            # (and the pick is deterministic).  Removing the id from
+            # ``idle`` *before* anything else closes the scale-down /
+            # dispatch race: a retired worker can never be selected.
+            wid = max(k.idle)
+            k.idle.remove(wid)
+            k.workers[wid].retire()
+            k._reassess((wid,))
+
+    def _worker_up(self, worker_id: int) -> None:
+        self.campaign.pending_up.discard(worker_id)
+        self.campaign._release(worker_id)
 
     # ------------------------------------------------------------------ #
 

@@ -17,7 +17,8 @@ deterministic functions of the schedule:
   ledger, a failed probe re-quarantines until ``max_strikes`` retires it
   for good.  Quarantine evicts the worker's warm gauge residency — a
   sick device's warmth must not keep attracting traffic through the
-  routing tables.
+  routing tables.  The node-scope :class:`DomainBoard` runs the same
+  :class:`Breaker` lifecycle over a whole node.
 * **Straggler hedging** — when a running batch's elapsed time exceeds a
   model-relative threshold (:class:`HedgePolicy`), a replica launches on
   an idle healthy worker.  First completion wins; the loser is cancelled
@@ -33,13 +34,21 @@ deterministic functions of the schedule:
   gone.  Levels are checkpointed with the campaign: a resumed scheduler
   facing the same backlog must not restart at NORMAL and re-discover the
   overload one shed decision at a time.
+
+The faults they are exercised against live here too (:class:`WorkerKills`,
+:class:`DomainState`).  A class with ``install(campaign)`` is a campaign
+part: it registers its event kinds, ``_EV_DONE`` run types and hooks
+with the scheduler kernel (DESIGN.md, "Daemon lifecycle").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..comms.cluster import Topology
+from .batching import BOUNDARY_SLACK_S, Batch, next_boundary
+from .elastic import spread_domain
+from .request import PRIORITY_HIGH, PRIORITY_LOW
 
 __all__ = [
     "HEALTHY",
@@ -48,11 +57,13 @@ __all__ = [
     "RETIRED_SICK",
     "HealthPolicy",
     "WorkerHealth",
+    "Breaker",
     "HealthBoard",
     "DomainPolicy",
     "DomainHealth",
     "DomainBoard",
     "DomainState",
+    "WorkerKills",
     "HedgePolicy",
     "HedgeLedger",
     "BROWNOUT_NORMAL",
@@ -64,6 +75,20 @@ __all__ = [
     "BrownoutPolicy",
     "BrownoutController",
 ]
+
+# Event kinds of this module's parts, in same-time processing order after
+# the kernel's (DONE 0, ARRIVAL 3, TIMEOUT 4), preemption's (1) and the
+# autoscaler's (2): hedge checks, hedge-loser worker frees, worker kills,
+# worker probes, then the correlated domain faults and the domain probe.
+_EV_HEDGE = 5
+_EV_HEDGE_CANCEL = 6
+_EV_KILL = 7
+_EV_PROBE = 8
+_EV_NODE_KILL = 9
+_EV_HCA_DEGRADE = 10
+_EV_PARTITION = 11
+_EV_HEAL = 12
+_EV_DOMAIN_PROBE = 13
 
 # Circuit-breaker states.  HEALTHY serves traffic; QUARANTINED is drained
 # and cooling down; PROBING runs exactly one seeded probe batch; a worker
@@ -97,6 +122,11 @@ DEGRADE_MODE = {
     "double-half": "single-half",
     "single": "single-half",
 }
+
+
+def _others_serve(campaign, part, worker_id: int) -> bool:
+    """Would every hold but ``part``'s let the worker take traffic?"""
+    return all(h.is_serving(worker_id) for h in campaign.holders if h is not part)
 
 
 @dataclass(frozen=True)
@@ -185,107 +215,304 @@ class WorkerHealth:
         return cls(**data)
 
 
-class HealthBoard:
-    """All workers' ledgers plus the campaign-wide breaker counters.
+@dataclass
+class _Probe:
+    """A breaker's seeded probe batch in flight.
 
-    The board observes and *decides* (should this worker trip?); the
-    event loop actuates (removes the worker from the idle set, schedules
-    the probe) so every quarantine effect stays a totally-ordered event
-    like any other.
+    Rides ``_EV_DONE`` like any batch completion (discriminated by
+    type), but its request never enters the campaign's records — a
+    probe is the breaker's instrument, not admitted traffic.
     """
 
-    def __init__(self, policy: HealthPolicy) -> None:
+    breaker: "Breaker"
+    ident: int
+    execution: object
+
+
+class Breaker:
+    """The one breaker lifecycle — quarantine → cooldown → one seeded
+    probe → reinstate, or retire at ``max_strikes`` — over the workers
+    a ledger holds.
+
+    A board observes and *decides* (should this ledger trip?); the
+    lifecycle actuates through the campaign kernel it is installed in
+    (holds the members out of the idle set, schedules the probe,
+    re-idles or retires them), so every effect stays a totally-ordered
+    event.  :class:`HealthBoard` keeps a ledger per worker and trips on
+    an EWMA failure rate; :class:`DomainBoard` keeps one per node and
+    trips on k distinct worker strikes in a window.  Each says what
+    differs by scope: the ledger type and its checkpoint keys, the
+    probe's event kind, the workers a ledger holds, when it may be
+    probed and what a quarantine entry counts.
+    """
+
+    LEDGER_TYPE: type
+    #: The ledger's identity field, the checkpoint keys of the ledgers
+    #: and of the retired count, and the probe's event kind.
+    IDENT: str
+    LEDGERS_KEY: str
+    RETIRED_KEY: str
+    PROBE: int
+
+    def __init__(self, policy) -> None:
         self.policy = policy
-        #: By worker id.  :class:`DomainBoard` uses the same name, so a
-        #: restore re-arms both boards' probes through one loop.
-        self.ledgers: dict[int, WorkerHealth] = {}
+        self.ledgers: dict = {}
         self.quarantines = 0
         self.reinstated = 0
-        self.retired_sick = 0
+        self.retired = 0
 
-    def tracker(self, worker_id: int) -> WorkerHealth:
-        if worker_id not in self.ledgers:
-            self.ledgers[worker_id] = WorkerHealth(worker_id)
-        return self.ledgers[worker_id]
+    def tracker(self, ident: int):
+        if ident not in self.ledgers:
+            self.ledgers[ident] = self.LEDGER_TYPE(ident)
+        return self.ledgers[ident]
+
+    def quarantine(self, ident: int, now: float):
+        led = self.tracker(ident)
+        led.state = QUARANTINED
+        led.cooldown_until_s = now + self.policy.cooldown_s
+        self.quarantines += 1
+        self._entered(led)
+        return led
+
+    def start_probe(self, ident: int) -> None:
+        self.tracker(ident).state = PROBING
+
+    def reinstate(self, ident: int) -> None:
+        """A clean probe closes the breaker with a *reset* ledger — the
+        quarantined failures must not linger and re-trip the breaker on
+        the next (innocent) blip."""
+        led = self.tracker(ident)
+        led.state = HEALTHY
+        self._reset(led)
+        self.reinstated += 1
+
+    def retire_sick(self, ident: int) -> None:
+        self.tracker(ident).state = RETIRED_SICK
+        self.retired += 1
+
+    def state(self, ident: int) -> str:
+        led = self.ledgers.get(ident)
+        return led.state if led is not None else HEALTHY
+
+    def is_serving(self, ident: int) -> bool:
+        """Whether the ledger may take regular traffic (quarantined and
+        probing ones hold their slot but serve nothing)."""
+        return self.state(ident) == HEALTHY
 
     # ------------------------------------------------------------------ #
-    # Observations
+    # Campaign-checkpoint round trip (resume keeps quarantines)
     # ------------------------------------------------------------------ #
 
-    def observe_success(
-        self, worker_id: int, duration_s: float, predicted_s: float
-    ) -> bool:
-        """Fold a clean completion; returns True when it counted as a
-        *slow* sample (latency beyond ``slow_ratio`` x the model)."""
-        wh = self.tracker(worker_id)
-        wh.completions += 1
-        slow = (
-            predicted_s > 0
-            and duration_s > self.policy.slow_ratio * predicted_s
+    def to_json(self) -> dict:
+        return {
+            "quarantines": self.quarantines,
+            "reinstated": self.reinstated,
+            self.RETIRED_KEY: self.retired,
+            self.LEDGERS_KEY: [
+                self.ledgers[i].to_json() for i in sorted(self.ledgers)
+            ],
+        }
+
+    def restore(self, data: dict) -> None:
+        self.quarantines = int(data["quarantines"])
+        self.reinstated = int(data["reinstated"])
+        self.retired = int(data[self.RETIRED_KEY])
+        self.ledgers = {
+            int(led[self.IDENT]): self.LEDGER_TYPE.from_json(led)
+            for led in data[self.LEDGERS_KEY]
+        }
+
+    # ------------------------------------------------------------------ #
+    # The lifecycle, against the campaign kernel
+    # ------------------------------------------------------------------ #
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.handlers[self.PROBE] = self._start_probe
+        campaign.done_handlers[_Probe] = lambda run: run.breaker._probe_done(run)
+        campaign.on_start.append(self._rearm)
+
+    def _rearm(self) -> None:
+        """Quarantines survive a scheduler crash (a known-flaky worker
+        must not restart HEALTHY), but their probe events died with it.
+        A ledger caught mid-probe re-enters QUARANTINED — its probe
+        batch is gone, so it earns a fresh one."""
+        k = self.campaign
+        for ident, led in self.ledgers.items():
+            if led.state == PROBING:
+                led.state = QUARANTINED
+            if led.state == QUARANTINED:
+                k._push(max(led.cooldown_until_s, k.now), self.PROBE, ident)
+
+    def _open(self, ident: int):
+        """Open the breaker on a serving ledger: hold its live members
+        out of the idle set, evict their warm residency (a sick device's
+        warmth must not keep attracting traffic), schedule the probe."""
+        k = self.campaign
+        led = self.quarantine(ident, k.now)
+        members = self._members(ident)
+        k._reassess(members)
+        for wid in members:
+            worker = k.workers[wid]
+            if not worker.retired:
+                k._hold(wid)
+                worker.evict_residency()
+                self._isolated(wid)
+        self._cool(ident, led)
+        return led
+
+    def _cool(self, ident: int, led) -> None:
+        self.campaign._push(led.cooldown_until_s, self.PROBE, ident)
+        self._struck(ident)
+
+    def _start_probe(self, ident: int) -> None:
+        """The cooldown expired: one probe for the ledger, on its
+        lowest-id live member."""
+        k = self.campaign
+        if self.state(ident) != QUARANTINED:
+            return
+        live = [w for w in self._members(ident) if not k.workers[w].retired]
+        if not live:
+            self._orphaned(ident)
+        elif not self._may_probe(ident):
+            k._push(k.now + max(self.policy.cooldown_s, 1e-6), self.PROBE, ident)
+        elif k.template is None:
+            # Nothing dispatched yet to probe with; close the breaker
+            # optimistically — the ledger re-opens on the next fault.
+            self.reinstate(ident)
+            k._reidle(self._members(ident))
+        else:
+            self.start_probe(ident)
+            self._run_probe(k.workers[live[0]], ident)
+
+    def _run_probe(self, worker, ident: int) -> None:
+        """One seeded probe batch on ``worker`` — representative work
+        (the head request of the most recent fresh dispatch) at LOW
+        priority, outside the campaign's records.  A send that cannot
+        arrive fails after the kernel's send timeout."""
+        k = self.campaign
+        probe = replace(
+            k.template,
+            req_id=self._probe_id(ident),
+            priority=PRIORITY_LOW,
+            arrival_s=k.now,
+            deadline_s=None,
         )
-        if slow:
-            wh.slow_batches += 1
-        wh._fold(1.0 if slow else 0.0, self.policy.alpha)
-        return slow
+        execution = worker.execute(
+            [probe], grid=None, tune_cache=k.placement.tune_cache
+        )
+        duration = execution.duration_s
+        timeout = k.send_timeout(worker.worker_id)
+        if timeout is not None:
+            execution, duration = replace(execution, ok=False), timeout
+        worker.busy_s += duration
+        k._deliver(k.now + duration, _Probe(self, ident, execution))
+
+    def _probe_done(self, run: _Probe) -> None:
+        """The probe's verdict: clean reinstates every eligible member
+        at once; a failure re-quarantines, and ``max_strikes`` retires
+        the members for good."""
+        k = self.campaign
+        ident = run.ident
+        if not self._probing(ident):
+            return
+        if run.execution.ok:
+            self.reinstate(ident)
+            k._reidle(self._members(ident))
+        elif self._failed(ident) >= self.policy.max_strikes:
+            # Probing, so the members are already out of ``serving``.
+            self.retire_sick(ident)
+            for wid in self._members(ident):
+                worker = k.workers[wid]
+                if not worker.retired:
+                    worker.retire()
+                    self._isolated(wid)
+                k._hold(wid)
+            k.rescale()  # the pool may want a replacement
+        else:
+            self._cool(ident, self.quarantine(ident, k.now))
+
+    # What a scope adds to the lifecycle: nothing, by default.
+
+    def _isolated(self, worker_id: int) -> None:
+        """A member left service."""
+
+    def _struck(self, ident: int) -> None:
+        """The ledger was (re-)quarantined."""
+
+    def _orphaned(self, ident: int) -> None:
+        """The probe came due with no live member left to run it."""
+
+    def _probing(self, ident: int) -> bool:
+        return self.state(ident) == PROBING
+
+
+class HealthBoard(Breaker):
+    """The per-worker circuit breaker: all workers' ledgers plus the
+    campaign-wide counters.
+
+    One call per batch outcome, :meth:`observe`, folds it and says
+    whether the breaker trips.  Installed, the board holds workers out
+    of ``serving`` (one of the kernel's ``holders``), observes every
+    completion and answers worker kills.
+    """
+
+    LEDGER_TYPE = WorkerHealth
+    IDENT, LEDGERS_KEY, RETIRED_KEY = "worker_id", "workers", "retired_sick"
+    PROBE = _EV_PROBE
+
+    def install(self, campaign) -> None:
+        super().install(campaign)
+        campaign.holders.append(self)
+        campaign.on_complete.append(self._observe_batch)
+        campaign.on_kill.append(self._killed)
+
+    def observe(
+        self,
+        worker_id: int,
+        failure: str | None = None,
+        duration_s: float = 0.0,
+        predicted_s: float = 0.0,
+    ) -> tuple[bool, bool]:
+        """Fold one batch outcome of a serving worker — a failure of
+        kind ``failure``, else a clean completion that counts as a
+        failure sample when slower than ``slow_ratio`` x the model —
+        and return ``(trip, slow)``.  A worker the breaker holds (or
+        retired) is not observed: ``(False, False)``."""
+        wh = self.ledgers.get(worker_id)
+        if wh is None:
+            wh = self.ledgers[worker_id] = WorkerHealth(worker_id)
+        elif wh.state != HEALTHY:
+            return False, False
+        slow = False
+        if failure is not None:
+            self._fold_failure(wh, failure)
+        else:
+            wh.completions += 1
+            slow = (
+                predicted_s > 0
+                and duration_s > self.policy.slow_ratio * predicted_s
+            )
+            if slow:
+                wh.slow_batches += 1
+            wh._fold(1.0 if slow else 0.0, self.policy.alpha)
+        trip = (
+            wh.samples >= self.policy.min_samples
+            and wh.failure_rate >= self.policy.trip_rate
+        )
+        return trip, slow
 
     def observe_failure(self, worker_id: int, kind: str) -> None:
-        """Fold a failed batch (``kind``: crash | timeout | kill | probe)."""
-        wh = self.tracker(worker_id)
+        """Fold a failure whatever the worker's state (a kill, a failed
+        probe; ``kind``: crash | timeout | kill | probe)."""
+        self._fold_failure(self.tracker(worker_id), kind)
+
+    def _fold_failure(self, wh: WorkerHealth, kind: str) -> None:
         if kind == "timeout":
             wh.timeouts += 1
         else:
             wh.crashes += 1
         wh._fold(1.0, self.policy.alpha)
-
-    def should_trip(self, worker_id: int) -> bool:
-        wh = self.tracker(worker_id)
-        return (
-            wh.state == HEALTHY
-            and wh.samples >= self.policy.min_samples
-            and wh.failure_rate >= self.policy.trip_rate
-        )
-
-    # ------------------------------------------------------------------ #
-    # Breaker transitions
-    # ------------------------------------------------------------------ #
-
-    def quarantine(self, worker_id: int, now: float) -> WorkerHealth:
-        wh = self.tracker(worker_id)
-        wh.state = QUARANTINED
-        wh.strikes += 1
-        wh.cooldown_until_s = now + self.policy.cooldown_s
-        self.quarantines += 1
-        return wh
-
-    def start_probe(self, worker_id: int) -> None:
-        self.tracker(worker_id).state = PROBING
-
-    def reinstate(self, worker_id: int) -> None:
-        """A clean probe closes the breaker with a *reset* ledger — the
-        quarantined failures must not linger in the EWMA and re-trip the
-        breaker on the next (innocent) blip."""
-        wh = self.tracker(worker_id)
-        wh.state = HEALTHY
-        wh.ewma_failure = None
-        wh.samples = 0
-        self.reinstated += 1
-
-    def retire_sick(self, worker_id: int) -> None:
-        self.tracker(worker_id).state = RETIRED_SICK
-        self.retired_sick += 1
-
-    # ------------------------------------------------------------------ #
-    # Pool views
-    # ------------------------------------------------------------------ #
-
-    def state(self, worker_id: int) -> str:
-        wh = self.ledgers.get(worker_id)
-        return wh.state if wh is not None else HEALTHY
-
-    def is_serving(self, worker_id: int) -> bool:
-        """Whether the worker may take regular traffic (quarantined and
-        probing workers hold their slot but serve nothing)."""
-        return self.state(worker_id) == HEALTHY
 
     def n_quarantined(self) -> int:
         """Workers currently held out by the breaker (quarantined or
@@ -296,34 +523,77 @@ class HealthBoard:
         )
 
     def summary(self) -> dict:
-        return {
-            "quarantines": self.quarantines,
-            "reinstated": self.reinstated,
-            "retired_sick": self.retired_sick,
-        }
+        out = self.to_json()
+        del out[self.LEDGERS_KEY]
+        return out
 
-    # ------------------------------------------------------------------ #
-    # Campaign-checkpoint round trip (resume preserves quarantines)
-    # ------------------------------------------------------------------ #
+    def _observe_batch(self, batch: Batch, execution, predicted: float) -> None:
+        """A batch left its worker: ``execution`` is its outcome, or
+        ``None`` for a send that timed out into a dead node."""
+        k = self.campaign
+        wid = batch.worker_id
+        if k.workers[wid].retired:
+            return
+        if execution is not None and execution.ok:
+            trip, slow = self.observe(
+                wid, duration_s=execution.duration_s, predicted_s=predicted
+            )
+        else:
+            failure = getattr(execution, "failure", None)
+            trip, slow = self.observe(
+                wid, failure.mode if failure is not None else "crash"
+            )
+        if slow:
+            batch.trace.append(
+                (
+                    k.now,
+                    "slow",
+                    f"{execution.duration_s * 1e6:.1f}us vs model "
+                    f"{predicted * 1e6:.1f}us",
+                )
+            )
+        if trip:
+            wh = self._open(wid)
+            rate = (
+                "" if execution is None
+                else f" (failure rate {wh.failure_rate:.2f})"
+            )
+            batch.trace.append(
+                (k.now, "quarantine", f"worker {wid} quarantined{rate}")
+            )
 
-    def to_json(self) -> dict:
-        return {
-            "quarantines": self.quarantines,
-            "reinstated": self.reinstated,
-            "retired_sick": self.retired_sick,
-            "workers": [
-                self.ledgers[w].to_json() for w in sorted(self.ledgers)
-            ],
-        }
+    def _killed(self, worker_id: int) -> None:
+        self.observe_failure(worker_id, "kill")
+        self.retire_sick(worker_id)
 
-    def restore(self, data: dict) -> None:
-        self.quarantines = int(data["quarantines"])
-        self.reinstated = int(data["reinstated"])
-        self.retired_sick = int(data["retired_sick"])
-        self.ledgers = {
-            int(wd["worker_id"]): WorkerHealth.from_json(wd)
-            for wd in data["workers"]
-        }
+    def _members(self, worker_id: int) -> list[int]:
+        return [worker_id]
+
+    def _entered(self, wh: WorkerHealth) -> None:
+        wh.strikes += 1
+
+    def _reset(self, wh: WorkerHealth) -> None:
+        wh.ewma_failure = None
+        wh.samples = 0
+
+    def _struck(self, worker_id: int) -> None:
+        # One worker-level fault is one strike against its domain.
+        self.campaign._strike(worker_id)
+
+    def _may_probe(self, worker_id: int) -> bool:
+        # A held domain (quarantined or partitioned) would race the
+        # domain's single probe: retry once it resolves.
+        return _others_serve(self.campaign, self, worker_id)
+
+    def _probe_id(self, worker_id: int) -> int:
+        return -(worker_id + 1)
+
+    def _probing(self, worker_id: int) -> bool:
+        return not self.campaign.workers[worker_id].retired
+
+    def _failed(self, worker_id: int) -> int:
+        self.observe_failure(worker_id, "probe")
+        return self.tracker(worker_id).strikes
 
 
 @dataclass(frozen=True)
@@ -388,34 +658,31 @@ class DomainHealth:
         return cls(**data)
 
 
-class DomainBoard:
+class DomainBoard(Breaker):
     """Per-node domain breakers fed by correlated worker strikes.
 
-    Same observe/decide/actuate split as :class:`HealthBoard`: the board
-    counts strikes and answers ``should this node trip?``; the event
-    loop sweeps the node's workers and schedules the *single* domain
-    probe (one probe per domain, not per worker — the whole point of
-    recognizing the correlation).
+    The board counts strikes and answers ``should this node trip?``;
+    the lifecycle sweeps the node's workers and runs the *single*
+    domain probe (one probe per domain, not per worker — the whole
+    point of recognizing the correlation).  Installed, it holds nodes
+    out of the campaign's :class:`DomainState` (a domain policy
+    requires a topology).
     """
 
-    def __init__(self, policy: DomainPolicy) -> None:
-        self.policy = policy
-        #: By node id.
-        self.ledgers: dict[int, DomainHealth] = {}
-        self.quarantines = 0
-        self.reinstated = 0
-        self.retired = 0
-        #: Per-node quarantine entries, for the report scorecard.
-        self.by_domain: dict[int, int] = {}
+    LEDGER_TYPE = DomainHealth
+    IDENT, LEDGERS_KEY, RETIRED_KEY = "node", "domains", "retired"
+    PROBE = _EV_DOMAIN_PROBE
 
-    def tracker(self, node: int) -> DomainHealth:
-        if node not in self.ledgers:
-            self.ledgers[node] = DomainHealth(node)
-        return self.ledgers[node]
+    def install(self, campaign) -> None:
+        super().install(campaign)
+        self.domains.holds.append(self.is_serving)
+        campaign.on_strike.append(self._strike)
 
-    # ------------------------------------------------------------------ #
-    # Observations
-    # ------------------------------------------------------------------ #
+    @property
+    def domains(self) -> "DomainState":
+        # Looked up, not kept: the state holds this board's hold, and a
+        # reference back would make the pair outlive its campaign.
+        return self.campaign.parts["domains"]
 
     def observe_strike(self, node: int, worker_id: int, now: float) -> bool:
         """Record a worker-level quarantine on ``node``; returns True
@@ -431,50 +698,13 @@ class DomainBoard:
         distinct = {w for _, w in dh.strikes}
         return dh.state == HEALTHY and len(distinct) >= self.policy.strike_k
 
-    # ------------------------------------------------------------------ #
-    # Breaker transitions
-    # ------------------------------------------------------------------ #
-
-    def quarantine(self, node: int, now: float) -> DomainHealth:
-        dh = self.tracker(node)
-        dh.state = QUARANTINED
-        dh.probe_strikes += 1
-        dh.cooldown_until_s = now + self.policy.cooldown_s
-        dh.quarantines += 1
-        self.quarantines += 1
-        self.by_domain[node] = self.by_domain.get(node, 0) + 1
-        return dh
-
-    def start_probe(self, node: int) -> None:
-        self.tracker(node).state = PROBING
-
-    def reinstate(self, node: int) -> None:
-        dh = self.tracker(node)
-        dh.state = HEALTHY
-        dh.strikes = []
-        dh.probe_strikes = 0
-        self.reinstated += 1
-
-    def retire_sick(self, node: int) -> None:
-        self.tracker(node).state = RETIRED_SICK
-        self.retired += 1
-
-    # ------------------------------------------------------------------ #
-    # Pool views
-    # ------------------------------------------------------------------ #
-
-    def state(self, node: int) -> str:
-        dh = self.ledgers.get(node)
-        return dh.state if dh is not None else HEALTHY
-
-    def is_serving(self, node: int) -> bool:
-        return self.state(node) == HEALTHY
-
-    def n_quarantined(self) -> int:
-        return sum(
-            1 for dh in self.ledgers.values()
-            if dh.state in (QUARANTINED, PROBING)
-        )
+    def by_domain(self) -> dict[str, int]:
+        """Quarantine entries per node that has had any."""
+        return {
+            str(n): self.ledgers[n].quarantines
+            for n in sorted(self.ledgers)
+            if self.ledgers[n].quarantines
+        }
 
     def summary(self) -> dict:
         """The breaker's rows of the report's ``domains`` scorecard."""
@@ -483,36 +713,60 @@ class DomainBoard:
                 "domain_quarantines": self.quarantines,
                 "domain_reinstated": self.reinstated,
                 "domain_retired": self.retired,
-                "quarantines_by_domain": {
-                    str(n): self.by_domain[n] for n in sorted(self.by_domain)
-                },
+                "quarantines_by_domain": self.by_domain(),
             }
         }
 
-    # ------------------------------------------------------------------ #
-    # Campaign-checkpoint round trip (resume preserves quarantines)
-    # ------------------------------------------------------------------ #
-
     def to_json(self) -> dict:
-        return {
-            "quarantines": self.quarantines,
-            "reinstated": self.reinstated,
-            "retired": self.retired,
-            "by_domain": {str(n): c for n, c in sorted(self.by_domain.items())},
-            "domains": [self.ledgers[n].to_json() for n in sorted(self.ledgers)],
-        }
+        return {**super().to_json(), "by_domain": self.by_domain()}
 
-    def restore(self, data: dict) -> None:
-        self.quarantines = int(data["quarantines"])
-        self.reinstated = int(data["reinstated"])
-        self.retired = int(data["retired"])
-        self.by_domain = {
-            int(n): int(c) for n, c in data["by_domain"].items()
-        }
-        self.ledgers = {
-            int(dd["node"]): DomainHealth.from_json(dd)
-            for dd in data["domains"]
-        }
+    def _strike(self, worker_id: int) -> None:
+        """The k-th *distinct* striking worker in the window escalates
+        to a whole-domain quarantine."""
+        node = self.domains.node_of(worker_id)
+        if self.observe_strike(node, worker_id, self.campaign.now):
+            self._open(node)
+
+    def _members(self, node: int) -> list[int]:
+        return self.domains.members(node, len(self.campaign.workers))
+
+    def _entered(self, dh: DomainHealth) -> None:
+        dh.probe_strikes += 1
+        dh.quarantines += 1
+
+    def _reset(self, dh: DomainHealth) -> None:
+        dh.strikes = []
+        dh.probe_strikes = 0
+
+    def _isolated(self, worker_id: int) -> None:
+        self.domains._isolate(worker_id)
+
+    def _orphaned(self, node: int) -> None:
+        self.retire_sick(node)
+
+    def _may_probe(self, node: int) -> bool:
+        # Unreachable domains cannot be probed; wait out the heal.
+        return self.domains.reachable(node)
+
+    def _probe_id(self, node: int) -> int:
+        # Below the per-worker probe id range, so traces never alias.
+        return -(len(self.campaign.workers) + node + 1)
+
+    def _failed(self, node: int) -> int:
+        return self.tracker(node).probe_strikes
+
+
+@dataclass
+class _DeadRun:
+    """A batch condemned by a *silent* node loss, awaiting detection.
+
+    The scheduler dispatched to a dead node without knowing it: the
+    send can only fail by timeout, so the failure surfaces ``detect_s``
+    after dispatch — not at the instant of death.  Rides ``_EV_DONE``
+    discriminated by type, like a probe.
+    """
+
+    batch: Batch
 
 
 class DomainState:
@@ -523,6 +777,12 @@ class DomainState:
     counters.  All of it is checkpointed (except ``hca_factor``), so
     the fault events a resumed scheduler refires replay idempotently:
     a restored dead node is not killed, or counted, twice.
+
+    Installed, it holds workers on unreachable (or breaker-held) nodes
+    out of service, places scale-ups and anti-affine hedges, records
+    time-to-isolate on every strike, and — with a
+    :class:`~repro.comms.faults.DomainFaultPlan` — owns the node-kill,
+    HCA-degrade, partition and heal events.
     """
 
     def __init__(self, topology: Topology, boot_workers: int) -> None:
@@ -545,6 +805,9 @@ class DomainState:
         #: First model time each worker was held out of service by a
         #: breaker (worker or domain) — the time-to-isolate witness.
         self.isolation_s: dict[int, float] = {}
+        #: Node predicates beyond reachability that must hold for a
+        #: node to serve (a domain breaker registers its own).
+        self.holds: list = []
 
     def node_of(self, worker_id: int) -> int:
         """The failure domain a worker lives on."""
@@ -557,6 +820,11 @@ class DomainState:
         """Every worker (any lifecycle state) of a ``pool_size`` pool
         that lives on ``node``."""
         return [w for w in range(pool_size) if self.node_of(w) == node]
+
+    def _pool_on(self, nodes) -> list[int]:
+        """Every pool worker (any lifecycle state) on any of ``nodes``."""
+        pool_size = len(self.campaign.workers)
+        return [w for node in nodes for w in self.members(node, pool_size)]
 
     def reachable(self, node: int) -> bool:
         """Whether the node's rack is on the scheduler's side of every
@@ -580,6 +848,244 @@ class DomainState:
                     max(self.isolation_s[w] for w in members) * 1e3, 6
                 )
         return out
+
+    # ------------------------------------------------------------------ #
+    # The campaign hooks
+    # ------------------------------------------------------------------ #
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.holders.append(self)
+        campaign.on_strike.append(self._isolate)
+        campaign.make_worker = self._make_worker
+        campaign.node_of = self.node_of
+        if campaign.cfg.anti_affinity:
+            campaign.replica_index = self._replica_index
+        self.faults = campaign.cfg.domain_faults
+        if self.faults is not None:
+            campaign.handlers.update(
+                {
+                    _EV_NODE_KILL: self._kill_node,
+                    _EV_HCA_DEGRADE: self._hca_degrade,
+                    _EV_PARTITION: self._partition,
+                    _EV_HEAL: self._heal,
+                }
+            )
+            campaign.done_handlers[_DeadRun] = self._dead_done
+            campaign.send_timeout = self._send_timeout
+            campaign.on_launch.append(self._sent)
+            campaign.on_start.append(self._schedule)
+
+    def _node_ok(self, node: int) -> bool:
+        return self.reachable(node) and all(hold(node) for hold in self.holds)
+
+    def is_serving(self, worker_id: int) -> bool:
+        """May this worker take traffic, as far as domain state knows?"""
+        return self._node_ok(self.node_of(worker_id))
+
+    def n_quarantined(self) -> int:
+        """Not-retired workers a *domain* hold (quarantine or partition)
+        alone parks — the autoscaler must not read them as shrinkable
+        idle capacity."""
+        k = self.campaign
+        return sum(
+            1
+            for w in k.workers
+            if not w.retired
+            and not self.is_serving(w.worker_id)
+            and _others_serve(k, self, w.worker_id)
+        )
+
+    def _isolate(self, worker_id: int) -> None:
+        self.isolation_s.setdefault(worker_id, self.campaign.now)
+
+    def _make_worker(self, worker_id: int):
+        """A worker past the boot pool lands on its recorded node (a
+        restore rebuilding it) or, anti-packing an elastic surge, on the
+        least-loaded healthy node — lowest id on ties — and inherits the
+        node's HCA slowdown like every co-resident worker."""
+        k = self.campaign
+        node = self.worker_node.get(worker_id)
+        if node is None:
+            nodes = list(range(self.topology.n_nodes))
+            healthy = [
+                n for n in nodes if n not in self.dead_nodes and self._node_ok(n)
+            ]
+            loads: dict[int, int] = {}
+            for w in k.workers:
+                if not w.retired:
+                    n = self.node_of(w.worker_id)
+                    loads[n] = loads.get(n, 0) + 1
+            # With every domain unhealthy the pool still must not
+            # starve: fall back to spreading across all nodes.
+            node = self.worker_node[worker_id] = spread_domain(
+                loads, healthy or nodes
+            )
+        worker = k.service._make_worker(worker_id, node=node)
+        factor = self.hca_factor.get(node)
+        if factor is not None:
+            worker.straggler_factor *= factor
+        return worker
+
+    def _replica_index(self, batch: Batch) -> int:
+        """A hedge exists because the primary looks sick; a replica
+        sharing the primary's failure domain shares its fate.  Prefer an
+        idle worker on a *different* node — gauge-resident ones first,
+        so the diversion never trades warmth for diversity when it can
+        have both."""
+        k = self.campaign
+        primary = self.node_of(batch.worker_id)
+        head = batch.records[0].request
+        rkey = (head.config_id, head.dims, head.mode, batch.grid)
+        best = None
+        for i, cand in enumerate(k.idle):
+            if self.node_of(cand) == primary:
+                continue
+            score = (0 if k.workers[cand].resident_key == rkey else 1, i)
+            if best is None or score < best:
+                best = score
+        if best is None:
+            return 0
+        self.anti_affinity_hedges += 1
+        return best[1]
+
+    # ------------------------------------------------------------------ #
+    # Correlated domain faults: silent node loss, HCA rot, partitions
+    # ------------------------------------------------------------------ #
+
+    def _schedule(self) -> None:
+        k, df = self.campaign, self.faults
+        for nk in df.node_kills:
+            k._push(max(nk.at_s, k.now), _EV_NODE_KILL, nk.node)
+        for hd in df.hca_degrades:
+            k._push(max(hd.at_s, k.now), _EV_HCA_DEGRADE, hd)
+        for sp in df.partitions:
+            k._push(max(sp.at_s, k.now), _EV_PARTITION, sp)
+            # The heal is seeded at schedule time (an absolute model
+            # time), so a resumed run heals at the same instant.
+            k._push(max(df.heal_time(sp), k.now), _EV_HEAL, sp.rack)
+
+    def _send_timeout(self, worker_id: int) -> float | None:
+        """A send to a silently dead node can only time out."""
+        dead = self.node_of(worker_id) in self.dead_nodes
+        return self.faults.detect_s if dead else None
+
+    def _sent(self, batch: Batch) -> None:
+        if self._send_timeout(batch.worker_id) is not None:
+            self._condemn(batch.batch_id)
+
+    def _kill_node(self, node: int) -> None:
+        """A node dies *silently*: no retire, no idle eviction — the
+        scheduler keeps dispatching to its workers and only learns of
+        the death through timed-out sends.  The resilience stack (worker
+        strikes escalating to a domain quarantine) must infer the rest.
+
+        Idempotent on the restored ``dead_nodes`` set so the refired
+        event replays safely after a scheduler resume."""
+        if node in self.dead_nodes:
+            return
+        k = self.campaign
+        self.dead_nodes.add(node)
+        self.nodes_killed += 1
+        lose_domain = getattr(k.store, "lose_domain", None)
+        if lose_domain is not None:
+            # The checkpoint replica hosted on this node goes with it.
+            lose_domain(node)
+        for bid in k._running_on(self._pool_on((node,))):
+            self._condemn(bid)
+
+    def _condemn(self, batch_id: int) -> None:
+        """A batch is in flight to (or running on) a dead node: its
+        completion will never arrive.  Replace it with a timeout firing
+        ``detect_s`` from now — the earliest instant the scheduler can
+        notice anything is wrong.  Occupancy past the detection point is
+        never spent; occupancy before it models the scheduler believing
+        the worker is busy."""
+        k = self.campaign
+        fail_at = k.now + self.faults.detect_s
+        entry = k._teardown(batch_id, fail_at)
+        if entry is not None:
+            k._deliver(fail_at, _DeadRun(entry[0]))
+
+    def _dead_done(self, run: _DeadRun) -> None:
+        """The send timeout fired: surface the condemned batch's failure
+        exactly like a worker crash — requeue within budget, terminal
+        fail past it — but *without* retiring the worker.  The slot
+        rejoins the idle set and keeps attracting traffic until the
+        breakers catch on: that detection lag is the cost the domain
+        quarantine exists to bound."""
+        k = self.campaign
+        batch = run.batch
+        wid = batch.worker_id
+        node = self.node_of(wid)
+        batch.trace.append(
+            (
+                k.now,
+                "node_dead",
+                f"send to worker {wid} timed out after "
+                f"{self.faults.detect_s * 1e6:.1f}us",
+            )
+        )
+        k._surrender(
+            batch,
+            kind="node_lost",
+            detail=f"node {node} unreachable",
+            why=f"worker {wid} unreachable (node {node} lost)",
+        )
+        k._release(wid)
+        k._finished(batch, None)
+
+    def _hca_degrade(self, spec) -> None:
+        """A node's HCA rots: every co-resident worker slows by the
+        spec's factor (in-flight batches keep their schedule; only
+        future executions pay).  Re-applies exactly once after resume
+        because rebuilt workers carry base factors."""
+        if spec.node in self.hca_factor:
+            return
+        k = self.campaign
+        self.hca_factor[spec.node] = spec.factor
+        for wid in self._pool_on((spec.node,)):
+            worker = k.workers[wid]
+            if not worker.retired:
+                worker.straggler_factor *= spec.factor
+
+    def _partition(self, spec) -> None:
+        """A switch partitions a whole rack — loud, unlike a node kill:
+        the scheduler sees the link drop, parks every rack worker, and
+        requeues their in-flight work immediately.  The rack is not
+        retired; the seeded heal returns it."""
+        rack = spec.rack
+        if rack in self.partitioned or rack in self.healed_racks:
+            return
+        k = self.campaign
+        self.partitioned.add(rack)
+        self.partitions_seen += 1
+        member_ids = self._pool_on(self.topology.nodes_in_rack(rack))
+        k._reassess(member_ids)
+        for wid in member_ids:
+            k._hold(wid)
+        detail = f"rack {rack} partitioned"
+        for bid in k._running_on(member_ids):
+            batch = k._teardown(bid, k.now)[0]
+            batch.trace.append(
+                (k.now, "partitioned", "switch uplink lost mid-batch")
+            )
+            k._surrender(batch, kind="partition", detail=detail)
+        k._rebalance()
+
+    def _heal(self, rack: int) -> None:
+        if rack not in self.partitioned:
+            return
+        k = self.campaign
+        self.partitioned.discard(rack)
+        self.healed_racks.add(rack)
+        self.partition_heals += 1
+        k._reidle(self._pool_on(self.topology.nodes_in_rack(rack)))
+        k.rescale()
+
+    # ------------------------------------------------------------------ #
+    # Campaign-checkpoint round trip and report
+    # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
         return {
@@ -627,6 +1133,46 @@ class DomainState:
         }
 
 
+class WorkerKills:
+    """Scheduled whole-worker deaths (``WorkerFaultPlan.kills``): the
+    ``KILL`` event kind.  A killed worker is retired, its in-flight
+    batches fail and hand their requests back to the queue — the
+    no-lost-requests invariant does not care whose fault the loss was.
+    Its count lives in the kernel's ``counters`` part."""
+
+    def __init__(self, kills) -> None:
+        self.kills = kills
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.handlers[_EV_KILL] = self._kill
+        campaign.on_start.append(self._schedule)
+
+    def _schedule(self) -> None:
+        k = self.campaign
+        for kill in self.kills:
+            k._push(max(kill.at_s, k.now), _EV_KILL, kill.worker_id)
+
+    def _kill(self, worker_id: int) -> None:
+        k = self.campaign
+        # An elastic id the pool never grew to has nothing to kill.
+        if worker_id >= len(k.workers) or k.workers[worker_id].retired:
+            return
+        k.workers[worker_id].retire()
+        k._reassess((worker_id,))
+        k.counters.workers_killed += 1
+        k._hold(worker_id)
+        for hook in k.on_kill:
+            hook(worker_id)
+        k._strike(worker_id)
+        detail = f"worker {worker_id} killed"
+        for bid in k._running_on({worker_id}):
+            batch = k._teardown(bid, k.now)[0]
+            batch.trace.append((k.now, "killed", "worker died mid-batch"))
+            k._surrender(batch, kind="worker_crash", detail=detail)
+        k.rescale()
+
+
 @dataclass(frozen=True)
 class HedgePolicy:
     """When a running batch earns a speculative replica."""
@@ -652,16 +1198,112 @@ class HedgePolicy:
 
 
 class HedgeLedger:
-    """One campaign's hedge accounting, beside the policy it runs under:
-    replicas launched, replicas that beat their original, losers
-    cancelled at a refresh boundary.  Checkpointed, so a resumed
-    campaign reports the whole campaign's hedges."""
+    """One campaign's hedging: the ``HEDGE`` check armed at every
+    primary launch, the replica it may earn, and the ``HEDGE_CANCEL``
+    that frees the loser's worker — with the accounting beside the
+    policy (replicas launched, replicas that beat their original,
+    losers cancelled at a refresh boundary).  Checkpointed, so a
+    resumed campaign reports the whole campaign's hedges."""
 
     def __init__(self, policy: HedgePolicy) -> None:
         self.policy = policy
         self.launched = 0
         self.won = 0
         self.cancelled = 0
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.handlers[_EV_HEDGE] = self._maybe_hedge
+        # The loser's worker rejoins the idle set at its abandon
+        # boundary (unless retired or quarantined in the meantime).
+        campaign.handlers[_EV_HEDGE_CANCEL] = campaign._release
+        campaign.on_launch.append(self._arm)
+        campaign.on_complete.append(self._resolve)
+
+    def _arm(self, batch: Batch) -> None:
+        """Schedule the straggler check: if a primary is still running
+        when elapsed time crosses ``trigger_factor`` x the dispatch-time
+        drain estimate, it earns a speculative replica.  (Registered
+        before a dead node's condemn, which drops the prediction.)"""
+        k = self.campaign
+        if batch.hedge_of is None and k.drain.samples >= self.policy.min_samples:
+            k._push(
+                k.now + self.policy.trigger_factor * k.predicted[batch.batch_id],
+                _EV_HEDGE,
+                batch,
+            )
+
+    def _maybe_hedge(self, batch: Batch) -> None:
+        """The hedge threshold passed with the batch still running:
+        launch a replica on an idle healthy worker.  First completion
+        wins; the loser abandons at its next refresh boundary."""
+        k = self.campaign
+        entry = k.running.get(batch.batch_id)
+        if entry is None or batch.preempt_at_s is not None:
+            return
+        if batch.partner_id is not None or not k.idle:
+            return  # already hedged, or no healthy idle worker
+        _, _, start, end = entry
+        if end - k.now <= BOUNDARY_SLACK_S:
+            return  # completing at this very instant anyway
+        wid = k.idle[k.replica_index(batch)]
+        replica = k._form(
+            batch.records,
+            wid,
+            batch.grid,
+            hedge_of=batch.batch_id,
+            degraded_mode=batch.degraded_mode,
+        )
+        batch.hedge_batch_id = replica.batch_id
+        self.launched += 1
+        batch.trace.append(
+            (
+                k.now,
+                "hedge",
+                f"straggling ({(k.now - start) * 1e6:.1f}us elapsed); "
+                f"replica batch {replica.batch_id} on worker {wid}",
+            )
+        )
+        replica.trace.append((k.now, "hedge_replica", f"of batch {batch.batch_id}"))
+        for rec in batch.records:
+            rec.batch_ids.append(replica.batch_id)
+            rec.note(
+                k.now,
+                "hedge",
+                f"replica batch {replica.batch_id} launched on worker {wid}",
+            )
+        k._launch(replica, k._run_batch(replica))
+
+    def _resolve(self, batch: Batch, execution, predicted: float) -> None:
+        """A hedged copy completed first: cancel the surviving copy at
+        its next refresh-point boundary (the earliest instant the worker
+        can abandon the solve with consistent device state), crediting
+        back the occupancy it will not spend."""
+        if execution is None or not execution.ok or batch.partner_id is None:
+            return
+        k = self.campaign
+        entry = k.running.get(batch.partner_id)
+        if entry is None:
+            return
+        loser, _, lstart, lend = entry
+        free_at = min(
+            next_boundary(k.now, lstart, lend, self.policy.refresh_points), lend
+        )
+        k._teardown(loser.batch_id, free_at)
+        loser.hedge_cancelled = True
+        loser.detail = f"hedge: batch {batch.batch_id} finished first"
+        loser.trace.append(
+            (
+                k.now,
+                "hedge_cancel",
+                f"batch {batch.batch_id} won; abandoning at "
+                f"{free_at * 1e6:.1f}us",
+            )
+        )
+        self.cancelled += 1
+        if batch.hedge_of is not None:
+            self.won += 1
+        k._push(free_at, _EV_HEDGE_CANCEL, loser.worker_id)
 
     def to_json(self) -> dict:
         return {
@@ -726,7 +1368,9 @@ class BrownoutController:
 
     Escalation is immediate (overload is now); release is hysteretic and
     one level at a time (a recovering service must not oscillate between
-    shedding and serving at the boundary pressure).
+    shedding and serving at the boundary pressure).  Installed, it
+    re-reads the pressure at every admission (shedding at the gate) and
+    every batch boundary, and degrades batches at dispatch.
     """
 
     #: ``transitions`` only grows, so a campaign checkpoint logs its new
@@ -769,6 +1413,78 @@ class BrownoutController:
             self.level = new
             self.transitions.append((now, new, pressure_s))
         return self.level
+
+    # ------------------------------------------------------------------ #
+    # The campaign hooks
+    # ------------------------------------------------------------------ #
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        # Weight-proportional shedding asks the tenancy part; without
+        # one, no tenant is known.
+        self.tenants = campaign.parts.get("tenancy", ())
+        campaign.gates.append(self._gate)
+        campaign.on_dispatch.append(self._degrade)
+        campaign.after_batch.append(self._reread)
+
+    def _reread(self) -> int:
+        """Fold the current backlog pressure (estimated drain time
+        across the serving pool); returns the active level."""
+        k = self.campaign
+        backlog = len(k.queue)
+        pressure = 0.0  # what the drain estimate gives an empty queue
+        if backlog:
+            pressure = k.drain.backlog_drain_s(
+                backlog,
+                max_batch=k.cfg.policy.max_batch,
+                n_workers=max(k._serving_workers(), 1),
+            )
+        return self.update(k.now, pressure)
+
+    def _gate(self, rec) -> bool:
+        """HIGH is admitted at every level (capacity itself, i.e. the
+        queue bound, is its only limit); LOW sheds first, NORMAL only
+        at the top level."""
+        level = self._reread()
+        req = rec.request
+        if level < BROWNOUT_SHED_LOW or req.priority == PRIORITY_HIGH:
+            return False
+        if level < BROWNOUT_REJECT and req.priority != PRIORITY_LOW:
+            return False
+        shed = True
+        if req.tenant in self.tenants:
+            if level < BROWNOUT_REJECT:
+                # The heaviest tenant keeps every LOW request, lighter
+                # tenants shed in proportion to their weight deficit —
+                # instead of the tenant-blind shed-all.
+                shed = self.tenants.shed_low(req.tenant)
+            else:
+                self.tenants.note_shed(req.tenant)
+        if not shed:
+            return False
+        rec.shed = True
+        if req.priority == PRIORITY_LOW:
+            self.shed += 1
+        else:
+            self.brownout_rejected += 1
+        self.campaign._refuse(rec, "shed", f"brownout level {level}")
+        return True
+
+    def _degrade(self, batch: Batch) -> None:
+        """One step down the precision ladder before failing anyone:
+        the whole batch shares a mode (it is in the compat key)."""
+        if self.level < BROWNOUT_DEGRADE:
+            return
+        mode = batch.degraded_mode = DEGRADE_MODE.get(batch.records[0].request.mode)
+        if mode is not None:
+            now = self.campaign.now
+            for rec in batch.records:
+                rec.degraded = True
+                rec.note(
+                    now,
+                    "degrade",
+                    f"brownout: serving at {mode} instead of {rec.request.mode}",
+                )
 
     def summary(self) -> dict:
         """The report's ``brownout`` block."""

@@ -33,6 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .batching import select_batch
+from .queueing import partition_by_tenant
+
 __all__ = [
     "TenantSpec",
     "TenancyPolicy",
@@ -295,6 +298,71 @@ class TenantRegistry:
         return self.wfq.weights[name]
 
     # ------------------------------------------------------------------ #
+    # The campaign hooks: quota gate, fair selection, fairness charge
+    # ------------------------------------------------------------------ #
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.gates.append(self._quota_gate)
+        campaign.select = self._select
+        campaign.on_dispatch.append(self._charge)
+
+    def _quota_gate(self, rec) -> bool:
+        """One bucket token per admission.  The reject's retry-after is
+        the bucket's *refill* time — when the tenant next has a token —
+        not the drain estimate, which says when the cluster has room (a
+        different, usually shorter, answer that would invite an
+        immediate second reject).  A quota reject never reaches a
+        worker, so it never touches the health ledgers either: it is the
+        tenant's fault, not a worker's."""
+        tenant = rec.request.tenant
+        if tenant not in self:
+            return False
+        k = self.campaign
+        retry = self.admit(tenant, k.now)
+        if retry is None:
+            return False
+        k._refuse(
+            rec,
+            "quota",
+            f"tenant {tenant} over quota",
+            retry_after_s=retry,
+            basis=" (bucket refill)",
+        )
+        return True
+
+    def _select(self):
+        """The next dispatchable fresh batch: each tenant's partition
+        runs its own selection, and the weighted-fair scheduler
+        arbitrates among the tenants whose ready batch sits in the most
+        urgent tier — so no tenant starves another within a priority
+        class, while a more urgent tier still always wins the worker."""
+        k = self.campaign
+        ready = {}
+        for name, subset in partition_by_tenant(k.queue.ordered(), self).items():
+            group = select_batch(subset, k.now, k.cfg.policy)
+            if group is not None:
+                ready[name] = group
+        if not ready:
+            return None
+        best = min(g[0].request.priority for g in ready.values())
+        tier = {
+            name: g for name, g in ready.items() if g[0].request.priority == best
+        }
+        names = [name for name in tier if name is not None]
+        if not names:
+            return tier[None]  # only untenanted work in the head tier
+        return tier[self.wfq.pick(names)]
+
+    def _charge(self, batch) -> None:
+        """One batch = one tenant (select_batch partitions by tenant),
+        so the fairness clock advances by exactly this dispatch's size
+        over the tenant's weight."""
+        tenant = batch.records[0].request.tenant
+        if tenant in self:
+            self.wfq.charge(tenant, float(len(batch.records)))
+
+    # ------------------------------------------------------------------ #
     # Admission (quota)
     # ------------------------------------------------------------------ #
 
@@ -371,13 +439,8 @@ class TenantRegistry:
             },
             "wfq": self.wfq.to_json(),
             "counters": {
-                name: {
-                    "admitted": st.admitted,
-                    "quota_rejected": st.quota_rejected,
-                    "shed": st.shed,
-                    "low_seen": st.low_seen,
-                }
-                for name, st in self._states.items()
+                name: {**counts, "low_seen": self._states[name].low_seen}
+                for name, counts in self.counters().items()
             },
         }
 

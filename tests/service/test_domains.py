@@ -399,6 +399,37 @@ class TestDomainCampaigns:
                 domain_faults=DomainFaultPlan(),
             )
 
+    # A fault aimed outside the cluster used to be accepted and counted
+    # (a node kill reported ``nodes_killed: 1``; a partition reported
+    # a partition and a heal) on a pool it never touched.
+    _ONE_RACK = Topology.parse("2x2")
+
+    def test_node_kill_outside_the_topology_is_rejected(self):
+        with pytest.raises(ValueError, match="node 7, but the topology has 2"):
+            ServiceConfig(
+                n_workers=4,
+                topology=self._ONE_RACK,
+                domain_faults=DomainFaultPlan().with_node_kill(7, at_s=0),
+            )
+
+    def test_hca_degrade_outside_the_topology_is_rejected(self):
+        with pytest.raises(ValueError, match="node 2, but the topology has 2"):
+            ServiceConfig(
+                n_workers=4,
+                topology=self._ONE_RACK,
+                domain_faults=DomainFaultPlan().with_hca_degrade(
+                    2, at_s=0, factor=2.0
+                ),
+            )
+
+    def test_partition_outside_the_topology_is_rejected(self):
+        with pytest.raises(ValueError, match="rack 5, but the topology has 1"):
+            ServiceConfig(
+                n_workers=4,
+                topology=self._ONE_RACK,
+                domain_faults=DomainFaultPlan().with_partition(5, at_s=1e-3),
+            )
+
     def test_anti_affinity_counters_surface_in_scorecard(self):
         cfg = _domain_config(self.TOPO, domain_faults=self._faults())
         rep = SolveService(cfg).serve(_workload(48)).report.to_json()

@@ -10,6 +10,7 @@ and one straggler, resilience ON vs OFF.
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -29,11 +30,14 @@ from repro.service import (
     BatchPolicy,
     BrownoutController,
     BrownoutPolicy,
+    ElasticPolicy,
     HealthBoard,
     HealthPolicy,
     HedgePolicy,
+    PreemptionPolicy,
     ServiceConfig,
     SolveService,
+    TenancyPolicy,
     WorkerHealth,
     bursty_workload,
     stream_workload,
@@ -132,26 +136,25 @@ class TestPolicyValidation:
 class TestHealthBoard:
     def test_failure_ewma_and_trip(self):
         board = HealthBoard(HealthPolicy(enabled=True, alpha=0.5))
-        board.observe_failure(0, "crash")
+        # min_samples=2 not yet met: no trip on the first crash.
+        assert board.observe(0, "crash") == (False, False)
         assert board.tracker(0).failure_rate == 1.0
-        assert not board.should_trip(0)  # min_samples=2 not yet met
-        board.observe_failure(0, "crash")
-        assert board.should_trip(0)
+        assert board.observe(0, "crash") == (True, False)
         assert board.tracker(0).crashes == 2
 
     def test_clean_completions_decay_the_rate(self):
         board = HealthBoard(HealthPolicy(enabled=True, alpha=0.5))
-        board.observe_failure(0, "crash")
-        slow = board.observe_success(0, duration_s=1e-3, predicted_s=1e-3)
+        board.observe(0, "crash")
+        _, slow = board.observe(0, duration_s=1e-3, predicted_s=1e-3)
         assert not slow
         assert board.tracker(0).failure_rate == pytest.approx(0.5)
-        board.observe_success(0, duration_s=1e-3, predicted_s=1e-3)
+        trip, _ = board.observe(0, duration_s=1e-3, predicted_s=1e-3)
         assert board.tracker(0).failure_rate == pytest.approx(0.25)
-        assert not board.should_trip(0)
+        assert not trip
 
     def test_slow_completion_counts_as_soft_failure(self):
         board = HealthBoard(HealthPolicy(enabled=True, slow_ratio=3.0))
-        slow = board.observe_success(1, duration_s=4e-3, predicted_s=1e-3)
+        _, slow = board.observe(1, duration_s=4e-3, predicted_s=1e-3)
         assert slow
         wh = board.tracker(1)
         assert wh.slow_batches == 1
@@ -159,9 +162,20 @@ class TestHealthBoard:
 
     def test_timeout_kind_lands_in_the_timeout_counter(self):
         board = HealthBoard(HealthPolicy(enabled=True))
-        board.observe_failure(0, "timeout")
+        board.observe(0, "timeout")
         assert board.tracker(0).timeouts == 1
         assert board.tracker(0).crashes == 0
+
+    def test_a_held_worker_is_not_observed(self):
+        """``observe`` is the serving worker's call; a held one keeps its
+        ledger — only ``observe_failure`` (a kill, a failed probe) folds
+        whatever the state."""
+        board = HealthBoard(HealthPolicy(enabled=True, min_samples=1))
+        board.quarantine(0, now=0.0)
+        assert board.observe(0, "crash") == (False, False)
+        assert board.tracker(0).crashes == 0
+        board.observe_failure(0, "probe")
+        assert board.tracker(0).crashes == 1
 
     def test_breaker_lifecycle(self):
         policy = HealthPolicy(enabled=True, cooldown_s=5e-3)
@@ -197,7 +211,7 @@ class TestHealthBoard:
         assert board.state(3) == RETIRED_SICK
         assert not board.is_serving(3)
         assert board.n_quarantined() == 0
-        assert board.retired_sick == 1
+        assert board.summary()["retired_sick"] == 1
 
     def test_unknown_worker_defaults_healthy(self):
         board = HealthBoard(HealthPolicy(enabled=True))
@@ -206,8 +220,8 @@ class TestHealthBoard:
 
     def test_board_json_round_trip(self):
         board = HealthBoard(HealthPolicy(enabled=True))
-        board.observe_failure(0, "crash")
-        board.observe_success(1, duration_s=1e-3, predicted_s=1e-3)
+        board.observe(0, "crash")
+        board.observe(1, duration_s=1e-3, predicted_s=1e-3)
         board.quarantine(0, now=2e-3)
         blob = board.to_json()
         back = HealthBoard(board.policy)
@@ -412,11 +426,70 @@ class TestWorkerKill:
         assert all(rec.terminal for rec in res.records)
         assert rep.failed == 0  # every doomed batch re-dispatched
 
+    def test_kill_outside_a_fixed_pool_is_rejected(self):
+        """It used to be dropped silently (``workers_killed: 0``)."""
+        plan = WorkerFaultPlan().with_kill(9, at_s=1e-3)
+        with pytest.raises(ValueError, match="worker 9, but the fixed pool"):
+            _config(n_workers=2, worker_faults=plan)
+        # An elastic pool may still grow to worker 9.
+        _config(
+            n_workers=2,
+            worker_faults=plan,
+            elastic=ElasticPolicy(min_workers=1, max_workers=12),
+        )
+
     def test_kill_is_deterministic(self):
         a = SolveService(self._killed_config(2e-3)).serve(_stream())
         b = SolveService(self._killed_config(2e-3)).serve(_stream())
         assert a.completion_order == b.completion_order
         assert a.report.makespan_s == b.report.makespan_s
+
+
+class TestOneBreakerCallPerCompletion:
+    """A completion asks the breaker once (``observe``), where it used
+    to ask five times (``state``, ``observe_success``, ``should_trip``
+    and ``tracker`` twice).  Counted over the ledger's ``serve-steady``
+    stack at 2,000 requests, seed 2010, as the ledger's
+    ``service.health`` span counts: every public method of
+    :class:`HealthBoard` and :class:`BrownoutController`, inherited
+    ones included.  The parent made 4.99 calls per request."""
+
+    LIMIT = 2.5
+
+    def test_health_calls_per_request(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for owner in {*HealthBoard.__mro__, *BrownoutController.__mro__} - {object}:
+            for name, fn in list(vars(owner).items()):
+                if not name.startswith("_") and inspect.isfunction(fn):
+                    monkeypatch.setattr(owner, name, counted(fn))
+        n = 2000
+        cfg = _config(
+            queue_capacity=4096,
+            policy=BatchPolicy(max_batch=4),
+            n_workers=4,
+            fixed_iterations=15,
+            preemption=PreemptionPolicy(enabled=True),
+            health=HealthPolicy(enabled=True),
+            hedge=HedgePolicy(enabled=True),
+            brownout=BrownoutPolicy(enabled=True),
+            tenancy=TenancyPolicy.build(("atlas", "bell"), weights=(3.0, 1.0)),
+        )
+        SolveService(cfg).serve(
+            stream_workload(
+                n, seed=2010, rate_rps=100.0, dims=DIMS, mode="double-half",
+                priority_mix=(0.1, 0.7, 0.2), deadline_slack_s=0.15,
+                tenants=("atlas", "bell"),
+            )
+        )
+        assert calls[0] / n <= self.LIMIT
 
 
 # --------------------------------------------------------------------- #

@@ -371,6 +371,15 @@ class TestServeDaemon:
         assert rc == 2
 
 
+    def test_fault_outside_the_topology_exits_2(self, capsys):
+        rc = main([
+            "serve", "--requests", "4", "--topology", "2x2",
+            "--kill-node-at-ms", "1", "--kill-node", "7",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "node 7, but the topology has 2 node(s)" in out
+
 class TestExperiments:
     def test_writes_report(self, tmp_path, capsys, monkeypatch):
         """The subcommand is plumbing: ``--iterations`` reaches the
