@@ -1,17 +1,18 @@
 """The reliably-updated BiCGstab solver (the paper's production solver).
 
 "The solver we employed was the reliably updated BiCGstab solver
-discussed in [4]" (Section VII-A).  The loop below is the standard
-BiCGstab recurrence running at *sloppy* precision, with reliable updates
-(:mod:`repro.core.solvers.reliable`) folding the accumulated delta into a
-full-precision solution whenever the residual has dropped by the δ
-factor, and with every global decision flowing through QMP reductions so
-all ranks stay in lockstep (Section VI-E).
+discussed in [4]" (Section VII-A).  This module is the standard
+BiCGstab recurrence running at *sloppy* precision; the reliable-update
+loop it runs in (:mod:`repro.core.solvers.reliable`) folds the
+accumulated delta into a full-precision solution whenever the residual
+has dropped by the δ factor, checkpoints, resumes and watches for
+divergence, stagnation and corruption.  Every global decision flows
+through QMP reductions so all ranks stay in lockstep (Section VI-E).
 
-Per iteration the loop costs 2 matrix applications and 7 (fused) BLAS
-kernels, 4 of which are global reductions — the kernel-fusion choices
-follow QUDA's (Section V-E), which is why the full solver sustains
-only 10-20% less than the bare matrix-vector product.
+Per iteration the recurrence costs 2 matrix applications and 7 (fused)
+BLAS kernels, 4 of which are global reductions — the kernel-fusion
+choices follow QUDA's (Section V-E), which is why the full solver
+sustains only 10-20% less than the bare matrix-vector product.
 
 **Device-memory budget** (the scarce resource of Section VII-C):
 
@@ -24,44 +25,27 @@ only 10-20% less than the bare matrix-vector product.
 This is what lets uniform single precision solve the 32^3 x 256 problem
 on four 2 GiB cards while mixed single-half needs eight (Section VII-C).
 
-**Breakdown detection.**  Every scalar that steers the recurrence is the
-result of a global reduction, so every rank computes the identical value
-— and every rank therefore raises the identical structured
-:class:`~repro.core.solvers.resilience.SolverBreakdown` when a scalar
-goes NaN/Inf (half-precision overflow), a pivot vanishes (ρ, <r0,v>,
-|t|², ω), the residual diverges, or progress stagnates.  All guards run
-*before* the iterate update that would fold the scalar into ``x``, so a
-breakdown never poisons the solution.
+**Breakdown detection.**  The recurrence's own pivots raise a structured
+:class:`~repro.core.solvers.resilience.SolverBreakdown` when they go
+NaN/Inf (half-precision overflow) or vanish (ρ, <r0,v>, |t|², ω).  All
+guards run *before* the iterate update that would fold the scalar into
+``x``, so a breakdown never poisons the solution.
 
-**Checkpoint/resume.**  At every reliable update the true residual is in
-hand and the full-precision solution is consistent; the optional
-``on_refresh`` callback snapshots exactly that state.  Passing a
-:class:`~repro.core.solvers.checkpoint.SolveCheckpoint` as ``resume``
-(with ``x_out`` pre-restored by the caller) recomputes the true residual
-and continues the iteration count from the snapshot — the Krylov space
-restarts, but from a solution of checkpoint quality, which is the same
-thing a reliable update's refresh does.
-
-**Timing-only mode** (``fixed_iterations``): with no field data there is
-no convergence test; the loop runs a fixed number of iterations with unit
-scalars, issuing exactly the same kernel/communication schedule, plus one
-reliable-update cycle per ``update_cadence`` iterations so mixed-precision
-runs pay their full-precision refresh costs.
+**Timing-only mode** (``fixed_iterations``): with no field data the
+recurrence uses unit scalars, issuing exactly the same
+kernel/communication schedule.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from ...comms.faults import resident_scribble
 from ...gpu.fields import DeviceSpinorField
 from .. import blas
 from ..dslash import DeviceSchurOperator
 from .checkpoint import SolveCheckpoint
 from .reliable import ReliableUpdater
-from .resilience import SolverBreakdown, ensure_finite
-from .stopping import ConvergenceState, LocalSolveInfo
+from .stopping import LocalSolveInfo
 
 __all__ = ["bicgstab_solve"]
 
@@ -91,273 +75,69 @@ def bicgstab_solve(
     achieved residual); numerical pathologies raise a structured
     :class:`SolverBreakdown` before they can touch ``x``.
     """
-    gpu = op_full.gpu
-    qmp = op_full.qmp
-    execute = gpu.execute
-    timeline = gpu.timeline
-    op_index = timeline.op_count
-    t_start = timeline.host_time
-    uniform = op_sloppy is op_full
-
-    # Sloppy Krylov work fields -------------------------------------------
-    sgpu = op_sloppy.gpu
-    work: list[DeviceSpinorField] = []
-
-    def _field(op: DeviceSchurOperator, label: str) -> DeviceSpinorField:
-        f = op.make_spinor(label)
-        work.append(f)
-        return f
-
-    r0 = _field(op_sloppy, "r0")
-    p = _field(op_sloppy, "p")
-    v = _field(op_sloppy, "v")
-    t = _field(op_sloppy, "t")
-    tmp = _field(op_sloppy, "mtmp")
-
-    # Full-precision state; in uniform mode alias x_s = x_out (= y) and
-    # r_s = r_full, and borrow t/tmp as the refresh scratch.
-    if uniform:
-        r = _field(op_full, "r_full")
-        x_s = x_out
-        scratch_a, scratch_b = tmp, t
-        r_full = r
-    else:
-        r_full = _field(op_full, "r_full")
-        scratch_a = _field(op_full, "ru_scratch_a")
-        scratch_b = _field(op_full, "ru_scratch_b")
-        r = _field(op_sloppy, "r")
-        x_s = _field(op_sloppy, "x_sloppy")
-
-    updater = ReliableUpdater(
-        op_full=op_full,
-        b=b,
-        y=x_out,
-        r_full=r_full,
-        scratch_a=scratch_a,
-        scratch_b=scratch_b,
-        delta=delta,
-        aliased=uniform,
+    loop = ReliableUpdater.allocate(
+        op_full, op_sloppy, x_out, ("r0", "p", "v", "t", "mtmp"), borrow=("mtmp", "t"),
+        tol=tol, delta=delta, maxiter=maxiter, fixed_iterations=fixed_iterations,
+        update_cadence=update_cadence, resume=resume, on_refresh=on_refresh,
+        divergence_factor=divergence_factor, stagnation_window=stagnation_window,
+        corruption_factor=corruption_factor,
     )
-    if resume is not None:
-        # x_out was pre-restored from the checkpoint by the caller; the
-        # resumed true residual is recomputed at full precision.
-        updater.updates = resume.reliable_updates
-        rnorm = updater.initialize(resume=True)
-        history = [*resume.history, rnorm]
-        iters = resume.iteration
-    else:
-        rnorm = updater.initialize()
-        history = [rnorm]
-        iters = 0
-    b_norm = history[0]  # |b| survives resume chains via the history
-    conv = ConvergenceState(b_norm=b_norm, tol=tol)
+    r0, p, v, t, tmp = loop.krylov
+    r, x_s = loop.r, loop.x_s
+    sgpu, qmp, execute = op_sloppy.gpu, op_full.qmp, loop.execute
+    rho = alpha = omega = 1.0 + 0.0j
 
-    try:
-        if execute and not math.isfinite(rnorm):
-            raise SolverBreakdown(
-                "non_finite", iteration=iters, rnorm=rnorm,
-                detail="|r| at initialization",
-            )
-
-        if not uniform:
-            blas.copy(gpu, r_full, r)  # precision conversion
-            blas.zero(sgpu, x_s)
+    def start() -> None:
         blas.copy(sgpu, r, r0)
         blas.zero(sgpu, p)
         blas.zero(sgpu, v)
 
-        rho = alpha = omega = 1.0 + 0.0j
-        # A zero source (or a checkpoint taken at the brink of
-        # convergence) is already converged — entering the loop would
-        # manufacture a rho breakdown out of a solved system.
-        converged = execute and conv.converged(rnorm)
-        iters_limit = maxiter if execute else fixed_iterations
-        best_rnorm = rnorm
-        since_improvement = 0
-
-        def checkpoint() -> None:
-            if on_refresh is not None:
-                on_refresh(
-                    iteration=iters,
-                    rnorm=rnorm,
-                    reliable_updates=updater.updates,
-                    history=list(history),
-                )
-
-        last_refresh_rnorm = rnorm
-
-        def reliable_refresh() -> None:
-            nonlocal rnorm, last_refresh_rnorm
-            rnorm = updater.refresh(x_s, r)
-            if execute and not math.isfinite(rnorm):
-                # Never checkpoint a poisoned solution.
-                raise SolverBreakdown(
-                    "non_finite", iteration=iters, rnorm=rnorm,
-                    detail="true residual after reliable update",
-                )
-            # Refresh-point invariant monitor (ABFT): the recurrence
-            # residual keeps falling even when resident solver state is
-            # damaged, so the *true* residual computed here is the one
-            # scalar that exposes it — a jump past corruption_factor over
-            # the previous refresh is orders of magnitude beyond rounding
-            # drift.  Raised before checkpoint(), so a poisoned solution
-            # is never committed as a recovery point.
-            if (
-                execute
-                and last_refresh_rnorm > 0
-                and rnorm > corruption_factor * last_refresh_rnorm
-            ):
-                raise SolverBreakdown(
-                    "corruption", iteration=iters, rnorm=rnorm,
-                    detail=(
-                        f"true residual jumped {rnorm / last_refresh_rnorm:.1e}x "
-                        f"over the last refresh ({last_refresh_rnorm:.6e})"
-                    ),
-                )
-            last_refresh_rnorm = rnorm
-            history.append(rnorm)
-            checkpoint()
-
-        while iters < iters_limit and not converged:
-            iters += 1
-            # Planned resident-field corruption (a soft error in device
-            # RAM) fires here — polled unconditionally so timing-only
-            # runs record the event, applied only to real field data.
-            hit = None if qmp is None else qmp.take_resident_corruption()
-            if hit is not None and execute:
-                spec, plan_seed = hit
-                damaged = x_s.get()
-                resident_scribble(
-                    damaged, seed=plan_seed, rank=qmp.rank, scale=spec.scale
-                )
-                x_s.set(damaged)
-            rho_new = blas.cdot(sgpu, r0, r, qmp)
-            if execute:
-                ensure_finite("rho", rho_new, iteration=iters, rnorm=rnorm)
-                if rho_new == 0:  # serious breakdown: restart the shadow vector
-                    blas.copy(sgpu, r, r0)
-                    rho_new = blas.cdot(sgpu, r0, r, qmp)
-                    if rho_new == 0:
-                        raise SolverBreakdown(
-                            "rho_breakdown", iteration=iters, rnorm=rnorm,
-                            detail="<r0, r> = 0 after shadow-residual restart",
-                        )
-                    ensure_finite("rho", rho_new, iteration=iters, rnorm=rnorm)
-                beta = (rho_new / rho) * (alpha / omega)
-                ensure_finite("beta", beta, iteration=iters, rnorm=rnorm)
-            else:
-                beta = 1.0
-            blas.update_p(sgpu, r, p, v, beta, omega)
-            op_sloppy.apply(p, tmp, v)
-            r0v = blas.cdot(sgpu, r0, v, qmp)
-            if execute:
-                ensure_finite("<r0, v>", r0v, iteration=iters, rnorm=rnorm)
-                if r0v == 0:
-                    raise SolverBreakdown(
-                        "pivot_breakdown", iteration=iters, rnorm=rnorm,
-                        detail="<r0, v> = 0",
+    def step() -> float | None:
+        nonlocal rho, alpha, omega
+        rho_new = blas.cdot(sgpu, r0, r, qmp)
+        if execute:
+            loop.finite("rho", rho_new)
+            if rho_new == 0:  # serious breakdown: restart the shadow vector
+                blas.copy(sgpu, r, r0)
+                rho_new = loop.finite("rho", blas.cdot(sgpu, r0, r, qmp))
+                if rho_new == 0:
+                    raise loop.breakdown(
+                        "rho_breakdown", "<r0, r> = 0 after shadow-residual restart"
                     )
-                alpha = rho_new / r0v
-                ensure_finite("alpha", alpha, iteration=iters, rnorm=rnorm)
-            else:
-                alpha = 1.0
-            # r <- s = r - alpha v, fused with |s|^2.
-            s2 = blas.axpy_norm(sgpu, -alpha, v, r, qmp)
-            if execute:
-                ensure_finite("|s|^2", s2, iteration=iters, rnorm=rnorm)
-                if s2 < 0:
-                    # A squared norm from a global sum: negativity can
-                    # only mean a poisoned reduction (free ABFT check on
-                    # an allreduce the recurrence already pays for).
-                    raise SolverBreakdown(
-                        "corruption", iteration=iters, rnorm=rnorm,
-                        detail=f"|s|^2 = {s2!r} < 0 from global reduction",
-                    )
-            if execute and s2**0.5 <= conv.target:
-                # Early exit on s: x += alpha p, then verify in full precision.
-                blas.axpy(sgpu, alpha, p, x_s)
-                reliable_refresh()
-                if conv.converged(rnorm):
-                    converged = True
-                    break
-                continue
-            op_sloppy.apply(r, tmp, t)
-            ts, t2 = blas.cdot_norm(sgpu, t, r, qmp)
-            if execute:
-                ensure_finite("<t, s>", ts, iteration=iters, rnorm=rnorm)
-                ensure_finite("|t|^2", t2, iteration=iters, rnorm=rnorm)
-                if t2 == 0:
-                    raise SolverBreakdown(
-                        "omega_breakdown", iteration=iters, rnorm=rnorm,
-                        detail="|t|^2 = 0",
-                    )
-                omega = ts / t2
-                ensure_finite("omega", omega, iteration=iters, rnorm=rnorm)
-                if omega == 0:
-                    raise SolverBreakdown(
-                        "omega_breakdown", iteration=iters, rnorm=rnorm,
-                        detail="omega = 0 stalls the recurrence",
-                    )
-            else:
-                omega = 1.0
-            blas.caxpy_pair(sgpu, alpha, p, omega, r, x_s)
-            r2 = blas.axpy_norm(sgpu, -omega, t, r, qmp)
-            rho = rho_new
-            if execute:
-                ensure_finite("|r|^2", r2, iteration=iters, rnorm=rnorm)
-                if r2 < 0:
-                    raise SolverBreakdown(
-                        "corruption", iteration=iters, rnorm=rnorm,
-                        detail=f"|r|^2 = {r2!r} < 0 from global reduction",
-                    )
-                rnorm = r2**0.5
-            history.append(rnorm)
+            beta = loop.finite("beta", (rho_new / rho) * (alpha / omega))
+        else:
+            beta = 1.0
+        blas.update_p(sgpu, r, p, v, beta, omega)
+        op_sloppy.apply(p, tmp, v)
+        r0v = blas.cdot(sgpu, r0, v, qmp)
+        if execute:
+            loop.finite("<r0, v>", r0v)
+            if r0v == 0:
+                raise loop.breakdown("pivot_breakdown", "<r0, v> = 0")
+            alpha = loop.finite("alpha", rho_new / r0v)
+        else:
+            alpha = 1.0
+        # r <- s = r - alpha v, fused with |s|^2.
+        s2 = blas.axpy_norm(sgpu, -alpha, v, r, qmp)
+        if execute and loop.squared("|s|^2", s2) ** 0.5 <= loop.conv.target:
+            # Early exit on s: x += alpha p, then verify in full precision.
+            blas.axpy(sgpu, alpha, p, x_s)
+            return None
+        op_sloppy.apply(r, tmp, t)
+        ts, t2 = blas.cdot_norm(sgpu, t, r, qmp)
+        if execute:
+            loop.finite("<t, s>", ts)
+            loop.finite("|t|^2", t2)
+            if t2 == 0:
+                raise loop.breakdown("omega_breakdown", "|t|^2 = 0")
+            omega = loop.finite("omega", ts / t2)
+            if omega == 0:
+                raise loop.breakdown("omega_breakdown", "omega = 0 stalls the recurrence")
+        else:
+            omega = 1.0
+        blas.caxpy_pair(sgpu, alpha, p, omega, r, x_s)
+        r2 = blas.axpy_norm(sgpu, -omega, t, r, qmp)
+        rho = rho_new
+        return loop.squared("|r|^2", r2) ** 0.5 if execute else loop.rnorm
 
-            if execute:
-                if b_norm > 0 and rnorm > divergence_factor * b_norm:
-                    raise SolverBreakdown(
-                        "divergence", iteration=iters, rnorm=rnorm,
-                        detail=f"|r| exceeded {divergence_factor:g} x |b|",
-                    )
-                if rnorm < 0.9 * best_rnorm:
-                    best_rnorm = rnorm
-                    since_improvement = 0
-                else:
-                    since_improvement += 1
-                    if since_improvement >= stagnation_window:
-                        raise SolverBreakdown(
-                            "stagnation", iteration=iters, rnorm=rnorm,
-                            detail=(
-                                f"no residual progress in "
-                                f"{stagnation_window} iterations"
-                            ),
-                        )
-                apparent_convergence = conv.converged(rnorm)
-                if apparent_convergence or updater.should_update(rnorm):
-                    reliable_refresh()
-                    if conv.converged(rnorm):
-                        converged = True
-                        break
-            elif iters % update_cadence == 0:
-                # Timing-only: pay the reliable-update cost on a cadence.
-                updater.refresh(x_s, r)
-                checkpoint()
-
-        if execute and not converged:
-            # Fold any outstanding delta into the answer before reporting.
-            reliable_refresh()
-            converged = conv.converged(rnorm)
-    finally:
-        gpu.device_synchronize()
-        for f in work:  # free solver temporaries (QUDA does the same)
-            f.release()
-    return LocalSolveInfo(
-        iterations=iters,
-        residual_norm=rnorm,
-        converged=converged,
-        reliable_updates=updater.updates,
-        history=history,
-        t_start=t_start,
-        t_end=timeline.host_time,
-        flops=float(timeline.flops_since(op_index)),
-    )
+    return loop.run(b, start, step)

@@ -7,40 +7,28 @@ QUDA ships both; this is the CG variant, solving
 
     (Mhat^dag Mhat) x = Mhat^dag b
 
-with the same reliable-update machinery as the BiCGstab solver.  Each
-iteration costs *two* matrix applications (Mhat then Mhat^dag) plus 3
-fused BLAS kernels (2 reductions), so on well-conditioned systems
-BiCGstab wins — the reason it is the production choice.  Its guaranteed
-descent on the normal equations is exactly why the breakdown-escalation
-ladder falls back to it when BiCGstab's biorthogonal recurrence breaks.
-
-Breakdown guards, checkpointing (``on_refresh``) and resume follow the
-same contract as :func:`~repro.core.solvers.bicgstab.bicgstab_solve`:
-every guarded scalar is a global reduction, every guard precedes the
-iterate update, and a checkpoint is taken at every reliable update.
+in the same reliable-update loop as the BiCGstab solver
+(:mod:`repro.core.solvers.reliable`), with the same breakdown,
+checkpoint and resume contract.  Each iteration costs *two* matrix
+applications (Mhat then Mhat^dag) plus 3 fused BLAS kernels (2
+reductions), so on well-conditioned systems BiCGstab wins — the reason
+it is the production choice.  Its guaranteed descent on the normal
+equations is exactly why the breakdown-escalation ladder falls back to
+it when BiCGstab's biorthogonal recurrence breaks.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from ...comms.faults import resident_scribble
 from ...gpu.fields import DeviceSpinorField
 from .. import blas
 from ..dslash import DeviceSchurOperator
 from .checkpoint import SolveCheckpoint
 from .reliable import ReliableUpdater
-from .resilience import SolverBreakdown, ensure_finite
-from .stopping import ConvergenceState, LocalSolveInfo
+from .stopping import LocalSolveInfo
 
 __all__ = ["cg_solve"]
-
-
-def _apply_normal(op: DeviceSchurOperator, src, tmp, mid, dst) -> None:
-    """``dst = Mhat^dag Mhat src`` (two matrix applications)."""
-    op.apply(src, tmp, mid)
-    op.apply(mid, tmp, dst, dagger=True)
 
 
 def cg_solve(
@@ -66,220 +54,53 @@ def cg_solve(
     ``|Mhat^dag b - Mhat^dag Mhat x|`` relative to ``|Mhat^dag b|``
     (QUDA's convention for its CG solver).
     """
-    gpu = op_full.gpu
-    qmp = op_full.qmp
-    execute = gpu.execute
-    timeline = gpu.timeline
-    op_index = timeline.op_count
-    t_start = timeline.host_time
-
-    uniform = op_sloppy is op_full
-
-    # Sloppy work fields.
-    sgpu = op_sloppy.gpu
-    work: list[DeviceSpinorField] = []
-
-    def _field(op: DeviceSchurOperator, label: str) -> DeviceSpinorField:
-        f = op.make_spinor(label)
-        work.append(f)
-        return f
-
-    p = _field(op_sloppy, "p")
-    q = _field(op_sloppy, "q")
-    mid = _field(op_sloppy, "mid")
-    tmp = _field(op_sloppy, "mtmp")
-
-    # Uniform mode aliases x_s = x_out, r_s = r_full and borrows q/mid as
-    # refresh scratch (idle at refresh points) — QUDA's memory discipline.
-    if uniform:
-        r = _field(op_full, "r_full")
-        x_s = x_out
-        scratch_a, scratch_b = mid, q
-        r_full = r
-    else:
-        r_full = _field(op_full, "r_full")
-        scratch_a = _field(op_full, "ru_scratch_a")
-        scratch_b = _field(op_full, "ru_scratch_b")
-        r = _field(op_sloppy, "r")
-        x_s = _field(op_sloppy, "x_sloppy")
-
+    # Uniform mode borrows q/mid as refresh scratch (idle at refresh points).
+    loop = ReliableUpdater.allocate(
+        op_full, op_sloppy, x_out, ("p", "q", "mid", "mtmp"), borrow=("mid", "q"),
+        tol=tol, delta=delta, maxiter=maxiter, fixed_iterations=fixed_iterations,
+        update_cadence=update_cadence, resume=resume, on_refresh=on_refresh,
+        divergence_factor=divergence_factor, stagnation_window=stagnation_window,
+        corruption_factor=corruption_factor, dagger_pair=True,
+    )
+    p, q, mid, tmp = loop.krylov
+    r, x_s = loop.r, loop.x_s
+    sgpu, qmp, execute = op_sloppy.gpu, op_full.qmp, loop.execute
     # Normal-equation right-hand side b' = Mhat^dag b (full precision),
     # computed into a dedicated field using the refresh scratch as tmp.
-    b_normal = _field(op_full, "b_normal")
-    op_full.apply(b, scratch_a, b_normal, dagger=True)
+    b_normal = loop.field("b_normal", full=True)
+    op_full.apply(b, loop.scratch_a, b_normal, dagger=True)
+    # A resumed chain may have begun in BiCGstab, whose |b| heads the
+    # history; CG's target and divergence bound are relative to |b'|.
+    b_norm = None if resume is None else blas.norm2(op_full.gpu, b_normal, qmp) ** 0.5
+    rr = 0.0
 
-    updater = ReliableUpdater(
-        op_full=op_full,
-        b=b_normal,
-        y=x_out,
-        r_full=r_full,
-        scratch_a=scratch_a,
-        scratch_b=scratch_b,
-        delta=delta,
-        aliased=uniform,
-        dagger_pair=True,
-    )
-    if resume is not None:
-        # x_out was pre-restored from the checkpoint by the caller.
-        updater.updates = resume.reliable_updates
-        rnorm = updater.initialize(resume=True)
-        history = [*resume.history, rnorm]
-        iters = resume.iteration
-    else:
-        rnorm = updater.initialize()
-        history = [rnorm]
-        iters = 0
-    b_norm = history[0]  # |Mhat^dag b| survives resume chains
-    conv = ConvergenceState(b_norm=b_norm, tol=tol)
-
-    try:
-        if execute and not math.isfinite(rnorm):
-            raise SolverBreakdown(
-                "non_finite", iteration=iters, rnorm=rnorm,
-                detail="|r| at initialization",
-            )
-
-        if not uniform:
-            blas.copy(gpu, r_full, r)
-            blas.zero(sgpu, x_s)
+    def start() -> None:
+        """Search direction from the current (possibly refreshed) residual:
+        a refreshed ``rr`` with the stale ``p`` loses conjugacy and diverges."""
+        nonlocal rr
         blas.copy(sgpu, r, p)
-        rr = rnorm**2
+        rr = loop.rnorm**2
 
-        converged = execute and conv.converged(rnorm)
-        iters_limit = maxiter if execute else fixed_iterations
-        best_rnorm = rnorm
-        since_improvement = 0
+    def step() -> float:
+        nonlocal rr
+        op_sloppy.apply(p, tmp, mid)  # q = Mhat^dag Mhat p
+        op_sloppy.apply(mid, tmp, q, dagger=True)
+        pq = blas.redot(sgpu, p, q, qmp)
+        if execute:
+            loop.finite("<p, q>", pq)
+            if pq == 0:
+                raise loop.breakdown("pivot_breakdown", "<p, Ap> = 0")
+            alpha = loop.finite("alpha", rr / pq)
+        else:
+            alpha = 1.0
+        blas.axpy(sgpu, alpha, p, x_s)
+        rr_new = blas.axpy_norm(sgpu, -alpha, q, r, qmp)
+        if execute:
+            beta = loop.finite("beta", loop.squared("|r|^2", rr_new) / rr)
+            rr = rr_new
+        else:
+            beta = 1.0
+        blas.xpay(sgpu, r, beta, p)
+        return rr**0.5
 
-        def checkpoint() -> None:
-            if on_refresh is not None:
-                on_refresh(
-                    iteration=iters,
-                    rnorm=rnorm,
-                    reliable_updates=updater.updates,
-                    history=list(history),
-                )
-
-        last_refresh_rnorm = rnorm
-
-        def reliable_refresh() -> None:
-            nonlocal rnorm, last_refresh_rnorm
-            rnorm = updater.refresh(x_s, r)
-            if execute and not math.isfinite(rnorm):
-                raise SolverBreakdown(
-                    "non_finite", iteration=iters, rnorm=rnorm,
-                    detail="true residual after reliable update",
-                )
-            # Refresh-point invariant monitor (ABFT) — same contract as
-            # the BiCGstab solver: a true-residual jump past
-            # corruption_factor over the previous refresh means resident
-            # state was damaged; raise before checkpoint() so the
-            # poisoned solution is never committed.
-            if (
-                execute
-                and last_refresh_rnorm > 0
-                and rnorm > corruption_factor * last_refresh_rnorm
-            ):
-                raise SolverBreakdown(
-                    "corruption", iteration=iters, rnorm=rnorm,
-                    detail=(
-                        f"true residual jumped {rnorm / last_refresh_rnorm:.1e}x "
-                        f"over the last refresh ({last_refresh_rnorm:.6e})"
-                    ),
-                )
-            last_refresh_rnorm = rnorm
-            history.append(rnorm)
-            checkpoint()
-
-        while iters < iters_limit and not converged:
-            iters += 1
-            # Planned resident-field corruption (polled unconditionally
-            # so timing-only runs record the event).
-            hit = None if qmp is None else qmp.take_resident_corruption()
-            if hit is not None and execute:
-                spec, plan_seed = hit
-                damaged = x_s.get()
-                resident_scribble(
-                    damaged, seed=plan_seed, rank=qmp.rank, scale=spec.scale
-                )
-                x_s.set(damaged)
-            _apply_normal(op_sloppy, p, tmp, mid, q)
-            pq = blas.redot(sgpu, p, q, qmp)
-            if execute:
-                ensure_finite("<p, q>", pq, iteration=iters, rnorm=rnorm)
-                if pq == 0:
-                    raise SolverBreakdown(
-                        "pivot_breakdown", iteration=iters, rnorm=rnorm,
-                        detail="<p, Ap> = 0",
-                    )
-                alpha = rr / pq
-                ensure_finite("alpha", alpha, iteration=iters, rnorm=rnorm)
-            else:
-                alpha = 1.0
-            blas.axpy(sgpu, alpha, p, x_s)
-            rr_new = blas.axpy_norm(sgpu, -alpha, q, r, qmp)
-            if execute:
-                ensure_finite("|r|^2", rr_new, iteration=iters, rnorm=rnorm)
-                if rr_new < 0:
-                    # Squared norms from a global sum cannot be negative:
-                    # a poisoned reduction (free ABFT check on an
-                    # allreduce the recurrence already pays for).
-                    raise SolverBreakdown(
-                        "corruption", iteration=iters, rnorm=rnorm,
-                        detail=f"|r|^2 = {rr_new!r} < 0 from global reduction",
-                    )
-                beta = rr_new / rr
-                ensure_finite("beta", beta, iteration=iters, rnorm=rnorm)
-            else:
-                beta = 1.0
-            blas.xpay(sgpu, r, beta, p)
-            rr = rr_new if execute else rr
-            rnorm = rr**0.5
-            history.append(rnorm)
-
-            if execute:
-                if b_norm > 0 and rnorm > divergence_factor * b_norm:
-                    raise SolverBreakdown(
-                        "divergence", iteration=iters, rnorm=rnorm,
-                        detail=f"|r| exceeded {divergence_factor:g} x |b'|",
-                    )
-                if rnorm < 0.9 * best_rnorm:
-                    best_rnorm = rnorm
-                    since_improvement = 0
-                else:
-                    since_improvement += 1
-                    if since_improvement >= stagnation_window:
-                        raise SolverBreakdown(
-                            "stagnation", iteration=iters, rnorm=rnorm,
-                            detail=(
-                                f"no residual progress in "
-                                f"{stagnation_window} iterations"
-                            ),
-                        )
-                if conv.converged(rnorm) or updater.should_update(rnorm):
-                    reliable_refresh()
-                    if conv.converged(rnorm):
-                        converged = True
-                        break
-                    rr = rnorm**2
-                    # p continues from the refreshed residual direction mix.
-            elif iters % update_cadence == 0:
-                updater.refresh(x_s, r)
-                checkpoint()
-
-        if execute and not converged:
-            reliable_refresh()
-            converged = conv.converged(rnorm)
-    finally:
-        gpu.device_synchronize()
-        for f in work:  # free solver temporaries (QUDA does the same)
-            f.release()
-    return LocalSolveInfo(
-        iterations=iters,
-        residual_norm=rnorm,
-        converged=converged,
-        reliable_updates=updater.updates,
-        history=history,
-        t_start=t_start,
-        t_end=timeline.host_time,
-        flops=float(timeline.flops_since(op_index)),
-    )
+    return loop.run(b_normal, start, step, restart=start, b_norm=b_norm)

@@ -1,4 +1,4 @@
-"""Reliable updates: the mixed-precision machinery (paper Section V-D).
+"""Reliable updates: the one mixed-precision solve loop (paper Section V-D).
 
 "QUDA uses a variant of reliable updates [21] to implement mixed-precision
 iterative refinement.  This approach has the advantage that a single
@@ -23,126 +23,345 @@ Uniform-precision solves use exactly the same loop with sloppy == full
 (the paper runs uniform single with δ = 1e-3 and uniform double with
 δ = 1e-5 — reliable updates guard against residual drift there too).
 
+:class:`ReliableUpdater` is that loop, and both device solvers run it
+(:mod:`~repro.core.solvers.bicgstab`, :mod:`~repro.core.solvers.cg`).  A
+solver supplies only its Krylov recurrence — ``start`` (set up the
+directions from the current residual) and ``step`` (one iteration) — and
+the loop owns the rest: work fields and their release, the fresh or
+resumed start, refreshes, convergence, checkpoints, the breakdown
+monitors below and the returned :class:`LocalSolveInfo`.
+
 **Memory discipline.**  Device memory is the paper's scarcest resource
 (Section VII-C), so the updater allocates *nothing* beyond the true
 residual: its matrix-application scratch is borrowed from the solver
-(whose ``t``/``tmp`` fields are idle at refresh points), and in uniform
-precision the solver aliases ``x_s ≡ y`` and ``r_s ≡ r_full`` outright —
-QUDA's aliasing, and the reason a uniform-single 32^3 x 256 solve fits on
-four 2 GiB cards while the mixed solve needs eight.
+(two Krylov fields idle at refresh points), and in uniform precision the
+loop aliases ``x_s ≡ y`` and ``r_s ≡ r_full`` outright — QUDA's aliasing,
+and the reason a uniform-single 32^3 x 256 solve fits on four 2 GiB cards
+while the mixed solve needs eight.
+
+**Breakdowns.**  Every scalar tested is a global reduction, so every rank
+raises the identical
+:class:`~repro.core.solvers.resilience.SolverBreakdown` at the identical
+iteration, always before the scalar can touch ``y``: a non-finite
+residual; a negative squared norm (only a poisoned reduction yields one);
+a true residual that jumped past ``corruption_factor`` over the previous
+refresh (the ABFT monitor: resident-state damage never shows in the
+recursed residual); divergence past ``divergence_factor`` x |b|; and no
+10 % progress in ``stagnation_window`` iterations.
+
+**Checkpoint/resume.**  At every refresh the true residual is in hand and
+``y`` is consistent, so ``on_refresh`` snapshots exactly that state.  A
+``resume`` checkpoint (with ``y`` pre-restored by the caller) recomputes
+the true residual and continues the iteration count and history — the
+Krylov space restarts, from a solution of checkpoint quality.
+
+**Timing-only mode** (no field data): no convergence test — the loop
+runs ``fixed_iterations`` iterations with the same kernel/communication
+schedule, plus one refresh per ``update_cadence`` iterations so
+mixed-precision runs pay their full-precision refresh costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import Callable
 
+from ...comms.faults import resident_scribble
 from ...gpu.fields import DeviceSpinorField
 from .. import blas
 from ..dslash import DeviceSchurOperator
+from .checkpoint import SolveCheckpoint
+from .resilience import SolverBreakdown, ensure_finite
+from .stopping import ConvergenceState, LocalSolveInfo
 
 __all__ = ["ReliableUpdater"]
 
 
-@dataclass
 class ReliableUpdater:
-    """Tracks the residual peak and performs high-precision refreshes.
+    """One reliably-updated solve; built by :meth:`allocate`, run by :meth:`run`.
 
-    Parameters
-    ----------
-    b, y, r_full:
-        Full-precision right-hand side, accumulated solution, and true
-        residual.
-    scratch_a, scratch_b:
-        Borrowed full-precision work fields for the refresh matvec
-        (``scratch_b`` doubles as the precision-conversion buffer).  Idle
-        solver fields in uniform mode; dedicated fields in mixed mode.
-    aliased:
-        Uniform-precision aliasing: the solver's ``x_s`` *is* ``y`` and
-        its ``r_s`` *is* ``r_full``, so refreshes skip all fold-in and
-        conversion traffic (exactly what QUDA does when the sloppy
-        precision equals the full precision).
-    dagger_pair:
-        Refresh against the normal system ``A^dag A`` (CGNR).
+    The recurrence works on ``krylov`` (its sloppy fields), ``x_s`` (the
+    sloppy solution delta) and ``r`` (the recursed residual), and quotes
+    ``iteration`` and ``rnorm`` through :meth:`finite`, :meth:`squared`
+    and :meth:`breakdown`.  ``dagger_pair`` refreshes against the normal
+    system ``A^dag A`` (CGNR).
     """
 
-    op_full: DeviceSchurOperator
-    b: DeviceSpinorField
-    y: DeviceSpinorField
-    r_full: DeviceSpinorField
-    scratch_a: DeviceSpinorField
-    scratch_b: DeviceSpinorField
-    delta: float
-    aliased: bool = False
-    dagger_pair: bool = False
-    max_r: float = 0.0
-    updates: int = 0
+    def __init__(
+        self,
+        op_full: DeviceSchurOperator,
+        op_sloppy: DeviceSchurOperator,
+        y: DeviceSpinorField,
+        *,
+        tol: float,
+        delta: float,
+        maxiter: int,
+        fixed_iterations: int,
+        update_cadence: int,
+        resume: SolveCheckpoint | None,
+        on_refresh: Callable[..., None] | None,
+        divergence_factor: float,
+        stagnation_window: int,
+        corruption_factor: float,
+        dagger_pair: bool = False,
+    ) -> None:
+        self.op_full, self.op_sloppy, self.y = op_full, op_sloppy, y
+        self.tol, self.delta, self.maxiter = tol, delta, maxiter
+        self.fixed_iterations, self.update_cadence = fixed_iterations, update_cadence
+        self.resume, self.on_refresh = resume, on_refresh
+        self.divergence_factor = divergence_factor
+        self.stagnation_window = stagnation_window
+        self.corruption_factor = corruption_factor
+        self.dagger_pair = dagger_pair
+        self.qmp = op_full.qmp
+        self.execute = op_full.gpu.execute
+        self.aliased = op_sloppy is op_full
+        timeline = op_full.gpu.timeline
+        self._op_index, self._t_start = timeline.op_count, timeline.host_time
+        self.work: list[DeviceSpinorField] = []
+        self.max_r = self.rnorm = 0.0
+        self.updates = self.iteration = 0
 
-    @property
-    def qmp(self):
-        return self.op_full.qmp
+    @classmethod
+    def allocate(
+        cls,
+        op_full: DeviceSchurOperator,
+        op_sloppy: DeviceSchurOperator,
+        y: DeviceSpinorField,
+        krylov: tuple[str, ...],
+        *,
+        borrow: tuple[str, str],
+        **options,
+    ) -> ReliableUpdater:
+        """Allocate a solve's work fields: the sloppy Krylov fields labelled
+        ``krylov`` (in that order), then the full-precision state.
 
-    def initialize(self, *, resume: bool = False) -> float:
-        """Set up the true residual; returns |r|.
-
-        Fresh start (``resume=False``): ``y = 0``, so ``r = b``.
-        Resume (``resume=True``): ``y`` already holds a solution restored
-        from a :class:`~repro.core.solvers.checkpoint.SolveCheckpoint`;
-        recompute the true residual ``r = b - A y`` in full precision —
-        exactly the refresh computation, so a resumed solve continues
-        from a residual of checkpoint quality.
+        Uniform precision aliases ``x_s ≡ y`` and ``r ≡ r_full`` and borrows
+        the two Krylov fields labelled ``borrow`` as refresh scratch;
+        mixed precision allocates ``r_full``, two scratch fields and the
+        sloppy ``r`` and ``x_s``.
         """
-        gpu = self.op_full.gpu
-        if not resume:
-            blas.zero(gpu, self.y)
-            blas.copy(gpu, self.b, self.r_full)
-            r2 = blas.norm2(gpu, self.r_full, self.qmp)
-            self.max_r = r2**0.5
-            return self.max_r
-        self.op_full.apply(self.y, self.scratch_a, self.scratch_b)
-        if self.dagger_pair:
-            self.op_full.apply(
-                self.scratch_b, self.scratch_a, self.scratch_b, dagger=True
+        loop = cls(op_full, op_sloppy, y, **options)
+        named = {label: loop.field(label) for label in krylov}
+        loop.krylov = tuple(named.values())
+        if loop.aliased:
+            loop.r = loop.r_full = loop.field("r_full", full=True)
+            loop.x_s = y
+            loop.scratch_a, loop.scratch_b = (named[label] for label in borrow)
+        else:
+            loop.r_full = loop.field("r_full", full=True)
+            loop.scratch_a = loop.field("ru_scratch_a", full=True)
+            loop.scratch_b = loop.field("ru_scratch_b", full=True)
+            loop.r = loop.field("r")
+            loop.x_s = loop.field("x_sloppy")
+        return loop
+
+    def field(self, label: str, *, full: bool = False) -> DeviceSpinorField:
+        """A work field, released when :meth:`run` ends."""
+        f = (self.op_full if full else self.op_sloppy).make_spinor(label)
+        self.work.append(f)
+        return f
+
+    # -- guards a recurrence raises through ------------------------------ #
+
+    def breakdown(self, kind: str, detail: str) -> SolverBreakdown:
+        return SolverBreakdown(
+            kind, iteration=self.iteration, rnorm=self.rnorm, detail=detail
+        )
+
+    def finite(self, name: str, value):
+        """``value`` unchanged, or a ``non_finite`` breakdown."""
+        return ensure_finite(name, value, iteration=self.iteration, rnorm=self.rnorm)
+
+    def squared(self, name: str, value: float) -> float:
+        """A guarded squared norm from a global sum: negativity can only
+        mean a poisoned reduction (a free ABFT check on an allreduce the
+        recurrence already pays for)."""
+        self.finite(name, value)
+        if value < 0:
+            raise self.breakdown(
+                "corruption", f"{name} = {value!r} < 0 from global reduction"
             )
-        blas.copy(gpu, self.b, self.r_full)
-        blas.axpy(gpu, -1.0, self.scratch_b, self.r_full)
-        r2 = blas.norm2(gpu, self.r_full, self.qmp)
-        self.max_r = r2**0.5
-        return self.max_r
+        return value
+
+    # -- the refresh ----------------------------------------------------- #
 
     def should_update(self, rnorm_sloppy: float) -> bool:
         """The δ criterion: residual fell by delta vs the running peak."""
         self.max_r = max(self.max_r, rnorm_sloppy)
         return rnorm_sloppy < self.delta * self.max_r
 
-    def refresh(
-        self, x_sloppy: DeviceSpinorField, r_sloppy: DeviceSpinorField
-    ) -> float:
+    def _true_residual(self) -> float:
+        """``r_full = b - A y`` (or ``A^dag A y``) in full precision; |r|."""
+        gpu, op = self.op_full.gpu, self.op_full
+        op.apply(self.y, self.scratch_a, self.scratch_b)
+        if self.dagger_pair:
+            op.apply(self.scratch_b, self.scratch_a, self.scratch_b, dagger=True)
+        blas.copy(gpu, self.b, self.r_full)
+        blas.axpy(gpu, -1.0, self.scratch_b, self.r_full)
+        return blas.norm2(gpu, self.r_full, self.qmp) ** 0.5
+
+    def refresh(self) -> float:
         """Perform the reliable update; returns the true ``|r|``.
 
         ``y += x_s``; ``r = b - A y`` in full precision; ``x_s = 0``;
-        ``r_s = r`` (precision conversion).  The Krylov recurrences of the
-        caller continue untouched — the single-Krylov-space property.
-        In aliased (uniform) mode the fold-in and conversions vanish.
+        ``r_s = r`` (precision conversion).  The Krylov recurrence
+        continues untouched — the single-Krylov-space property.  In
+        aliased (uniform) mode the fold-in and conversions vanish.
         """
         gpu = self.op_full.gpu
         if not self.aliased:
             # Precision-converting accumulate: y += x_s.
-            blas.copy(gpu, x_sloppy, self.scratch_b)
+            blas.copy(gpu, self.x_s, self.scratch_b)
             blas.axpy(gpu, 1.0, self.scratch_b, self.y)
-        # True residual in full precision: r = b - A y (or A^dag A y).
-        self.op_full.apply(self.y, self.scratch_a, self.scratch_b)
-        if self.dagger_pair:
-            self.op_full.apply(
-                self.scratch_b, self.scratch_a, self.scratch_b, dagger=True
-            )
-        blas.copy(gpu, self.b, self.r_full)
-        blas.axpy(gpu, -1.0, self.scratch_b, self.r_full)
-        r2 = blas.norm2(gpu, self.r_full, self.qmp)
+        rnorm = self._true_residual()
         if not self.aliased:
             # Restart the sloppy delta from zero with the fresh residual.
-            blas.zero(x_sloppy.gpu, x_sloppy)
-            blas.copy(gpu, self.r_full, r_sloppy)
-        rnorm = r2**0.5
+            blas.zero(self.x_s.gpu, self.x_s)
+            blas.copy(gpu, self.r_full, self.r)
         self.max_r = rnorm
         self.updates += 1
         return rnorm
+
+    def _checkpoint(self) -> None:
+        if self.on_refresh is not None:
+            self.on_refresh(
+                iteration=self.iteration,
+                rnorm=self.rnorm,
+                reliable_updates=self.updates,
+                history=list(self.history),
+            )
+
+    def _verified_refresh(self) -> None:
+        """A functional refresh: checked, recorded, then checkpointed."""
+        self.rnorm = rnorm = self.refresh()
+        if not math.isfinite(rnorm):
+            # Never checkpoint a poisoned solution.
+            raise self.breakdown("non_finite", "true residual after reliable update")
+        # Refresh-point invariant monitor (ABFT): a jump past
+        # corruption_factor over the previous refresh is orders of
+        # magnitude beyond rounding drift.  Raised before the checkpoint,
+        # so a poisoned solution is never committed as a recovery point.
+        last = self._last_refresh
+        if last > 0 and rnorm > self.corruption_factor * last:
+            raise self.breakdown(
+                "corruption",
+                f"true residual jumped {rnorm / last:.1e}x "
+                f"over the last refresh ({last:.6e})",
+            )
+        self._last_refresh = rnorm
+        self.history.append(rnorm)
+        self._checkpoint()
+
+    # -- the loop -------------------------------------------------------- #
+
+    def run(
+        self,
+        b: DeviceSpinorField,
+        start: Callable[[], None],
+        step: Callable[[], float | None],
+        *,
+        restart: Callable[[], None] | None = None,
+        b_norm: float | None = None,
+    ) -> LocalSolveInfo:
+        """Solve ``A y = b`` with the recurrence ``start``/``step``.
+
+        ``step`` runs one iteration and returns the recursed |r|, or
+        ``None`` once it has folded its last update into ``x_s`` and wants
+        the true residual now.  ``restart`` runs after a refresh that did
+        not end the solve.  ``b_norm`` (default: the first entry of the
+        history, which survives resume chains) scales the target and the
+        divergence bound.
+        """
+        gpu, qmp, execute = self.op_full.gpu, self.qmp, self.execute
+        self.b = b
+        if self.resume is None:
+            blas.zero(gpu, self.y)
+            blas.copy(gpu, b, self.r_full)
+            self.rnorm = blas.norm2(gpu, self.r_full, qmp) ** 0.5
+            self.history = [self.rnorm]
+        else:
+            # y was pre-restored from the checkpoint by the caller.
+            self.updates = self.resume.reliable_updates
+            self.iteration = self.resume.iteration
+            self.rnorm = self._true_residual()
+            self.history = [*self.resume.history, self.rnorm]
+        self.max_r = self._last_refresh = best_rnorm = self.rnorm
+        self.conv = conv = ConvergenceState(
+            b_norm=self.history[0] if b_norm is None else b_norm, tol=self.tol
+        )
+        try:
+            if execute and not math.isfinite(self.rnorm):
+                raise self.breakdown("non_finite", "|r| at initialization")
+            if not self.aliased:
+                blas.copy(gpu, self.r_full, self.r)  # precision conversion
+                blas.zero(self.op_sloppy.gpu, self.x_s)
+            start()
+            # A zero source (or a checkpoint taken at the brink of
+            # convergence) is already converged — entering the loop would
+            # manufacture a breakdown out of a solved system.
+            converged = execute and conv.converged(self.rnorm)
+            limit = self.maxiter if execute else self.fixed_iterations
+            since_improvement = 0
+            while self.iteration < limit and not converged:
+                self.iteration += 1
+                # Planned resident-field corruption (a soft error in device
+                # RAM) fires here — polled unconditionally so timing-only
+                # runs record the event, applied only to real field data.
+                hit = None if qmp is None else qmp.take_resident_corruption()
+                if hit is not None and execute:
+                    spec, plan_seed = hit
+                    damaged = self.x_s.get()
+                    resident_scribble(
+                        damaged, seed=plan_seed, rank=qmp.rank, scale=spec.scale
+                    )
+                    self.x_s.set(damaged)
+                rnorm = step()
+                if rnorm is not None:
+                    self.rnorm = rnorm
+                    self.history.append(rnorm)
+                    if not execute:
+                        if self.iteration % self.update_cadence == 0:
+                            self.refresh()  # pay the refresh cost on a cadence
+                            self._checkpoint()
+                        continue
+                    if conv.b_norm > 0 and rnorm > self.divergence_factor * conv.b_norm:
+                        raise self.breakdown(
+                            "divergence",
+                            f"|r| exceeded {self.divergence_factor:g} x |b|",
+                        )
+                    if rnorm < 0.9 * best_rnorm:
+                        best_rnorm, since_improvement = rnorm, 0
+                    else:
+                        since_improvement += 1
+                        if since_improvement >= self.stagnation_window:
+                            raise self.breakdown(
+                                "stagnation",
+                                f"no residual progress in "
+                                f"{self.stagnation_window} iterations",
+                            )
+                    if not (conv.converged(rnorm) or self.should_update(rnorm)):
+                        continue
+                self._verified_refresh()
+                converged = conv.converged(self.rnorm)
+                if restart is not None and not converged:
+                    restart()
+            if execute and not converged:
+                # Fold any outstanding delta into the answer before reporting.
+                self._verified_refresh()
+                converged = conv.converged(self.rnorm)
+        finally:
+            gpu.device_synchronize()
+            for f in self.work:  # free solver temporaries (QUDA does the same)
+                f.release()
+        timeline = gpu.timeline
+        return LocalSolveInfo(
+            iterations=self.iteration,
+            residual_norm=self.rnorm,
+            converged=converged,
+            reliable_updates=self.updates,
+            history=self.history,
+            t_start=self._t_start,
+            t_end=timeline.host_time,
+            flops=float(timeline.flops_since(self._op_index)),
+        )

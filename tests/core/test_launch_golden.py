@@ -34,12 +34,16 @@ from repro.lattice import LatticeGeometry, random_spinor, weak_field_gauge
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_launch_sequence.json"
 
-#: name -> invert() keyword arguments.  ``grid=(2, 2)`` partitions both Z
-#: and T (two ranks along each), which is the smallest machine on which
-#: the ``partitioned=(2, 3)`` kernel path runs.
+#: name -> invert() keyword arguments, plus the precision ``mode`` and
+#: ``solver`` of the run (single-half BiCGstab unless named).
+#: ``grid=(2, 2)`` partitions both Z and T (two ranks along each), which
+#: is the smallest machine on which the ``partitioned=(2, 3)`` kernel
+#: path runs.
 SCENARIOS = {
     "time_sliced_2_ranks": dict(n_gpus=2),
     "zt_grid_2x2": dict(grid=(2, 2)),
+    "cg_double_2_ranks": dict(n_gpus=2, mode="double", solver="cg"),
+    "cg_double_half_2_ranks": dict(n_gpus=2, mode="double-half", solver="cg"),
 }
 
 #: name -> invert_model() keyword arguments (timing-only, 8^3 x 16).
@@ -50,6 +54,7 @@ MODEL_SCENARIOS = {
     for machine, placement in (("4_ranks", dict(n_gpus=4)), ("zt_grid_2x2", dict(grid=(2, 2))))
     for overlap in (True, False)
 }
+MODEL_SCENARIOS["model_cg_4_ranks_overlap"] = dict(overlap=True, n_gpus=4, solver="cg")
 
 
 class _Recorder:
@@ -83,15 +88,18 @@ class _Recorder:
         return digest.hexdigest(), n_ops
 
 
-def launch_record(**invert_kwargs) -> dict:
-    """Run one 4^3 x 8 single-half solve; digest every rank's timeline."""
+def launch_record(*, mode="single-half", solver="bicgstab", **invert_kwargs) -> dict:
+    """Run one 4^3 x 8 solve; digest every rank's timeline."""
     rng = np.random.default_rng(2010)
     geometry = LatticeGeometry((4, 4, 4, 8))
     gauge = weak_field_gauge(geometry, rng, 0.1)
     source = random_spinor(geometry, rng)
     with _Recorder() as rec:
         result = invert(
-            gauge, source, paper_invert_param("single-half", mass=0.1), **invert_kwargs
+            gauge,
+            source,
+            paper_invert_param(mode, mass=0.1, solver=solver),
+            **invert_kwargs,
         )
     sha, n_ops = rec.digest(
         lambda op: (op.name, op.kind, op.stream, op.nbytes, op.flops)
@@ -104,10 +112,12 @@ def launch_record(**invert_kwargs) -> dict:
     }
 
 
-def model_record(*, overlap: bool, **placement) -> dict:
+def model_record(*, overlap: bool, solver="bicgstab", **placement) -> dict:
     """Run one timing-only 8^3 x 16 single-half solve; digest every rank's
     timeline including the ``repr`` of each op's start and end."""
-    inv = paper_invert_param("single-half", overlap_comms=overlap, fixed_iterations=4)
+    inv = paper_invert_param(
+        "single-half", overlap_comms=overlap, fixed_iterations=4, solver=solver
+    )
     with _Recorder() as rec:
         result = invert_model((8, 8, 8, 16), inv, **placement)
     sha, n_ops = rec.digest(

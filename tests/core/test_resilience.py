@@ -136,16 +136,17 @@ class TestRankFailureRecovery:
         assert res.true_residual < 1e-6
 
 
-def _lockstep_nan_cdot(real_cdot, n_th: int):
-    """Poison the ``n_th`` cdot reduction with NaN — per rank, so every
-    rank sees the identical bad value (as a real reduction fault would
-    deliver) and the lockstep breakdown contract holds."""
+def _lockstep_nan_cdot(real_cdot, hits: set[int]):
+    """Poison every cdot reduction whose per-rank count is in ``hits``
+    with NaN — per rank, so every rank sees the identical bad value (as a
+    real reduction fault would deliver) and the lockstep breakdown
+    contract holds."""
     counts = {}
 
     def poisoned(gpu, x, y, qmp):
         k = id(qmp)
         counts[k] = counts.get(k, 0) + 1
-        if counts[k] == n_th:
+        if counts[k] in hits:
             return complex("nan")
         return real_cdot(gpu, x, y, qmp)
 
@@ -154,7 +155,7 @@ def _lockstep_nan_cdot(real_cdot, n_th: int):
 
 class TestBreakdownEscalation:
     def test_nan_reduction_escalates_and_converges(self, lattice, monkeypatch):
-        monkeypatch.setattr(blas, "cdot", _lockstep_nan_cdot(blas.cdot, 20))
+        monkeypatch.setattr(blas, "cdot", _lockstep_nan_cdot(blas.cdot, {20}))
         gauge, src = lattice
         inv = paper_invert_param("single-half", mass=MASS)
         res = invert(gauge, src, inv, n_gpus=2)
@@ -167,7 +168,7 @@ class TestBreakdownEscalation:
     def test_exhausted_ladder_raises_structured_breakdown(
         self, lattice, monkeypatch
     ):
-        monkeypatch.setattr(blas, "cdot", _lockstep_nan_cdot(blas.cdot, 20))
+        monkeypatch.setattr(blas, "cdot", _lockstep_nan_cdot(blas.cdot, {20}))
         gauge, src = lattice
         inv = paper_invert_param("single-half", mass=MASS, max_escalations=0)
         with pytest.raises(RuntimeError) as info:
@@ -176,6 +177,30 @@ class TestBreakdownEscalation:
         while cause is not None and not isinstance(cause, SolverBreakdown):
             cause = cause.__cause__
         assert cause is not None and cause.kind == "non_finite"
+
+    @pytest.mark.parametrize("n_gpus", [1, 2])
+    def test_switch_to_cg_converges(self, lattice, monkeypatch, n_gpus):
+        """Two poisoned reductions walk the ladder to its CG rung.  CG's
+        target and divergence bound are relative to its own |Mhat^dag b|,
+        not to the |b| that BiCGstab left at the head of the history."""
+        monkeypatch.setattr(blas, "cdot", _lockstep_nan_cdot(blas.cdot, {20, 34}))
+        gauge, src = lattice
+        res = invert(gauge, src, paper_invert_param("single-half", mass=MASS), n_gpus=n_gpus)
+        assert [e.kind for e in res.recovery_events] == ["restart", "solver_switch"]
+        assert res.stats.converged and res.true_residual < 1e-6
+
+
+class TestCGRefresh:
+    @pytest.mark.parametrize("mode", ["double", "single", "double-half", "single-half"])
+    def test_cg_converges_through_refreshes(self, lattice, mode):
+        """A refresh that does not end the solve restarts CG's search
+        direction from the refreshed residual; a stale direction against
+        the refreshed ``rr`` diverges in single and single-half."""
+        gauge, src = lattice
+        inv = paper_invert_param(mode, mass=MASS, solver="cg", max_escalations=0)
+        res = invert(gauge, src, inv, n_gpus=1)
+        assert res.stats.converged and res.stats.reliable_updates >= 2
+        assert res.true_residual < 10 * inv.tol
 
 
 class TestUnits:
