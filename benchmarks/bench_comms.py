@@ -7,18 +7,22 @@ that is the machine-independent shape ``check_comms_regression.py`` holds
 Two workloads at 2 / 8 / 32 ranks:
 
 * ``ring``  — ``ITERATIONS`` rounds of send-right / recv-left / allreduce
-  on header-sized messages: nothing but the blocking path;
+  on header-sized messages: nothing but the blocking path, every rank
+  simulated (a plain ``SimMPI``);
 * ``scaling_point`` — one timing-only ``run_scaling_point`` at the ledger's
-  ``model-sweep`` shape (24^3 x 128 single-half, overlap, 40 iterations).
+  ``model-sweep`` shape (24^3 x 128 single-half, overlap, 40 iterations),
+  which simulates one rank body per symmetry orbit (``SimMPI.simulated``).
 
-Reported per case (medians over ``REPEATS`` runs): wall seconds, µs per
-blocking operation (receives + collectives, from the public
-``CommStats``), ms per rank body, and parks per rank body where the
-runtime counts them.  ``--record LABEL`` stores the table in
-``BENCH_comms.json``; pointing ``PYTHONPATH`` at another checkout's
-``src`` records that commit with the identical benchmark code::
+Reported per case (medians over ``REPEATS`` runs): wall seconds, rank
+bodies simulated per run, µs per blocking operation (receives +
+collectives, from the public ``CommStats``), ms per simulated rank body,
+and parks per rank body where the runtime counts them.  ``--record LABEL``
+stores the rows in ``BENCH_comms.json`` (other rows of the label are
+kept, so ``--case`` re-records one workload); pointing ``PYTHONPATH`` at
+another checkout's ``src`` records that commit with the identical
+benchmark code::
 
-    PYTHONPATH=src python benchmarks/bench_comms.py --record change
+    PYTHONPATH=src python benchmarks/bench_comms.py --case scaling_point --record change
 """
 
 import argparse
@@ -75,7 +79,9 @@ class WorldLog:
                 return run(world, fn, **kwargs)
             finally:
                 ops = sum(s.recvs + s.collectives for s in world.comm_stats())
-                log.append((world.size, ops, getattr(world._state, "parks", None)))
+                # A world from before orbits simulates every rank.
+                bodies = len(getattr(world, "simulated", range(world.size)))
+                log.append((bodies, ops, getattr(world._state, "parks", None)))
 
         SimMPI.run = logged
         return self
@@ -94,11 +100,12 @@ def measure(case: str, ranks: int, repeats: int = REPEATS) -> dict:
             run(ranks)
             walls.append(time.perf_counter() - start)
     wall = statistics.median(walls)
-    bodies = sum(size for size, _, _ in log.worlds) / repeats
+    bodies = sum(n for n, _, _ in log.worlds) // repeats
     ops = sum(n for _, n, _ in log.worlds) / repeats
     parks = [p for _, _, p in log.worlds]
     return {
         "ranks": ranks,
+        "rank_bodies": bodies,
         "wall_s": round(wall, 4),
         "blocking_ops": int(ops),
         "us_per_blocking_op": round(1e6 * wall / ops, 2),
@@ -109,9 +116,9 @@ def measure(case: str, ranks: int, repeats: int = REPEATS) -> dict:
     }
 
 
-def measure_all() -> dict:
+def measure_all(cases=tuple(CASES)) -> dict:
     return {
-        f"{case}/{ranks}": measure(case, ranks) for case in CASES for ranks in RANKS
+        f"{case}/{ranks}": measure(case, ranks) for case in cases for ranks in RANKS
     }
 
 
@@ -122,19 +129,24 @@ def main(argv=None) -> int:
         help="store the table under LABEL (e.g. parent, change) in the baseline file",
     )
     parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
+    parser.add_argument(
+        "--case", choices=sorted(CASES), action="append",
+        help="measure only this workload (repeatable; default: all)",
+    )
     args = parser.parse_args(argv)
-    results = measure_all()
+    results = measure_all(args.case or tuple(CASES))
     for name, row in results.items():
         parks = row["parks_per_rank_body"]
         print(
-            f"{name:18s} {row['wall_s']:8.3f} s  {row['us_per_blocking_op']:8.2f} us/op  "
+            f"{name:18s} {row['wall_s']:8.3f} s  {row['rank_bodies']:3d} bodies  "
+            f"{row['us_per_blocking_op']:8.2f} us/op  "
             f"{row['ms_per_rank_body']:8.3f} ms/body  "
             + ("parks not counted" if parks is None else f"{parks:7.1f} parks/body")
         )
     if args.record:
         doc = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
         doc.setdefault("what", WHAT)
-        doc[args.record] = results
+        doc.setdefault(args.record, {}).update(results)
         args.baseline.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"recorded {len(results)} case(s) under {args.record!r} in {args.baseline}")
     return 0

@@ -45,6 +45,27 @@ order yields the same model clocks (lowest rank first is the cheapest to
 state), and the interleaving of rank bodies is itself a function of the
 program: a run repeats event for event.
 
+**Orbits.**  A world may simulate fewer threads than it has ranks:
+``orbit[r]`` names the rank whose thread stands in for rank ``r``
+(:func:`repro.comms.qmp.rank_orbits` computes one for a timing-only
+solve, where every rank runs the same program and differs only in the
+kind of its links and its NUMA binding).  ``Comm.rank`` is the
+representative's own rank and ``Comm.size`` stays N.  Mailboxes are keyed
+``(orbit[src], orbit[dst], tag)`` and a receive waits on ``orbit[source]``,
+so a representative's send to any member of an orbit is what that
+orbit's representative receives from the mirrored peer; the wire time
+still uses the virtual ids (``message_time(source, self.rank)``), which a
+symmetry preserves.  A collective settles once every representative has
+arrived, over the rank-ordered list ``[entry[orbit[r]] for r in
+range(N)]``, so its combine, latest entry time and ``allreduce_time(N)``
+are those of the full world bit for bit.  :meth:`SimMPI.run` and
+:meth:`SimMPI.comm_stats` still answer for N ranks, rank ``r`` with its
+representative's result.  Exact because a receive completes at a function
+of the carried timestamp, the link kind and nothing else, and a
+collective at a function of the entry times and N: symmetric ranks carry
+symmetric clocks.  Faults and checksums are drawn per rank and per link,
+so a world with a fault plan or integrity checks simulates every rank.
+
 **Faults and integrity.**  A bound :class:`~repro.comms.faults.FaultPlan`
 perturbs traffic deterministically (jitter, send retries, stalls, crashes,
 corruption).  A dead or stalled peer is on the failure board the moment
@@ -174,12 +195,13 @@ class _CollSlot:
     values: list[Any] = field(default_factory=list)  # verified, in rank order
     n_bad: int = 0  # contributions repaired from their pristine copy
 
-    def settle(self, verify: bool) -> None:
-        """Verify every contribution and fix the rank order, once."""
+    def settle(self, verify: bool, orbit: tuple[int, ...]) -> None:
+        """Verify every contribution and fix the rank order, once: rank
+        ``r`` contributes its representative's entry."""
         entries = self.entries
         self.latest = max(entry[1] for entry in entries.values())
-        for r in range(len(entries)):
-            sv, _, sc, pv = entries[r]
+        for rep in orbit:
+            sv, _, sc, pv = entries[rep]
             if verify and sc is not None and checksum_payload(sv) != sc:
                 self.n_bad += 1
                 self.values.append(pv)
@@ -195,11 +217,13 @@ class _Baton:
     needs a lock: the gates *are* the synchronisation.
     """
 
-    def __init__(self, size: int) -> None:
-        self.gates = [threading.Lock() for _ in range(size)]
-        for gate in self.gates:
+    def __init__(self, orbit: tuple[int, ...], simulated: tuple[int, ...]) -> None:
+        self.orbit = orbit
+        self.n_simulated = len(simulated)
+        self.gates = {r: threading.Lock() for r in simulated}
+        for gate in self.gates.values():
             gate.acquire()
-        self.ready: list[int] = list(range(size))  # sorted, hence a heap
+        self.ready: list[int] = list(simulated)  # sorted, hence a heap
         self.waiting: dict[int, _Wait] = {}
         self.parks = 0
         #: Why no parked rank can ever be woken: the who-waits-on-whom
@@ -550,6 +574,7 @@ class Comm:
             corrupt_count=corrupt_count,
         )
         state = self._state
+        dest = state.orbit[dest]
         state.mailboxes[(self.rank, dest, tag)].append(env)
         parked = state.waiting.get(dest)
         if parked is not None and parked.source == self.rank and parked.tag == tag:
@@ -570,9 +595,10 @@ class Comm:
         self._fault_checkpoint("MPI_Recv")
         self.stats.recvs += 1
         op = f"MPI_Recv(from {source})"
-        box = self._state.mailboxes[(source, self.rank, tag)]
+        sender = self._state.orbit[source]
+        box = self._state.mailboxes[(sender, self.rank, tag)]
         if not box:
-            self._await(_Wait(op, source, tag), box.__len__)
+            self._await(_Wait(op, sender, tag), box.__len__)
         env = box.popleft()
         arrival = env.sent_at + self.cluster.message_time(
             source, self.rank, env.nbytes
@@ -735,13 +761,14 @@ class Comm:
         slot = state.coll_slots[key]
         entries = slot.entries
         entries[self.rank] = (sent, self._now(), chk, pristine)
-        if len(entries) == self.size:  # last to arrive: settle, release
-            slot.settle(self.integrity.verify)
+        everyone = state.n_simulated
+        if len(entries) == everyone:  # last to arrive: settle, release
+            slot.settle(self.integrity.verify, state.orbit)
             for r in entries:
                 state.wake(r)
         else:
             self._await(
-                _Wait(op, _EVERYONE, key), lambda: len(entries) == self.size
+                _Wait(op, _EVERYONE, key), lambda: len(entries) == everyone
             )
         n_bad = slot.n_bad
         result = combine(slot.values)
@@ -773,7 +800,7 @@ class Comm:
         else:
             self._advance(completion, op)
         slot.departed += 1
-        if slot.departed == self.size:
+        if slot.departed == everyone:
             del state.coll_slots[key]
         return result
 
@@ -858,7 +885,12 @@ def _current_cpu() -> int | None:
 
 
 class SimMPI:
-    """An MPI "world": create once, then :meth:`run` an SPMD function."""
+    """An MPI "world": create once, then :meth:`run` an SPMD function.
+
+    ``orbit[r]`` is the rank whose thread stands in for rank ``r`` (see
+    "Orbits" above); ``None`` simulates every rank.  :attr:`simulated`
+    lists the ranks that get a thread.
+    """
 
     def __init__(
         self,
@@ -866,9 +898,18 @@ class SimMPI:
         cluster: ClusterSpec | None = None,
         fault_plan: FaultPlan | None = None,
         integrity: IntegrityPolicy | None = None,
+        orbit: tuple[int, ...] | None = None,
     ) -> None:
         if size < 1:
             raise ValueError("world size must be >= 1")
+        orbit = tuple(range(size)) if orbit is None else tuple(orbit)
+        if len(orbit) != size or any(
+            not 0 <= rep < size or orbit[rep] != rep for rep in orbit
+        ):
+            raise ValueError(
+                f"orbit map {orbit} must send each of {size} ranks to a rank "
+                "that represents itself"
+            )
         if fault_plan is not None:
             for verb, specs in (("stalls", fault_plan.stalls), ("corrupts", fault_plan.resident)):
                 for spec in specs:
@@ -891,8 +932,15 @@ class SimMPI:
                 else IntegrityPolicy.off()
             )
         self.integrity = integrity
+        self.orbit = orbit
+        #: The ranks that run a thread, ascending (every rank unless folded).
+        self.simulated = tuple(sorted(set(orbit)))
+        if len(self.simulated) < size and (fault_plan is not None or integrity.verify):
+            # Faults and checksums are drawn per rank and per link: one
+            # thread cannot stand in for another's draws.
+            raise ValueError("a fault plan or integrity checks need every rank simulated")
         self._state: _Baton | None = None  # the last run's
-        self._comms: list[Comm] | None = None
+        self._comms: dict[int, Comm] | None = None
 
     def fault_events(self) -> list[FaultEvent]:
         """All faults injected into the last :meth:`run`, in schedule
@@ -903,10 +951,11 @@ class SimMPI:
         return sorted(self._state.fault_log, key=schedule_sort_key)
 
     def comm_stats(self) -> list[CommStats]:
-        """Per-rank comm counters of the last :meth:`run` (snapshots)."""
+        """Per-rank comm counters of the last :meth:`run` (snapshots; rank
+        ``r`` reports its representative's)."""
         if self._comms is None:
             return []
-        return [c.stats.snapshot() for c in self._comms]
+        return [self._comms[rep].stats.snapshot() for rep in self.orbit]
 
     # ------------------------------------------------------------------ #
     # SPMD driver
@@ -917,21 +966,23 @@ class SimMPI:
     ) -> list[Any] | SpmdOutcome:
         """Run ``fn(comm)`` on every rank; return per-rank results.
 
-        Every call builds its own scheduler, mailboxes and boards: a
-        world can be run again, and nothing of one run leaks into the
-        next.  Default mode re-raises any rank's exception in the caller,
-        annotated with the rank, after all threads have been joined.
+        Only the :attr:`simulated` ranks run ``fn``; every other rank
+        reports its representative's result.  Every call builds its own
+        scheduler, mailboxes and boards: a world can be run again, and
+        nothing of one run leaks into the next.  Default mode re-raises
+        any rank's exception in the caller, annotated with the rank,
+        after all threads have been joined.
         With ``return_partial=True`` nothing is raised: a
         :class:`SpmdOutcome` reports surviving ranks' results alongside
         structured failures — the graceful-degradation path for chaos
         runs.  There is no wall-clock guard: a body that never reaches a
         comms operation holds the baton, as a spinning process its node.
         """
-        state = self._state = _Baton(self.size)
-        results: list[Any] = [None] * self.size
+        state = self._state = _Baton(self.orbit, self.simulated)
+        results: dict[int, Any] = {}
         errors: list[tuple[int, BaseException]] = []
-        comms = self._comms = [
-            Comm(
+        comms = self._comms = {
+            rank: Comm(
                 rank=rank,
                 size=self.size,
                 _state=state,
@@ -943,8 +994,8 @@ class SimMPI:
                 # rebinds it to the rank's GPU host clock (bind_timeline).
                 timeline=Timeline(),
             )
-            for rank in range(self.size)
-        ]
+            for rank in self.simulated
+        }
         cpu = _current_cpu()
 
         def worker(rank: int) -> None:
@@ -967,7 +1018,7 @@ class SimMPI:
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"simmpi-rank{r}")
-            for r in range(self.size)
+            for r in self.simulated
         ]
         for t in threads:
             t.start()
@@ -997,22 +1048,31 @@ class SimMPI:
             wrapped = RuntimeError(f"rank {rank} failed: {exc!r}")
             wrapped.fault_events = self.fault_events()
             raise wrapped from exc
-        return results
+        return [results[rep] for rep in self.orbit]
 
     def _partial_outcome(
-        self, results: list[Any], errors: list[tuple[int, BaseException]]
+        self, results: dict[int, Any], errors: list[tuple[int, BaseException]]
     ) -> SpmdOutcome:
-        failures: dict[int, RankFailure] = {}
-        for rank, exc in sorted(errors, key=lambda e: e[0]):
+        failed: dict[int, RankFailure] = {}
+        for rank, exc in errors:
             if isinstance(exc, RankFailedError):
                 mode = exc.mode if exc.rank == rank else "collateral"
-                failures[rank] = RankFailure(rank, exc.op, exc.model_time, mode, exc)
+                failed[rank] = RankFailure(rank, exc.op, exc.model_time, mode, exc)
             else:
-                failures[rank] = RankFailure(
+                failed[rank] = RankFailure(
                     rank, "user code", self._comms[rank]._now(), "crashed", exc
                 )
-            results[rank] = None
-        return SpmdOutcome(results, failures, self.fault_events(), self.comm_stats())
+        failures = {
+            r: replace(failed[rep], rank=r)
+            for r, rep in enumerate(self.orbit)
+            if rep in failed
+        }
+        return SpmdOutcome(
+            [None if rep in failed else results[rep] for rep in self.orbit],
+            failures,
+            self.fault_events(),
+            self.comm_stats(),
+        )
 
 
 def run_spmd(

@@ -11,19 +11,25 @@ time axis; the multi-dimensional extension (Section VI-A future work)
 declares a 2-D ``(Z, T)`` grid instead, with neighbour relays along each
 partitioned lattice direction.  Fields carry the antiperiodic sign; the
 machine topology itself is periodic in every axis.
+
+:func:`rank_orbits` reads the same grid for symmetry: which ranks a
+timing-only solve may simulate once for many (see
+:mod:`repro.comms.mpi_sim`, "Orbits").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import product
+from typing import Any, Mapping
 
 import numpy as np
 
+from .cluster import ClusterSpec
 from .faults import RankFailedError
 from .mpi_sim import Comm, Request
 
-__all__ = ["QMPMachine"]
+__all__ = ["QMPMachine", "rank_orbits"]
 
 #: Base message tags; each (lattice direction, relay orientation) pair
 #: gets its own tag, like QMP's declared channels.
@@ -32,6 +38,39 @@ _TAG_BASE = 100
 
 def _tag(mu: int, direction: int) -> int:
     return _TAG_BASE + 2 * mu + (0 if direction == -1 else 1)
+
+
+def rank_orbits(
+    n_ranks: int, qmp_grid: Mapping[int, int] | None, cluster: ClusterSpec
+) -> tuple[int, ...]:
+    """The representative of every rank's symmetry orbit, rank by rank.
+
+    Two ranks share an orbit when a translation of the periodic process
+    grid maps one onto the other and preserves every rank's NUMA binding
+    (:meth:`ClusterSpec.numa_ok`) and the kind of every neighbour link
+    (shared memory or InfiniBand: whether its ends share a node).  Those
+    translations form a group, so the orbits partition the ranks; the
+    representative is the lowest rank of its orbit (rank 0 always
+    represents itself).  On the paper's 2-GPU nodes a time-sliced ring has
+    two orbits, even and odd ranks.  ``qmp_grid`` is the machine grid of
+    :class:`QMPMachine` (``None`` for the 1-D time ring).
+    """
+    grid = dict(qmp_grid) if qmp_grid is not None else {3: n_ranks}
+    extents = np.array([grid[mu] for mu in sorted(grid)])
+    strides = np.cumprod(np.concatenate(([1], extents[:-1])))
+    # Logical coordinates, lower lattice directions fastest (as QMPMachine).
+    coords = (np.arange(n_ranks)[:, None] // strides) % extents
+    shifts = np.array(list(product(*(range(n) for n in extents))))
+    images = ((coords + shifts[:, None]) % extents) @ strides  # (shift, rank)
+    # Every -mu link is some rank's +mu link, so the +mu ones cover them all.
+    steps = np.eye(len(extents), dtype=int)[extents > 1]
+    heads = ((coords[:, None] + steps) % extents) @ strides  # (rank, link)
+    node = np.array([cluster.node_of(r) for r in range(n_ranks)])
+    numa = np.array([cluster.numa_ok(r) for r in range(n_ranks)])
+    kinds = node[:, None] == node[heads]
+    moved_kinds = node[images][:, :, None] == node[images[:, heads]]
+    keeps = (numa[images] == numa).all(axis=1) & (moved_kinds == kinds).all(axis=(1, 2))
+    return tuple(int(r) for r in images[keeps].min(axis=0))
 
 
 @dataclass

@@ -670,6 +670,9 @@ def _run(
         store=store,
         make_body=make_body,
         integrity=integrity,
+        # A timing-only body moves no data: its clock depends on its rank
+        # only through numa_ok and the kinds of its links.
+        rank_uniform=not execute,
     )
     slicing = out.slicing
     outcomes = out.results

@@ -21,10 +21,11 @@ damaged state.  That is the only format: anything else, including
 streams written before the frame existed, is rejected.
 
 :class:`CheckpointStore` is the rank-collective side: every rank
-contributes its slab at a refresh; when all ranks of the current attempt
-have contributed at the same iteration the store commits a *global*
-checkpoint.  The store outlives the SPMD world, so a relaunched world —
-possibly re-partitioned over fewer ranks — restores from the last commit
+contributes its slab at a refresh; when all simulated ranks of the current
+attempt have contributed at the same iteration the store commits a *global*
+checkpoint (a folded world's representative stands in for its orbit).
+The store outlives the SPMD world, so a relaunched world — possibly
+re-partitioned over fewer ranks — restores from the last commit
 regardless of the old rank layout.
 """
 
@@ -140,7 +141,8 @@ class CheckpointStore:
         self._lock = threading.RLock()
         self.n_sources = n_sources
         self.attempt = 0
-        self._n_ranks = 0
+        self._orbit: tuple[int, ...] = ()
+        self._n_simulated = 0
         self._gather = None
         # source -> iteration -> rank -> (slab | None)
         self._pending: dict[int, dict[int, dict[int, np.ndarray | None]]] = {}
@@ -163,16 +165,24 @@ class CheckpointStore:
     # Attempt lifecycle
     # ------------------------------------------------------------------ #
 
-    def rebind(self, slicing, *, attempt: int = 0) -> None:
+    def rebind(
+        self, slicing, *, attempt: int = 0, orbit: tuple[int, ...] | None = None
+    ) -> None:
         """Bind the store to one attempt's decomposition.
 
+        ``orbit`` is the attempt's world's orbit map
+        (:class:`~repro.comms.mpi_sim.SimMPI`): only representatives
+        contribute, each standing in for the ranks it represents.
         Clears every half-contributed piece (checkpoints *and* results):
         a dead attempt's partial contributions must never mix with a new
         attempt's at the same key.  Committed checkpoints survive.
         """
         with self._lock:
             self.attempt = attempt
-            self._n_ranks = slicing.n_ranks
+            self._orbit = (
+                tuple(range(slicing.n_ranks)) if orbit is None else tuple(orbit)
+            )
+            self._n_simulated = len(set(self._orbit))
             self._gather = slicing.gather
             self._pending.clear()
             self._meta.clear()
@@ -208,10 +218,10 @@ class CheckpointStore:
                 "sloppy_precision": sloppy_precision,
             }
             self._progress[source] = max(self._progress.get(source, 0), iteration)
-            if len(pieces) < self._n_ranks:
+            if len(pieces) < self._n_simulated:
                 return
             meta = self._meta.pop((source, iteration))
-            slabs = [pieces[r] for r in range(self._n_ranks)]
+            slabs = [pieces[rep] for rep in self._orbit]
             x_full = (
                 None
                 if any(s is None for s in slabs)
@@ -239,9 +249,9 @@ class CheckpointStore:
             pieces[rank] = slab
             if rank == 0:
                 self._result_info[source] = info
-            if len(pieces) < self._n_ranks or source not in self._result_info:
+            if len(pieces) < self._n_simulated or source not in self._result_info:
                 return
-            slabs = [pieces[r] for r in range(self._n_ranks)]
+            slabs = [pieces[rep] for rep in self._orbit]
             x = (
                 None
                 if any(s is None for s in slabs)

@@ -36,6 +36,7 @@ from typing import Any, Callable
 from ...comms.cluster import ClusterSpec
 from ...comms.faults import FaultEvent, FaultPlan, IntegrityPolicy, RankFailedError
 from ...comms.mpi_sim import CommStats, SimMPI
+from ...comms.qmp import rank_orbits
 from ...gpu.precision import Precision
 
 __all__ = [
@@ -309,6 +310,7 @@ def run_with_recovery(
     store,
     make_body: Callable[[Any, dict[int, int] | None], Callable],
     integrity: IntegrityPolicy | None = None,
+    rank_uniform: bool = False,
 ) -> RecoveryOutcome:
     """Run an SPMD solve body, surviving planned rank failures.
 
@@ -321,6 +323,13 @@ def run_with_recovery(
     With the policy disabled (or no lethal fault plan bound), this is
     exactly the old single-shot path: failures raise the same structured
     ``RuntimeError`` (with ``fault_events`` attached) as before.
+
+    ``rank_uniform`` says the body's cost depends on its rank only through
+    the cluster (link kinds, NUMA binding) — true of a timing-only solve.
+    Such a body with no fault plan and no integrity checks runs one
+    thread per symmetry orbit (:func:`~repro.comms.qmp.rank_orbits`);
+    every other world simulates every rank.  Either way the results and
+    stats come back per rank.
     """
     plan = fault_plan
     current = n_gpus
@@ -330,8 +339,10 @@ def run_with_recovery(
 
     while True:
         slicing, qmp_grid = _slice(geometry, current, grid)
-        store.rebind(slicing, attempt=attempt)
-        world = SimMPI(slicing.n_ranks, cluster, plan, integrity)
+        fold = rank_uniform and plan is None and (integrity is None or not integrity.verify)
+        orbit = rank_orbits(slicing.n_ranks, qmp_grid, cluster) if fold else None
+        store.rebind(slicing, attempt=attempt, orbit=orbit)
+        world = SimMPI(slicing.n_ranks, cluster, plan, integrity, orbit=orbit)
         body = make_body(slicing, qmp_grid)
         recovery_active = (
             policy.enabled and plan is not None and plan.lethal

@@ -15,22 +15,27 @@ The timing-only scenarios (``model_*``) pin the model *times* as well:
 they run :func:`~repro.core.invert_model` with overlap on and off and
 hash every op's ``repr`` of its start and end next to the rest, so a
 change to how an op is recorded, memoised or costed that moves any
-timestamp by one ulp fails here.
+timestamp by one ulp fails here.  A timing-only solve simulates one rank
+per symmetry orbit (:func:`~repro.comms.qmp.rank_orbits`), so its digest
+covers the representatives' timelines only; ``test_folded_digest_*``
+holds that digest equal to the every-rank run's restricted to them.
 
 Re-record (only for a deliberate, explained change to the schedule)::
 
-    PYTHONPATH=src python tests/core/test_launch_golden.py
+    PYTHONPATH=src python -m tests.core.test_launch_golden
 """
 
-import hashlib
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from repro.core import invert, invert_model, paper_invert_param, quda
+from repro.core import invert, invert_model, paper_invert_param
+from repro.core.solvers import resilience
 from repro.lattice import LatticeGeometry, random_spinor, weak_field_gauge
+
+from ._timelines import Recorder, functional_fields, model_fields
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_launch_sequence.json"
 
@@ -57,53 +62,20 @@ MODEL_SCENARIOS = {
 MODEL_SCENARIOS["model_cg_4_ranks_overlap"] = dict(overlap=True, n_gpus=4, solver="cg")
 
 
-class _Recorder:
-    """Collects every VirtualGPU the solver builds while active."""
-
-    def __init__(self):
-        self.gpus = []
-
-    def __enter__(self):
-        gpus = self.gpus
-
-        class RecordingGPU(quda.VirtualGPU):
-            def __post_init__(self):
-                super().__post_init__()
-                gpus.append(self)
-
-        self._original = quda.VirtualGPU
-        quda.VirtualGPU = RecordingGPU
-        return self
-
-    def __exit__(self, *exc):
-        quda.VirtualGPU = self._original
-
-    def digest(self, fields) -> tuple[str, int]:
-        digest = hashlib.sha256()
-        n_ops = 0
-        for gpu in sorted(self.gpus, key=lambda g: g.name):
-            for op in gpu.timeline.ops:
-                digest.update(repr((gpu.name, *fields(op))).encode())
-                n_ops += 1
-        return digest.hexdigest(), n_ops
-
-
 def launch_record(*, mode="single-half", solver="bicgstab", **invert_kwargs) -> dict:
     """Run one 4^3 x 8 solve; digest every rank's timeline."""
     rng = np.random.default_rng(2010)
     geometry = LatticeGeometry((4, 4, 4, 8))
     gauge = weak_field_gauge(geometry, rng, 0.1)
     source = random_spinor(geometry, rng)
-    with _Recorder() as rec:
+    with Recorder() as rec:
         result = invert(
             gauge,
             source,
             paper_invert_param(mode, mass=0.1, solver=solver),
             **invert_kwargs,
         )
-    sha, n_ops = rec.digest(
-        lambda op: (op.name, op.kind, op.stream, op.nbytes, op.flops)
-    )
+    sha, n_ops = rec.digest(functional_fields)
     return {
         "sha256": sha,
         "ops": n_ops,
@@ -112,20 +84,21 @@ def launch_record(*, mode="single-half", solver="bicgstab", **invert_kwargs) -> 
     }
 
 
-def model_record(*, overlap: bool, solver="bicgstab", **placement) -> dict:
-    """Run one timing-only 8^3 x 16 single-half solve; digest every rank's
-    timeline including the ``repr`` of each op's start and end."""
+def model_run(*, overlap: bool, solver="bicgstab", **placement):
+    """One timing-only 8^3 x 16 single-half solve: ``(recorder, result)``."""
     inv = paper_invert_param(
         "single-half", overlap_comms=overlap, fixed_iterations=4, solver=solver
     )
-    with _Recorder() as rec:
+    with Recorder() as rec:
         result = invert_model((8, 8, 8, 16), inv, **placement)
-    sha, n_ops = rec.digest(
-        lambda op: (
-            op.name, op.kind, op.stream, repr(op.start), repr(op.end),
-            op.nbytes, op.flops,
-        )
-    )
+    return rec, result
+
+
+def model_record(**scenario) -> dict:
+    """Digest every simulated rank's timeline, including the ``repr`` of
+    each op's start and end."""
+    rec, result = model_run(**scenario)
+    sha, n_ops = rec.digest(model_fields)
     return {
         "sha256": sha,
         "ops": n_ops,
@@ -150,6 +123,18 @@ def test_launch_sequence_matches_golden(name):
 def test_model_clock_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())[name]
     assert model_record(**MODEL_SCENARIOS[name]) == golden
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_SCENARIOS))
+def test_folded_digest_is_the_representatives_digest(name, monkeypatch):
+    """Folded run == every-rank run seen through the representatives,
+    op names such as ``MPI_Recv(from 3)`` (virtual peer ids) included."""
+    folded, _ = model_run(**MODEL_SCENARIOS[name])
+    representatives = {gpu.name for gpu in folded.gpus}
+    monkeypatch.setattr(resilience, "rank_orbits", lambda n, grid, cluster: tuple(range(n)))
+    full, _ = model_run(**MODEL_SCENARIOS[name])
+    assert len(full.gpus) == 4 > len(folded.gpus)
+    assert full.digest(model_fields, representatives) == folded.digest(model_fields)
 
 
 if __name__ == "__main__":
