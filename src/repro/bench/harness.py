@@ -18,7 +18,13 @@ from dataclasses import field as dataclasses_field
 import numpy as np
 
 from ..comms.cluster import ClusterSpec
-from ..comms.faults import FaultEvent, FaultPlan, IntegrityPolicy, RankFailedError
+from ..comms.faults import (
+    FaultEvent,
+    FaultPlan,
+    IntegrityPolicy,
+    RankFailedError,
+    root_cause,
+)
 from ..comms.mpi_sim import CommStats
 from ..core import RecoveryEvent, RetryPolicy, invert, invert_model, paper_invert_param
 from ..gpu.memory import DeviceOutOfMemoryError
@@ -29,7 +35,6 @@ __all__ = [
     "run_scaling_point",
     "sweep_gpus",
     "propagator_benchmark",
-    "oom_cause",
     "ChaosReport",
     "chaos_solve",
     "chaos_invert",
@@ -60,18 +65,6 @@ class ScalingPoint:
     model_time: float | None = None
 
 
-def oom_cause(exc: BaseException) -> bool:
-    """Whether a SimMPI failure was a device OOM (expected for some
-    configurations, e.g. mixed precision on 4 GPUs — Section VII-C)."""
-    seen = set()
-    while exc is not None and id(exc) not in seen:
-        if isinstance(exc, DeviceOutOfMemoryError):
-            return True
-        seen.add(id(exc))
-        exc = exc.__cause__ or exc.__context__
-    return False
-
-
 def run_scaling_point(
     dims: tuple[int, int, int, int],
     mode: str,
@@ -95,7 +88,9 @@ def run_scaling_point(
             dims, inv, n_gpus=n_gpus, cluster=cluster, gpu_spec=gpu_spec
         )
     except RuntimeError as exc:
-        if oom_cause(exc):
+        # A device OOM is expected for some configurations, e.g. mixed
+        # precision on 4 GPUs (Section VII-C).
+        if root_cause(exc, DeviceOutOfMemoryError) is not None:
             return ScalingPoint(n_gpus=n_gpus, gflops=None)
         raise
     return ScalingPoint(
@@ -191,20 +186,9 @@ class ChaosReport:
     integrity_overhead_s: float = 0.0  # hash/verify model time, max over ranks
 
 
-def _rank_failure(exc: BaseException) -> RankFailedError | None:
-    """The RankFailedError at the root of a SimMPI failure, if any."""
-    seen = set()
-    while exc is not None and id(exc) not in seen:
-        if isinstance(exc, RankFailedError):
-            return exc
-        seen.add(id(exc))
-        exc = exc.__cause__ or exc.__context__
-    return None
-
-
 def _failed_report(plan: FaultPlan, exc: BaseException) -> ChaosReport | None:
     """A structured death report, or None if ``exc`` was not a rank failure."""
-    failure = _rank_failure(exc)
+    failure = root_cause(exc, RankFailedError)
     if failure is None:
         return None
     events = list(getattr(exc, "fault_events", []))
@@ -582,9 +566,7 @@ def _domain_config(p: dict, domain_aware: bool, checkpoint_every: int = 1000000)
         .with_partition(
             p["partition_rack"], at_s=p["partition_at_s"], mean_heal_s=p["heal_mean_s"]
         ),
-        domain_health=(
-            DomainPolicy(enabled=True, strike_k=2, cooldown_s=2e-3) if domain_aware else None
-        ),
+        domain_health=DomainPolicy(enabled=domain_aware, strike_k=2, cooldown_s=2e-3),
         anti_affinity=domain_aware,
         health=_breaker(),
         hedge=HedgePolicy(enabled=True),

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "serve_config"]
 
 
 def _dims(text: str) -> tuple[int, int, int, int]:
@@ -209,11 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the solve service: queued, batched, SLO-aware campaign "
         "scheduling over a pool of simulated multi-GPU workers",
     )
+    # A config flag without a default sets its field only when given
+    # (``serve_config``): the library's default is the only copy.
     p.add_argument("--requests", type=int, default=32,
                    help="synthetic campaign size (solver calls)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=int,
                    help="worker pool size (each an n-rank SimMPI cluster)")
-    p.add_argument("--ranks", type=int, default=2,
+    p.add_argument("--ranks", type=int,
                    help="GPUs (ranks) per worker")
     p.add_argument("--dims", type=_dims, default=(8, 8, 8, 32))
     p.add_argument("--mode", default="single-half",
@@ -224,19 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", type=int, default=1,
                    help="distinct gauge configurations in the campaign "
                    "(only same-config requests share a batch)")
-    p.add_argument("--batch-max", type=int, default=8,
+    p.add_argument("--batch-max", type=int,
                    help="multi-RHS batch size cap (1 disables batching)")
-    p.add_argument("--batch-wait-us", type=float, default=500.0,
+    p.add_argument("--batch-wait-us", type=float,
                    help="batching window: max model time a batch head waits")
-    p.add_argument("--queue-capacity", type=int, default=64,
+    p.add_argument("--queue-capacity", type=int,
                    help="admission queue bound (beyond it: reject with "
                    "retry-after)")
-    p.add_argument("--max-retries", type=int, default=1,
+    p.add_argument("--max-retries", type=int,
                    help="re-dispatches after a worker failure before a "
                    "request fails terminally")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request SLO slack in model ms (goodput metric)")
-    p.add_argument("--iterations", type=int, default=15,
+    p.add_argument("--iterations", type=int,
                    help="solver iterations per request (timing-only mode)")
     p.add_argument("--seed", type=int, default=2010)
     p.add_argument("--functional", action="store_true",
@@ -264,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-residency", action="store_true",
                    help="disable gauge-resident routing (every batch "
                    "re-uploads its configuration)")
-    p.add_argument("--no-tunecache", action="store_true",
-                   help="disable the shared tunecache (per-batch retuning, "
-                   "uncharged, as before the placement layer)")
     p.add_argument("--tunecache", default=None, metavar="PATH",
                    help="persist the shared tunecache as JSON at PATH: "
                    "loaded before the campaign if present, saved after, so "
@@ -299,18 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LOW batches yield to waiting HIGH arrivals at "
                    "refresh-point boundaries and later resume from "
                    "checkpoint")
-    p.add_argument("--refresh-points", type=int, default=4,
+    p.add_argument("--refresh-points", type=int,
                    help="refresh boundaries per batch a preempted solve "
                    "may yield at")
-    p.add_argument("--resume-overhead-us", type=float, default=100.0,
+    p.add_argument("--resume-overhead-us", type=float,
                    help="model time to reload a preempted batch's "
                    "checkpoint on resume")
     p.add_argument("--elastic", action="store_true",
                    help="scale the worker pool against the measured "
                    "arrival rate (--workers is the starting size)")
-    p.add_argument("--min-workers", type=int, default=1)
-    p.add_argument("--max-workers", type=int, default=8)
-    p.add_argument("--spinup-us", type=float, default=2000.0,
+    p.add_argument("--min-workers", type=int)
+    p.add_argument("--max-workers", type=int)
+    p.add_argument("--spinup-us", type=float,
                    help="model time between a scale-up decision and the "
                    "new worker taking traffic")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -327,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-worker health tracking + circuit breaker: "
                    "flaky workers are quarantined, probed after a "
                    "cooldown, and reinstated or retired")
-    p.add_argument("--cooldown-us", type=float, default=2000.0,
+    p.add_argument("--cooldown-us", type=float,
                    help="quarantine cooldown before the probe batch")
     p.add_argument("--hedge", action="store_true",
                    help="straggler hedging: a batch running past the "
                    "model-relative threshold earns a replica on an idle "
                    "worker; first completion wins")
-    p.add_argument("--hedge-factor", type=float, default=1.5,
+    p.add_argument("--hedge-factor", type=float,
                    help="hedge when elapsed exceeds this multiple of the "
                    "dispatch-time drain estimate")
     p.add_argument("--brownout", action="store_true",
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "model time; it heals after a seeded interval")
     p.add_argument("--partition-rack", type=int, default=0,
                    help="rack id the --partition-switch-at-ms hits")
-    p.add_argument("--heal-ms", type=float, default=2.0,
+    p.add_argument("--heal-ms", type=float,
                    help="mean model time before a partitioned rack heals")
     p.add_argument("--domain-quarantine", action="store_true",
                    help="escalate k-of-n correlated worker strikes into a "
@@ -662,26 +661,139 @@ def _cmd_chaos(args) -> int:
     return 1
 
 
-def _cmd_serve(args) -> int:
+def _given(**fields) -> dict:
+    """The keyword arguments whose flag was given (not ``None``)."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _scaled(value: float | None, unit: float) -> float | None:
+    return None if value is None else value * unit
+
+
+def serve_config(args):
+    """The :class:`~repro.service.ServiceConfig` of a parsed ``repro serve``
+    command line.  A field whose flag is left out keeps the library's
+    default."""
     from .comms import DomainFaultPlan, FaultPlan, Topology, WorkerFaultPlan
     from .core import RetryPolicy
     from .service import (
         BatchPolicy,
         BrownoutPolicy,
-        CampaignCheckpointStore,
         DomainPolicy,
         ElasticPolicy,
         HealthPolicy,
         HedgePolicy,
-        MirroredCheckpointStore,
         PlacementPolicy,
         PreemptionPolicy,
-        SchedulerCrash,
         ServiceConfig,
+        TenancyPolicy,
+    )
+
+    fault_plan = None
+    chaos_workers: tuple[int, ...] = ()
+    if args.chaos:
+        fault_plan = FaultPlan(seed=args.seed).with_stall(
+            args.crash_rank,
+            after_s=args.fail_after_us * 1e-6,
+            mode="crash",
+        )
+        chaos_workers = (args.crash_worker,)
+    retry_policy = None
+    if args.recover:
+        retry_policy = RetryPolicy(max_attempts=args.max_attempts)
+    worker_faults = None
+    if args.kill_worker_at_ms is not None or args.straggler_factor:
+        worker_faults = WorkerFaultPlan()
+        if args.kill_worker_at_ms is not None:
+            worker_faults = worker_faults.with_kill(
+                args.kill_worker, at_s=args.kill_worker_at_ms * 1e-3
+            )
+        if args.straggler_factor:
+            worker_faults = worker_faults.with_straggler(
+                args.straggler_worker, factor=args.straggler_factor
+            )
+    topology = None
+    if args.topology is not None:
+        topology = Topology.parse(args.topology)
+    domain_faults = None
+    if args.kill_node_at_ms is not None or args.partition_switch_at_ms is not None:
+        domain_faults = DomainFaultPlan(seed=args.seed)
+        if args.kill_node_at_ms is not None:
+            domain_faults = domain_faults.with_node_kill(
+                args.kill_node, at_s=args.kill_node_at_ms * 1e-3
+            )
+        if args.partition_switch_at_ms is not None:
+            domain_faults = domain_faults.with_partition(
+                args.partition_rack,
+                at_s=args.partition_switch_at_ms * 1e-3,
+                **_given(mean_heal_s=_scaled(args.heal_ms, 1e-3)),
+            )
+    elastic = None
+    if args.elastic:
+        elastic = ElasticPolicy(
+            **_given(
+                min_workers=args.min_workers,
+                max_workers=args.max_workers,
+                spinup_s=_scaled(args.spinup_us, 1e-6),
+            )
+        )
+    return ServiceConfig(
+        **_given(
+            queue_capacity=args.queue_capacity,
+            n_workers=args.workers,
+            ranks_per_worker=args.ranks,
+            max_retries=args.max_retries,
+            fixed_iterations=args.iterations,
+        ),
+        policy=BatchPolicy(
+            **_given(
+                max_batch=args.batch_max,
+                max_wait_s=_scaled(args.batch_wait_us, 1e-6),
+            )
+        ),
+        functional=args.functional,
+        fault_plan=fault_plan,
+        chaos_workers=chaos_workers,
+        retry_policy=retry_policy,
+        seed=args.seed,
+        placement=PlacementPolicy(grid=args.grid, residency=not args.no_residency),
+        preemption=PreemptionPolicy(
+            enabled=args.preempt,
+            **_given(
+                refresh_points=args.refresh_points,
+                resume_overhead_s=_scaled(args.resume_overhead_us, 1e-6),
+            ),
+        ),
+        elastic=elastic,
+        health=HealthPolicy(
+            enabled=args.health, **_given(cooldown_s=_scaled(args.cooldown_us, 1e-6))
+        ),
+        hedge=HedgePolicy(
+            enabled=args.hedge, **_given(trigger_factor=args.hedge_factor)
+        ),
+        brownout=BrownoutPolicy(enabled=args.brownout),
+        worker_faults=worker_faults,
+        topology=topology,
+        domain_faults=domain_faults,
+        domain_health=DomainPolicy(enabled=args.domain_quarantine),
+        anti_affinity=args.anti_affinity,
+        tenancy=TenancyPolicy.build(
+            args.tenants or (),
+            weights=args.tenant_weights,
+            quota_qps=args.quota_qps,
+            quota_burst=args.quota_burst,
+        ),
+    )
+
+
+def _cmd_serve(args) -> int:
+    from .service import (
+        CampaignCheckpointStore,
+        MirroredCheckpointStore,
+        SchedulerCrash,
         ServiceInvariantError,
         SharedTuneCache,
         SolveService,
-        TenancyPolicy,
         bursty_workload,
         stream_workload,
         synthetic_workload,
@@ -715,112 +827,9 @@ def _cmd_serve(args) -> int:
     )
     crashed = False
     try:
-        fault_plan = None
-        chaos_workers: tuple[int, ...] = ()
-        if args.chaos:
-            fault_plan = FaultPlan(seed=args.seed).with_stall(
-                args.crash_rank,
-                after_s=args.fail_after_us * 1e-6,
-                mode="crash",
-            )
-            chaos_workers = (args.crash_worker,)
-        retry_policy = None
-        if args.recover:
-            retry_policy = RetryPolicy(max_attempts=args.max_attempts)
-        worker_faults = None
-        if args.kill_worker_at_ms is not None or args.straggler_factor:
-            worker_faults = WorkerFaultPlan()
-            if args.kill_worker_at_ms is not None:
-                worker_faults = worker_faults.with_kill(
-                    args.kill_worker, at_s=args.kill_worker_at_ms * 1e-3
-                )
-            if args.straggler_factor:
-                worker_faults = worker_faults.with_straggler(
-                    args.straggler_worker, factor=args.straggler_factor
-                )
-        topology = (
-            Topology.parse(args.topology) if args.topology is not None else None
-        )
-        domain_faults = None
-        if args.kill_node_at_ms is not None or args.partition_switch_at_ms is not None:
-            domain_faults = DomainFaultPlan(seed=args.seed)
-            if args.kill_node_at_ms is not None:
-                domain_faults = domain_faults.with_node_kill(
-                    args.kill_node, at_s=args.kill_node_at_ms * 1e-3
-                )
-            if args.partition_switch_at_ms is not None:
-                domain_faults = domain_faults.with_partition(
-                    args.partition_rack,
-                    at_s=args.partition_switch_at_ms * 1e-3,
-                    mean_heal_s=args.heal_ms * 1e-3,
-                )
-        config = ServiceConfig(
-            queue_capacity=args.queue_capacity,
-            policy=BatchPolicy(
-                max_batch=args.batch_max,
-                max_wait_s=args.batch_wait_us * 1e-6,
-            ),
-            n_workers=args.workers,
-            ranks_per_worker=args.ranks,
-            max_retries=args.max_retries,
-            functional=args.functional,
-            fixed_iterations=args.iterations,
-            fault_plan=fault_plan,
-            chaos_workers=chaos_workers,
-            retry_policy=retry_policy,
-            seed=args.seed,
-            placement=PlacementPolicy(
-                grid=args.grid,
-                residency=not args.no_residency,
-                tunecache=not args.no_tunecache,
-            ),
-            preemption=PreemptionPolicy(
-                enabled=args.preempt,
-                refresh_points=args.refresh_points,
-                resume_overhead_s=args.resume_overhead_us * 1e-6,
-            ),
-            elastic=(
-                ElasticPolicy(
-                    min_workers=args.min_workers,
-                    max_workers=args.max_workers,
-                    spinup_s=args.spinup_us * 1e-6,
-                )
-                if args.elastic
-                else None
-            ),
-            health=(
-                HealthPolicy(enabled=True, cooldown_s=args.cooldown_us * 1e-6)
-                if args.health
-                else None
-            ),
-            hedge=(
-                HedgePolicy(enabled=True, trigger_factor=args.hedge_factor)
-                if args.hedge
-                else None
-            ),
-            brownout=BrownoutPolicy(enabled=True) if args.brownout else None,
-            worker_faults=worker_faults,
-            topology=topology,
-            domain_faults=domain_faults,
-            domain_health=(
-                DomainPolicy(enabled=True) if args.domain_quarantine else None
-            ),
-            anti_affinity=args.anti_affinity,
-            tenancy=(
-                TenancyPolicy.build(
-                    args.tenants,
-                    weights=args.tenant_weights,
-                    quota_qps=args.quota_qps,
-                    quota_burst=args.quota_burst,
-                )
-                if args.tenants
-                else None
-            ),
-        )
+        config = serve_config(args)
         tune_cache = None
-        if args.tunecache and not args.no_tunecache and os.path.exists(
-            args.tunecache
-        ):
+        if args.tunecache and os.path.exists(args.tunecache):
             tune_cache = SharedTuneCache.load(args.tunecache)
             print(
                 f"tunecache: loaded {len(tune_cache)} entr(ies) "
@@ -832,18 +841,14 @@ def _cmd_serve(args) -> int:
             mode=args.mode,
             mass=args.mass,
             n_configs=args.configs,
-            deadline_slack_s=(
-                args.deadline_ms * 1e-3 if args.deadline_ms is not None else None
-            ),
+            deadline_slack_s=_scaled(args.deadline_ms, 1e-3),
         )
         if args.priority_mix is not None:
             shape["priority_mix"] = args.priority_mix
         if args.tenants:
             shape["tenants"] = args.tenants
             shape["tenant_mix"] = args.tenant_mix
-        duration_s = (
-            args.duration_ms * 1e-3 if args.duration_ms is not None else None
-        )
+        duration_s = _scaled(args.duration_ms, 1e-3)
 
         def make_workload():
             """The arrival source; deterministic, so a resumed scheduler
@@ -868,10 +873,11 @@ def _cmd_serve(args) -> int:
             return synthetic_workload(args.requests, rate_rps=args.rate, **shape)
 
         if args.chaos:
-            plan = fault_plan.reseeded(args.crash_worker)
+            plan = config.fault_plan.reseeded(args.crash_worker)
             print(
                 f"chaos: worker {args.crash_worker} runs under {plan.describe()}"
             )
+        worker_faults, domain_faults = config.worker_faults, config.domain_faults
         if worker_faults is not None:
             for kill in worker_faults.kills:
                 print(f"faults: worker {kill.worker_id} dies at "
@@ -889,6 +895,7 @@ def _cmd_serve(args) -> int:
                       f"{domain_faults.heal_time(sp) * 1e3:.3f} ms")
         store = None
         if args.checkpoint or args.crash_scheduler_at_ms is not None:
+            topology = config.topology
             if topology is not None and topology.n_nodes > 1:
                 # The checkpoint replicates across two domains; a node
                 # loss that hosted the primary restores from the mirror.
@@ -901,11 +908,7 @@ def _cmd_serve(args) -> int:
                 store = CampaignCheckpointStore(args.checkpoint)
         service = SolveService(config, tune_cache=tune_cache)
         if streaming:
-            crash_at_s = (
-                args.crash_scheduler_at_ms * 1e-3
-                if args.crash_scheduler_at_ms is not None
-                else None
-            )
+            crash_at_s = _scaled(args.crash_scheduler_at_ms, 1e-3)
             try:
                 result = service.serve(
                     make_workload(), checkpoint=store, crash_at_s=crash_at_s
@@ -927,7 +930,7 @@ def _cmd_serve(args) -> int:
         print(f"repro serve: INVARIANT VIOLATED: {exc}", file=sys.stderr)
         return 1
     print(result.report.render())
-    if args.tunecache and service.placement.tune_cache is not None:
+    if args.tunecache:
         service.placement.tune_cache.save(args.tunecache)
         print(
             f"tunecache: saved {len(service.placement.tune_cache)} "

@@ -56,6 +56,7 @@ __all__ = [
     "FaultEvent",
     "IntegrityPolicy",
     "RankFailedError",
+    "root_cause",
     "CorruptionDetected",
     "checksum_bytes",
     "checksum_payload",
@@ -76,6 +77,15 @@ _SALT_HEAL = 8  # seeded switch-partition heal intervals
 _SALT_ELASTIC = 9  # (domain, seed) straggler pinning for scale-up workers
 
 _LINK_IDS = {"shm": 0, "ib": 1}
+
+#: Attempts before a transiently failing send goes through.
+MAX_SEND_ATTEMPTS = 5
+#: Model-time backoff before the first send retry; doubles per retry.
+SEND_RETRY_BACKOFF_S = 5e-6
+#: Modelled hashing throughput (xxhash-class, memory-bound).
+CHECKSUM_GBPS = 25.0
+#: Fixed per-message hashing/verification overhead.
+CHECKSUM_OVERHEAD_S = 2e-7
 
 
 # ------------------------------------------------------------------------ #
@@ -223,6 +233,19 @@ class RankFailedError(RuntimeError):
         return self
 
 
+def root_cause(exc: BaseException | None, kind: type[BaseException]):
+    """The first ``kind`` on ``exc``'s ``__cause__``/``__context__``
+    chain (``exc`` itself included), or ``None``.  A chain that loops
+    back on itself ends the walk."""
+    seen: set[int] = set()
+    while exc is not None and id(exc) not in seen:
+        if isinstance(exc, kind):
+            return exc
+        seen.add(id(exc))
+        exc = exc.__cause__ or exc.__context__
+    return None
+
+
 class CorruptionDetected(RankFailedError):
     """A checksum mismatch that survived every bounded resend.
 
@@ -268,8 +291,8 @@ class IntegrityPolicy:
     of its pristine payload, receivers verify it (NACK + bounded resend
     on mismatch), collectives verify per-contribution digests, and the
     ghost-zone scatter re-verifies after storing.  The model-time cost
-    of hashing is charged per message: ``checksum_overhead_s`` fixed
-    plus ``nbytes`` at ``checksum_gbps`` — the overhead ``bench_chaos``
+    of hashing is charged per message: ``CHECKSUM_OVERHEAD_S`` fixed
+    plus ``nbytes`` at ``CHECKSUM_GBPS`` — the overhead ``bench_chaos``
     measures.
 
     ``IntegrityPolicy.off()`` disables both the checks and their cost:
@@ -282,26 +305,20 @@ class IntegrityPolicy:
     #: Bounded NACK/resend budget before a mismatch escalates to
     #: :class:`CorruptionDetected`.
     max_resend: int = 3
-    #: Modelled hashing throughput (xxhash-class, memory-bound).
-    checksum_gbps: float = 25.0
-    #: Fixed per-message hashing/verification overhead.
-    checksum_overhead_s: float = 2e-7
 
     def __post_init__(self) -> None:
         if self.max_resend < 0:
             raise ValueError("max_resend must be >= 0")
-        if self.checksum_gbps <= 0 or self.checksum_overhead_s < 0:
-            raise ValueError("checksum_gbps > 0 and checksum_overhead_s >= 0")
 
     def cost_s(self, nbytes: int) -> float:
         """Model time to checksum (or verify) one ``nbytes`` payload."""
         if not self.verify:
             return 0.0
-        return self.checksum_overhead_s + nbytes / (self.checksum_gbps * 1e9)
+        return CHECKSUM_OVERHEAD_S + nbytes / (CHECKSUM_GBPS * 1e9)
 
     @classmethod
     def off(cls) -> "IntegrityPolicy":
-        return cls(verify=False, checksum_overhead_s=0.0)
+        return cls(verify=False)
 
 
 @dataclass(frozen=True)
@@ -693,8 +710,6 @@ class FaultPlan:
     shm: LinkFaults = field(default_factory=LinkFaults)
     ib: LinkFaults = field(default_factory=LinkFaults)
     send_fail_prob: float = 0.0  # transient failure chance per attempt
-    max_send_attempts: int = 5  # attempts before the send goes through
-    retry_backoff_s: float = 5e-6  # first backoff; doubles per retry
     stalls: tuple[StallSpec, ...] = ()
     # --- silent data corruption --------------------------------------- #
     #: Planned resident-field corruptions (at most one per rank).
@@ -712,10 +727,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.send_fail_prob < 1.0:
             raise ValueError("send_fail_prob must be in [0, 1)")
-        if self.max_send_attempts < 1:
-            raise ValueError("max_send_attempts must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if not 0.0 <= self.coll_corrupt_prob <= 1.0:
             raise ValueError("coll_corrupt_prob must be in [0, 1]")
         if self.corrupt_budget < -1:
@@ -880,8 +891,8 @@ class FaultPlan:
         if self.send_fail_prob > 0:
             parts.append(
                 f"send-fail p={self.send_fail_prob} "
-                f"(<= {self.max_send_attempts} attempts, "
-                f"backoff {self.retry_backoff_s * 1e6:.1f}us)"
+                f"(<= {MAX_SEND_ATTEMPTS} attempts, "
+                f"backoff {SEND_RETRY_BACKOFF_S * 1e6:.1f}us)"
             )
         for kind in ("ib", "shm"):
             lf = getattr(self, kind)
@@ -943,12 +954,12 @@ class FaultPlan:
 
     def send_failures(self, src: int, dst: int, tag: int, seq: int) -> int:
         """Number of transient failures before send ``seq`` goes through
-        (0 = clean first attempt; always < max_send_attempts)."""
+        (0 = clean first attempt; always < ``MAX_SEND_ATTEMPTS``)."""
         if self.send_fail_prob <= 0:
             return 0
         k = 0
         while (
-            k < self.max_send_attempts - 1
+            k < MAX_SEND_ATTEMPTS - 1
             and self._u(_SALT_SEND_FAIL, src, dst, tag, seq, k) < self.send_fail_prob
         ):
             k += 1
@@ -956,7 +967,7 @@ class FaultPlan:
 
     def backoff_s(self, attempt: int) -> float:
         """Model-time backoff before retry ``attempt`` (0-based)."""
-        return self.retry_backoff_s * (2.0**attempt)
+        return SEND_RETRY_BACKOFF_S * (2.0**attempt)
 
     def corrupt_attempts(
         self, kind: str, src: int, dst: int, tag: int, seq: int, *, limit: int

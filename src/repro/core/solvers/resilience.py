@@ -102,6 +102,10 @@ def ensure_finite(name: str, value: complex | float, *, iteration: int, rnorm: f
     return value
 
 
+#: Model time charged on top of a failed attempt before its relaunch.
+RELAUNCH_BACKOFF_S = 1e-3
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded recovery budget for rank failures mid-solve.
@@ -111,21 +115,18 @@ class RetryPolicy:
     :class:`~repro.comms.faults.RankFailedError` exactly as before.  With
     ``max_attempts = k``, up to ``k`` relaunches are attempted, each
     resuming from the last committed checkpoint, each charging
-    ``backoff_s`` of deterministic *model* time on top of the failed
-    attempt's wasted wall.  ``shrink`` re-partitions the time dimension
+    ``RELAUNCH_BACKOFF_S`` of deterministic *model* time on top of the
+    failed attempt's wasted wall.  ``shrink`` re-partitions the time dimension
     over the largest feasible surviving rank count; with it off, the
     relaunch reuses the original rank count (a "replacement rank" model).
     """
 
     max_attempts: int = 0
-    backoff_s: float = 1e-3
     shrink: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
             raise ValueError("max_attempts must be >= 0")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
 
     @property
     def enabled(self) -> bool:
@@ -397,7 +398,7 @@ def run_with_recovery(
             (e.time for e in outcome.fault_events if e.kind in ("stall", "crash")),
             default=root.model_time,
         )
-        lost += t_fail + policy.backoff_s
+        lost += t_fail + RELAUNCH_BACKOFF_S
         store.log_event(
             RecoveryEvent(
                 "rank_failure",
@@ -427,7 +428,7 @@ def run_with_recovery(
                 attempt=attempt,
                 detail=(
                     f"{current if grid is None else slicing.n_ranks} ranks, "
-                    f"backoff {policy.backoff_s * 1e6:.1f}us"
+                    f"backoff {RELAUNCH_BACKOFF_S * 1e6:.1f}us"
                 ),
             )
         )

@@ -14,7 +14,7 @@ deterministic functions of the schedule:
   workers: drain (the worker finishes its running batch — failures are
   observed at completion, so the drain is free), cooldown, then one
   seeded probe batch; a clean probe reinstates the worker with a reset
-  ledger, a failed probe re-quarantines until ``max_strikes`` retires it
+  ledger, a failed probe re-quarantines until ``MAX_STRIKES`` retires it
   for good.  Quarantine evicts the worker's warm gauge residency — a
   sick device's warmth must not keep attracting traffic through the
   routing tables.  The node-scope :class:`DomainBoard` runs the same
@@ -92,11 +92,20 @@ _EV_DOMAIN_PROBE = 13
 
 # Circuit-breaker states.  HEALTHY serves traffic; QUARANTINED is drained
 # and cooling down; PROBING runs exactly one seeded probe batch; a worker
-# that fails ``max_strikes`` probes is RETIRED_SICK — permanently out.
+# (or node) that fails ``MAX_STRIKES`` probes is RETIRED_SICK —
+# permanently out.
 HEALTHY = "healthy"
 QUARANTINED = "quarantined"
 PROBING = "probing"
 RETIRED_SICK = "retired_sick"
+
+#: Quarantine entries before a breaker retires its worker or node.
+MAX_STRIKES = 2
+#: Model-time window within which worker strikes on one node correlate.
+STRIKE_WINDOW_S = 50e-3
+#: A brownout level releases only once pressure falls below this
+#: fraction of its threshold — no flapping at the boundary.
+BROWNOUT_HYSTERESIS = 0.5
 
 # Brownout load levels, in escalation order.  Each level implies the
 # measures of every level below it.
@@ -147,8 +156,6 @@ class HealthPolicy:
     slow_ratio: float = 3.0
     #: Model time a quarantined worker cools down before its probe.
     cooldown_s: float = 2e-3
-    #: Quarantine entries before a worker is retired for good.
-    max_strikes: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -161,8 +168,6 @@ class HealthPolicy:
             raise ValueError("slow_ratio must be > 1")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.max_strikes < 1:
-            raise ValueError("max_strikes must be >= 1")
 
 
 @dataclass
@@ -231,7 +236,7 @@ class _Probe:
 
 class Breaker:
     """The one breaker lifecycle — quarantine → cooldown → one seeded
-    probe → reinstate, or retire at ``max_strikes`` — over the workers
+    probe → reinstate, or retire at ``MAX_STRIKES`` — over the workers
     a ledger holds.
 
     A board observes and *decides* (should this ledger trip?); the
@@ -410,7 +415,7 @@ class Breaker:
 
     def _probe_done(self, run: _Probe) -> None:
         """The probe's verdict: clean reinstates every eligible member
-        at once; a failure re-quarantines, and ``max_strikes`` retires
+        at once; a failure re-quarantines, and ``MAX_STRIKES`` retires
         the members for good."""
         k = self.campaign
         ident = run.ident
@@ -419,7 +424,7 @@ class Breaker:
         if run.execution.ok:
             self.reinstate(ident)
             k._reidle(self._members(ident))
-        elif self._failed(ident) >= self.policy.max_strikes:
+        elif self._failed(ident) >= MAX_STRIKES:
             # Probing, so the members are already out of ``serving``.
             self.retire_sick(ident)
             for wid in self._members(ident):
@@ -603,7 +608,7 @@ class DomainPolicy:
     A node loss looks, to the per-worker ledgers, like several workers
     independently going bad at the same moment.  The domain breaker
     recognizes the correlation: ``strike_k`` *distinct* workers of one
-    node quarantined within ``strike_window_s`` trips the whole node —
+    node quarantined within ``STRIKE_WINDOW_S`` trips the whole node —
     sweeping the not-yet-convicted co-residents out of service at once
     instead of waiting for each to fail on its own.
     """
@@ -611,22 +616,14 @@ class DomainPolicy:
     enabled: bool = False
     #: Distinct quarantined workers of one node that trip the domain.
     strike_k: int = 2
-    #: Model-time window within which the strikes must correlate.
-    strike_window_s: float = 50e-3
     #: Cooldown before the domain's single probe.
     cooldown_s: float = 2e-3
-    #: Failed domain probes before the whole node is retired.
-    max_strikes: int = 2
 
     def __post_init__(self) -> None:
         if self.strike_k < 1:
             raise ValueError("strike_k must be >= 1")
-        if self.strike_window_s <= 0:
-            raise ValueError("strike_window_s must be > 0")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.max_strikes < 1:
-            raise ValueError("max_strikes must be >= 1")
 
 
 @dataclass
@@ -692,7 +689,7 @@ class DomainBoard(Breaker):
         dh.strikes = [
             [t, w]
             for t, w in dh.strikes
-            if now - t <= self.policy.strike_window_s
+            if now - t <= STRIKE_WINDOW_S
         ]
         dh.strikes.append([now, worker_id])
         distinct = {w for _, w in dh.strikes}
@@ -1343,17 +1340,12 @@ class BrownoutPolicy:
     #: Pressure at which NORMAL (and LOW) admissions are refused; HIGH
     #: is still admitted until queue capacity itself runs out.
     reject_at_s: float = 16e-3
-    #: A level releases only once pressure falls below ``hysteresis``
-    #: times its threshold — no flapping at the boundary.
-    hysteresis: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0 < self.shed_low_at_s <= self.degrade_at_s <= self.reject_at_s:
             raise ValueError(
                 "thresholds must satisfy 0 < shed_low <= degrade <= reject"
             )
-        if not 0.0 < self.hysteresis <= 1.0:
-            raise ValueError("hysteresis must be in (0, 1]")
 
     def threshold(self, level: int) -> float:
         return {
@@ -1406,7 +1398,7 @@ class BrownoutController:
         if target > self.level:
             new = target
         elif self.level > BROWNOUT_NORMAL and pressure_s < (
-            self.policy.threshold(self.level) * self.policy.hysteresis
+            self.policy.threshold(self.level) * BROWNOUT_HYSTERESIS
         ):
             new = self.level - 1
         if new != self.level:

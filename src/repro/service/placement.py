@@ -464,7 +464,8 @@ class SharedTuneCache:
 
 @dataclass(frozen=True)
 class PlacementPolicy:
-    """The placement layer's three knobs."""
+    """The placement layer's two knobs (the shared tunecache is always
+    consulted)."""
 
     #: ``"auto"`` scores grids per request; ``None`` forces the paper's
     #: time-only slicing; a ``(ranks_z, ranks_t)`` tuple pins the grid.
@@ -472,9 +473,6 @@ class PlacementPolicy:
     #: Route batches to gauge-resident workers and charge the upload
     #: only on a miss.
     residency: bool = True
-    #: Consult/charge the shared tunecache (disabling restores PR 4's
-    #: uncharged per-batch retuning).
-    tunecache: bool = True
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -532,11 +530,9 @@ class PlacementEngine:
         self.params = params
         self.selector = GridSelector(gpu_spec=gpu_spec, params=params)
         self.router = ResidencyRouter(workers, enabled=policy.residency)
-        self.tune_cache: SharedTuneCache | None = None
-        if policy.tunecache:
-            self.tune_cache = (
-                tune_cache if tune_cache is not None else SharedTuneCache()
-            )
+        self.tune_cache = (
+            tune_cache if tune_cache is not None else SharedTuneCache()
+        )
         self.stats = PlacementStats()
 
     # ------------------------------------------------------------------ #
@@ -546,8 +542,7 @@ class PlacementEngine:
         survive — that persistence is the point — but its hit/miss and
         saved/spent counters restart with the stats)."""
         self.stats = PlacementStats()
-        if self.tune_cache is not None:
-            self.tune_cache.reset_counters()
+        self.tune_cache.reset_counters()
 
     def grid_for(self, request, ranks: int) -> tuple[int, int] | None:
         g = self.policy.grid
@@ -620,19 +615,12 @@ class PlacementEngine:
         """The placement block of :class:`~repro.service.metrics.ServiceReport`."""
         s = self.stats
         routed = s.residency_hits + s.residency_misses
-        out = {
+        return {
             "residency_hits": s.residency_hits,
             "residency_misses": s.residency_misses,
             "residency_hit_rate": s.residency_hits / routed if routed else 0.0,
             "gauge_saved_s": s.gauge_saved_s,
             "grids": dict(sorted(s.grids.items())),
             "anti_affinity_placements": s.anti_affinity_placements,
-            "tunecache_hits": 0,
-            "tunecache_misses": 0,
-            "tunecache_hit_rate": 0.0,
-            "tune_setup_spent_s": 0.0,
-            "tune_setup_saved_s": 0.0,
+            **self.tune_cache.summary(),
         }
-        if self.tune_cache is not None:
-            out.update(self.tune_cache.summary())
-        return out

@@ -28,13 +28,12 @@ _EV_PREEMPT = 1
 class PreemptionPolicy:
     """When running batches yield to more urgent work.
 
-    A batch is *preemptible* when every member sits at or below
-    ``victim_priority`` (numerically >=); an arrival at or above
-    ``trigger_priority`` (numerically <=) that finds no idle worker
-    schedules the victim's yield at its next refresh-point boundary —
-    the instant the solve's checkpoint machinery is consistent, so the
-    preempted solve later *resumes* (remaining work + a modeled
-    checkpoint-reload overhead) instead of restarting.
+    A batch is *preemptible* when every member is ``PRIORITY_LOW``; a
+    ``PRIORITY_HIGH`` arrival that finds no idle worker schedules the
+    victim's yield at its next refresh-point boundary — the instant the
+    solve's checkpoint machinery is consistent, so the preempted solve
+    later *resumes* (remaining work + a modeled checkpoint-reload
+    overhead) instead of restarting.
     """
 
     enabled: bool = False
@@ -44,11 +43,6 @@ class PreemptionPolicy:
     #: Model time to reload the checkpoint and re-establish device state
     #: when a preempted batch resumes.
     resume_overhead_s: float = 100e-6
-    #: Arrivals at or above this urgency (numerically <=) may trigger.
-    trigger_priority: int = PRIORITY_HIGH
-    #: Batches whose every member is at or below this urgency
-    #: (numerically >=) may be preempted.
-    victim_priority: int = PRIORITY_LOW
 
     def __post_init__(self) -> None:
         if self.refresh_points < 1:
@@ -85,7 +79,7 @@ class Preemption:
     def _admitted(self, rec: RequestRecord) -> None:
         """A qualifying arrival is probed once the event's dispatch pass
         has run: only if it is still queued then does it preempt."""
-        if rec.request.priority <= self.policy.trigger_priority:
+        if rec.request.priority <= PRIORITY_HIGH:
             self.campaign.after_dispatch.append(partial(self._maybe_preempt, rec))
 
     def _maybe_preempt(self, trigger: RequestRecord) -> None:
@@ -107,7 +101,7 @@ class Preemption:
                 # (the pair resolves at first completion instead).
                 continue
             worst = min(r.request.priority for r in batch.records)
-            if worst < self.policy.victim_priority:
+            if worst < PRIORITY_LOW:
                 continue
             if worst <= trigger.request.priority:
                 continue  # never preempt work as urgent as the trigger

@@ -118,7 +118,14 @@ class ServiceInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything that shapes a campaign's schedule."""
+    """Everything that shapes a campaign's schedule.
+
+    Each default here is the only copy (``repro serve`` passes a field
+    only when its flag is given).  A feature with a policy is off until
+    the policy says ``enabled=True`` — the default policy is the off
+    one; ``elastic`` is off as ``None``.  What no caller varies is a
+    constant of the module that uses it, not a field.
+    """
 
     queue_capacity: int = 64
     policy: BatchPolicy = dataclass_field(default_factory=BatchPolicy)
@@ -143,13 +150,7 @@ class ServiceConfig:
     #: Seeds the service's own bookkeeping (reserved; scheduling is
     #: already deterministic without randomness).
     seed: int = 0
-    #: Retry-after fallback before any batch has been measured.
-    service_time_hint_s: float = 2e-3
-    #: EWMA smoothing factor of the drain-rate estimator behind the
-    #: retry-after hint (1.0 = last batch only).
-    drain_alpha: float = 0.3
-    #: The placement layer's knobs: grid selection, residency routing,
-    #: shared tunecache.
+    #: The placement layer's knobs: grid selection, residency routing.
     placement: PlacementPolicy = dataclass_field(default_factory=PlacementPolicy)
     #: Refresh-boundary preemption of LOW batches by HIGH arrivals.
     preemption: PreemptionPolicy = dataclass_field(default_factory=PreemptionPolicy)
@@ -157,12 +158,12 @@ class ServiceConfig:
     elastic: ElasticPolicy | None = None
     #: Campaign-checkpoint cadence, in batch completions per commit.
     checkpoint_every: int = 1
-    #: Circuit-breaker policy (``None`` or ``enabled=False`` = off).
-    health: HealthPolicy | None = None
-    #: Straggler-hedging policy (``None`` or ``enabled=False`` = off).
-    hedge: HedgePolicy | None = None
-    #: Graceful-brownout policy (``None`` or ``enabled=False`` = off).
-    brownout: BrownoutPolicy | None = None
+    #: Circuit breaker per worker.
+    health: HealthPolicy = dataclass_field(default_factory=HealthPolicy)
+    #: Straggler hedging.
+    hedge: HedgePolicy = dataclass_field(default_factory=HedgePolicy)
+    #: Graceful brownout under overload.
+    brownout: BrownoutPolicy = dataclass_field(default_factory=BrownoutPolicy)
     #: Whole-worker fault injection: scheduled kills and per-worker
     #: straggler slowdowns (the failure modes the resilience layer is
     #: exercised against).
@@ -175,20 +176,18 @@ class ServiceConfig:
     domain_faults: DomainFaultPlan | None = None
     #: Domain-level breaker: k-of-n correlated worker strikes escalate
     #: to a whole-node quarantine with a single probe per domain.
-    domain_health: DomainPolicy | None = None
+    domain_health: DomainPolicy = dataclass_field(default_factory=DomainPolicy)
     #: Place warm-pool / hedge replicas in a different failure domain
     #: than the primary whenever one is available.
     anti_affinity: bool = False
     #: Multi-tenant capacity control: per-tenant token-bucket quotas and
-    #: weighted-fair dispatch.  ``None`` (or a tenant-less policy) keeps
-    #: the whole subsystem inert — tenancy-free schedules byte-identical.
-    tenancy: TenancyPolicy | None = None
+    #: weighted-fair dispatch.  A tenant-less policy keeps the whole
+    #: subsystem inert — tenancy-free schedules byte-identical.
+    tenancy: TenancyPolicy = dataclass_field(default_factory=TenancyPolicy)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if not 0.0 < self.drain_alpha <= 1.0:
-            raise ValueError("drain_alpha must be in (0, 1]")
         g = self.placement.grid
         if isinstance(g, tuple) and g[0] * g[1] != self.ranks_per_worker:
             raise ValueError(
@@ -230,7 +229,7 @@ class ServiceConfig:
         else:
             if self.domain_faults is not None:
                 raise ValueError("domain_faults requires a topology")
-            if self.domain_health is not None and self.domain_health.enabled:
+            if self.domain_health.enabled:
                 raise ValueError("domain_health requires a topology")
             if self.anti_affinity:
                 raise ValueError("anti_affinity requires a topology")
@@ -296,22 +295,18 @@ def _features(cfg: ServiceConfig) -> tuple:
     their hooks run in (DESIGN.md, "Daemon lifecycle"): the checkpoint
     part name each keeps (``None`` = no state of its own) and the part,
     or something false when the config leaves the feature off."""
-
-    def on(policy) -> bool:
-        return policy is not None and policy.enabled
-
     kills = cfg.worker_faults.kills if cfg.worker_faults is not None else ()
     topo = cfg.topology
     return (
-        ("tenancy", on(cfg.tenancy) and TenantRegistry(cfg.tenancy)),
-        ("brownout", on(cfg.brownout) and BrownoutController(cfg.brownout)),
+        ("tenancy", cfg.tenancy.enabled and TenantRegistry(cfg.tenancy)),
+        ("brownout", cfg.brownout.enabled and BrownoutController(cfg.brownout)),
         ("elastic", cfg.elastic is not None and PoolController(cfg.elastic)),
         (None, cfg.preemption.enabled and Preemption(cfg.preemption)),
-        ("hedge", on(cfg.hedge) and HedgeLedger(cfg.hedge)),
-        ("health", on(cfg.health) and HealthBoard(cfg.health)),
+        ("hedge", cfg.hedge.enabled and HedgeLedger(cfg.hedge)),
+        ("health", cfg.health.enabled and HealthBoard(cfg.health)),
         (None, bool(kills) and WorkerKills(kills)),
         ("domains", topo is not None and DomainState(topo, cfg.n_workers)),
-        ("domain_health", on(cfg.domain_health) and DomainBoard(cfg.domain_health)),
+        ("domain_health", cfg.domain_health.enabled and DomainBoard(cfg.domain_health)),
     )
 
 
@@ -528,9 +523,7 @@ class _Campaign:
         #: One-shot calls after the current event's dispatch pass.
         self.after_dispatch: list = []
 
-        self.drain = DrainEstimator(
-            alpha=cfg.drain_alpha, initial_s=cfg.service_time_hint_s
-        )
+        self.drain = DrainEstimator()
         self.arrival_est = ArrivalRateEstimator(
             alpha=cfg.elastic.alpha if cfg.elastic else 0.3
         )

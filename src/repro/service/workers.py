@@ -44,7 +44,7 @@ from math import prod
 import numpy as np
 
 from ..comms.cluster import ClusterSpec
-from ..comms.faults import FaultPlan, IntegrityPolicy, RankFailedError
+from ..comms.faults import FaultPlan, IntegrityPolicy, RankFailedError, root_cause
 from ..core import (
     InvertResult,
     RetryPolicy,
@@ -59,15 +59,12 @@ from .request import SolveRequest
 __all__ = ["BatchExecution", "SimWorker"]
 
 
-def _root_rank_failure(exc: BaseException) -> RankFailedError | None:
-    """The RankFailedError at the root of a SimMPI failure, if any."""
-    seen: set[int] = set()
-    while exc is not None and id(exc) not in seen:
-        if isinstance(exc, RankFailedError):
-            return exc
-        seen.add(id(exc))
-        exc = exc.__cause__ or exc.__context__
-    return None
+#: Amplitude of the weak-field gauge a functional worker builds per
+#: configuration id.
+GAUGE_NOISE = 0.1
+#: Model time charged for tearing down a crashed batch before the worker
+#: can accept new work.
+FAILURE_PENALTY_S = 1e-3
 
 
 @dataclass
@@ -125,12 +122,8 @@ class SimWorker:
         functional: bool = False,
         fixed_iterations: int = 15,
         overlap: bool = True,
-        gauge_noise: float = 0.1,
         #: Track gauge residency and credit the upload on hits.
         residency: bool = True,
-        #: Model time charged for tearing down a crashed batch before
-        #: the worker can accept new work.
-        failure_penalty_s: float = 1e-3,
         #: Straggler injection: successful batches take this multiple of
         #: their modeled duration (a throttled GPU or degraded link slows
         #: the node without failing it).  1.0 = healthy.
@@ -150,9 +143,7 @@ class SimWorker:
         self.functional = functional
         self.fixed_iterations = fixed_iterations
         self.overlap = overlap
-        self.gauge_noise = gauge_noise
         self.residency = residency
-        self.failure_penalty_s = failure_penalty_s
         self.straggler_factor = straggler_factor
         self.batches_run = 0
         self.busy_s = 0.0
@@ -256,7 +247,7 @@ class SimWorker:
                 np.random.SeedSequence([head.config_id, 0xC0F1])
             )
             self._gauges[key] = weak_field_gauge(
-                LatticeGeometry(head.dims), rng, noise=self.gauge_noise
+                LatticeGeometry(head.dims), rng, noise=GAUGE_NOISE
             )
         return self._gauges[key]
 
@@ -362,7 +353,7 @@ class SimWorker:
                         integrity=self.integrity,
                     )
         except RuntimeError as exc:
-            failure = _root_rank_failure(exc)
+            failure = root_cause(exc, RankFailedError)
             if failure is None:
                 raise
             fired = self._retire_fired(getattr(exc, "fault_events", []))
@@ -373,7 +364,7 @@ class SimWorker:
             return BatchExecution(
                 ok=False,
                 duration_s=max(failure.model_time, 0.0)
-                + self.failure_penalty_s
+                + FAILURE_PENALTY_S
                 + tune_cost,
                 failure=failure,
                 fired_ranks=fired or (failure.rank,),

@@ -8,8 +8,8 @@ platforms, which is what makes whole-campaign schedules replayable.
 
 Two shapes of workload are offered:
 
-* :func:`synthetic_workload` — the classic fixed-size list (PR 4): all
-  arrivals materialized up front, for one-shot campaigns.
+* :func:`synthetic_workload` — the classic fixed-size list (PR 4): a
+  stream's arrivals materialized up front, for one-shot campaigns.
 * :func:`stream_workload` / :func:`bursty_workload` — *lazy* arrival
   processes for the daemon (``repro serve --stream``): requests are
   handed out one at a time as the event loop consumes them (drawn a
@@ -86,80 +86,11 @@ def _tenant_mix(tenants, tenant_mix) -> np.ndarray | None:
     return _normalized_mix(tenant_mix, what="tenant_mix", size=len(tenants))
 
 
-def synthetic_workload(
-    n_requests: int,
-    *,
-    seed: int = 2010,
-    rate_rps: float = 2000.0,
-    dims: tuple[int, int, int, int] = (8, 8, 8, 32),
-    mode: str = "single-half",
-    solver: str = "bicgstab",
-    mass: float = 0.2,
-    n_configs: int = 1,
-    priority_mix: tuple[float, float, float] = (0.1, 0.7, 0.2),
-    #: Deadline slack in model seconds for a NORMAL-priority request;
-    #: HIGH gets half, LOW double.  ``None`` disables deadlines.
-    deadline_slack_s: float | None = None,
-    tenants: tuple[str, ...] | None = None,
-    tenant_mix: tuple[float, ...] | None = None,
-) -> list[SolveRequest]:
-    """``n_requests`` arrivals of a Section-VIII-style campaign."""
-    if n_requests < 0:
-        raise ValueError("n_requests must be >= 0")
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be > 0")
-    if n_configs < 1:
-        raise ValueError("n_configs must be >= 1")
-    mix = _normalized_mix(priority_mix)
-    tmix = _tenant_mix(tenants, tenant_mix)
-
-    arrival_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _SALT_ARRIVAL])
-    )
-    prio_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _SALT_PRIORITY])
-    )
-    config_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _SALT_CONFIG])
-    )
-    gaps = arrival_rng.exponential(1.0 / rate_rps, size=n_requests)
-    arrivals = np.cumsum(gaps)
-    priorities = prio_rng.choice(
-        [PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW],
-        size=n_requests,
-        p=mix,
-    )
-    configs = config_rng.integers(0, n_configs, size=n_requests)
-    owners = None
-    if tmix is not None:
-        tenant_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _SALT_TENANT])
-        )
-        owners = tenant_rng.choice(len(tenants), size=n_requests, p=tmix)
-
-    requests = []
-    for i in range(n_requests):
-        arrival = float(arrivals[i])
-        priority = int(priorities[i])
-        deadline = None
-        if deadline_slack_s is not None:
-            deadline = arrival + deadline_slack_s * _SLACK[priority]
-        requests.append(
-            SolveRequest(
-                req_id=i,
-                config_id=int(configs[i]),
-                dims=dims,
-                mode=mode,
-                solver=solver,
-                mass=mass,
-                source_seed=seed,
-                priority=priority,
-                arrival_s=arrival,
-                deadline_s=deadline,
-                tenant=tenants[int(owners[i])] if owners is not None else None,
-            )
-        )
-    return requests
+def synthetic_workload(n_requests: int, **shape) -> list[SolveRequest]:
+    """``n_requests`` arrivals of a Section-VIII-style campaign, as a list:
+    the first ``n_requests`` of :func:`stream_workload` with the same
+    ``shape`` keywords."""
+    return list(stream_workload(n_requests, **shape))
 
 
 # --------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from repro.bench import (
     run_scaling_point,
     table1,
 )
-from repro.bench.harness import oom_cause
+from repro.comms.faults import root_cause
 from repro.gpu.memory import DeviceOutOfMemoryError
 
 
@@ -81,8 +81,8 @@ class TestScalingPoint:
         inner = DeviceOutOfMemoryError("boom")
         outer = RuntimeError("rank 0 failed")
         outer.__cause__ = inner
-        assert oom_cause(outer)
-        assert not oom_cause(RuntimeError("other"))
+        assert root_cause(outer, DeviceOutOfMemoryError) is inner
+        assert root_cause(RuntimeError("other"), DeviceOutOfMemoryError) is None
 
 
 class TestPropagatorBenchmark:

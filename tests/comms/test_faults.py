@@ -20,11 +20,13 @@ import pytest
 
 from repro.comms import ClusterSpec, run_spmd
 from repro.comms.faults import (
+    MAX_SEND_ATTEMPTS,
     FaultPlan,
     LinkFaults,
     RankFailedError,
     StallSpec,
     format_schedule,
+    root_cause,
 )
 from repro.comms.mpi_sim import SimMPI, SpmdOutcome
 from repro.gpu.streams import Timeline
@@ -123,9 +125,33 @@ class TestRetries:
         assert [v for v, _ in results] == [v for v, _ in clean]
 
     def test_retry_count_capped(self):
-        plan = FaultPlan(seed=0, send_fail_prob=0.99, max_send_attempts=3)
-        for seq in range(50):
-            assert plan.send_failures(0, 1, 0, seq) <= 2
+        plan = FaultPlan(seed=0, send_fail_prob=0.99)
+        failures = [plan.send_failures(0, 1, 0, seq) for seq in range(50)]
+        # The last attempt always goes through, and at p=0.99 most sends
+        # use every retry.
+        assert max(failures) == MAX_SEND_ATTEMPTS - 1
+
+
+class TestRootCause:
+    def test_finds_the_kind_through_cause_and_context(self):
+        failure = RankFailedError(1, "MPI_Recv", 2e-6, mode="crashed")
+        middle = RuntimeError("rank 1 failed")
+        middle.__cause__ = failure
+        outer = ValueError("solve failed")
+        outer.__context__ = middle
+        assert root_cause(outer, RankFailedError) is failure
+        assert root_cause(failure, RankFailedError) is failure
+        assert root_cause(outer, KeyError) is None
+        assert root_cause(None, RankFailedError) is None
+
+    def test_a_chain_that_loops_back_ends_the_walk(self):
+        a = RuntimeError("a")
+        b = RuntimeError("b")
+        a.__context__ = b
+        b.__context__ = a
+        assert root_cause(a, RankFailedError) is None
+        a.__context__ = a
+        assert root_cause(a, RankFailedError) is None
 
 
 class TestStallsAndCrashes:

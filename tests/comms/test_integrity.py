@@ -233,8 +233,6 @@ class TestIntegrityDefaults:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             IntegrityPolicy(max_resend=-1)
-        with pytest.raises(ValueError):
-            IntegrityPolicy(checksum_gbps=0.0)
 
 
 class TestScheduleDeterminism:

@@ -236,8 +236,6 @@ class TestUnits:
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
         assert not RetryPolicy().enabled
         assert RetryPolicy(max_attempts=1).enabled
 

@@ -10,6 +10,10 @@ be; nothing under ``src/`` imports it.
 The block-drawn streams must equal these request for request (every
 field, floats bit for bit), over any prefix skip a resumed campaign
 makes.
+
+:func:`reference_synthetic` is the other retired generator: the fixed
+list drawn in one array call per purpose.  ``synthetic_workload`` is now
+the stream materialized, and must equal it.
 """
 
 import numpy as np
@@ -114,3 +118,59 @@ def reference_bursty(
         return float(rng.exponential(1.0 / rate))
 
     return _arrivals(gap, n_requests, duration_s, **kw)
+
+
+def reference_synthetic(
+    n_requests,
+    *,
+    seed=2010,
+    rate_rps=2000.0,
+    dims=(8, 8, 8, 32),
+    mode="single-half",
+    solver="bicgstab",
+    mass=0.2,
+    n_configs=1,
+    priority_mix=(0.1, 0.7, 0.2),
+    deadline_slack_s=None,
+    tenants=None,
+    tenant_mix=None,
+):
+    """``synthetic_workload``, one array draw per purpose."""
+    mix = np.asarray(priority_mix, dtype=float)
+    mix = mix / mix.sum()
+    arrivals = np.cumsum(
+        _rng(seed, _SALT_ARRIVAL).exponential(1.0 / rate_rps, size=n_requests)
+    )
+    priorities = _rng(seed, _SALT_PRIORITY).choice(
+        [PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW], size=n_requests, p=mix
+    )
+    configs = _rng(seed, _SALT_CONFIG).integers(0, n_configs, size=n_requests)
+    owners = None
+    if tenants is not None:
+        tmix = np.asarray(tenant_mix or [1.0] * len(tenants), dtype=float)
+        owners = _rng(seed, _SALT_TENANT).choice(
+            len(tenants), size=n_requests, p=tmix / tmix.sum()
+        )
+    requests = []
+    for i in range(n_requests):
+        arrival = float(arrivals[i])
+        priority = int(priorities[i])
+        deadline = None
+        if deadline_slack_s is not None:
+            deadline = arrival + deadline_slack_s * _SLACK[priority]
+        requests.append(
+            SolveRequest(
+                req_id=i,
+                config_id=int(configs[i]),
+                dims=dims,
+                mode=mode,
+                solver=solver,
+                mass=mass,
+                source_seed=seed,
+                priority=priority,
+                arrival_s=arrival,
+                deadline_s=deadline,
+                tenant=tenants[int(owners[i])] if owners is not None else None,
+            )
+        )
+    return requests

@@ -44,6 +44,7 @@ from repro.service import (
     bursty_workload,
     spread_domain,
 )
+from repro.service.health import STRIKE_WINDOW_S
 
 DIMS = (4, 4, 4, 8)
 DATA = pathlib.Path(__file__).parent / "data"
@@ -71,11 +72,7 @@ def _domain_config(topology, *, domain_aware=True, **overrides):
         max_retries=4,
         seed=23,
         topology=topology,
-        domain_health=(
-            DomainPolicy(enabled=True, strike_k=2, cooldown_s=2e-3)
-            if domain_aware
-            else None
-        ),
+        domain_health=DomainPolicy(enabled=domain_aware, strike_k=2, cooldown_s=2e-3),
         anti_affinity=domain_aware,
         health=HealthPolicy(
             enabled=True,
@@ -208,12 +205,15 @@ class TestDomainBoard:
             assert not board.observe_strike(0, 0, now=t)
 
     def test_strikes_outside_window_expire(self):
-        board = self._board(strike_window_s=1e-3)
+        board = self._board()
         assert not board.observe_strike(0, 0, now=0.0)
-        assert not board.observe_strike(0, 1, now=5e-3)  # first expired
+        # The first strike has expired when the second lands.
+        assert not board.observe_strike(0, 1, now=STRIKE_WINDOW_S + 1e-3)
+        # The second is still inside the window when the third lands.
+        assert board.observe_strike(0, 2, now=2 * STRIKE_WINDOW_S)
 
     def test_breaker_lifecycle_and_retire(self):
-        board = self._board(max_strikes=2)
+        board = self._board()
         board.observe_strike(0, 0, now=0.0)
         board.observe_strike(0, 1, now=1e-4)
         dh = board.quarantine(0, now=1e-4)

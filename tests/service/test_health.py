@@ -42,6 +42,7 @@ from repro.service import (
     bursty_workload,
     stream_workload,
 )
+from repro.service.health import BROWNOUT_HYSTERESIS
 
 DIMS = (4, 4, 4, 8)
 
@@ -84,7 +85,6 @@ class TestPolicyValidation:
             {"min_samples": 0},
             {"slow_ratio": 1.0},
             {"cooldown_s": -1e-6},
-            {"max_strikes": 0},
         ],
     )
     def test_health_policy_rejects_bad_knobs(self, kwargs):
@@ -109,8 +109,6 @@ class TestPolicyValidation:
             {"shed_low_at_s": 0.0},
             {"shed_low_at_s": 9e-3},  # above degrade_at_s
             {"degrade_at_s": 20e-3},  # above reject_at_s
-            {"hysteresis": 0.0},
-            {"hysteresis": 1.5},
         ],
     )
     def test_brownout_policy_rejects_bad_knobs(self, kwargs):
@@ -254,8 +252,8 @@ class TestBrownoutController:
         assert [lvl for _, lvl, _ in ctl.transitions] == [BROWNOUT_REJECT]
 
     def test_release_is_hysteretic_and_stepwise(self):
-        policy = BrownoutPolicy(enabled=True, hysteresis=0.5)
-        ctl = BrownoutController(policy)
+        assert BROWNOUT_HYSTERESIS == 0.5
+        ctl = BrownoutController(BrownoutPolicy(enabled=True))
         ctl.update(0.0, 20e-3)
         assert ctl.level == BROWNOUT_REJECT
         # Pressure below reject but above its hysteresis point: hold.
@@ -502,7 +500,7 @@ class TestHedging:
         kw = dict(
             n_workers=3,
             worker_faults=WorkerFaultPlan().with_straggler(1, factor=factor),
-            hedge=HedgePolicy(enabled=True) if hedge else None,
+            hedge=HedgePolicy(enabled=hedge),
         )
         kw.update(overrides)
         return _config(**kw)

@@ -15,7 +15,11 @@ from repro.service import (
     synthetic_workload,
 )
 
-from ._reference_stream import reference_bursty, reference_stream
+from ._reference_stream import (
+    reference_bursty,
+    reference_stream,
+    reference_synthetic,
+)
 
 
 def _sig(req):
@@ -346,3 +350,33 @@ class TestMatchesPerArrivalOracle:
         # A resumed campaign regenerates the stream and skips what it
         # already consumed.
         assert list(itertools.islice(got(), skip, None)) == want[skip:]
+
+
+# --------------------------------------------------------------------- #
+# The fixed list against the vectorised generator it replaced
+# --------------------------------------------------------------------- #
+
+#: Shapes of the campaigns built as lists: configs, a priority mix,
+#: deadlines, two and three tenants, and the hot campaign
+#: (``bench.harness.hot_campaign``: 20 k rps on 4^4x8).
+_LIST_SHAPES = {
+    "default": {},
+    "configs": dict(n_configs=5),
+    "mix": dict(priority_mix=(0.2, 0.3, 0.5)),
+    "deadlines": dict(deadline_slack_s=0.15, priority_mix=(0.3, 0.4, 0.3)),
+    "two_tenants": dict(tenants=("atlas", "bell"), tenant_mix=(3.0, 1.0)),
+    "three_tenants": dict(tenants=("a", "b", "c"), n_configs=2),
+    "hot": dict(rate_rps=20000.0, dims=(4, 4, 4, 8)),
+}
+
+
+class TestSyntheticIsTheStreamMaterialized:
+    @pytest.mark.parametrize("shape", sorted(_LIST_SHAPES))
+    def test_request_for_request(self, shape):
+        kw = _LIST_SHAPES[shape]
+        for seed in (0, 7, 31, 2010, 2011, 12345):
+            for n in (0, 1, 255, 256, 257, 600, 4096):
+                # ``==`` on the frozen request compares every field exactly.
+                assert synthetic_workload(n, seed=seed, **kw) == reference_synthetic(
+                    n, seed=seed, **kw
+                ), (seed, n)

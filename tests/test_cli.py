@@ -1,8 +1,24 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, serve_config
+from repro.comms import DomainFaultPlan, FaultPlan, Topology, WorkerFaultPlan
+from repro.core import RetryPolicy
+from repro.service import (
+    BatchPolicy,
+    BrownoutPolicy,
+    DomainPolicy,
+    ElasticPolicy,
+    HealthPolicy,
+    HedgePolicy,
+    PlacementPolicy,
+    PreemptionPolicy,
+    ServiceConfig,
+    TenancyPolicy,
+)
 
 
 class TestParser:
@@ -288,6 +304,168 @@ class TestServe:
         assert r1["tunecache_misses"] >= 1
         assert r2["tunecache_misses"] == 0 and r2["tunecache_hits"] > 0
         assert r2["tune_setup_spent_us"] < r1["tune_setup_spent_us"]
+
+
+def _serve_config(*flags: str) -> ServiceConfig:
+    return serve_config(build_parser().parse_args(["serve", *flags]))
+
+
+_TOPO = ("--topology", "2x2@2")
+
+#: ``repro serve`` flags and the config fields they must set — those
+#: fields and no other.  Values are built the way the CLI scales them.
+_SERVE_FLAGS = {
+    "workers": (["--workers", "3"], dict(n_workers=3)),
+    "ranks": (["--ranks", "4"], dict(ranks_per_worker=4)),
+    "batch_max": (["--batch-max", "5"], dict(policy=BatchPolicy(max_batch=5))),
+    "batch_wait_us": (
+        ["--batch-wait-us", "250"],
+        dict(policy=BatchPolicy(max_wait_s=250 * 1e-6)),
+    ),
+    "queue_capacity": (["--queue-capacity", "10"], dict(queue_capacity=10)),
+    "max_retries": (["--max-retries", "3"], dict(max_retries=3)),
+    "iterations": (["--iterations", "7"], dict(fixed_iterations=7)),
+    "seed": (["--seed", "5"], dict(seed=5)),
+    "functional": (["--functional"], dict(functional=True)),
+    "chaos": (
+        ["--chaos", "--crash-worker", "1", "--crash-rank", "0",
+         "--fail-after-us", "300"],
+        dict(
+            fault_plan=FaultPlan(seed=2010).with_stall(
+                0, after_s=300 * 1e-6, mode="crash"
+            ),
+            chaos_workers=(1,),
+        ),
+    ),
+    "recover": (
+        ["--recover", "--max-attempts", "3"],
+        dict(retry_policy=RetryPolicy(max_attempts=3)),
+    ),
+    "grid_time": (["--grid", "time"], dict(placement=PlacementPolicy(grid=None))),
+    "grid_pinned": (
+        ["--grid", "2,1"], dict(placement=PlacementPolicy(grid=(2, 1)))
+    ),
+    "no_residency": (
+        ["--no-residency"], dict(placement=PlacementPolicy(residency=False))
+    ),
+    "preempt": (["--preempt"], dict(preemption=PreemptionPolicy(enabled=True))),
+    "refresh_points": (
+        ["--preempt", "--refresh-points", "6"],
+        dict(preemption=PreemptionPolicy(enabled=True, refresh_points=6)),
+    ),
+    "resume_overhead_us": (
+        ["--preempt", "--resume-overhead-us", "50"],
+        dict(preemption=PreemptionPolicy(enabled=True, resume_overhead_s=50 * 1e-6)),
+    ),
+    "elastic": (
+        ["--elastic", "--min-workers", "2", "--max-workers", "5",
+         "--spinup-us", "100"],
+        dict(elastic=ElasticPolicy(min_workers=2, max_workers=5, spinup_s=100 * 1e-6)),
+    ),
+    "health": (["--health"], dict(health=HealthPolicy(enabled=True))),
+    "cooldown_us": (
+        ["--health", "--cooldown-us", "500"],
+        dict(health=HealthPolicy(enabled=True, cooldown_s=500 * 1e-6)),
+    ),
+    "hedge": (["--hedge"], dict(hedge=HedgePolicy(enabled=True))),
+    "hedge_factor": (
+        ["--hedge", "--hedge-factor", "2.5"],
+        dict(hedge=HedgePolicy(enabled=True, trigger_factor=2.5)),
+    ),
+    "brownout": (["--brownout"], dict(brownout=BrownoutPolicy(enabled=True))),
+    "kill_worker": (
+        ["--kill-worker-at-ms", "3", "--kill-worker", "1"],
+        dict(worker_faults=WorkerFaultPlan().with_kill(1, at_s=3 * 1e-3)),
+    ),
+    "straggler": (
+        ["--straggler-factor", "2.5", "--straggler-worker", "0"],
+        dict(worker_faults=WorkerFaultPlan().with_straggler(0, factor=2.5)),
+    ),
+    "topology": (list(_TOPO), dict(topology=Topology(2, 2, 2))),
+    "kill_node": (
+        [*_TOPO, "--kill-node-at-ms", "1", "--kill-node", "1"],
+        dict(
+            topology=Topology(2, 2, 2),
+            domain_faults=DomainFaultPlan(seed=2010).with_node_kill(1, at_s=1e-3),
+        ),
+    ),
+    "partition_switch": (
+        [*_TOPO, "--partition-switch-at-ms", "4", "--partition-rack", "1"],
+        dict(
+            topology=Topology(2, 2, 2),
+            domain_faults=DomainFaultPlan(seed=2010).with_partition(
+                1, at_s=4 * 1e-3
+            ),
+        ),
+    ),
+    "heal_ms": (
+        [*_TOPO, "--partition-switch-at-ms", "4", "--heal-ms", "3"],
+        dict(
+            topology=Topology(2, 2, 2),
+            domain_faults=DomainFaultPlan(seed=2010).with_partition(
+                0, at_s=4 * 1e-3, mean_heal_s=3 * 1e-3
+            ),
+        ),
+    ),
+    "domain_quarantine": (
+        [*_TOPO, "--domain-quarantine"],
+        dict(topology=Topology(2, 2, 2), domain_health=DomainPolicy(enabled=True)),
+    ),
+    "anti_affinity": (
+        [*_TOPO, "--anti-affinity"],
+        dict(topology=Topology(2, 2, 2), anti_affinity=True),
+    ),
+    "tenants": (
+        ["--tenants", "atlas,bell"],
+        dict(tenancy=TenancyPolicy.build(("atlas", "bell"))),
+    ),
+    "tenant_weights": (
+        ["--tenants", "atlas,bell", "--tenant-weights", "3,1"],
+        dict(tenancy=TenancyPolicy.build(("atlas", "bell"), weights=(3.0, 1.0))),
+    ),
+    "quota": (
+        ["--tenants", "atlas,bell", "--quota-qps", "100", "--quota-burst", "5"],
+        dict(
+            tenancy=TenancyPolicy.build(
+                ("atlas", "bell"), quota_qps=100.0, quota_burst=5
+            )
+        ),
+    ),
+}
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("case", sorted(_SERVE_FLAGS))
+    def test_flag_lands_in_its_field(self, case):
+        flags, want = _SERVE_FLAGS[case]
+        base, cfg = _serve_config(), _serve_config(*flags)
+        changed = {
+            f.name
+            for f in dataclasses.fields(ServiceConfig)
+            if getattr(cfg, f.name) != getattr(base, f.name)
+        }
+        assert changed == set(want)
+        for name, value in want.items():
+            assert getattr(cfg, name) == value, name
+
+    def test_feature_switches_alone_give_the_library_defaults(self):
+        """No serve flag restates a library default: with only the
+        feature switches given, the config is the default one field for
+        field.  ``--resume-overhead-us 100`` once did, as 100 * 1e-6 =
+        9.999999999999999e-05 against the policy's 1e-4."""
+        cfg = _serve_config("--preempt", "--health", "--hedge", "--brownout", "--elastic")
+        want = ServiceConfig(
+            # ``--seed`` seeds the workload too; 2010 is its default.
+            seed=2010,
+            preemption=PreemptionPolicy(enabled=True),
+            elastic=ElasticPolicy(),
+            health=HealthPolicy(enabled=True),
+            hedge=HedgePolicy(enabled=True),
+            brownout=BrownoutPolicy(enabled=True),
+        )
+        for f in dataclasses.fields(ServiceConfig):
+            assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+        assert cfg.preemption.resume_overhead_s == 1e-4
 
 
 class TestServeDaemon:

@@ -6,6 +6,12 @@ exactly the set ``src/`` reads from ``os.environ``.  A documented knob
 no code reads (there has been one) or a read knob nobody documents
 both fail here.  So does a file or definition DESIGN.md names that
 the repository does not have.
+
+The configuration surface itself is counted too: the fields of
+``ServiceConfig`` and the policies under it, ``FaultPlan``,
+``SimWorker``'s keyword parameters and ``cli.py``'s ``add_argument``
+calls are pinned, and the knobs retired to module constants may not
+come back as fields.
 """
 
 import ast
@@ -88,3 +94,129 @@ def _top_level_names(path: pathlib.Path) -> set[str]:
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
     return names
+
+
+# --------------------------------------------------------------------- #
+# The configuration surface, counted
+# --------------------------------------------------------------------- #
+
+#: Values no caller ever set to anything but their default, now module
+#: constants of the code that reads them (``max_strikes`` was a field of
+#: both ``HealthPolicy`` and ``DomainPolicy``).
+_RETIRED_KNOBS = {
+    "service_time_hint_s",  # ServiceConfig: DrainEstimator's default
+    "drain_alpha",  # ServiceConfig: DrainEstimator's default
+    "tunecache",  # PlacementPolicy: the shared tunecache is always on
+    "trigger_priority",  # PreemptionPolicy: PRIORITY_HIGH
+    "victim_priority",  # PreemptionPolicy: PRIORITY_LOW
+    "max_strikes",  # HealthPolicy, DomainPolicy: health.MAX_STRIKES
+    "strike_window_s",  # DomainPolicy: health.STRIKE_WINDOW_S
+    "hysteresis",  # BrownoutPolicy: health.BROWNOUT_HYSTERESIS
+    "backoff_s",  # RetryPolicy: resilience.RELAUNCH_BACKOFF_S
+    "checksum_gbps",  # IntegrityPolicy: faults.CHECKSUM_GBPS
+    "checksum_overhead_s",  # IntegrityPolicy: faults.CHECKSUM_OVERHEAD_S
+    "max_send_attempts",  # FaultPlan: faults.MAX_SEND_ATTEMPTS
+    "retry_backoff_s",  # FaultPlan: faults.SEND_RETRY_BACKOFF_S
+    "gauge_noise",  # SimWorker: workers.GAUGE_NOISE
+    "failure_penalty_s",  # SimWorker: workers.FAILURE_PENALTY_S
+}
+
+#: Knobs per class: ``ServiceConfig``, every ``*Policy`` its fields
+#: hold, ``FaultPlan``, and ``SimWorker.__init__``'s keyword parameters.
+_KNOBS = {
+    "ServiceConfig": 26,
+    "BatchPolicy": 3,
+    "PlacementPolicy": 2,
+    "PreemptionPolicy": 3,
+    "ElasticPolicy": 6,
+    "HealthPolicy": 6,
+    "HedgePolicy": 4,
+    "BrownoutPolicy": 4,
+    "DomainPolicy": 3,
+    "TenancyPolicy": 1,
+    "RetryPolicy": 2,
+    "IntegrityPolicy": 2,
+    "FaultPlan": 8,
+    "SimWorker.__init__": 11,
+}
+
+#: ``add_argument`` calls in ``cli.py`` (``--no-tunecache`` went with
+#: ``PlacementPolicy.tunecache``).
+_CLI_ARGUMENTS = 128
+
+
+def _classes() -> dict[str, ast.ClassDef]:
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in found, f"two classes named {node.name}"
+                found[node.name] = node
+    return found
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and "ClassVar" not in ast.unparse(node.annotation)
+    ]
+
+
+def _knobs() -> dict[str, list[str]]:
+    classes = _classes()
+    config = classes["ServiceConfig"]
+    held = sorted(
+        {
+            name.id
+            for node in config.body
+            if isinstance(node, ast.AnnAssign)
+            for name in ast.walk(node.annotation)
+            if isinstance(name, ast.Name) and name.id.endswith("Policy")
+        }
+    )
+    knobs = {
+        name: _fields(classes[name]) for name in ["ServiceConfig", *held, "FaultPlan"]
+    }
+    init = next(
+        node
+        for node in classes["SimWorker"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    knobs["SimWorker.__init__"] = [a.arg for a in init.args.kwonlyargs]
+    return knobs
+
+
+def _cli_arguments() -> list[ast.Call]:
+    tree = ast.parse((ROOT / "src/repro/cli.py").read_text())
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+    ]
+
+
+def test_the_configuration_surface_is_pinned():
+    """A knob added (or one left behind) moves a count here: say so in
+    the change that does it."""
+    counts = {name: len(fields) for name, fields in _knobs().items()}
+    assert counts == _KNOBS
+    assert sum(counts.values()) == 81
+    assert len(_cli_arguments()) == _CLI_ARGUMENTS
+
+
+def test_retired_knobs_stay_constants():
+    for owner, names in _knobs().items():
+        assert not _RETIRED_KNOBS & set(names), owner
+    flags = {
+        arg.value
+        for call in _cli_arguments()
+        for arg in call.args
+        if isinstance(arg, ast.Constant)
+    }
+    assert "--no-tunecache" not in flags
+    assert "--tunecache" in flags
