@@ -96,7 +96,7 @@ def test_face_traffic_is_half_a_spinor(run_once):
     def measure():
         gpu = VirtualGPU(enforce_memory=False)
         f = DeviceSpinorField(
-            gpu, sites=1024, precision=Precision.SINGLE, face_sites=128
+            gpu, sites=1024, precision=Precision.SINGLE, faces={3: 128}
         )
         return f.face_message_bytes()
 

@@ -78,13 +78,13 @@ def fused_dslash_case(volume: str, region: str, precision: str):
     gpu = VirtualGPU(enforce_memory=False)
     gauge = DeviceGaugeField(
         gpu, sites=geo.volume, precision=prec,
-        ghost_sites=geo.spatial_volume, pad_sites=geo.spatial_volume,
+        ghosts={3: geo.spatial_volume}, pad_sites=geo.spatial_volume,
     )
     gauge.set(host_gauge.data)
     gauge.set_ghost(host_gauge.data[3][-geo.spatial_volume:])
 
     def spinor(label):
-        field = DeviceSpinorField(gpu, sites=vh, precision=prec, face_sites=face, label=label)
+        field = DeviceSpinorField(gpu, sites=vh, precision=prec, faces={3: face}, label=label)
         field.set(rng.standard_normal((vh, 4, 3)) + 1j * rng.standard_normal((vh, 4, 3)))
         return field
 
@@ -102,7 +102,7 @@ def fused_dslash_case(volume: str, region: str, precision: str):
 
     def apply():
         dslash_kernel(
-            gpu, tables, gauge, src, dst, region=region, partitioned=True,
+            gpu, tables, gauge, src, dst, region=region, partitioned=(3,),
             clover=clover, clover_target="xpay", xpay=(-0.25, x),
         )
         gpu.timeline.ops.clear()  # the model clock is not what is timed

@@ -26,12 +26,12 @@ def trace_one_apply(overlap: bool) -> str:
     rng = np.random.default_rng(1)
     gauge = weak_field_gauge(geo, rng, noise=0.1)
     clover = make_clover(gauge)
-    slicing = geo.slice_time(2)
+    slicing = geo.slice_grid(1, 2)
 
     def fn(comm):
         gpu = VirtualGPU(enforce_memory=False, name=f"gpu{comm.rank}")
         comm.bind_timeline(gpu.timeline)
-        qmp = QMPMachine(comm)
+        qmp = QMPMachine(comm, grid=slicing.machine_grid)
         local = slicing.locals[comm.rank]
         slab = slicing.local_sites(comm.rank)
         op = DeviceSchurOperator.setup(

@@ -98,12 +98,12 @@ def profile_solve(
 
     full_prec, sloppy_prec = PRECISION_MODES[mode]
     geometry = LatticeGeometry(dims)
-    slicing = geometry.slice_time(n_gpus)
+    slicing = geometry.slice_grid(1, n_gpus)
 
     def body(comm):
         gpu = VirtualGPU(execute=False, enforce_memory=False, name=f"gpu{comm.rank}")
         comm.bind_timeline(gpu.timeline)
-        qmp = QMPMachine(comm)
+        qmp = QMPMachine(comm, grid=slicing.machine_grid)
         local = slicing.locals[comm.rank]
         op_full = DeviceSchurOperator.setup(
             gpu, qmp, local, None, None, 0.1, precision=full_prec, overlap=overlap

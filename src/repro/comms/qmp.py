@@ -6,11 +6,14 @@ computations": a declared logical machine topology and persistent relay
 channels to lattice neighbours, plus global sums.
 
 This module provides that convenience layer over :mod:`repro.comms.mpi_sim`.
-The paper's production configuration is a 1-dimensional ring over the
-time axis; the multi-dimensional extension (Section VI-A future work)
-declares a 2-D ``(Z, T)`` grid instead, with neighbour relays along each
-partitioned lattice direction.  Fields carry the antiperiodic sign; the
-machine topology itself is periodic in every axis.
+A solve declares the machine grid of its lattice decomposition
+(:attr:`~repro.lattice.geometry.GridSlicing.machine_grid`,
+``{2: ranks_z, 3: ranks_t}``).  The paper's production configuration, a
+1-dimensional ring over the time axis, is the ``ranks_z = 1`` grid; the
+multi-dimensional extension (Section VI-A future work) splits Z too, with
+neighbour relays along each partitioned lattice direction.  Fields carry
+the antiperiodic sign; the machine topology itself is periodic in every
+axis.
 
 :func:`rank_orbits` reads the same grid for symmetry: which ranks a
 timing-only solve may simulate once for many (see
@@ -41,7 +44,7 @@ def _tag(mu: int, direction: int) -> int:
 
 
 def rank_orbits(
-    n_ranks: int, qmp_grid: Mapping[int, int] | None, cluster: ClusterSpec
+    n_ranks: int, grid: Mapping[int, int], cluster: ClusterSpec
 ) -> tuple[int, ...]:
     """The representative of every rank's symmetry orbit, rank by rank.
 
@@ -52,10 +55,9 @@ def rank_orbits(
     translations form a group, so the orbits partition the ranks; the
     representative is the lowest rank of its orbit (rank 0 always
     represents itself).  On the paper's 2-GPU nodes a time-sliced ring has
-    two orbits, even and odd ranks.  ``qmp_grid`` is the machine grid of
-    :class:`QMPMachine` (``None`` for the 1-D time ring).
+    two orbits, even and odd ranks.  ``grid`` is the machine grid of
+    :class:`QMPMachine` (``{2: 1, 3: n}`` for the time ring).
     """
-    grid = dict(qmp_grid) if qmp_grid is not None else {3: n_ranks}
     extents = np.array([grid[mu] for mu in sorted(grid)])
     strides = np.cumprod(np.concatenate(([1], extents[:-1])))
     # Logical coordinates, lower lattice directions fastest (as QMPMachine).

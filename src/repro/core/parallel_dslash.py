@@ -81,7 +81,6 @@ class FaceExchangePlan:
     """Transfer shapes for one face pair of one spinor field."""
 
     mu: int
-    face_sites: int
     message_bytes: int  # what crosses the network (halves + norms)
     payload_bytes: int  # the half-spinor data alone
     norm_bytes: int  # the half-precision norm face (0 otherwise)
@@ -120,7 +119,6 @@ def _plan(mu: int, sites: int, precision, nvec: int) -> FaceExchangePlan:
         downloads[direction], uploads[direction] = tuple(down), tuple(up)
     return FaceExchangePlan(
         mu=mu,
-        face_sites=sites,
         message_bytes=payload + norm,
         payload_bytes=payload,
         norm_bytes=norm,
@@ -192,7 +190,7 @@ def dslash_with_exchange(
     )
     if not dirs:
         dslash_kernel(
-            gpu, tables, gauge, src, dst, region="full", partitioned=False,
+            gpu, tables, gauge, src, dst, region="full", partitioned=(),
             stream=STREAM_COMPUTE, **kernel_kwargs,
         )
         return

@@ -108,9 +108,10 @@ class InvertResult:
     #: resumes, and breakdown-ladder rungs, in decision order.
     #: Deterministic for a given fault-plan seed.
     recovery_events: list[RecoveryEvent] = field(default_factory=list)
-    #: Process grid the solve actually ran on: ``(ranks_z, ranks_t)``
-    #: for the multi-dimensional decomposition, ``None`` for the paper's
-    #: time-only slicing — the placement layer's audit trail.
+    #: Process grid the solve was asked for: ``(ranks_z, ranks_t)`` for
+    #: a pinned grid, ``None`` for the paper's time slicing over
+    #: ``n_gpus`` (run as the ``(1, n)`` grid, which may shrink over the
+    #: survivors of a rank failure) — the placement layer's audit trail.
     grid: tuple[int, int] | None = None
 
     @property
@@ -130,7 +131,6 @@ def invert(
     cluster: ClusterSpec | None = None,
     gpu_spec: GPUSpec = GTX285,
     enforce_memory: bool = False,
-    tune: bool = True,
     tune_cache: TuneCache | None = None,
     verify: bool = True,
     fault_plan: FaultPlan | None = None,
@@ -143,10 +143,13 @@ def invert(
     the 2 GiB per-card capacity (off by default so small-machine tests
     don't need paper-size cards).
 
-    ``grid = (ranks_z, ranks_t)`` activates the multi-dimensional
-    decomposition extension (Section VI-A future work) instead of the
-    paper's time-only slicing; ``n_gpus`` is then ignored in favour of
-    the grid's rank count.
+    ``grid=None`` is the paper's time slicing over ``n_gpus`` ranks (the
+    ``(1, n_gpus)`` grid; a recovering solve may shrink it over the
+    survivors).  ``grid = (ranks_z, ranks_t)`` pins a process grid — the
+    multi-dimensional decomposition of Section VI-A's future work when
+    ``ranks_z > 1`` — and ``n_gpus`` is then ignored in favour of the
+    grid's rank count.  ``tune_cache=None`` derives the kernel tunings
+    fresh (Section V-E).
     """
     return invert_multi(
         gauge,
@@ -158,7 +161,6 @@ def invert(
         cluster=cluster,
         gpu_spec=gpu_spec,
         enforce_memory=enforce_memory,
-        tune=tune,
         tune_cache=tune_cache,
         verify=verify,
         fault_plan=fault_plan,
@@ -177,7 +179,6 @@ def invert_multi(
     cluster: ClusterSpec | None = None,
     gpu_spec: GPUSpec = GTX285,
     enforce_memory: bool = False,
-    tune: bool = True,
     tune_cache: TuneCache | None = None,
     verify: bool = True,
     fault_plan: FaultPlan | None = None,
@@ -216,7 +217,6 @@ def invert_multi(
         cluster=cluster or ClusterSpec(),
         gpu_spec=gpu_spec,
         enforce_memory=enforce_memory,
-        tune=tune,
         tune_cache=tune_cache,
         execute=True,
         host_gauge=gauge,
@@ -253,7 +253,6 @@ def invert_model(
     cluster: ClusterSpec | None = None,
     gpu_spec: GPUSpec = GTX285,
     enforce_memory: bool = True,
-    tune: bool = True,
     tune_cache: TuneCache | None = None,
     fault_plan: FaultPlan | None = None,
     integrity: IntegrityPolicy | None = None,
@@ -277,7 +276,6 @@ def invert_model(
         cluster=cluster,
         gpu_spec=gpu_spec,
         enforce_memory=enforce_memory,
-        tune=tune,
         tune_cache=tune_cache,
         fault_plan=fault_plan,
         integrity=integrity,
@@ -295,7 +293,6 @@ def invert_model_multi(
     cluster: ClusterSpec | None = None,
     gpu_spec: GPUSpec = GTX285,
     enforce_memory: bool = True,
-    tune: bool = True,
     tune_cache: TuneCache | None = None,
     fault_plan: FaultPlan | None = None,
     integrity: IntegrityPolicy | None = None,
@@ -324,7 +321,6 @@ def invert_model_multi(
         cluster=cluster or ClusterSpec(),
         gpu_spec=gpu_spec,
         enforce_memory=enforce_memory,
-        tune=tune,
         tune_cache=tune_cache,
         execute=False,
         host_gauge=None,
@@ -481,7 +477,6 @@ def _run(
     cluster: ClusterSpec,
     gpu_spec: GPUSpec,
     enforce_memory: bool,
-    tune: bool,
     execute: bool,
     tune_cache: TuneCache | None = None,
     host_gauge: GaugeField | None,
@@ -492,19 +487,17 @@ def _run(
     fault_plan: FaultPlan | None = None,
     integrity: IntegrityPolicy | None = None,
 ) -> list[InvertResult]:
-    if tune_cache is None and tune:
+    if tune_cache is None:
         # No shared cache supplied: derive the tunings fresh (the
         # pre-placement-layer behaviour; the service hands in a
         # SharedTuneCache-backed cache to amortize this).
         tune_cache = autotune(gpu_spec)
-    if not tune:
-        tune_cache = None
     n_sources = (
         len(host_sources) if host_sources is not None else n_model_sources
     )
     store = CheckpointStore(n_sources)
 
-    def make_body(slicing, qmp_grid):
+    def make_body(slicing):
         def body(comm: Comm) -> dict:
             rank = comm.rank
             local = slicing.locals[rank]
@@ -517,15 +510,11 @@ def _run(
                 name=f"gpu{rank}",
             )
             comm.bind_timeline(gpu.timeline)
-            qmp = QMPMachine(comm, grid=qmp_grid)
-            # Global site indices of this rank's slab — built only in
-            # functional mode (index tables at paper scale are huge).
+            qmp = QMPMachine(comm, grid=slicing.machine_grid)
+            # Global sites of this rank's slab — built only in functional
+            # mode (a Z-split index table at paper scale is huge).  Time
+            # slicing hands back a slice, so the slabs below are views.
             slab = slicing.local_sites(rank) if execute else None
-
-            def occupancies(precision: Precision) -> dict[str, float]:
-                if tune_cache is None:
-                    return {}
-                return {"dslash": tune_cache.occupancy("dslash", precision)}
 
             gauge_slab = host_gauge.data[:, slab] if host_gauge is not None else None
             clover_slab = host_clover[slab] if host_clover is not None else None
@@ -542,7 +531,7 @@ def _run(
                     compressed=gauge_param.reconstruct_12,
                     overlap=inv.overlap_comms,
                     pad=gauge_param.pad_spatial_volume,
-                    occupancy=occupancies(precision),
+                    occupancy={"dslash": tune_cache.occupancy("dslash", precision)},
                     solve_parity=inv.solve_parity,
                 )
 

@@ -17,9 +17,12 @@ self-healing layer on top of them:
 * :class:`RetryPolicy` + :func:`run_with_recovery` — the SPMD supervisor:
   when a :class:`~repro.comms.faults.FaultPlan` kills a rank mid-solve,
   the partial :class:`~repro.comms.mpi_sim.SpmdOutcome` is caught, the
-  fired faults are retired from the plan, the time dimension is
-  re-partitioned over the surviving ranks (or relaunched at the same
-  count), and the solve resumes from the last committed checkpoint under
+  fired faults are retired from the plan, a time-sliced solve
+  (``grid=None``: the ``(1, n)`` grid, which may shrink) is
+  re-partitioned over the largest surviving rank count the lattice
+  admits (:func:`feasible_rank_count`, by the one divisibility rule
+  :func:`~repro.lattice.geometry.grid_error`) or relaunched at the same
+  count, and the solve resumes from the last committed checkpoint under
   a bounded, deterministic retry budget.
 
 Every decision here is a pure function of (fault-plan seed, communication
@@ -38,6 +41,7 @@ from ...comms.faults import FaultEvent, FaultPlan, IntegrityPolicy, RankFailedEr
 from ...comms.mpi_sim import CommStats, SimMPI
 from ...comms.qmp import rank_orbits
 from ...gpu.precision import Precision
+from ...lattice.geometry import GridSlicing, grid_error
 
 __all__ = [
     "SolverBreakdown",
@@ -270,8 +274,7 @@ class RecoveryOutcome:
     """What :func:`run_with_recovery` hands back to the solve driver."""
 
     results: list[Any]
-    slicing: Any
-    qmp_grid: dict[int, int] | None
+    slicing: GridSlicing
     fault_events: list[FaultEvent]
     comm_stats: list[CommStats]
     attempts: int = 0
@@ -283,21 +286,12 @@ class RecoveryOutcome:
 
 def feasible_rank_count(geometry, max_ranks: int) -> int | None:
     """Largest time-slicing rank count ``<= max_ranks`` the lattice admits
-    (T divisible, even local extent), or ``None`` if there is none."""
+    (:func:`~repro.lattice.geometry.grid_error` accepts ``(1, n)``), or
+    ``None`` if there is none."""
     for n in range(max(max_ranks, 0), 0, -1):
-        try:
-            geometry.slice_time(n)
-        except ValueError:
-            continue
-        return n
+        if grid_error(geometry.dims, 1, n) is None:
+            return n
     return None
-
-
-def _slice(geometry, n_gpus: int, grid: tuple[int, int] | None):
-    if grid is not None:
-        ranks_z, ranks_t = grid
-        return geometry.slice_grid(ranks_z, ranks_t), {2: ranks_z, 3: ranks_t}
-    return geometry.slice_time(n_gpus), None
 
 
 def run_with_recovery(
@@ -309,13 +303,20 @@ def run_with_recovery(
     fault_plan: FaultPlan | None,
     policy: RetryPolicy,
     store,
-    make_body: Callable[[Any, dict[int, int] | None], Callable],
+    make_body: Callable[[GridSlicing], Callable],
     integrity: IntegrityPolicy | None = None,
     rank_uniform: bool = False,
 ) -> RecoveryOutcome:
     """Run an SPMD solve body, surviving planned rank failures.
 
-    ``make_body(slicing, qmp_grid)`` builds the per-rank function for one
+    ``grid=None`` is the paper's time slicing over ``n_gpus`` ranks, which
+    may shrink over the survivors of a rank failure; a pinned
+    ``(ranks_z, ranks_t)`` grid relaunches at its own size.  Both run as
+    a :meth:`~repro.lattice.geometry.LatticeGeometry.slice_grid`
+    decomposition (time slicing is the ``(1, n)`` grid), whose
+    ``machine_grid`` declares the QMP machine and the orbit symmetry.
+
+    ``make_body(slicing)`` builds the per-rank function for one
     attempt; ``store`` is the shared
     :class:`~repro.core.solvers.checkpoint.CheckpointStore` the body
     checkpoints into (it is rebound to each attempt's slicing, so
@@ -339,12 +340,14 @@ def run_with_recovery(
     all_events: list[FaultEvent] = []
 
     while True:
-        slicing, qmp_grid = _slice(geometry, current, grid)
+        slicing = geometry.slice_grid(*(grid or (1, current)))
         fold = rank_uniform and plan is None and (integrity is None or not integrity.verify)
-        orbit = rank_orbits(slicing.n_ranks, qmp_grid, cluster) if fold else None
+        orbit = (
+            rank_orbits(slicing.n_ranks, slicing.machine_grid, cluster) if fold else None
+        )
         store.rebind(slicing, attempt=attempt, orbit=orbit)
         world = SimMPI(slicing.n_ranks, cluster, plan, integrity, orbit=orbit)
-        body = make_body(slicing, qmp_grid)
+        body = make_body(slicing)
         recovery_active = (
             policy.enabled and plan is not None and plan.lethal
         )
@@ -359,7 +362,6 @@ def run_with_recovery(
             return RecoveryOutcome(
                 results=results,
                 slicing=slicing,
-                qmp_grid=qmp_grid,
                 fault_events=all_events + world.fault_events(),
                 comm_stats=world.comm_stats(),
                 attempts=attempt,
@@ -372,7 +374,6 @@ def run_with_recovery(
             return RecoveryOutcome(
                 results=outcome.results,
                 slicing=slicing,
-                qmp_grid=qmp_grid,
                 fault_events=all_events,
                 comm_stats=outcome.stats,
                 attempts=attempt,

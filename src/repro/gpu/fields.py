@@ -77,34 +77,28 @@ class DeviceSpinorField:
     ----------
     sites:
         Body sites (half volume for checkerboarded solver fields).
-    face_sites:
-        Sites per temporal ghost face (0 on a single GPU).  The end zone
-        holds ``2 * face_sites`` half-spinors: the P+4 half first, then
-        the P-4 half, matching Fig. 3.
     pad_sites:
         Layout pad (one spatial volume in QUDA).
+    faces:
+        Sites per ghost face, by partitioned direction (empty on a single
+        GPU; ``{3: Vs/2}`` under the paper's time slicing).  The end zone
+        holds two faces per direction: the P+mu half first, then the
+        P-mu half, matching Fig. 3.
     """
 
     gpu: VirtualGPU
     sites: int
     precision: Precision
-    face_sites: int = 0
     pad_sites: int = 0
     basis: str = "degrand_rossi"
     label: str = "spinor"
-    #: Multi-dimensional decomposition (Section VI-A future work): map
-    #: from partitioned direction index to face sites.  Supersedes
-    #: ``face_sites`` (which remains the temporal-only shorthand).
-    faces: dict[int, int] | None = None
+    faces: dict[int, int] = field(default_factory=dict)
     layout: FieldLayout = field(init=False)
 
     T_DIR = 3
 
     def __post_init__(self) -> None:
-        if self.faces is None:
-            self.faces = {self.T_DIR: self.face_sites} if self.face_sites else {}
         self.faces = {mu: n for mu, n in self.faces.items() if n > 0}
-        self.face_sites = self.faces.get(self.T_DIR, 0)
         total_faces = sum(self.faces.values())
         self.layout = FieldLayout(
             sites=self.sites,
@@ -316,25 +310,22 @@ class DeviceGaugeField:
     reconstruction (Section V-C1) — QUDA's default, and the paper's
     operation-count convention excludes the reconstruction flops.
 
-    The temporal ghost slice (``U_t`` links of the previous rank's last
-    timeslice, ``ghost_sites`` of them) lives in the pad region per
-    Section VI-B; it is transferred once at initialization because "the
-    link matrices are constant throughout the execution of the linear
-    solver".
+    ``ghosts`` maps each partitioned direction to its ghost-slice sites
+    (``{3: Vs}`` under the paper's time slicing).  The temporal ghost
+    slice (``U_t`` links of the previous rank's last timeslice) lives in
+    the pad region per Section VI-B; it is transferred once at
+    initialization because "the link matrices are constant throughout the
+    execution of the linear solver".  Other directions need dedicated
+    buffers, accounted explicitly.
     """
 
     gpu: VirtualGPU
     sites: int
     precision: Precision
     compressed: bool = True
-    ghost_sites: int = 0
     pad_sites: int = 0
     label: str = "gauge"
-    #: Multi-dimensional decomposition: map from partitioned direction to
-    #: ghost-slice sites.  Supersedes ``ghost_sites`` (temporal shorthand).
-    #: The temporal ghost hides in the pad (Section VI-B); additional
-    #: directions need dedicated buffers, accounted explicitly.
-    ghosts: dict[int, int] | None = None
+    ghosts: dict[int, int] = field(default_factory=dict)
     layout: FieldLayout = field(init=False)
     #: What kernels derived from the stored links (see :meth:`derived`).
     _derived: dict = field(init=False, default_factory=dict, repr=False)
@@ -342,10 +333,7 @@ class DeviceGaugeField:
     T_DIR = 3
 
     def __post_init__(self) -> None:
-        if self.ghosts is None:
-            self.ghosts = {self.T_DIR: self.ghost_sites} if self.ghost_sites else {}
         self.ghosts = {mu: n for mu, n in self.ghosts.items() if n > 0}
-        self.ghost_sites = self.ghosts.get(self.T_DIR, 0)
         reals = GAUGE_REALS_COMPRESSED if self.compressed else GAUGE_REALS_FULL
         if self.pad_sites < self.ghosts.get(self.T_DIR, 0):
             # QUDA's pad (one spatial volume) is "exactly the correct size

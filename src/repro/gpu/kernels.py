@@ -24,8 +24,8 @@ partitioned direction) reads the spinor end zone and the gauge ghosts.
 
 **Multi-dimensional decomposition** (Section VI-A future work): the
 kernel accepts any subset of the partitionable directions {Z, T} via the
-``partitioned`` argument — ``True`` keeps the paper's temporal-only
-meaning.  Each partitioned direction contributes its own pair of ghost
+``partitioned`` argument — ``(3,)`` is the paper's temporal-only
+slicing.  Each partitioned direction contributes its own pair of ghost
 faces; the Wilson stencil is strictly nearest-neighbor per direction, so
 no corner exchanges are needed.
 
@@ -113,11 +113,7 @@ PARTITIONABLE = (2, 3)
 
 
 def normalize_partitioned(partitioned) -> tuple[int, ...]:
-    """``False`` -> (), ``True`` -> (T,), or an explicit direction tuple."""
-    if partitioned is True:
-        return (T_DIR,)
-    if partitioned is False or partitioned is None:
-        return ()
+    """The partitioned directions, sorted, deduplicated and checked."""
     dirs = tuple(sorted(set(int(m) for m in partitioned)))
     for mu in dirs:
         if mu not in PARTITIONABLE:
@@ -605,7 +601,7 @@ def dslash_kernel(
     dst: DeviceSpinorField,
     *,
     region: str = "full",
-    partitioned=False,
+    partitioned=(),
     dagger: bool = False,
     clover: DeviceCloverField | None = None,
     clover_target: str = "result",
@@ -625,8 +621,8 @@ def dslash_kernel(
       ``dst = A @ x + a * (D src)`` — pass ``A'_ee`` and ``a = -1/4`` to
       finish ``Mhat psi = A'_e psi - (1/4) D_eo A'^{-1}_oo D_oe psi``.
 
-    ``partitioned`` selects the decomposed directions: ``True`` is the
-    paper's temporal-only slicing; a tuple like ``(2, 3)`` activates the
+    ``partitioned`` selects the decomposed directions: ``(3,)`` is the
+    paper's temporal-only slicing; ``(2, 3)`` activates the
     multi-dimensional extension.  Ghost data is read from ``src``'s end
     zone (the transferred field is the dslash *source*) and the gauge
     ghost slices; ``region`` selects full/interior/boundary rows so the

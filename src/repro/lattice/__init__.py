@@ -6,7 +6,7 @@ NumPy implementation of everything the paper's GPU kernels compute.  The
 virtual-GPU and multi-GPU layers are validated against it.
 """
 
-from .geometry import NDIM, LatticeGeometry, TimeSlicing
+from .geometry import NDIM, GridSlicing, LatticeGeometry
 from .fields import CloverField, GaugeField, SpinorField, zeros_spinor
 from .dirac import WilsonCloverOperator, apply_gamma5, hopping_term
 from .clover import make_clover, pack_clover, unpack_clover
@@ -23,7 +23,7 @@ from .hostsolve import SolveResult, bicgstab, cg, cgne, cgnr
 __all__ = [
     "NDIM",
     "LatticeGeometry",
-    "TimeSlicing",
+    "GridSlicing",
     "SpinorField",
     "GaugeField",
     "CloverField",

@@ -17,6 +17,12 @@ The conventions follow the QUDA / Chroma ecosystem described in the paper:
   their relative lexicographic order; this "checkerboard index" is what the
   even-odd preconditioned operator uses.
 
+* One decomposition serves every rank count: :meth:`LatticeGeometry.slice_grid`
+  splits Z and T over a ``(ranks_z, ranks_t)`` process grid.  The paper's
+  time slicing is the ``(1, N)`` grid — its slabs are contiguous site
+  ranges — and :func:`grid_error` is the one rule for which grids a
+  lattice admits.
+
 * Fermion fields are periodic in the three spatial directions and
   antiperiodic in time (the standard thermal boundary condition).  The
   geometry exposes per-direction boundary *phase* tables so the Dirac
@@ -38,8 +44,8 @@ import numpy as np
 __all__ = [
     "NDIM",
     "LatticeGeometry",
-    "TimeSlicing",
     "GridSlicing",
+    "grid_error",
 ]
 
 #: Number of spacetime dimensions.  The library is written for 4-D lattices
@@ -48,6 +54,33 @@ NDIM = 4
 
 #: Direction indices, in the order used everywhere in this package.
 X_DIR, Y_DIR, Z_DIR, T_DIR = 0, 1, 2, 3
+
+
+def grid_error(
+    dims: tuple[int, int, int, int], ranks_z: int, ranks_t: int
+) -> str | None:
+    """Why ``dims`` cannot be split over a ``ranks_z x ranks_t`` grid, or
+    ``None`` when it can.
+
+    The package's one divisibility rule: each split extent divides evenly
+    and, once split, stays even for even-odd preconditioning.
+    :meth:`LatticeGeometry.slice_grid`, the recovery supervisor's
+    shrink (``feasible_rank_count``) and the placement layer's
+    ``GridSelector`` all ask it.
+    """
+    for name, extent, ranks in (
+        ("Z", dims[Z_DIR], ranks_z),
+        ("T", dims[T_DIR], ranks_t),
+    ):
+        if ranks < 1 or extent % ranks:
+            return f"{name}={extent} not divisible by {ranks} ranks"
+        local = extent // ranks
+        if ranks > 1 and local % 2:
+            return (
+                f"local {name} extent {local} must be even for even-odd "
+                f"preconditioning ({name}={extent}, ranks {ranks})"
+            )
+    return None
 
 
 def _check_dims(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -66,7 +99,8 @@ def _check_dims(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Geometry of a 4-D lattice (possibly a time-sliced sublattice).
+    """Geometry of a 4-D lattice (possibly one rank's sublattice of a
+    :meth:`slice_grid` decomposition).
 
     Parameters
     ----------
@@ -326,55 +360,23 @@ class LatticeGeometry:
         mask = (self.coords[:, mu] == coord) & (self.parity == parity)
         return self.checkerboard_index[np.nonzero(mask)[0]]
 
-    def slice_time(self, n_ranks: int) -> "TimeSlicing":
-        """Partition the time dimension into ``n_ranks`` equal slices.
-
-        This is the paper's parallelization strategy (Section VI-A): only
-        the time dimension is divided, with the full spatial extent on each
-        GPU.  Raises if ``T`` is not divisible into even-sized local slabs.
-        """
-        T = self.dims[T_DIR]
-        if self.t_offset != 0 or self.dims[T_DIR] != self.global_t:
-            raise ValueError("can only decompose a monolithic lattice")
-        if n_ranks < 1 or T % n_ranks:
-            raise ValueError(f"T={T} not divisible by {n_ranks} ranks")
-        t_local = T // n_ranks
-        if n_ranks > 1 and t_local % 2:
-            raise ValueError(
-                f"local time extent {t_local} must be even for even-odd "
-                f"preconditioning (T={T}, ranks={n_ranks})"
-            )
-        locals_ = tuple(
-            LatticeGeometry(
-                dims=(self.dims[0], self.dims[1], self.dims[2], t_local),
-                antiperiodic_t=self.antiperiodic_t,
-                t_offset=r * t_local,
-                global_t=T,
-            )
-            for r in range(n_ranks)
-        )
-        return TimeSlicing(global_geometry=self, locals=locals_)
-
     def slice_grid(self, ranks_z: int, ranks_t: int) -> "GridSlicing":
-        """Partition both Z and T over a ``ranks_z x ranks_t`` rank grid.
+        """Partition Z and T over a ``ranks_z x ranks_t`` rank grid.
 
-        The multi-dimensional decomposition of the paper's future work
-        (Section VI-A: needed "to scale to hundreds of GPUs or more" and
-        "to keep the local surface to volume ratio under control").  Rank
-        order: z fastest, ``rank = z_index + ranks_z * t_index``.
+        ``slice_grid(1, n)`` is the paper's decomposition (Section VI-A):
+        only the time dimension is divided, with the full spatial extent
+        on each GPU.  ``ranks_z > 1`` is the multi-dimensional split of
+        its future work ("to scale to hundreds of GPUs or more", built in
+        arXiv:1109.2935).  Rank order: z fastest,
+        ``rank = z_index + ranks_z * t_index``.  Raises if the lattice is
+        itself a sublattice or :func:`grid_error` rejects the grid.
         """
-        if self.t_offset != 0 or self.z_offset != 0:
-            raise ValueError("can only decompose a monolithic lattice")
         Z, T = self.dims[Z_DIR], self.dims[T_DIR]
-        for name, extent, ranks in (("Z", Z, ranks_z), ("T", T, ranks_t)):
-            if ranks < 1 or extent % ranks:
-                raise ValueError(f"{name}={extent} not divisible by {ranks} ranks")
-            local = extent // ranks
-            if ranks > 1 and local % 2:
-                raise ValueError(
-                    f"local {name} extent {local} must be even (extent "
-                    f"{extent}, ranks {ranks})"
-                )
+        if self.t_offset or self.z_offset or (Z, T) != (self.global_z, self.global_t):
+            raise ValueError("can only decompose a monolithic lattice")
+        error = grid_error(self.dims, ranks_z, ranks_t)
+        if error is not None:
+            raise ValueError(error)
         z_local, t_local = Z // ranks_z, T // ranks_t
         locals_ = tuple(
             LatticeGeometry(
@@ -403,43 +405,11 @@ class LatticeGeometry:
 
 
 @dataclass(frozen=True)
-class TimeSlicing:
-    """A decomposition of a global lattice into per-rank time slabs."""
-
-    global_geometry: LatticeGeometry
-    locals: tuple[LatticeGeometry, ...] = field(repr=False)
-
-    @property
-    def n_ranks(self) -> int:
-        return len(self.locals)
-
-    def local_sites(self, rank: int) -> slice:
-        """Global lexicographic site range owned by ``rank`` (contiguous
-        because ``t`` runs slowest)."""
-        geo = self.locals[rank]
-        vs = geo.spatial_volume
-        start = geo.t_offset * vs
-        return slice(start, start + geo.volume)
-
-    def neighbor_rank(self, rank: int, step: int) -> int:
-        """Rank holding the slab in the +t (``step=+1``) or -t direction."""
-        return (rank + step) % self.n_ranks
-
-    def scatter(self, full: np.ndarray, rank: int) -> np.ndarray:
-        """Extract ``rank``'s slab of a field whose leading axis is sites."""
-        return full[self.local_sites(rank)]
-
-    def gather(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Reassemble per-rank slabs into a full-lattice field."""
-        if len(parts) != self.n_ranks:
-            raise ValueError("wrong number of slabs")
-        return np.concatenate(parts, axis=0)
-
-
-@dataclass(frozen=True)
 class GridSlicing:
-    """A 2-D (Z, T) decomposition of a global lattice (Section VI-A
-    future work).  Rank order: z fastest."""
+    """A ``(Z, T)`` decomposition of a global lattice over a process grid.
+
+    ``ranks_z == 1`` is the paper's time slicing (Section VI-A); a larger
+    ``ranks_z`` also splits Z.  Rank order: z fastest."""
 
     global_geometry: LatticeGeometry
     locals: tuple[LatticeGeometry, ...] = field(repr=False)
@@ -450,52 +420,47 @@ class GridSlicing:
     def n_ranks(self) -> int:
         return self.ranks_z * self.ranks_t
 
-    def rank_coords(self, rank: int) -> tuple[int, int]:
-        """(z index, t index) of a rank in the logical machine grid."""
-        return rank % self.ranks_z, rank // self.ranks_z
+    @property
+    def machine_grid(self) -> dict[int, int]:
+        """Ranks per partitioned lattice direction, the ``grid`` of
+        :class:`~repro.comms.qmp.QMPMachine`."""
+        return {Z_DIR: self.ranks_z, T_DIR: self.ranks_t}
 
-    def neighbor_rank(self, rank: int, axis: int, step: int) -> int:
-        """Neighbouring rank along grid ``axis`` (0 = Z, 1 = T)."""
-        zr, tr = self.rank_coords(rank)
-        if axis == 0:
-            return (zr + step) % self.ranks_z + self.ranks_z * tr
-        if axis == 1:
-            return zr + self.ranks_z * ((tr + step) % self.ranks_t)
-        raise ValueError("axis must be 0 (Z) or 1 (T)")
+    def local_sites(self, rank: int) -> slice | np.ndarray:
+        """Global lexicographic sites owned by ``rank``, in the local
+        lattice's own lex order.
 
-    def local_site_indices(self, rank: int) -> np.ndarray:
-        """Global lexicographic indices owned by ``rank``.
-
-        Not contiguous for ``ranks_z > 1`` (z is not the slowest index) —
+        A contiguous ``slice`` when Z is not split (``t`` runs slowest),
+        so scattering a field is a view, not a copy.  With ``ranks_z > 1``
+        the sites are not contiguous and come back as an index array —
         the structural cost of multi-dimensional decomposition the paper
-        alludes to.  Ordered to match the local lattice's own lex order.
+        alludes to.
         """
-        geo = self.global_geometry
         local = self.locals[rank]
-        c = geo.coords
-        z0 = local.z_offset
-        t0 = local.t_offset
+        if self.ranks_z == 1:
+            start = local.t_offset * local.spatial_volume
+            return slice(start, start + local.volume)
+        c = self.global_geometry.coords
+        z0, t0 = local.z_offset, local.t_offset
         mask = (
-            (c[:, 2] >= z0)
-            & (c[:, 2] < z0 + local.dims[2])
-            & (c[:, 3] >= t0)
-            & (c[:, 3] < t0 + local.dims[3])
+            (c[:, Z_DIR] >= z0)
+            & (c[:, Z_DIR] < z0 + local.dims[Z_DIR])
+            & (c[:, T_DIR] >= t0)
+            & (c[:, T_DIR] < t0 + local.dims[T_DIR])
         )
-        return np.nonzero(mask)[0]  # global lex order == local lex order
-
-    def local_sites(self, rank: int) -> np.ndarray:
-        """Alias of :meth:`local_site_indices` (drop-in for TimeSlicing)."""
-        return self.local_site_indices(rank)
+        return np.nonzero(mask)[0]
 
     def scatter(self, full: np.ndarray, rank: int) -> np.ndarray:
-        return full[self.local_site_indices(rank)]
+        """Extract ``rank``'s slab of a field whose leading axis is sites."""
+        return full[self.local_sites(rank)]
 
     def gather(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Reassemble per-rank slabs into a full-lattice field."""
         if len(parts) != self.n_ranks:
             raise ValueError("wrong number of slabs")
         out = np.empty(
             (self.global_geometry.volume,) + parts[0].shape[1:], dtype=parts[0].dtype
         )
         for rank, part in enumerate(parts):
-            out[self.local_site_indices(rank)] = part
+            out[self.local_sites(rank)] = part
         return out

@@ -54,6 +54,7 @@ from ..core.interface import PRECISION_MODES
 from ..gpu.perfmodel import DEFAULT_PARAMS, PerfModelParams, kernel_time, pcie_time
 from ..gpu.precision import Precision
 from ..gpu.specs import GTX285, GPUSpec
+from ..lattice.geometry import grid_error
 
 __all__ = [
     "GridCandidate",
@@ -148,10 +149,13 @@ class GridCandidate:
 class GridSelector:
     """Per-request process-grid selection from the calibrated perf model.
 
-    For a worker of ``ranks`` GPUs and a request volume, every feasible
-    decomposition — time-only plus every ``(ranks_z, ranks_t)`` with
-    ``ranks_z > 1`` — is scored as *kernel time + communication critical
-    path* per solver iteration:
+    For a worker of ``ranks`` GPUs and a request volume, every
+    ``(ranks_z, ranks_t)`` grid the lattice admits
+    (:func:`~repro.lattice.geometry.grid_error`, the rule
+    :meth:`~repro.lattice.geometry.LatticeGeometry.slice_grid` enforces)
+    — the time-only ``(1, ranks)`` among them, reported as ``grid=None``
+    — is scored as *kernel time + communication critical path* per solver
+    iteration:
 
     * kernel time is the dslash streaming cost of the local volume at
       the tuned occupancy (identical across candidates of equal local
@@ -180,21 +184,6 @@ class GridSelector:
         self._memo: dict[tuple, tuple[int, int] | None] = {}
 
     # ------------------------------------------------------------------ #
-
-    def _feasible_time(self, dims, ranks: int) -> bool:
-        T = dims[3]
-        if T % ranks:
-            return False
-        return ranks == 1 or (T // ranks) % 2 == 0
-
-    def _feasible_grid(self, dims, rz: int, rt: int) -> bool:
-        Z, T = dims[2], dims[3]
-        for extent, r in ((Z, rz), (T, rt)):
-            if extent % r:
-                return False
-            if r > 1 and (extent // r) % 2:
-                return False
-        return True
 
     def _estimate(self, dims, rz: int, rt: int, mode: str) -> GridCandidate:
         X, Y, Z, T = dims
@@ -237,15 +226,11 @@ class GridSelector:
         """
         if ranks < 1:
             raise ValueError("ranks must be >= 1")
-        out: list[GridCandidate] = []
-        if self._feasible_time(dims, ranks):
-            out.append(self._estimate(dims, 1, ranks, mode))
-        for rz in range(2, ranks + 1):
-            if ranks % rz:
-                continue
-            rt = ranks // rz
-            if self._feasible_grid(dims, rz, rt):
-                out.append(self._estimate(dims, rz, rt, mode))
+        out = [
+            self._estimate(dims, rz, ranks // rz, mode)
+            for rz in range(1, ranks + 1)
+            if ranks % rz == 0 and grid_error(dims, rz, ranks // rz) is None
+        ]
         out.sort(key=lambda c: (c.score_s, 0 if c.grid is None else c.grid[0]))
         return out
 

@@ -126,7 +126,7 @@ class TestReductions:
 
     def test_endzone_excluded_from_reductions(self, gpu, rng):
         """Ghost faces never pollute norms (Section VI-C's design goal)."""
-        f = DeviceSpinorField(gpu, sites=32, precision=Precision.DOUBLE, face_sites=8)
+        f = DeviceSpinorField(gpu, sites=32, precision=Precision.DOUBLE, faces={3: 8})
         data = rng.standard_normal((32, 4, 3)) + 0j
         f.set(data)
         garbage = 1e6 * (rng.standard_normal((8, 2, 3)) + 0j)

@@ -8,7 +8,7 @@ from repro.core.solvers.resilience import RecoveryEvent
 
 
 class FakeSlicing:
-    """Just enough of a TimeSlicing for the store: rank count + gather."""
+    """Just enough of a GridSlicing for the store: rank count + gather."""
 
     def __init__(self, n_ranks: int) -> None:
         self.n_ranks = n_ranks

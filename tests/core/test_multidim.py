@@ -113,6 +113,39 @@ class TestQMPGrid:
         assert results[0] == (("z", 1), ("t", 2))
 
 
+class TestGridNoneIsTheOneByNGrid:
+    """``grid=None`` over ``n`` GPUs runs as the ``(1, n)`` grid: the paper's
+    time slicing needs no second decomposition class."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        rng = np.random.default_rng(11)
+        geo = LatticeGeometry((4, 4, 4, 8))
+        return weak_field_gauge(geo, rng, noise=0.15), random_spinor(geo, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["single-half", "double"])
+    def test_functional_solve_is_identical(self, small, mode, n):
+        gauge, src = small
+        inv = paper_invert_param(mode, mass=MASS)
+        sliced = invert(gauge, src, inv, n_gpus=n)
+        gridded = invert(gauge, src, inv, grid=(1, n))
+        assert np.array_equal(sliced.solution.data, gridded.solution.data)
+        assert sliced.stats.iterations == gridded.stats.iterations
+        assert sliced.stats.model_time == gridded.stats.model_time
+        assert (sliced.grid, gridded.grid) == (None, (1, n))
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_timing_only_solve_is_identical(self, n, overlap):
+        inv = paper_invert_param("single-half", overlap_comms=overlap, fixed_iterations=5)
+        sliced = invert_model((24, 24, 24, 128), inv, n_gpus=n).stats
+        gridded = invert_model((24, 24, 24, 128), inv, grid=(1, n)).stats
+        assert sliced.model_time == gridded.model_time
+        assert sliced.total_flops == gridded.total_flops
+        assert sliced.iterations == gridded.iterations
+
+
 class TestSurfaceToVolume:
     @pytest.mark.slow
     def test_2d_wins_at_extreme_gpu_counts(self):

@@ -45,7 +45,7 @@ def _expected_full(geo, schur, psi_full, dagger=False):
 
 def _run_distributed(problem, n_ranks, precision, *, overlap, dagger=False):
     geo, gauge, clover, schur, psi_full = problem
-    slicing = geo.slice_time(n_ranks)
+    slicing = geo.slice_grid(1, n_ranks)
     expected_full = _expected_full(geo, schur, psi_full, dagger)
 
     def fn(comm):
@@ -118,7 +118,7 @@ class TestSourcePreparation:
     @pytest.mark.parametrize("n_ranks", [1, 2])
     def test_prepare_and_reconstruct_match_host(self, problem, n_ranks):
         geo, gauge, clover, schur, psi_full = problem
-        slicing = geo.slice_time(n_ranks)
+        slicing = geo.slice_grid(1, n_ranks)
         b_hat_host, b_odd_host = schur.prepare_source(
             __import__("repro.lattice.fields", fromlist=["SpinorField"]).SpinorField(
                 geo, psi_full

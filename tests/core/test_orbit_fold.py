@@ -30,7 +30,7 @@ TIME_DIMS = (4, 4, 4, 96)
 GRID_DIMS = (4, 4, 8, 8)
 
 
-def _identity(n_ranks, qmp_grid, cluster):
+def _identity(n_ranks, grid, cluster):
     return tuple(range(n_ranks))
 
 
@@ -145,8 +145,9 @@ def test_fold_is_exact(placement, gpus_per_node, numa_policy, overlap, solver, n
 def test_orbit_counts(placement, cluster, expected):
     run = Capture(_model_solve(placement, cluster=cluster))
     assert len(run.world.simulated) == expected
-    qmp_grid = {2: placement["grid"][0], 3: placement["grid"][1]} if "grid" in placement else None
-    assert len(set(rank_orbits(run.world.size, qmp_grid, cluster))) == expected
+    ranks_z, ranks_t = placement.get("grid", (1, run.world.size))
+    grid = {2: ranks_z, 3: ranks_t}
+    assert len(set(rank_orbits(run.world.size, grid, cluster))) == expected
 
 
 def test_checkpoint_commits_from_representatives():

@@ -29,7 +29,7 @@ def problem():
 
 def _timeline_of(problem, *, overlap, n_ranks=2, rank_of_interest=0):
     geo, gauge, clover = problem
-    slicing = geo.slice_time(n_ranks)
+    slicing = geo.slice_grid(1, n_ranks)
 
     def fn(comm):
         gpu = VirtualGPU(enforce_memory=False, name=f"gpu{comm.rank}")
@@ -123,20 +123,20 @@ class TestFaceExchangePlan:
     )
     def test_block_counts(self, prec, blocks):
         gpu = VirtualGPU(enforce_memory=False)
-        f = DeviceSpinorField(gpu, sites=128, precision=prec, face_sites=16)
+        f = DeviceSpinorField(gpu, sites=128, precision=prec, faces={3: 16})
         plan = FaceExchangePlan.for_field(f)
         assert plan.d2h_blocks == blocks
         assert plan.message_bytes == f.face_message_bytes()
 
     def test_half_has_norm_face(self):
         gpu = VirtualGPU(enforce_memory=False)
-        f = DeviceSpinorField(gpu, sites=128, precision=Precision.HALF, face_sites=16)
+        f = DeviceSpinorField(gpu, sites=128, precision=Precision.HALF, faces={3: 16})
         plan = FaceExchangePlan.for_field(f)
         assert plan.norm_bytes == 16 * 4
 
     def test_single_has_no_norm_face(self):
         gpu = VirtualGPU(enforce_memory=False)
-        f = DeviceSpinorField(gpu, sites=128, precision=Precision.SINGLE, face_sites=16)
+        f = DeviceSpinorField(gpu, sites=128, precision=Precision.SINGLE, faces={3: 16})
         assert FaceExchangePlan.for_field(f).norm_bytes == 0
 
     def test_one_plan_per_field_shape(self):
@@ -145,7 +145,7 @@ class TestFaceExchangePlan:
         fields = [
             DeviceSpinorField(
                 VirtualGPU(enforce_memory=False), sites=128,
-                precision=Precision.HALF, face_sites=16,
+                precision=Precision.HALF, faces={3: 16},
             )
             for _ in range(2)
         ]

@@ -40,7 +40,7 @@ def reference_dslash(
     src,
     *,
     region="full",
-    partitioned=False,
+    partitioned=(),
     dagger=False,
     clover=None,
     clover_target="result",

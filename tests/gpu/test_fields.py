@@ -100,7 +100,7 @@ class TestDeviceSpinor:
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_ghost_roundtrip(self, gpu, rng, prec):
-        f = DeviceSpinorField(gpu, sites=64, precision=prec, face_sites=8)
+        f = DeviceSpinorField(gpu, sites=64, precision=prec, faces={3: 8})
         halves = rng.standard_normal((8, 2, 3)) + 1j * rng.standard_normal((8, 2, 3))
         f.set_ghost(FORWARD, halves)
         tol = {Precision.DOUBLE: 1e-15, Precision.SINGLE: 1e-6, Precision.HALF: 2e-4}
@@ -109,23 +109,23 @@ class TestDeviceSpinor:
 
     def test_endzone_sized_like_paper(self, gpu):
         """Section VI-C: end zone = 24 Vs components (2 faces x 12)."""
-        f = DeviceSpinorField(gpu, sites=64, precision=Precision.SINGLE, face_sites=8)
+        f = DeviceSpinorField(gpu, sites=64, precision=Precision.SINGLE, faces={3: 8})
         assert f.layout.endzone_reals == 24 * 8
 
     def test_half_norm_endzone(self, gpu):
         """Half precision adds a 2 Vs norm end zone (Section VI-C)."""
         plain = DeviceSpinorField(gpu, sites=64, precision=Precision.HALF)
         ghosted = DeviceSpinorField(
-            gpu, sites=64, precision=Precision.HALF, face_sites=8
+            gpu, sites=64, precision=Precision.HALF, faces={3: 8}
         )
         extra = ghosted.nbytes - plain.nbytes
         # 2 faces x 8 sites x 12 int16 reals + 2 x 8 norm floats.
         assert extra >= 2 * 8 * 12 * 2 + 2 * 8 * 4
 
     def test_face_message_bytes(self, gpu):
-        f = DeviceSpinorField(gpu, sites=64, precision=Precision.SINGLE, face_sites=8)
+        f = DeviceSpinorField(gpu, sites=64, precision=Precision.SINGLE, faces={3: 8})
         assert f.face_message_bytes() == 8 * 12 * 4
-        h = DeviceSpinorField(gpu, sites=64, precision=Precision.HALF, face_sites=8)
+        h = DeviceSpinorField(gpu, sites=64, precision=Precision.HALF, faces={3: 8})
         assert h.face_message_bytes() == 8 * 12 * 2 + 8 * 4  # + norms
 
     def test_memory_accounting_includes_pad(self, gpu):
@@ -175,7 +175,7 @@ class TestDeviceGauge:
             gpu,
             sites=host_gauge.geometry.volume,
             precision=Precision.SINGLE,
-            ghost_sites=vs,
+            ghosts={3: vs},
             pad_sites=vs,
         )
         f.set(host_gauge.data)
@@ -186,7 +186,7 @@ class TestDeviceGauge:
     def test_ghost_must_fit_in_pad(self, gpu):
         with pytest.raises(ValueError, match="does not fit in the pad"):
             DeviceGaugeField(
-                gpu, sites=64, precision=Precision.SINGLE, ghost_sites=16, pad_sites=8
+                gpu, sites=64, precision=Precision.SINGLE, ghosts={3: 16}, pad_sites=8
             )
 
     def test_half_reconstruction_still_unitary_ish(self, gpu, host_gauge):

@@ -57,13 +57,13 @@ def _upload(gpu, geo, gauge, psi_cb, prec, *, faces=False, compressed=True):
         sites=geo.volume,
         precision=prec,
         compressed=compressed,
-        ghost_sites=geo.spatial_volume if faces else 0,
+        ghosts={3: geo.spatial_volume if faces else 0},
         pad_sites=geo.spatial_volume,
     )
     dg.set(gauge.data)
-    src = DeviceSpinorField(gpu, sites=vh, precision=prec, face_sites=fs)
+    src = DeviceSpinorField(gpu, sites=vh, precision=prec, faces={3: fs})
     src.set(psi_cb)
-    dst = DeviceSpinorField(gpu, sites=vh, precision=prec, face_sites=fs, label="dst")
+    dst = DeviceSpinorField(gpu, sites=vh, precision=prec, faces={3: fs}, label="dst")
     return dg, src, dst
 
 
@@ -216,7 +216,7 @@ class TestGhostZones:
         dg, src, dst = _upload(gpu, geo, gauge, psi, prec, faces=True)
         self._self_exchange(gpu, geo, dg, gauge, src)
         tables = dslash_tables(geo, target)
-        dslash_kernel(gpu, tables, dg, src, dst, partitioned=True)
+        dslash_kernel(gpu, tables, dg, src, dst, partitioned=(3,))
         expected = dslash_parity(gauge, psi, target)
         assert _rel_err(dst.get(), expected) < TOL[prec]
 
@@ -225,7 +225,7 @@ class TestGhostZones:
         dg, src, dst = _upload(gpu, geo, gauge, psi, Precision.DOUBLE, faces=True)
         self._self_exchange(gpu, geo, dg, gauge, src, dagger=True)
         dslash_kernel(
-            gpu, dslash_tables(geo, EVEN), dg, src, dst, partitioned=True, dagger=True
+            gpu, dslash_tables(geo, EVEN), dg, src, dst, partitioned=(3,), dagger=True
         )
         expected = dslash_parity(gauge, psi, EVEN, dagger=True)
         np.testing.assert_allclose(dst.get(), expected, atol=1e-12)
@@ -237,8 +237,8 @@ class TestGhostZones:
         self._self_exchange(gpu, geo, dg, gauge, src)
         tables = dslash_tables(geo, EVEN)
         dst_split.zero()
-        dslash_kernel(gpu, tables, dg, src, dst_split, region="interior", partitioned=True)
-        dslash_kernel(gpu, tables, dg, src, dst_split, region="boundary", partitioned=True)
+        dslash_kernel(gpu, tables, dg, src, dst_split, region="interior", partitioned=(3,))
+        dslash_kernel(gpu, tables, dg, src, dst_split, region="boundary", partitioned=(3,))
         expected = dslash_parity(gauge, psi, EVEN)
         np.testing.assert_allclose(dst_split.get(), expected, atol=1e-12)
 
@@ -249,7 +249,7 @@ class TestGhostZones:
         # Ghosts deliberately left as zeros/garbage.
         tables = dslash_tables(geo, EVEN)
         dst.zero()
-        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=True)
+        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=(3,))
         expected = dslash_parity(gauge, psi, EVEN)
         got = dst.get()
         interior = tables.rows_for("interior", (T_DIR,))
@@ -304,8 +304,8 @@ class TestAccounting:
     def test_region_traffic_scales_with_rows(self, gpu, geo, gauge, rng):
         dg, src, dst = _upload(gpu, geo, gauge, _rand_cb(rng, geo), Precision.SINGLE, faces=True)
         tables = dslash_tables(geo, EVEN)
-        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=True)
-        dslash_kernel(gpu, tables, dg, src, dst, region="boundary", partitioned=True)
+        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=(3,))
+        dslash_kernel(gpu, tables, dg, src, dst, region="boundary", partitioned=(3,))
         k_int, k_bnd = gpu.timeline.ops[-2], gpu.timeline.ops[-1]
         assert k_int.nbytes + k_bnd.nbytes == geo.half_volume * dslash_site_bytes(
             Precision.SINGLE, dg, fused_clover=False, fused_xpay=False

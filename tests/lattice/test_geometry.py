@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comms import QMPMachine, run_spmd
 from repro.lattice.geometry import NDIM, LatticeGeometry
 
 
@@ -66,7 +67,7 @@ class TestParity:
     def test_sublattice_parity_matches_global(self):
         """Site parity in a time slab must use *global* t (Section VI-A)."""
         geo = LatticeGeometry((4, 4, 4, 8))
-        slicing = geo.slice_time(4)
+        slicing = geo.slice_grid(1, 4)
         for rank, local in enumerate(slicing.locals):
             sl = slicing.local_sites(rank)
             np.testing.assert_array_equal(local.parity, geo.parity[sl])
@@ -124,13 +125,13 @@ class TestBoundaryPhases:
         """A slab not touching the global boundary sees no sign flips —
         the 'local vs global boundary' distinction of Section VI-B."""
         geo = LatticeGeometry((4, 4, 4, 8))
-        mid = geo.slice_time(4).locals[1]  # t in [2, 4)
+        mid = geo.slice_grid(1, 4).locals[1]  # t in [2, 4)
         assert np.all(mid.boundary_phase_fwd[3] == 1.0)
         assert np.all(mid.boundary_phase_bwd[3] == 1.0)
 
     def test_last_slab_carries_global_phase(self):
         geo = LatticeGeometry((4, 4, 4, 8))
-        last = geo.slice_time(4).locals[3]
+        last = geo.slice_grid(1, 4).locals[3]
         t = last.coords[:, 3]
         np.testing.assert_array_equal(
             last.boundary_phase_fwd[3] == -1.0, t == last.dims[3] - 1
@@ -156,9 +157,11 @@ class TestTimeslices:
 
 
 class TestTimeSlicing:
+    """The paper's time slicing is the ``(1, n)`` process grid."""
+
     def test_scatter_gather_roundtrip(self, rng):
         geo = LatticeGeometry((4, 4, 4, 8))
-        slicing = geo.slice_time(4)
+        slicing = geo.slice_grid(1, 4)
         full = rng.standard_normal((geo.volume, 3))
         parts = [slicing.scatter(full, r) for r in range(4)]
         np.testing.assert_array_equal(slicing.gather(parts), full)
@@ -166,21 +169,38 @@ class TestTimeSlicing:
     def test_indivisible_rejected(self):
         geo = LatticeGeometry((4, 4, 4, 8))
         with pytest.raises(ValueError, match="not divisible"):
-            geo.slice_time(3)
+            geo.slice_grid(1, 3)
 
     def test_odd_local_extent_rejected(self):
         geo = LatticeGeometry((4, 4, 4, 6))
         with pytest.raises(ValueError, match="even"):
-            geo.slice_time(6)
+            geo.slice_grid(1, 6)
 
     def test_neighbor_ranks_wrap(self):
-        geo = LatticeGeometry((4, 4, 4, 8))
-        slicing = geo.slice_time(4)
-        assert slicing.neighbor_rank(3, +1) == 0
-        assert slicing.neighbor_rank(0, -1) == 3
+        """The machine grid the slicing declares makes a periodic time ring."""
+        slicing = LatticeGeometry((4, 4, 4, 8)).slice_grid(1, 4)
+        assert slicing.machine_grid == {2: 1, 3: 4}
+
+        def fn(comm):
+            qmp = QMPMachine(comm, grid=slicing.machine_grid)
+            return qmp.partitioned_dirs, qmp.neighbor(3, +1), qmp.neighbor(3, -1)
+
+        out = run_spmd(4, fn)
+        assert all(dirs == (3,) for dirs, _, _ in out)
+        assert out[3][1] == 0
+        assert out[0][2] == 3
 
     def test_cannot_decompose_sublattice(self):
         geo = LatticeGeometry((4, 4, 4, 8))
-        local = geo.slice_time(2).locals[1]
+        local = geo.slice_grid(1, 2).locals[1]
         with pytest.raises(ValueError, match="monolithic"):
-            local.slice_time(2)
+            local.slice_grid(1, 2)
+
+    @pytest.mark.parametrize("grid", [(1, 2), (2, 1), (2, 2)])
+    def test_first_slab_is_not_monolithic(self, grid):
+        """Rank 0's slab has zero offsets, but its local extents are not the
+        global ones: decomposing it again would put the antiperiodic
+        boundary mid-lattice."""
+        first = LatticeGeometry((4, 4, 8, 8)).slice_grid(*grid).locals[0]
+        with pytest.raises(ValueError, match="monolithic"):
+            first.slice_grid(*grid)

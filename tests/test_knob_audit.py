@@ -9,9 +9,9 @@ the repository does not have.
 
 The configuration surface itself is counted too: the fields of
 ``ServiceConfig`` and the policies under it, ``FaultPlan``,
-``SimWorker``'s keyword parameters and ``cli.py``'s ``add_argument``
-calls are pinned, and the knobs retired to module constants may not
-come back as fields.
+``SimWorker``'s keyword parameters, the keywords of the four ``invert*``
+entry points and ``cli.py``'s ``add_argument`` calls are pinned, and the
+knobs retired to module constants may not come back as fields.
 """
 
 import ast
@@ -220,3 +220,27 @@ def test_retired_knobs_stay_constants():
     }
     assert "--no-tunecache" not in flags
     assert "--tunecache" in flags
+
+
+#: Keyword parameters of the solve entry points in ``core/quda.py``.
+#: ``tune`` went away: no caller ever turned tuning off, and
+#: ``tune_cache=None`` derives the tunings fresh.
+_COMMON = ["n_gpus", "grid", "gauge_param", "cluster", "gpu_spec", "enforce_memory", "tune_cache"]
+_INVERT_KEYWORDS = {
+    "invert": [*_COMMON, "verify", "fault_plan", "integrity"],
+    "invert_multi": [*_COMMON, "verify", "fault_plan", "integrity"],
+    "invert_model": [*_COMMON, "fault_plan", "integrity"],
+    "invert_model_multi": ["n_sources", *_COMMON, "fault_plan", "integrity"],
+}
+
+
+def test_invert_keywords_are_pinned():
+    tree = ast.parse((ROOT / "src/repro/core/quda.py").read_text())
+    found = {
+        node.name: [a.arg for a in node.args.kwonlyargs]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in (*_INVERT_KEYWORDS, "_run")
+    }
+    assert {name: found[name] for name in _INVERT_KEYWORDS} == _INVERT_KEYWORDS
+    for name, keywords in found.items():
+        assert "tune" not in keywords, name
