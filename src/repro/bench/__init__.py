@@ -17,7 +17,6 @@ from .harness import (
     ScalingPoint,
     propagator_benchmark,
     run_scaling_point,
-    sweep_gpus,
 )
 from .report import Experiment, Series, format_table
 
@@ -34,7 +33,6 @@ __all__ = [
     "memory_footprint",
     "ScalingPoint",
     "run_scaling_point",
-    "sweep_gpus",
     "propagator_benchmark",
     "FIXED_ITERATIONS",
     "Experiment",

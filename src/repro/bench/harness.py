@@ -33,7 +33,6 @@ from ..gpu.specs import GTX285, GPUSpec
 __all__ = [
     "ScalingPoint",
     "run_scaling_point",
-    "sweep_gpus",
     "propagator_benchmark",
     "ChaosReport",
     "chaos_solve",
@@ -98,19 +97,6 @@ def run_scaling_point(
         gflops=res.stats.sustained_gflops,
         model_time=res.stats.model_time,
     )
-
-
-def sweep_gpus(
-    dims_for: "callable",
-    mode: str,
-    gpu_counts: list[int],
-    **kwargs,
-) -> list[ScalingPoint]:
-    """Run a scaling sweep; ``dims_for(n)`` gives the lattice at each count
-    (constant for strong scaling, growing-T for weak scaling)."""
-    return [
-        run_scaling_point(dims_for(n), mode, n, **kwargs) for n in gpu_counts
-    ]
 
 
 def propagator_benchmark(
@@ -928,7 +914,14 @@ def hot_campaign(
     iterations: int = 10,
     seed: int = 7,
 ):
-    """The saturated scheduler campaign the wall-clock tools share.
+    """The saturated scheduler campaign of the wall-clock measurements.
+
+    :func:`throughput_benchmark` times it and the benchmark ledger's
+    ``serve-saturated`` workload runs it at 4096 requests.  To see where
+    its host time goes, profile the same shape from the command line:
+    ``python -m cProfile -s cumtime -m repro serve --requests 128
+    --rate 20000 --workers 2 --ranks 2 --batch-max 4 --queue-capacity 4096
+    --iterations 10 --dims 4,4,4,8``.
 
     A high arrival rate against a small lattice keeps the backlog deep
     for the whole run, so wall-clock time is dominated by the scheduler

@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=15)
 
     p = sub.add_parser(
-        "profile", help="per-kernel time breakdown of a (timing-only) solve"
+        "profile",
+        help="per-kernel time breakdown of rank 0's solver window in the "
+        "timing-only solve invert_model runs (the host CPU: python -m "
+        "cProfile -m repro serve ...)",
     )
     p.add_argument("--dims", type=_dims, default=(24, 24, 24, 128))
     p.add_argument("--mode", default="single-half",
@@ -125,16 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--gantt", action="store_true",
                    help="also draw the stream schedule of the window")
-    p.add_argument("--hotspots", action="store_true",
-                   help="profile the host CPU instead of the model: run "
-                   "the saturated scheduler campaign under cProfile with "
-                   "per-phase wall-time attribution")
-    p.add_argument("--requests", type=int, default=1024,
-                   help="campaign size for --hotspots")
-    p.add_argument("--top", type=int, default=15,
-                   help="hotspot rows to print for --hotspots")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the --hotspots profile as JSON")
 
     p = sub.add_parser(
         "chaos",
@@ -505,39 +498,29 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .bench.profile import profile_solve, render_profile
+    from .bench.profile import render_profile
     from .bench.trace import render_gantt
+    from .core import invert_model, paper_invert_param
 
-    if args.hotspots:
-        import json as _json
-
-        from .bench.profile import hotspot_profile, render_hotspots
-
-        prof = hotspot_profile(
-            args.requests,
-            top=args.top,
-            iterations=args.iterations,
-        )
-        print(render_hotspots(prof))
-        if args.json:
-            with open(args.json, "w") as fh:
-                _json.dump(prof, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return 0
-
-    ops = profile_solve(
+    overlap = not args.no_overlap
+    res = invert_model(
         args.dims,
-        args.mode,
+        paper_invert_param(
+            args.mode, overlap_comms=overlap, fixed_iterations=args.iterations
+        ),
         n_gpus=args.gpus,
-        overlap=not args.no_overlap,
-        iterations=args.iterations,
+        enforce_memory=False,
     )
-    span = max(o.end for o in ops) - min(o.start for o in ops)
+    window = res.per_rank[0]
+    ops = [
+        o for o in res.timeline.ops
+        if window.t_start <= o.start and o.end <= window.t_end
+    ]
     print(
         f"{args.iterations} iterations of {args.mode} on {args.gpus} GPUs "
         f"({args.dims[0]}x{args.dims[1]}x{args.dims[2]}x{args.dims[3]}, "
-        f"{'overlapped' if not args.no_overlap else 'not overlapped'}): "
-        f"{span * 1e3:.2f} ms\n"
+        f"{'overlapped' if overlap else 'not overlapped'}): "
+        f"{window.seconds * 1e3:.2f} ms\n"
     )
     print(render_profile(ops))
     if args.gantt:

@@ -970,8 +970,9 @@ class SimMPI:
         reports its representative's result.  Every call builds its own
         scheduler, mailboxes and boards: a world can be run again, and
         nothing of one run leaks into the next.  Default mode re-raises
-        any rank's exception in the caller, annotated with the rank,
-        after all threads have been joined.
+        the root failure's exception (:meth:`SpmdOutcome.root_failure`:
+        the earliest death, not its fallout) in the caller, annotated
+        with the rank, after all threads have been joined.
         With ``return_partial=True`` nothing is raised: a
         :class:`SpmdOutcome` reports surviving ranks' results alongside
         structured failures — the graceful-degradation path for chaos
@@ -1037,17 +1038,12 @@ class SimMPI:
         if return_partial:
             return self._partial_outcome(results, errors)
         if errors:
-            # Prefer the root cause over the fallout it triggered: peers'
-            # observations of *another* rank's death rank below the death.
-            primary = [
-                (rank, exc)
-                for rank, exc in errors
-                if not (isinstance(exc, RankFailedError) and exc.rank != rank)
-            ] or errors
-            rank, exc = min(primary, key=lambda e: e[0])
-            wrapped = RuntimeError(f"rank {rank} failed: {exc!r}")
+            # The root cause, by the rule recovery uses (the earliest
+            # death, not the fallout it triggered).
+            root = self._partial_outcome(results, errors).root_failure()
+            wrapped = RuntimeError(f"rank {root.rank} failed: {root.error!r}")
             wrapped.fault_events = self.fault_events()
-            raise wrapped from exc
+            raise wrapped from root.error
         return [results[rep] for rep in self.orbit]
 
     def _partial_outcome(

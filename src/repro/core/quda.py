@@ -56,6 +56,7 @@ from ..comms.qmp import QMPMachine
 from ..gpu.device import VirtualGPU
 from ..gpu.precision import Precision
 from ..gpu.specs import GTX285, GPUSpec
+from ..gpu.streams import Timeline
 from ..lattice.clover import make_clover
 from ..lattice.evenodd import EVEN, full_to_parity, parity_to_full
 from ..lattice.fields import GaugeField, SpinorField
@@ -113,6 +114,10 @@ class InvertResult:
     #: ``n_gpus`` (run as the ``(1, n)`` grid, which may shrink over the
     #: survivors of a rank failure) — the placement layer's audit trail.
     grid: tuple[int, int] | None = None
+    #: Rank 0's GPU timeline of the attempt that finished: every op of the
+    #: setup and of all sources, so ``per_rank[0].t_start``/``t_end`` cut
+    #: out this source's solver window (what ``repro profile`` renders).
+    timeline: Timeline | None = None
 
     @property
     def recoveries(self) -> int:
@@ -645,6 +650,7 @@ def _run(
             return {
                 "solves": per_source,
                 "peak_bytes": gpu.allocator.peak_bytes,
+                "timeline": gpu.timeline,
             }
 
         return body
@@ -723,6 +729,7 @@ def _run(
                 comm_stats=out.comm_stats,
                 recovery_events=src_events,
                 grid=grid,
+                timeline=outcomes[0]["timeline"],
             )
         )
     return results

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.bench.profile import profile_ops, profile_solve, render_profile
+from repro.bench.profile import profile_ops, render_profile
+from repro.cli import main
+from repro.core import invert_model, invert_model_multi, paper_invert_param
 from repro.gpu import Precision, VirtualGPU
 
 
@@ -44,50 +46,74 @@ class TestProfileOps:
         assert text.count("\n") == 3  # header + separator + 2 rows
 
 
-class TestProfileSolve:
-    @pytest.fixture(scope="class")
-    def ops(self):
-        return profile_solve((8, 8, 8, 16), "single-half", n_gpus=2, iterations=3)
+def _solver_window(mode, iterations):
+    """Rank 0's solver-window ops of the solve ``invert_model`` runs."""
+    res = invert_model(
+        (8, 8, 8, 16),
+        paper_invert_param(mode, fixed_iterations=iterations),
+        n_gpus=2,
+        enforce_memory=False,
+    )
+    window = res.per_rank[0]
+    ops = [
+        o for o in res.timeline.ops
+        if window.t_start <= o.start and o.end <= window.t_end
+    ]
+    return res, ops
 
-    def test_window_contains_the_solver(self, ops):
-        names = {o.name.split("[")[0] for o in ops}
+
+@pytest.fixture(scope="module")
+def solved():
+    return _solver_window("single-half", 3)
+
+
+class TestProfileSolve:
+    def test_window_contains_the_solver(self, solved):
+        names = {o.name.split("[")[0] for o in solved[1]}
         assert "dslash" in names
         assert any(n.startswith("blas_") for n in names)
         assert "face_d2h" in names  # partitioned: faces moved
 
-    def test_dslash_dominates_kernel_time(self, ops):
-        rows = {r.name: r for r in profile_ops(ops)}
+    def test_dslash_dominates_kernel_time(self, solved):
+        rows = {r.name: r for r in profile_ops(solved[1])}
         kernel_rows = [r for r in rows.values() if r.kind == "kernel"]
         assert max(kernel_rows, key=lambda r: r.total_s).name == "dslash"
 
     def test_deterministic(self):
-        a = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
-        b = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
+        a = _solver_window("single", 2)[1]
+        b = _solver_window("single", 2)[1]
         assert [(o.name, o.start) for o in a] == [(o.name, o.start) for o in b]
 
-
-class TestHotspots:
-    def test_phases_sum_to_the_wall_and_name_the_one_path(self):
-        """``repro profile --hotspots``: three phases that account for the
-        whole wall time, the scheduler on top, and no record of a path
-        selector (there is one path)."""
-        from repro.bench.profile import hotspot_profile, render_hotspots
-
-        prof = hotspot_profile(48, top=5, iterations=4)
-        assert prof["completed"] == prof["requests"] == 48
-        assert [p["phase"] for p in prof["phases"]] == [
-            "build workload + service",
-            "run campaign (profiled)",
-            "collect + render report",
-        ]
-        assert sum(p["wall_ms"] for p in prof["phases"]) == pytest.approx(
-            prof["total_wall_s"] * 1e3, abs=0.01
+    def test_timeline_holds_setup_and_every_source(self):
+        """One rank-0 clock for the batch: each source's window is a
+        later slice of the same timeline."""
+        first, second = invert_model_multi(
+            (8, 8, 8, 16),
+            paper_invert_param("single-half", fixed_iterations=2),
+            n_sources=2,
+            n_gpus=2,
+            enforce_memory=False,
         )
-        assert len(prof["hotspots"]) == 5
-        assert prof["report_bytes_json"] > 0
-        assert set(prof) == {
-            "requests", "completed", "total_wall_s", "wall_rps",
-            "report_bytes_json", "phases", "hotspots",
-        }
-        text = render_hotspots(prof)
-        assert "48 requests:" in text and "req/s" in text
+        assert first.timeline is second.timeline
+        a, b = first.per_rank[0], second.per_rank[0]
+        assert 0 < a.t_start < a.t_end <= b.t_start < b.t_end
+        assert first.timeline.host_time >= b.t_end
+
+
+class TestProfileCommand:
+    def test_prints_the_window_invert_model_runs(self, capsys, request):
+        """``repro profile`` reports the schedule every figure measures:
+        ``invert_model``'s solver window, tuned occupancy included."""
+        rc = main([
+            "profile", "--dims", "8,8,8,16", "--gpus", "2",
+            "--iterations", "3",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0].endswith(": 8.70 ms")
+        dslash = next(line.split() for line in out.splitlines()
+                      if line.split()[:1] == ["dslash"])
+        assert dslash[:3] == ["dslash", "kernel", "25"]
+        res, ops = request.getfixturevalue("solved")
+        assert f"{res.per_rank[0].seconds * 1e3:.2f}" == "8.70"
+        assert sum(o.name.split("[")[0] == "dslash" for o in ops) == 25

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comms import ClusterSpec, SimMPI, run_spmd
+from repro.comms import ClusterSpec, FaultPlan, RankFailedError, SimMPI, run_spmd
 from repro.gpu.streams import Timeline
 
 
@@ -117,6 +117,30 @@ class TestErrors:
 
         with pytest.raises(RuntimeError, match="rank 2 failed"):
             run_spmd(4, fn)
+
+    def test_raise_names_the_earliest_death(self):
+        """Two ranks crash on their own, the higher-numbered one first in
+        model time: the raise names it, by the rule
+        ``SpmdOutcome.root_failure`` (and recovery) use."""
+
+        def body(comm):
+            for _ in range(10):
+                comm.timeline.host_busy("work", 1e-6)
+                comm.send(None, comm.rank)
+                comm.recv(comm.rank)
+
+        plan = (
+            FaultPlan(seed=1)
+            .with_stall(0, after_s=100e-6, mode="crash")
+            .with_stall(1, after_s=40e-6, mode="crash")
+        )
+        with pytest.raises(RuntimeError, match="rank 1 failed") as info:
+            SimMPI(2, fault_plan=plan).run(body)
+        assert isinstance(info.value.__cause__, RankFailedError)
+        assert info.value.__cause__.rank == 1
+        root = SimMPI(2, fault_plan=plan).run(body, return_partial=True).root_failure()
+        assert (root.rank, root.model_time) == (1, info.value.__cause__.model_time)
+        assert sorted(e.rank for e in info.value.fault_events) == [0, 1]
 
     def test_world_size_validated(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.comms import FaultPlan
+from repro.comms import FaultPlan, RankFailedError
+from repro.comms.faults import root_cause
 from repro.core import (
     RetryPolicy,
     SolverBreakdown,
     blas,
     invert,
+    invert_model,
     paper_invert_param,
 )
 from repro.core.solvers.resilience import (
@@ -110,6 +112,36 @@ class TestRankFailureRecovery:
             _solve(
                 lattice, plan=CRASH_PLAN, policy=RetryPolicy(max_attempts=0)
             )
+
+    def test_fail_fast_and_recovery_blame_the_same_rank(self):
+        """Rank 0 crashes at 1 ms, rank 1 at 0.4 ms: the fail-fast raise
+        and the recovery ledger both name rank 1, the earliest death."""
+        plan = (
+            FaultPlan(seed=1)
+            .with_stall(0, after_s=1000e-6, mode="crash")
+            .with_stall(1, after_s=400e-6, mode="crash")
+        )
+
+        def run(policy):
+            return invert_model(
+                (8, 8, 8, 32),
+                paper_invert_param(
+                    "single-half", fixed_iterations=20, retry_policy=policy
+                ),
+                n_gpus=4,
+                enforce_memory=False,
+                fault_plan=plan,
+            )
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as info:
+            run(None)
+        died = root_cause(info.value, RankFailedError)
+        assert (died.rank, round(died.model_time * 1e6, 3)) == (1, 426.487)
+        failures = [
+            e.rank for e in run(RetryPolicy(max_attempts=1)).recovery_events
+            if e.kind == "rank_failure"
+        ]
+        assert failures == [died.rank]
 
     def test_no_shrink_relaunches_at_same_size(self, lattice):
         res = _solve(

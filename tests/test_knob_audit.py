@@ -141,8 +141,9 @@ _KNOBS = {
 }
 
 #: ``add_argument`` calls in ``cli.py`` (``--no-tunecache`` went with
-#: ``PlacementPolicy.tunecache``).
-_CLI_ARGUMENTS = 128
+#: ``PlacementPolicy.tunecache``; the four flags of ``repro profile``'s
+#: host-CPU mode went with its cProfile wrapper).
+_CLI_ARGUMENTS = 124
 
 
 def _classes() -> dict[str, ast.ClassDef]:
