@@ -727,6 +727,13 @@ CAPACITY_DEFAULTS = dict(
 )
 
 
+#: The capacity sweep's tenant mixes: two tenants and their weights.
+_CAPACITY_MIXES = {
+    "equal": ("atlas", "bell", (1.0, 1.0)),
+    "weighted_3to1": ("atlas", "bell", (3.0, 1.0)),
+}
+
+
 def capacity_sweep(**overrides) -> dict:
     """The multi-tenant saturation map: arrival rate x tenant mix x
     worker count, one seeded streaming campaign per cell.
@@ -741,164 +748,163 @@ def capacity_sweep(**overrides) -> dict:
     degrades monotonically with offered load, which is the capacity
     contract the CI smoke job pins.
     """
-    from ..service import SolveService, TenancyPolicy, stream_workload
-
     p = _params(CAPACITY_DEFAULTS, overrides)
     slo_floor = 0.95
-    mixes = {
-        "equal": ("atlas", "bell", (1.0, 1.0)),
-        "weighted_3to1": ("atlas", "bell", (3.0, 1.0)),
-    }
-    cells = []
-    for mix_name, (a, b, mix_weights) in mixes.items():
-        for n_workers in p["workers"]:
-            for rate in p["rates"]:
-                config = _service_config(
-                    p,
-                    n_workers,
-                    seed=p["seed"],
-                    tenancy=TenancyPolicy.build((a, b), weights=mix_weights),
-                )
-                workload = stream_workload(
-                    p["n_requests"],
-                    seed=p["seed"],
-                    rate_rps=rate,
-                    dims=p["dims"],
-                    mode=p["mode"],
-                    priority_mix=(0.0, 1.0, 0.0),
-                    deadline_slack_s=p["deadline_slack_s"],
-                    tenants=(a, b),
-                )
-                result = SolveService(config).serve(workload)
-                rep = result.report.to_json()
-                # Fairness shows while *both* tenants are backlogged: a
-                # finite campaign eventually serves everyone, so whole-run
-                # completion counts just mirror the arrival mix.  Count
-                # completions inside the arrival window instead — while
-                # load keeps arriving, the completion shares are the
-                # dispatch shares WFQ controls.
-                last_arrival = max(
-                    r.request.arrival_s for r in result.records
-                )
-                in_window = {
-                    name: sum(
-                        1
-                        for r in result.records
-                        if r.request.tenant == name
-                        and r.completed_s is not None
-                        and r.state == "completed"
-                        and r.completed_s <= last_arrival
-                    )
-                    for name in rep["tenants"]
-                }
-                served = sum(in_window.values())
-                cells.append(
-                    {
-                        "mix": mix_name,
-                        "workers": n_workers,
-                        "rate_rps": rate,
-                        "slo_attainment": rep["slo_attainment"],
-                        "throughput_rps": rep["throughput_rps"],
-                        "goodput_rps": rep["goodput_rps"],
-                        "completed": rep["completed"],
-                        "failed": rep["failed"],
-                        "rejected": rep["rejected"],
-                        "lost": rep["requests"]
-                        - rep["completed"]
-                        - rep["failed"]
-                        - rep["rejected"],
-                        "tenants": {
-                            name: {
-                                "weight_share": t["weight_share"],
-                                "completed": t["completed"],
-                                "completed_in_window": in_window[name],
-                                # The fairness signal: this tenant's slice
-                                # of the work served while load was still
-                                # arriving, which WFQ drives toward
-                                # weight_share under sustained backlog.
-                                "share": (
-                                    round(in_window[name] / served, 4)
-                                    if served
-                                    else 0.0
-                                ),
-                                "goodput_rps": t["goodput_rps"],
-                                "quota_rejected": t["quota_rejected"],
-                            }
-                            for name, t in rep["tenants"].items()
-                        },
-                    }
-                )
-    knees = []
-    for mix_name in mixes:
-        for n_workers in p["workers"]:
-            series = [
-                c
-                for c in cells
-                if c["mix"] == mix_name and c["workers"] == n_workers
-            ]
-            holding = [
-                c["rate_rps"]
-                for c in series
-                if c["slo_attainment"] >= slo_floor
-            ]
-            knees.append(
-                {
-                    "mix": mix_name,
-                    "workers": n_workers,
-                    "knee_rate_rps": max(holding) if holding else None,
-                }
-            )
-    # Aggregate fairness over *deep* overload (rate >= 4x the series
-    # knee): WFQ shares converge to weights only while every tenant's
-    # demand exceeds its allocation, and single cells are quantized to
-    # batch granularity — summing in-window completions across the
-    # saturated cells is the statistically honest share estimate.
-    fairness = {}
-    for mix_name, (a, b, mix_weights) in mixes.items():
-        used = []
-        for k in knees:
-            if k["mix"] != mix_name or k["knee_rate_rps"] is None:
-                continue
-            used.extend(
-                c
-                for c in cells
-                if c["mix"] == mix_name
-                and c["workers"] == k["workers"]
-                and c["rate_rps"] >= 4 * k["knee_rate_rps"]
-            )
-        counts = {
-            name: sum(c["tenants"][name]["completed_in_window"] for c in used)
-            for name in (a, b)
-        }
-        total = sum(counts.values())
-        shares = {
-            name: (counts[name] / total if total else 0.0) for name in counts
-        }
-        weight_shares = {
-            a: mix_weights[0] / sum(mix_weights),
-            b: mix_weights[1] / sum(mix_weights),
-        }
-        normalized = [
-            shares[name] / weight_shares[name] if shares[name] else 0.0
-            for name in counts
-        ]
-        fairness[mix_name] = {
-            "cells_used": len(used),
-            "completed_in_window": counts,
-            "shares": {n: round(s, 4) for n, s in shares.items()},
-            "weight_shares": weight_shares,
-            # max/min of share/weight_share: 1.0 = perfectly weighted-fair.
-            "imbalance": (
-                round(max(normalized) / min(normalized), 4)
-                if all(n > 0 for n in normalized)
-                else float("inf")
-            ),
-        }
+    cells = [
+        _capacity_cell(p, mix_name, n_workers, rate)
+        for mix_name in _CAPACITY_MIXES
+        for n_workers in p["workers"]
+        for rate in p["rates"]
+    ]
+    knees = [
+        _capacity_knee(cells, mix_name, n_workers, slo_floor)
+        for mix_name in _CAPACITY_MIXES
+        for n_workers in p["workers"]
+    ]
     return {
         "campaign": {**_record(p), "slo_floor": slo_floor},
         "cells": cells,
         "knees": knees,
-        "fairness": fairness,
+        "fairness": {
+            mix_name: _capacity_fairness(cells, knees, mix_name)
+            for mix_name in _CAPACITY_MIXES
+        },
+    }
+
+
+def _capacity_cell(p: dict, mix_name: str, n_workers: int, rate: float) -> dict:
+    """One cell of the capacity map: a seeded two-tenant streaming
+    campaign at ``rate`` on ``n_workers``."""
+    from ..service import SolveService, TenancyPolicy, stream_workload
+
+    a, b, mix_weights = _CAPACITY_MIXES[mix_name]
+    config = _service_config(
+        p,
+        n_workers,
+        seed=p["seed"],
+        tenancy=TenancyPolicy.build((a, b), weights=mix_weights),
+    )
+    workload = stream_workload(
+        p["n_requests"],
+        seed=p["seed"],
+        rate_rps=rate,
+        dims=p["dims"],
+        mode=p["mode"],
+        priority_mix=(0.0, 1.0, 0.0),
+        deadline_slack_s=p["deadline_slack_s"],
+        tenants=(a, b),
+    )
+    result = SolveService(config).serve(workload)
+    rep = result.report.to_json()
+    # Fairness shows while *both* tenants are backlogged: a finite
+    # campaign eventually serves everyone, so whole-run completion counts
+    # just mirror the arrival mix.  Count completions inside the arrival
+    # window instead — while load keeps arriving, the completion shares
+    # are the dispatch shares WFQ controls.
+    last_arrival = max(r.request.arrival_s for r in result.records)
+    in_window = {
+        name: sum(
+            1
+            for r in result.records
+            if r.request.tenant == name
+            and r.completed_s is not None
+            and r.state == "completed"
+            and r.completed_s <= last_arrival
+        )
+        for name in rep["tenants"]
+    }
+    served = sum(in_window.values())
+    return {
+        "mix": mix_name,
+        "workers": n_workers,
+        "rate_rps": rate,
+        "slo_attainment": rep["slo_attainment"],
+        "throughput_rps": rep["throughput_rps"],
+        "goodput_rps": rep["goodput_rps"],
+        "completed": rep["completed"],
+        "failed": rep["failed"],
+        "rejected": rep["rejected"],
+        "lost": rep["requests"] - rep["completed"] - rep["failed"] - rep["rejected"],
+        "tenants": {
+            name: {
+                "weight_share": t["weight_share"],
+                "completed": t["completed"],
+                "completed_in_window": in_window[name],
+                # The fairness signal: this tenant's slice of the work
+                # served while load was still arriving, which WFQ drives
+                # toward weight_share under sustained backlog.
+                "share": round(in_window[name] / served, 4) if served else 0.0,
+                "goodput_rps": t["goodput_rps"],
+                "quota_rejected": t["quota_rejected"],
+            }
+            for name, t in rep["tenants"].items()
+        },
+    }
+
+
+def _capacity_knee(
+    cells: list[dict], mix_name: str, n_workers: int, slo_floor: float
+) -> dict:
+    """The highest swept rate of one (mix, workers) series whose SLO
+    attainment still holds ``slo_floor`` (``None``: none does)."""
+    holding = [
+        c["rate_rps"]
+        for c in cells
+        if c["mix"] == mix_name
+        and c["workers"] == n_workers
+        and c["slo_attainment"] >= slo_floor
+    ]
+    return {
+        "mix": mix_name,
+        "workers": n_workers,
+        "knee_rate_rps": max(holding) if holding else None,
+    }
+
+
+def _capacity_fairness(cells: list[dict], knees: list[dict], mix_name: str) -> dict:
+    """One mix's tenant shares over *deep* overload (rate >= 4x the
+    series knee).
+
+    WFQ shares converge to weights only while every tenant's demand
+    exceeds its allocation, and single cells are quantized to batch
+    granularity — summing in-window completions across the saturated
+    cells is the statistically honest share estimate.
+    """
+    a, b, mix_weights = _CAPACITY_MIXES[mix_name]
+    used = [
+        c
+        for k in knees
+        if k["mix"] == mix_name and k["knee_rate_rps"] is not None
+        for c in cells
+        if c["mix"] == mix_name
+        and c["workers"] == k["workers"]
+        and c["rate_rps"] >= 4 * k["knee_rate_rps"]
+    ]
+    counts = {
+        name: sum(c["tenants"][name]["completed_in_window"] for c in used)
+        for name in (a, b)
+    }
+    total = sum(counts.values())
+    shares = {name: (counts[name] / total if total else 0.0) for name in counts}
+    weight_shares = {
+        a: mix_weights[0] / sum(mix_weights),
+        b: mix_weights[1] / sum(mix_weights),
+    }
+    normalized = [
+        shares[name] / weight_shares[name] if shares[name] else 0.0
+        for name in counts
+    ]
+    return {
+        "cells_used": len(used),
+        "completed_in_window": counts,
+        "shares": {n: round(s, 4) for n, s in shares.items()},
+        "weight_shares": weight_shares,
+        # max/min of share/weight_share: 1.0 = perfectly weighted-fair.
+        "imbalance": (
+            round(max(normalized) / min(normalized), 4)
+            if all(n > 0 for n in normalized)
+            else float("inf")
+        ),
     }
 
 

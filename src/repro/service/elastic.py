@@ -136,7 +136,7 @@ class ArrivalRateEstimator:
         self._gaps.restore(data["gaps"])
         self.last_arrival_s = data["last_arrival_s"]
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         """Nothing of its own: the rate shows in the scale-event reasons."""
         return {}
 
@@ -298,13 +298,23 @@ class PoolController:
         self.spinup_spent_s = float(data["spinup_spent_s"])
         self.events = [ScaleEvent(**e) for e in data["events"]]
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         """The report's autoscaler ledger."""
         return {
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
             "scale_events": [e.to_json() for e in self.events],
-            "spinup_spent_s": self.spinup_spent_s,
+            "spinup_spent_us": round(self.spinup_spent_s * 1e6, 3),
+        }
+
+    @staticmethod
+    def off_summary() -> dict:
+        """A fixed pool's ledger: nothing scaled."""
+        return {
+            "scale_ups": 0,
+            "scale_downs": 0,
+            "scale_events": [],
+            "spinup_spent_us": 0.0,
         }
 
 

@@ -527,10 +527,15 @@ class HealthBoard(Breaker):
             if wh.state in (QUARANTINED, PROBING)
         )
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         out = self.to_json()
         del out[self.LEDGERS_KEY]
         return out
+
+    @staticmethod
+    def off_summary() -> dict:
+        """No breaker: nothing quarantined."""
+        return {"quarantines": 0, "reinstated": 0, "retired_sick": 0}
 
     def _observe_batch(self, batch: Batch, execution, predicted: float) -> None:
         """A batch left its worker: ``execution`` is its outcome, or
@@ -703,7 +708,7 @@ class DomainBoard(Breaker):
             if self.ledgers[n].quarantines
         }
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         """The breaker's rows of the report's ``domains`` scorecard."""
         return {
             "domains": {
@@ -1116,8 +1121,11 @@ class DomainState:
             int(w): float(t) for w, t in data["isolation_s"].items()
         }
 
-    def summary(self) -> dict:
-        """The fault rows of the report's ``domains`` scorecard."""
+    def summary(self, cols, horizon_s) -> dict:
+        """The fault rows of the report's ``domains`` scorecard, and two
+        rows other layers count for it: the placement engine's
+        anti-affine diversions and the store's restores from its mirror."""
+        k = self.campaign
         return {
             "domains": {
                 "topology": str(self.topology),
@@ -1126,6 +1134,8 @@ class DomainState:
                 "partition_heals": self.partition_heals,
                 "anti_affinity_hedges": self.anti_affinity_hedges,
                 "isolation_ms": self.isolation_ms(),
+                "anti_affinity_placements": k.placement.stats.anti_affinity_placements,
+                "mirror_restores": getattr(k.store, "mirror_restores", 0),
             }
         }
 
@@ -1314,12 +1324,17 @@ class HedgeLedger:
         self.won = int(data["won"])
         self.cancelled = int(data["cancelled"])
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         return {
             "hedges_launched": self.launched,
             "hedges_won": self.won,
             "hedges_cancelled": self.cancelled,
         }
+
+    @staticmethod
+    def off_summary() -> dict:
+        """No hedging: no replica launched."""
+        return {"hedges_launched": 0, "hedges_won": 0, "hedges_cancelled": 0}
 
 
 @dataclass(frozen=True)
@@ -1478,9 +1493,16 @@ class BrownoutController:
                     f"brownout: serving at {mode} instead of {rec.request.mode}",
                 )
 
-    def summary(self) -> dict:
-        """The report's ``brownout`` block."""
+    def summary(self, cols, horizon_s) -> dict:
+        """The report's brownout rows: LOW requests shed, others refused
+        at REJECT and completions served degraded, recounted from the
+        records, then the controller's own ``brownout`` block."""
+        shed = cols.rejected & cols.shed
+        low = cols.priority == PRIORITY_LOW
         return {
+            "shed_low": cols.count(shed & low),
+            "brownout_rejected": cols.count(shed & ~low),
+            "degraded_served": cols.count(cols.completed & cols.degraded),
             "brownout": {
                 "final_level": BROWNOUT_NAMES[self.level],
                 "max_level": BROWNOUT_NAMES[self.max_level],
@@ -1494,7 +1516,17 @@ class BrownoutController:
                     }
                     for t, level, p in self.transitions
                 ],
-            }
+            },
+        }
+
+    @staticmethod
+    def off_summary() -> dict:
+        """No brownout: nothing shed or degraded, and an empty block."""
+        return {
+            "shed_low": 0,
+            "brownout_rejected": 0,
+            "degraded_served": 0,
+            "brownout": {},
         }
 
     # ------------------------------------------------------------------ #

@@ -10,19 +10,12 @@ multi-RHS slots), per-worker utilization, throughput and *goodput*
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .. import codec
 from .batching import Batch, BatchPolicy
-from .request import (
-    COMPLETED,
-    FAILED,
-    PRIORITY_LOW,
-    PRIORITY_NAMES,
-    REJECTED,
-    RequestRecord,
-)
+from .request import PRIORITY_NAMES, RequestRecord
 from .soa import RecordColumns
 
 __all__ = ["percentile", "ServiceReport"]
@@ -31,23 +24,19 @@ __all__ = ["percentile", "ServiceReport"]
 _N_WINDOWS = 8
 
 
-def _maybe_us(seconds: float | None) -> float | None:
-    """Seconds -> rounded microseconds, passing ``None`` through (a tier
-    or tenant with zero completions has no percentile, not a zero one)."""
-    return None if seconds is None else round(seconds * 1e6, 3)
-
-
-def _fmt_us(seconds: float | None) -> str:
-    """Render a latency percentile, showing ``n/a`` for ``None``."""
-    return "n/a" if seconds is None else f"{seconds * 1e6:.1f} us"
+def _fmt_us(us: float | None) -> str:
+    """Render a latency percentile given in microseconds, showing ``n/a``
+    for ``None`` (a tenant with zero completions has no percentile, not
+    a zero one)."""
+    return "n/a" if us is None else f"{us:.1f} us"
 
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
     return ordered[int(rank) - 1]
@@ -55,7 +44,8 @@ def percentile(values: list[float], q: float) -> float:
 
 @dataclass
 class ServiceReport:
-    """One campaign's scorecard."""
+    """One campaign's scorecard: the kernel's own numbers, plus the
+    ``daemon`` block its parts report."""
 
     n_requests: int = 0
     admitted: int = 0
@@ -79,7 +69,8 @@ class ServiceReport:
     #: End-to-end latency percentiles (arrival -> terminal), seconds.
     latency_p50_s: float = 0.0
     latency_p99_s: float = 0.0
-    #: Model time from first arrival to last completion.
+    #: Model time of the last completion, measured from t = 0 (not from
+    #: the first arrival).
     makespan_s: float = 0.0
     throughput_rps: float = 0.0
     goodput_rps: float = 0.0
@@ -90,7 +81,6 @@ class ServiceReport:
     #: decomposition, gauge-residency hits/misses and upload seconds
     #: saved, shared-tunecache hits/misses and sweep seconds spent/saved.
     placement: dict = field(default_factory=dict)
-    # ---- daemon era --------------------------------------------------- #
     #: Per-priority completion latency: ``{"high": {"completed": n,
     #: "p50_s": ..., "p99_s": ...}, ...}`` — the number preemption exists
     #: to move is HIGH's p99.
@@ -99,71 +89,19 @@ class ServiceReport:
     #: as requests/second — the daemon's throughput timeline.
     throughput_windows: list[float] = field(default_factory=list)
     window_s: float = 0.0
-    #: Batches that yielded at a refresh boundary to higher-priority
-    #: work, and how many of those later resumed from their checkpoint.
-    preemptions: int = 0
-    resumed_batches: int = 0
-    #: Autoscaler ledger.
-    scale_ups: int = 0
-    scale_downs: int = 0
-    scale_events: list[dict] = field(default_factory=list)
+    #: Workers still in the pool when the campaign ended.
     final_workers: int = 0
-    spinup_spent_s: float = 0.0
     #: Campaign-checkpoint accounting: commits made, restores performed
     #: (a resumed run reports >= 1), and how many non-terminal requests
     #: the restore re-queued.
     checkpoints_committed: int = 0
     checkpoint_restores: int = 0
     restored_requests: int = 0
-    # ---- resilience era ----------------------------------------------- #
-    #: Straggler-hedging ledger: replicas launched, replicas that beat
-    #: their original, losers cancelled at a refresh boundary.
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    hedges_cancelled: int = 0
-    #: Brownout ledger: LOW requests shed with a retry-after, NORMAL
-    #: refused at the REJECT level, completions served at a degraded
-    #: precision tier.
-    shed_low: int = 0
-    brownout_rejected: int = 0
-    degraded_served: int = 0
-    #: Brownout controller summary (final/max level + transitions).
-    brownout: dict = field(default_factory=dict)
-    #: Circuit-breaker ledger.
-    quarantines: int = 0
-    reinstated: int = 0
-    retired_sick: int = 0
-    #: Whole-worker kills injected by the fault plan.
-    workers_killed: int = 0
-    #: Failure-domain scorecard (present when the service ran with a
-    #: :class:`~repro.comms.cluster.Topology`): topology string, nodes
-    #: lost, partitions seen/healed, domain quarantines by node,
-    #: anti-affinity placements/hedges, mirror restores, and per-node
-    #: time-to-isolate in ms.
-    domains: dict = field(default_factory=dict)
-    #: Per-tenant scorecard (present when the service ran with a
-    #: :class:`~repro.service.tenancy.TenancyPolicy`): weight and fair
-    #: share, request/terminal counts, quota rejects and sheds, latency
-    #: percentiles (``None`` when the tenant saw zero completions), SLO
-    #: attainment, and goodput share versus the configured weight share.
-    tenants: dict = field(default_factory=dict)
-
-    @property
-    def residency_hit_rate(self) -> float:
-        return self.placement.get("residency_hit_rate", 0.0)
-
-    @property
-    def tunecache_hit_rate(self) -> float:
-        return self.placement.get("tunecache_hit_rate", 0.0)
-
-    @property
-    def setup_saved_s(self) -> float:
-        """Total modeled setup time placement avoided: gauge uploads
-        skipped on residency hits plus autotune sweeps skipped on
-        tunecache hits."""
-        return self.placement.get("gauge_saved_s", 0.0) + self.placement.get(
-            "tune_setup_saved_s", 0.0
-        )
+    #: What the scheduler's parts report, merged, in its final JSON
+    #: form: each part's ``summary(cols, horizon_s)``, and the off block
+    #: of each feature the config left off (DESIGN.md, "Daemon
+    #: lifecycle").
+    daemon: dict = field(default_factory=dict)
 
     @classmethod
     def collect(
@@ -175,8 +113,15 @@ class ServiceReport:
         worker_busy_s: list[float],
         makespan_s: float,
         placement: dict | None = None,
-        daemon: dict | None = None,
+        parts: Iterable = (),
+        off: Iterable[type] = (),
+        **counters,
     ) -> "ServiceReport":
+        """Score a finished campaign.  ``parts`` report their blocks from
+        the one columnar pass over ``records``; ``off`` are the classes
+        of the features left off, which report their ``off_summary()``
+        if they declare one; ``counters`` are the kernel's own
+        (``final_workers`` and the checkpoint counters)."""
         # One pass over the records builds the columnar (SoA) view;
         # every aggregate below is a vectorized expression over it.
         cols = RecordColumns(records)
@@ -209,29 +154,17 @@ class ServiceReport:
             [round(n / window_s, 3) for n in windows] if n_completed else []
         )
 
-        daemon = daemon or {}
-        tenants = cls._tenant_scorecard(
-            daemon.get("tenancy", {}), cols, horizon
-        )
-        # The daemon block fills every report field it has a key for —
-        # counters and ledgers the scheduler's parts report under the
-        # field's own name; a part that is off leaves the default.
-        carried = {
-            name: value
-            for name, value in daemon.items()
-            if name in cls.__dataclass_fields__
-        }
-        carried.setdefault("final_workers", len(worker_busy_s))
-        if "domains" in carried:
-            # Two rows of the scorecard are other layers' counters: the
-            # placement engine's diversions and the store's fallbacks.
-            carried["domains"] = {
-                **carried["domains"],
-                "anti_affinity_placements": (placement or {}).get(
-                    "anti_affinity_placements", 0
-                ),
-                "mirror_restores": daemon.get("mirror_restores", 0),
-            }
+        # Two parts may fill one nested block (the domain state and the
+        # domain breaker share ``domains``), so those merge one level deep.
+        daemon: dict = {}
+        blocks = [kind.off_summary() for kind in off if hasattr(kind, "off_summary")]
+        blocks += [part.summary(cols, horizon) for part in parts]
+        for block in blocks:
+            for key, value in block.items():
+                if isinstance(value, dict):
+                    daemon.setdefault(key, {}).update(value)
+                else:
+                    daemon[key] = value
         return cls(
             n_requests=cols.n,
             admitted=cols.n - n_rejected,
@@ -266,83 +199,12 @@ class ServiceReport:
             priority_latency=by_priority,
             throughput_windows=throughput_windows,
             window_s=window_s if n_completed else 0.0,
-            shed_low=cols.count(
-                cols.rejected & cols.shed & (cols.priority == PRIORITY_LOW)
-            ),
-            brownout_rejected=cols.count(
-                cols.rejected & cols.shed & (cols.priority != PRIORITY_LOW)
-            ),
-            degraded_served=cols.count(cols.completed & cols.degraded),
-            tenants=tenants,
-            **carried,
+            daemon=daemon,
+            **counters,
         )
 
-    @staticmethod
-    def _tenant_scorecard(
-        tenancy: dict, cols: RecordColumns, horizon: float
-    ) -> dict:
-        """Per-tenant slice of the campaign, keyed by tenant name.
-
-        Percentiles are ``None`` — not zero — for a tenant with no
-        completions: "saw no traffic" and "answered instantly" must not
-        be confusable on a dashboard.  ``goodput_share`` is the tenant's
-        slice of deadline-met completions across all *registered*
-        tenants (falling back to the completed-count slice when no
-        tenanted request carried a met deadline), which is the number
-        the weighted-fair scheduler promises converges to
-        ``weight_share`` under sustained backlog.
-        """
-        if not tenancy:
-            return {}
-        weights = tenancy.get("weights", {})
-        counters = tenancy.get("counters", {})
-        total_weight = sum(weights.values()) or 1.0
-        masks = {name: cols.tenant_mask(name) for name in weights}
-        good = {
-            name: cols.count(cols.met_deadline & mask)
-            for name, mask in masks.items()
-        }
-        done = {
-            name: cols.count(cols.completed & mask)
-            for name, mask in masks.items()
-        }
-        share_of = good if sum(good.values()) else done
-        share_total = sum(share_of.values())
-        out: dict[str, dict] = {}
-        for name in sorted(weights):
-            mask = masks[name]
-            lat = cols.sorted_latencies(mask)
-            n_with_deadline = cols.count(
-                cols.completed & cols.has_deadline & mask
-            )
-            n_met = cols.count(
-                cols.met_deadline & cols.has_deadline & mask
-            )
-            ctr = counters.get(name, {})
-            out[name] = {
-                "weight": float(weights[name]),
-                "weight_share": weights[name] / total_weight,
-                "requests": cols.count(mask),
-                "completed": done[name],
-                "failed": cols.count(cols.failed & mask),
-                "rejected": cols.count(cols.rejected & mask),
-                "quota_rejected": int(ctr.get("quota_rejected", 0)),
-                "shed": int(ctr.get("shed", 0)),
-                "p50_s": percentile(lat, 50) if lat else None,
-                "p95_s": percentile(lat, 95) if lat else None,
-                "p99_s": percentile(lat, 99) if lat else None,
-                "slo_attainment": (
-                    n_met / n_with_deadline if n_with_deadline else 1.0
-                ),
-                "goodput_rps": good[name] / horizon,
-                "goodput_share": (
-                    share_of[name] / share_total if share_total else 0.0
-                ),
-            }
-        return out
-
     def to_json(self) -> dict:
-        out = {
+        return {
             "requests": self.n_requests,
             "admitted": self.admitted,
             "rejected": self.rejected,
@@ -370,62 +232,19 @@ class ServiceReport:
             "priority_latency": {
                 name: {
                     "completed": tier["completed"],
-                    "p50_us": _maybe_us(tier["p50_s"]),
-                    "p99_us": _maybe_us(tier["p99_s"]),
+                    "p50_us": round(tier["p50_s"] * 1e6, 3),
+                    "p99_us": round(tier["p99_s"] * 1e6, 3),
                 }
                 for name, tier in sorted(self.priority_latency.items())
             },
             "throughput_windows_rps": list(self.throughput_windows),
             "window_us": round(self.window_s * 1e6, 3),
-            "preemptions": self.preemptions,
-            "resumed_batches": self.resumed_batches,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "scale_events": list(self.scale_events),
             "final_workers": self.final_workers,
-            "spinup_spent_us": round(self.spinup_spent_s * 1e6, 3),
             "checkpoints_committed": self.checkpoints_committed,
             "checkpoint_restores": self.checkpoint_restores,
             "restored_requests": self.restored_requests,
-            "hedges_launched": self.hedges_launched,
-            "hedges_won": self.hedges_won,
-            "hedges_cancelled": self.hedges_cancelled,
-            "shed_low": self.shed_low,
-            "brownout_rejected": self.brownout_rejected,
-            "degraded_served": self.degraded_served,
-            "brownout": dict(self.brownout),
-            "quarantines": self.quarantines,
-            "reinstated": self.reinstated,
-            "retired_sick": self.retired_sick,
-            "workers_killed": self.workers_killed,
+            **self.daemon,
         }
-        # Only topology-enabled runs carry a scorecard, so legacy report
-        # JSON stays byte-identical to what pre-domain builds emitted.
-        if self.domains:
-            out["domains"] = dict(self.domains)
-        # Same contract for tenancy: tenancy-free reports never gain the
-        # key, so their bytes match pre-tenancy builds.
-        if self.tenants:
-            out["tenants"] = {
-                name: {
-                    "weight": t["weight"],
-                    "weight_share": round(t["weight_share"], 4),
-                    "requests": t["requests"],
-                    "completed": t["completed"],
-                    "failed": t["failed"],
-                    "rejected": t["rejected"],
-                    "quota_rejected": t["quota_rejected"],
-                    "shed": t["shed"],
-                    "p50_us": _maybe_us(t["p50_s"]),
-                    "p95_us": _maybe_us(t["p95_s"]),
-                    "p99_us": _maybe_us(t["p99_s"]),
-                    "slo_attainment": round(t["slo_attainment"], 4),
-                    "goodput_rps": round(t["goodput_rps"], 3),
-                    "goodput_share": round(t["goodput_share"], 4),
-                }
-                for name, t in sorted(self.tenants.items())
-            }
-        return out
 
     def _placement_json(self) -> dict:
         p = self.placement
@@ -498,32 +317,33 @@ class ServiceReport:
             )
         if self.priority_latency:
             tiers = "   ".join(
-                f"{name} p99 {_fmt_us(tier['p99_s'])} ({tier['completed']})"
+                f"{name} p99 {_fmt_us(tier['p99_s'] * 1e6)} ({tier['completed']})"
                 for name, tier in sorted(self.priority_latency.items())
             )
             lines.append(f"per priority: {tiers}")
-        for name, t in sorted(self.tenants.items()):
+        d = self.daemon
+        for name, t in sorted(d.get("tenants", {}).items()):
             lines.append(
                 f"tenant {name}:  weight {t['weight']:g} "
                 f"(share {t['weight_share'] * 100:.1f}%), "
                 f"{t['completed']}/{t['requests']} completed, "
                 f"{t['quota_rejected']} quota-rejected, {t['shed']} shed; "
-                f"p50 {_fmt_us(t['p50_s'])}  p95 {_fmt_us(t['p95_s'])}  "
-                f"p99 {_fmt_us(t['p99_s'])}; "
+                f"p50 {_fmt_us(t['p50_us'])}  p95 {_fmt_us(t['p95_us'])}  "
+                f"p99 {_fmt_us(t['p99_us'])}; "
                 f"SLO {t['slo_attainment'] * 100:.1f}%, "
                 f"goodput share {t['goodput_share'] * 100:.1f}%"
             )
-        if self.preemptions or self.resumed_batches:
+        if d.get("preemptions") or d.get("resumed_batches"):
             lines.append(
-                f"preemption:   {self.preemptions} yield(s) at refresh "
-                f"boundaries, {self.resumed_batches} resumed from checkpoint"
+                f"preemption:   {d['preemptions']} yield(s) at refresh "
+                f"boundaries, {d['resumed_batches']} resumed from checkpoint"
             )
-        if self.scale_events:
+        if d.get("scale_events"):
             lines.append(
-                f"autoscaler:   {self.scale_ups} scale-up(s), "
-                f"{self.scale_downs} scale-down(s), final pool "
+                f"autoscaler:   {d['scale_ups']} scale-up(s), "
+                f"{d['scale_downs']} scale-down(s), final pool "
                 f"{self.final_workers} worker(s), spin-up spent "
-                f"{self.spinup_spent_s * 1e6:.1f} us"
+                f"{d['spinup_spent_us']:.1f} us"
             )
         if self.checkpoints_committed or self.checkpoint_restores:
             lines.append(
@@ -535,51 +355,51 @@ class ServiceReport:
                     else ""
                 )
             )
-        if self.quarantines or self.retired_sick:
+        if d.get("quarantines") or d.get("retired_sick"):
             lines.append(
-                f"breaker:      {self.quarantines} quarantine(s), "
-                f"{self.reinstated} reinstated, "
-                f"{self.retired_sick} retired sick"
+                f"breaker:      {d['quarantines']} quarantine(s), "
+                f"{d['reinstated']} reinstated, "
+                f"{d['retired_sick']} retired sick"
             )
-        if self.hedges_launched:
+        if d.get("hedges_launched"):
             lines.append(
-                f"hedging:      {self.hedges_launched} replica(s) launched, "
-                f"{self.hedges_won} won, {self.hedges_cancelled} cancelled"
+                f"hedging:      {d['hedges_launched']} replica(s) launched, "
+                f"{d['hedges_won']} won, {d['hedges_cancelled']} cancelled"
             )
-        if self.brownout:
+        if d.get("brownout"):
             lines.append(
-                f"brownout:     peak {self.brownout.get('max_level', 'normal')}"
-                f", {self.shed_low} LOW shed, {self.brownout_rejected} "
-                f"rejected, {self.degraded_served} served degraded"
+                f"brownout:     peak {d['brownout'].get('max_level', 'normal')}"
+                f", {d['shed_low']} LOW shed, {d['brownout_rejected']} "
+                f"rejected, {d['degraded_served']} served degraded"
             )
-        if self.workers_killed:
+        if d.get("workers_killed"):
             lines.append(
-                f"faults:       {self.workers_killed} worker(s) killed"
+                f"faults:       {d['workers_killed']} worker(s) killed"
             )
-        if self.domains:
-            d = self.domains
+        dom = d.get("domains")
+        if dom:
             lines.append(
-                f"domains:      topology {d.get('topology', '?')}, "
-                f"{d.get('nodes_killed', 0)} node(s) lost, "
-                f"{d.get('partitions', 0)} partition(s) "
-                f"({d.get('partition_heals', 0)} healed)"
+                f"domains:      topology {dom.get('topology', '?')}, "
+                f"{dom.get('nodes_killed', 0)} node(s) lost, "
+                f"{dom.get('partitions', 0)} partition(s) "
+                f"({dom.get('partition_heals', 0)} healed)"
             )
-            by_domain = d.get("quarantines_by_domain", {})
+            by_domain = dom.get("quarantines_by_domain", {})
             quarantined = ", ".join(
                 f"node{n} x{c}" for n, c in sorted(by_domain.items())
             )
             lines.append(
-                f"              {d.get('domain_quarantines', 0)} domain "
+                f"              {dom.get('domain_quarantines', 0)} domain "
                 f"quarantine(s)"
                 + (f" [{quarantined}]" if quarantined else "")
-                + f", {d.get('domain_reinstated', 0)} reinstated, "
-                f"{d.get('domain_retired', 0)} retired"
+                + f", {dom.get('domain_reinstated', 0)} reinstated, "
+                f"{dom.get('domain_retired', 0)} retired"
             )
             lines.append(
                 f"              anti-affinity: "
-                f"{d.get('anti_affinity_placements', 0)} placement(s), "
-                f"{d.get('anti_affinity_hedges', 0)} hedge(s); "
-                f"checkpoint mirror restores: {d.get('mirror_restores', 0)}"
+                f"{dom.get('anti_affinity_placements', 0)} placement(s), "
+                f"{dom.get('anti_affinity_hedges', 0)} hedge(s); "
+                f"checkpoint mirror restores: {dom.get('mirror_restores', 0)}"
             )
         return "\n".join(lines)
 

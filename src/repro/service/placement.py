@@ -419,15 +419,9 @@ class SharedTuneCache:
             for entry in data["entries"]
         }
 
-    def summary(self) -> dict:
-        """The tunecache rows of the report's placement block."""
-        return {
-            "tunecache_hits": self.hits,
-            "tunecache_misses": self.misses,
-            "tunecache_hit_rate": self.hit_rate,
-            "tune_setup_spent_s": self.spent_s,
-            "tune_setup_saved_s": self.saved_s,
-        }
+    def summary(self, cols, horizon_s) -> dict:
+        """Nothing of its own: its rows are the placement block's."""
+        return {}
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -598,7 +592,7 @@ class PlacementEngine:
 
     def summary(self) -> dict:
         """The placement block of :class:`~repro.service.metrics.ServiceReport`."""
-        s = self.stats
+        s, tc = self.stats, self.tune_cache
         routed = s.residency_hits + s.residency_misses
         return {
             "residency_hits": s.residency_hits,
@@ -607,5 +601,9 @@ class PlacementEngine:
             "gauge_saved_s": s.gauge_saved_s,
             "grids": dict(sorted(s.grids.items())),
             "anti_affinity_placements": s.anti_affinity_placements,
-            **self.tune_cache.summary(),
+            "tunecache_hits": tc.hits,
+            "tunecache_misses": tc.misses,
+            "tunecache_hit_rate": tc.hit_rate,
+            "tune_setup_spent_s": tc.spent_s,
+            "tune_setup_saved_s": tc.saved_s,
         }

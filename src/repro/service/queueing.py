@@ -102,7 +102,7 @@ class DrainEstimator:
         self.samples = int(data["samples"])
         self._ewma = data["ewma"]
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         """Nothing of its own: the estimate shows in retry-after hints."""
         return {}
 

@@ -286,27 +286,29 @@ class _Counters:
         self.preemptions = int(data["preemptions"])
         self.workers_killed = int(data["workers_killed"])
 
-    def summary(self) -> dict:
+    def summary(self, cols, horizon_s) -> dict:
         return {**self.to_json(), "resumed_batches": self.resumed_batches}
 
 
 def _features(cfg: ServiceConfig) -> tuple:
     """The optional features in registration order, which is the order
     their hooks run in (DESIGN.md, "Daemon lifecycle"): the checkpoint
-    part name each keeps (``None`` = no state of its own) and the part,
-    or something false when the config leaves the feature off."""
+    part name each keeps (``None`` = no state of its own), the part's
+    class, and the arguments that build it — or something false when the
+    config leaves the feature off, and the report asks the class for its
+    off block instead."""
     kills = cfg.worker_faults.kills if cfg.worker_faults is not None else ()
     topo = cfg.topology
     return (
-        ("tenancy", cfg.tenancy.enabled and TenantRegistry(cfg.tenancy)),
-        ("brownout", cfg.brownout.enabled and BrownoutController(cfg.brownout)),
-        ("elastic", cfg.elastic is not None and PoolController(cfg.elastic)),
-        (None, cfg.preemption.enabled and Preemption(cfg.preemption)),
-        ("hedge", cfg.hedge.enabled and HedgeLedger(cfg.hedge)),
-        ("health", cfg.health.enabled and HealthBoard(cfg.health)),
-        (None, bool(kills) and WorkerKills(kills)),
-        ("domains", topo is not None and DomainState(topo, cfg.n_workers)),
-        ("domain_health", cfg.domain_health.enabled and DomainBoard(cfg.domain_health)),
+        ("tenancy", TenantRegistry, cfg.tenancy.enabled and (cfg.tenancy,)),
+        ("brownout", BrownoutController, cfg.brownout.enabled and (cfg.brownout,)),
+        ("elastic", PoolController, cfg.elastic is not None and (cfg.elastic,)),
+        (None, Preemption, cfg.preemption.enabled and (cfg.preemption,)),
+        ("hedge", HedgeLedger, cfg.hedge.enabled and (cfg.hedge,)),
+        ("health", HealthBoard, cfg.health.enabled and (cfg.health,)),
+        (None, WorkerKills, bool(kills) and (kills,)),
+        ("domains", DomainState, topo is not None and (topo, cfg.n_workers)),
+        ("domain_health", DomainBoard, cfg.domain_health.enabled and (cfg.domain_health,)),
     )
 
 
@@ -460,9 +462,9 @@ class _Campaign:
     It names no feature: each part ``_features`` builds registers its
     event kinds, ``_EV_DONE`` run types and hooks in
     ``install(campaign)``.  Every stateful part sits in ``parts`` behind
-    ``to_json()``, ``restore(data)`` and ``summary()``, so checkpoint
-    commit, restore and the report's daemon block are loops over
-    ``parts``.
+    ``to_json()``, ``restore(data)`` and ``summary(cols, horizon_s)``, so
+    checkpoint commit, restore and the report's daemon block are loops
+    over ``parts``; a feature left off is its class in ``off``.
     """
 
     def __init__(
@@ -566,11 +568,16 @@ class _Campaign:
             "tunecache": self.placement.tune_cache,
             "counters": self.counters,
         }
-        for name, part in _features(cfg):
-            if part:
-                if name is not None:
-                    self.parts[name] = part
-                part.install(self)
+        #: The classes of the features the config leaves off.
+        self.off: list[type] = []
+        for name, kind, args in _features(cfg):
+            if not args:
+                self.off.append(kind)
+                continue
+            part = kind(*args)
+            if name is not None:
+                self.parts[name] = part
+            part.install(self)
 
         if restore is not None:
             self._restore(restore)
@@ -1153,7 +1160,12 @@ class _Campaign:
                 worker_busy_s=[w.busy_s for w in self.workers],
                 makespan_s=self.makespan,
                 placement=self.placement.summary(),
-                daemon=self._daemon_summary(),
+                parts=self.parts.values(),
+                off=self.off,
+                final_workers=sum(1 for w in self.workers if not w.retired),
+                checkpoints_committed=self.checkpoints_committed,
+                checkpoint_restores=1 if self.restored else 0,
+                restored_requests=self.restored_requests,
             )
             return ServiceResult(
                 report=report,
@@ -1167,22 +1179,3 @@ class _Campaign:
             # methods of itself): empty it, so a finished or crashed run
             # is freed now, not when the cycle collector next walks it.
             self.__dict__.clear()
-
-    def _daemon_summary(self) -> dict:
-        """The report's daemon block: the kernel's own counters, then
-        whatever each part has to say (two parts may fill one nested
-        block of the report, so those merge one level deep)."""
-        out = {
-            "final_workers": sum(1 for w in self.workers if not w.retired),
-            "checkpoints_committed": self.checkpoints_committed,
-            "checkpoint_restores": 1 if self.restored else 0,
-            "restored_requests": self.restored_requests,
-            "mirror_restores": int(getattr(self.store, "mirror_restores", 0)),
-        }
-        for part in self.parts.values():
-            for key, value in part.summary().items():
-                if isinstance(value, dict):
-                    out.setdefault(key, {}).update(value)
-                else:
-                    out[key] = value
-        return out

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .batching import select_batch
+from .metrics import percentile
 from .queueing import partition_by_tenant
 
 __all__ = [
@@ -417,14 +418,66 @@ class TenantRegistry:
             for name, st in self._states.items()
         }
 
-    def summary(self) -> dict:
-        """The tenancy block the per-tenant scorecard builds on."""
-        return {
-            "tenancy": {
-                "weights": dict(self.wfq.weights),
-                "counters": self.counters(),
-            }
+    def summary(self, cols, horizon_s) -> dict:
+        """The report's per-tenant scorecard, keyed by tenant name.
+
+        Percentiles are ``None`` — not zero — for a tenant with no
+        completions: "saw no traffic" and "answered instantly" must not
+        be confusable on a dashboard.  ``goodput_share`` is the tenant's
+        slice of deadline-met completions across all registered tenants
+        (falling back to the completed-count slice when no tenanted
+        request carried a met deadline), which is the number the
+        weighted-fair scheduler promises converges to ``weight_share``
+        under sustained backlog.
+        """
+        weights = self.wfq.weights
+        total_weight = sum(weights.values()) or 1.0
+        masks = {name: cols.tenant_mask(name) for name in weights}
+        good = {
+            name: cols.count(cols.met_deadline & mask)
+            for name, mask in masks.items()
         }
+        done = {
+            name: cols.count(cols.completed & mask)
+            for name, mask in masks.items()
+        }
+        share_of = good if sum(good.values()) else done
+        share_total = sum(share_of.values())
+        out: dict[str, dict] = {}
+        for name in sorted(weights):
+            mask = masks[name]
+            lat = cols.sorted_latencies(mask)
+            n_with_deadline = cols.count(
+                cols.completed & cols.has_deadline & mask
+            )
+            n_met = cols.count(
+                cols.met_deadline & cols.has_deadline & mask
+            )
+            st = self._states[name]
+            out[name] = {
+                "weight": float(weights[name]),
+                "weight_share": round(weights[name] / total_weight, 4),
+                "requests": cols.count(mask),
+                "completed": done[name],
+                "failed": cols.count(cols.failed & mask),
+                "rejected": cols.count(cols.rejected & mask),
+                "quota_rejected": st.quota_rejected,
+                "shed": st.shed,
+                **{
+                    f"p{q}_us": (
+                        round(percentile(lat, q) * 1e6, 3) if lat else None
+                    )
+                    for q in (50, 95, 99)
+                },
+                "slo_attainment": round(
+                    n_met / n_with_deadline if n_with_deadline else 1.0, 4
+                ),
+                "goodput_rps": round(good[name] / horizon_s, 3),
+                "goodput_share": round(
+                    share_of[name] / share_total if share_total else 0.0, 4
+                ),
+            }
+        return {"tenants": out}
 
     # ------------------------------------------------------------------ #
     # Campaign-checkpoint round trip

@@ -191,8 +191,8 @@ class TestPreemptionEdges:
         result = SolveService(_preempt_config()).run(
             [_low(0), _high(1, boundary)]
         )
-        assert result.report.preemptions == 1
-        assert result.report.resumed_batches == 1
+        assert result.report.daemon["preemptions"] == 1
+        assert result.report.daemon["resumed_batches"] == 1
         preempted = [b for b in result.batches if b.preempted]
         assert len(preempted) == 1
         assert preempted[0].preempt_at_s == pytest.approx(boundary)
@@ -208,8 +208,8 @@ class TestPreemptionEdges:
         result = SolveService(_preempt_config()).run(
             [_low(0), _high(1, 0.30 * duration), _high(2, 0.35 * duration)]
         )
-        assert result.report.preemptions == 1
-        assert result.report.resumed_batches == 1
+        assert result.report.daemon["preemptions"] == 1
+        assert result.report.daemon["resumed_batches"] == 1
         assert result.report.completed == 3
         assert result.record_for(0).preemptions == 1
 
@@ -235,7 +235,7 @@ class TestPreemptionEdges:
         result = SolveService(
             _preempt_config(preemption=PreemptionPolicy(enabled=False))
         ).run([_low(0), _high(1, duration / 4)])
-        assert result.report.preemptions == 0
+        assert result.report.daemon["preemptions"] == 0
         assert result.report.completed == 2
 
 
@@ -253,7 +253,7 @@ class TestElasticPool:
         )
         result = SolveService(config).run([_low(i) for i in range(9)])
         assert result.report.completed == 9
-        assert result.report.scale_downs >= 1
+        assert result.report.daemon["scale_downs"] >= 1
         retired = [w for w in result.workers if w.retired]
         assert retired, "scale-down must retire a worker"
         retired_ids = {w.worker_id for w in retired}
@@ -293,11 +293,11 @@ class TestElasticPool:
         off = serve(False)
         for rep in (on, off):
             assert rep.completed + rep.failed + rep.rejected == 96
-            assert rep.scale_ups >= 1
-            assert rep.scale_downs >= 1
-        assert on.preemptions >= 1
-        assert on.resumed_batches >= 1
-        assert off.preemptions == 0
+            assert rep.daemon["scale_ups"] >= 1
+            assert rep.daemon["scale_downs"] >= 1
+        assert on.daemon["preemptions"] >= 1
+        assert on.daemon["resumed_batches"] >= 1
+        assert off.daemon["preemptions"] == 0
         p99_on = on.priority_latency["high"]["p99_s"]
         p99_off = off.priority_latency["high"]["p99_s"]
         assert p99_on < p99_off
@@ -328,14 +328,14 @@ class TestElasticPool:
             )
             .report
         )
-        assert rep.scale_ups >= 1
-        assert rep.spinup_spent_s > 0.0
+        assert rep.daemon["scale_ups"] >= 1
+        assert rep.daemon["spinup_spent_us"] > 0.0
 
     def test_fixed_pool_reports_no_scaling(self):
         rep = SolveService(_config()).serve(_stream(16)).report
-        assert rep.scale_ups == 0
-        assert rep.scale_downs == 0
-        assert rep.spinup_spent_s == 0.0
+        assert rep.daemon["scale_ups"] == 0
+        assert rep.daemon["scale_downs"] == 0
+        assert rep.daemon["spinup_spent_us"] == 0.0
 
 
 class TestLegacyEquivalence:
@@ -346,9 +346,9 @@ class TestLegacyEquivalence:
         result = SolveService(_config()).run(requests)
         rep = result.report
         assert rep.completed + rep.failed + rep.rejected == 24
-        assert rep.preemptions == 0
+        assert rep.daemon["preemptions"] == 0
         assert rep.checkpoint_restores == 0
-        assert rep.scale_ups == 0
+        assert rep.daemon["scale_ups"] == 0
 
 
 @pytest.mark.xfail(
@@ -376,12 +376,12 @@ def test_resumed_batches_survive_scheduler_crash():
         )
 
     baseline = SolveService(cfg).serve(arrivals()).report
-    assert baseline.resumed_batches == 1
+    assert baseline.daemon["resumed_batches"] == 1
     store = CampaignCheckpointStore()
     with pytest.raises(SchedulerCrash):
         SolveService(cfg).serve(
             arrivals(), checkpoint=store, crash_at_s=0.5 * baseline.makespan_s
         )
     resumed = SolveService(cfg).resume(arrivals(), checkpoint=store).report
-    assert resumed.preemptions == baseline.preemptions
-    assert resumed.resumed_batches == baseline.resumed_batches
+    assert resumed.daemon["preemptions"] == baseline.daemon["preemptions"]
+    assert resumed.daemon["resumed_batches"] == baseline.daemon["resumed_batches"]

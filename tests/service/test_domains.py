@@ -267,7 +267,7 @@ class TestDomainState:
         assert clone.members(2, pool_size=8) == [4, 5, 7]
         assert not clone.reachable(2) and clone.reachable(0)
         # Node 1's boot workers (2, 3) are both isolated; the last at 2 ms.
-        assert clone.summary()["domains"]["isolation_ms"] == {"1": 2.0}
+        assert clone.isolation_ms() == {"1": 2.0}
 
 
 class TestSpreadDomain:

@@ -234,8 +234,8 @@ class TestQuarantineScaleDownRace:
             stream_workload(48, seed=7, rate_rps=4000.0, dims=(4, 4, 4, 8))
         )
         rep = res.report
-        assert rep.quarantines >= 1
-        assert rep.reinstated + rep.retired_sick >= 1
+        assert rep.daemon["quarantines"] >= 1
+        assert rep.daemon["reinstated"] + rep.daemon["retired_sick"] >= 1
         assert rep.completed + rep.failed + rep.rejected == 48
         assert all(rec.terminal for rec in res.records)
         # The ledger never retired the quarantined worker's slot out

@@ -43,8 +43,20 @@ from repro.service import (
     stream_workload,
 )
 from repro.service.health import BROWNOUT_HYSTERESIS
+from repro.service.soa import RecordColumns
+
+from .test_lifecycle_golden import (
+    _bursty,
+    _crash_and_resume,
+    _golden_daemon_config,
+    golden_daemon,
+    tenancy_brownout_shed,
+)
 
 DIMS = (4, 4, 4, 8)
+#: What a bare part's ``summary`` is handed: the records (none) and the
+#: campaign horizon.
+NO_RECORDS = (RecordColumns([]), 1.0)
 
 
 def _config(**overrides):
@@ -196,7 +208,7 @@ class TestHealthBoard:
         # The ledger resets so quarantined history cannot re-trip.
         assert board.tracker(0).ewma_failure is None
         assert board.tracker(0).samples == 0
-        assert board.summary() == {
+        assert board.summary(*NO_RECORDS) == {
             "quarantines": 1,
             "reinstated": 1,
             "retired_sick": 0,
@@ -209,7 +221,7 @@ class TestHealthBoard:
         assert board.state(3) == RETIRED_SICK
         assert not board.is_serving(3)
         assert board.n_quarantined() == 0
-        assert board.summary()["retired_sick"] == 1
+        assert board.summary(*NO_RECORDS)["retired_sick"] == 1
 
     def test_unknown_worker_defaults_healthy(self):
         board = HealthBoard(HealthPolicy(enabled=True))
@@ -267,7 +279,7 @@ class TestBrownoutController:
     def test_summary_speaks_level_names(self):
         ctl = BrownoutController(BrownoutPolicy(enabled=True))
         ctl.update(0.0, 5e-3)
-        out = ctl.summary()["brownout"]
+        out = ctl.summary(*NO_RECORDS)["brownout"]
         assert out["final_level"] == "shed_low"
         assert out["max_level"] == "shed_low"
         assert out["transitions"][0]["level"] == "shed_low"
@@ -299,7 +311,7 @@ class TestHedgeLedger:
         clone = HedgeLedger(ledger.policy)
         clone.restore(ledger.to_json())
         assert clone.to_json() == ledger.to_json()
-        assert clone.summary() == {
+        assert clone.summary(*NO_RECORDS) == {
             "hedges_launched": 3, "hedges_won": 1, "hedges_cancelled": 2,
         }
 
@@ -342,9 +354,9 @@ class TestCircuitBreaker:
     def test_flaky_worker_quarantined_then_reinstated(self):
         res = SolveService(_flaky_config()).serve(_stream(n=32))
         rep = res.report
-        assert rep.quarantines == 1
-        assert rep.reinstated == 1
-        assert rep.retired_sick == 0
+        assert rep.daemon["quarantines"] == 1
+        assert rep.daemon["reinstated"] == 1
+        assert rep.daemon["retired_sick"] == 0
         # The planned crash retried and nothing was lost.
         assert rep.completed + rep.failed + rep.rejected == 32
         assert rep.failed == 0
@@ -366,7 +378,7 @@ class TestCircuitBreaker:
         res = SolveService(_flaky_config()).serve(
             _stream(n=32), checkpoint=store
         )
-        assert res.report.quarantines == 1
+        assert res.report.daemon["quarantines"] == 1
         q_time = _batch_events(res, "quarantine")[0][0]
 
         # Replay to the quarantine commit and inspect its pool state.
@@ -387,7 +399,7 @@ class TestCircuitBreaker:
         b = SolveService(_flaky_config()).serve(_stream(n=32))
         assert a.completion_order == b.completion_order
         assert a.report.makespan_s == b.report.makespan_s
-        assert a.report.quarantines == b.report.quarantines
+        assert a.report.daemon["quarantines"] == b.report.daemon["quarantines"]
 
     def test_single_planned_crash_does_not_trip_patient_breaker(self):
         """With min_samples=2 and a trip rate above the one-crash EWMA
@@ -395,7 +407,7 @@ class TestCircuitBreaker:
         opens the breaker — the rate only decays from 0.5."""
         cfg = _flaky_config(health=_breaker(min_samples=2, trip_rate=0.75))
         rep = SolveService(cfg).serve(_stream(n=32)).report
-        assert rep.quarantines == 0
+        assert rep.daemon["quarantines"] == 0
         assert rep.completed == 32
 
 
@@ -416,8 +428,8 @@ class TestWorkerKill:
 
         res = SolveService(self._killed_config(at_s)).serve(_stream())
         rep = res.report
-        assert rep.workers_killed == 1
-        assert rep.retired_sick == 1
+        assert rep.daemon["workers_killed"] == 1
+        assert rep.daemon["retired_sick"] == 1
         assert res.workers[1].retired
         assert rep.completed + rep.failed + rep.rejected == 48
         assert {r.request.req_id for r in res.records} == set(range(48))
@@ -510,9 +522,9 @@ class TestHedging:
             _stream(n=24, rate_rps=1500.0)
         )
         rep = res.report
-        assert rep.hedges_launched >= 1
-        assert rep.hedges_won <= rep.hedges_launched
-        assert rep.hedges_cancelled <= rep.hedges_launched
+        assert rep.daemon["hedges_launched"] >= 1
+        assert rep.daemon["hedges_won"] <= rep.daemon["hedges_launched"]
+        assert rep.daemon["hedges_cancelled"] <= rep.daemon["hedges_launched"]
         assert rep.completed == 24
         assert rep.failed == 0
         assert all(rec.terminal for rec in res.records)
@@ -521,8 +533,8 @@ class TestHedging:
         rep = SolveService(self._straggler_config(hedge=False)).serve(
             _stream(n=24, rate_rps=1500.0)
         ).report
-        assert rep.hedges_launched == 0
-        assert rep.hedges_won == 0
+        assert rep.daemon["hedges_launched"] == 0
+        assert rep.daemon["hedges_won"] == 0
         assert rep.completed == 24
 
     def test_hedging_is_deterministic(self):
@@ -534,7 +546,7 @@ class TestHedging:
         )
         assert a.completion_order == b.completion_order
         assert a.report.makespan_s == b.report.makespan_s
-        assert a.report.hedges_launched == b.report.hedges_launched
+        assert a.report.daemon["hedges_launched"] == b.report.daemon["hedges_launched"]
 
     def test_hedge_beats_the_straggler(self):
         """With a severe straggler and idle healthy capacity, hedging
@@ -568,12 +580,12 @@ class TestBrownoutService:
         )
         res = SolveService(cfg).serve(self._overload())
         rep = res.report
-        assert rep.shed_low >= 1
+        assert rep.daemon["shed_low"] >= 1
         for rec in res.records:
             if rec.shed:
                 assert rec.request.priority != PRIORITY_HIGH
                 assert rec.retry_after_s is not None
-        assert rep.brownout["max_level"] == "shed_low"
+        assert rep.daemon["brownout"]["max_level"] == "shed_low"
 
     def test_degrade_level_serves_cheaper_precision(self):
         cfg = _config(
@@ -584,7 +596,7 @@ class TestBrownoutService:
         )
         res = SolveService(cfg).serve(self._overload(mode="double-half"))
         rep = res.report
-        assert rep.degraded_served >= 1
+        assert rep.daemon["degraded_served"] >= 1
         degraded = [r for r in res.records if r.degraded]
         assert degraded
         assert all(r.state == "completed" for r in degraded)
@@ -598,8 +610,8 @@ class TestBrownoutService:
         )
         res = SolveService(cfg).serve(self._overload())
         rep = res.report
-        assert rep.brownout_rejected >= 1
-        assert rep.brownout["max_level"] == "reject"
+        assert rep.daemon["brownout_rejected"] >= 1
+        assert rep.daemon["brownout"]["max_level"] == "reject"
         # HIGH is never brownout-shed; capacity was never exhausted so
         # every HIGH request was admitted and served.
         high = [
@@ -618,8 +630,33 @@ class TestBrownoutService:
             )
         )
         rep = SolveService(cfg).serve(self._overload()).report
-        assert rep.brownout["transitions"]
-        assert rep.brownout["shed"] == rep.shed_low
+        assert rep.daemon["brownout"]["transitions"]
+        assert rep.daemon["brownout"]["shed"] == rep.daemon["shed_low"]
+
+    @pytest.mark.parametrize(
+        "campaign", ["golden_daemon", "tenancy_brownout_shed", "crash_resume"]
+    )
+    def test_controller_counts_agree_with_the_records(self, campaign):
+        """The top-level shed counts are recounted from the records; the
+        ``brownout`` block's are the controller's own counters, which a
+        resumed scheduler restores from its checkpoint."""
+        if campaign == "crash_resume":
+            from repro.service import CampaignCheckpointStore
+
+            makespan = golden_daemon().report.makespan_s
+            result = _crash_and_resume(
+                _golden_daemon_config(), _bursty, CampaignCheckpointStore(),
+                0.5 * makespan,
+            )
+        else:
+            result = {
+                "golden_daemon": golden_daemon,
+                "tenancy_brownout_shed": tenancy_brownout_shed,
+            }[campaign]()
+        d = result.report.daemon
+        assert d["shed_low"] + d["brownout_rejected"] > 0
+        assert d["brownout"]["shed"] == d["shed_low"]
+        assert d["brownout"]["brownout_rejected"] == d["brownout_rejected"]
 
 
 # --------------------------------------------------------------------- #
@@ -647,13 +684,13 @@ class TestLegacyEquivalence:
 
     def test_disabled_policies_report_zero_counters(self):
         rep = SolveService(_config()).serve(_stream()).report
-        assert rep.quarantines == 0
-        assert rep.hedges_launched == 0
-        assert rep.shed_low == 0
-        assert rep.brownout_rejected == 0
-        assert rep.degraded_served == 0
-        assert rep.workers_killed == 0
-        assert rep.brownout == {}
+        assert rep.daemon["quarantines"] == 0
+        assert rep.daemon["hedges_launched"] == 0
+        assert rep.daemon["shed_low"] == 0
+        assert rep.daemon["brownout_rejected"] == 0
+        assert rep.daemon["degraded_served"] == 0
+        assert rep.daemon["workers_killed"] == 0
+        assert rep.daemon["brownout"] == {}
 
 
 # --------------------------------------------------------------------- #
@@ -690,7 +727,7 @@ class TestResumePreservesQuarantine:
         # The restored board kept the quarantine on worker 0 (the
         # counter survives; replayed batches may add to it but never
         # reset it), and nothing was lost across the crash.
-        assert rep.quarantines >= 1
+        assert rep.daemon["quarantines"] >= 1
         assert rep.checkpoint_restores == 1
         assert rep.completed + rep.failed + rep.rejected == 32
         assert {r.request.req_id for r in resumed.records} == set(range(32))
@@ -754,8 +791,8 @@ class TestAcceptanceScenario:
             assert all(rec.terminal for rec in res.records)
 
         # The flaky worker was quarantined and later reinstated.
-        assert on.report.quarantines >= 1
-        assert on.report.reinstated >= 1
+        assert on.report.daemon["quarantines"] >= 1
+        assert on.report.daemon["reinstated"] >= 1
 
         # HIGH latency strictly better, HIGH SLO no worse.
         p99_on = on.report.priority_latency["high"]["p99_s"]

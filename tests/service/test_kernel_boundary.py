@@ -7,14 +7,18 @@ types and hooks (``repro.service.service._features``).  These checks
 keep it that way: an AST walk of the class finds no feature part
 attribute and no event kind but the kernel's three, the class stays
 within its line budget, and a campaign with every feature off registers
-nothing beyond the kernel's own.
+nothing beyond the kernel's own.  The report is held to the same rule:
+``ServiceReport`` declares only the kernel's numbers, and every part's
+block reaches its JSON.
 """
 
 import ast
+import dataclasses
 import gc
 import inspect
 import weakref
 
+import repro.service.metrics as metrics_module
 import repro.service.service as service_module
 from repro.comms.cluster import Topology
 from repro.comms.faults import DomainFaultPlan, WorkerFaultPlan
@@ -27,6 +31,7 @@ from repro.service import (
     HedgePolicy,
     PreemptionPolicy,
     ServiceConfig,
+    ServiceReport,
     SolveService,
     TenancyPolicy,
     stream_workload,
@@ -40,6 +45,18 @@ FEATURE_ATTRIBUTES = {
 }
 KERNEL_KINDS = {"_EV_DONE", "_EV_ARRIVAL", "_EV_TIMEOUT"}
 MAX_LINES = 750
+
+#: The report's own fields: the kernel's numbers and the parts' block.
+REPORT_FIELDS = {
+    "n_requests", "admitted", "rejected", "completed", "failed", "retries",
+    "recoveries", "worker_crashes", "n_batches", "mean_batch_size",
+    "batch_occupancy", "wait_p50_s", "wait_p95_s", "wait_p99_s",
+    "latency_p50_s", "latency_p99_s", "makespan_s", "throughput_rps",
+    "goodput_rps", "slo_attainment", "worker_utilization", "placement",
+    "priority_latency", "throughput_windows", "window_s", "final_workers",
+    "checkpoints_committed", "checkpoint_restores", "restored_requests",
+    "daemon",
+}
 
 HOOK_LISTS = (
     "gates", "on_admit", "on_dispatch", "on_launch", "on_complete",
@@ -106,9 +123,50 @@ def test_kernel_stays_within_its_line_budget():
     assert cls.end_lineno - cls.lineno + 1 <= MAX_LINES
 
 
+def _every_feature_report() -> ServiceReport:
+    config = ServiceConfig(**_every_feature(policy=BatchPolicy(max_batch=4)))
+    return SolveService(config).serve(
+        stream_workload(
+            24, seed=7, rate_rps=4000.0, dims=(4, 4, 4, 8), tenants=("a", "b")
+        )
+    ).report
+
+
+def test_report_names_no_feature():
+    """The report declares the kernel's numbers and one ``daemon``
+    block; outside ``render`` no method of it spells a key a part
+    reports."""
+    assert {f.name for f in dataclasses.fields(ServiceReport)} == REPORT_FIELDS
+    feature_keys = set(_every_feature_report().daemon)
+    tree = ast.parse(inspect.getsource(metrics_module))
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ServiceReport"
+    ]
+    named = {
+        (method.name, node.value)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name != "render"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Constant) and node.value in feature_keys
+    }
+    assert not named
+
+
+def test_report_drops_no_part_key():
+    """Every key of the merged daemon block reaches ``to_json()`` as the
+    part reported it."""
+    report = _every_feature_report()
+    assert {"brownout", "domains", "tenants", "hedges_launched"} <= set(report.daemon)
+    out = report.to_json()
+    for key, value in report.daemon.items():
+        assert out[key] == value, key
+
+
 def test_features_off_register_nothing():
     campaign = _campaign()
     assert list(campaign.parts) == ["drain", "arrival_rate", "tunecache", "counters"]
+    assert len(campaign.off) == len(service_module._features(campaign.cfg))
     assert set(campaign.handlers) == {0, 3, 4}
     assert list(campaign.done_handlers) == [tuple]
     for name in HOOK_LISTS:

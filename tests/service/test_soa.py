@@ -11,6 +11,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from repro.service.metrics import percentile
 from repro.service.queueing import AdmissionQueue, _order_key
@@ -128,6 +129,13 @@ class TestRecordColumns:
         assert cols.sorted_waits() == []
         assert cols.window_counts(1.0, 8) == [0] * 8
         assert cols.count(cols.completed) == 0
+
+
+@pytest.mark.parametrize("values", [[], [1.0]])
+@pytest.mark.parametrize("q", [150, -5])
+def test_percentile_rejects_q_out_of_range_even_without_values(values, q):
+    with pytest.raises(ValueError, match=r"q must be in \[0, 100\]"):
+        percentile(values, q)
 
 
 class TestIncrementalQueueOrder:

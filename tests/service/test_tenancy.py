@@ -352,14 +352,15 @@ class TestTenantService:
             )
         ).serve(_stream())
         rep = result.report
-        assert sum(t["quota_rejected"] for t in rep.tenants.values()) > 0
-        assert rep.quarantines == 0
-        assert rep.retired_sick == 0
+        tenants = rep.daemon["tenants"].values()
+        assert sum(t["quota_rejected"] for t in tenants) > 0
+        assert rep.daemon["quarantines"] == 0
+        assert rep.daemon["retired_sick"] == 0
         assert rep.completed > 0
 
     def test_tenancy_free_report_has_no_tenants_key(self):
         result = SolveService(_config()).serve(_stream(tenants=None))
-        assert result.report.tenants == {}
+        assert "tenants" not in result.report.daemon
         assert "tenants" not in result.report.to_json()
 
     def test_scorecard_counts_reconcile(self):
@@ -368,8 +369,8 @@ class TestTenantService:
             _config(tenancy=_tenancy(quota_qps=qps, quota_burst=burst))
         ).serve(_stream())
         rep = result.report
-        assert set(rep.tenants) == set(TENANTS)
-        for name, card in rep.tenants.items():
+        assert set(rep.daemon["tenants"]) == set(TENANTS)
+        for name, card in rep.daemon["tenants"].items():
             recs = [r for r in result.records if r.request.tenant == name]
             assert card["requests"] == len(recs)
             assert card["completed"] == sum(
@@ -387,13 +388,11 @@ class TestTenantService:
         result = SolveService(_config(tenancy=_tenancy())).serve(
             _stream(tenant_mix=(1.0, 0.0))
         )
-        card = result.report.tenants["bell"]
+        card = result.report.daemon["tenants"]["bell"]
         assert card["requests"] == 0
-        assert card["p50_s"] is None
-        assert card["p95_s"] is None
-        assert card["p99_s"] is None
-        j = result.report.to_json()
-        assert j["tenants"]["bell"]["p99_us"] is None
+        assert card["p50_us"] is None
+        assert card["p95_us"] is None
+        assert card["p99_us"] is None
         rendered = result.report.render()
         assert "bell" in rendered
         assert "n/a" in rendered
@@ -426,8 +425,8 @@ class TestTenantService:
         )
         assert resumed.report.checkpoint_restores == 1
         for name in TENANTS:
-            got = resumed.report.tenants[name]
-            want = baseline.report.tenants[name]
+            got = resumed.report.daemon["tenants"][name]
+            want = baseline.report.daemon["tenants"][name]
             assert got["requests"] == want["requests"]
             assert got["completed"] == want["completed"]
             assert got["quota_rejected"] == want["quota_rejected"]
