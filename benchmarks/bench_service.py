@@ -154,50 +154,6 @@ def test_resilience_beats_undefended_run(run_once):
     assert on["slo_attainment"] >= off["slo_attainment"]
 
 
-def test_domain_aware_isolation_beats_ledger_at_a_time(run_once):
-    """Failure-domain benchmark (PR 8): one seeded bursty stream against
-    a 3-node/3-rack topology where node 1 dies *silently* and rack 2
-    partitions, served with the domain layer (k-of-n quarantine,
-    anti-affinity) on vs off — both runs carrying the full per-worker
-    resilience stack, so the ablation isolates exactly the domain
-    features.  ON must isolate the dead node strictly sooner than the
-    one-ledger-at-a-time OFF run with HIGH p99 no worse and zero lost
-    requests either way, and the mirror mini-run must resume from the
-    cross-domain checkpoint replica after losing the primary's node."""
-    result, on, off = _ablation(run_once, "domain_resilience")
-    print(
-        f"\ndomains on:  node isolated in "
-        f"{result['time_to_isolate_ms_on']:.3f} ms, HIGH p99 "
-        f"{on['priority_latency']['high']['p99_us'] / 1e3:.1f} ms, "
-        f"{on['domains']['domain_quarantines']} domain quarantine(s)"
-        f"\ndomains off: node isolated in "
-        f"{result['time_to_isolate_ms_off']:.3f} ms, HIGH p99 "
-        f"{off['priority_latency']['high']['p99_us'] / 1e3:.1f} ms"
-        f"\ntime-to-isolate off/on: {result['isolate_off_vs_on']:.4f}x, "
-        f"HIGH p99 off/on: {result['high_p99_off_vs_on']:.4f}x"
-        f"\nmirror resume: {result['mirror_resume']['mirror_restores']} "
-        f"restore(s), {result['mirror_resume']['failed']} lost"
-    )
-    # Zero lost requests in both runs: every admitted request terminal.
-    for report in (on, off):
-        assert report["completed"] + report["failed"] + report["rejected"] \
-            == report["requests"]
-        assert report["failed"] == 0
-    # The correlated faults actually fired in both runs.
-    for report in (on, off):
-        assert report["domains"]["nodes_killed"] == 1
-        assert report["domains"]["partition_heals"] == 1
-    # The domain board escalated (and only the ON run has one).
-    assert on["domains"]["domain_quarantines"] >= 1
-    assert "domain_quarantines" not in off["domains"]
-    # The acceptance bar: strictly faster isolation, HIGH p99 no worse.
-    assert result["time_to_isolate_ms_on"] < result["time_to_isolate_ms_off"]
-    assert result["high_p99_off_vs_on"] >= 1.0
-    # The mirror leg: losing the primary's node must not lose requests.
-    assert result["mirror_resume"]["mirror_restores"] >= 1
-    assert result["mirror_resume"]["failed"] == 0
-
-
 def test_capacity_map_locates_knee_and_holds_fair_shares(run_once):
     """Multi-tenant saturation map (PR 9): sweep arrival rate x tenant
     mix x worker count and check the capacity contract — every cell

@@ -61,12 +61,6 @@ DRIFT_GUARDS = {
         "resilience_on.shed_low",
         "resilience_on.slo_attainment",
     ),
-    "domain_resilience": (
-        "isolate_off_vs_on",
-        "high_p99_off_vs_on",
-        "domain_on.domains.nodes_killed",
-        "domain_on.domains.partition_heals",
-    ),
 }
 
 
@@ -96,34 +90,15 @@ def main(argv: list[str]) -> int:
     # Each block runs again from the parameters its own ``campaign``
     # entry records, read back through the table that wrote them.
     checks = []
-    fresh = {}
     for name, paths in DRIFT_GUARDS.items():
         block = ablation_block(baseline, name)
-        fresh[name] = run_ablation(
+        fresh = run_ablation(
             name, **campaign_params(block["campaign"], ABLATIONS[name].defaults)
         )
         checks += [
-            _within(f"{name}.{path}", _at(fresh[name], path) or 0.0, _at(block, path))
+            _within(f"{name}.{path}", _at(fresh, path), _at(block, path))
             for path in paths
         ]
-
-    # Acceptance invariants, not just drift: domain-aware isolation
-    # must stay strictly faster than one-ledger-at-a-time discovery,
-    # HIGH p99 no worse, nothing lost, and the mirror leg exercised.
-    fresh_dom = fresh["domain_resilience"]
-    invariants = (
-        (fresh_dom["isolate_off_vs_on"] or 0.0) > 1.0
-        and fresh_dom["high_p99_off_vs_on"] >= 1.0
-        and fresh_dom["domain_on"]["failed"] == 0
-        and fresh_dom["domain_off"]["failed"] == 0
-        and fresh_dom["mirror_resume"]["mirror_restores"] >= 1
-        and fresh_dom["mirror_resume"]["failed"] == 0
-    )
-    print(
-        f"{'domain_resilience.invariants':42s} "
-        f"{'ok' if invariants else 'VIOLATED'}"
-    )
-    checks.append(invariants)
 
     base_cap = baseline["capacity_map"]
     fresh_cap = capacity_sweep(

@@ -523,94 +523,6 @@ def _resilience_config(p: dict, resilient: bool):
     )
 
 
-def _domain_config(p: dict, domain_aware: bool, checkpoint_every: int = 1000000):
-    """The PR-8 acceptance campaign: the failure-domain layer on versus
-    off against the same correlated faults — a *silent* node kill plus a
-    switch partition.
-
-    Both runs carry the full per-worker resilience stack (breaker,
-    hedging); the ablation isolates exactly the domain features.  OFF
-    must discover the dead node one worker at a time (each keeps
-    attracting traffic until its own ledger trips); ON escalates the
-    second correlated strike into a whole-node quarantine, so its
-    time-to-isolate is strictly lower and its HIGH p99 no worse, while
-    both runs terminate every admitted request.
-    """
-    from ..comms.cluster import Topology
-    from ..comms.faults import DomainFaultPlan
-    from ..service import DomainPolicy, HedgePolicy
-
-    topology = Topology.parse(p["topology"])
-    return _service_config(
-        p,
-        topology.n_workers,
-        max_retries=4,
-        seed=p["seed"],
-        topology=topology,
-        domain_faults=DomainFaultPlan(seed=p["seed"])
-        .with_node_kill(p["kill_node"], at_s=p["kill_at_s"])
-        .with_partition(
-            p["partition_rack"], at_s=p["partition_at_s"], mean_heal_s=p["heal_mean_s"]
-        ),
-        domain_health=DomainPolicy(enabled=domain_aware, strike_k=2, cooldown_s=2e-3),
-        anti_affinity=domain_aware,
-        health=_breaker(),
-        hedge=HedgePolicy(enabled=True),
-        checkpoint_every=checkpoint_every,
-    )
-
-
-def _domain_workload(p: dict):
-    return _bursty_workload(
-        p, (0.25, 0.5, 0.25), deadline_slack_s=0.5, n_configs=p["n_configs"]
-    )
-
-
-def _domain_isolation(p: dict, on: dict, off: dict) -> dict:
-    """What the domain block reports beyond its ratio: the time each arm
-    took to isolate the killed node, and the mirror-resume leg."""
-    node = str(p["kill_node"])
-    isolate_on = on["domains"]["isolation_ms"].get(node)
-    isolate_off = off["domains"]["isolation_ms"].get(node)
-    return {
-        "time_to_isolate_ms_on": isolate_on,
-        "time_to_isolate_ms_off": isolate_off,
-        "isolate_off_vs_on": (
-            round(isolate_off / isolate_on, 4) if isolate_on and isolate_off else None
-        ),
-        "mirror_resume": _mirror_resume(p),
-    }
-
-
-def _mirror_resume(p: dict) -> dict:
-    """Cross-domain checkpoint replication: the primary replica lives on
-    the node the kill takes out; the scheduler then crashes and must
-    come back from the mirror with nothing lost."""
-    from ..service import MirroredCheckpointStore, SchedulerCrash, SolveService
-
-    config = _domain_config(p, True, checkpoint_every=2)
-    store = MirroredCheckpointStore(
-        primary_domain=p["kill_node"],
-        mirror_domain=(p["kill_node"] + 1) % config.topology.n_nodes,
-    )
-    try:
-        SolveService(config).serve(
-            _domain_workload(p), checkpoint=store, crash_at_s=p["kill_at_s"] + 2e-3
-        )
-    except SchedulerCrash as crash:
-        report = (
-            SolveService(config)
-            .resume(_domain_workload(p), checkpoint=crash.store)
-            .report.to_json()
-        )
-        return {
-            "mirror_restores": report["domains"]["mirror_restores"],
-            "checkpoint_restores": report["checkpoint_restores"],
-            "failed": report["failed"],
-        }
-    raise RuntimeError("the scheduler crash did not fire")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class Ablation:
     """One ON/OFF experiment on the solve service: the same seeded
@@ -627,8 +539,6 @@ class Ablation:
     workload: Callable[[dict], object]
     #: ``(result key, dotted path into a scorecard, ON over OFF?)``.
     ratio: tuple[str, str, bool]
-    #: ``(params, on, off) -> further result entries``, after the arms.
-    after: Callable[[dict, dict, dict], dict] | None = None
 
 
 _HIGH_P99_GAIN = ("high_p99_off_vs_on", "priority_latency.high.p99_us", False)
@@ -680,20 +590,6 @@ ABLATIONS = {
         ),
         ratio=_HIGH_P99_GAIN,
     ),
-    "domain_resilience": Ablation(
-        arms=("domain_on", "domain_off"),
-        defaults=dict(
-            n_requests=64, dims=(4, 4, 4, 8), mode="double-half", topology="3x3@3",
-            ranks=2, max_batch=4, base_rps=1500.0, burst_rps=12000.0,
-            burst_start_s=1e-3, burst_len_s=3e-3, kill_node=1, kill_at_s=2e-3,
-            partition_rack=2, partition_at_s=3e-3, heal_mean_s=2e-3, iterations=10,
-            n_configs=4, seed=11,
-        ),
-        config=_domain_config,
-        workload=_domain_workload,
-        ratio=_HIGH_P99_GAIN,
-        after=_domain_isolation,
-    ),
 }
 
 
@@ -715,8 +611,6 @@ def run_ablation(name: str, **overrides) -> dict:
     for part in path.split("."):
         num, den = num[part], den[part]
     result[key] = round(num / den, 4) if den else float("inf")
-    if spec.after is not None:
-        result.update(spec.after(p, on, off))
     return result
 
 

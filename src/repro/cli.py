@@ -26,10 +26,13 @@ __all__ = ["main", "build_parser", "serve_config"]
 
 
 def _dims(text: str) -> tuple[int, int, int, int]:
+    from .lattice.geometry import check_dims
+
     parts = tuple(int(p) for p in text.replace("x", ",").split(","))
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("dims must be X,Y,Z,T")
-    return parts
+    try:
+        return check_dims(parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -347,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default=None, metavar="NODESxGPUS[@RACKS]",
                    help="failure-domain hierarchy, e.g. 3x2@3: workers map "
                    "onto nodes, nodes onto racks (switches); enables "
-                   "correlated faults, domain quarantine, anti-affinity "
-                   "and mirrored checkpoints")
+                   "correlated faults and mirrored checkpoints")
     p.add_argument("--kill-node-at-ms", type=float, default=None,
                    help="silently kill a whole node at this model time: "
                    "its workers stop answering but the scheduler is not "
@@ -362,13 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rack id the --partition-switch-at-ms hits")
     p.add_argument("--heal-ms", type=float,
                    help="mean model time before a partitioned rack heals")
-    p.add_argument("--domain-quarantine", action="store_true",
-                   help="escalate k-of-n correlated worker strikes into a "
-                   "whole-domain quarantine (one probe per node, not per "
-                   "worker)")
-    p.add_argument("--anti-affinity", action="store_true",
-                   help="place warm-pool and hedge replicas in a different "
-                   "failure domain than the primary whenever possible")
     # ---- multi-tenancy ------------------------------------------------- #
     p.add_argument("--tenants", type=_names, default=None, metavar="A,B,...",
                    help="tenant names sharing the service; enables "
@@ -662,7 +657,6 @@ def serve_config(args):
     from .service import (
         BatchPolicy,
         BrownoutPolicy,
-        DomainPolicy,
         ElasticPolicy,
         HealthPolicy,
         HedgePolicy,
@@ -758,8 +752,6 @@ def serve_config(args):
         worker_faults=worker_faults,
         topology=topology,
         domain_faults=domain_faults,
-        domain_health=DomainPolicy(enabled=args.domain_quarantine),
-        anti_affinity=args.anti_affinity,
         tenancy=TenancyPolicy.build(
             args.tenants or (),
             weights=args.tenant_weights,

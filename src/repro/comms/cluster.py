@@ -57,6 +57,11 @@ class Topology:
             raise ValueError("workers_per_node must be >= 1")
         if not 1 <= self.n_racks <= self.n_nodes:
             raise ValueError("n_racks must be in [1, n_nodes]")
+        if (self.n_racks - 1) * self.nodes_per_rack >= self.n_nodes:
+            raise ValueError(
+                f"{self.n_nodes} node(s) tiled {self.nodes_per_rack} per rack "
+                f"leave rack {self.n_racks - 1} of {self.n_racks} empty"
+            )
 
     # ------------------------------------------------------------------ #
     # Layout
@@ -94,9 +99,9 @@ class Topology:
     @classmethod
     def parse(cls, text: str) -> "Topology":
         """Parse ``NODESxWORKERS[@RACKS]`` (e.g. ``4x2@2``)."""
-        spec, _, racks = text.partition("@")
+        spec, at, racks = text.partition("@")
         nodes, sep, per_node = spec.partition("x")
-        if not sep:
+        if not sep or (at and not racks):
             raise ValueError(
                 f"topology must look like NODESxWORKERS[@RACKS], got {text!r}"
             )

@@ -45,6 +45,7 @@ __all__ = [
     "NDIM",
     "LatticeGeometry",
     "GridSlicing",
+    "check_dims",
     "grid_error",
 ]
 
@@ -83,7 +84,9 @@ def grid_error(
     return None
 
 
-def _check_dims(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+def check_dims(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """``dims`` as four ints, or a ``ValueError`` naming the rule they
+    break: four extents, each even and at least 2."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != NDIM:
         raise ValueError(f"expected {NDIM} lattice dimensions, got {dims!r}")
@@ -136,7 +139,7 @@ class LatticeGeometry:
     global_z: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _check_dims(self.dims))
+        object.__setattr__(self, "dims", check_dims(self.dims))
         if self.global_t is None:
             object.__setattr__(self, "global_t", self.dims[T_DIR])
         if self.global_z is None:

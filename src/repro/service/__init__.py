@@ -95,9 +95,6 @@ from .health import (
     RETIRED_SICK,
     BrownoutController,
     BrownoutPolicy,
-    DomainBoard,
-    DomainHealth,
-    DomainPolicy,
     HealthBoard,
     HealthPolicy,
     HedgePolicy,
@@ -196,9 +193,6 @@ __all__ = [
     "BROWNOUT_SHED_LOW",
     "BROWNOUT_DEGRADE",
     "BROWNOUT_REJECT",
-    "DomainPolicy",
-    "DomainHealth",
-    "DomainBoard",
     "MirroredCheckpointStore",
     "spread_domain",
     "TenancyPolicy",

@@ -87,7 +87,7 @@ class CampaignCheckpoint:
 
     The scheduler kernel's own state, keyed by lifecycle class, plus one
     opaque blob per stateful *part* (estimators, tunecache, autoscaler,
-    breakers, brownout, hedge and domain ledgers, tenancy):
+    breaker, brownout, hedge and domain ledgers, tenancy):
 
     * ``terminal`` — records already completed/failed/rejected: restored
       verbatim (their outcomes were acked; re-running them would violate

@@ -17,8 +17,7 @@ deterministic functions of the schedule:
   ledger, a failed probe re-quarantines until ``MAX_STRIKES`` retires it
   for good.  Quarantine evicts the worker's warm gauge residency — a
   sick device's warmth must not keep attracting traffic through the
-  routing tables.  The node-scope :class:`DomainBoard` runs the same
-  :class:`Breaker` lifecycle over a whole node.
+  routing tables.
 * **Straggler hedging** — when a running batch's elapsed time exceeds a
   model-relative threshold (:class:`HedgePolicy`), a replica launches on
   an idle healthy worker.  First completion wins; the loser is cancelled
@@ -43,7 +42,7 @@ with the scheduler kernel (DESIGN.md, "Daemon lifecycle").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..comms.cluster import Topology
 from .batching import BOUNDARY_SLACK_S, Batch, next_boundary
@@ -57,11 +56,7 @@ __all__ = [
     "RETIRED_SICK",
     "HealthPolicy",
     "WorkerHealth",
-    "Breaker",
     "HealthBoard",
-    "DomainPolicy",
-    "DomainHealth",
-    "DomainBoard",
     "DomainState",
     "WorkerKills",
     "HedgePolicy",
@@ -79,7 +74,7 @@ __all__ = [
 # Event kinds of this module's parts, in same-time processing order after
 # the kernel's (DONE 0, ARRIVAL 3, TIMEOUT 4), preemption's (1) and the
 # autoscaler's (2): hedge checks, hedge-loser worker frees, worker kills,
-# worker probes, then the correlated domain faults and the domain probe.
+# worker probes, then the correlated domain faults.
 _EV_HEDGE = 5
 _EV_HEDGE_CANCEL = 6
 _EV_KILL = 7
@@ -88,21 +83,17 @@ _EV_NODE_KILL = 9
 _EV_HCA_DEGRADE = 10
 _EV_PARTITION = 11
 _EV_HEAL = 12
-_EV_DOMAIN_PROBE = 13
 
 # Circuit-breaker states.  HEALTHY serves traffic; QUARANTINED is drained
 # and cooling down; PROBING runs exactly one seeded probe batch; a worker
-# (or node) that fails ``MAX_STRIKES`` probes is RETIRED_SICK —
-# permanently out.
+# that fails ``MAX_STRIKES`` probes is RETIRED_SICK — permanently out.
 HEALTHY = "healthy"
 QUARANTINED = "quarantined"
 PROBING = "probing"
 RETIRED_SICK = "retired_sick"
 
-#: Quarantine entries before a breaker retires its worker or node.
+#: Quarantine entries before the breaker retires its worker.
 MAX_STRIKES = 2
-#: Model-time window within which worker strikes on one node correlate.
-STRIKE_WINDOW_S = 50e-3
 #: A brownout level releases only once pressure falls below this
 #: fraction of its threshold — no flapping at the boundary.
 BROWNOUT_HYSTERESIS = 0.5
@@ -222,255 +213,76 @@ class WorkerHealth:
 
 @dataclass
 class _Probe:
-    """A breaker's seeded probe batch in flight.
+    """The breaker's seeded probe batch in flight.
 
     Rides ``_EV_DONE`` like any batch completion (discriminated by
     type), but its request never enters the campaign's records — a
     probe is the breaker's instrument, not admitted traffic.
     """
 
-    breaker: "Breaker"
-    ident: int
+    worker_id: int
     execution: object
 
 
-class Breaker:
-    """The one breaker lifecycle — quarantine → cooldown → one seeded
-    probe → reinstate, or retire at ``MAX_STRIKES`` — over the workers
-    a ledger holds.
-
-    A board observes and *decides* (should this ledger trip?); the
-    lifecycle actuates through the campaign kernel it is installed in
-    (holds the members out of the idle set, schedules the probe,
-    re-idles or retires them), so every effect stays a totally-ordered
-    event.  :class:`HealthBoard` keeps a ledger per worker and trips on
-    an EWMA failure rate; :class:`DomainBoard` keeps one per node and
-    trips on k distinct worker strikes in a window.  Each says what
-    differs by scope: the ledger type and its checkpoint keys, the
-    probe's event kind, the workers a ledger holds, when it may be
-    probed and what a quarantine entry counts.
-    """
-
-    LEDGER_TYPE: type
-    #: The ledger's identity field, the checkpoint keys of the ledgers
-    #: and of the retired count, and the probe's event kind.
-    IDENT: str
-    LEDGERS_KEY: str
-    RETIRED_KEY: str
-    PROBE: int
-
-    def __init__(self, policy) -> None:
-        self.policy = policy
-        self.ledgers: dict = {}
-        self.quarantines = 0
-        self.reinstated = 0
-        self.retired = 0
-
-    def tracker(self, ident: int):
-        if ident not in self.ledgers:
-            self.ledgers[ident] = self.LEDGER_TYPE(ident)
-        return self.ledgers[ident]
-
-    def quarantine(self, ident: int, now: float):
-        led = self.tracker(ident)
-        led.state = QUARANTINED
-        led.cooldown_until_s = now + self.policy.cooldown_s
-        self.quarantines += 1
-        self._entered(led)
-        return led
-
-    def start_probe(self, ident: int) -> None:
-        self.tracker(ident).state = PROBING
-
-    def reinstate(self, ident: int) -> None:
-        """A clean probe closes the breaker with a *reset* ledger — the
-        quarantined failures must not linger and re-trip the breaker on
-        the next (innocent) blip."""
-        led = self.tracker(ident)
-        led.state = HEALTHY
-        self._reset(led)
-        self.reinstated += 1
-
-    def retire_sick(self, ident: int) -> None:
-        self.tracker(ident).state = RETIRED_SICK
-        self.retired += 1
-
-    def state(self, ident: int) -> str:
-        led = self.ledgers.get(ident)
-        return led.state if led is not None else HEALTHY
-
-    def is_serving(self, ident: int) -> bool:
-        """Whether the ledger may take regular traffic (quarantined and
-        probing ones hold their slot but serve nothing)."""
-        return self.state(ident) == HEALTHY
-
-    # ------------------------------------------------------------------ #
-    # Campaign-checkpoint round trip (resume keeps quarantines)
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> dict:
-        return {
-            "quarantines": self.quarantines,
-            "reinstated": self.reinstated,
-            self.RETIRED_KEY: self.retired,
-            self.LEDGERS_KEY: [
-                self.ledgers[i].to_json() for i in sorted(self.ledgers)
-            ],
-        }
-
-    def restore(self, data: dict) -> None:
-        self.quarantines = int(data["quarantines"])
-        self.reinstated = int(data["reinstated"])
-        self.retired = int(data[self.RETIRED_KEY])
-        self.ledgers = {
-            int(led[self.IDENT]): self.LEDGER_TYPE.from_json(led)
-            for led in data[self.LEDGERS_KEY]
-        }
-
-    # ------------------------------------------------------------------ #
-    # The lifecycle, against the campaign kernel
-    # ------------------------------------------------------------------ #
-
-    def install(self, campaign) -> None:
-        self.campaign = campaign
-        campaign.handlers[self.PROBE] = self._start_probe
-        campaign.done_handlers[_Probe] = lambda run: run.breaker._probe_done(run)
-        campaign.on_start.append(self._rearm)
-
-    def _rearm(self) -> None:
-        """Quarantines survive a scheduler crash (a known-flaky worker
-        must not restart HEALTHY), but their probe events died with it.
-        A ledger caught mid-probe re-enters QUARANTINED — its probe
-        batch is gone, so it earns a fresh one."""
-        k = self.campaign
-        for ident, led in self.ledgers.items():
-            if led.state == PROBING:
-                led.state = QUARANTINED
-            if led.state == QUARANTINED:
-                k._push(max(led.cooldown_until_s, k.now), self.PROBE, ident)
-
-    def _open(self, ident: int):
-        """Open the breaker on a serving ledger: hold its live members
-        out of the idle set, evict their warm residency (a sick device's
-        warmth must not keep attracting traffic), schedule the probe."""
-        k = self.campaign
-        led = self.quarantine(ident, k.now)
-        members = self._members(ident)
-        k._reassess(members)
-        for wid in members:
-            worker = k.workers[wid]
-            if not worker.retired:
-                k._hold(wid)
-                worker.evict_residency()
-                self._isolated(wid)
-        self._cool(ident, led)
-        return led
-
-    def _cool(self, ident: int, led) -> None:
-        self.campaign._push(led.cooldown_until_s, self.PROBE, ident)
-        self._struck(ident)
-
-    def _start_probe(self, ident: int) -> None:
-        """The cooldown expired: one probe for the ledger, on its
-        lowest-id live member."""
-        k = self.campaign
-        if self.state(ident) != QUARANTINED:
-            return
-        live = [w for w in self._members(ident) if not k.workers[w].retired]
-        if not live:
-            self._orphaned(ident)
-        elif not self._may_probe(ident):
-            k._push(k.now + max(self.policy.cooldown_s, 1e-6), self.PROBE, ident)
-        elif k.template is None:
-            # Nothing dispatched yet to probe with; close the breaker
-            # optimistically — the ledger re-opens on the next fault.
-            self.reinstate(ident)
-            k._reidle(self._members(ident))
-        else:
-            self.start_probe(ident)
-            self._run_probe(k.workers[live[0]], ident)
-
-    def _run_probe(self, worker, ident: int) -> None:
-        """One seeded probe batch on ``worker`` — representative work
-        (the head request of the most recent fresh dispatch) at LOW
-        priority, outside the campaign's records.  A send that cannot
-        arrive fails after the kernel's send timeout."""
-        k = self.campaign
-        probe = replace(
-            k.template,
-            req_id=self._probe_id(ident),
-            priority=PRIORITY_LOW,
-            arrival_s=k.now,
-            deadline_s=None,
-        )
-        execution = worker.execute(
-            [probe], grid=None, tune_cache=k.placement.tune_cache
-        )
-        duration = execution.duration_s
-        timeout = k.send_timeout(worker.worker_id)
-        if timeout is not None:
-            execution, duration = replace(execution, ok=False), timeout
-        worker.busy_s += duration
-        k._deliver(k.now + duration, _Probe(self, ident, execution))
-
-    def _probe_done(self, run: _Probe) -> None:
-        """The probe's verdict: clean reinstates every eligible member
-        at once; a failure re-quarantines, and ``MAX_STRIKES`` retires
-        the members for good."""
-        k = self.campaign
-        ident = run.ident
-        if not self._probing(ident):
-            return
-        if run.execution.ok:
-            self.reinstate(ident)
-            k._reidle(self._members(ident))
-        elif self._failed(ident) >= MAX_STRIKES:
-            # Probing, so the members are already out of ``serving``.
-            self.retire_sick(ident)
-            for wid in self._members(ident):
-                worker = k.workers[wid]
-                if not worker.retired:
-                    worker.retire()
-                    self._isolated(wid)
-                k._hold(wid)
-            k.rescale()  # the pool may want a replacement
-        else:
-            self._cool(ident, self.quarantine(ident, k.now))
-
-    # What a scope adds to the lifecycle: nothing, by default.
-
-    def _isolated(self, worker_id: int) -> None:
-        """A member left service."""
-
-    def _struck(self, ident: int) -> None:
-        """The ledger was (re-)quarantined."""
-
-    def _orphaned(self, ident: int) -> None:
-        """The probe came due with no live member left to run it."""
-
-    def _probing(self, ident: int) -> bool:
-        return self.state(ident) == PROBING
-
-
-class HealthBoard(Breaker):
+class HealthBoard:
     """The per-worker circuit breaker: all workers' ledgers plus the
     campaign-wide counters.
 
     One call per batch outcome, :meth:`observe`, folds it and says
-    whether the breaker trips.  Installed, the board holds workers out
-    of ``serving`` (one of the kernel's ``holders``), observes every
-    completion and answers worker kills.
+    whether the breaker trips.  The lifecycle — quarantine → cooldown →
+    one seeded probe → reinstate, or retire at ``MAX_STRIKES`` —
+    actuates through the campaign kernel the board is installed in, so
+    every effect stays a totally-ordered event.  Installed, the board
+    holds workers out of ``serving`` (one of the kernel's ``holders``),
+    observes every completion and answers worker kills.
     """
 
-    LEDGER_TYPE = WorkerHealth
-    IDENT, LEDGERS_KEY, RETIRED_KEY = "worker_id", "workers", "retired_sick"
-    PROBE = _EV_PROBE
+    def __init__(self, policy: HealthPolicy) -> None:
+        self.policy = policy
+        self.ledgers: dict[int, WorkerHealth] = {}
+        self.quarantines = 0
+        self.reinstated = 0
+        self.retired = 0
 
-    def install(self, campaign) -> None:
-        super().install(campaign)
-        campaign.holders.append(self)
-        campaign.on_complete.append(self._observe_batch)
-        campaign.on_kill.append(self._killed)
+    def tracker(self, worker_id: int) -> WorkerHealth:
+        wh = self.ledgers.get(worker_id)
+        if wh is None:
+            wh = self.ledgers[worker_id] = WorkerHealth(worker_id)
+        return wh
+
+    def quarantine(self, worker_id: int, now: float) -> WorkerHealth:
+        wh = self.tracker(worker_id)
+        wh.state = QUARANTINED
+        wh.cooldown_until_s = now + self.policy.cooldown_s
+        wh.strikes += 1
+        self.quarantines += 1
+        return wh
+
+    def start_probe(self, worker_id: int) -> None:
+        self.tracker(worker_id).state = PROBING
+
+    def reinstate(self, worker_id: int) -> None:
+        """A clean probe closes the breaker with a *reset* ledger — the
+        quarantined failures must not linger and re-trip the breaker on
+        the next (innocent) blip."""
+        wh = self.tracker(worker_id)
+        wh.state = HEALTHY
+        wh.ewma_failure = None
+        wh.samples = 0
+        self.reinstated += 1
+
+    def retire_sick(self, worker_id: int) -> None:
+        self.tracker(worker_id).state = RETIRED_SICK
+        self.retired += 1
+
+    def state(self, worker_id: int) -> str:
+        wh = self.ledgers.get(worker_id)
+        return wh.state if wh is not None else HEALTHY
+
+    def is_serving(self, worker_id: int) -> bool:
+        """Whether the worker may take regular traffic (quarantined and
+        probing ones hold their slot but serve nothing)."""
+        return self.state(worker_id) == HEALTHY
 
     def observe(
         self,
@@ -527,15 +339,61 @@ class HealthBoard(Breaker):
             if wh.state in (QUARANTINED, PROBING)
         )
 
+    # ------------------------------------------------------------------ #
+    # Campaign-checkpoint round trip (resume keeps quarantines) and report
+    # ------------------------------------------------------------------ #
+
+    def to_json(self) -> dict:
+        return {
+            "quarantines": self.quarantines,
+            "reinstated": self.reinstated,
+            "retired_sick": self.retired,
+            "workers": [self.ledgers[w].to_json() for w in sorted(self.ledgers)],
+        }
+
+    def restore(self, data: dict) -> None:
+        self.quarantines = int(data["quarantines"])
+        self.reinstated = int(data["reinstated"])
+        self.retired = int(data["retired_sick"])
+        self.ledgers = {
+            int(wh["worker_id"]): WorkerHealth.from_json(wh)
+            for wh in data["workers"]
+        }
+
     def summary(self, cols, horizon_s) -> dict:
         out = self.to_json()
-        del out[self.LEDGERS_KEY]
+        del out["workers"]
         return out
 
     @staticmethod
     def off_summary() -> dict:
         """No breaker: nothing quarantined."""
         return {"quarantines": 0, "reinstated": 0, "retired_sick": 0}
+
+    # ------------------------------------------------------------------ #
+    # The lifecycle, against the campaign kernel
+    # ------------------------------------------------------------------ #
+
+    def install(self, campaign) -> None:
+        self.campaign = campaign
+        campaign.handlers[_EV_PROBE] = self._start_probe
+        campaign.done_handlers[_Probe] = self._probe_done
+        campaign.on_start.append(self._rearm)
+        campaign.holders.append(self)
+        campaign.on_complete.append(self._observe_batch)
+        campaign.on_kill.append(self._killed)
+
+    def _rearm(self) -> None:
+        """Quarantines survive a scheduler crash (a known-flaky worker
+        must not restart HEALTHY), but their probe events died with it.
+        A worker caught mid-probe re-enters QUARANTINED — its probe
+        batch is gone, so it earns a fresh one."""
+        k = self.campaign
+        for wid, wh in self.ledgers.items():
+            if wh.state == PROBING:
+                wh.state = QUARANTINED
+            if wh.state == QUARANTINED:
+                k._push(max(wh.cooldown_until_s, k.now), _EV_PROBE, wid)
 
     def _observe_batch(self, batch: Batch, execution, predicted: float) -> None:
         """A batch left its worker: ``execution`` is its outcome, or
@@ -572,190 +430,92 @@ class HealthBoard(Breaker):
                 (k.now, "quarantine", f"worker {wid} quarantined{rate}")
             )
 
+    def _open(self, worker_id: int) -> WorkerHealth:
+        """Open the breaker on a serving worker: hold it out of the idle
+        set, evict its warm residency (a sick device's warmth must not
+        keep attracting traffic), schedule the probe."""
+        k = self.campaign
+        wh = self.quarantine(worker_id, k.now)
+        k._reassess((worker_id,))
+        worker = k.workers[worker_id]
+        if not worker.retired:
+            k._hold(worker_id)
+            worker.evict_residency()
+        self._cool(worker_id, wh)
+        return wh
+
+    def _cool(self, worker_id: int, wh: WorkerHealth) -> None:
+        k = self.campaign
+        k._push(wh.cooldown_until_s, _EV_PROBE, worker_id)
+        k._strike(worker_id)  # the domains part times isolation by it
+
+    def _start_probe(self, worker_id: int) -> None:
+        """The cooldown expired: one probe on the worker, unless it has
+        died in the meantime."""
+        k = self.campaign
+        if self.state(worker_id) != QUARANTINED or k.workers[worker_id].retired:
+            return
+        if not _others_serve(k, self, worker_id):
+            # A partitioned rack cannot be probed: retry once it heals.
+            k._push(k.now + max(self.policy.cooldown_s, 1e-6), _EV_PROBE, worker_id)
+        elif k.template is None:
+            # Nothing dispatched yet to probe with; close the breaker
+            # optimistically — the worker re-trips on the next fault.
+            self.reinstate(worker_id)
+            k._reidle((worker_id,))
+        else:
+            self.start_probe(worker_id)
+            self._run_probe(k.workers[worker_id])
+
+    def _run_probe(self, worker) -> None:
+        """One seeded probe batch on ``worker`` — representative work
+        (the head request of the most recent fresh dispatch) at LOW
+        priority, outside the campaign's records.  A send that cannot
+        arrive fails after the kernel's send timeout."""
+        k = self.campaign
+        wid = worker.worker_id
+        probe = replace(
+            k.template,
+            req_id=-(wid + 1),
+            priority=PRIORITY_LOW,
+            arrival_s=k.now,
+            deadline_s=None,
+        )
+        execution = worker.execute(
+            [probe], grid=None, tune_cache=k.placement.tune_cache
+        )
+        duration = execution.duration_s
+        timeout = k.send_timeout(wid)
+        if timeout is not None:
+            execution, duration = replace(execution, ok=False), timeout
+        worker.busy_s += duration
+        k._deliver(k.now + duration, _Probe(wid, execution))
+
+    def _probe_done(self, run: _Probe) -> None:
+        """The probe's verdict: clean reinstates the worker; a failure
+        re-quarantines it, and ``MAX_STRIKES`` retires it for good."""
+        k = self.campaign
+        wid = run.worker_id
+        worker = k.workers[wid]
+        if worker.retired:
+            return
+        if run.execution.ok:
+            self.reinstate(wid)
+            k._reidle((wid,))
+            return
+        self.observe_failure(wid, "probe")
+        if self.tracker(wid).strikes >= MAX_STRIKES:
+            # Probing, so the worker is already out of ``serving``.
+            self.retire_sick(wid)
+            worker.retire()
+            k._hold(wid)
+            k.rescale()  # the pool may want a replacement
+        else:
+            self._cool(wid, self.quarantine(wid, k.now))
+
     def _killed(self, worker_id: int) -> None:
         self.observe_failure(worker_id, "kill")
         self.retire_sick(worker_id)
-
-    def _members(self, worker_id: int) -> list[int]:
-        return [worker_id]
-
-    def _entered(self, wh: WorkerHealth) -> None:
-        wh.strikes += 1
-
-    def _reset(self, wh: WorkerHealth) -> None:
-        wh.ewma_failure = None
-        wh.samples = 0
-
-    def _struck(self, worker_id: int) -> None:
-        # One worker-level fault is one strike against its domain.
-        self.campaign._strike(worker_id)
-
-    def _may_probe(self, worker_id: int) -> bool:
-        # A held domain (quarantined or partitioned) would race the
-        # domain's single probe: retry once it resolves.
-        return _others_serve(self.campaign, self, worker_id)
-
-    def _probe_id(self, worker_id: int) -> int:
-        return -(worker_id + 1)
-
-    def _probing(self, worker_id: int) -> bool:
-        return not self.campaign.workers[worker_id].retired
-
-    def _failed(self, worker_id: int) -> int:
-        self.observe_failure(worker_id, "probe")
-        return self.tracker(worker_id).strikes
-
-
-@dataclass(frozen=True)
-class DomainPolicy:
-    """When correlated per-worker strikes escalate to a whole domain.
-
-    A node loss looks, to the per-worker ledgers, like several workers
-    independently going bad at the same moment.  The domain breaker
-    recognizes the correlation: ``strike_k`` *distinct* workers of one
-    node quarantined within ``STRIKE_WINDOW_S`` trips the whole node —
-    sweeping the not-yet-convicted co-residents out of service at once
-    instead of waiting for each to fail on its own.
-    """
-
-    enabled: bool = False
-    #: Distinct quarantined workers of one node that trip the domain.
-    strike_k: int = 2
-    #: Cooldown before the domain's single probe.
-    cooldown_s: float = 2e-3
-
-    def __post_init__(self) -> None:
-        if self.strike_k < 1:
-            raise ValueError("strike_k must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-
-
-@dataclass
-class DomainHealth:
-    """One node's domain ledger (mutable, checkpointable)."""
-
-    node: int
-    state: str = HEALTHY
-    #: Recent worker-quarantine strikes: ``[time_s, worker_id]`` pairs,
-    #: pruned to the correlation window.
-    strikes: list = field(default_factory=list)
-    #: Domain-quarantine entries so far (probe-failure strike count).
-    probe_strikes: int = 0
-    quarantines: int = 0
-    cooldown_until_s: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "node": self.node,
-            "state": self.state,
-            "strikes": [list(strike) for strike in self.strikes],
-            "probe_strikes": self.probe_strikes,
-            "quarantines": self.quarantines,
-            "cooldown_until_s": self.cooldown_until_s,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DomainHealth":
-        return cls(**data)
-
-
-class DomainBoard(Breaker):
-    """Per-node domain breakers fed by correlated worker strikes.
-
-    The board counts strikes and answers ``should this node trip?``;
-    the lifecycle sweeps the node's workers and runs the *single*
-    domain probe (one probe per domain, not per worker — the whole
-    point of recognizing the correlation).  Installed, it holds nodes
-    out of the campaign's :class:`DomainState` (a domain policy
-    requires a topology).
-    """
-
-    LEDGER_TYPE = DomainHealth
-    IDENT, LEDGERS_KEY, RETIRED_KEY = "node", "domains", "retired"
-    PROBE = _EV_DOMAIN_PROBE
-
-    def install(self, campaign) -> None:
-        super().install(campaign)
-        self.domains.holds.append(self.is_serving)
-        campaign.on_strike.append(self._strike)
-
-    @property
-    def domains(self) -> "DomainState":
-        # Looked up, not kept: the state holds this board's hold, and a
-        # reference back would make the pair outlive its campaign.
-        return self.campaign.parts["domains"]
-
-    def observe_strike(self, node: int, worker_id: int, now: float) -> bool:
-        """Record a worker-level quarantine on ``node``; returns True
-        when ``strike_k`` distinct workers struck within the window and
-        the domain should trip."""
-        dh = self.tracker(node)
-        dh.strikes = [
-            [t, w]
-            for t, w in dh.strikes
-            if now - t <= STRIKE_WINDOW_S
-        ]
-        dh.strikes.append([now, worker_id])
-        distinct = {w for _, w in dh.strikes}
-        return dh.state == HEALTHY and len(distinct) >= self.policy.strike_k
-
-    def by_domain(self) -> dict[str, int]:
-        """Quarantine entries per node that has had any."""
-        return {
-            str(n): self.ledgers[n].quarantines
-            for n in sorted(self.ledgers)
-            if self.ledgers[n].quarantines
-        }
-
-    def summary(self, cols, horizon_s) -> dict:
-        """The breaker's rows of the report's ``domains`` scorecard."""
-        return {
-            "domains": {
-                "domain_quarantines": self.quarantines,
-                "domain_reinstated": self.reinstated,
-                "domain_retired": self.retired,
-                "quarantines_by_domain": self.by_domain(),
-            }
-        }
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "by_domain": self.by_domain()}
-
-    def _strike(self, worker_id: int) -> None:
-        """The k-th *distinct* striking worker in the window escalates
-        to a whole-domain quarantine."""
-        node = self.domains.node_of(worker_id)
-        if self.observe_strike(node, worker_id, self.campaign.now):
-            self._open(node)
-
-    def _members(self, node: int) -> list[int]:
-        return self.domains.members(node, len(self.campaign.workers))
-
-    def _entered(self, dh: DomainHealth) -> None:
-        dh.probe_strikes += 1
-        dh.quarantines += 1
-
-    def _reset(self, dh: DomainHealth) -> None:
-        dh.strikes = []
-        dh.probe_strikes = 0
-
-    def _isolated(self, worker_id: int) -> None:
-        self.domains._isolate(worker_id)
-
-    def _orphaned(self, node: int) -> None:
-        self.retire_sick(node)
-
-    def _may_probe(self, node: int) -> bool:
-        # Unreachable domains cannot be probed; wait out the heal.
-        return self.domains.reachable(node)
-
-    def _probe_id(self, node: int) -> int:
-        # Below the per-worker probe id range, so traces never alias.
-        return -(len(self.campaign.workers) + node + 1)
-
-    def _failed(self, node: int) -> int:
-        return self.tracker(node).probe_strikes
 
 
 @dataclass
@@ -772,7 +532,7 @@ class _DeadRun:
 
 
 class DomainState:
-    """Campaign-side failure-domain state, beside the domain breaker.
+    """Campaign-side failure-domain state.
 
     Where each worker lives, and which fault effects have already been
     applied — dead nodes, partitioned and healed racks, the domain
@@ -780,9 +540,9 @@ class DomainState:
     the fault events a resumed scheduler refires replay idempotently:
     a restored dead node is not killed, or counted, twice.
 
-    Installed, it holds workers on unreachable (or breaker-held) nodes
-    out of service, places scale-ups and anti-affine hedges, records
-    time-to-isolate on every strike, and — with a
+    Installed, it holds workers on unreachable nodes out of service,
+    places scale-ups, records time-to-isolate on every strike, and —
+    with a
     :class:`~repro.comms.faults.DomainFaultPlan` — owns the node-kill,
     HCA-degrade, partition and heal events.
     """
@@ -803,13 +563,9 @@ class DomainState:
         self.nodes_killed = 0
         self.partitions_seen = 0
         self.partition_heals = 0
-        self.anti_affinity_hedges = 0
-        #: First model time each worker was held out of service by a
-        #: breaker (worker or domain) — the time-to-isolate witness.
+        #: First model time each worker was quarantined or killed — the
+        #: time-to-isolate witness.
         self.isolation_s: dict[int, float] = {}
-        #: Node predicates beyond reachability that must hold for a
-        #: node to serve (a domain breaker registers its own).
-        self.holds: list = []
 
     def node_of(self, worker_id: int) -> int:
         """The failure domain a worker lives on."""
@@ -860,9 +616,6 @@ class DomainState:
         campaign.holders.append(self)
         campaign.on_strike.append(self._isolate)
         campaign.make_worker = self._make_worker
-        campaign.node_of = self.node_of
-        if campaign.cfg.anti_affinity:
-            campaign.replica_index = self._replica_index
         self.faults = campaign.cfg.domain_faults
         if self.faults is not None:
             campaign.handlers.update(
@@ -878,17 +631,13 @@ class DomainState:
             campaign.on_launch.append(self._sent)
             campaign.on_start.append(self._schedule)
 
-    def _node_ok(self, node: int) -> bool:
-        return self.reachable(node) and all(hold(node) for hold in self.holds)
-
     def is_serving(self, worker_id: int) -> bool:
         """May this worker take traffic, as far as domain state knows?"""
-        return self._node_ok(self.node_of(worker_id))
+        return self.reachable(self.node_of(worker_id))
 
     def n_quarantined(self) -> int:
-        """Not-retired workers a *domain* hold (quarantine or partition)
-        alone parks — the autoscaler must not read them as shrinkable
-        idle capacity."""
+        """Not-retired workers a partition alone parks — the autoscaler
+        must not read them as shrinkable idle capacity."""
         k = self.campaign
         return sum(
             1
@@ -911,7 +660,7 @@ class DomainState:
         if node is None:
             nodes = list(range(self.topology.n_nodes))
             healthy = [
-                n for n in nodes if n not in self.dead_nodes and self._node_ok(n)
+                n for n in nodes if n not in self.dead_nodes and self.reachable(n)
             ]
             loads: dict[int, int] = {}
             for w in k.workers:
@@ -928,28 +677,6 @@ class DomainState:
         if factor is not None:
             worker.straggler_factor *= factor
         return worker
-
-    def _replica_index(self, batch: Batch) -> int:
-        """A hedge exists because the primary looks sick; a replica
-        sharing the primary's failure domain shares its fate.  Prefer an
-        idle worker on a *different* node — gauge-resident ones first,
-        so the diversion never trades warmth for diversity when it can
-        have both."""
-        k = self.campaign
-        primary = self.node_of(batch.worker_id)
-        head = batch.records[0].request
-        rkey = (head.config_id, head.dims, head.mode, batch.grid)
-        best = None
-        for i, cand in enumerate(k.idle):
-            if self.node_of(cand) == primary:
-                continue
-            score = (0 if k.workers[cand].resident_key == rkey else 1, i)
-            if best is None or score < best:
-                best = score
-        if best is None:
-            return 0
-        self.anti_affinity_hedges += 1
-        return best[1]
 
     # ------------------------------------------------------------------ #
     # Correlated domain faults: silent node loss, HCA rot, partitions
@@ -979,8 +706,8 @@ class DomainState:
     def _kill_node(self, node: int) -> None:
         """A node dies *silently*: no retire, no idle eviction — the
         scheduler keeps dispatching to its workers and only learns of
-        the death through timed-out sends.  The resilience stack (worker
-        strikes escalating to a domain quarantine) must infer the rest.
+        the death through timed-out sends.  The per-worker breaker must
+        infer the rest, one worker at a time.
 
         Idempotent on the restored ``dead_nodes`` set so the refired
         event replays safely after a scheduler resume."""
@@ -1014,8 +741,8 @@ class DomainState:
         exactly like a worker crash — requeue within budget, terminal
         fail past it — but *without* retiring the worker.  The slot
         rejoins the idle set and keeps attracting traffic until the
-        breakers catch on: that detection lag is the cost the domain
-        quarantine exists to bound."""
+        breaker catches on: that detection lag is what time-to-isolate
+        measures."""
         k = self.campaign
         batch = run.batch
         wid = batch.worker_id
@@ -1100,7 +827,6 @@ class DomainState:
             "nodes_killed": self.nodes_killed,
             "partitions_seen": self.partitions_seen,
             "partition_heals": self.partition_heals,
-            "anti_affinity_hedges": self.anti_affinity_hedges,
             "isolation_s": {
                 str(w): t for w, t in sorted(self.isolation_s.items())
             },
@@ -1116,26 +842,21 @@ class DomainState:
         self.nodes_killed = int(data["nodes_killed"])
         self.partitions_seen = int(data["partitions_seen"])
         self.partition_heals = int(data["partition_heals"])
-        self.anti_affinity_hedges = int(data["anti_affinity_hedges"])
         self.isolation_s = {
             int(w): float(t) for w, t in data["isolation_s"].items()
         }
 
     def summary(self, cols, horizon_s) -> dict:
-        """The fault rows of the report's ``domains`` scorecard, and two
-        rows other layers count for it: the placement engine's
-        anti-affine diversions and the store's restores from its mirror."""
-        k = self.campaign
+        """The fault rows of the report's ``domains`` scorecard, and one
+        row the store counts for it: its restores from the mirror."""
         return {
             "domains": {
                 "topology": str(self.topology),
                 "nodes_killed": self.nodes_killed,
                 "partitions": self.partitions_seen,
                 "partition_heals": self.partition_heals,
-                "anti_affinity_hedges": self.anti_affinity_hedges,
                 "isolation_ms": self.isolation_ms(),
-                "anti_affinity_placements": k.placement.stats.anti_affinity_placements,
-                "mirror_restores": getattr(k.store, "mirror_restores", 0),
+                "mirror_restores": getattr(self.campaign.store, "mirror_restores", 0),
             }
         }
 
@@ -1253,7 +974,7 @@ class HedgeLedger:
         _, _, start, end = entry
         if end - k.now <= BOUNDARY_SLACK_S:
             return  # completing at this very instant anyway
-        wid = k.idle[k.replica_index(batch)]
+        wid = k.idle[0]
         replica = k._form(
             batch.records,
             wid,

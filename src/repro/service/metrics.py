@@ -154,17 +154,13 @@ class ServiceReport:
             [round(n / window_s, 3) for n in windows] if n_completed else []
         )
 
-        # Two parts may fill one nested block (the domain state and the
-        # domain breaker share ``domains``), so those merge one level deep.
+        # Each key has one owner, so the blocks merge by plain update.
         daemon: dict = {}
-        blocks = [kind.off_summary() for kind in off if hasattr(kind, "off_summary")]
-        blocks += [part.summary(cols, horizon) for part in parts]
-        for block in blocks:
-            for key, value in block.items():
-                if isinstance(value, dict):
-                    daemon.setdefault(key, {}).update(value)
-                else:
-                    daemon[key] = value
+        for kind in off:
+            if hasattr(kind, "off_summary"):
+                daemon.update(kind.off_summary())
+        for part in parts:
+            daemon.update(part.summary(cols, horizon))
         return cls(
             n_requests=cols.n,
             admitted=cols.n - n_rejected,
@@ -250,7 +246,7 @@ class ServiceReport:
         p = self.placement
         if not p:
             return {}
-        out = {
+        return {
             "grids": dict(p.get("grids", {})),
             "residency_hits": p.get("residency_hits", 0),
             "residency_misses": p.get("residency_misses", 0),
@@ -266,11 +262,6 @@ class ServiceReport:
                 p.get("tune_setup_saved_s", 0.0) * 1e6, 3
             ),
         }
-        # Anti-affinity only exists under a topology; omit the zero so
-        # legacy placement JSON is unchanged byte for byte.
-        if p.get("anti_affinity_placements"):
-            out["anti_affinity_placements"] = p["anti_affinity_placements"]
-        return out
 
     def render(self) -> str:
         util = ", ".join(
@@ -384,22 +375,9 @@ class ServiceReport:
                 f"{dom.get('partitions', 0)} partition(s) "
                 f"({dom.get('partition_heals', 0)} healed)"
             )
-            by_domain = dom.get("quarantines_by_domain", {})
-            quarantined = ", ".join(
-                f"node{n} x{c}" for n, c in sorted(by_domain.items())
-            )
             lines.append(
-                f"              {dom.get('domain_quarantines', 0)} domain "
-                f"quarantine(s)"
-                + (f" [{quarantined}]" if quarantined else "")
-                + f", {dom.get('domain_reinstated', 0)} reinstated, "
-                f"{dom.get('domain_retired', 0)} retired"
-            )
-            lines.append(
-                f"              anti-affinity: "
-                f"{dom.get('anti_affinity_placements', 0)} placement(s), "
-                f"{dom.get('anti_affinity_hedges', 0)} hedge(s); "
-                f"checkpoint mirror restores: {dom.get('mirror_restores', 0)}"
+                f"              checkpoint mirror restores: "
+                f"{dom.get('mirror_restores', 0)}"
             )
         return "\n".join(lines)
 

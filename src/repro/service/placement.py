@@ -487,9 +487,6 @@ class PlacementStats:
     gauge_saved_s: float = 0.0
     #: Batches per decomposition, keyed by ``"ZxT"`` or ``"time"``.
     grids: dict[str, int] = field(default_factory=dict)
-    #: Cold placements diverted to a different failure domain than the
-    #: key's existing warm replicas (anti-affinity).
-    anti_affinity_placements: int = 0
 
 
 class PlacementEngine:
@@ -536,39 +533,13 @@ class PlacementEngine:
             )
         return None if rz == 1 else (rz, rt)
 
-    def place(
-        self,
-        records,
-        idle_ids: list[int],
-        *,
-        node_of=None,
-        anti_affinity: bool = False,
-    ) -> PlacementDecision:
-        """Decide worker and grid for a selected batch.
-
-        With ``anti_affinity`` on (and ``node_of`` mapping worker id →
-        failure domain), a *miss* placement prefers a domain that holds
-        no warm replica of this key: residency hits still win outright
-        (serving from the warm copy is the point of having one), but new
-        replicas spread across domains so one node loss cannot take
-        every warm copy of a gauge configuration at once.
-        """
+    def place(self, records, idle_ids: list[int]) -> PlacementDecision:
+        """Decide worker and grid for a selected batch."""
         head = records[0].request
         ranks = self.workers[idle_ids[0]].ranks if idle_ids else 0
         grid = self.grid_for(head, ranks)
         key = residency_key(head.config_id, head.dims, head.mode, grid)
         worker_id, predicted = self.router.route(key, idle_ids)
-        if not predicted and anti_affinity and node_of is not None:
-            avoid = {
-                node_of(w.worker_id)
-                for w in self.workers
-                if w.resident_key == key and not w.retired
-            }
-            if avoid and node_of(worker_id) in avoid:
-                preferred = [i for i in idle_ids if node_of(i) not in avoid]
-                if preferred:
-                    worker_id, predicted = self.router.route(key, preferred)
-                    self.stats.anti_affinity_placements += 1
         return PlacementDecision(
             worker_id=worker_id,
             grid=grid,
@@ -600,7 +571,6 @@ class PlacementEngine:
             "residency_hit_rate": s.residency_hits / routed if routed else 0.0,
             "gauge_saved_s": s.gauge_saved_s,
             "grids": dict(sorted(s.grids.items())),
-            "anti_affinity_placements": s.anti_affinity_placements,
             "tunecache_hits": tc.hits,
             "tunecache_misses": tc.misses,
             "tunecache_hit_rate": tc.hit_rate,

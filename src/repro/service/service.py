@@ -27,7 +27,7 @@ adds the behaviours a service that "never stops" needs:
    (:mod:`repro.service.preemption`), elastic workers
    (:mod:`repro.service.elastic`), tenancy
    (:mod:`repro.service.tenancy`), and the resilience layer of
-   :mod:`repro.service.health` (circuit breakers, hedging, brownout,
+   :mod:`repro.service.health` (circuit breaker, hedging, brownout,
    worker and failure-domain faults).  The scheduler kernel names none
    of them: each is built from the config and registers its own event
    kinds and hooks (``_features``; DESIGN.md, "Daemon lifecycle").
@@ -67,8 +67,6 @@ from .elastic import ArrivalRateEstimator, ElasticPolicy, PoolController
 from .health import (
     BrownoutController,
     BrownoutPolicy,
-    DomainBoard,
-    DomainPolicy,
     DomainState,
     HealthBoard,
     HealthPolicy,
@@ -169,17 +167,11 @@ class ServiceConfig:
     #: exercised against).
     worker_faults: WorkerFaultPlan | None = None
     #: Physical failure-domain hierarchy (worker -> node -> rack).
-    #: ``None`` = flat pool; every domain feature below requires it.
+    #: ``None`` = flat pool; domain faults require it.
     topology: Topology | None = None
     #: Correlated fault injection at domain granularity: silent node
     #: loss, HCA degradation, switch partitions.
     domain_faults: DomainFaultPlan | None = None
-    #: Domain-level breaker: k-of-n correlated worker strikes escalate
-    #: to a whole-node quarantine with a single probe per domain.
-    domain_health: DomainPolicy = dataclass_field(default_factory=DomainPolicy)
-    #: Place warm-pool / hedge replicas in a different failure domain
-    #: than the primary whenever one is available.
-    anti_affinity: bool = False
     #: Multi-tenant capacity control: per-tenant token-bucket quotas and
     #: weighted-fair dispatch.  A tenant-less policy keeps the whole
     #: subsystem inert — tenancy-free schedules byte-identical.
@@ -226,13 +218,8 @@ class ServiceConfig:
             racks = [spec.rack for spec in df.partitions]
             _within("domain fault", "node", nodes, self.topology.n_nodes, "topology")
             _within("partition", "rack", racks, self.topology.n_racks, "topology")
-        else:
-            if self.domain_faults is not None:
-                raise ValueError("domain_faults requires a topology")
-            if self.domain_health.enabled:
-                raise ValueError("domain_health requires a topology")
-            if self.anti_affinity:
-                raise ValueError("anti_affinity requires a topology")
+        elif self.domain_faults is not None:
+            raise ValueError("domain_faults requires a topology")
 
 
 def _within(fault: str, unit: str, targets, count: int, where: str) -> None:
@@ -308,7 +295,6 @@ def _features(cfg: ServiceConfig) -> tuple:
         ("health", HealthBoard, cfg.health.enabled and (cfg.health,)),
         (None, WorkerKills, bool(kills) and (kills,)),
         ("domains", DomainState, topo is not None and (topo, cfg.n_workers)),
-        ("domain_health", DomainBoard, cfg.domain_health.enabled and (cfg.domain_health,)),
     )
 
 
@@ -558,9 +544,7 @@ class _Campaign:
         self.resume = None  # asked only while a batch is parked
         self.rescale = lambda: None
         self.make_worker = service._make_worker
-        self.node_of = None  # worker -> failure domain, for placement
         self.send_timeout = lambda worker_id: None  # None: the send arrives
-        self.replica_index = lambda batch: 0  # the idle worker a replica takes
 
         self.parts: dict[str, object] = {
             "drain": self.drain,
@@ -596,7 +580,7 @@ class _Campaign:
 
     def _restore(self, ckpt: CampaignCheckpoint) -> None:
         """Rebuild campaign state from the last verified commit (the
-        breakers re-arm their probes when the run starts)."""
+        breaker re-arms its probes when the run starts)."""
         self.restored = True
         self.now = ckpt.time_s
         self.makespan = ckpt.makespan_s
@@ -1009,15 +993,9 @@ class _Campaign:
             self._dispatch_fresh(selected)
 
     def _dispatch_fresh(self, selected: list[RequestRecord]) -> None:
-        cfg = self.cfg
         self.queue.remove(selected)
         try:
-            decision = self.placement.place(
-                selected,
-                self.idle,
-                node_of=self.node_of,
-                anti_affinity=cfg.anti_affinity,
-            )
+            decision = self.placement.place(selected, self.idle)
         except ValueError as exc:
             # No decomposition fits the pool: the request can never run
             # here, so it fails terminally (structured, not silently).

@@ -157,8 +157,8 @@ class TestCheckpointBytes:
             CampaignCheckpoint.from_bytes(blob)
 
     def test_pre_parts_layout_rejected(self):
-        """The 22-field layout (one field per feature, no ``parts``) is
-        refused by the same shape check, not auto-detected."""
+        """The pre-``parts`` layout (one field per feature, no ``parts``)
+        is refused by the same shape check, not auto-detected."""
         from repro import codec
 
         old = _checkpoint().to_json()
@@ -166,7 +166,7 @@ class TestCheckpointBytes:
         old.update(
             preemptions=1, tunecache=None, drain=parts["drain"],
             arrival_rate={}, elastic={}, health={}, brownout={}, hedges={},
-            workers_killed=0, domain_health={}, domains={}, tenancy={},
+            workers_killed=0, domains={}, tenancy={},
         )
         blob = codec.encode_record(old, kind=codec.KIND_CAMPAIGN)
         with pytest.raises(codec.UnknownFormat, match="parts"):

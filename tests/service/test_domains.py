@@ -1,15 +1,12 @@
 """Tests for the failure-domain layer (PR 8).
 
 Covers the topology hierarchy (worker → node → rack), the correlated
-fault plan (silent node kill, HCA degrade, switch partition), the
-k-of-n :class:`~repro.service.health.DomainBoard` escalation,
-anti-affinity placement/hedging, cross-domain checkpoint mirroring, and
-the byte-identity guarantee: with every domain feature off, a pre-PR
-daemon campaign's report is byte-identical to the committed golden
-fixture.
+fault plan (silent node kill, HCA degrade, switch partition) against the
+per-worker breaker, time-to-isolate, cross-domain checkpoint mirroring,
+and the byte-identity guarantee: without a topology, a pre-PR daemon
+campaign's report is byte-identical to the committed golden fixture.
 """
 
-import dataclasses
 import json
 import pathlib
 
@@ -25,14 +22,8 @@ from repro.comms.faults import (
     WorkerFaultPlan,
 )
 from repro.service import (
-    HEALTHY,
-    PROBING,
-    QUARANTINED,
-    RETIRED_SICK,
     BatchPolicy,
     BrownoutPolicy,
-    DomainBoard,
-    DomainPolicy,
     ElasticPolicy,
     HealthPolicy,
     HedgePolicy,
@@ -44,7 +35,6 @@ from repro.service import (
     bursty_workload,
     spread_domain,
 )
-from repro.service.health import STRIKE_WINDOW_S
 
 DIMS = (4, 4, 4, 8)
 DATA = pathlib.Path(__file__).parent / "data"
@@ -62,7 +52,7 @@ def _workload(n=48, seed=23, **kwargs):
     return bursty_workload(n, seed=seed, **kwargs)
 
 
-def _domain_config(topology, *, domain_aware=True, **overrides):
+def _domain_config(topology, **overrides):
     kw = dict(
         queue_capacity=256,
         policy=BatchPolicy(max_batch=4),
@@ -72,8 +62,6 @@ def _domain_config(topology, *, domain_aware=True, **overrides):
         max_retries=4,
         seed=23,
         topology=topology,
-        domain_health=DomainPolicy(enabled=domain_aware, strike_k=2, cooldown_s=2e-3),
-        anti_affinity=domain_aware,
         health=HealthPolicy(
             enabled=True,
             min_samples=1,
@@ -120,6 +108,19 @@ class TestTopology:
             Topology.parse("0x2")
         with pytest.raises(ValueError):
             Topology(n_nodes=2, workers_per_node=1, n_racks=3)
+        # Racks tile ceil(n_nodes / n_racks) nodes each: four nodes in
+        # three racks fill racks 0 and 1 and leave rack 2 empty.
+        with pytest.raises(ValueError, match="rack 2 of 3 empty"):
+            Topology.parse("4x2@3")
+        with pytest.raises(ValueError, match="rack 3 of 4 empty"):
+            Topology(n_nodes=5, workers_per_node=1, n_racks=4)
+        # ``@`` promises a rack count.
+        with pytest.raises(ValueError, match="NODESxWORKERS"):
+            Topology.parse("3x2@")
+        # Every topology in use keeps a node in every rack.
+        for spec in ("2x1@2", "2x2@2", "3x2@3", "3x3@3", "4x2@2", "2x2", "3x3"):
+            topo = Topology.parse(spec)
+            assert all(topo.nodes_in_rack(r) for r in range(topo.n_racks)), spec
 
 
 class TestDomainFaultPlan:
@@ -188,63 +189,6 @@ class TestReseededStragglers:
         assert plan.straggler_factor(2) == 3.0
 
 
-class TestDomainBoard:
-    def _board(self, **kw):
-        kw.setdefault("enabled", True)
-        kw.setdefault("strike_k", 2)
-        return DomainBoard(DomainPolicy(**kw))
-
-    def test_k_distinct_workers_trip_the_domain(self):
-        board = self._board()
-        assert not board.observe_strike(0, 0, now=1e-3)
-        assert board.observe_strike(0, 1, now=2e-3)
-
-    def test_repeated_strikes_from_one_worker_do_not_trip(self):
-        board = self._board()
-        for t in (1e-3, 2e-3, 3e-3):
-            assert not board.observe_strike(0, 0, now=t)
-
-    def test_strikes_outside_window_expire(self):
-        board = self._board()
-        assert not board.observe_strike(0, 0, now=0.0)
-        # The first strike has expired when the second lands.
-        assert not board.observe_strike(0, 1, now=STRIKE_WINDOW_S + 1e-3)
-        # The second is still inside the window when the third lands.
-        assert board.observe_strike(0, 2, now=2 * STRIKE_WINDOW_S)
-
-    def test_breaker_lifecycle_and_retire(self):
-        board = self._board()
-        board.observe_strike(0, 0, now=0.0)
-        board.observe_strike(0, 1, now=1e-4)
-        dh = board.quarantine(0, now=1e-4)
-        assert dh.state == QUARANTINED and dh.probe_strikes == 1
-        board.start_probe(0)
-        assert board.state(0) == PROBING
-        board.reinstate(0)
-        assert board.state(0) == HEALTHY
-        assert dh.strikes == [] and dh.probe_strikes == 0
-        # Second trip, probe fails twice -> retired.
-        board.quarantine(0, now=2e-3)
-        board.quarantine(0, now=4e-3)
-        board.retire_sick(0)
-        assert board.state(0) == RETIRED_SICK
-        assert not board.is_serving(0)
-        assert board.retired == 1
-
-    def test_json_round_trip(self):
-        board = self._board()
-        board.observe_strike(1, 3, now=1e-3)
-        board.quarantine(1, now=1e-3)
-        clone = DomainBoard(board.policy)
-        clone.restore(board.to_json())
-        assert clone.to_json() == board.to_json()
-        assert clone.state(1) == QUARANTINED
-        # The hand-written field dict is what ``asdict`` used to deep-copy.
-        dh = board.tracker(1)
-        assert json.dumps(dh.to_json()) == json.dumps(dataclasses.asdict(dh))
-        assert dh.to_json()["strikes"][0] is not dh.strikes[0]
-
-
 class TestDomainState:
     def test_restore_round_trip_and_node_lookup(self):
         from repro.service.health import DomainState
@@ -302,31 +246,16 @@ class TestDomainCampaigns:
         assert dom["partitions"] == 1
         assert dom["partition_heals"] == 1
         assert "1" in dom["isolation_ms"]
-        assert dom["domain_quarantines"] >= 1
-
-    def test_time_to_isolate_on_beats_off(self):
-        """ISSUE acceptance: domain-aware isolation is strictly faster
-        than per-worker discovery, HIGH p99 no worse, nothing lost."""
-        from repro.bench.harness import run_ablation
-
-        result = run_ablation("domain_resilience")
-        assert result["time_to_isolate_ms_on"] is not None
-        assert result["time_to_isolate_ms_off"] is not None
-        assert (
-            result["time_to_isolate_ms_on"]
-            < result["time_to_isolate_ms_off"]
-        )
-        assert result["high_p99_off_vs_on"] >= 1.0
-        assert result["domain_on"]["failed"] == 0
-        assert result["domain_off"]["failed"] == 0
+        assert dom["topology"] == "3x3@3"
 
     @given(st.integers(0, 2**16 - 1))
     @settings(max_examples=8, deadline=None)
     def test_no_batch_dispatched_to_quarantined_domain(self, seed):
         """Property: the dispatch-time invariant — a batch handed to a
-        worker whose domain is quarantined raises ServiceInvariantError
-        inside serve(); any seed completing cleanly proves the property
-        held at every dispatch."""
+        worker that may not take traffic (quarantined, or its rack
+        partitioned) raises ServiceInvariantError inside serve(); any
+        seed completing cleanly proves the property held at every
+        dispatch."""
         cfg = _domain_config(
             self.TOPO,
             seed=seed,
@@ -366,8 +295,8 @@ class TestDomainCampaigns:
 
     def test_domain_state_survives_checkpoint_resume(self):
         """A crash *after* the node kill resumes with the dead node
-        still dead and the domain quarantine intact — quarantines do
-        not reset across scheduler restarts."""
+        still dead and the healed partition counted once — refired
+        fault events replay idempotently across scheduler restarts."""
         store = MirroredCheckpointStore(primary_domain=0, mirror_domain=2)
         cfg = _domain_config(
             self.TOPO,
@@ -386,12 +315,6 @@ class TestDomainCampaigns:
         assert dom["partition_heals"] == 1
 
     def test_disabled_domain_features_require_topology(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(
-                policy=BatchPolicy(),
-                n_workers=2,
-                anti_affinity=True,
-            )
         with pytest.raises(ValueError):
             ServiceConfig(
                 policy=BatchPolicy(),
@@ -430,19 +353,11 @@ class TestDomainCampaigns:
                 domain_faults=DomainFaultPlan().with_partition(5, at_s=1e-3),
             )
 
-    def test_anti_affinity_counters_surface_in_scorecard(self):
-        cfg = _domain_config(self.TOPO, domain_faults=self._faults())
-        rep = SolveService(cfg).serve(_workload(48)).report.to_json()
-        dom = rep["domains"]
-        assert "anti_affinity_placements" in dom
-        assert "anti_affinity_hedges" in dom
-        assert dom["topology"] == "3x3@3"
-
 
 class TestByteIdentity:
-    """ISSUE acceptance: with every domain feature disabled, an existing
-    daemon campaign's schedule — and therefore its report — is
-    byte-identical to the committed pre-PR fixture."""
+    """Without a topology, an existing daemon campaign's schedule — and
+    therefore its report — is byte-identical to the committed pre-PR
+    fixture."""
 
     def test_pre_pr_daemon_report_is_byte_identical(self):
         cfg = ServiceConfig(

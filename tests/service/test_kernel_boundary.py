@@ -25,7 +25,6 @@ from repro.comms.faults import DomainFaultPlan, WorkerFaultPlan
 from repro.service import (
     BatchPolicy,
     BrownoutPolicy,
-    DomainPolicy,
     ElasticPolicy,
     HealthPolicy,
     HedgePolicy,
@@ -85,8 +84,6 @@ def _every_feature(**overrides) -> dict:
         tenancy=TenancyPolicy.build(("a", "b")),
         worker_faults=WorkerFaultPlan().with_kill(1, at_s=1e-3),
         domain_faults=DomainFaultPlan().with_node_kill(1, at_s=1e-3),
-        domain_health=DomainPolicy(enabled=True),
-        anti_affinity=True,
     )
     config.update(overrides)
     return config
@@ -173,19 +170,18 @@ def test_features_off_register_nothing():
         assert getattr(campaign, name) == [], name
     assert campaign.select == campaign._select_fresh
     assert campaign.make_worker == campaign.service._make_worker
-    assert campaign.resume is None and campaign.node_of is None
+    assert campaign.resume is None
     assert campaign.send_timeout(0) is None
-    assert campaign.replica_index(None) == 0
 
 
 def test_each_feature_registers_its_own_kinds():
-    """Every feature on: the fourteen kinds keep their numbers, so the
+    """Every feature on: the thirteen kinds keep their numbers, so the
     same-time processing order is the one the kinds always had."""
     campaign = _campaign(**_every_feature())
-    assert sorted(campaign.handlers) == list(range(14))
+    assert sorted(campaign.handlers) == list(range(13))
     assert list(campaign.parts) == [
         "drain", "arrival_rate", "tunecache", "counters", "tenancy",
-        "brownout", "elastic", "hedge", "health", "domains", "domain_health",
+        "brownout", "elastic", "hedge", "health", "domains",
     ]
     # Registration order is hook order (DESIGN.md, "Daemon lifecycle").
     parts = campaign.parts

@@ -49,7 +49,6 @@ from repro.service import (
     BatchPolicy,
     BrownoutPolicy,
     CampaignCheckpointStore,
-    DomainPolicy,
     ElasticPolicy,
     HealthPolicy,
     HedgePolicy,
@@ -180,8 +179,6 @@ def _domain_config(topology, **overrides) -> ServiceConfig:
         max_retries=4,
         seed=23,
         topology=topology,
-        domain_health=DomainPolicy(enabled=True, strike_k=2, cooldown_s=2e-3),
-        anti_affinity=True,
         health=_BREAKER,
         hedge=HedgePolicy(enabled=True),
     )
@@ -189,13 +186,12 @@ def _domain_config(topology, **overrides) -> ServiceConfig:
     return ServiceConfig(**kw)
 
 
-def node_kill_domain_quarantine():
+def node_kill_silent():
     """``2x2@2``: worker 0 straggles, so its first batch (29.9 ms) is
-    hedged at 32.9 ms onto the other node; that node dies silently at
-    35 ms.  The replica times out with its partner still running, the
-    next dispatch to the node times out too, and the second worker
-    strike escalates to a domain quarantine whose probes fail until the
-    node is retired."""
+    hedged at 32.9 ms onto worker 1, on the same node; node 1 dies
+    silently at 35 ms.  The next dispatch to each of its two workers
+    times out and quarantines that worker alone, and their probes time
+    out until both are retired."""
     cfg = _domain_config(
         Topology.parse("2x2@2"),
         domain_faults=DomainFaultPlan(seed=23).with_node_kill(1, at_s=35e-3),
@@ -470,7 +466,7 @@ SCENARIOS = {
     "golden_daemon": golden_daemon,
     "worker_kill_retries_0": worker_kill_retries_0,
     "worker_kill_retries_2": worker_kill_retries_2,
-    "node_kill_domain_quarantine": node_kill_domain_quarantine,
+    "node_kill_silent": node_kill_silent,
     "rack_partition_heal": rack_partition_heal,
     "tenancy_brownout_shed": tenancy_brownout_shed,
     "crash_resume_plain_store": crash_resume_plain_store,

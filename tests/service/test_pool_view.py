@@ -2,11 +2,11 @@
 
 ``_Campaign.serving`` is the set of workers that may take traffic.  It
 is updated at the transitions that can change the answer (retire,
-scale-up, breaker and domain-breaker transitions, partition and heal,
-restore) instead of being recounted on every admission and completion.
-Here it is compared with a recount through ``_Campaign._eligible`` — the
-one predicate — whenever the scheduler reads it and after every event,
-over hand-picked and generated campaigns with health, domains, elastic
+scale-up, breaker transitions, partition and heal, restore) instead of
+being recounted on every admission and completion.  Here it is
+compared with a recount through ``_Campaign._eligible`` — the one
+predicate — whenever the scheduler reads it and after every event, over
+hand-picked and generated campaigns with health, domains, elastic
 pools, worker and node kills, partitions, and a scheduler crash resumed
 from a plain or a mirrored store.
 """
@@ -21,7 +21,6 @@ from repro.service import (
     BatchPolicy,
     BrownoutPolicy,
     CampaignCheckpointStore,
-    DomainPolicy,
     ElasticPolicy,
     HedgePolicy,
     MirroredCheckpointStore,
@@ -76,7 +75,7 @@ def pool_view_checked(monkeypatch):
     [
         "golden_daemon",
         "worker_kill_retries_2",
-        "node_kill_domain_quarantine",
+        "node_kill_silent",
         "rack_partition_heal",
         "tenancy_brownout_shed",
         "crash_resume_plain_store",
@@ -170,11 +169,6 @@ def _campaigns(draw):
         workers = workers.with_straggler(n_workers - 1, factor=3.0)
     kw["worker_faults"] = workers
     if topology is not None:
-        if draw(st.booleans()):
-            kw["domain_health"] = DomainPolicy(
-                enabled=True, strike_k=2, cooldown_s=2e-3
-            )
-        kw["anti_affinity"] = draw(st.booleans())
         plan = DomainFaultPlan(seed=kw["seed"], detect_s=1e-3)
         for node, at in draw(
             st.lists(

@@ -38,7 +38,7 @@ DOMAIN_CHAOS_ARGV = [
     "--iterations", "10", "--seed", "23",
     "--kill-node-at-ms", "2", "--kill-node", "0",
     "--partition-switch-at-ms", "3", "--partition-rack", "2", "--heal-ms", "2",
-    "--health", "--hedge", "--domain-quarantine", "--anti-affinity",
+    "--health", "--hedge",
     "--crash-scheduler-at-ms", "6.5",
 ]
 

@@ -10,7 +10,6 @@ from repro.core import RetryPolicy
 from repro.service import (
     BatchPolicy,
     BrownoutPolicy,
-    DomainPolicy,
     ElasticPolicy,
     HealthPolicy,
     HedgePolicy,
@@ -28,9 +27,21 @@ class TestParser:
         args = build_parser().parse_args(["solve", "--dims", "4,4,4,8"])
         assert args.dims == (4, 4, 4, 8)
 
-    def test_bad_dims_rejected(self):
+    def test_bad_dims_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--dims", "4,4"])
+        # Four fields are not enough: every subcommand applies the
+        # lattice's own check (even extents >= 2) as a usage error.
+        for command, dims, why in (
+            ("solve", "4,4,4,0", "must be >= 2"),
+            ("generate", "4,4,4,3", "must be even"),
+            ("spectrum", "4,4,4,-2", "must be >= 2"),
+            ("serve", "4,4,4,-8", "must be >= 2"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "--dims", dims])
+            assert exc.value.code == 2, command
+            assert why in capsys.readouterr().err, command
 
     def test_grid_parsing(self):
         args = build_parser().parse_args(["solve", "--grid", "2,4"])
@@ -406,14 +417,6 @@ _SERVE_FLAGS = {
                 0, at_s=4 * 1e-3, mean_heal_s=3 * 1e-3
             ),
         ),
-    ),
-    "domain_quarantine": (
-        [*_TOPO, "--domain-quarantine"],
-        dict(topology=Topology(2, 2, 2), domain_health=DomainPolicy(enabled=True)),
-    ),
-    "anti_affinity": (
-        [*_TOPO, "--anti-affinity"],
-        dict(topology=Topology(2, 2, 2), anti_affinity=True),
     ),
     "tenants": (
         ["--tenants", "atlas,bell"],

@@ -102,15 +102,15 @@ def _top_level_names(path: pathlib.Path) -> set[str]:
 
 #: Values no caller ever set to anything but their default, now module
 #: constants of the code that reads them (``max_strikes`` was a field of
-#: both ``HealthPolicy`` and ``DomainPolicy``).
+#: ``HealthPolicy`` and of the deleted domain breaker's policy).
 _RETIRED_KNOBS = {
     "service_time_hint_s",  # ServiceConfig: DrainEstimator's default
     "drain_alpha",  # ServiceConfig: DrainEstimator's default
     "tunecache",  # PlacementPolicy: the shared tunecache is always on
     "trigger_priority",  # PreemptionPolicy: PRIORITY_HIGH
     "victim_priority",  # PreemptionPolicy: PRIORITY_LOW
-    "max_strikes",  # HealthPolicy, DomainPolicy: health.MAX_STRIKES
-    "strike_window_s",  # DomainPolicy: health.STRIKE_WINDOW_S
+    "max_strikes",  # HealthPolicy: health.MAX_STRIKES
+    "strike_window_s",  # the deleted domain breaker's correlation window
     "hysteresis",  # BrownoutPolicy: health.BROWNOUT_HYSTERESIS
     "backoff_s",  # RetryPolicy: resilience.RELAUNCH_BACKOFF_S
     "checksum_gbps",  # IntegrityPolicy: faults.CHECKSUM_GBPS
@@ -124,7 +124,7 @@ _RETIRED_KNOBS = {
 #: Knobs per class: ``ServiceConfig``, every ``*Policy`` its fields
 #: hold, ``FaultPlan``, and ``SimWorker.__init__``'s keyword parameters.
 _KNOBS = {
-    "ServiceConfig": 26,
+    "ServiceConfig": 24,
     "BatchPolicy": 3,
     "PlacementPolicy": 2,
     "PreemptionPolicy": 3,
@@ -132,7 +132,6 @@ _KNOBS = {
     "HealthPolicy": 6,
     "HedgePolicy": 4,
     "BrownoutPolicy": 4,
-    "DomainPolicy": 3,
     "TenancyPolicy": 1,
     "RetryPolicy": 2,
     "IntegrityPolicy": 2,
@@ -142,8 +141,10 @@ _KNOBS = {
 
 #: ``add_argument`` calls in ``cli.py`` (``--no-tunecache`` went with
 #: ``PlacementPolicy.tunecache``; the four flags of ``repro profile``'s
-#: host-CPU mode went with its cProfile wrapper).
-_CLI_ARGUMENTS = 124
+#: host-CPU mode went with its cProfile wrapper; ``repro serve``'s two
+#: switches of the domain breaker and anti-affine placement went with
+#: them).
+_CLI_ARGUMENTS = 122
 
 
 def _classes() -> dict[str, ast.ClassDef]:
@@ -206,7 +207,7 @@ def test_the_configuration_surface_is_pinned():
     the change that does it."""
     counts = {name: len(fields) for name, fields in _knobs().items()}
     assert counts == _KNOBS
-    assert sum(counts.values()) == 81
+    assert sum(counts.values()) == 76
     assert len(_cli_arguments()) == _CLI_ARGUMENTS
 
 
