@@ -4,20 +4,30 @@ These measure the *simulator's* real execution speed (useful when working
 on the library); the paper-shape results come from the model-time benches
 in the other files.
 
-The dslash cases are the shapes the functional solver actually issues: a
-T-partitioned rank's fused kernel (clover multiply + xpay) on the
-``interior``, ``boundary`` and ``full`` regions of the 8^3 x 8 local
-volume of the ledger's ``solve-mixed`` (1,536 / 512 / 2,048 rows) and the
-4^3 x 8 local volume of ``solve-small-double`` (192 / 64 / 256), at every
-storage precision.  Two ways to run them::
+The dslash cases are a T-partitioned rank's fused kernel (clover
+multiply + xpay) on the ``interior``, ``boundary`` and ``full`` regions of
+the 8^3 x 8 local volume of the ledger's ``solve-mixed`` (1,536 / 512 /
+2,048 rows) and the 4^3 x 8 local volume of ``solve-small-double`` (192 /
+64 / 256), at every storage precision.  The solver issues one ``full``
+body per application — the overlapped exchange charges the interior and
+boundary kernels to the model clock but computes the parity once — so
+the region-partial cases measure the kernel, not a solve.  What a solve
+pays per application is the ``application`` case: one
+``DeviceSchurOperator.apply`` (two fused dslash applications with their
+face exchanges) on a 2-rank T-sliced world at both local volumes and every
+precision, in wall seconds of the whole world (the ranks take turns on
+one thread).  Two ways to run them::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py   # pytest-benchmark
     PYTHONPATH=src python benchmarks/bench_kernels.py --record change
+    PYTHONPATH=src python benchmarks/bench_kernels.py --case application --record change
 
-The second form writes per-call medians into ``BENCH_kernels.json`` under
-the given label; pointing ``PYTHONPATH`` at another checkout's ``src``
-records that commit with the identical benchmark code (the file uses only
-the public kernel/field API).  ``check_kernel_regression.py`` guards the
+The second form writes per-call medians of the dslash cases into
+``BENCH_kernels.json`` under the given label; the third writes the
+application cases into that file's ``application`` block.  Pointing
+``PYTHONPATH`` at another checkout's ``src`` records that commit with the
+identical benchmark code (the file uses only the public kernel, field,
+operator and SPMD API).  ``check_kernel_regression.py`` guards the
 committed numbers.
 """
 
@@ -30,7 +40,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.comms import QMPMachine, run_spmd
 from repro.core import blas
+from repro.core.dslash import DeviceSchurOperator
 from repro.gpu import (
     BACKWARD,
     FORWARD,
@@ -48,7 +60,7 @@ from repro.lattice import (
     random_spinor,
     weak_field_gauge,
 )
-from repro.lattice.evenodd import EVEN
+from repro.lattice.evenodd import EVEN, full_to_parity
 
 DIMS = (8, 8, 8, 8)
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -110,6 +122,48 @@ def fused_dslash_case(volume: str, region: str, precision: str):
     return apply, tables.rows_for(region, (3,)).size
 
 
+APPLICATION_CASES = [
+    (volume, precision.name.lower()) for volume in LOCAL_VOLUMES for precision in Precision
+]
+
+
+def schur_application_seconds(volume: str, precision: str, *, calls: int = 30) -> float:
+    """Median wall seconds of one ``DeviceSchurOperator.apply`` on a 2-rank
+    world T-sliced into ``volume`` per rank, after two warm-up calls.
+
+    Rank 0 times each of its applications; with one rank running at a time
+    that span covers both ranks' work, so the median is the world's.
+    """
+    rng = np.random.default_rng(1)
+    local = LOCAL_VOLUMES[volume]
+    geo = LatticeGeometry(local[:3] + (2 * local[3],))
+    prec = Precision.parse(precision)
+    host_gauge = weak_field_gauge(geo, rng, 0.1)
+    blocks = make_clover(host_gauge).data
+    psi = rng.standard_normal((geo.volume, 4, 3)) + 1j * rng.standard_normal((geo.volume, 4, 3))
+    slicing = geo.slice_grid(1, 2)
+
+    def rank(comm):
+        gpu = VirtualGPU(enforce_memory=False, name=f"gpu{comm.rank}")
+        comm.bind_timeline(gpu.timeline)
+        slab = slicing.local_sites(comm.rank)
+        op = DeviceSchurOperator.setup(
+            gpu, QMPMachine(comm), slicing.locals[comm.rank],
+            host_gauge.data[:, slab], blocks[slab], 0.1, precision=prec,
+        )
+        src, tmp, dst = (op.make_spinor(label) for label in ("src", "tmp", "dst"))
+        src.set(full_to_parity(slicing.locals[comm.rank], psi[slab], EVEN))
+        samples = []
+        for _ in range(calls + 2):
+            start = time.perf_counter()
+            op.apply(src, tmp, dst)
+            samples.append(time.perf_counter() - start)
+            gpu.timeline.ops.clear()  # the model clock is not what is timed
+        return statistics.median(samples[2:])
+
+    return run_spmd(2, rank)[0]
+
+
 def median_seconds(apply, *, budget_s: float = 0.5, min_calls: int = 20) -> float:
     """Median wall seconds of one call, after two warm-up calls."""
     apply()
@@ -135,6 +189,19 @@ def measure_all() -> dict:
     return out
 
 
+def measure_applications() -> dict:
+    """Per-application medians (milliseconds) of every application case,
+    with the rows of one parity on one rank."""
+    out = {}
+    for volume, precision in APPLICATION_CASES:
+        rows = LatticeGeometry(LOCAL_VOLUMES[volume]).half_volume
+        out[case_name(volume, "application", precision)] = {
+            "rows": rows,
+            "ms_per_call": round(1e3 * schur_application_seconds(volume, precision), 4),
+        }
+    return out
+
+
 @pytest.fixture(scope="module")
 def setup():
     rng = np.random.default_rng(1)
@@ -155,6 +222,14 @@ def test_host_wilson_clover_apply(benchmark, setup):
 def test_device_fused_dslash(benchmark, volume, region, precision):
     apply, _ = fused_dslash_case(volume, region, precision)
     benchmark(apply)
+
+
+@pytest.mark.parametrize("volume,precision", APPLICATION_CASES)
+def test_schur_application(benchmark, volume, precision):
+    benchmark.pedantic(
+        schur_application_seconds, args=(volume, precision), kwargs={"calls": 5},
+        rounds=1, iterations=1,
+    )
 
 
 def test_clover_construction(benchmark, setup):
@@ -204,8 +279,13 @@ def main(argv=None) -> int:
         help="store the medians under LABEL (e.g. parent, change) in the baseline file",
     )
     parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
+    parser.add_argument(
+        "--case", choices=("dslash", "application"), default="dslash",
+        help="the fused dslash kernel per region, or one operator application",
+    )
     args = parser.parse_args(argv)
-    results = measure_all()
+    application = args.case == "application"
+    results = measure_applications() if application else measure_all()
     for name, row in results.items():
         print(f"{name:32s} {row['rows']:5d} rows  {row['ms_per_call']:8.3f} ms/call")
     if args.record:
@@ -216,7 +296,15 @@ def main(argv=None) -> int:
             "application (clover + xpay), benchmarks/bench_kernels.py, BLAS pinned "
             "to one thread",
         )
-        doc[args.record] = results
+        block = doc
+        if application:
+            block = doc.setdefault("application", {
+                "what": "per-application wall-clock medians (ms) of one "
+                "DeviceSchurOperator.apply on a 2-rank T-sliced world (both ranks' "
+                "work), benchmarks/bench_kernels.py --case application, BLAS pinned "
+                "to one thread",
+            })
+        block[args.record] = results
         args.baseline.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"recorded {len(results)} case(s) under {args.record!r} in {args.baseline}")
     return 0

@@ -24,6 +24,8 @@ term with either communication strategy:
     ``cudaMemcpyAsync`` carries ~4x the latency of a synchronous copy
     (Fig. 7), this strategy *loses* when the local volume is too small to
     hide the extra setup cost — the surprising plateau of Fig. 5(b).
+    The split is the model clock's: the host computes the parity once,
+    in the boundary kernel's call, after the ghosts are stored.
 
 **Multi-dimensional decomposition** (Section VI-A future work): when the
 QMP machine partitions several lattice directions, each partitioned
@@ -56,6 +58,7 @@ from ..gpu.fields import BACKWARD, FORWARD, DeviceCloverField, DeviceGaugeField,
 from ..gpu.kernels import (
     DslashTables,
     dslash_kernel,
+    dslash_launch,
     gather_face_kernel,
     project_face,
 )
@@ -180,18 +183,18 @@ def dslash_with_exchange(
         if qmp is not None
         else ()
     )
-    kernel_kwargs = dict(
-        dagger=dagger,
+    launch_kwargs = dict(
         clover=clover,
         clover_target=clover_target,
         xpay=xpay,
+        stream=STREAM_COMPUTE,
         occupancy=occupancy,
         camping=camping,
     )
     if not dirs:
         dslash_kernel(
             gpu, tables, gauge, src, dst, region="full", partitioned=(),
-            stream=STREAM_COMPUTE, **kernel_kwargs,
+            dagger=dagger, **launch_kwargs,
         )
         return
 
@@ -201,7 +204,7 @@ def dslash_with_exchange(
         _no_overlap_exchange(gpu, qmp, tables, plans, src, dagger, occupancy)
         dslash_kernel(
             gpu, tables, gauge, src, dst, region="full", partitioned=dirs,
-            stream=STREAM_COMPUTE, **kernel_kwargs,
+            dagger=dagger, **launch_kwargs,
         )
         return
 
@@ -236,10 +239,10 @@ def dslash_with_exchange(
 
     # Interior kernel runs concurrently with everything below.  (Gather
     # kernels above serialize with it on the compute engine — the real
-    # GT200 constraint; temporal-only runs have none.)
-    dslash_kernel(
-        gpu, tables, gauge, src, dst, region="interior", partitioned=dirs,
-        stream=STREAM_COMPUTE, **kernel_kwargs,
+    # GT200 constraint; temporal-only runs have none.)  Only its launch is
+    # charged here: the boundary kernel computes the whole parity.
+    dslash_launch(
+        gpu, tables, gauge, src, region="interior", partitioned=dirs, **launch_kwargs
     )
 
     # Gather the faces to the host asynchronously, then message-pass as
@@ -270,14 +273,15 @@ def dslash_with_exchange(
         _verify_ghost(qmp, mu, -1, ghost_back, chk_back)
         _verify_ghost(qmp, mu, +1, ghost_fwd, chk_fwd)
 
-    # Boundary kernel waits for all ghost uploads, then completes dst.
+    # Boundary kernel waits for all ghost uploads, then completes dst —
+    # on the host, one body over the whole parity, interior rows included.
     for mu in dirs:
         s_back, s_fwd = _face_streams(mu)
         timeline.stream_wait_event(STREAM_COMPUTE, timeline.record_event(s_back))
         timeline.stream_wait_event(STREAM_COMPUTE, timeline.record_event(s_fwd))
     dslash_kernel(
         gpu, tables, gauge, src, dst, region="boundary", partitioned=dirs,
-        stream=STREAM_COMPUTE, **kernel_kwargs,
+        dagger=dagger, whole_parity=True, **launch_kwargs,
     )
 
 

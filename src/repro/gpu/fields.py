@@ -178,8 +178,9 @@ class DeviceSpinorField:
 
         Half precision quantizes each site against its own norm, so writing
         a subset of rows stores exactly what :meth:`set` of the whole field
-        would store in them — a region-partial kernel needs no
-        read-modify-write of the rest.
+        would store in them — a region-partial dslash body (called directly;
+        a solve's body covers the whole parity and uses :meth:`set_working`)
+        needs no read-modify-write of the rest.
         """
         if not self.gpu.execute:
             return
@@ -252,7 +253,8 @@ class DeviceSpinorField:
         """Store a received face into the end zone.
 
         ``halves``: complex half-spinors ``(faces[mu], 2, 3)``.  For half
-        precision the face was transferred quantized; pass its norms.
+        precision the face was transferred quantized; pass its norms, and
+        it is stored against them (:func:`~repro.gpu.precision.quantize_block`).
         ``mu`` selects the partitioned direction (temporal by default).
         """
         if not self.gpu.execute:
@@ -262,16 +264,9 @@ class DeviceSpinorField:
         if halves.shape != (n, 2, 3):
             raise ValueError(f"expected {(n, 2, 3)}, got {halves.shape}")
         if self.precision.needs_norm:
-            reals = matrices_to_reals(halves)
-            if norms is None:
-                self._ghost[key][...], self._ghost_norms[key][...] = quantize_block(
-                    reals
-                )
-            else:
-                safe = np.where(norms == 0.0, 1.0, norms).astype(np.float32)
-                scaled = reals / safe[:, None] * 32767.0
-                self._ghost[key][...] = np.round(scaled).astype(np.int16)
-                self._ghost_norms[key][...] = norms
+            self._ghost[key][...], self._ghost_norms[key][...] = quantize_block(
+                matrices_to_reals(halves), norms
+            )
         else:
             self._ghost[key][...] = halves
 
@@ -543,8 +538,9 @@ class DeviceCloverField:
         """Chiral blocks in compute dtype: of every site, or of ``rows``.
 
         Half precision decodes on every call, and only the sites asked
-        for: a region-partial kernel pays for its rows, not the field, and
-        nothing field-sized is kept beside the store.
+        for: a region-partial dslash body (called directly, not by a solve)
+        pays for its rows, not the field, and nothing field-sized is kept
+        beside the store.
         """
         self._require_execute()
         if not self.precision.needs_norm:
@@ -564,8 +560,9 @@ class DeviceCloverField:
     def apply_rows(self, psi_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Apply the blocks of a site subset to matching spinor rows.
 
-        Used by the fused dslash kernels, whose region may cover only the
-        interior or boundary rows.
+        Used by a region-partial fused dslash body (interior or boundary
+        rows, called directly); a solve's body covers the whole parity and
+        uses :meth:`apply`.
         """
         from ..lattice.fields import apply_chiral_blocks
 

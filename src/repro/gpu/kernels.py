@@ -21,6 +21,11 @@ Kernel regions implement the overlap strategy of Section VI-D: the
 *interior* region touches no ghost data and can run while faces are in
 flight; the *boundary* region (the local boundary slices of every
 partitioned direction) reads the spinor end zone and the gauge ghosts.
+The split is a fact of the GPU timeline, and the model clock charges it
+launch by launch; the host arithmetic need not follow it.  The
+overlapped exchange charges its interior kernel with
+:func:`dslash_launch` alone and computes the whole parity once, in the
+call that charges the boundary kernel after the ghosts have landed.
 
 **Multi-dimensional decomposition** (Section VI-A future work): the
 kernel accepts any subset of the partitionable directions {Z, T} via the
@@ -35,16 +40,19 @@ of the eight hops is projected to a half spinor *first* and the link
 multiplies 2 x 3, not 4 x 3 (Sections V-C2 / VI-C — the trick that also
 halves the face traffic).  Fields are traversed with the site index
 fastest (eqs. (4)-(5)): every work array has the sites as its last axis,
-in the *region order* of a :class:`HopPlan`, so the interior, boundary
-and full regions are slices of every table and each arithmetic step is
-one vectorised call over the site axis.  And "the link matrices are
-constant throughout the execution of the linear solver" (Section VI-B):
-links are read from a table the gauge field holds
+in the *checkerboard order* of the stores, so a full-parity body reads
+the link table, the neighbour columns of a :class:`HopPlan`, the clover
+store, the xpay operand and the destination as slices — no row gather,
+no row scatter — and each arithmetic step is one vectorised call over
+the site axis.  And "the link matrices are constant throughout the
+execution of the linear solver" (Section VI-B): links are read from a
+table the gauge field holds
 (:meth:`~repro.gpu.fields.DeviceGaugeField.derived`) — decoded,
 reconstructed, phases folded in, every link once — not re-derived per
 call.  Spinor bodies and clover blocks change or are cheap to decode, so
-those are decoded from their stores on each call, and only the rows the
-region needs; results are written row-wise.
+those are decoded from their stores on each call.  A solve runs one
+full-parity body per application; a region-partial body (direct callers
+only) selects its rows by index and writes them row-wise.
 
 **Arithmetic.**  A hop is evaluated in double precision from the stored
 values and rounded to the field's compute precision once, as it is added
@@ -88,6 +96,7 @@ __all__ = [
     "FaceTables",
     "dslash_tables",
     "dslash_table_counts",
+    "dslash_launch",
     "dslash_kernel",
     "clover_kernel",
     "gather_face_kernel",
@@ -159,7 +168,7 @@ class GhostHop:
     #: ``2 * mu`` for the forward gather (reads the FORWARD end zone),
     #: ``2 * mu + 1`` for the backward one (reads the BACKWARD end zone).
     hop: int
-    #: Columns of :attr:`HopPlan.order` holding this face's targets ...
+    #: The target rows (cb indices, ascending) on this face ...
     cols: np.ndarray
     #: ... and each one's position within the ghost face.
     ordinals: np.ndarray
@@ -177,44 +186,36 @@ class GhostHop:
 class HopPlan:
     """Where each hop reads, for one (tables, partitioned dirs) pair.
 
-    Target rows are taken in *region order* — the interior rows, then the
-    boundary rows — so each of the three kernel regions is one contiguous
-    span of columns, and anything tabulated in this order is sliced per
-    call, never gathered.  Indices only: safe to share between ranks.
+    Column ``j`` is target row ``j``: targets are taken in checkerboard
+    order, the order of every store, so the one body a solve runs per
+    application (the whole parity) reads each table, and each field, as
+    a slice.  A region-partial body selects its rows by index.  Indices
+    only: safe to share between ranks.
 
     The link table the gauge field holds (:func:`_hop_links`) has one
-    column per lattice site: the even sites in the region order of the
-    even-target plan, then the odd sites in that of the odd-target plan.
-    A forward hop multiplies by the link *at* the target, a contiguous
-    span of that table; a backward hop by the adjoint of the link at
-    ``x - mu``, a site of the other parity, found through
+    column per lattice site: the even sites in cb order, then the odd
+    sites.  A forward hop multiplies by the link *at* the target, the
+    span from :attr:`link_base`; a backward hop by the adjoint of the
+    link at ``x - mu``, a site of the other parity, found through
     :attr:`bwd_link` — so every link is tabulated once, not once per
     orientation.
     """
 
-    #: Target rows: ``rows_for("interior")`` then ``rows_for("boundary")``.
-    order: np.ndarray
-    n_interior: int
     #: ``(8, Vh)`` source-parity cb index of hop ``k``'s neighbour of
-    #: ``order[j]``.  A ghost target keeps its periodic-wrap neighbour so
+    #: target ``j``.  A ghost target keeps its periodic-wrap neighbour so
     #: that every index is valid; the kernel overwrites those columns
     #: from the end zone.
     nbr: np.ndarray
     #: Link-table column of the first target (``target_parity * Vh``).
     link_base: int
-    #: ``(4, Vh)`` link-table column of ``order[j] - mu``.
+    #: ``(4, Vh)`` link-table column of ``j - mu``:
+    #: ``(1 - target_parity) * Vh + nbr_bwd``.
     bwd_link: np.ndarray
     #: Per direction: ``None``, or ``(Vh,)`` signs where the boundary phase
     #: of the backward hop differs from the one folded into the link it
     #: borrows (a sub-lattice wrapped onto itself; never in a solve).
     bwd_sign: tuple
     ghosts: tuple[GhostHop, ...]
-
-    def span(self, region: str) -> tuple[int, int]:
-        """Column range of a kernel region."""
-        if region == "interior":
-            return 0, self.n_interior
-        return (self.n_interior if region == "boundary" else 0), self.order.size
 
 
 @dataclass(frozen=True)
@@ -300,15 +301,8 @@ class DslashTables:
             self._plan_cache[dirs] = self._build_hop_plan(dirs)
         return self._plan_cache[dirs]
 
-    def region_order(self, dirs: tuple[int, ...]) -> np.ndarray:
-        """Target rows with the interior first, then the boundary."""
-        return np.concatenate(
-            [self.rows_for("interior", dirs), self.rows_for("boundary", dirs)]
-        )
-
     def _build_hop_plan(self, dirs: tuple[int, ...]) -> HopPlan:
-        order = self.region_order(dirs)
-        vh = order.size
+        vh = self.n_sites
         ghosts = []
         for mu in dirs:
             f = self.face(mu)
@@ -316,31 +310,22 @@ class DslashTables:
                 (0, f.on_high, f.ordinal_high),
                 (1, f.on_low, f.ordinal_low),
             ):
-                cols = np.nonzero(mask[order])[0]
-                ghosts.append(GhostHop(2 * mu + step, cols, ordinal[order[cols]]))
-        # x - mu sits at cb index nbr_bwd of the other parity, which the
-        # link table lists in *that* parity's region order.
+                cols = np.nonzero(mask)[0]
+                ghosts.append(GhostHop(2 * mu + step, cols, ordinal[cols]))
+        # x - mu sits at cb index nbr_bwd of the other parity, which is
+        # the other half of the link table.
         other = dslash_tables(self.geometry, 1 - self.target_parity)
-        other_column = np.empty(vh, dtype=np.intp)
-        other_column[other.region_order(dirs)] = (1 - self.target_parity) * vh + np.arange(vh)
-        behind = self.nbr_bwd[:, order]
-        borrowed = other.ph_fwd[np.arange(NDIM)[:, None], behind]
-        sign = borrowed * self.ph_bwd[:, order]
+        borrowed = other.ph_fwd[np.arange(NDIM)[:, None], self.nbr_bwd]
+        sign = borrowed * self.ph_bwd
         for g in ghosts:
             if g.direction == BACKWARD:
                 sign[g.mu, g.cols] = 1.0  # those columns read the ghost link
         return HopPlan(
-            order=order,
-            n_interior=self.rows_for("interior", dirs).size,
             nbr=np.stack(
-                [
-                    nbr[mu][order]
-                    for mu in range(NDIM)
-                    for nbr in (self.nbr_fwd, self.nbr_bwd)
-                ]
+                [nbr[mu] for mu in range(NDIM) for nbr in (self.nbr_fwd, self.nbr_bwd)]
             ).astype(np.int32),
             link_base=self.target_parity * vh,
-            bwd_link=other_column[behind].astype(np.int32),
+            bwd_link=((1 - self.target_parity) * vh + self.nbr_bwd).astype(np.int32),
             bwd_sign=tuple(None if np.all(s == 1.0) else s.copy() for s in sign),
             ghosts=tuple(ghosts),
         )
@@ -593,40 +578,27 @@ def gather_face_kernel(
 # ---------------------------------------------------------------------- #
 
 
-def dslash_kernel(
+def dslash_launch(
     gpu: VirtualGPU,
     tables: DslashTables,
     gauge: DeviceGaugeField,
     src: DeviceSpinorField,
-    dst: DeviceSpinorField,
     *,
     region: str = "full",
     partitioned=(),
-    dagger: bool = False,
     clover: DeviceCloverField | None = None,
     clover_target: str = "result",
     xpay: tuple[complex, DeviceSpinorField] | None = None,
     stream: int = 0,
     occupancy: float = 1.0,
     camping: bool = False,
-) -> None:
-    """Apply the hopping term to ``src`` and write ``dst`` (one parity).
+) -> tuple[int, ...]:
+    """Charge one dslash kernel of ``region`` to the model clock.
 
-    The two fusion patterns of QUDA's even-odd operator are supported:
-
-    * ``clover_target="result"`` (inner kernel):
-      ``dst = x? + a? * ( A @ (D src) )`` — pass ``A'^{-1}_oo`` to build
-      the odd temporary of the preconditioned matrix.
-    * ``clover_target="xpay"`` (outer kernel, requires ``xpay=(a, x)``):
-      ``dst = A @ x + a * (D src)`` — pass ``A'_ee`` and ``a = -1/4`` to
-      finish ``Mhat psi = A'_e psi - (1/4) D_eo A'^{-1}_oo D_oe psi``.
-
-    ``partitioned`` selects the decomposed directions: ``(3,)`` is the
-    paper's temporal-only slicing; ``(2, 3)`` activates the
-    multi-dimensional extension.  Ghost data is read from ``src``'s end
-    zone (the transferred field is the dslash *source*) and the gauge
-    ghost slices; ``region`` selects full/interior/boundary rows so the
-    overlap strategy can split the work (Section VI-D2).
+    The timeline half of :func:`dslash_kernel`: the region's traffic and
+    flops, with the same arguments.  Nothing is computed; the overlapped
+    exchange charges its interior kernel with this alone (module
+    docstring).  Returns the normalized partitioned directions.
     """
     if clover_target not in ("result", "xpay"):
         raise ValueError(f"bad clover_target {clover_target!r}")
@@ -649,25 +621,105 @@ def dslash_kernel(
         occupancy=occupancy,
         camping=camping,
     )
-    if not gpu.execute or rows.size == 0:
-        return
+    return dirs
 
-    # ----- functional body: project, multiply, reconstruct --------------- #
-    # Site index last on every array, rows in the region order of the hop
-    # plan; a hop is evaluated in double and rounded to the field's
-    # precision as it is accumulated (module docstring, "Data flow" and
-    # "Arithmetic").
+
+def dslash_kernel(
+    gpu: VirtualGPU,
+    tables: DslashTables,
+    gauge: DeviceGaugeField,
+    src: DeviceSpinorField,
+    dst: DeviceSpinorField,
+    *,
+    region: str = "full",
+    partitioned=(),
+    dagger: bool = False,
+    clover: DeviceCloverField | None = None,
+    clover_target: str = "result",
+    xpay: tuple[complex, DeviceSpinorField] | None = None,
+    stream: int = 0,
+    occupancy: float = 1.0,
+    camping: bool = False,
+    whole_parity: bool = False,
+) -> None:
+    """Apply the hopping term to ``src`` and write ``dst`` (one parity).
+
+    The two fusion patterns of QUDA's even-odd operator are supported:
+
+    * ``clover_target="result"`` (inner kernel):
+      ``dst = x? + a? * ( A @ (D src) )`` — pass ``A'^{-1}_oo`` to build
+      the odd temporary of the preconditioned matrix.
+    * ``clover_target="xpay"`` (outer kernel, requires ``xpay=(a, x)``):
+      ``dst = A @ x + a * (D src)`` — pass ``A'_ee`` and ``a = -1/4`` to
+      finish ``Mhat psi = A'_e psi - (1/4) D_eo A'^{-1}_oo D_oe psi``.
+
+    ``partitioned`` selects the decomposed directions: ``(3,)`` is the
+    paper's temporal-only slicing; ``(2, 3)`` activates the
+    multi-dimensional extension.  Ghost data is read from ``src``'s end
+    zone (the transferred field is the dslash *source*) and the gauge
+    ghost slices; ``region`` selects full/interior/boundary rows so the
+    overlap strategy can split the work (Section VI-D2).
+    ``whole_parity`` charges ``region`` but computes every row: the
+    overlapped exchange's boundary kernel, whose interior kernel was
+    charged by :func:`dslash_launch` and computed nothing.
+    """
+    dirs = dslash_launch(
+        gpu, tables, gauge, src, region=region, partitioned=partitioned,
+        clover=clover, clover_target=clover_target, xpay=xpay,
+        stream=stream, occupancy=occupancy, camping=camping,
+    )
+    if not gpu.execute:
+        return
+    rows = tables.rows_for(region, dirs)
+    if whole_parity or rows.size == tables.n_sites:
+        rows = None
+    elif rows.size == 0:
+        return
+    _dslash_body(
+        tables, gauge, src, dst, dirs, rows,
+        dagger=dagger, clover=clover, clover_target=clover_target, xpay=xpay,
+    )
+
+
+def _dslash_body(
+    tables: DslashTables,
+    gauge: DeviceGaugeField,
+    src: DeviceSpinorField,
+    dst: DeviceSpinorField,
+    dirs: tuple[int, ...],
+    rows: np.ndarray | None,
+    *,
+    dagger: bool,
+    clover: DeviceCloverField | None,
+    clover_target: str,
+    xpay: tuple[complex, DeviceSpinorField] | None,
+) -> None:
+    """The arithmetic of :func:`dslash_kernel`: project, multiply,
+    reconstruct, then the fused epilogue, for the target rows ``rows``
+    (ascending) or, ``None``, the whole parity.
+
+    Site index last on every array, targets in cb order; a hop is
+    evaluated in double and rounded to the field's precision as it is
+    accumulated (module docstring, "Data flow" and "Arithmetic").  The
+    whole parity reads every table and field as a slice; ``rows`` are
+    selected by index, and only their ghost columns are read.
+    """
     cdtype = src.precision.complex_compute_dtype
     plan = tables.hop_plan(dirs)
-    first, last = plan.span(region)
-    rows = plan.order[first:last]
-    n = rows.size
+    if rows is None:
+        n = tables.n_sites
+        cols = slice(None)
+        at_target = slice(plan.link_base, plan.link_base + n)
+        ghosts = [(g, g.cols, slice(None)) for g in plan.ghosts]
+    else:
+        n = rows.size
+        cols = rows
+        at_target = plan.link_base + rows
+        ghosts = _ghosts_among(plan.ghosts, rows)
     links = gauge.derived(
-        ("hop_links", tables.geometry, dirs),
-        lambda: _hop_links(tables.geometry, gauge, dirs),
+        ("hop_links", tables.geometry), lambda: _hop_links(tables.geometry, gauge)
     )
     spin_q, spin_r = _hop_spin(src.basis, dagger)
-    ghosts = plan.ghosts if last > plan.n_interior else ()
     if ghosts:
         ghost_links = gauge.derived(
             ("ghost_links", tables.geometry, tables.target_parity, dirs),
@@ -682,36 +734,33 @@ def dslash_kernel(
         # U_mu(x - mu) backward (the conjugate, indices as stored).
         if backward:
             u = np.take(
-                links[mu].reshape(9, -1), plan.bwd_link[mu, first:last], axis=1,
-                mode="clip",
+                links[mu].reshape(9, -1), plan.bwd_link[mu, cols], axis=1, mode="clip"
             ).reshape(3, 3, n)
             np.conjugate(u, out=u)
             if plan.bwd_sign[mu] is not None:
-                u *= plan.bwd_sign[mu][first:last].astype(u.real.dtype)
+                u *= plan.bwd_sign[mu][cols].astype(u.real.dtype)
         else:
-            at_target = slice(plan.link_base + first, plan.link_base + last)
-            u = links[mu, :, :, at_target].transpose(1, 0, 2)
+            u = links[mu][:, :, at_target].transpose(1, 0, 2)
         # Half spinor Q psi(x +/- mu) of every target: 2 x 3 a site.
-        psi = np.take(source, plan.nbr[k, first:last], axis=1, mode="clip")
+        psi = np.take(source, plan.nbr[k, cols], axis=1, mode="clip")
         half = (spin_q[k] @ psi.reshape(4, 3 * n)).reshape(2, 3, n)
         # U (2 x 3): three multiply-adds over the site axis.
         u_half = u[0] * half[:, 0, None]
         u_half += u[1] * half[:, 1, None]
         u_half += u[2] * half[:, 2, None]
         hop = (spin_r[k] @ u_half.reshape(2, 3 * n)).reshape(4, 3, n)
-        for g in ghosts:
+        for g, at, which in ghosts:
             if g.hop == k:
                 # A target on the face reads the end zone instead, whose
                 # half spinors arrived projected (Section VI-C), and going
                 # backward the neighbouring rank's link (Section VI-B).
-                cols = g.cols - first
-                face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals]
-                u_cols = ghost_links[k] if backward else u[:, :, cols]
+                face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals[which]]
+                u_cols = ghost_links[k][:, :, which] if backward else u[:, :, at]
                 u_t = np.ascontiguousarray(u_cols.transpose(2, 0, 1))
                 u_face = np.matmul(face, u_t).transpose(1, 2, 0)
-                hop[:, :, cols] = (
-                    spin_r[k] @ u_face.reshape(2, 3 * cols.size)
-                ).reshape(4, 3, cols.size)
+                hop[:, :, at] = (
+                    spin_r[k] @ u_face.reshape(2, 3 * at.size)
+                ).reshape(4, 3, at.size)
         if acc is None:
             acc = hop.astype(cdtype)
         else:
@@ -721,15 +770,34 @@ def dslash_kernel(
     out = np.ascontiguousarray(acc.reshape(12, n).T).reshape(n, 4, 3)
 
     # ----- fused epilogue: clover multiply and accumulate ---------------- #
+    def apply_clover(psi):
+        return clover.apply(psi) if rows is None else clover.apply_rows(psi, rows)
+
     if clover is not None and clover_target == "result":
-        out = clover.apply_rows(out, rows)
+        out = apply_clover(out)
     if xpay is not None:
         coeff, x_field = xpay
         x_rows = x_field.working(rows)
         if clover is not None and clover_target == "xpay":
-            x_rows = clover.apply_rows(x_rows, rows)
+            x_rows = apply_clover(x_rows)
         out = x_rows + np.asarray(coeff, dtype=cdtype) * out
-    dst.set_rows(rows, out)
+    if rows is None:
+        dst.set_working(out)
+    else:
+        dst.set_rows(rows, out)
+
+
+def _ghosts_among(ghosts: tuple[GhostHop, ...], rows: np.ndarray) -> list:
+    """The ghost hops of a region-partial body over ``rows`` (ascending):
+    ``(hop, positions of its targets within rows, which of its entries
+    those are)``, for each hop with a target among ``rows``."""
+    out = []
+    for g in ghosts:
+        at = np.searchsorted(rows, g.cols)
+        which = np.nonzero(rows[np.minimum(at, rows.size - 1)] == g.cols)[0]
+        if which.size:
+            out.append((g, at[which], which))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -754,26 +822,18 @@ def _hop_spin(basis: str, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _hop_links(
-    geometry: LatticeGeometry, gauge: DeviceGaugeField, dirs: tuple[int, ...]
-) -> np.ndarray:
+def _hop_links(geometry: LatticeGeometry, gauge: DeviceGaugeField) -> np.ndarray:
     """The ``(4, 3, 3, V)`` link table behind every application.
 
     ``[mu, :, :, c]`` is ``U_mu`` at the site of column ``c`` — the even
-    sites in the region order of the even-target hop plan, then the odd
-    sites in that of the odd-target plan (see :class:`HopPlan`) — decoded,
-    reconstructed, multiplied by the boundary phase of the forward hop out
-    of that site, site index fastest.
+    sites in cb order, then the odd sites (see :class:`HopPlan`) —
+    decoded, reconstructed, multiplied by the boundary phase of the
+    forward hop out of that site, site index fastest.
     """
     links = np.empty(
         (NDIM, 3, 3, geometry.volume), dtype=gauge.precision.complex_compute_dtype
     )
-    sites = np.concatenate(
-        [
-            tables.tgt_sites[tables.hop_plan(dirs).order]
-            for tables in (dslash_tables(geometry, 0), dslash_tables(geometry, 1))
-        ]
-    )
+    sites = np.concatenate(geometry.sites_of_parity)
     phase = geometry.boundary_phase_fwd[:, sites].astype(links.real.dtype)
     for mu in range(NDIM):
         u_mu = gauge.links(mu)[sites]
@@ -797,7 +857,7 @@ def _ghost_links(
     for g in plan.ghosts:
         if g.direction == BACKWARD:
             ghost = gauge.ghost_links(g.mu)[tables.face(g.mu).gauge_pos_low[g.ordinals]]
-            phase = tables.ph_bwd[g.mu][plan.order[g.cols]].astype(ghost.real.dtype)
+            phase = tables.ph_bwd[g.mu][g.cols].astype(ghost.real.dtype)
             out[g.hop] = (np.conj(ghost) * phase[:, None, None]).transpose(1, 2, 0)
     return out
 

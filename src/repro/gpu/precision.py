@@ -123,16 +123,23 @@ def dequantize_normalized(stored: np.ndarray) -> np.ndarray:
 
 def quantize_block(
     reals: np.ndarray,
+    norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode per-site blocks of reals with a shared per-site norm.
 
     ``reals`` has shape ``(sites, n)``; returns ``(int16 (sites, n),
     float32 norms (sites,))`` with ``decoded = int16 / 32767 * norm``.
-    Sites that are exactly zero get norm 0 (and decode to exact zeros).
+    The norm of a site is its largest component, unless ``norms`` are
+    given (a face that arrived with the norms it was sent with); a
+    component beyond its given norm saturates at +/-32767.  Sites with
+    norm 0 decode to exact zeros.
     """
     if reals.ndim != 2:
         raise ValueError(f"expected (sites, n) reals, got shape {reals.shape}")
-    norms = np.max(np.abs(reals), axis=1).astype(np.float32)
+    if norms is None:
+        norms = np.max(np.abs(reals), axis=1).astype(np.float32)
+    else:
+        norms = np.asarray(norms, dtype=np.float32)
     # The ratio must be formed in float64 against the *stored* (float32)
     # norm: the decoded levels are q * norm32 / 32767, so rounding the
     # exact ratio w.r.t. norm32 lands on the nearest level at any scale.

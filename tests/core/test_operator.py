@@ -43,7 +43,10 @@ def _expected_full(geo, schur, psi_full, dagger=False):
     return parity_to_full(geo, out_e, np.zeros_like(out_e))
 
 
-def _run_distributed(problem, n_ranks, precision, *, overlap, dagger=False):
+def _run_distributed(problem, n_ranks, precision, *, overlap, dagger=False, stored=False):
+    """``(got, want)`` over every rank, or with ``stored`` each rank's
+    stored result: ``(store, norms)``, the int16 store and its norms in
+    half precision."""
     geo, gauge, clover, schur, psi_full = problem
     slicing = geo.slice_grid(1, n_ranks)
     expected_full = _expected_full(geo, schur, psi_full, dagger)
@@ -63,9 +66,14 @@ def _run_distributed(problem, n_ranks, precision, *, overlap, dagger=False):
         dst = op.make_spinor("dst")
         src.set(full_to_parity(local, psi_full[slab], EVEN))
         op.apply(src, tmp, dst, dagger=dagger)
+        if stored:
+            norms = dst._norms
+            return dst._store.array.copy(), None if norms is None else norms.copy()
         return dst.get(), full_to_parity(local, expected_full[slab], EVEN)
 
     results = run_spmd(n_ranks, fn)
+    if stored:
+        return results
     got = np.concatenate([r[0] for r in results])
     want = np.concatenate([r[1] for r in results])
     return got, want
@@ -102,10 +110,15 @@ class TestMultiGPU:
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_overlap_equals_no_overlap_bitwise(self, problem):
-        """The two strategies compute the identical result (Section VI-D)."""
-        a, _ = _run_distributed(problem, 2, Precision.DOUBLE, overlap=True)
-        b, _ = _run_distributed(problem, 2, Precision.DOUBLE, overlap=False)
-        np.testing.assert_array_equal(a, b)
+        """The two strategies store the identical result (Section VI-D),
+        at every precision: the int16 store and its norms in half."""
+        for prec in Precision:
+            for n_ranks in (2, 4):
+                a = _run_distributed(problem, n_ranks, prec, overlap=True, stored=True)
+                b = _run_distributed(problem, n_ranks, prec, overlap=False, stored=True)
+                for (store_a, norms_a), (store_b, norms_b) in zip(a, b):
+                    np.testing.assert_array_equal(store_a, store_b)
+                    np.testing.assert_array_equal(norms_a, norms_b)
 
     def test_dagger_distributed(self, problem):
         got, want = _run_distributed(

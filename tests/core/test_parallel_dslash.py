@@ -12,8 +12,9 @@ import pytest
 
 from repro.comms import QMPMachine, run_spmd
 from repro.core.dslash import DeviceSchurOperator
-from repro.core.parallel_dslash import FaceExchangePlan
+from repro.core.parallel_dslash import FaceExchangePlan, dslash_with_exchange
 from repro.gpu import DeviceSpinorField, Precision, VirtualGPU
+from repro.gpu import kernels
 from repro.gpu.fields import BACKWARD, FORWARD
 from repro.lattice import LatticeGeometry, make_clover, weak_field_gauge
 
@@ -115,6 +116,74 @@ class TestOverlapSchedule:
         # 2 dslash applications per operator apply, each sends 1 backward
         # face of 3 blocks.
         assert len(back_blocks) == 2 * 3
+
+
+def _one_application(problem, monkeypatch, *, execute):
+    """Rank 0's ops and every rank's functional bodies of one overlapped
+    dslash application (clover fused) on a 2-rank T-sliced world."""
+    geo, gauge, clover = problem
+    slicing = geo.slice_grid(1, 2)
+    bodies = []
+    body = kernels._dslash_body
+
+    def counted(tables, gauge_field, src, dst, dirs, rows, **kwargs):
+        bodies.append(rows)
+        return body(tables, gauge_field, src, dst, dirs, rows, **kwargs)
+
+    monkeypatch.setattr(kernels, "_dslash_body", counted)
+
+    def fn(comm):
+        gpu = VirtualGPU(enforce_memory=False, execute=execute, name=f"gpu{comm.rank}")
+        comm.bind_timeline(gpu.timeline)
+        local = slicing.locals[comm.rank]
+        slab = slicing.local_sites(comm.rank)
+        op = DeviceSchurOperator.setup(
+            gpu, QMPMachine(comm), local,
+            gauge.data[:, slab] if execute else None,
+            clover.data[slab] if execute else None,
+            0.1, precision=Precision.SINGLE, overlap=True,
+        )
+        src = op.make_spinor("src")
+        dst = op.make_spinor("dst")
+        if execute:
+            src.set(np.ones((local.half_volume, 4, 3), dtype=complex))
+        i0 = gpu.timeline.op_count
+        dslash_with_exchange(
+            gpu, op.qmp, op.tables_other, op.gauge, src, dst, overlap=True,
+            clover=op.clover_other_inv,
+        )
+        gpu.device_synchronize()
+        return gpu.timeline.ops[i0:]
+
+    return run_spmd(2, fn)[0], bodies
+
+
+class TestOneBodyPerApplication:
+    """The model clock charges the interior and boundary kernels; the
+    host computes the parity once, after the ghosts are stored."""
+
+    def test_one_whole_parity_body_after_the_ghosts(self, problem, monkeypatch):
+        ops, bodies = _one_application(problem, monkeypatch, execute=True)
+        assert len(bodies) == 2 and all(rows is None for rows in bodies)  # one a rank
+        names = [o.name for o in ops]
+        interior = names.index("dslash[interior]")
+        boundary = names.index("dslash[boundary]")
+        copies_out = [i for i, n in enumerate(names) if n.startswith("face_d2h")]
+        copies_in = [i for i, n in enumerate(names) if n.startswith("face_h2d")]
+        assert [n for n in names if n.startswith("dslash")] == [
+            "dslash[interior]", "dslash[boundary]"
+        ]
+        assert interior < min(copies_out) and boundary > max(copies_in)
+        assert ops[interior].stream == ops[boundary].stream == 0
+        assert ops[boundary].start >= max(ops[i].end for i in copies_in)
+
+    def test_timing_only_runs_no_body(self, problem, monkeypatch):
+        functional, _ = _one_application(problem, monkeypatch, execute=True)
+        ops, bodies = _one_application(problem, monkeypatch, execute=False)
+        assert bodies == []
+        assert [(o.name, o.stream) for o in ops] == [
+            (o.name, o.stream) for o in functional
+        ]
 
 
 class TestFaceExchangePlan:

@@ -23,7 +23,7 @@ GEOMETRY = LatticeGeometry((4, 4, 4, 8))
 
 
 def _apply_and_check(problem):
-    for region in ("interior", "boundary"):
+    for region in ("interior", "boundary", "full"):
         check_against_oracle(
             problem, 0, region=region, dirs=DIRS, dagger=False, epilogue="xpay"
         )

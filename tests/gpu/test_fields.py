@@ -107,6 +107,30 @@ class TestDeviceSpinor:
         err = np.max(np.abs(f.get_ghost(FORWARD) - halves)) / np.max(np.abs(halves))
         assert err < tol[prec]
 
+    def test_half_ghost_with_sent_norms_stores_what_quantizing_would(self, gpu, rng):
+        """A face whose norms bound it (every face a solve sends) stores
+        exactly what quantizing it afresh would."""
+        f = DeviceSpinorField(gpu, sites=64, precision=Precision.HALF, faces={3: 8})
+        halves = (
+            rng.standard_normal((8, 2, 3)) + 1j * rng.standard_normal((8, 2, 3))
+        ).astype(np.complex64)
+        halves[3] = 0.0
+        norms = np.maximum(np.abs(halves.real), np.abs(halves.imag)).reshape(8, -1).max(axis=1)
+        f.set_ghost(FORWARD, halves)
+        fresh = f._ghost[(3, FORWARD)].copy(), f._ghost_norms[(3, FORWARD)].copy()
+        f.set_ghost(FORWARD, halves, norms.astype(np.float32))
+        np.testing.assert_array_equal(f._ghost[(3, FORWARD)], fresh[0])
+        np.testing.assert_array_equal(f._ghost_norms[(3, FORWARD)], fresh[1])
+
+    def test_half_ghost_saturates_beyond_its_norm(self, gpu):
+        """A component beyond the norm it was sent with saturates at the
+        norm; it must not wrap around int16."""
+        f = DeviceSpinorField(gpu, sites=64, precision=Precision.HALF, faces={3: 8})
+        halves = np.full((8, 2, 3), 1.0 + 0.5j)
+        f.set_ghost(FORWARD, halves, np.full(8, 0.5, dtype=np.float32))
+        assert f._ghost[(3, FORWARD)].min() == 32767
+        np.testing.assert_allclose(f.get_ghost(FORWARD), 0.5 + 0.5j, rtol=1e-6)
+
     def test_endzone_sized_like_paper(self, gpu):
         """Section VI-C: end zone = 24 Vs components (2 faces x 12)."""
         f = DeviceSpinorField(gpu, sites=64, precision=Precision.SINGLE, faces={3: 8})

@@ -246,7 +246,12 @@ class TestGhostZones:
         """Interior rows can be computed before any face arrives."""
         psi = _rand_cb(rng, geo)
         dg, src, dst = _upload(gpu, geo, gauge, psi, Precision.DOUBLE, faces=True)
-        # Ghosts deliberately left as zeros/garbage.
+        # Ghosts deliberately NaN: a read of either end zone or the gauge
+        # ghost slice poisons the rows that made it.
+        face = np.full((geo.spatial_half_volume, 2, 3), np.nan, dtype=complex)
+        src.set_ghost(BACKWARD, face)
+        src.set_ghost(FORWARD, face)
+        dg.set_ghost(np.full((geo.spatial_volume, 3, 3), np.nan, dtype=complex))
         tables = dslash_tables(geo, EVEN)
         dst.zero()
         dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=(3,))
@@ -254,6 +259,32 @@ class TestGhostZones:
         got = dst.get()
         interior = tables.rows_for("interior", (T_DIR,))
         np.testing.assert_allclose(got[interior], expected[interior], atol=1e-12)
+        np.testing.assert_array_equal(got[tables.rows_for("boundary", (T_DIR,))], 0.0)
+
+    def test_whole_parity_charges_its_region_and_computes_every_row(
+        self, gpu, geo, gauge, rng
+    ):
+        """The overlapped exchange's boundary kernel: the launch is the
+        boundary region's, the result the full parity's, bit for bit."""
+        psi = _rand_cb(rng, geo)
+        dg, src, full = _upload(gpu, geo, gauge, psi, Precision.SINGLE, faces=True)
+        self._self_exchange(gpu, geo, dg, gauge, src)
+        whole = DeviceSpinorField(
+            gpu, sites=geo.half_volume, precision=Precision.SINGLE,
+            faces={3: geo.spatial_half_volume}, label="whole",
+        )
+        tables = dslash_tables(geo, EVEN)
+        dslash_kernel(gpu, tables, dg, src, full, partitioned=(3,))
+        full_op = gpu.timeline.ops[-1]
+        dslash_kernel(
+            gpu, tables, dg, src, whole, region="boundary", partitioned=(3,),
+            whole_parity=True,
+        )
+        op = gpu.timeline.ops[-1]
+        assert op.name == "dslash[boundary]"
+        boundary_rows = tables.rows_for("boundary", (T_DIR,)).size
+        assert op.flops * geo.half_volume == full_op.flops * boundary_rows
+        np.testing.assert_array_equal(whole._store.array, full._store.array)
 
     def test_gather_projects_correctly(self, gpu, geo, gauge, rng):
         """The packed face is Q(sign) psi on the right timeslice."""
