@@ -24,7 +24,9 @@ one thread).  Two ways to run them::
 
 The second form writes per-call medians of the dslash cases into
 ``BENCH_kernels.json`` under the given label; the third writes the
-application cases into that file's ``application`` block.  Pointing
+application cases into that file's ``application`` block.  A label that
+the target block already holds is refused (exit status 2), so a new
+recording never replaces committed rows.  Pointing
 ``PYTHONPATH`` at another checkout's ``src`` records that commit with the
 identical benchmark code (the file uses only the public kernel, field,
 operator and SPMD API).  ``check_kernel_regression.py`` guards the
@@ -285,11 +287,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     application = args.case == "application"
+    if args.record:
+        # Recorded rows are evidence a later change is compared against:
+        # a label is written once and never replaced.
+        doc = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
+        held = doc.get("application", {}) if application else doc
+        if args.record in held:
+            where = "the 'application' block" if application else "the top-level block"
+            parser.error(
+                f"label {args.record!r} already exists in {where} of "
+                f"{args.baseline}; record under a new label"
+            )
     results = measure_applications() if application else measure_all()
     for name, row in results.items():
         print(f"{name:32s} {row['rows']:5d} rows  {row['ms_per_call']:8.3f} ms/call")
     if args.record:
-        doc = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
         doc.setdefault(
             "what",
             "per-call wall-clock medians (ms) of one T-partitioned fused dslash "

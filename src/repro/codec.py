@@ -21,7 +21,7 @@ state gives equal bytes and ``encode(decode(b)) == b``.  ``json``
 round-trips everything the records hold — floats by shortest repr (NaN,
 ±inf, −0.0 included), ints of any size, nested lists and string-keyed
 dicts.  A record with array data (``SolveCheckpoint``) lays out its own
-payload — JSON header, then raw bytes — over :func:`encode_frame` /
+payload — JSON header, then raw bytes — over :func:`encode_frame_parts` /
 :func:`decode_frame`.
 
 Frame version 1 carried a hand-rolled tagged-value payload that was
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections.abc import Sequence
 from typing import Any
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "KIND_CAMPAIGN_LOG",
     "KIND_NAMES",
     "encode_frame",
+    "encode_frame_parts",
     "decode_frame",
     "split_frames",
     "parse_json",
@@ -112,10 +114,24 @@ _HEADER = struct.Struct("<4sBBHII")
 
 def encode_frame(payload: bytes, kind: int) -> bytes:
     """``payload`` behind the 16-byte frame."""
+    return encode_frame_parts((payload,), kind)
+
+
+def encode_frame_parts(parts: Sequence[Any], kind: int) -> bytes:
+    """The frame of the concatenation of ``parts``, built in one copy.
+
+    Each part is any contiguous bytes-like object (``bytes``, a NumPy
+    array): the CRC runs over the parts in turn and the frame is joined
+    from them, so a large array is never flattened to ``bytes`` first.
+    The result equals ``encode_frame(b"".join(parts), kind)``.
+    """
     if kind not in KIND_NAMES:
         raise ValueError(f"unknown record kind {kind}")
-    crc = zlib.crc32(payload)
-    return _HEADER.pack(MAGIC, VERSION, kind, 0, len(payload), crc) + payload
+    crc = length = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        length += memoryview(part).nbytes
+    return b"".join((_HEADER.pack(MAGIC, VERSION, kind, 0, length, crc), *parts))
 
 
 def is_packed(data: bytes) -> bool:

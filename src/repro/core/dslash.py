@@ -41,13 +41,41 @@ from ..lattice.evenodd import EVEN, ODD
 from ..lattice.geometry import LatticeGeometry
 from .parallel_dslash import dslash_with_exchange
 
-__all__ = ["DeviceSchurOperator"]
+__all__ = ["DeviceSchurOperator", "diagonal_blocks"]
 
 
 def _identity_blocks(n: int, coeff: float) -> np.ndarray:
     blocks = np.zeros((n, 2, 6, 6), dtype=np.complex128)
     blocks[:, :, np.arange(6), np.arange(6)] = coeff
     return blocks
+
+
+def diagonal_blocks(
+    geometry: LatticeGeometry,
+    clover_blocks: np.ndarray | None,
+    mass: float,
+    solve_parity: int = EVEN,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(A'_pp, A'_qq^{-1})`` of one rank's slab, in double on the host.
+
+    ``A' = (4 + m) + A`` on the solve parity ``p``, and the inverse on the
+    other parity ``q`` (QUDA precomputes these once per configuration).
+    They do not depend on the storage precision, so a mixed-precision
+    solve prepares them once and uploads them to both operators
+    (:meth:`DeviceSchurOperator.setup`'s ``diagonal``).
+    """
+    if solve_parity not in (EVEN, ODD):
+        raise ValueError("solve_parity must be EVEN (0) or ODD (1)")
+    coeff = 4.0 + mass
+    if clover_blocks is None:
+        vh = geometry.half_volume
+        a_pp = _identity_blocks(vh, coeff)
+        a_qq = _identity_blocks(vh, coeff)
+    else:
+        eye = _identity_blocks(1, coeff)[0]
+        a_pp = clover_blocks[geometry.sites_of_parity[solve_parity]] + eye
+        a_qq = clover_blocks[geometry.sites_of_parity[1 - solve_parity]] + eye
+    return a_pp, np.linalg.inv(a_qq)
 
 
 @dataclass
@@ -96,6 +124,7 @@ class DeviceSchurOperator:
         pad: bool = True,
         occupancy: dict[str, float] | None = None,
         solve_parity: int = EVEN,
+        diagonal: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "DeviceSchurOperator":
         """Upload one rank's slab of the operator to the device.
 
@@ -103,6 +132,8 @@ class DeviceSchurOperator:
         ``None`` in timing-only mode); ``clover_blocks`` the local clover
         term ``(V_loc, 2, 6, 6)`` or ``None`` for plain Wilson (the
         diagonal is then ``(4 + m)``, still stored as blocks).
+        ``diagonal`` is :func:`diagonal_blocks` of those, when the caller
+        has prepared it already for another precision.
 
         Performs the one-time gauge ghost exchange of Section VI-B: "Since
         the link matrices are constant throughout the execution of the
@@ -133,8 +164,8 @@ class DeviceSchurOperator:
             dgauge.set(gauge_data)
 
         # Diagonal blocks A' = (4 + m) + A and the odd-block inverse,
-        # prepared in double on the host (QUDA precomputes these once per
-        # configuration) and stored at the operator's precision.
+        # prepared in double on the host (diagonal_blocks) and stored at
+        # the operator's precision.
         if solve_parity not in (EVEN, ODD):
             raise ValueError("solve_parity must be EVEN (0) or ODD (1)")
         clover_diag = DeviceCloverField(
@@ -147,18 +178,13 @@ class DeviceSchurOperator:
             f"clover_h2d[{prefix}]", "h2d", clover_diag.nbytes + clover_other_inv.nbytes
         )
         if gpu.execute:
-            p_sites = geometry.sites_of_parity[solve_parity]
-            q_sites = geometry.sites_of_parity[1 - solve_parity]
-            coeff = 4.0 + mass
-            if clover_blocks is None:
-                a_pp = _identity_blocks(vh, coeff)
-                a_qq = _identity_blocks(vh, coeff)
-            else:
-                eye = _identity_blocks(1, coeff)[0]
-                a_pp = clover_blocks[p_sites] + eye
-                a_qq = clover_blocks[q_sites] + eye
+            a_pp, a_qq_inv = (
+                diagonal_blocks(geometry, clover_blocks, mass, solve_parity)
+                if diagonal is None
+                else diagonal
+            )
             clover_diag.set(a_pp)
-            clover_other_inv.set(np.linalg.inv(a_qq))
+            clover_other_inv.set(a_qq_inv)
 
         op = cls(
             gpu=gpu,

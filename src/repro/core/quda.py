@@ -62,7 +62,7 @@ from ..lattice.evenodd import EVEN, full_to_parity, parity_to_full
 from ..lattice.fields import GaugeField, SpinorField
 from ..lattice.geometry import LatticeGeometry
 from .autotune import TuneCache, autotune
-from .dslash import DeviceSchurOperator
+from .dslash import DeviceSchurOperator, diagonal_blocks
 from .interface import QudaGaugeParam, QudaInvertParam, SolveStats
 from .solvers.bicgstab import bicgstab_solve
 from .solvers.cg import cg_solve
@@ -392,10 +392,12 @@ def _solve_with_escalation(
     def on_refresh(*, iteration, rnorm, reliable_updates, history) -> None:
         # Refresh-point checkpoint: embed this rank's parity solution
         # into its full-lattice slab (off-parity zeros); the store
-        # commits globally once every rank has contributed.
+        # commits globally once every rank has contributed.  The solution
+        # is taken at the precision x_p stores it in (complex64 in a
+        # single-precision solve), which loses nothing.
         x_slab = None
         if execute:
-            xp = x_p.get()
+            xp = x_p.get() if x_p.precision.needs_norm else x_p.working()
             zeros = np.zeros_like(xp)
             x_slab = (
                 parity_to_full(local, xp, zeros)
@@ -524,7 +526,9 @@ def _run(
             gauge_slab = host_gauge.data[:, slab] if host_gauge is not None else None
             clover_slab = host_clover[slab] if host_clover is not None else None
 
-            def setup_operator(precision: Precision) -> DeviceSchurOperator:
+            def setup_operator(
+                precision: Precision, diagonal=None
+            ) -> DeviceSchurOperator:
                 return DeviceSchurOperator.setup(
                     gpu,
                     qmp,
@@ -538,14 +542,24 @@ def _run(
                     pad=gauge_param.pad_spatial_volume,
                     occupancy={"dslash": tune_cache.occupancy("dslash", precision)},
                     solve_parity=inv.solve_parity,
+                    diagonal=diagonal,
                 )
 
-            op_full = setup_operator(inv.precision)
+            # Both precisions upload the same host blocks: prepare them
+            # once, and let them go before the solve (an escalation's
+            # fresh operator prepares its own).
+            diagonal = (
+                diagonal_blocks(local, clover_slab, inv.mass, inv.solve_parity)
+                if execute
+                else None
+            )
+            op_full = setup_operator(inv.precision, diagonal)
             op_sloppy = (
-                setup_operator(inv.precision_sloppy)
+                setup_operator(inv.precision_sloppy, diagonal)
                 if inv.mixed_precision
                 else op_full  # no duplicate storage in uniform precision
             )
+            del diagonal
 
             def get_sloppy(precision: Precision):
                 """(operator, owned) at a precision the escalation ladder

@@ -9,10 +9,14 @@ no extra matrix applications, just a device→host download of ``y``.
 
 :class:`SolveCheckpoint` is the serializable snapshot — enough state to
 resume the Krylov solve (solution, iteration count, residual history,
-solver identity, sloppy precision).  Serialization is one
-:mod:`repro.codec` record: a canonical-JSON header (bookkeeping plus the
-solution's dtype and shape) followed by the raw solution bytes, both
-inside the versioned, CRC32-protected frame, so the bytes are a pure
+solver identity, sloppy precision).  The solution is held at the solve's
+own precision — the dtype of the full operator's store, complex64 in a
+single-precision solve — which is lossless: it is what the solver keeps.
+Serialization is one :mod:`repro.codec` record: a canonical-JSON header
+(bookkeeping plus the solution's dtype and shape) followed by the raw
+solution bytes, both inside the versioned, CRC32-protected frame, built
+with one copy of the array (:func:`~repro.codec.encode_frame_parts`), so
+the bytes are a pure
 function of the state — no zip timestamps, no pickle — and two
 same-seed runs produce byte-identical checkpoints.  A torn or corrupted
 checkpoint is rejected (``ValueError``) on load, and the store falls
@@ -52,7 +56,9 @@ class SolveCheckpoint:
 
     ``x_full`` is the *global* full-lattice solution ``(V, 4, 3)`` with
     zeros on the off-solve parity (the preconditioned solver only evolves
-    one checkerboard; the other is reconstructed after convergence).
+    one checkerboard; the other is reconstructed after convergence), in
+    the dtype the solve stores it in: complex64 for a single-precision
+    solve, complex128 for a double one.
     ``None`` in timing-only mode, where there is no field data — resuming
     then just restores the iteration bookkeeping.
     """
@@ -73,7 +79,8 @@ class SolveCheckpoint:
         """Serialize to deterministic bytes (same state → same bytes).
 
         The frame CRC covers the whole payload (bookkeeping *and*
-        solution data), so a snapshot validates itself on load."""
+        solution data), so a snapshot validates itself on load.  The
+        array is copied once, into the frame itself."""
         x = self.x_full
         header = codec.canonical_bytes(
             {
@@ -87,10 +94,9 @@ class SolveCheckpoint:
                 "x": None if x is None else {"dtype": x.dtype.str, "shape": x.shape},
             }
         )
-        raw = b"" if x is None else np.ascontiguousarray(x).tobytes()
-        return codec.encode_frame(
-            b"".join((_HEADER_LEN.pack(len(header)), header, raw)),
-            codec.KIND_CHECKPOINT,
+        raw = () if x is None else (np.ascontiguousarray(x).reshape(-1).view(np.uint8),)
+        return codec.encode_frame_parts(
+            (_HEADER_LEN.pack(len(header)), header, *raw), codec.KIND_CHECKPOINT
         )
 
     @classmethod

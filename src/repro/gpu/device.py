@@ -30,7 +30,6 @@ shapes thousands of times.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +55,6 @@ class VirtualGPU:
     name: str = "gpu0"
     allocator: DeviceAllocator = field(init=False)
     timeline: Timeline = field(init=False)
-    #: Weak reference to the gauge field whose kernel-derived tables are
-    #: held at present — one field per card at a time; see
-    #: :meth:`repro.gpu.fields.DeviceGaugeField.derived`.
-    derived_holder: weakref.ref | None = field(default=None, init=False, repr=False)
     #: ``(precision, bytes, flops, occupancy, camping)`` -> roofline duration.
     _kernel_times: dict = field(default_factory=dict, init=False, repr=False)
     #: ``(nbytes, direction, asynchronous)`` -> PCIe model duration.

@@ -27,7 +27,6 @@ Ghost storage follows the paper:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -427,19 +426,9 @@ class DeviceGaugeField:
         application to the next.  The field owns those results so that it
         can drop them the moment the links change (:meth:`set`,
         :meth:`set_ghost`) or the storage goes away (:meth:`release`).
-
-        One field per card holds tables at a time: a mixed-precision solve
-        keeps two operators on a card but applies them in long runs of
-        one, so the field being applied takes over and the other's tables
-        are rebuilt when its turn comes (twice per reliable update)
-        rather than both sets staying resident.
+        Each field keeps its own: a mixed-precision solve alternates its
+        two operators at every reliable update, and neither rebuilds.
         """
-        holder = self.gpu.derived_holder
-        previous = holder() if holder is not None else None
-        if previous is not self:
-            if previous is not None:
-                previous._derived.clear()
-            self.gpu.derived_holder = weakref.ref(self)
         try:
             return self._derived[key]
         except KeyError:
@@ -488,6 +477,9 @@ class DeviceCloverField:
     precision: Precision
     label: str = "clover"
     layout: FieldLayout = field(init=False)
+    #: Half precision: the stored blocks decoded, once per upload (see
+    #: :meth:`blocks`).
+    _decoded: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.layout = FieldLayout(
@@ -531,25 +523,27 @@ class DeviceCloverField:
         if self.precision.needs_norm:
             packed = _pack_blocks(blocks)
             self._store.array[...], self._norms[...] = quantize_block(packed)
+            self._decoded = None
         else:
             self._store.array[...] = blocks
 
     def blocks(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Chiral blocks in compute dtype: of every site, or of ``rows``.
 
-        Half precision decodes on every call, and only the sites asked
-        for: a region-partial dslash body (called directly, not by a solve)
-        pays for its rows, not the field, and nothing field-sized is kept
-        beside the store.
+        The blocks are constant for the life of a solve, like the links
+        (Section VI-B), so half precision decodes the whole store once,
+        on first use after :meth:`set`, and keeps the complex64 blocks
+        beside the int16 store until the next :meth:`set` or
+        :meth:`release`; every application reads them as a slice.
         """
         self._require_execute()
         if not self.precision.needs_norm:
             return self._store.array if rows is None else self._store.array[rows]
-        if rows is None:
-            rows = slice(None)
-        return _unpack_blocks(
-            dequantize_block(self._store.array[rows], self._norms[rows])
-        )
+        if self._decoded is None:
+            self._decoded = _unpack_blocks(
+                dequantize_block(self._store.array, self._norms)
+            )
+        return self._decoded if rows is None else self._decoded[rows]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Blockwise apply to spinor data ``(sites, 4, 3)``."""
@@ -573,6 +567,7 @@ class DeviceCloverField:
             raise RuntimeError("field data is not materialized in timing-only mode")
 
     def release(self) -> None:
+        self._decoded = None
         self.gpu.free(self._store)
 
 

@@ -46,13 +46,15 @@ store, the xpay operand and the destination as slices — no row gather,
 no row scatter — and each arithmetic step is one vectorised call over
 the site axis.  And "the link matrices are constant throughout the
 execution of the linear solver" (Section VI-B): links are read from a
-table the gauge field holds
+table each gauge field holds
 (:meth:`~repro.gpu.fields.DeviceGaugeField.derived`) — decoded,
 reconstructed, phases folded in, every link once — not re-derived per
-call.  Spinor bodies and clover blocks change or are cheap to decode, so
-those are decoded from their stores on each call.  A solve runs one
-full-parity body per application; a region-partial body (direct callers
-only) selects its rows by index and writes them row-wise.
+call, and a half-precision clover field keeps its blocks decoded from one
+upload to the next (:meth:`~repro.gpu.fields.DeviceCloverField.blocks`).
+Spinor bodies change on every application, so those are decoded from
+their stores on each call.  A solve runs one full-parity body per
+application; a region-partial body (direct callers only) selects its rows
+by index and writes them row-wise.
 
 **Arithmetic.**  A hop is evaluated in double precision from the stored
 values and rounded to the field's compute precision once, as it is added
@@ -68,6 +70,14 @@ end zone is multiplied in the field's own precision by one batched
 ``matmul`` over the face, the call the einsum form made.  The test oracle
 (``tests/gpu/_reference_dslash.py``) is that einsum form; single and half
 precision agree with it bit for bit.
+
+The spin projection and reconstruction are selections and scaled adds,
+not matrix products: each row of a hop's ``Q`` has at most two nonzero
+coefficients and each row of its ``R`` one.  In the DeGrand-Rossi basis
+every coefficient is 1, -1, i or -i, so a selection (a copy, a negation,
+a swap of real and imaginary parts) forms exactly the product a GEMM
+would, and the sums run in the same order.  Any other coefficient (the
+non-relativistic basis has some one ulp off 1) is multiplied out.
 """
 
 from __future__ import annotations
@@ -719,7 +729,7 @@ def _dslash_body(
     links = gauge.derived(
         ("hop_links", tables.geometry), lambda: _hop_links(tables.geometry, gauge)
     )
-    spin_q, spin_r = _hop_spin(src.basis, dagger)
+    spin = _hop_spin(src.basis, dagger)
     if ghosts:
         ghost_links = gauge.derived(
             ("ghost_links", tables.geometry, tables.target_parity, dirs),
@@ -727,44 +737,51 @@ def _dslash_body(
         )
 
     source = np.ascontiguousarray(src.working().reshape(src.sites, 12).T)
-    acc = None
-    for k in range(2 * NDIM):
-        mu, backward = divmod(k, 2)
-        # The link of the hop as u[b, a]: U_mu(x) forward, the adjoint of
-        # U_mu(x - mu) backward (the conjugate, indices as stored).
-        if backward:
-            u = np.take(
-                links[mu].reshape(9, -1), plan.bwd_link[mu, cols], axis=1, mode="clip"
-            ).reshape(3, 3, n)
-            np.conjugate(u, out=u)
-            if plan.bwd_sign[mu] is not None:
-                u *= plan.bwd_sign[mu][cols].astype(u.real.dtype)
-        else:
-            u = links[mu][:, :, at_target].transpose(1, 0, 2)
-        # Half spinor Q psi(x +/- mu) of every target: 2 x 3 a site.
-        psi = np.take(source, plan.nbr[k, cols], axis=1, mode="clip")
-        half = (spin_q[k] @ psi.reshape(4, 3 * n)).reshape(2, 3, n)
-        # U (2 x 3): three multiply-adds over the site axis.
-        u_half = u[0] * half[:, 0, None]
-        u_half += u[1] * half[:, 1, None]
-        u_half += u[2] * half[:, 2, None]
-        hop = (spin_r[k] @ u_half.reshape(2, 3 * n)).reshape(4, 3, n)
-        for g, at, which in ghosts:
-            if g.hop == k:
-                # A target on the face reads the end zone instead, whose
-                # half spinors arrived projected (Section VI-C), and going
-                # backward the neighbouring rank's link (Section VI-B).
-                face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals[which]]
-                u_cols = ghost_links[k][:, :, which] if backward else u[:, :, at]
-                u_t = np.ascontiguousarray(u_cols.transpose(2, 0, 1))
-                u_face = np.matmul(face, u_t).transpose(1, 2, 0)
-                hop[:, :, at] = (
-                    spin_r[k] @ u_face.reshape(2, 3 * at.size)
-                ).reshape(4, 3, at.size)
-        if acc is None:
-            acc = hop.astype(cdtype)
-        else:
-            acc += hop
+    acc = np.empty((4, 3, n), dtype=cdtype)
+    # An Inf in the source makes Inf - Inf here: the NaN it leaves is the
+    # solver's to report, as a structured non-finite breakdown.
+    with np.errstate(invalid="ignore"):
+        for k in range(2 * NDIM):
+            mu, backward = divmod(k, 2)
+            # The link of the hop as u[b, a]: U_mu(x) forward, the adjoint
+            # of U_mu(x - mu) backward (the conjugate, indices as stored).
+            if backward:
+                u = np.take(
+                    links[mu].reshape(9, -1), plan.bwd_link[mu, cols], axis=1,
+                    mode="clip",
+                ).reshape(3, 3, n)
+                np.conjugate(u, out=u)
+                if plan.bwd_sign[mu] is not None:
+                    u *= plan.bwd_sign[mu][cols].astype(u.real.dtype)
+            else:
+                u = links[mu][:, :, at_target].transpose(1, 0, 2)
+            # Half spinor Q psi(x +/- mu) of every target: 2 x 3 a site.
+            psi = np.take(source, plan.nbr[k, cols], axis=1, mode="clip").reshape(4, 3, n)
+            q_rows, r_rows = spin[k]
+            half = np.empty((2, 3, n), dtype=np.complex128)
+            for h, ((t, coeff), *rest) in enumerate(q_rows):
+                _scaled(half[h], coeff, psi[t], add=False)
+                for t, coeff in rest:
+                    _scaled(half[h], coeff, psi[t], add=True)
+            # U (2 x 3): three multiply-adds over the site axis.
+            u_half = u[0] * half[:, 0, None]
+            u_half += u[1] * half[:, 1, None]
+            u_half += u[2] * half[:, 2, None]
+            for g, at, which in ghosts:
+                if g.hop == k:
+                    # A target on the face reads the end zone instead, whose
+                    # half spinors arrived projected (Section VI-C), and going
+                    # backward the neighbouring rank's link (Section VI-B).
+                    face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals[which]]
+                    u_cols = ghost_links[k][:, :, which] if backward else u[:, :, at]
+                    u_t = np.ascontiguousarray(u_cols.transpose(2, 0, 1))
+                    u_half[:, :, at] = np.matmul(face, u_t).transpose(1, 2, 0)
+            # Reconstruct R (U Q psi) straight into the accumulator.
+            for row, term in enumerate(r_rows):
+                if term is not None:
+                    _scaled(acc[row], term[1], u_half[term[0]], add=k > 0)
+                elif k == 0:
+                    acc[row] = 0
 
     # Back to one spinor per row for the epilogue and the store.
     out = np.ascontiguousarray(acc.reshape(12, n).T).reshape(n, 4, 3)
@@ -800,26 +817,77 @@ def _ghosts_among(ghosts: tuple[GhostHop, ...], rows: np.ndarray) -> list:
     return out
 
 
+def _scaled(out: np.ndarray, coeff: complex, x: np.ndarray, *, add: bool) -> None:
+    """``out (+)= coeff * x``, with ``coeff`` 1, -1, i or -i a selection.
+
+    A spin-projector coefficient of the DeGrand-Rossi basis is one of
+    those four; multiplying by it is exact, so the selection gives what a
+    GEMM's complex product gives.  The result is formed at ``x``'s
+    precision and rounded to ``out``'s once.  Any other coefficient (a
+    rotated basis) is multiplied out.
+    """
+    if coeff == 1:
+        if add:
+            np.add(out, x, out=out)
+        else:
+            out[...] = x
+    elif coeff == -1:
+        if add:
+            np.subtract(out, x, out=out)
+        else:
+            np.negative(x, out=out)
+    elif coeff == 1j:  # i (a + ib) = -b + ia
+        if add:
+            np.subtract(out.real, x.imag, out=out.real)
+            np.add(out.imag, x.real, out=out.imag)
+        else:
+            np.negative(x.imag, out=out.real)
+            out.imag[...] = x.real
+    elif coeff == -1j:  # -i (a + ib) = b - ia
+        if add:
+            np.add(out.real, x.imag, out=out.real)
+            np.subtract(out.imag, x.real, out=out.imag)
+        else:
+            out.real[...] = x.imag
+            np.negative(x.real, out=out.imag)
+    elif add:
+        np.add(out, coeff * x, out=out)
+    else:
+        np.multiply(x, coeff, out=out)
+
+
 @lru_cache(maxsize=None)
-def _hop_spin(basis: str, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q, R)`` of all eight hops, shapes ``(8, 2, 4)`` and ``(8, 4, 2)``.
+def _hop_spin(basis: str, dagger: bool) -> tuple:
+    """The spin factors of all eight hops, as their nonzero terms.
 
     Hop ``2 * mu`` gathers from ``x + mu`` through ``P(-mu)``, hop
     ``2 * mu + 1`` from ``x - mu`` through ``P(+mu)``; a dagger swaps the
     signs.  ``P = R @ Q`` is the rank-2 factorization the face exchange
-    already relies on (Section VI-C).
+    already relies on (Section VI-C).  Per hop, ``(q_rows, r_rows)``: for
+    each of Q's two rows its ``(spin, coefficient)`` terms (at most two),
+    and for each of R's four rows its one ``(half-spin row, coefficient)``
+    term or ``None`` — a projection is selections and scaled adds, not a
+    matrix product.
     """
     sgn = -1 if dagger else +1
-    pairs = [
-        _gamma.projector_decomposition(mu, sign, basis)
-        for mu in range(NDIM)
-        for sign in (-sgn, +sgn)
-    ]
-    q = np.stack([q for q, _ in pairs])
-    r = np.stack([r for _, r in pairs])
-    q.setflags(write=False)
-    r.setflags(write=False)
-    return q, r
+    hops = []
+    for mu in range(NDIM):
+        for sign in (-sgn, +sgn):
+            q, r = _gamma.projector_decomposition(mu, sign, basis)
+            q_rows = tuple(
+                tuple((int(t), complex(row[t])) for t in np.flatnonzero(row))
+                for row in q
+            )
+            r_rows = []
+            for row in r:
+                (nz,) = np.nonzero(row)
+                if nz.size > 1:
+                    raise ValueError(f"R of hop {len(hops)} mixes half spins")
+                r_rows.append(
+                    (int(nz[0]), complex(row[nz[0]])) if nz.size else None
+                )
+            hops.append((q_rows, tuple(r_rows)))
+    return tuple(hops)
 
 
 def _hop_links(geometry: LatticeGeometry, gauge: DeviceGaugeField) -> np.ndarray:

@@ -236,13 +236,10 @@ def spinor_to_reals(data: np.ndarray) -> np.ndarray:
 
     Internal ordering: spin major, then color, then (re, im) — the
     ordering is a private convention; only its consistency matters.
+    Single-precision data comes back as a float32 view of its (re, im)
+    pairs, not a float64 copy (see :func:`_complex_reals`).
     """
-    v = data.shape[0]
-    out = np.empty((v, SPINOR_REALS), dtype=np.float64)
-    flat = data.reshape(v, 12)
-    out[:, 0::2] = flat.real
-    out[:, 1::2] = flat.imag
-    return out
+    return _complex_reals(data, SPINOR_REALS)
 
 
 def reals_to_spinor(reals: np.ndarray) -> np.ndarray:
@@ -254,10 +251,21 @@ def reals_to_spinor(reals: np.ndarray) -> np.ndarray:
 
 def matrices_to_reals(data: np.ndarray) -> np.ndarray:
     """Complex matrices ``(V, r, c)`` -> reals ``(V, 2*r*c)`` (row major)."""
+    return _complex_reals(data, 2 * data.shape[1] * data.shape[2])
+
+
+def _complex_reals(data: np.ndarray, n: int) -> np.ndarray:
+    """``(V, ...)`` complex -> ``(V, n)`` interleaved (re, im) reals.
+
+    complex64 is a view of its float32 pairs (the half encode reads the
+    values, and ``abs``, ``max`` and a float64 ratio of them are exact
+    either way); anything else is copied out as float64.
+    """
     v = data.shape[0]
-    n = data.shape[1] * data.shape[2]
-    out = np.empty((v, 2 * n), dtype=np.float64)
-    flat = data.reshape(v, n)
+    if data.dtype == np.complex64:
+        return np.ascontiguousarray(data).view(np.float32).reshape(v, n)
+    out = np.empty((v, n), dtype=np.float64)
+    flat = data.reshape(v, n // 2)
     out[:, 0::2] = flat.real
     out[:, 1::2] = flat.imag
     return out

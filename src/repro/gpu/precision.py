@@ -143,9 +143,14 @@ def quantize_block(
     # The ratio must be formed in float64 against the *stored* (float32)
     # norm: the decoded levels are q * norm32 / 32767, so rounding the
     # exact ratio w.r.t. norm32 lands on the nearest level at any scale.
+    # One float64 temporary, computed in place: the same operations, in
+    # the same order, as the expression ``round(clip(reals / safe * S))``.
     safe = np.where(norms == 0.0, np.float32(1.0), norms).astype(np.float64)
-    ratio = np.clip(reals / safe[:, None] * HALF_SCALE, -HALF_SCALE, HALF_SCALE)
-    return np.round(ratio).astype(np.int16), norms
+    ratio = np.divide(reals, safe[:, None], dtype=np.float64)
+    ratio *= HALF_SCALE
+    np.clip(ratio, -HALF_SCALE, HALF_SCALE, out=ratio)
+    np.round(ratio, out=ratio)
+    return ratio.astype(np.int16), norms
 
 
 def dequantize_block(stored: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -157,7 +162,10 @@ def dequantize_block(stored: np.ndarray, norms: np.ndarray) -> np.ndarray:
     top of the rounding error, breaking the half-step roundtrip bound at
     scales where that noise is comparable to half a quantization step.
     """
-    return stored.astype(np.float64) * norms.astype(np.float64)[:, None] / HALF_SCALE
+    reals = stored.astype(np.float64)
+    reals *= norms.astype(np.float64)[:, None]
+    reals /= HALF_SCALE
+    return reals
 
 
 def half_roundtrip_bound(norms: np.ndarray) -> float:

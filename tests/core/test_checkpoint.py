@@ -139,6 +139,39 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected a checkpoint record"):
             SolveCheckpoint.from_bytes(blob)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_one_copy_frame_equals_joined_payload(self, dtype):
+        """``to_bytes`` frames the array without flattening it to bytes
+        first; the record is the one the joined payload gives."""
+        from repro import codec
+        from repro.core.solvers.checkpoint import _HEADER_LEN
+
+        ck = _checkpoint(dtype, "SINGLE")
+        header = codec.canonical_bytes(
+            {
+                "iteration": ck.iteration,
+                "rnorm": ck.rnorm,
+                "reliable_updates": ck.reliable_updates,
+                "history": ck.history,
+                "solver": ck.solver,
+                "sloppy_precision": ck.sloppy_precision,
+                "x": {"dtype": np.dtype(dtype).str, "shape": list(ck.x_full.shape)},
+            }
+        )
+        joined = b"".join(
+            (_HEADER_LEN.pack(len(header)), header, ck.x_full.tobytes())
+        )
+        assert ck.to_bytes() == codec.encode_frame(joined, codec.KIND_CHECKPOINT)
+
+    def test_frame_parts_equal_frame_of_their_join(self):
+        from repro import codec
+
+        parts = (b"head", np.arange(6, dtype=np.complex64).view(np.uint8), b"", b"!")
+        joined = b"".join(bytes(p) for p in parts)
+        assert codec.encode_frame_parts(parts, codec.KIND_CHECKPOINT) == (
+            codec.encode_frame(joined, codec.KIND_CHECKPOINT)
+        )
+
     def test_crc_valid_foreign_payload_rejected(self):
         """A frame that passes its CRC but was not laid out by ``to_bytes``
         is still a ValueError, never a half-built checkpoint."""
@@ -281,3 +314,47 @@ class TestCheckpointStore:
             self._contribute(store, 0, 0, it, None)
         assert len(store._latest[0]) == 2
         assert store.latest(0).iteration == 12
+
+
+def test_single_half_solve_commits_the_stored_solution(monkeypatch):
+    """A refresh commits ``x_p`` at the precision the solve keeps it in:
+    complex64 in a single-precision solve, equal to the store bit for bit
+    on the solve parity and zero on the other."""
+    from repro.core import invert, paper_invert_param
+    from repro.core import quda
+    from repro.lattice import LatticeGeometry, random_spinor, weak_field_gauge
+    from repro.lattice.evenodd import full_to_parity
+
+    stored, committed = [], []
+    solve = quda.bicgstab_solve
+
+    def spying_solve(op_full, op_sloppy, b, x, **kwargs):
+        on_refresh = kwargs["on_refresh"]
+
+        def refresh(**state):
+            stored.append(x._store.array.copy())
+            on_refresh(**state)
+
+        return solve(op_full, op_sloppy, b, x, **{**kwargs, "on_refresh": refresh})
+
+    contribute = CheckpointStore.contribute
+
+    def recording_contribute(self, source, rank, **kwargs):
+        contribute(self, source, rank, **kwargs)
+        committed.append(self.latest(source))
+
+    monkeypatch.setattr(quda, "bicgstab_solve", spying_solve)
+    monkeypatch.setattr(CheckpointStore, "contribute", recording_contribute)
+    rng = np.random.default_rng(31)
+    geo = LatticeGeometry((4, 4, 4, 8))
+    gauge, src = weak_field_gauge(geo, rng, noise=0.15), random_spinor(geo, rng)
+    inv = paper_invert_param("single-half", mass=0.2)
+    invert(gauge, src, inv, n_gpus=1)
+
+    assert committed and len(committed) == len(stored)
+    for ck, x_p in zip(committed, stored):
+        assert x_p.dtype == np.complex64
+        assert ck.x_full.dtype == np.complex64
+        parity = inv.solve_parity
+        np.testing.assert_array_equal(full_to_parity(geo, ck.x_full, parity), x_p)
+        np.testing.assert_array_equal(full_to_parity(geo, ck.x_full, 1 - parity), 0)
