@@ -5,14 +5,14 @@ on the library); the paper-shape results come from the model-time benches
 in the other files.
 
 The dslash cases are a T-partitioned rank's fused kernel (clover
-multiply + xpay) on the ``interior``, ``boundary`` and ``full`` regions of
-the 8^3 x 8 local volume of the ledger's ``solve-mixed`` (1,536 / 512 /
-2,048 rows) and the 4^3 x 8 local volume of ``solve-small-double`` (192 /
-64 / 256), at every storage precision.  The solver issues one ``full``
-body per application — the overlapped exchange charges the interior and
-boundary kernels to the model clock but computes the parity once — so
-the region-partial cases measure the kernel, not a solve.  What a solve
-pays per application is the ``application`` case: one
+multiply + xpay) over the whole parity of the 8^3 x 8 local volume of the
+ledger's ``solve-mixed`` (2,048 rows) and the 4^3 x 8 local volume of
+``solve-small-double`` (256), at every storage precision, named
+``VOLUME/full/PRECISION``.  Every dslash call computes the whole parity,
+whichever launch it charges, so that is the one body there is to time.
+(Rows of the ``interior`` and ``boundary`` regions in
+``BENCH_kernels.json`` are recordings of an earlier, region-partial body.)
+What a solve pays per application is the ``application`` case: one
 ``DeviceSchurOperator.apply`` (two fused dslash applications with their
 face exchanges) on a 2-rank T-sliced world at both local volumes and every
 precision, in wall seconds of the whole world (the ranks take turns on
@@ -69,12 +69,8 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 #: Local volumes of the two functional ledger workloads on two ranks.
 LOCAL_VOLUMES = {"8x8x8x8": (8, 8, 8, 8), "4x4x4x8": (4, 4, 4, 8)}
-REGIONS = ("interior", "boundary", "full")
 DSLASH_CASES = [
-    (volume, region, precision.name.lower())
-    for volume in LOCAL_VOLUMES
-    for region in REGIONS
-    for precision in Precision
+    (volume, precision.name.lower()) for volume in LOCAL_VOLUMES for precision in Precision
 ]
 
 
@@ -82,7 +78,7 @@ def case_name(volume: str, region: str, precision: str) -> str:
     return f"{volume}/{region}/{precision}"
 
 
-def fused_dslash_case(volume: str, region: str, precision: str):
+def fused_dslash_case(volume: str, precision: str):
     """``(apply, rows)``: one T-partitioned fused kernel application."""
     rng = np.random.default_rng(1)
     geo = LatticeGeometry(LOCAL_VOLUMES[volume])
@@ -116,12 +112,12 @@ def fused_dslash_case(volume: str, region: str, precision: str):
 
     def apply():
         dslash_kernel(
-            gpu, tables, gauge, src, dst, region=region, partitioned=(3,),
+            gpu, tables, gauge, src, dst, partitioned=(3,),
             clover=clover, clover_target="xpay", xpay=(-0.25, x),
         )
         gpu.timeline.ops.clear()  # the model clock is not what is timed
 
-    return apply, tables.rows_for(region, (3,)).size
+    return apply, vh
 
 
 APPLICATION_CASES = [
@@ -182,9 +178,9 @@ def median_seconds(apply, *, budget_s: float = 0.5, min_calls: int = 20) -> floa
 def measure_all() -> dict:
     """Per-call medians (milliseconds) of every dslash case, with row counts."""
     out = {}
-    for volume, region, precision in DSLASH_CASES:
-        apply, rows = fused_dslash_case(volume, region, precision)
-        out[case_name(volume, region, precision)] = {
+    for volume, precision in DSLASH_CASES:
+        apply, rows = fused_dslash_case(volume, precision)
+        out[case_name(volume, "full", precision)] = {
             "rows": rows,
             "ms_per_call": round(1e3 * median_seconds(apply), 4),
         }
@@ -220,9 +216,9 @@ def test_host_wilson_clover_apply(benchmark, setup):
     benchmark(op.apply, psi)
 
 
-@pytest.mark.parametrize("volume,region,precision", DSLASH_CASES)
-def test_device_fused_dslash(benchmark, volume, region, precision):
-    apply, _ = fused_dslash_case(volume, region, precision)
+@pytest.mark.parametrize("volume,precision", DSLASH_CASES)
+def test_device_fused_dslash(benchmark, volume, precision):
+    apply, _ = fused_dslash_case(volume, precision)
     benchmark(apply)
 
 
@@ -283,7 +279,7 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
     parser.add_argument(
         "--case", choices=("dslash", "application"), default="dslash",
-        help="the fused dslash kernel per region, or one operator application",
+        help="the fused dslash kernel, or one operator application",
     )
     args = parser.parse_args(argv)
     application = args.case == "application"

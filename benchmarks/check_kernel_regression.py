@@ -45,7 +45,7 @@ import pathlib
 import sys
 
 CEILING_FACTOR = 2.0
-GUARDED_CASE = ("8x8x8x8", "full", "half")
+GUARDED_CASE = ("8x8x8x8", "half")
 GUARDED_APPLICATION = ("4x4x4x8", "double")
 #: The half application, and the labels its ceiling was recorded under.
 GUARDED_HALF_APPLICATION = ("8x8x8x8", "half")
@@ -71,8 +71,9 @@ def main(argv: list[str]) -> int:
     baseline_path = pathlib.Path(argv[1]) if len(argv) > 1 else bench_kernels.BASELINE
     baseline = json.loads(baseline_path.read_text())
 
-    name = bench_kernels.case_name(*GUARDED_CASE)
-    apply, rows = bench_kernels.fused_dslash_case(*GUARDED_CASE)
+    volume, precision = GUARDED_CASE
+    name = bench_kernels.case_name(volume, "full", precision)
+    apply, rows = bench_kernels.fused_dslash_case(volume, precision)
     kernel_ok = _verdict(
         name, rows, 1e3 * bench_kernels.median_seconds(apply, budget_s=2.0),
         baseline["change"][name]["ms_per_call"], baseline["parent"][name]["ms_per_call"],

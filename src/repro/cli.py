@@ -477,6 +477,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import inspect
+
     from .bench.figures import ALL_FIGURES
 
     if args.figure not in ALL_FIGURES:
@@ -484,9 +486,10 @@ def _cmd_bench(args) -> int:
               f"{', '.join(ALL_FIGURES)}", file=sys.stderr)
         return 2
     driver = ALL_FIGURES[args.figure]
-    try:
+    # Figures with a fixed workload (fig7, memory) take no iteration count.
+    if "iterations" in inspect.signature(driver).parameters:
         exp = driver(iterations=args.iterations)
-    except TypeError:
+    else:
         exp = driver()
     print(exp.render())
     return 0
@@ -789,7 +792,8 @@ def _cmd_serve(args) -> int:
         return 0
 
     if not args.tenants and (
-        args.tenant_weights or args.tenant_mix or args.quota_qps
+        args.tenant_weights or args.tenant_mix
+        or args.quota_qps is not None or args.quota_burst is not None
     ):
         print("repro serve: error: tenant options require --tenants")
         return 2

@@ -273,15 +273,15 @@ def dslash_with_exchange(
         _verify_ghost(qmp, mu, -1, ghost_back, chk_back)
         _verify_ghost(qmp, mu, +1, ghost_fwd, chk_fwd)
 
-    # Boundary kernel waits for all ghost uploads, then completes dst —
-    # on the host, one body over the whole parity, interior rows included.
+    # Boundary kernel waits for all ghost uploads; its call computes dst,
+    # the whole parity (interior rows included), on the host.
     for mu in dirs:
         s_back, s_fwd = _face_streams(mu)
         timeline.stream_wait_event(STREAM_COMPUTE, timeline.record_event(s_back))
         timeline.stream_wait_event(STREAM_COMPUTE, timeline.record_event(s_fwd))
     dslash_kernel(
         gpu, tables, gauge, src, dst, region="boundary", partitioned=dirs,
-        dagger=dagger, whole_parity=True, **launch_kwargs,
+        dagger=dagger, **launch_kwargs,
     )
 
 

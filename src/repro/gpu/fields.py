@@ -172,26 +172,6 @@ class DeviceSpinorField:
         else:
             self._store.array[...] = data
 
-    def set_rows(self, rows: np.ndarray, data: np.ndarray) -> None:
-        """Store ``data`` ``(len(rows), 4, 3)`` into the body sites ``rows``.
-
-        Half precision quantizes each site against its own norm, so writing
-        a subset of rows stores exactly what :meth:`set` of the whole field
-        would store in them — a region-partial dslash body (called directly;
-        a solve's body covers the whole parity and uses :meth:`set_working`)
-        needs no read-modify-write of the rest.
-        """
-        if not self.gpu.execute:
-            return
-        if data.shape != (len(rows), 4, 3):
-            raise ValueError(f"expected {(len(rows), 4, 3)}, got {data.shape}")
-        if self.precision.needs_norm:
-            self._store.array[rows], self._norms[rows] = quantize_block(
-                spinor_to_reals(data)
-            )
-        else:
-            self._store.array[rows] = data
-
     def get(self) -> np.ndarray:
         """Download as complex128 ``(sites, 4, 3)`` (dequantizing)."""
         self._require_execute()
@@ -203,11 +183,11 @@ class DeviceSpinorField:
     def working(self, rows: np.ndarray | None = None) -> np.ndarray:
         """What kernels compute on: complex, in compute dtype.
 
-        The whole body, or the sites ``rows`` of it.  For half precision
-        this performs the texture-style decode — of the sites asked for,
-        not the field — and results written back must go through
-        :meth:`set_working` / :meth:`set_rows`; other precisions read the
-        store itself.
+        The whole body, or the sites ``rows`` of it (a face).  For half
+        precision this performs the texture-style decode — of the sites
+        asked for, not the field — and results written back must go
+        through :meth:`set_working`; other precisions read the store
+        itself.
         """
         self._require_execute()
         if not self.precision.needs_norm:
@@ -527,8 +507,8 @@ class DeviceCloverField:
         else:
             self._store.array[...] = blocks
 
-    def blocks(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Chiral blocks in compute dtype: of every site, or of ``rows``.
+    def blocks(self) -> np.ndarray:
+        """Chiral blocks of every site, in compute dtype.
 
         The blocks are constant for the life of a solve, like the links
         (Section VI-B), so half precision decodes the whole store once,
@@ -538,29 +518,18 @@ class DeviceCloverField:
         """
         self._require_execute()
         if not self.precision.needs_norm:
-            return self._store.array if rows is None else self._store.array[rows]
+            return self._store.array
         if self._decoded is None:
             self._decoded = _unpack_blocks(
                 dequantize_block(self._store.array, self._norms)
             )
-        return self._decoded if rows is None else self._decoded[rows]
+        return self._decoded
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Blockwise apply to spinor data ``(sites, 4, 3)``."""
         from ..lattice.fields import apply_chiral_blocks
 
         return apply_chiral_blocks(self.blocks(), psi)
-
-    def apply_rows(self, psi_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Apply the blocks of a site subset to matching spinor rows.
-
-        Used by a region-partial fused dslash body (interior or boundary
-        rows, called directly); a solve's body covers the whole parity and
-        uses :meth:`apply`.
-        """
-        from ..lattice.fields import apply_chiral_blocks
-
-        return apply_chiral_blocks(self.blocks(rows), psi_rows)
 
     def _require_execute(self) -> None:
         if not self.gpu.execute:

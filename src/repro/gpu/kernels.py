@@ -22,10 +22,12 @@ Kernel regions implement the overlap strategy of Section VI-D: the
 flight; the *boundary* region (the local boundary slices of every
 partitioned direction) reads the spinor end zone and the gauge ghosts.
 The split is a fact of the GPU timeline, and the model clock charges it
-launch by launch; the host arithmetic need not follow it.  The
+launch by launch (:func:`region_rows` counts each region's sites); the
+host arithmetic does not follow it.  :func:`dslash_kernel` computes the
+whole parity on every call, and its ``region`` names only the launch it
+charges: ``"full"``, or ``"boundary"`` once the ghosts have landed.  The
 overlapped exchange charges its interior kernel with
-:func:`dslash_launch` alone and computes the whole parity once, in the
-call that charges the boundary kernel after the ghosts have landed.
+:func:`dslash_launch` alone.
 
 **Multi-dimensional decomposition** (Section VI-A future work): the
 kernel accepts any subset of the partitionable directions {Z, T} via the
@@ -40,7 +42,7 @@ of the eight hops is projected to a half spinor *first* and the link
 multiplies 2 x 3, not 4 x 3 (Sections V-C2 / VI-C — the trick that also
 halves the face traffic).  Fields are traversed with the site index
 fastest (eqs. (4)-(5)): every work array has the sites as its last axis,
-in the *checkerboard order* of the stores, so a full-parity body reads
+in the *checkerboard order* of the stores, so the body reads
 the link table, the neighbour columns of a :class:`HopPlan`, the clover
 store, the xpay operand and the destination as slices — no row gather,
 no row scatter — and each arithmetic step is one vectorised call over
@@ -52,9 +54,7 @@ reconstructed, phases folded in, every link once — not re-derived per
 call, and a half-precision clover field keeps its blocks decoded from one
 upload to the next (:meth:`~repro.gpu.fields.DeviceCloverField.blocks`).
 Spinor bodies change on every application, so those are decoded from
-their stores on each call.  A solve runs one full-parity body per
-application; a region-partial body (direct callers only) selects its rows
-by index and writes them row-wise.
+their stores on each call.  Every body covers the whole parity.
 
 **Arithmetic.**  A hop is evaluated in double precision from the stored
 values and rounded to the field's compute precision once, as it is added
@@ -106,6 +106,7 @@ __all__ = [
     "FaceTables",
     "dslash_tables",
     "dslash_table_counts",
+    "region_rows",
     "dslash_launch",
     "dslash_kernel",
     "clover_kernel",
@@ -156,19 +157,11 @@ class FaceTables:
     #: what the sender packs for its -mu / +mu neighbor.
     gather_low: np.ndarray
     gather_high: np.ndarray
-    #: Per target row, its ordinal among the low/high boundary targets
-    #: (meaningful where ``on_low`` / ``on_high`` is set).  The ghost face
-    #: is ordered by the boundary slice's lex enumeration, so the k-th
-    #: target-parity site on the slice (in cb order) pairs with the k-th
-    #: ghost entry (the ordering argument of Fig. 3, per direction).
-    ordinal_low: np.ndarray
-    ordinal_high: np.ndarray
-    #: For each low/high boundary *target* (indexed by that ordinal), the
-    #: position of its site within the full boundary slice's lex
-    #: enumeration — the index into the gauge ghost slice (which carries
-    #: both parities).
+    #: For each low boundary *target*, in cb order, the position of its
+    #: site within the slice's lex enumeration — the index into the gauge
+    #: ghost slice (which carries both parities; only a backward hop reads
+    #: a neighbour's link).
     gauge_pos_low: np.ndarray
-    gauge_pos_high: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,10 +171,11 @@ class GhostHop:
     #: ``2 * mu`` for the forward gather (reads the FORWARD end zone),
     #: ``2 * mu + 1`` for the backward one (reads the BACKWARD end zone).
     hop: int
-    #: The target rows (cb indices, ascending) on this face ...
+    #: The target rows (cb indices, ascending) on this face.  The ghost
+    #: face is ordered by the boundary slice's lex enumeration, so the
+    #: k-th of them pairs with the k-th ghost entry (the ordering argument
+    #: of Fig. 3, per direction).
     cols: np.ndarray
-    #: ... and each one's position within the ghost face.
-    ordinals: np.ndarray
 
     @property
     def mu(self) -> int:
@@ -197,10 +191,9 @@ class HopPlan:
     """Where each hop reads, for one (tables, partitioned dirs) pair.
 
     Column ``j`` is target row ``j``: targets are taken in checkerboard
-    order, the order of every store, so the one body a solve runs per
-    application (the whole parity) reads each table, and each field, as
-    a slice.  A region-partial body selects its rows by index.  Indices
-    only: safe to share between ranks.
+    order, the order of every store, so the body (always the whole
+    parity) reads each table, and each field, as a slice.  Indices only:
+    safe to share between ranks.
 
     The link table the gauge field holds (:func:`_hop_links`) has one
     column per lattice site: the even sites in cb order, then the odd
@@ -246,7 +239,6 @@ class DslashTables:
     nbr_bwd: np.ndarray
     # Per-direction face tables for the partitionable directions.
     faces: dict[int, FaceTables] = field(repr=False)
-    _rows_cache: dict = field(default_factory=dict, repr=False)
     _plan_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -280,31 +272,6 @@ class DslashTables:
                 f"{PARTITIONABLE})"
             ) from None
 
-    # -- region row sets --------------------------------------------------- #
-
-    def rows_for(self, region: str, dirs: tuple[int, ...]) -> np.ndarray:
-        """Target rows of a kernel region given the partitioned dirs."""
-        if region not in REGIONS:
-            raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
-        key = (region, dirs)
-        if key not in self._rows_cache:
-            if region == "boundary" and not dirs:
-                rows = np.arange(0)
-            elif region == "full" or not dirs:
-                rows = np.arange(self.n_sites)
-            else:
-                on_boundary = np.zeros(self.n_sites, dtype=bool)
-                for mu in dirs:
-                    f = self.face(mu)
-                    on_boundary |= f.on_low | f.on_high
-                rows = (
-                    np.nonzero(~on_boundary)[0]
-                    if region == "interior"
-                    else np.nonzero(on_boundary)[0]
-                )
-            self._rows_cache[key] = rows
-        return self._rows_cache[key]
-
     def hop_plan(self, dirs: tuple[int, ...]) -> HopPlan:
         """The gather plan for ``dirs`` (built once, indices only)."""
         if dirs not in self._plan_cache:
@@ -316,12 +283,8 @@ class DslashTables:
         ghosts = []
         for mu in dirs:
             f = self.face(mu)
-            for step, mask, ordinal in (
-                (0, f.on_high, f.ordinal_high),
-                (1, f.on_low, f.ordinal_low),
-            ):
-                cols = np.nonzero(mask)[0]
-                ghosts.append(GhostHop(2 * mu + step, cols, ordinal[cols]))
+            for step, mask in ((0, f.on_high), (1, f.on_low)):
+                ghosts.append(GhostHop(2 * mu + step, np.nonzero(mask)[0]))
         # x - mu sits at cb index nbr_bwd of the other parity, which is
         # the other half of the link table.
         other = dslash_tables(self.geometry, 1 - self.target_parity)
@@ -342,45 +305,43 @@ class DslashTables:
 
 
 @dataclass(frozen=True)
-class _SizedRows:
-    """Row-count stand-in: timing-only kernels need only ``.size``."""
-
-    size: int
-
-
-@dataclass(frozen=True)
 class DslashTableCounts:
     """Counts-only drop-in for :class:`DslashTables` (timing-only mode).
 
     Paper-scale lattices (32^3 x 256 over 32 ranks) would need gigabytes
     of int64 index tables; the timing model only ever consumes row
-    *counts*, which are pure arithmetic on the geometry.
+    *counts*, which are pure arithmetic on the geometry
+    (:func:`region_rows`).
     """
 
     geometry: LatticeGeometry
     target_parity: int
     n_sites: int
 
-    def face_half_sites(self, mu: int) -> int:
-        return self.geometry.face_half_sites(mu)
 
-    def rows_for(self, region: str, dirs: tuple[int, ...]) -> _SizedRows:
-        if region not in REGIONS:
-            raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
-        if region == "full" or not dirs:
-            n = self.n_sites if region != "boundary" else 0
-            return _SizedRows(n)
-        # Interior = sites off-boundary in every partitioned direction;
-        # each even-extent sub-box splits its parity exactly in half.
-        frac_num, frac_den = 1, 1
-        for mu in dirs:
-            d = self.geometry.dims[mu]
-            frac_num *= d - 2
-            frac_den *= d
-        interior = self.geometry.volume * frac_num // frac_den // 2
-        if region == "interior":
-            return _SizedRows(interior)
-        return _SizedRows(self.n_sites - interior)
+@lru_cache(maxsize=256)
+def region_rows(geometry: LatticeGeometry, region: str, dirs: tuple[int, ...]) -> int:
+    """Target rows of one parity in a kernel ``region``, given the
+    normalized partitioned directions ``dirs``.
+
+    The interior is the sites off the boundary slices of every direction
+    in ``dirs`` (all of them when ``dirs`` is empty), the boundary the
+    rest.  Every extent is even, so the interior box splits between the
+    parities exactly in half and the count is arithmetic on the geometry:
+    no index table is read, which is what lets a timing-only run charge
+    a paper-scale lattice.
+    """
+    if region not in REGIONS:
+        raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
+    vh = geometry.half_volume
+    if region == "full":
+        return vh
+    interior = geometry.volume
+    for mu in dirs:
+        d = geometry.dims[mu]
+        interior = interior // d * (d - 2)
+    interior //= 2
+    return interior if region == "interior" else vh - interior
 
 
 @lru_cache(maxsize=64)
@@ -398,25 +359,18 @@ def dslash_table_counts(
 def _face_tables(geometry: LatticeGeometry, target_parity: int, mu: int) -> FaceTables:
     tgt_sites = geometry.sites_of_parity[target_parity]
     coord = geometry.coords[tgt_sites, mu]
-    high = geometry.dims[mu] - 1
     on_low = coord == 0
-    on_high = coord == high
+    on_high = coord == geometry.dims[mu] - 1
     source_parity = 1 - target_parity
-    # Position within the full boundary slice (both parities), lex order:
-    # rank of the site among all slice sites, computable by dropping the
-    # mu coordinate from the lex index.
-    def slice_pos(mask, which_coord):
-        sites = tgt_sites[mask]
-        c = geometry.coords[sites]
-        dims = geometry.dims
-        pos = np.zeros(sites.size, dtype=np.int64)
-        stride = 1
-        for nu in range(NDIM):
-            if nu == mu:
-                continue
-            pos += c[:, nu] * stride
-            stride *= dims[nu]
-        return pos
+    # Position within the low boundary slice (both parities), lex order:
+    # the lex index with the mu coordinate dropped.
+    c = geometry.coords[tgt_sites[on_low]]
+    gauge_pos_low = np.zeros(c.shape[0], dtype=np.int64)
+    stride = 1
+    for nu in range(NDIM):
+        if nu != mu:
+            gauge_pos_low += c[:, nu] * stride
+            stride *= geometry.dims[nu]
 
     return FaceTables(
         mu=mu,
@@ -424,10 +378,7 @@ def _face_tables(geometry: LatticeGeometry, target_parity: int, mu: int) -> Face
         on_high=on_high,
         gather_low=geometry.boundary_sites_of_parity(mu, -1, source_parity),
         gather_high=geometry.boundary_sites_of_parity(mu, +1, source_parity),
-        ordinal_low=np.cumsum(on_low) - 1,
-        ordinal_high=np.cumsum(on_high) - 1,
-        gauge_pos_low=slice_pos(on_low, 0),
-        gauge_pos_high=slice_pos(on_high, high),
+        gauge_pos_low=gauge_pos_low,
     )
 
 
@@ -615,11 +566,11 @@ def dslash_launch(
     if clover_target == "xpay" and (clover is None or xpay is None):
         raise ValueError("clover_target='xpay' requires both clover and xpay")
     dirs = normalize_partitioned(partitioned)
-    rows = tables.rows_for(region, dirs)
-    nbytes = rows.size * dslash_site_bytes(
+    rows = region_rows(tables.geometry, region, dirs)
+    nbytes = rows * dslash_site_bytes(
         src.precision, gauge, fused_clover=clover is not None, fused_xpay=xpay is not None
     )
-    flops = rows.size * _dslash_flops(
+    flops = rows * _dslash_flops(
         fused_clover=clover is not None, fused_xpay=xpay is not None
     )
     gpu.launch(
@@ -650,7 +601,6 @@ def dslash_kernel(
     stream: int = 0,
     occupancy: float = 1.0,
     camping: bool = False,
-    whole_parity: bool = False,
 ) -> None:
     """Apply the hopping term to ``src`` and write ``dst`` (one parity).
 
@@ -667,28 +617,26 @@ def dslash_kernel(
     paper's temporal-only slicing; ``(2, 3)`` activates the
     multi-dimensional extension.  Ghost data is read from ``src``'s end
     zone (the transferred field is the dslash *source*) and the gauge
-    ghost slices; ``region`` selects full/interior/boundary rows so the
-    overlap strategy can split the work (Section VI-D2).
-    ``whole_parity`` charges ``region`` but computes every row: the
-    overlapped exchange's boundary kernel, whose interior kernel was
-    charged by :func:`dslash_launch` and computed nothing.
+    ghost slices.  Every call computes the whole parity; ``region`` names
+    the launch it charges — ``"full"``, or ``"boundary"``, the overlapped
+    exchange's kernel after the ghosts land, whose interior kernel is
+    charged by :func:`dslash_launch` alone (Section VI-D2).
     """
+    if region == "interior":
+        raise ValueError(
+            "dslash_kernel computes the whole parity; charge the interior "
+            "kernel with dslash_launch"
+        )
     dirs = dslash_launch(
         gpu, tables, gauge, src, region=region, partitioned=partitioned,
         clover=clover, clover_target=clover_target, xpay=xpay,
         stream=stream, occupancy=occupancy, camping=camping,
     )
-    if not gpu.execute:
-        return
-    rows = tables.rows_for(region, dirs)
-    if whole_parity or rows.size == tables.n_sites:
-        rows = None
-    elif rows.size == 0:
-        return
-    _dslash_body(
-        tables, gauge, src, dst, dirs, rows,
-        dagger=dagger, clover=clover, clover_target=clover_target, xpay=xpay,
-    )
+    if gpu.execute:
+        _dslash_body(
+            tables, gauge, src, dst, dirs,
+            dagger=dagger, clover=clover, clover_target=clover_target, xpay=xpay,
+        )
 
 
 def _dslash_body(
@@ -697,7 +645,6 @@ def _dslash_body(
     src: DeviceSpinorField,
     dst: DeviceSpinorField,
     dirs: tuple[int, ...],
-    rows: np.ndarray | None,
     *,
     dagger: bool,
     clover: DeviceCloverField | None,
@@ -705,32 +652,22 @@ def _dslash_body(
     xpay: tuple[complex, DeviceSpinorField] | None,
 ) -> None:
     """The arithmetic of :func:`dslash_kernel`: project, multiply,
-    reconstruct, then the fused epilogue, for the target rows ``rows``
-    (ascending) or, ``None``, the whole parity.
+    reconstruct, then the fused epilogue, over the whole parity.
 
-    Site index last on every array, targets in cb order; a hop is
-    evaluated in double and rounded to the field's precision as it is
-    accumulated (module docstring, "Data flow" and "Arithmetic").  The
-    whole parity reads every table and field as a slice; ``rows`` are
-    selected by index, and only their ghost columns are read.
+    Site index last on every array, targets in cb order, every table and
+    field read as a slice; a hop is evaluated in double and rounded to the
+    field's precision as it is accumulated (module docstring, "Data flow"
+    and "Arithmetic").
     """
     cdtype = src.precision.complex_compute_dtype
     plan = tables.hop_plan(dirs)
-    if rows is None:
-        n = tables.n_sites
-        cols = slice(None)
-        at_target = slice(plan.link_base, plan.link_base + n)
-        ghosts = [(g, g.cols, slice(None)) for g in plan.ghosts]
-    else:
-        n = rows.size
-        cols = rows
-        at_target = plan.link_base + rows
-        ghosts = _ghosts_among(plan.ghosts, rows)
+    n = tables.n_sites
+    at_target = slice(plan.link_base, plan.link_base + n)
     links = gauge.derived(
         ("hop_links", tables.geometry), lambda: _hop_links(tables.geometry, gauge)
     )
     spin = _hop_spin(src.basis, dagger)
-    if ghosts:
+    if plan.ghosts:
         ghost_links = gauge.derived(
             ("ghost_links", tables.geometry, tables.target_parity, dirs),
             lambda: _ghost_links(tables, gauge, dirs),
@@ -747,16 +684,15 @@ def _dslash_body(
             # of U_mu(x - mu) backward (the conjugate, indices as stored).
             if backward:
                 u = np.take(
-                    links[mu].reshape(9, -1), plan.bwd_link[mu, cols], axis=1,
-                    mode="clip",
+                    links[mu].reshape(9, -1), plan.bwd_link[mu], axis=1, mode="clip"
                 ).reshape(3, 3, n)
                 np.conjugate(u, out=u)
                 if plan.bwd_sign[mu] is not None:
-                    u *= plan.bwd_sign[mu][cols].astype(u.real.dtype)
+                    u *= plan.bwd_sign[mu].astype(u.real.dtype)
             else:
                 u = links[mu][:, :, at_target].transpose(1, 0, 2)
             # Half spinor Q psi(x +/- mu) of every target: 2 x 3 a site.
-            psi = np.take(source, plan.nbr[k, cols], axis=1, mode="clip").reshape(4, 3, n)
+            psi = np.take(source, plan.nbr[k], axis=1, mode="clip").reshape(4, 3, n)
             q_rows, r_rows = spin[k]
             half = np.empty((2, 3, n), dtype=np.complex128)
             for h, ((t, coeff), *rest) in enumerate(q_rows):
@@ -767,15 +703,15 @@ def _dslash_body(
             u_half = u[0] * half[:, 0, None]
             u_half += u[1] * half[:, 1, None]
             u_half += u[2] * half[:, 2, None]
-            for g, at, which in ghosts:
+            for g in plan.ghosts:
                 if g.hop == k:
                     # A target on the face reads the end zone instead, whose
                     # half spinors arrived projected (Section VI-C), and going
                     # backward the neighbouring rank's link (Section VI-B).
-                    face = src.get_ghost(g.direction, mu=g.mu)[g.ordinals[which]]
-                    u_cols = ghost_links[k][:, :, which] if backward else u[:, :, at]
+                    face = src.get_ghost(g.direction, mu=g.mu)
+                    u_cols = ghost_links[k] if backward else u[:, :, g.cols]
                     u_t = np.ascontiguousarray(u_cols.transpose(2, 0, 1))
-                    u_half[:, :, at] = np.matmul(face, u_t).transpose(1, 2, 0)
+                    u_half[:, :, g.cols] = np.matmul(face, u_t).transpose(1, 2, 0)
             # Reconstruct R (U Q psi) straight into the accumulator.
             for row, term in enumerate(r_rows):
                 if term is not None:
@@ -787,34 +723,15 @@ def _dslash_body(
     out = np.ascontiguousarray(acc.reshape(12, n).T).reshape(n, 4, 3)
 
     # ----- fused epilogue: clover multiply and accumulate ---------------- #
-    def apply_clover(psi):
-        return clover.apply(psi) if rows is None else clover.apply_rows(psi, rows)
-
     if clover is not None and clover_target == "result":
-        out = apply_clover(out)
+        out = clover.apply(out)
     if xpay is not None:
         coeff, x_field = xpay
-        x_rows = x_field.working(rows)
+        x = x_field.working()
         if clover is not None and clover_target == "xpay":
-            x_rows = apply_clover(x_rows)
-        out = x_rows + np.asarray(coeff, dtype=cdtype) * out
-    if rows is None:
-        dst.set_working(out)
-    else:
-        dst.set_rows(rows, out)
-
-
-def _ghosts_among(ghosts: tuple[GhostHop, ...], rows: np.ndarray) -> list:
-    """The ghost hops of a region-partial body over ``rows`` (ascending):
-    ``(hop, positions of its targets within rows, which of its entries
-    those are)``, for each hop with a target among ``rows``."""
-    out = []
-    for g in ghosts:
-        at = np.searchsorted(rows, g.cols)
-        which = np.nonzero(rows[np.minimum(at, rows.size - 1)] == g.cols)[0]
-        if which.size:
-            out.append((g, at[which], which))
-    return out
+            x = clover.apply(x)
+        out = x + np.asarray(coeff, dtype=cdtype) * out
+    dst.set_working(out)
 
 
 def _scaled(out: np.ndarray, coeff: complex, x: np.ndarray, *, add: bool) -> None:
@@ -924,7 +841,7 @@ def _ghost_links(
     out = {}
     for g in plan.ghosts:
         if g.direction == BACKWARD:
-            ghost = gauge.ghost_links(g.mu)[tables.face(g.mu).gauge_pos_low[g.ordinals]]
+            ghost = gauge.ghost_links(g.mu)[tables.face(g.mu).gauge_pos_low]
             phase = tables.ph_bwd[g.mu][g.cols].astype(ghost.real.dtype)
             out[g.hop] = (np.conj(ghost) * phase[:, None, None]).transpose(1, 2, 0)
     return out

@@ -8,10 +8,10 @@ re-deriving the face ordinals on every call.  It is slow and obviously
 right, which is what an oracle should be; nothing under ``src/`` imports
 it.
 
-:func:`reference_dslash` returns the processed rows and the complex
-result *before* it is stored, so a caller can compare either against the
-device field (``dst.get()``) or, for half precision, against what
-quantizing exactly this result would store.
+:func:`reference_dslash` returns the complex result of every target row
+*before* it is stored, so a caller can compare it against the device
+field (``dst.get()``) or, for half precision, against what quantizing
+exactly this result would store.
 """
 
 import numpy as np
@@ -39,16 +39,15 @@ def reference_dslash(
     gauge,
     src,
     *,
-    region="full",
     partitioned=(),
     dagger=False,
     clover=None,
     clover_target="result",
     xpay=None,
 ):
-    """``(rows, out)``: the hopping term (+ fused epilogue) on ``rows``."""
+    """The hopping term (+ fused epilogue) of every target row."""
     dirs = normalize_partitioned(partitioned)
-    rows = tables.rows_for(region, dirs)
+    rows = np.arange(tables.n_sites)
     basis = src.basis
     sgn = -1 if dagger else +1
     body = src.working()
@@ -117,4 +116,4 @@ def reference_dslash(
         if clover is not None and clover_target == "xpay":
             x_rows = apply_chiral_blocks(clover.blocks()[rows], x_rows)
         out = x_rows + np.asarray(coeff, dtype=cdtype) * out
-    return rows, out
+    return out

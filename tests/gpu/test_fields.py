@@ -57,28 +57,6 @@ class TestDeviceSpinor:
         f = DeviceSpinorField(gpu, sites=16, precision=Precision.SINGLE)
         with pytest.raises(ValueError, match="expected"):
             f.set(np.zeros((15, 4, 3), dtype=complex))
-        with pytest.raises(ValueError, match="expected"):
-            f.set_rows(np.arange(4), np.zeros((5, 4, 3), dtype=complex))
-
-    @pytest.mark.parametrize("prec", list(Precision))
-    def test_set_rows_stores_what_set_would(self, gpu, rng, prec):
-        """Quantization is per site against a per-site norm, so writing a
-        subset of rows is bit-identical to writing the whole field: the
-        int16 store *and* the norms in half, the array otherwise."""
-        sites = 96
-        old, new = _random_spinor_data(rng, sites), _random_spinor_data(rng, sites)
-        new[5] = 0.0  # an all-zero site keeps norm 0
-        rows = rng.permutation(sites)[:40]
-        whole = DeviceSpinorField(gpu, sites=sites, precision=prec, label="whole")
-        merged = old.copy()
-        merged[rows] = new[rows]
-        whole.set(merged)
-        partial = DeviceSpinorField(gpu, sites=sites, precision=prec, label="partial")
-        partial.set(old)
-        partial.set_rows(rows, new[rows])
-        np.testing.assert_array_equal(partial._store.array, whole._store.array)
-        if prec.needs_norm:
-            np.testing.assert_array_equal(partial._norms, whole._norms)
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_working_rows_is_a_slice_of_working(self, gpu, rng, prec):
@@ -92,11 +70,6 @@ class TestDeviceSpinor:
     def test_working_is_the_store_unless_half(self, gpu, prec):
         f = DeviceSpinorField(gpu, sites=16, precision=prec)
         assert f.working() is f._store.array
-
-    def test_set_rows_skipped_in_timing_only_mode(self):
-        gpu = VirtualGPU(execute=False, enforce_memory=False)
-        f = DeviceSpinorField(gpu, sites=16, precision=Precision.HALF)
-        f.set_rows(np.arange(4), np.zeros((4, 4, 3), dtype=complex))
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_ghost_roundtrip(self, gpu, rng, prec):
@@ -247,14 +220,15 @@ class TestDeviceClover:
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_blocks_of_rows(self, gpu, host_clover, rng, prec):
+        """The codec is sitewise: the blocks of any rows are what a field
+        holding only those rows decodes to."""
         v = host_clover.geometry.volume
         f = DeviceCloverField(gpu, sites=v, precision=prec)
         f.set(host_clover.data)
         rows = rng.permutation(v)[:50]
-        np.testing.assert_array_equal(f.blocks(rows), f.blocks()[rows])
-        psi = np.zeros((v, 4, 3), dtype=complex)
-        psi[rows] = _random_spinor_data(rng, 50)
-        np.testing.assert_array_equal(f.apply_rows(psi[rows], rows), f.apply(psi)[rows])
+        part = DeviceCloverField(gpu, sites=rows.size, precision=prec, label="part")
+        part.set(host_clover.data[rows])
+        np.testing.assert_array_equal(part.blocks(), f.blocks()[rows])
 
     def test_half_blocks_are_hermitian(self, gpu, host_clover):
         """The packed format stores the lower triangle; decoding fills the

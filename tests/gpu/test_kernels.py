@@ -21,6 +21,7 @@ from repro.gpu import (
 )
 from repro.gpu.kernels import (
     dslash_kernel,
+    dslash_launch,
     dslash_site_bytes,
     dslash_tables,
     gather_face_kernel,
@@ -231,60 +232,58 @@ class TestGhostZones:
         np.testing.assert_allclose(dst.get(), expected, atol=1e-12)
 
     def test_interior_plus_boundary_equals_full(self, gpu, geo, gauge, rng):
-        """The overlap strategy's split computes the same answer."""
-        psi = _rand_cb(rng, geo)
-        dg, src, dst_split = _upload(gpu, geo, gauge, psi, Precision.DOUBLE, faces=True)
-        self._self_exchange(gpu, geo, dg, gauge, src)
-        tables = dslash_tables(geo, EVEN)
-        dst_split.zero()
-        dslash_kernel(gpu, tables, dg, src, dst_split, region="interior", partitioned=(3,))
-        dslash_kernel(gpu, tables, dg, src, dst_split, region="boundary", partitioned=(3,))
-        expected = dslash_parity(gauge, psi, EVEN)
-        np.testing.assert_allclose(dst_split.get(), expected, atol=1e-12)
-
-    def test_interior_needs_no_ghosts(self, gpu, geo, gauge, rng):
-        """Interior rows can be computed before any face arrives."""
+        """The overlap strategy's pair — the interior charged alone, then
+        the boundary kernel — computes the wrapped dslash."""
         psi = _rand_cb(rng, geo)
         dg, src, dst = _upload(gpu, geo, gauge, psi, Precision.DOUBLE, faces=True)
-        # Ghosts deliberately NaN: a read of either end zone or the gauge
-        # ghost slice poisons the rows that made it.
-        face = np.full((geo.spatial_half_volume, 2, 3), np.nan, dtype=complex)
-        src.set_ghost(BACKWARD, face)
-        src.set_ghost(FORWARD, face)
-        dg.set_ghost(np.full((geo.spatial_volume, 3, 3), np.nan, dtype=complex))
+        self._self_exchange(gpu, geo, dg, gauge, src)
         tables = dslash_tables(geo, EVEN)
         dst.zero()
-        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=(3,))
+        dslash_launch(gpu, tables, dg, src, region="interior", partitioned=(3,))
+        dslash_kernel(gpu, tables, dg, src, dst, region="boundary", partitioned=(3,))
         expected = dslash_parity(gauge, psi, EVEN)
-        got = dst.get()
-        interior = tables.rows_for("interior", (T_DIR,))
-        np.testing.assert_allclose(got[interior], expected[interior], atol=1e-12)
-        np.testing.assert_array_equal(got[tables.rows_for("boundary", (T_DIR,))], 0.0)
+        np.testing.assert_allclose(dst.get(), expected, atol=1e-12)
 
     def test_whole_parity_charges_its_region_and_computes_every_row(
         self, gpu, geo, gauge, rng
     ):
-        """The overlapped exchange's boundary kernel: the launch is the
-        boundary region's, the result the full parity's, bit for bit."""
+        """The overlapped exchange's pair: ``dslash_launch`` charges the
+        interior, the boundary kernel charges the rest and stores the full
+        parity's result, bit for bit."""
         psi = _rand_cb(rng, geo)
         dg, src, full = _upload(gpu, geo, gauge, psi, Precision.SINGLE, faces=True)
         self._self_exchange(gpu, geo, dg, gauge, src)
-        whole = DeviceSpinorField(
+        split = DeviceSpinorField(
             gpu, sites=geo.half_volume, precision=Precision.SINGLE,
-            faces={3: geo.spatial_half_volume}, label="whole",
+            faces={3: geo.spatial_half_volume}, label="split",
         )
         tables = dslash_tables(geo, EVEN)
         dslash_kernel(gpu, tables, dg, src, full, partitioned=(3,))
         full_op = gpu.timeline.ops[-1]
-        dslash_kernel(
-            gpu, tables, dg, src, whole, region="boundary", partitioned=(3,),
-            whole_parity=True,
+        dslash_launch(gpu, tables, dg, src, region="interior", partitioned=(3,))
+        dslash_kernel(gpu, tables, dg, src, split, region="boundary", partitioned=(3,))
+        interior_op, boundary_op = gpu.timeline.ops[-2:]
+        assert (interior_op.name, boundary_op.name) == (
+            "dslash[interior]", "dslash[boundary]"
         )
-        op = gpu.timeline.ops[-1]
-        assert op.name == "dslash[boundary]"
-        boundary_rows = tables.rows_for("boundary", (T_DIR,)).size
-        assert op.flops * geo.half_volume == full_op.flops * boundary_rows
-        np.testing.assert_array_equal(whole._store.array, full._store.array)
+        per_site = full_op.flops // geo.half_volume
+        rows = [op.flops // per_site for op in (interior_op, boundary_op)]
+        assert 0 < rows[1] < geo.half_volume and sum(rows) == geo.half_volume
+        np.testing.assert_array_equal(split._store.array, full._store.array)
+
+    def test_interior_kernel_refused(self, gpu, geo, gauge, rng):
+        """The interior kernel computes nothing on its own: its charge is
+        ``dslash_launch``'s, and ``dslash_kernel`` says so."""
+        dg, src, dst = _upload(
+            gpu, geo, gauge, _rand_cb(rng, geo), Precision.DOUBLE, faces=True
+        )
+        ops = len(gpu.timeline.ops)
+        with pytest.raises(ValueError, match="dslash_launch"):
+            dslash_kernel(
+                gpu, dslash_tables(geo, EVEN), dg, src, dst, region="interior",
+                partitioned=(3,),
+            )
+        assert len(gpu.timeline.ops) == ops
 
     def test_gather_projects_correctly(self, gpu, geo, gauge, rng):
         """The packed face is Q(sign) psi on the right timeslice."""
@@ -335,7 +334,7 @@ class TestAccounting:
     def test_region_traffic_scales_with_rows(self, gpu, geo, gauge, rng):
         dg, src, dst = _upload(gpu, geo, gauge, _rand_cb(rng, geo), Precision.SINGLE, faces=True)
         tables = dslash_tables(geo, EVEN)
-        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=(3,))
+        dslash_launch(gpu, tables, dg, src, region="interior", partitioned=(3,))
         dslash_kernel(gpu, tables, dg, src, dst, region="boundary", partitioned=(3,))
         k_int, k_bnd = gpu.timeline.ops[-2], gpu.timeline.ops[-1]
         assert k_int.nbytes + k_bnd.nbytes == geo.half_volume * dslash_site_bytes(

@@ -16,7 +16,13 @@ from repro.gpu import (
     Precision,
     VirtualGPU,
 )
-from repro.gpu.kernels import dslash_kernel, dslash_table_counts, dslash_tables, project_face
+from repro.gpu.kernels import (
+    dslash_kernel,
+    dslash_launch,
+    dslash_tables,
+    project_face,
+    region_rows,
+)
 from repro.lattice import LatticeGeometry, weak_field_gauge
 from repro.lattice.evenodd import EVEN, ODD, dslash_parity
 
@@ -81,6 +87,8 @@ class TestMultiDirGhosts:
         assert err < TOL[prec]
 
     def test_interior_plus_boundary_equals_full(self, gpu, geo, gauge, rng):
+        """The overlapped pair over (Z, T): the interior charged alone, then
+        the boundary kernel, whose one body reads both directions' ghosts."""
         dirs = (2, 3)
         vh = geo.half_volume
         psi = rng.standard_normal((vh, 4, 3)) + 0j
@@ -88,7 +96,7 @@ class TestMultiDirGhosts:
         tables = dslash_tables(geo, ODD)
         _self_exchange(geo, gauge, dg, src, tables, dirs)
         dst.zero()
-        dslash_kernel(gpu, tables, dg, src, dst, region="interior", partitioned=dirs)
+        dslash_launch(gpu, tables, dg, src, region="interior", partitioned=dirs)
         dslash_kernel(gpu, tables, dg, src, dst, region="boundary", partitioned=dirs)
         expected = dslash_parity(gauge, psi, ODD)
         np.testing.assert_allclose(dst.get(), expected, atol=1e-12)
@@ -112,24 +120,48 @@ class TestMultiDirGhosts:
             dslash_kernel(gpu, tables, dg, src, dst, partitioned=(0,))
 
 
+def _mask_counts(geometry, parity, dirs):
+    """Interior and boundary rows counted from the face masks: a target is
+    on the boundary when it lies on either boundary slice of any
+    partitioned direction."""
+    tables = dslash_tables(geometry, parity)
+    on_boundary = np.zeros(tables.n_sites, dtype=bool)
+    for mu in dirs:
+        face = tables.face(mu)
+        on_boundary |= face.on_low | face.on_high
+    boundary = int(np.count_nonzero(on_boundary))
+    return {
+        "full": tables.n_sites,
+        "interior": tables.n_sites - boundary,
+        "boundary": boundary,
+    }
+
+
+#: Every extent pair in {4, 6, 8} for the partitionable (Z, T), plus the
+#: second T slab of a 4 x 4 x 6 x 8 lattice (parities from global
+#: coordinates).
+COUNT_GEOMETRIES = [
+    LatticeGeometry((4, 6, z, t)) for z in (4, 6, 8) for t in (4, 6, 8)
+] + [LatticeGeometry((4, 4, 6, 4), t_offset=4, global_t=8)]
+
+
 class TestRegionCounts:
-    @pytest.mark.parametrize("dirs", [(3,), (2,), (2, 3)])
-    def test_counts_match_index_tables(self, geo, dirs):
-        """The timing-only inclusion-exclusion formula agrees with the
-        real index tables for every direction set."""
-        full = dslash_tables(geo, EVEN)
-        counts = dslash_table_counts(geo, EVEN)
-        for region in ("full", "interior", "boundary"):
-            assert (
-                counts.rows_for(region, dirs).size
-                == full.rows_for(region, dirs).size
-            ), (region, dirs)
+    @pytest.mark.parametrize("dirs", [(3,), (2,), (2, 3), ()])
+    def test_counts_match_index_tables(self, dirs):
+        """The one count, arithmetic on the geometry, agrees with the
+        counts of the face masks for every parity and direction set."""
+        for geometry in COUNT_GEOMETRIES:
+            for parity in (EVEN, ODD):
+                for region, rows in _mask_counts(geometry, parity, dirs).items():
+                    assert region_rows(geometry, region, dirs) == rows, (
+                        geometry, parity, region,
+                    )
 
     def test_boundary_plus_interior_is_full(self, geo):
-        counts = dslash_table_counts(geo, EVEN)
-        for dirs in ((3,), (2, 3)):
-            total = (
-                counts.rows_for("interior", dirs).size
-                + counts.rows_for("boundary", dirs).size
-            )
-            assert total == counts.rows_for("full", dirs).size
+        for dirs in ((), (3,), (2, 3)):
+            total = region_rows(geo, "interior", dirs) + region_rows(geo, "boundary", dirs)
+            assert total == region_rows(geo, "full", dirs) == geo.half_volume
+
+    def test_unknown_region_rejected(self, geo):
+        with pytest.raises(ValueError, match="unknown region"):
+            region_rows(geo, "corner", (3,))

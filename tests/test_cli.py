@@ -123,6 +123,22 @@ class TestBench:
         assert rc == 2
         assert "unknown figure" in capsys.readouterr().err
 
+    def test_iterations_reach_the_driver_and_its_errors_propagate(self, monkeypatch):
+        """``--iterations`` goes to a driver that takes it; a ``TypeError``
+        raised inside the driver is its own, not a cue to rerun it."""
+        import repro.bench.figures as figures
+
+        seen = []
+
+        def fig5b(iterations=15):
+            seen.append(iterations)
+            raise TypeError("inside the driver")
+
+        monkeypatch.setitem(figures.ALL_FIGURES, "fig5b", fig5b)
+        with pytest.raises(TypeError, match="inside the driver"):
+            main(["bench", "--figure", "fig5b", "--iterations", "3"])
+        assert seen == [3]
+
 
 class TestProfile:
     def test_profile_table(self, capsys):
@@ -551,6 +567,18 @@ class TestServeDaemon:
         ])
         assert rc == 2
 
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tenant-weights", "3,1"),
+        ("--tenant-mix", "1,1"),
+        ("--quota-qps", "100"),
+        ("--quota-qps", "0"),
+        ("--quota-burst", "5"),
+    ])
+    def test_tenant_option_without_tenants_exits_2(self, capsys, flag, value):
+        rc = main(["serve", "--requests", "4", flag, value])
+        assert rc == 2
+        assert "tenant options require --tenants" in capsys.readouterr().out
 
     def test_fault_outside_the_topology_exits_2(self, capsys):
         rc = main([
