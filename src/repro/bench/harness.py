@@ -476,7 +476,7 @@ def _daemon_config(p: dict, preempt: bool):
         p,
         1,
         preemption=PreemptionPolicy(enabled=preempt),
-        elastic=ElasticPolicy(min_workers=1, max_workers=6),
+        elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=6),
     )
 
 

@@ -17,6 +17,7 @@ paper-vs-measured report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -73,6 +74,23 @@ def _grid_policy(text: str):
     if text in ("time", "none"):
         return None
     return _grid(text)
+
+
+def _serve_knobs():
+    """``(holder, class, fields)`` for ``ServiceConfig`` (holder
+    ``None``) and each policy it holds (holder: the config field): the
+    fields that declare the one ``repro serve`` flag setting them."""
+    from .service import ServiceConfig
+
+    holders = [(None, ServiceConfig)] + [
+        (f.name, f.default_factory)
+        for f in dataclasses.fields(ServiceConfig)
+        if dataclasses.is_dataclass(f.default_factory)
+    ]
+    for holder, cls in holders:
+        fields = [f for f in dataclasses.fields(cls) if "flag" in f.metadata]
+        if fields:
+            yield holder, cls, fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,14 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the solve service: queued, batched, SLO-aware campaign "
         "scheduling over a pool of simulated multi-GPU workers",
     )
-    # A config flag without a default sets its field only when given
-    # (``serve_config``): the library's default is the only copy.
+    # A flag that sets one config field is declared on that field and has
+    # no default: left out, the library's default holds (``serve_config``).
+    for _, _, fields in _serve_knobs():
+        for f in fields:
+            kind = type(f.default)
+            typed = dict(action="store_true") if kind is bool else dict(type=kind)
+            p.add_argument(f.metadata["flag"], help=f.metadata["help"], **typed)
     p.add_argument("--requests", type=int, default=32,
                    help="synthetic campaign size (solver calls)")
-    p.add_argument("--workers", type=int,
-                   help="worker pool size (each an n-rank SimMPI cluster)")
-    p.add_argument("--ranks", type=int,
-                   help="GPUs (ranks) per worker")
     p.add_argument("--dims", type=_dims, default=(8, 8, 8, 32))
     p.add_argument("--mode", default="single-half",
                    choices=["single", "double", "single-half", "double-half"])
@@ -222,24 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", type=int, default=1,
                    help="distinct gauge configurations in the campaign "
                    "(only same-config requests share a batch)")
-    p.add_argument("--batch-max", type=int,
-                   help="multi-RHS batch size cap (1 disables batching)")
-    p.add_argument("--batch-wait-us", type=float,
-                   help="batching window: max model time a batch head waits")
-    p.add_argument("--queue-capacity", type=int,
-                   help="admission queue bound (beyond it: reject with "
-                   "retry-after)")
-    p.add_argument("--max-retries", type=int,
-                   help="re-dispatches after a worker failure before a "
-                   "request fails terminally")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request SLO slack in model ms (goodput metric)")
-    p.add_argument("--iterations", type=int,
-                   help="solver iterations per request (timing-only mode)")
     p.add_argument("--seed", type=int, default=2010)
-    p.add_argument("--functional", action="store_true",
-                   help="real numerics on weak-field configurations "
-                   "instead of the timing-only schedule")
     p.add_argument("--chaos", action="store_true",
                    help="inject a rank crash into one worker mid-campaign")
     p.add_argument("--crash-worker", type=int, default=0,
@@ -290,24 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="HIGH,NORMAL,LOW",
                    help="arrival priority mix as three weights "
                    "(default 0.1,0.7,0.2)")
-    p.add_argument("--preempt", action="store_true",
-                   help="LOW batches yield to waiting HIGH arrivals at "
-                   "refresh-point boundaries and later resume from "
-                   "checkpoint")
-    p.add_argument("--refresh-points", type=int,
-                   help="refresh boundaries per batch a preempted solve "
-                   "may yield at")
-    p.add_argument("--resume-overhead-us", type=float,
-                   help="model time to reload a preempted batch's "
-                   "checkpoint on resume")
-    p.add_argument("--elastic", action="store_true",
-                   help="scale the worker pool against the measured "
-                   "arrival rate (--workers is the starting size)")
-    p.add_argument("--min-workers", type=int)
-    p.add_argument("--max-workers", type=int)
-    p.add_argument("--spinup-us", type=float,
-                   help="model time between a scale-up decision and the "
-                   "new worker taking traffic")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="commit the campaign checkpoint to PATH at every "
                    "batch boundary (scheduler self-healing)")
@@ -317,24 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "pattern); exits non-zero unless the resumed run "
                    "restores from checkpoint and terminates every "
                    "admitted request")
-    # ---- resilience --------------------------------------------------- #
-    p.add_argument("--health", action="store_true",
-                   help="per-worker health tracking + circuit breaker: "
-                   "flaky workers are quarantined, probed after a "
-                   "cooldown, and reinstated or retired")
-    p.add_argument("--cooldown-us", type=float,
-                   help="quarantine cooldown before the probe batch")
-    p.add_argument("--hedge", action="store_true",
-                   help="straggler hedging: a batch running past the "
-                   "model-relative threshold earns a replica on an idle "
-                   "worker; first completion wins")
-    p.add_argument("--hedge-factor", type=float,
-                   help="hedge when elapsed exceeds this multiple of the "
-                   "dispatch-time drain estimate")
-    p.add_argument("--brownout", action="store_true",
-                   help="graceful brownout under overload: shed LOW with "
-                   "retry-after, degrade batch precision, reject NORMAL "
-                   "— HIGH is served until capacity itself is gone")
+    # ---- worker faults ------------------------------------------------ #
     p.add_argument("--kill-worker-at-ms", type=float, default=None,
                    help="kill a whole worker at this model time "
                    "(correlated failure; its in-flight requests "
@@ -642,11 +611,6 @@ def _cmd_chaos(args) -> int:
     return 1
 
 
-def _given(**fields) -> dict:
-    """The keyword arguments whose flag was given (not ``None``)."""
-    return {name: value for name, value in fields.items() if value is not None}
-
-
 def _scaled(value: float | None, unit: float) -> float | None:
     return None if value is None else value * unit
 
@@ -654,20 +618,37 @@ def _scaled(value: float | None, unit: float) -> float | None:
 def serve_config(args):
     """The :class:`~repro.service.ServiceConfig` of a parsed ``repro serve``
     command line.  A field whose flag is left out keeps the library's
-    default."""
+    default.  A tuning flag of a feature whose switch is not given, and
+    a tenant option without ``--tenants``, raise :class:`ValueError`."""
     from .comms import DomainFaultPlan, FaultPlan, Topology, WorkerFaultPlan
     from .core import RetryPolicy
-    from .service import (
-        BatchPolicy,
-        BrownoutPolicy,
-        ElasticPolicy,
-        HealthPolicy,
-        HedgePolicy,
-        PlacementPolicy,
-        PreemptionPolicy,
-        ServiceConfig,
-        TenancyPolicy,
-    )
+    from .service import PlacementPolicy, ServiceConfig, TenancyPolicy
+
+    declared, orphans = {}, []
+    for holder, cls, fields in _serve_knobs():
+        given = {}
+        for f in fields:
+            value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
+            if value is not None:
+                given[f.name] = value * f.metadata["scale"] if "scale" in f.metadata else value
+        switch = next((f for f in fields if f.name == "enabled"), None)
+        if switch is not None and not given["enabled"]:
+            orphans += [
+                f"{f.metadata['flag']} needs {switch.metadata['flag']}"
+                for f in fields
+                if f is not switch and f.name in given
+            ]
+        if holder is None:
+            declared.update(given)
+        else:
+            declared[holder] = cls(**given)
+    if orphans:
+        raise ValueError("; ".join(orphans))
+    if not args.tenants and (
+        args.tenant_weights or args.tenant_mix
+        or args.quota_qps is not None or args.quota_burst is not None
+    ):
+        raise ValueError("tenant options require --tenants")
 
     fault_plan = None
     chaos_workers: tuple[int, ...] = ()
@@ -682,13 +663,13 @@ def serve_config(args):
     if args.recover:
         retry_policy = RetryPolicy(max_attempts=args.max_attempts)
     worker_faults = None
-    if args.kill_worker_at_ms is not None or args.straggler_factor:
+    if args.kill_worker_at_ms is not None or args.straggler_factor is not None:
         worker_faults = WorkerFaultPlan()
         if args.kill_worker_at_ms is not None:
             worker_faults = worker_faults.with_kill(
                 args.kill_worker, at_s=args.kill_worker_at_ms * 1e-3
             )
-        if args.straggler_factor:
+        if args.straggler_factor is not None:
             worker_faults = worker_faults.with_straggler(
                 args.straggler_worker, factor=args.straggler_factor
             )
@@ -703,55 +684,17 @@ def serve_config(args):
                 args.kill_node, at_s=args.kill_node_at_ms * 1e-3
             )
         if args.partition_switch_at_ms is not None:
+            heal = {} if args.heal_ms is None else {"mean_heal_s": args.heal_ms * 1e-3}
             domain_faults = domain_faults.with_partition(
-                args.partition_rack,
-                at_s=args.partition_switch_at_ms * 1e-3,
-                **_given(mean_heal_s=_scaled(args.heal_ms, 1e-3)),
+                args.partition_rack, at_s=args.partition_switch_at_ms * 1e-3, **heal
             )
-    elastic = None
-    if args.elastic:
-        elastic = ElasticPolicy(
-            **_given(
-                min_workers=args.min_workers,
-                max_workers=args.max_workers,
-                spinup_s=_scaled(args.spinup_us, 1e-6),
-            )
-        )
     return ServiceConfig(
-        **_given(
-            queue_capacity=args.queue_capacity,
-            n_workers=args.workers,
-            ranks_per_worker=args.ranks,
-            max_retries=args.max_retries,
-            fixed_iterations=args.iterations,
-        ),
-        policy=BatchPolicy(
-            **_given(
-                max_batch=args.batch_max,
-                max_wait_s=_scaled(args.batch_wait_us, 1e-6),
-            )
-        ),
-        functional=args.functional,
+        **declared,
         fault_plan=fault_plan,
         chaos_workers=chaos_workers,
         retry_policy=retry_policy,
         seed=args.seed,
         placement=PlacementPolicy(grid=args.grid, residency=not args.no_residency),
-        preemption=PreemptionPolicy(
-            enabled=args.preempt,
-            **_given(
-                refresh_points=args.refresh_points,
-                resume_overhead_s=_scaled(args.resume_overhead_us, 1e-6),
-            ),
-        ),
-        elastic=elastic,
-        health=HealthPolicy(
-            enabled=args.health, **_given(cooldown_s=_scaled(args.cooldown_us, 1e-6))
-        ),
-        hedge=HedgePolicy(
-            enabled=args.hedge, **_given(trigger_factor=args.hedge_factor)
-        ),
-        brownout=BrownoutPolicy(enabled=args.brownout),
         worker_faults=worker_faults,
         topology=topology,
         domain_faults=domain_faults,
@@ -790,13 +733,6 @@ def _cmd_serve(args) -> int:
                 fh.write("\n")
             print(f"wrote {args.json}")
         return 0
-
-    if not args.tenants and (
-        args.tenant_weights or args.tenant_mix
-        or args.quota_qps is not None or args.quota_burst is not None
-    ):
-        print("repro serve: error: tenant options require --tenants")
-        return 2
 
     streaming = (
         args.stream

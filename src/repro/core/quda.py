@@ -84,6 +84,9 @@ __all__ = [
     "invert_model_multi",
 ]
 
+#: The largest magnitude a single or half field holds without Inf.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass
 class InvertResult:
@@ -196,9 +199,15 @@ def invert_multi(
     configuration", Section VIII): the gauge/clover upload, the one-time
     gauge ghost exchange, and the autotuning are paid once; the solver
     loop runs per source.  Returns one :class:`InvertResult` per source.
+
+    A source must be finite and, unless both precisions are ``DOUBLE``,
+    within float32 range: a single or half device field would hold an
+    out-of-range entry as Inf, and the solve would only break down
+    iterations later.
     """
     if not sources:
         raise ValueError("need at least one source")
+    narrow = inv.precision is not Precision.DOUBLE or inv.precision_sloppy is not Precision.DOUBLE
     for i, src in enumerate(sources):
         if src.geometry.dims != gauge.geometry.dims:
             raise ValueError(
@@ -207,6 +216,18 @@ def invert_multi(
                 "invert_multi call shares a single device setup (gauge "
                 "upload, ghost exchange, operators), so all sources must "
                 "share one geometry and one precision recipe"
+            )
+        # Real and imaginary parts side by side, without a temporary copy.
+        parts = np.ascontiguousarray(src.data).view(src.data.real.dtype)
+        lo, hi = parts.min(), parts.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"source {i} has a non-finite entry")
+        peak = max(hi, -lo)
+        if narrow and peak > _FLOAT32_MAX:
+            raise ValueError(
+                f"source {i} has an entry of magnitude {peak:.3g}, beyond the "
+                f"float32 range of {inv.precision.name}/"
+                f"{inv.precision_sloppy.name} precision"
             )
     clover_blocks = (
         make_clover(gauge, c_sw=inv.clover_coeff).data

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .request import PRIORITY_HIGH, RequestRecord
+from .request import PRIORITY_HIGH, RequestRecord, flag_field
 
 __all__ = ["BatchPolicy", "Batch", "next_boundary", "select_batch"]
 
@@ -43,11 +43,9 @@ BOUNDARY_SLACK_S = 1e-9
 class BatchPolicy:
     """The two-knob batching contract (size cap + wait window)."""
 
-    #: Maximum right-hand sides per batch (1 = batching disabled).
-    max_batch: int = 8
-    #: Longest model time a batch head may wait before dispatching
-    #: partially filled.
-    max_wait_s: float = 500e-6
+    max_batch: int = flag_field(8, "--batch-max", "multi-RHS batch size cap (1 disables batching)")
+    max_wait_s: float = flag_field(500e-6, "--batch-wait-us", "batching window: max model time "
+                                   "a batch head waits", scale=1e-6)
     #: Priorities at or above this (numerically <=) skip the wait window
     #: entirely: dispatched at the next scheduling opportunity, batched
     #: only with whatever compatible work is already queued.

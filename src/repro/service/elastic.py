@@ -37,6 +37,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .queueing import DrainEstimator
+from .request import flag_field
 
 __all__ = [
     "ElasticPolicy",
@@ -53,19 +54,19 @@ _EV_WORKER_UP = 2
 
 @dataclass(frozen=True)
 class ElasticPolicy:
-    """The autoscaler's contract."""
+    """The autoscaler's contract (off: the pool stays at ``n_workers``).
+    A spun-up worker boots gauge-free: its residency starts cold."""
 
-    min_workers: int = 1
-    max_workers: int = 8
+    enabled: bool = flag_field(False, "--elastic", "scale the worker pool against the measured "
+                               "arrival rate (--workers is the starting size)")
+    min_workers: int = flag_field(1, "--min-workers")
+    max_workers: int = flag_field(8, "--max-workers")
     #: Utilization the pool is sized for: smaller = more headroom.
     target_utilization: float = 0.75
-    #: Model time between a scale-up decision and the worker taking
-    #: traffic (allocation + gauge-free boot; residency starts cold).
-    spinup_s: float = 2e-3
+    spinup_s: float = flag_field(2e-3, "--spinup-us", "model time between a scale-up decision "
+                                 "and the new worker taking traffic", scale=1e-6)
     #: Minimum model time between scale decisions (damping).
     cooldown_s: float = 1e-3
-    #: EWMA smoothing of the arrival-rate estimator.
-    alpha: float = 0.3
 
     def __post_init__(self) -> None:
         if self.min_workers < 1:
@@ -76,8 +77,6 @@ class ElasticPolicy:
             raise ValueError("target_utilization must be in (0, 1]")
         if self.spinup_s < 0 or self.cooldown_s < 0:
             raise ValueError("spinup_s and cooldown_s must be >= 0")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from ..comms.cluster import Topology
 from .batching import BOUNDARY_SLACK_S, Batch, next_boundary
 from .elastic import spread_domain
-from .request import PRIORITY_HIGH, PRIORITY_LOW
+from .request import PRIORITY_HIGH, PRIORITY_LOW, flag_field
 
 __all__ = [
     "HEALTHY",
@@ -94,6 +94,12 @@ RETIRED_SICK = "retired_sick"
 
 #: Quarantine entries before the breaker retires its worker.
 MAX_STRIKES = 2
+#: EWMA smoothing of the per-worker failure indicator (1 = failed or
+#: pathologically slow batch, 0 = clean completion).
+HEALTH_ALPHA = 0.5
+#: Refresh-point boundaries of a hedge's *loser* batch: the cancellation
+#: lands at the next one (the earliest consistent abandon point).
+HEDGE_REFRESH_POINTS = 4
 #: A brownout level releases only once pressure falls below this
 #: fraction of its threshold — no flapping at the boundary.
 BROWNOUT_HYSTERESIS = 0.5
@@ -133,10 +139,9 @@ def _others_serve(campaign, part, worker_id: int) -> bool:
 class HealthPolicy:
     """When a worker's ledger trips the circuit breaker."""
 
-    enabled: bool = False
-    #: EWMA smoothing of the per-worker failure indicator (1 = failed or
-    #: pathologically slow batch, 0 = clean completion).
-    alpha: float = 0.5
+    enabled: bool = flag_field(False, "--health", "per-worker health tracking + circuit breaker: "
+                               "flaky workers are quarantined, probed after a cooldown, and "
+                               "reinstated or retired")
     #: Failure-rate estimate at or above which the breaker opens.
     trip_rate: float = 0.5
     #: Observations required before the breaker may open (a single
@@ -145,12 +150,10 @@ class HealthPolicy:
     #: A completion slower than ``slow_ratio`` times the drain-model
     #: estimate counts as a (soft) failure sample — the straggler signal.
     slow_ratio: float = 3.0
-    #: Model time a quarantined worker cools down before its probe.
-    cooldown_s: float = 2e-3
+    cooldown_s: float = flag_field(
+        2e-3, "--cooldown-us", "quarantine cooldown before the probe batch", scale=1e-6)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
         if not 0.0 < self.trip_rate <= 1.0:
             raise ValueError("trip_rate must be in (0, 1]")
         if self.min_samples < 1:
@@ -312,7 +315,7 @@ class HealthBoard:
             )
             if slow:
                 wh.slow_batches += 1
-            wh._fold(1.0 if slow else 0.0, self.policy.alpha)
+            wh._fold(1.0 if slow else 0.0, HEALTH_ALPHA)
         trip = (
             wh.samples >= self.policy.min_samples
             and wh.failure_rate >= self.policy.trip_rate
@@ -329,7 +332,7 @@ class HealthBoard:
             wh.timeouts += 1
         else:
             wh.crashes += 1
-        wh._fold(1.0, self.policy.alpha)
+        wh._fold(1.0, HEALTH_ALPHA)
 
     def n_quarantined(self) -> int:
         """Workers currently held out by the breaker (quarantined or
@@ -905,13 +908,11 @@ class WorkerKills:
 class HedgePolicy:
     """When a running batch earns a speculative replica."""
 
-    enabled: bool = False
-    #: Hedge when elapsed time exceeds this multiple of the drain-model
-    #: estimate taken at dispatch (the model-relative threshold).
-    trigger_factor: float = 1.5
-    #: Refresh-point boundaries of the *loser* batch — the cancellation
-    #: lands at the next one (the earliest consistent abandon point).
-    refresh_points: int = 4
+    enabled: bool = flag_field(False, "--hedge", "straggler hedging: a batch running past the "
+                               "model-relative threshold earns a replica on an idle worker; "
+                               "first completion wins")
+    trigger_factor: float = flag_field(1.5, "--hedge-factor", "hedge when elapsed exceeds this "
+                                       "multiple of the dispatch-time drain estimate")
     #: Measured batches required before the estimate is trustworthy
     #: enough to hedge against (the configured hint is not a model).
     min_samples: int = 1
@@ -919,8 +920,6 @@ class HedgePolicy:
     def __post_init__(self) -> None:
         if self.trigger_factor <= 1.0:
             raise ValueError("trigger_factor must be > 1")
-        if self.refresh_points < 1:
-            raise ValueError("refresh_points must be >= 1")
         if self.min_samples < 0:
             raise ValueError("min_samples must be >= 0")
 
@@ -1015,7 +1014,7 @@ class HedgeLedger:
             return
         loser, _, lstart, lend = entry
         free_at = min(
-            next_boundary(k.now, lstart, lend, self.policy.refresh_points), lend
+            next_boundary(k.now, lstart, lend, HEDGE_REFRESH_POINTS), lend
         )
         k._teardown(loser.batch_id, free_at)
         loser.hedge_cancelled = True
@@ -1068,7 +1067,9 @@ class BrownoutPolicy:
     the levels speak the service's own units.
     """
 
-    enabled: bool = False
+    enabled: bool = flag_field(False, "--brownout", "graceful brownout under overload: shed LOW "
+                               "with retry-after, degrade batch precision, reject NORMAL — HIGH "
+                               "is served until capacity itself is gone")
     #: Pressure at which LOW requests are shed with a retry-after.
     shed_low_at_s: float = 4e-3
     #: Pressure at which batches dispatch at a degraded precision tier.

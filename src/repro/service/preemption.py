@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .batching import BOUNDARY_SLACK_S, Batch, next_boundary
-from .request import PRIORITY_HIGH, PRIORITY_LOW, QUEUED, RUNNING, RequestRecord
+from .request import PRIORITY_HIGH, PRIORITY_LOW, QUEUED, RUNNING, RequestRecord, flag_field
 from .workers import BatchExecution
 
 __all__ = ["PreemptionPolicy", "Preemption"]
@@ -33,16 +33,17 @@ class PreemptionPolicy:
     victim's yield at its next refresh-point boundary — the instant the
     solve's checkpoint machinery is consistent, so the preempted solve
     later *resumes* (remaining work + a modeled checkpoint-reload
-    overhead) instead of restarting.
+    overhead) instead of restarting.  With ``N`` refresh points (the
+    reliable-update cadence) a batch can yield at ``k/N`` of its
+    duration, ``k = 1..N-1``.
     """
 
-    enabled: bool = False
-    #: Refresh-point boundaries per batch (the reliable-update cadence):
-    #: a batch can yield at ``k/N`` of its duration, ``k = 1..N-1``.
-    refresh_points: int = 4
-    #: Model time to reload the checkpoint and re-establish device state
-    #: when a preempted batch resumes.
-    resume_overhead_s: float = 100e-6
+    enabled: bool = flag_field(False, "--preempt", "LOW batches yield to waiting HIGH arrivals "
+                               "at refresh-point boundaries and later resume from checkpoint")
+    refresh_points: int = flag_field(
+        4, "--refresh-points", "refresh boundaries per batch a preempted solve may yield at")
+    resume_overhead_s: float = flag_field(100e-6, "--resume-overhead-us", "model time to reload "
+                                          "a preempted batch's checkpoint on resume", scale=1e-6)
 
     def __post_init__(self) -> None:
         if self.refresh_points < 1:

@@ -44,6 +44,16 @@ REJECTED = "rejected"
 TERMINAL_STATES = (COMPLETED, FAILED, REJECTED)
 
 
+def flag_field(default, flag: str, help: str | None = None, *, scale: float | None = None):
+    """A config field that one ``repro serve`` flag sets, declared on the
+    field: ``help`` documents both, and the flag's value is multiplied by
+    ``scale`` (its unit) when given."""
+    metadata = dict(flag=flag, help=help)
+    if scale is not None:
+        metadata["scale"] = scale
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     """One solver call submitted to the service."""

@@ -48,12 +48,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator
 
 from ..comms.cluster import ClusterSpec, Topology
-from ..comms.faults import (
-    DomainFaultPlan,
-    FaultPlan,
-    IntegrityPolicy,
-    WorkerFaultPlan,
-)
+from ..comms.faults import DomainFaultPlan, FaultPlan, WorkerFaultPlan
 from ..core import RetryPolicy
 from ..gpu.specs import GTX285, GPUSpec
 from .batching import Batch, BatchPolicy, select_batch
@@ -88,6 +83,7 @@ from .request import (
     RequestRecord,
     SolveRequest,
     StructuredFailure,
+    flag_field,
 )
 from .workers import BatchExecution, SimWorker
 
@@ -118,25 +114,28 @@ class ServiceInvariantError(RuntimeError):
 class ServiceConfig:
     """Everything that shapes a campaign's schedule.
 
-    Each default here is the only copy (``repro serve`` passes a field
-    only when its flag is given).  A feature with a policy is off until
-    the policy says ``enabled=True`` — the default policy is the off
-    one; ``elastic`` is off as ``None``.  What no caller varies is a
-    constant of the module that uses it, not a field.
+    Each default here is the only copy.  A field, or a policy's field,
+    that one ``repro serve`` flag sets declares that flag
+    (:func:`~repro.service.request.flag_field`); left out, the default
+    holds.  A feature
+    with a policy is off until the policy says ``enabled=True`` — the
+    default policy is the off one.  What no caller varies is a constant
+    of the module that uses it, not a field: workers always overlap
+    communication (``QudaInvertParam.overlap_comms``), and their
+    checksums arm exactly when the fault plan injects corruption.
     """
 
-    queue_capacity: int = 64
+    queue_capacity: int = flag_field(
+        64, "--queue-capacity", "admission queue bound (beyond it: reject with retry-after)")
     policy: BatchPolicy = dataclass_field(default_factory=BatchPolicy)
-    n_workers: int = 2
-    ranks_per_worker: int = 2
-    #: Additional dispatches after a worker failure before the request
-    #: fails terminally.
-    max_retries: int = 1
-    #: Real numerics (weak-field configs, actual sources) instead of the
-    #: timing-only schedule.
-    functional: bool = False
-    fixed_iterations: int = 15
-    overlap: bool = True
+    n_workers: int = flag_field(2, "--workers", "worker pool size (each an n-rank SimMPI cluster)")
+    ranks_per_worker: int = flag_field(2, "--ranks", "GPUs (ranks) per worker")
+    max_retries: int = flag_field(1, "--max-retries", "re-dispatches after a worker failure "
+                                  "before a request fails terminally")
+    functional: bool = flag_field(False, "--functional", "real numerics on weak-field "
+                                  "configurations instead of the timing-only schedule")
+    fixed_iterations: int = flag_field(
+        15, "--iterations", "solver iterations per request (timing-only mode)")
     #: Fault template: worker ``w`` in ``chaos_workers`` runs under
     #: ``fault_plan.reseeded(w)`` — independent schedules, one seed.
     fault_plan: FaultPlan | None = None
@@ -144,16 +143,15 @@ class ServiceConfig:
     #: Worker-side self-healing (checkpoint resume over survivors);
     #: ``None`` leaves recovery to service-level re-dispatch.
     retry_policy: RetryPolicy | None = None
-    integrity: IntegrityPolicy | None = None
-    #: Seeds the service's own bookkeeping (reserved; scheduling is
-    #: already deterministic without randomness).
+    #: Derives an elastic worker's straggler factor from its node
+    #: (``WorkerFaultPlan.reseeded``); scheduling itself draws nothing.
     seed: int = 0
     #: The placement layer's knobs: grid selection, residency routing.
     placement: PlacementPolicy = dataclass_field(default_factory=PlacementPolicy)
     #: Refresh-boundary preemption of LOW batches by HIGH arrivals.
     preemption: PreemptionPolicy = dataclass_field(default_factory=PreemptionPolicy)
-    #: Autoscaling of the worker pool (``None`` = fixed ``n_workers``).
-    elastic: ElasticPolicy | None = None
+    #: Autoscaling of the worker pool.
+    elastic: ElasticPolicy = dataclass_field(default_factory=ElasticPolicy)
     #: Campaign-checkpoint cadence, in batch completions per commit.
     checkpoint_every: int = 1
     #: Circuit breaker per worker.
@@ -195,14 +193,14 @@ class ServiceConfig:
             raise ValueError("chaos_workers requires a fault_plan")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.elastic is not None and not (
+        if self.elastic.enabled and not (
             self.elastic.min_workers <= self.n_workers <= self.elastic.max_workers
         ):
             raise ValueError(
                 f"n_workers={self.n_workers} outside the elastic range "
                 f"[{self.elastic.min_workers}, {self.elastic.max_workers}]"
             )
-        if self.worker_faults is not None and self.elastic is None:
+        if self.worker_faults is not None and not self.elastic.enabled:
             # Elastic ids past the boot pool name workers a scale-up may
             # yet add; a fixed pool has no such worker.
             kills = [k.worker_id for k in self.worker_faults.kills]
@@ -277,25 +275,39 @@ class _Counters:
         return {**self.to_json(), "resumed_batches": self.resumed_batches}
 
 
+#: The optional features in registration order, which is the order
+#: their hooks run in (DESIGN.md, "Daemon lifecycle"): the
+#: ``ServiceConfig`` field that configures each, the part's class, and
+#: the checkpoint part name it keeps (``None`` = no state of its own).
+FEATURES = (
+    ("tenancy", TenantRegistry, "tenancy"),
+    ("brownout", BrownoutController, "brownout"),
+    ("elastic", PoolController, "elastic"),
+    ("preemption", Preemption, None),
+    ("hedge", HedgeLedger, "hedge"),
+    ("health", HealthBoard, "health"),
+    ("worker_faults", WorkerKills, None),
+    ("topology", DomainState, "domains"),
+)
+
+
 def _features(cfg: ServiceConfig) -> tuple:
-    """The optional features in registration order, which is the order
-    their hooks run in (DESIGN.md, "Daemon lifecycle"): the checkpoint
-    part name each keeps (``None`` = no state of its own), the part's
-    class, and the arguments that build it — or something false when the
+    """Each row of :data:`FEATURES` as (part name, class, the arguments
+    that build the part) — the arguments something false when the
     config leaves the feature off, and the report asks the class for its
-    off block instead."""
-    kills = cfg.worker_faults.kills if cfg.worker_faults is not None else ()
-    topo = cfg.topology
-    return (
-        ("tenancy", TenantRegistry, cfg.tenancy.enabled and (cfg.tenancy,)),
-        ("brownout", BrownoutController, cfg.brownout.enabled and (cfg.brownout,)),
-        ("elastic", PoolController, cfg.elastic is not None and (cfg.elastic,)),
-        (None, Preemption, cfg.preemption.enabled and (cfg.preemption,)),
-        ("hedge", HedgeLedger, cfg.hedge.enabled and (cfg.hedge,)),
-        ("health", HealthBoard, cfg.health.enabled and (cfg.health,)),
-        (None, WorkerKills, bool(kills) and (kills,)),
-        ("domains", DomainState, topo is not None and (topo, cfg.n_workers)),
-    )
+    off block instead.  A policy is on when ``enabled``; the two fault
+    rows when their plan or topology is given."""
+    rows = []
+    for field, kind, name in FEATURES:
+        value = getattr(cfg, field)
+        if field == "worker_faults":
+            args = value is not None and bool(value.kills) and (value.kills,)
+        elif field == "topology":
+            args = value is not None and (value, cfg.n_workers)
+        else:
+            args = value.enabled and (value,)
+        rows.append((name, kind, args))
+    return tuple(rows)
 
 
 class SolveService:
@@ -362,10 +374,8 @@ class SolveService:
                 else None
             ),
             retry_policy=cfg.retry_policy,
-            integrity=cfg.integrity,
             functional=cfg.functional,
             fixed_iterations=cfg.fixed_iterations,
-            overlap=cfg.overlap,
             residency=cfg.placement.residency,
             straggler_factor=straggler,
         )
@@ -512,9 +522,7 @@ class _Campaign:
         self.after_dispatch: list = []
 
         self.drain = DrainEstimator()
-        self.arrival_est = ArrivalRateEstimator(
-            alpha=cfg.elastic.alpha if cfg.elastic else 0.3
-        )
+        self.arrival_est = ArrivalRateEstimator()
         self.counters = _Counters()
 
         # What the parts register (DESIGN.md, "Daemon lifecycle"):

@@ -44,7 +44,7 @@ from math import prod
 import numpy as np
 
 from ..comms.cluster import ClusterSpec
-from ..comms.faults import FaultPlan, IntegrityPolicy, RankFailedError, root_cause
+from ..comms.faults import FaultPlan, RankFailedError, root_cause
 from ..core import (
     InvertResult,
     RetryPolicy,
@@ -118,10 +118,8 @@ class SimWorker:
         cluster: ClusterSpec | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        integrity: IntegrityPolicy | None = None,
         functional: bool = False,
         fixed_iterations: int = 15,
-        overlap: bool = True,
         #: Track gauge residency and credit the upload on hits.
         residency: bool = True,
         #: Straggler injection: successful batches take this multiple of
@@ -139,10 +137,8 @@ class SimWorker:
         self.cluster = cluster
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.integrity = integrity
         self.functional = functional
         self.fixed_iterations = fixed_iterations
-        self.overlap = overlap
         self.residency = residency
         self.straggler_factor = straggler_factor
         self.batches_run = 0
@@ -224,7 +220,6 @@ class SimWorker:
             head.mode,
             mass=head.mass,
             solver=head.solver,
-            overlap_comms=self.overlap,
             fixed_iterations=self.fixed_iterations,
             retry_policy=self.retry_policy,
         )
@@ -350,7 +345,6 @@ class SimWorker:
                         enforce_memory=False,
                         tune_cache=tunings,
                         fault_plan=self.fault_plan,
-                        integrity=self.integrity,
                     )
         except RuntimeError as exc:
             failure = root_cause(exc, RankFailedError)
@@ -437,7 +431,6 @@ class SimWorker:
             tune_cache=tunings,
             verify=False,
             fault_plan=self.fault_plan,
-            integrity=self.integrity,
         )
 
     # ------------------------------------------------------------------ #
@@ -447,12 +440,7 @@ class SimWorker:
     def _cache_key(
         self, head: SolveRequest, n: int, grid: tuple[int, int] | None
     ) -> tuple | None:
-        if (
-            self.functional
-            or self.fault_plan is not None
-            or self.cluster is not None
-            or self.integrity is not None
-        ):
+        if self.functional or self.fault_plan is not None or self.cluster is not None:
             return None
         # The grid is part of the key: a grid-routed schedule and a
         # T-sliced schedule of the same volume have different comm
@@ -460,7 +448,6 @@ class SimWorker:
         return (
             head.dims, head.mode, head.solver, head.mass, n,
             self.ranks, grid, self.gpu_spec.name, self.fixed_iterations,
-            self.overlap,
         )
 
     def _execute_model(

@@ -5,7 +5,8 @@ pathological source hits the half-precision pipeline — denormals, zero
 blocks, dynamic range far beyond what the block codec can represent —
 every guarded reduction either stays finite or raises a *structured*
 :class:`SolverBreakdown` before the scalar is folded into the solution.
-NaN/Inf never reaches ``x``.
+NaN/Inf never reaches ``x``.  A source beyond float32 range never gets
+that far: ``invert`` refuses it before upload.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SolverBreakdown, invert, paper_invert_param
+from repro.core import SolverBreakdown, invert, invert_multi, paper_invert_param
 from repro.lattice import LatticeGeometry, weak_field_gauge
 from repro.lattice.fields import SpinorField
 
@@ -66,6 +67,10 @@ class TestNoNaNEverReachesX:
         inv = paper_invert_param(
             "single-half", mass=0.2, maxiter=60, max_escalations=1
         )
+        if np.abs(src.data.view(np.float64)).max() > np.finfo(np.float32).max:
+            with pytest.raises(ValueError, match="float32 range"):
+                invert(_GAUGE, src, inv, n_gpus=1, verify=False)
+            return
         try:
             res = invert(_GAUGE, src, inv, n_gpus=1, verify=False)
         except RuntimeError as exc:
@@ -89,13 +94,34 @@ class TestNoNaNEverReachesX:
         assert res.stats.converged
         assert np.all(res.solution.data == 0)
 
-    def test_inf_source_raises_structured_breakdown(self):
+    def test_out_of_range_source_refused(self):
+        """A finite source beyond float32 range would be Inf in a single
+        or half field: ``invert`` refuses it up front, naming the source
+        and the precision, instead of breaking down iterations later.
+        (The ``non_finite`` breakdown path is covered by
+        ``tests/core/test_resilience.py``.)"""
         data = np.ones((_GEO.volume, 4, 3), np.complex128) * 1e200
-        src = SpinorField(_GEO, data)
-        inv = paper_invert_param(
-            "single-half", mass=0.2, max_escalations=0
-        )
-        with pytest.raises(RuntimeError) as info:
-            invert(_GAUGE, src, inv, n_gpus=1, verify=False)
-        bd = _breakdown_in_chain(info.value)
-        assert bd is not None and bd.kind == "non_finite"
+        for mode in ("single-half", "double-half", "single"):
+            inv = paper_invert_param(mode, mass=0.2, max_escalations=0)
+            with pytest.raises(ValueError, match=r"source 0 .*1e\+200.*float32 range") as info:
+                invert(_GAUGE, SpinorField(_GEO, data), inv, n_gpus=1, verify=False)
+            assert f"{inv.precision.name}/{inv.precision_sloppy.name}" in str(info.value)
+
+    def test_double_solve_takes_a_source_beyond_float32_range(self):
+        data = np.ones((_GEO.volume, 4, 3), np.complex128) * 1e60
+        inv = paper_invert_param("double", mass=0.2)
+        res = invert(_GAUGE, SpinorField(_GEO, data), inv, n_gpus=1, verify=False)
+        assert res.stats.converged and np.isfinite(res.solution.data).all()
+
+    @pytest.mark.parametrize(
+        "bad", [np.inf, np.nan, complex(0, np.inf)], ids=["inf", "nan", "imag_inf"]
+    )
+    def test_non_finite_source_refused_even_in_double(self, bad):
+        data = np.ones((_GEO.volume, 4, 3), np.complex128)
+        data[3, 1, 2] = bad
+        inv = paper_invert_param("double", mass=0.2)
+        with pytest.raises(ValueError, match="source 1 has a non-finite entry"):
+            invert_multi(
+                _GAUGE, [SpinorField(_GEO, np.ones_like(data)), SpinorField(_GEO, data)],
+                inv, n_gpus=1, verify=False,
+            )

@@ -248,6 +248,7 @@ class TestElasticPool:
             policy=BatchPolicy(max_batch=4, max_wait_s=10e-6),
             n_workers=2,
             elastic=ElasticPolicy(
+                enabled=True,
                 min_workers=1, max_workers=2, cooldown_s=0.0, spinup_s=1e-6
             ),
         )
@@ -275,7 +276,7 @@ class TestElasticPool:
                 ranks_per_worker=2,
                 fixed_iterations=10,
                 preemption=PreemptionPolicy(enabled=preempt),
-                elastic=ElasticPolicy(min_workers=1, max_workers=6),
+                elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=6),
             )
             workload = bursty_workload(
                 96,
@@ -311,7 +312,7 @@ class TestElasticPool:
             n_workers=1,
             ranks_per_worker=2,
             fixed_iterations=10,
-            elastic=ElasticPolicy(min_workers=1, max_workers=6),
+            elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=6),
         )
         rep = (
             SolveService(config)

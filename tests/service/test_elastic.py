@@ -20,8 +20,6 @@ class TestElasticPolicy:
             {"target_utilization": 1.5},
             {"spinup_s": -1.0},
             {"cooldown_s": -1.0},
-            {"alpha": 0.0},
-            {"alpha": 1.5},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -228,7 +226,7 @@ class TestQuarantineScaleDownRace:
                 enabled=True, min_samples=1, trip_rate=0.5,
                 cooldown_s=1e-3, slow_ratio=1e3,
             ),
-            elastic=ElasticPolicy(min_workers=1, max_workers=4),
+            elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=4),
         )
         res = SolveService(cfg).serve(
             stream_workload(48, seed=7, rate_rps=4000.0, dims=(4, 4, 4, 8))

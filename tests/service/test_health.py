@@ -90,8 +90,6 @@ class TestPolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"alpha": 0.0},
-            {"alpha": 1.5},
             {"trip_rate": 0.0},
             {"trip_rate": 1.5},
             {"min_samples": 0},
@@ -107,7 +105,6 @@ class TestPolicyValidation:
         "kwargs",
         [
             {"trigger_factor": 1.0},
-            {"refresh_points": 0},
             {"min_samples": -1},
         ],
     )
@@ -145,7 +142,7 @@ class TestPolicyValidation:
 
 class TestHealthBoard:
     def test_failure_ewma_and_trip(self):
-        board = HealthBoard(HealthPolicy(enabled=True, alpha=0.5))
+        board = HealthBoard(HealthPolicy(enabled=True))
         # min_samples=2 not yet met: no trip on the first crash.
         assert board.observe(0, "crash") == (False, False)
         assert board.tracker(0).failure_rate == 1.0
@@ -153,7 +150,7 @@ class TestHealthBoard:
         assert board.tracker(0).crashes == 2
 
     def test_clean_completions_decay_the_rate(self):
-        board = HealthBoard(HealthPolicy(enabled=True, alpha=0.5))
+        board = HealthBoard(HealthPolicy(enabled=True))
         board.observe(0, "crash")
         _, slow = board.observe(0, duration_s=1e-3, predicted_s=1e-3)
         assert not slow
@@ -445,7 +442,7 @@ class TestWorkerKill:
         _config(
             n_workers=2,
             worker_faults=plan,
-            elastic=ElasticPolicy(min_workers=1, max_workers=12),
+            elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=12),
         )
 
     def test_kill_is_deterministic(self):

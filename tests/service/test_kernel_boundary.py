@@ -77,7 +77,7 @@ def _every_feature(**overrides) -> dict:
         n_workers=4,
         topology=Topology.parse("2x2@2"),
         preemption=PreemptionPolicy(enabled=True),
-        elastic=ElasticPolicy(min_workers=1, max_workers=6),
+        elastic=ElasticPolicy(enabled=True, min_workers=1, max_workers=6),
         health=HealthPolicy(enabled=True),
         hedge=HedgePolicy(enabled=True),
         brownout=BrownoutPolicy(enabled=True),

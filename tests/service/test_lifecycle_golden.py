@@ -136,7 +136,7 @@ def _golden_daemon_config(**overrides) -> ServiceConfig:
         health=_BREAKER,
         hedge=HedgePolicy(enabled=True),
         brownout=BrownoutPolicy(enabled=True),
-        elastic=ElasticPolicy(min_workers=2, max_workers=5),
+        elastic=ElasticPolicy(enabled=True, min_workers=2, max_workers=5),
         preemption=PreemptionPolicy(enabled=True),
         checkpoint_every=4,
     )

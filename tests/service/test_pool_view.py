@@ -155,7 +155,7 @@ def _campaigns(draw):
     if draw(st.booleans()):
         kw["preemption"] = PreemptionPolicy(enabled=True)
     if draw(st.booleans()):
-        kw["elastic"] = ElasticPolicy(min_workers=1, max_workers=n_workers + 3)
+        kw["elastic"] = ElasticPolicy(enabled=True, min_workers=1, max_workers=n_workers + 3)
     workers = WorkerFaultPlan()
     for wid, at in draw(
         st.lists(

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -20,7 +23,45 @@ from repro.service import (
 )
 
 
+#: Every option of every subcommand, recorded from ``build_parser()``
+#: (``python -m tests.test_cli`` re-records it).
+PARSER_GOLDEN = pathlib.Path(__file__).with_name("golden_parser.json")
+
+
+def _parser_surface() -> dict:
+    """Subcommand -> option string -> what argparse holds for it."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            action.option_strings[0]: dict(
+                option_strings=action.option_strings,
+                dest=action.dest,
+                default=repr(action.default),
+                type=getattr(action.type, "__name__", None),
+                action=type(action).__name__,
+                choices=None if action.choices is None else list(action.choices),
+                metavar=action.metavar,
+                required=action.required,
+                help=action.help,
+            )
+            for action in p._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for command, p in sub.choices.items()
+    }
+
+
 class TestParser:
+    def test_every_option_matches_the_golden(self):
+        """Same options, defaults, types and help, subcommand by
+        subcommand: 122 options, 63 of them in ``serve``."""
+        golden = json.loads(PARSER_GOLDEN.read_text())
+        surface = json.loads(json.dumps(_parser_surface()))
+        assert sum(map(len, surface.values())) == 122
+        assert len(surface["serve"]) == 63
+        assert surface == golden
+
     def test_dims_parsing(self):
         args = build_parser().parse_args(["solve", "--dims", "8x8x8x16"])
         assert args.dims == (8, 8, 8, 16)
@@ -387,7 +428,11 @@ _SERVE_FLAGS = {
     "elastic": (
         ["--elastic", "--min-workers", "2", "--max-workers", "5",
          "--spinup-us", "100"],
-        dict(elastic=ElasticPolicy(min_workers=2, max_workers=5, spinup_s=100 * 1e-6)),
+        dict(
+            elastic=ElasticPolicy(
+                enabled=True, min_workers=2, max_workers=5, spinup_s=100 * 1e-6
+            )
+        ),
     ),
     "health": (["--health"], dict(health=HealthPolicy(enabled=True))),
     "cooldown_us": (
@@ -453,7 +498,81 @@ _SERVE_FLAGS = {
 }
 
 
+def _tuning_flags() -> list[tuple[str, str, str]]:
+    """``(flag, switch, value)`` of every declared tuning flag: a field
+    with a flag in a policy of ``ServiceConfig`` whose ``enabled`` field
+    declares the switch.  ``value`` is the field's default in the flag's
+    unit."""
+    found = []
+    for holder in dataclasses.fields(ServiceConfig):
+        if not dataclasses.is_dataclass(holder.default_factory):
+            continue
+        fields = {f.name: f for f in dataclasses.fields(holder.default_factory)}
+        switch = fields.get("enabled")
+        if switch is None or "flag" not in switch.metadata:
+            continue
+        for f in fields.values():
+            if f is not switch and "flag" in f.metadata:
+                value = type(f.default)(f.default / f.metadata.get("scale", 1))
+                found.append((f.metadata["flag"], switch.metadata["flag"], str(value)))
+    return found
+
+
+_TUNING_FLAGS = _tuning_flags()
+
+
 class TestServeConfig:
+    def test_every_feature_knob_is_a_tuning_flag(self):
+        assert {flag for flag, _, _ in _TUNING_FLAGS} >= {
+            "--refresh-points", "--resume-overhead-us", "--min-workers",
+            "--max-workers", "--spinup-us", "--cooldown-us", "--hedge-factor",
+        }
+
+    @pytest.mark.parametrize(
+        "flag,switch,value", _TUNING_FLAGS, ids=[flag for flag, _, _ in _TUNING_FLAGS]
+    )
+    def test_tuning_flag_without_its_switch_exits_2(self, capsys, flag, switch, value):
+        """Left alone, a feature's tuning flag would be silently ignored:
+        it is refused, naming the switch it needs; with it, accepted."""
+        rc = main(["serve", "--requests", "4", flag, value])
+        assert rc == 2
+        assert f"{flag} needs {switch}" in capsys.readouterr().out
+        _serve_config(switch, flag, value)
+
+    def test_every_orphan_is_named_at_once(self, capsys):
+        rc = main([
+            "serve", "--requests", "4", "--workers", "2", "--dims", "4,4,4,8",
+            "--iterations", "3", "--min-workers", "3", "--cooldown-us", "5",
+            "--refresh-points", "9",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 2
+        for orphan in (
+            "--refresh-points needs --preempt",
+            "--min-workers needs --elastic",
+            "--cooldown-us needs --health",
+        ):
+            assert orphan in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tenant-weights", "3,1"),
+        ("--tenant-mix", "1,1"),
+        ("--quota-qps", "100"),
+        ("--quota-qps", "0"),
+        ("--quota-burst", "5"),
+    ])
+    def test_tenant_option_without_tenants_is_refused(self, flag, value):
+        with pytest.raises(ValueError, match="tenant options require --tenants"):
+            _serve_config(flag, value)
+
+    @pytest.mark.parametrize("factor", ["0", "0.5", "1"])
+    def test_straggler_factor_not_above_one_exits_2(self, capsys, factor):
+        """``0`` once passed a truthiness test as "not given" and ran
+        with no straggler."""
+        rc = main(["serve", "--requests", "4", "--straggler-factor", factor])
+        assert rc == 2
+        assert "factor must be > 1" in capsys.readouterr().out
+
     @pytest.mark.parametrize("case", sorted(_SERVE_FLAGS))
     def test_flag_lands_in_its_field(self, case):
         flags, want = _SERVE_FLAGS[case]
@@ -477,7 +596,7 @@ class TestServeConfig:
             # ``--seed`` seeds the workload too; 2010 is its default.
             seed=2010,
             preemption=PreemptionPolicy(enabled=True),
-            elastic=ElasticPolicy(),
+            elastic=ElasticPolicy(enabled=True),
             health=HealthPolicy(enabled=True),
             hedge=HedgePolicy(enabled=True),
             brownout=BrownoutPolicy(enabled=True),
@@ -610,3 +729,8 @@ class TestExperiments:
         text = out_path.read_text()
         assert "fig5a" in text and "ratio" in text
         assert f"wrote {out_path}" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    PARSER_GOLDEN.write_text(json.dumps(_parser_surface(), indent=2, sort_keys=True) + "\n")
+    print(f"recorded {PARSER_GOLDEN}")

@@ -10,11 +10,14 @@ the repository does not have.
 The configuration surface itself is counted too: the fields of
 ``ServiceConfig`` and the policies under it, ``FaultPlan``,
 ``SimWorker``'s keyword parameters, the keywords of the four ``invert*``
-entry points and ``cli.py``'s ``add_argument`` calls are pinned, and the
-knobs retired to module constants may not come back as fields.
+entry points, each optional feature's knobs and flags, and the options
+``build_parser()`` holds per subcommand are pinned, and the knobs
+retired to module constants may not come back as fields.
 """
 
+import argparse
 import ast
+import dataclasses
 import fnmatch
 import pathlib
 import re
@@ -119,32 +122,84 @@ _RETIRED_KNOBS = {
     "retry_backoff_s",  # FaultPlan: faults.SEND_RETRY_BACKOFF_S
     "gauge_noise",  # SimWorker: workers.GAUGE_NOISE
     "failure_penalty_s",  # SimWorker: workers.FAILURE_PENALTY_S
+    "overlap",  # ServiceConfig, SimWorker: QudaInvertParam.overlap_comms
+    "integrity",  # ServiceConfig, SimWorker: the solve's own arming rule
+    "alpha",  # HealthPolicy: health.HEALTH_ALPHA; ElasticPolicy: ArrivalRateEstimator's
+    "HedgePolicy.refresh_points",  # health.HEDGE_REFRESH_POINTS
 }
 
 #: Knobs per class: ``ServiceConfig``, every ``*Policy`` its fields
 #: hold, ``FaultPlan``, and ``SimWorker.__init__``'s keyword parameters.
+#: ``IntegrityPolicy`` left with ``ServiceConfig.integrity``; it stays a
+#: keyword of the ``invert*`` entry points.
 _KNOBS = {
-    "ServiceConfig": 24,
+    "ServiceConfig": 22,
     "BatchPolicy": 3,
     "PlacementPolicy": 2,
     "PreemptionPolicy": 3,
     "ElasticPolicy": 6,
-    "HealthPolicy": 6,
-    "HedgePolicy": 4,
+    "HealthPolicy": 5,
+    "HedgePolicy": 3,
     "BrownoutPolicy": 4,
     "TenancyPolicy": 1,
     "RetryPolicy": 2,
-    "IntegrityPolicy": 2,
     "FaultPlan": 8,
-    "SimWorker.__init__": 11,
+    "SimWorker.__init__": 9,
 }
 
-#: ``add_argument`` calls in ``cli.py`` (``--no-tunecache`` went with
-#: ``PlacementPolicy.tunecache``; the four flags of ``repro profile``'s
-#: host-CPU mode went with its cProfile wrapper; ``repro serve``'s two
-#: switches of the domain breaker and anti-affine placement went with
-#: them).
-_CLI_ARGUMENTS = 122
+#: Each optional feature (a row of ``service.FEATURES``, by its config
+#: field): the knobs of what configures it, and how many of them declare
+#: their ``repro serve`` flag.
+_PARTS = {
+    "tenancy": (1, 0),
+    "brownout": (4, 1),
+    "elastic": (6, 4),
+    "preemption": (3, 3),
+    "hedge": (3, 2),
+    "health": (5, 2),
+    "worker_faults": (2, 0),
+    "topology": (3, 0),
+}
+
+#: Options per subcommand of ``build_parser()``, help excluded
+#: (``--no-tunecache`` went with ``PlacementPolicy.tunecache``; the four
+#: flags of ``repro profile``'s host-CPU mode went with its cProfile
+#: wrapper; ``repro serve``'s two switches of the domain breaker and
+#: anti-affine placement went with them).
+_CLI_OPTIONS = {
+    "solve": 8,
+    "generate": 6,
+    "spectrum": 6,
+    "bench": 2,
+    "profile": 6,
+    "chaos": 29,
+    "serve": 63,
+    "experiments": 2,
+}
+
+#: The ``repro serve`` flags declared on the field they set.
+_GENERATED_FLAGS = {
+    "--queue-capacity": "ServiceConfig.queue_capacity",
+    "--workers": "ServiceConfig.n_workers",
+    "--ranks": "ServiceConfig.ranks_per_worker",
+    "--max-retries": "ServiceConfig.max_retries",
+    "--functional": "ServiceConfig.functional",
+    "--iterations": "ServiceConfig.fixed_iterations",
+    "--batch-max": "BatchPolicy.max_batch",
+    "--batch-wait-us": "BatchPolicy.max_wait_s",
+    "--preempt": "PreemptionPolicy.enabled",
+    "--refresh-points": "PreemptionPolicy.refresh_points",
+    "--resume-overhead-us": "PreemptionPolicy.resume_overhead_s",
+    "--elastic": "ElasticPolicy.enabled",
+    "--min-workers": "ElasticPolicy.min_workers",
+    "--max-workers": "ElasticPolicy.max_workers",
+    "--spinup-us": "ElasticPolicy.spinup_s",
+    "--health": "HealthPolicy.enabled",
+    "--cooldown-us": "HealthPolicy.cooldown_s",
+    "--hedge": "HedgePolicy.enabled",
+    "--hedge-factor": "HedgePolicy.trigger_factor",
+    "--brownout": "BrownoutPolicy.enabled",
+}
 
 
 def _classes() -> dict[str, ast.ClassDef]:
@@ -191,15 +246,44 @@ def _knobs() -> dict[str, list[str]]:
     return knobs
 
 
-def _cli_arguments() -> list[ast.Call]:
+def _cli_options() -> dict[str, list[str]]:
+    """Subcommand -> the option strings ``build_parser()`` holds."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [
+            option
+            for action in p._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+        for command, p in sub.choices.items()
+    }
+
+
+def _hand_written_flags(command: str) -> set[str]:
+    """The option strings ``build_parser`` spells out for ``command``."""
     tree = ast.parse((ROOT / "src/repro/cli.py").read_text())
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "add_argument"
-    ]
+    build = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+    )
+    flags, current = set(), None
+    for stmt in build.body:
+        call = getattr(stmt, "value", None)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "add_parser":
+            current = call.args[0].value
+        elif current == command:
+            flags |= {
+                arg.value
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                for arg in node.args
+                if isinstance(arg, ast.Constant)
+            }
+    return flags
 
 
 def test_the_configuration_surface_is_pinned():
@@ -207,19 +291,53 @@ def test_the_configuration_surface_is_pinned():
     the change that does it."""
     counts = {name: len(fields) for name, fields in _knobs().items()}
     assert counts == _KNOBS
-    assert sum(counts.values()) == 76
-    assert len(_cli_arguments()) == _CLI_ARGUMENTS
+    assert sum(counts.values()) == 68
+    options = _cli_options()
+    assert {command: len(opts) for command, opts in options.items()} == _CLI_OPTIONS
+    assert sum(_CLI_OPTIONS.values()) == 122
+
+
+def test_each_feature_counts_its_knobs_and_flags():
+    from repro.service import ServiceConfig
+    from repro.service.service import FEATURES
+
+    fields = {f.name: f for f in dataclasses.fields(ServiceConfig)}
+    counts = {}
+    for holder, _, _ in FEATURES:
+        hint = fields[holder].type.split(" | ")[0]
+        knobs = _fields(_classes()[hint])
+        cls = fields[holder].default_factory
+        flags = 0
+        if dataclasses.is_dataclass(cls):
+            flags = sum("flag" in f.metadata for f in dataclasses.fields(cls))
+        counts[holder] = (len(knobs), flags)
+    assert counts == _PARTS
+
+
+def test_generated_flags_are_declared_on_fields_that_exist():
+    """Every generated flag names a field its class has, the parser
+    holds it, and no hand-written ``add_argument`` restates it."""
+    import repro.service as service
+
+    declared = {}
+    for flag, target in _GENERATED_FLAGS.items():
+        owner, name = target.split(".")
+        assert name in _fields(_classes()[owner]), target
+        field = {f.name: f for f in dataclasses.fields(getattr(service, owner))}[name]
+        declared[field.metadata["flag"]] = target
+    assert declared == _GENERATED_FLAGS
+    serve = set(_cli_options()["serve"])
+    assert set(_GENERATED_FLAGS) <= serve
+    assert not set(_GENERATED_FLAGS) & _hand_written_flags("serve")
+    assert "--requests" in _hand_written_flags("serve")
+    assert "_given(" not in (ROOT / "src/repro/cli.py").read_text()
 
 
 def test_retired_knobs_stay_constants():
     for owner, names in _knobs().items():
-        assert not _RETIRED_KNOBS & set(names), owner
-    flags = {
-        arg.value
-        for call in _cli_arguments()
-        for arg in call.args
-        if isinstance(arg, ast.Constant)
-    }
+        held = set(names) | {f"{owner}.{name}" for name in names}
+        assert not _RETIRED_KNOBS & held, owner
+    flags = {option for options in _cli_options().values() for option in options}
     assert "--no-tunecache" not in flags
     assert "--tunecache" in flags
 
