@@ -229,7 +229,7 @@ def chaos_solve(
     gpu_spec: GPUSpec = GTX285,
     fixed_iterations: int = FIXED_ITERATIONS,
     solver: str = "bicgstab",
-    retry_policy: RetryPolicy | None = None,
+    retry_policy: RetryPolicy = RetryPolicy(),
     integrity: IntegrityPolicy | None = None,
 ) -> ChaosReport:
     """One timing-only solve under a fault plan.
@@ -237,7 +237,7 @@ def chaos_solve(
     Jitter/retry plans complete (later); lethal plans (stall/crash) end
     in a structured :class:`~repro.comms.faults.RankFailedError`, which
     is reported rather than raised — graceful degradation is the point
-    of a chaos run.  With a ``retry_policy`` the solve instead relaunches
+    of a chaos run.  With an enabled ``retry_policy`` the solve instead relaunches
     over the survivors and resumes from its last refresh-point
     checkpoint, and the report carries the recovery accounting.
     """
@@ -271,14 +271,14 @@ def chaos_invert(
     cluster: ClusterSpec | None = None,
     gpu_spec: GPUSpec = GTX285,
     solver: str = "bicgstab",
-    retry_policy: RetryPolicy | None = None,
+    retry_policy: RetryPolicy = RetryPolicy(),
     integrity: IntegrityPolicy | None = None,
 ) -> ChaosReport:
     """One *functional* solve (real numerics) under a fault plan.
 
     The acceptance test for self-healing solves: a weak-field
     configuration, a random source, a fault plan that kills a rank
-    mid-solve — with a ``retry_policy`` the report must come back
+    mid-solve — with an enabled ``retry_policy`` the report must come back
     ``completed`` *and* ``converged`` with the true residual verified
     against the host reference operator.
     """

@@ -535,7 +535,7 @@ def _cmd_chaos(args) -> int:
             plan = plan.with_stall(
                 args.crash, after_s=args.fail_after_us * 1e-6, mode="crash"
             )
-        policy = None
+        policy = RetryPolicy()
         if args.recover:
             policy = RetryPolicy(
                 max_attempts=args.max_attempts, shrink=not args.no_shrink
@@ -659,7 +659,7 @@ def serve_config(args):
             mode="crash",
         )
         chaos_workers = (args.crash_worker,)
-    retry_policy = None
+    retry_policy = RetryPolicy()
     if args.recover:
         retry_policy = RetryPolicy(max_attempts=args.max_attempts)
     worker_faults = None

@@ -21,7 +21,7 @@ What the model must capture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 
 from ..gpu.perfmodel import DEFAULT_PARAMS, PerfModelParams
 
@@ -176,22 +176,6 @@ class ClusterSpec:
         if self.numa_policy == "wrong":
             return False
         return rank % 2 == 1
-
-    def degraded(self, *, ib_factor: float = 2.0, shm_factor: float = 1.0) -> "ClusterSpec":
-        """A copy of this cluster with slower links (chaos baseline).
-
-        Unlike a FaultPlan — which perturbs *individual* messages — this
-        models a uniformly degraded fabric: InfiniBand (and optionally
-        shared-memory) bandwidth divided by the given factors, e.g. a
-        congested switch or a link renegotiated to a lower rate.
-        """
-        if ib_factor < 1.0 or shm_factor < 1.0:
-            raise ValueError("degradation factors must be >= 1")
-        p = self.params
-        return _replace(
-            self,
-            params=_replace(p, ib_bw=p.ib_bw / ib_factor, shm_bw=p.shm_bw / shm_factor),
-        )
 
     # ------------------------------------------------------------------ #
     # Network timing

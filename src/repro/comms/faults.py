@@ -843,14 +843,15 @@ class FaultPlan:
             resident=tuple(r for r in self.resident if r.rank not in drop),
         )
 
+    @staticmethod
+    def deaths(events) -> list[FaultEvent]:
+        """The planned rank deaths (fired stalls and crashes) among
+        ``events`` — the ranks :meth:`without_ranks` retires."""
+        return [e for e in events if e.kind in ("stall", "crash")]
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def lethal(self) -> bool:
-        """Whether any rank is scheduled to die."""
-        return bool(self.stalls)
 
     def stall_for(self, rank: int) -> StallSpec | None:
         for s in self.stalls:

@@ -23,11 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from ..gpu.perfmodel import (
-    DEFAULT_PARAMS,
-    PerfModelParams,
-    kernel_time,
-)
+from ..gpu.perfmodel import DEFAULT_PARAMS, kernel_time
 from ..gpu.precision import Precision
 from ..gpu.specs import GPUSpec, GTX285
 
@@ -158,19 +154,15 @@ class TuneCache:
         return "\n".join(lines) + "\n"
 
 
-def autotune(
-    spec: GPUSpec = GTX285,
-    kernels: dict[str, dict[Precision, int]] | None = None,
-) -> TuneCache:
+def autotune(spec: GPUSpec = GTX285) -> TuneCache:
     """Exhaustive sweep of block sizes for every kernel variant.
 
     Ties in occupancy break toward larger blocks (fewer blocks to
     schedule), matching what the exhaustive wall-clock sweep lands on for
     streaming kernels.
     """
-    kernels = kernels or KERNEL_REGISTERS
     cache = TuneCache(spec_name=spec.name)
-    for kernel, per_prec in kernels.items():
+    for kernel, per_prec in KERNEL_REGISTERS.items():
         for precision, regs in per_prec.items():
             best: TuneResult | None = None
             for block in BLOCK_SIZES:
@@ -203,21 +195,8 @@ _TRIAL_REALS_PER_SITE = 48
 _TRIALS_PER_CANDIDATE = 3
 
 
-#: Memo for :func:`tune_sweep_cost_s`: the placement engine asks for the
-#: full sweep cost on *every* batch (cache hits included, to credit
-#: ``saved_s``), and it is a pure function of its arguments.  Keys use object
-#: identity for the unhashable params/kernels arguments; the value tuple
-#: retains references so the ids stay unique for the memo's lifetime.
-_sweep_memo: dict[tuple, tuple] = {}
-
-
-def tune_sweep_cost_s(
-    spec: GPUSpec = GTX285,
-    *,
-    local_volume: int,
-    params: PerfModelParams = DEFAULT_PARAMS,
-    kernels: dict[str, dict[Precision, int]] | None = None,
-) -> float:
+@functools.lru_cache(maxsize=None)
+def tune_sweep_cost_s(spec: GPUSpec = GTX285, *, local_volume: int) -> float:
     """Model time of the exhaustive autotune sweep on one rank.
 
     "All possible combinations of parameters are tested for each
@@ -228,15 +207,14 @@ def tune_sweep_cost_s(
     exactly this reason — and it is a pure function of (spec, local
     volume), so two ranks of equal slab size pay it concurrently and the
     batch-level cost equals the per-rank cost.
+
+    Memoized: the placement engine asks for the full sweep cost on
+    *every* batch (cache hits included, to credit ``saved_s``).
     """
     if local_volume < 1:
         raise ValueError("local_volume must be >= 1")
-    key = (spec, id(params), id(kernels), local_volume)
-    hit = _sweep_memo.get(key)
-    if hit is not None:
-        return hit[0]
     total = 0.0
-    for _, per_prec in sorted((kernels or KERNEL_REGISTERS).items()):
+    for _, per_prec in sorted(KERNEL_REGISTERS.items()):
         for precision, regs in sorted(per_prec.items(), key=lambda kv: kv[0].name):
             for block in BLOCK_SIZES:
                 blocks, occ = occupancy_of(spec, precision, regs, block)
@@ -244,14 +222,13 @@ def tune_sweep_cost_s(
                     continue
                 trial = kernel_time(
                     spec,
-                    params,
+                    DEFAULT_PARAMS,
                     precision,
                     bytes_moved=local_volume
                     * _TRIAL_REALS_PER_SITE
                     * precision.real_bytes,
                     flops=0,
                     occupancy=occ,
-                ) + params.submit_overhead_s
+                ) + DEFAULT_PARAMS.submit_overhead_s
                 total += _TRIALS_PER_CANDIDATE * trial
-    _sweep_memo[key] = (total, params, kernels)
     return total

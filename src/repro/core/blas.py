@@ -55,16 +55,10 @@ def _n_complex(field: DeviceSpinorField) -> int:
     return field.sites * _CPLX_PER_SITE
 
 
-def _launch(gpu: VirtualGPU, name: str, fields, n_passes: int, flops: int, occupancy: float) -> None:
+def _launch(gpu: VirtualGPU, name: str, fields, n_passes: int, flops: int) -> None:
     """Charge one streaming kernel: ``n_passes`` full-vector traffics."""
     ref = fields[0]
-    gpu.launch(
-        name,
-        ref.precision,
-        bytes_moved=n_passes * ref.body_bytes,
-        flops=flops,
-        occupancy=occupancy,
-    )
+    gpu.launch(name, ref.precision, bytes_moved=n_passes * ref.body_bytes, flops=flops)
 
 
 def _reduce(gpu: VirtualGPU, qmp: QMPMachine | None, value):
@@ -87,49 +81,49 @@ def _reduce(gpu: VirtualGPU, qmp: QMPMachine | None, value):
 # ------------------------------------------------------------------------ #
 
 
-def copy(gpu: VirtualGPU, src: DeviceSpinorField, dst: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def copy(gpu: VirtualGPU, src: DeviceSpinorField, dst: DeviceSpinorField) -> None:
     """``dst = src`` — also the precision-conversion kernel of the mixed
     precision solver (traffic is read-at-src-precision,
     write-at-dst-precision)."""
     nbytes = src.body_bytes + dst.body_bytes
-    gpu.launch("blas_copy", dst.precision, bytes_moved=nbytes, flops=0, occupancy=occupancy)
+    gpu.launch("blas_copy", dst.precision, bytes_moved=nbytes, flops=0)
     if gpu.execute:
         dst.set(src.get())
 
 
-def zero(gpu: VirtualGPU, x: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def zero(gpu: VirtualGPU, x: DeviceSpinorField) -> None:
     """``x = 0`` (write-only pass)."""
-    gpu.launch("blas_zero", x.precision, bytes_moved=x.body_bytes, flops=0, occupancy=occupancy)
+    gpu.launch("blas_zero", x.precision, bytes_moved=x.body_bytes, flops=0)
     x.zero()
 
 
-def scale(gpu: VirtualGPU, a: complex, x: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def scale(gpu: VirtualGPU, a: complex, x: DeviceSpinorField) -> None:
     """``x = a * x``."""
-    _launch(gpu, "blas_scal", (x,), 2, 6 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_scal", (x,), 2, 6 * _n_complex(x))
     if gpu.execute:
-        x.set_working(np.asarray(a, dtype=x.precision.complex_compute_dtype) * x.working())
+        x.set(np.asarray(a, dtype=x.precision.complex_compute_dtype) * x.working())
 
 
-def axpy(gpu: VirtualGPU, a: complex, x: DeviceSpinorField, y: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def axpy(gpu: VirtualGPU, a: complex, x: DeviceSpinorField, y: DeviceSpinorField) -> None:
     """``y = a x + y`` (a may be complex: QUDA's caxpy)."""
-    _launch(gpu, "blas_axpy", (x, y), 3, 8 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_axpy", (x, y), 3, 8 * _n_complex(x))
     if gpu.execute:
-        y.set_working(y.working() + np.asarray(a, dtype=y.precision.complex_compute_dtype) * x.working())
+        y.set(y.working() + np.asarray(a, dtype=y.precision.complex_compute_dtype) * x.working())
 
 
-def xpay(gpu: VirtualGPU, x: DeviceSpinorField, a: complex, y: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def xpay(gpu: VirtualGPU, x: DeviceSpinorField, a: complex, y: DeviceSpinorField) -> None:
     """``y = x + a y``."""
-    _launch(gpu, "blas_xpay", (x, y), 3, 8 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_xpay", (x, y), 3, 8 * _n_complex(x))
     if gpu.execute:
-        y.set_working(x.working() + np.asarray(a, dtype=y.precision.complex_compute_dtype) * y.working())
+        y.set(x.working() + np.asarray(a, dtype=y.precision.complex_compute_dtype) * y.working())
 
 
-def axpby(gpu: VirtualGPU, a: complex, x: DeviceSpinorField, b: complex, y: DeviceSpinorField, *, occupancy: float = 1.0) -> None:
+def axpby(gpu: VirtualGPU, a: complex, x: DeviceSpinorField, b: complex, y: DeviceSpinorField) -> None:
     """``y = a x + b y``."""
-    _launch(gpu, "blas_axpby", (x, y), 3, 14 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_axpby", (x, y), 3, 14 * _n_complex(x))
     if gpu.execute:
         cdtype = y.precision.complex_compute_dtype
-        y.set_working(
+        y.set(
             np.asarray(a, dtype=cdtype) * x.working()
             + np.asarray(b, dtype=cdtype) * y.working()
         )
@@ -142,17 +136,15 @@ def update_p(
     v: DeviceSpinorField,
     beta: complex,
     omega: complex,
-    *,
-    occupancy: float = 1.0,
 ) -> None:
     """BiCGstab search-direction update, fused:
     ``p = r + beta * (p - omega * v)`` — one pass instead of three."""
-    _launch(gpu, "blas_bicgstab_p", (r, p, v), 4, 16 * _n_complex(r), occupancy)
+    _launch(gpu, "blas_bicgstab_p", (r, p, v), 4, 16 * _n_complex(r))
     if gpu.execute:
         cdtype = p.precision.complex_compute_dtype
         beta_c = np.asarray(beta, dtype=cdtype)
         omega_c = np.asarray(omega, dtype=cdtype)
-        p.set_working(r.working() + beta_c * (p.working() - omega_c * v.working()))
+        p.set(r.working() + beta_c * (p.working() - omega_c * v.working()))
 
 
 def caxpy_pair(
@@ -162,15 +154,13 @@ def caxpy_pair(
     b: complex,
     y: DeviceSpinorField,
     z: DeviceSpinorField,
-    *,
-    occupancy: float = 1.0,
 ) -> None:
     """Fused double update ``z = z + a x + b y`` (the BiCGstab solution
     update ``x += alpha p + omega s``)."""
-    _launch(gpu, "blas_caxpy_pair", (x, y, z), 4, 16 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_caxpy_pair", (x, y, z), 4, 16 * _n_complex(x))
     if gpu.execute:
         cdtype = z.precision.complex_compute_dtype
-        z.set_working(
+        z.set(
             z.working()
             + np.asarray(a, dtype=cdtype) * x.working()
             + np.asarray(b, dtype=cdtype) * y.working()
@@ -186,11 +176,9 @@ def norm2(
     gpu: VirtualGPU,
     x: DeviceSpinorField,
     qmp: QMPMachine | None = None,
-    *,
-    occupancy: float = 1.0,
 ) -> float:
     """Global ``|x|^2``.  The end zone never contributes (Section VI-C)."""
-    _launch(gpu, "blas_norm2", (x,), 1, 4 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_norm2", (x,), 1, 4 * _n_complex(x))
     local = 0.0
     if gpu.execute:
         w = x.working()
@@ -203,11 +191,9 @@ def cdot(
     x: DeviceSpinorField,
     y: DeviceSpinorField,
     qmp: QMPMachine | None = None,
-    *,
-    occupancy: float = 1.0,
 ) -> complex:
     """Global ``<x, y>`` (conjugate-linear in ``x``)."""
-    _launch(gpu, "blas_cdot", (x, y), 2, 8 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_cdot", (x, y), 2, 8 * _n_complex(x))
     local = 0.0 + 0.0j
     if gpu.execute:
         local = complex(np.vdot(x.working(), y.working()))
@@ -219,11 +205,9 @@ def redot(
     x: DeviceSpinorField,
     y: DeviceSpinorField,
     qmp: QMPMachine | None = None,
-    *,
-    occupancy: float = 1.0,
 ) -> float:
     """Global ``Re <x, y>`` (all CG needs: its operator is Hermitian)."""
-    _launch(gpu, "blas_redot", (x, y), 2, 4 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_redot", (x, y), 2, 4 * _n_complex(x))
     local = 0.0
     if gpu.execute:
         local = float(np.vdot(x.working(), y.working()).real)
@@ -235,11 +219,9 @@ def cdot_norm(
     x: DeviceSpinorField,
     y: DeviceSpinorField,
     qmp: QMPMachine | None = None,
-    *,
-    occupancy: float = 1.0,
 ) -> tuple[complex, float]:
     """Fused ``(<x, y>, |x|^2)`` in one pass — BiCGstab's omega step."""
-    _launch(gpu, "blas_cdot_norm", (x, y), 2, 12 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_cdot_norm", (x, y), 2, 12 * _n_complex(x))
     local = np.zeros(3)
     if gpu.execute:
         xw, yw = x.working(), y.working()
@@ -255,17 +237,15 @@ def axpy_norm(
     x: DeviceSpinorField,
     y: DeviceSpinorField,
     qmp: QMPMachine | None = None,
-    *,
-    occupancy: float = 1.0,
 ) -> float:
     """Fused ``y += a x; return |y|^2`` — the residual-update-and-check
     step, saving a full extra pass per iteration."""
-    _launch(gpu, "blas_axpy_norm", (x, y), 3, 12 * _n_complex(x), occupancy)
+    _launch(gpu, "blas_axpy_norm", (x, y), 3, 12 * _n_complex(x))
     local = 0.0
     if gpu.execute:
         cdtype = y.precision.complex_compute_dtype
         out = y.working() + np.asarray(a, dtype=cdtype) * x.working()
-        y.set_working(out)
+        y.set(out)
         # The reduction reads what was *stored* (quantized for half).
         w = y.working()
         local = float(np.vdot(w, w).real)

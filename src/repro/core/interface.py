@@ -95,25 +95,16 @@ class QudaInvertParam:
     #: QudaMatPCType): "even-even" (default) or "odd-odd".  Both give the
     #: same full solution.
     matpc: str = "even-even"
-    #: Rank-failure recovery budget.  ``None`` (the default) means
-    #: disabled — a planned fault raises the structured RankFailedError
-    #: exactly as before; pass ``RetryPolicy(max_attempts=k)`` to let the
-    #: solve relaunch and resume from its last checkpoint up to k times.
-    retry_policy: RetryPolicy | None = None
+    #: Rank-failure recovery budget.  The default ``RetryPolicy()`` is
+    #: disabled — a planned fault raises the structured RankFailedError;
+    #: ``RetryPolicy(max_attempts=k)`` lets the solve relaunch and resume
+    #: from its last checkpoint up to k times.
+    retry_policy: RetryPolicy = RetryPolicy()
     #: Maximum rungs of the breakdown-escalation ladder (restart from
     #: checkpoint → BiCGstab→CG → sloppy precision up one notch) before a
-    #: SolverBreakdown propagates to the caller.
+    #: SolverBreakdown propagates to the caller.  The breakdown thresholds
+    #: themselves are constants of :mod:`repro.core.solvers.reliable`.
     max_escalations: int = 3
-    #: Residual blow-up factor (vs |b|) declared as divergence.
-    divergence_factor: float = 1e5
-    #: Iterations without a 10% best-residual improvement declared as
-    #: stagnation.
-    stagnation_window: int = 1000
-    #: Refresh-point invariant monitor: a reliable-update true residual
-    #: jumping by more than this factor over the previous refresh is
-    #: declared resident-state corruption (kind ``'corruption'``) —
-    #: rounding drift between refreshes is orders of magnitude smaller.
-    corruption_factor: float = 1e3
 
     def __post_init__(self) -> None:
         if self.matpc not in ("even-even", "odd-odd"):
@@ -128,16 +119,10 @@ class QudaInvertParam:
             raise ValueError("sloppy precision must not exceed full precision")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must be in (0, 1]")
-        if self.retry_policy is None:
-            self.retry_policy = RetryPolicy()  # disabled: today's fail-fast
         if self.max_escalations < 0:
             raise ValueError("max_escalations must be >= 0")
-        if self.divergence_factor <= 1:
-            raise ValueError("divergence_factor must be > 1")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
-        if self.corruption_factor <= 1:
-            raise ValueError("corruption_factor must be > 1")
+        if not isinstance(self.retry_policy, RetryPolicy):
+            raise TypeError("retry_policy must be a RetryPolicy; RetryPolicy() recovers nothing")
 
     @property
     def mixed_precision(self) -> bool:

@@ -45,6 +45,7 @@ detections, corrections, and the verification overhead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,11 @@ __all__ = [
     "invert_model_multi",
 ]
 
-#: The largest magnitude a single or half field holds without Inf.
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+#: A source whose peak magnitude lies outside this band is solved scaled
+#: by the power of two that brings its peak into [0.5, 1): no single or
+#: half field entry, and no squared norm of a reduction, then overflows
+#: or underflows.  Scaling by a power of two is exact.
+_PEAK_BAND = (2.0**-20, 2.0**20)
 
 
 @dataclass
@@ -200,14 +204,15 @@ def invert_multi(
     gauge ghost exchange, and the autotuning are paid once; the solver
     loop runs per source.  Returns one :class:`InvertResult` per source.
 
-    A source must be finite and, unless both precisions are ``DOUBLE``,
-    within float32 range: a single or half device field would hold an
-    out-of-range entry as Inf, and the solve would only break down
-    iterations later.
+    A source must be finite.  One whose peak magnitude lies outside
+    :data:`_PEAK_BAND` is solved scaled by a power of two; its solution,
+    ``stats.residual_norm`` and ``stats.history`` are scaled back
+    (``per_rank`` keeps the solver's scaled view), and ``true_residual``
+    is computed on the scaled pair.
     """
     if not sources:
         raise ValueError("need at least one source")
-    narrow = inv.precision is not Precision.DOUBLE or inv.precision_sloppy is not Precision.DOUBLE
+    exponents = []
     for i, src in enumerate(sources):
         if src.geometry.dims != gauge.geometry.dims:
             raise ValueError(
@@ -223,12 +228,12 @@ def invert_multi(
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"source {i} has a non-finite entry")
         peak = max(hi, -lo)
-        if narrow and peak > _FLOAT32_MAX:
-            raise ValueError(
-                f"source {i} has an entry of magnitude {peak:.3g}, beyond the "
-                f"float32 range of {inv.precision.name}/"
-                f"{inv.precision_sloppy.name} precision"
-            )
+        in_band = peak == 0 or _PEAK_BAND[0] <= peak <= _PEAK_BAND[1]
+        exponents.append(0 if in_band else -math.frexp(peak)[1])
+    sources = [
+        src if k == 0 else SpinorField(src.geometry, _ldexp(src.data, k), src.basis)
+        for src, k in zip(sources, exponents)
+    ]
     clover_blocks = (
         make_clover(gauge, c_sw=inv.clover_coeff).data
         if inv.clover_coeff != 0.0
@@ -266,7 +271,18 @@ def invert_multi(
             result.true_residual = float(
                 np.linalg.norm(r) / np.linalg.norm(source.data)
             )
+    for result, k in zip(results, exponents):
+        if k:
+            stats = result.stats
+            result.solution.data = _ldexp(result.solution.data, -k)
+            stats.residual_norm = float(np.ldexp(stats.residual_norm, -k))
+            stats.history = np.ldexp(stats.history, -k).tolist()
     return results
+
+
+def _ldexp(data: np.ndarray, k: int) -> np.ndarray:
+    """``data * 2**k`` for complex ``data``, exactly, through its real view."""
+    return np.ldexp(data.view(data.real.dtype), k).view(data.dtype)
 
 
 def invert_model(
@@ -376,7 +392,6 @@ def _solve_with_escalation(
     slab,
     store: CheckpointStore,
     execute: bool,
-    solver_kwargs: dict,
 ) -> LocalSolveInfo:
     """One source's solve, wrapped in the breakdown-escalation ladder.
 
@@ -451,11 +466,12 @@ def _solve_with_escalation(
                     op_sloppy,
                     b_hat,
                     x_p,
+                    tol=inv.tol,
+                    delta=inv.delta,
+                    maxiter=inv.maxiter,
+                    fixed_iterations=inv.fixed_iterations,
                     resume=resume,
                     on_refresh=on_refresh,
-                    divergence_factor=inv.divergence_factor,
-                    stagnation_window=inv.stagnation_window,
-                    **solver_kwargs,
                 )
             except SolverBreakdown as bd:
                 step = (
@@ -635,13 +651,6 @@ def _run(
                 scratch.release()
 
                 x_p = op_full.make_spinor("x_p")
-                solver_kwargs = dict(
-                    tol=inv.tol,
-                    delta=inv.delta,
-                    maxiter=inv.maxiter,
-                    fixed_iterations=inv.fixed_iterations,
-                    corruption_factor=inv.corruption_factor,
-                )
                 if inv.use_defect_correction:
                     # The defect-correction baseline keeps its own restart
                     # machinery; recovery still works via from-scratch
@@ -663,7 +672,6 @@ def _run(
                         slab=slab,
                         store=store,
                         execute=execute,
-                        solver_kwargs=solver_kwargs,
                     )
 
                 # Reconstruction and download.

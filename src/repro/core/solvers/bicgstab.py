@@ -60,12 +60,8 @@ def bicgstab_solve(
     delta: float,
     maxiter: int,
     fixed_iterations: int = 50,
-    update_cadence: int = 25,
     resume: SolveCheckpoint | None = None,
     on_refresh: Callable[..., None] | None = None,
-    divergence_factor: float = 1e5,
-    stagnation_window: int = 1000,
-    corruption_factor: float = 1e3,
 ) -> LocalSolveInfo:
     """Solve ``Mhat x = b``; ``b`` and ``x_out`` are full-precision fields.
 
@@ -78,9 +74,7 @@ def bicgstab_solve(
     loop = ReliableUpdater.allocate(
         op_full, op_sloppy, x_out, ("r0", "p", "v", "t", "mtmp"), borrow=("mtmp", "t"),
         tol=tol, delta=delta, maxiter=maxiter, fixed_iterations=fixed_iterations,
-        update_cadence=update_cadence, resume=resume, on_refresh=on_refresh,
-        divergence_factor=divergence_factor, stagnation_window=stagnation_window,
-        corruption_factor=corruption_factor,
+        resume=resume, on_refresh=on_refresh,
     )
     r0, p, v, t, tmp = loop.krylov
     r, x_s = loop.r, loop.x_s

@@ -41,12 +41,8 @@ def cg_solve(
     delta: float,
     maxiter: int,
     fixed_iterations: int = 50,
-    update_cadence: int = 25,
     resume: SolveCheckpoint | None = None,
     on_refresh: Callable[..., None] | None = None,
-    divergence_factor: float = 1e5,
-    stagnation_window: int = 1000,
-    corruption_factor: float = 1e3,
 ) -> LocalSolveInfo:
     """Solve ``Mhat x = b`` via CGNR with reliable updates.
 
@@ -58,9 +54,7 @@ def cg_solve(
     loop = ReliableUpdater.allocate(
         op_full, op_sloppy, x_out, ("p", "q", "mid", "mtmp"), borrow=("mid", "q"),
         tol=tol, delta=delta, maxiter=maxiter, fixed_iterations=fixed_iterations,
-        update_cadence=update_cadence, resume=resume, on_refresh=on_refresh,
-        divergence_factor=divergence_factor, stagnation_window=stagnation_window,
-        corruption_factor=corruption_factor, dagger_pair=True,
+        resume=resume, on_refresh=on_refresh, dagger_pair=True,
     )
     p, q, mid, tmp = loop.krylov
     r, x_s = loop.r, loop.x_s

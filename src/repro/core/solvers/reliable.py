@@ -44,10 +44,10 @@ raises the identical
 :class:`~repro.core.solvers.resilience.SolverBreakdown` at the identical
 iteration, always before the scalar can touch ``y``: a non-finite
 residual; a negative squared norm (only a poisoned reduction yields one);
-a true residual that jumped past ``corruption_factor`` over the previous
-refresh (the ABFT monitor: resident-state damage never shows in the
-recursed residual); divergence past ``divergence_factor`` x |b|; and no
-10 % progress in ``stagnation_window`` iterations.
+a true residual that jumped past :data:`CORRUPTION_FACTOR` over the
+previous refresh (the ABFT monitor: resident-state damage never shows in
+the recursed residual); divergence past :data:`DIVERGENCE_FACTOR` x |b|;
+and no 10 % progress in :data:`STAGNATION_WINDOW` iterations.
 
 **Checkpoint/resume.**  At every refresh the true residual is in hand and
 ``y`` is consistent, so ``on_refresh`` snapshots exactly that state.  A
@@ -57,7 +57,7 @@ Krylov space restarts, from a solution of checkpoint quality.
 
 **Timing-only mode** (no field data): no convergence test — the loop
 runs ``fixed_iterations`` iterations with the same kernel/communication
-schedule, plus one refresh per ``update_cadence`` iterations so
+schedule, plus one refresh per :data:`UPDATE_CADENCE` iterations so
 mixed-precision runs pay their full-precision refresh costs.
 """
 
@@ -75,6 +75,17 @@ from .resilience import SolverBreakdown, ensure_finite
 from .stopping import ConvergenceState, LocalSolveInfo
 
 __all__ = ["ReliableUpdater"]
+
+#: A recursed |r| past this multiple of |b| is divergence.
+DIVERGENCE_FACTOR = 1e5
+#: Iterations without a 10 % best-residual improvement: stagnation.
+STAGNATION_WINDOW = 1000
+#: A true residual jumping past this multiple of the previous refresh's
+#: is resident-state corruption — rounding drift between refreshes is
+#: orders of magnitude smaller.
+CORRUPTION_FACTOR = 1e3
+#: Timing-only mode pays one refresh per this many iterations.
+UPDATE_CADENCE = 25
 
 
 class ReliableUpdater:
@@ -97,21 +108,14 @@ class ReliableUpdater:
         delta: float,
         maxiter: int,
         fixed_iterations: int,
-        update_cadence: int,
         resume: SolveCheckpoint | None,
         on_refresh: Callable[..., None] | None,
-        divergence_factor: float,
-        stagnation_window: int,
-        corruption_factor: float,
         dagger_pair: bool = False,
     ) -> None:
         self.op_full, self.op_sloppy, self.y = op_full, op_sloppy, y
         self.tol, self.delta, self.maxiter = tol, delta, maxiter
-        self.fixed_iterations, self.update_cadence = fixed_iterations, update_cadence
+        self.fixed_iterations = fixed_iterations
         self.resume, self.on_refresh = resume, on_refresh
-        self.divergence_factor = divergence_factor
-        self.stagnation_window = stagnation_window
-        self.corruption_factor = corruption_factor
         self.dagger_pair = dagger_pair
         self.qmp = op_full.qmp
         self.execute = op_full.gpu.execute
@@ -238,12 +242,11 @@ class ReliableUpdater:
         if not math.isfinite(rnorm):
             # Never checkpoint a poisoned solution.
             raise self.breakdown("non_finite", "true residual after reliable update")
-        # Refresh-point invariant monitor (ABFT): a jump past
-        # corruption_factor over the previous refresh is orders of
-        # magnitude beyond rounding drift.  Raised before the checkpoint,
-        # so a poisoned solution is never committed as a recovery point.
+        # Refresh-point invariant monitor (ABFT), raised before the
+        # checkpoint, so a poisoned solution is never committed as a
+        # recovery point.
         last = self._last_refresh
-        if last > 0 and rnorm > self.corruption_factor * last:
+        if last > 0 and rnorm > CORRUPTION_FACTOR * last:
             raise self.breakdown(
                 "corruption",
                 f"true residual jumped {rnorm / last:.1e}x "
@@ -321,24 +324,22 @@ class ReliableUpdater:
                     self.rnorm = rnorm
                     self.history.append(rnorm)
                     if not execute:
-                        if self.iteration % self.update_cadence == 0:
+                        if self.iteration % UPDATE_CADENCE == 0:
                             self.refresh()  # pay the refresh cost on a cadence
                             self._checkpoint()
                         continue
-                    if conv.b_norm > 0 and rnorm > self.divergence_factor * conv.b_norm:
+                    if conv.b_norm > 0 and rnorm > DIVERGENCE_FACTOR * conv.b_norm:
                         raise self.breakdown(
-                            "divergence",
-                            f"|r| exceeded {self.divergence_factor:g} x |b|",
+                            "divergence", f"|r| exceeded {DIVERGENCE_FACTOR:g} x |b|"
                         )
                     if rnorm < 0.9 * best_rnorm:
                         best_rnorm, since_improvement = rnorm, 0
                     else:
                         since_improvement += 1
-                        if since_improvement >= self.stagnation_window:
+                        if since_improvement >= STAGNATION_WINDOW:
                             raise self.breakdown(
                                 "stagnation",
-                                f"no residual progress in "
-                                f"{self.stagnation_window} iterations",
+                                f"no residual progress in {STAGNATION_WINDOW} iterations",
                             )
                     if not (conv.converged(rnorm) or self.should_update(rnorm)):
                         continue

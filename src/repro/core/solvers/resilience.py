@@ -182,6 +182,9 @@ class RecoveryEvent:
 # Breakdown escalation
 # ------------------------------------------------------------------------ #
 
+#: Checkpoint restores one solve may spend on detected corruption.
+MAX_CORRUPTION_RESTORES = 2
+
 #: One notch up the precision ladder (half -> single -> double).
 _PRECISION_UP: dict[Precision, Precision] = {
     Precision.HALF: Precision.SINGLE,
@@ -218,7 +221,6 @@ class EscalationLadder:
         sloppy: Precision,
         full: Precision,
         max_steps: int = 3,
-        max_corruption_restores: int = 2,
     ) -> None:
         rungs: list[EscalationStep] = [EscalationStep("restart", solver, sloppy)]
         if solver == "bicgstab":
@@ -232,7 +234,6 @@ class EscalationLadder:
         self._rungs = rungs[: max(0, max_steps)]
         self._taken = 0
         self._restores = 0
-        self._max_restores = max(0, max_corruption_restores)
 
     @property
     def taken(self) -> int:
@@ -255,10 +256,10 @@ class EscalationLadder:
         Kept on its own bounded counter rather than consuming the
         numerical rungs — detected corruption says nothing about the
         solver or precision being wrong, so switching either would waste
-        the ladder.  ``None`` once ``max_corruption_restores`` restores
-        have been spent (a plan corrupting state faster than the solve
-        progresses must fail loudly, not loop forever)."""
-        if self._restores >= self._max_restores:
+        the ladder.  ``None`` once :data:`MAX_CORRUPTION_RESTORES`
+        restores have been spent (a plan corrupting state faster than the
+        solve progresses must fail loudly, not loop forever)."""
+        if self._restores >= MAX_CORRUPTION_RESTORES:
             return None
         self._restores += 1
         return EscalationStep("checkpoint_restore", solver, sloppy)
@@ -322,9 +323,9 @@ def run_with_recovery(
     checkpoints into (it is rebound to each attempt's slicing, so
     committed checkpoints survive re-partitioning).
 
-    With the policy disabled (or no lethal fault plan bound), this is
-    exactly the old single-shot path: failures raise the same structured
-    ``RuntimeError`` (with ``fault_events`` attached) as before.
+    A failure the policy cannot recover (it is disabled or spent, or no
+    planned rank death fired) raises ``RuntimeError("rank r failed: ...")``
+    from the root failure, with every attempt's ``fault_events`` attached.
 
     ``rank_uniform`` says the body's cost depends on its rank only through
     the cluster (link kinds, NUMA binding) — true of a timing-only solve.
@@ -347,28 +348,7 @@ def run_with_recovery(
         )
         store.rebind(slicing, attempt=attempt, orbit=orbit)
         world = SimMPI(slicing.n_ranks, cluster, plan, integrity, orbit=orbit)
-        body = make_body(slicing)
-        recovery_active = (
-            policy.enabled and plan is not None and plan.lethal
-        )
-        if not recovery_active:
-            try:
-                results = world.run(body)
-            except RuntimeError as exc:
-                exc.fault_events = all_events + list(
-                    getattr(exc, "fault_events", [])
-                )
-                raise
-            return RecoveryOutcome(
-                results=results,
-                slicing=slicing,
-                fault_events=all_events + world.fault_events(),
-                comm_stats=world.comm_stats(),
-                attempts=attempt,
-                lost_time_s=lost,
-            )
-
-        outcome = world.run(body, return_partial=True)
+        outcome = world.run(make_body(slicing), return_partial=True)
         all_events.extend(outcome.fault_events)
         if outcome.ok:
             return RecoveryOutcome(
@@ -381,9 +361,8 @@ def run_with_recovery(
             )
 
         root = outcome.root_failure()
-        fired = sorted(
-            {e.rank for e in outcome.fault_events if e.kind in ("stall", "crash")}
-        )
+        deaths = FaultPlan.deaths(outcome.fault_events)
+        fired = sorted({e.rank for e in deaths})
         recoverable = (
             bool(fired)
             and isinstance(root.error, RankFailedError)
@@ -395,10 +374,7 @@ def run_with_recovery(
             raise err from root.error
 
         attempt += 1
-        t_fail = max(
-            (e.time for e in outcome.fault_events if e.kind in ("stall", "crash")),
-            default=root.model_time,
-        )
+        t_fail = max((e.time for e in deaths), default=root.model_time)
         lost += t_fail + RELAUNCH_BACKOFF_S
         store.log_event(
             RecoveryEvent(

@@ -186,8 +186,7 @@ class DeviceSpinorField:
         The whole body, or the sites ``rows`` of it (a face).  For half
         precision this performs the texture-style decode — of the sites
         asked for, not the field — and results written back must go
-        through :meth:`set_working`; other precisions read the store
-        itself.
+        through :meth:`set`; other precisions read the store itself.
         """
         self._require_execute()
         if not self.precision.needs_norm:
@@ -198,10 +197,6 @@ class DeviceSpinorField:
         # (re, im) pairs of float32 *are* complex64: one rounding per
         # real, as in reals_to_spinor(reals).astype(complex64).
         return reals.astype(np.float32).view(np.complex64).reshape(-1, 4, 3)
-
-    def set_working(self, data: np.ndarray) -> None:
-        """Store kernel output (re-quantizing for half precision)."""
-        self.set(data)
 
     def zero(self) -> None:
         if not self.gpu.execute:

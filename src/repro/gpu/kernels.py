@@ -731,7 +731,7 @@ def _dslash_body(
         if clover is not None and clover_target == "xpay":
             x = clover.apply(x)
         out = x + np.asarray(coeff, dtype=cdtype) * out
-    dst.set_working(out)
+    dst.set(out)
 
 
 def _scaled(out: np.ndarray, coeff: complex, x: np.ndarray, *, add: bool) -> None:
@@ -852,9 +852,6 @@ def clover_kernel(
     clover: DeviceCloverField,
     src: DeviceSpinorField,
     dst: DeviceSpinorField,
-    *,
-    stream: int = 0,
-    occupancy: float = 1.0,
 ) -> None:
     """Standalone sitewise clover multiply: ``dst = A src``."""
     rb = src.precision.real_bytes
@@ -866,8 +863,6 @@ def clover_kernel(
         src.precision,
         bytes_moved=nbytes,
         flops=src.sites * CLOVER_FLOPS_PER_SITE,
-        stream=stream,
-        occupancy=occupancy,
     )
     if gpu.execute:
-        dst.set_working(clover.apply(src.working()))
+        dst.set(clover.apply(src.working()))

@@ -253,7 +253,3 @@ class Ensemble:
                 overrelaxation_sweep(self.gauge, self.rng)
             self.plaquette_history.append(self.gauge.plaquette())
         return self.plaquette_history[-1]
-
-    def thermalize(self, n_updates: int = 20) -> float:
-        """Discard ``n_updates`` for equilibration; returns the plaquette."""
-        return self.update(n_updates)

@@ -52,7 +52,6 @@ from ..core.autotune import (
 )
 from ..core.interface import PRECISION_MODES
 from ..gpu.perfmodel import DEFAULT_PARAMS, PerfModelParams, kernel_time, pcie_time
-from ..gpu.precision import Precision
 from ..gpu.specs import GTX285, GPUSpec
 from ..lattice.geometry import grid_error
 
@@ -84,9 +83,6 @@ def gauge_upload_s(
     ranks: int,
     *,
     mode: str = "single-half",
-    params: PerfModelParams = DEFAULT_PARAMS,
-    compressed: bool = True,
-    numa_ok: bool = True,
 ) -> float:
     """Modeled host→device upload time of one rank's gauge slab(s).
 
@@ -103,11 +99,9 @@ def gauge_upload_s(
         raise ValueError(f"volume {volume} not divisible over {ranks} ranks")
     v_loc = volume // ranks
     full, sloppy = PRECISION_MODES[mode]
-    reals = 12 if compressed else 18
-    nbytes = sum(
-        v_loc * 4 * reals * p.real_bytes for p in {full, sloppy}
-    )
-    return pcie_time(params, nbytes, "h2d", asynchronous=False, numa_ok=numa_ok)
+    # Four 2-row compressed links (12 reals each) per site.
+    nbytes = sum(v_loc * 4 * 12 * p.real_bytes for p in {full, sloppy})
+    return pcie_time(DEFAULT_PARAMS, nbytes, "h2d", asynchronous=False)
 
 
 def residency_key(
@@ -366,15 +360,9 @@ class SharedTuneCache:
         for (kernel, precision), res in cache.results.items():
             self._entries[(kernel, precision.name, local_volume, spec.name)] = res
 
-    def acquire(
-        self,
-        spec: GPUSpec,
-        local_volume: int,
-        *,
-        params: PerfModelParams = DEFAULT_PARAMS,
-    ) -> tuple[TuneCache, float]:
+    def acquire(self, spec: GPUSpec, local_volume: int) -> tuple[TuneCache, float]:
         """``(tunings, model setup charge)`` for one batch's shape."""
-        sweep = tune_sweep_cost_s(spec, local_volume=local_volume, params=params)
+        sweep = tune_sweep_cost_s(spec, local_volume=local_volume)
         cached = self.lookup(spec, local_volume)
         if cached is not None:
             self.hits += 1

@@ -140,9 +140,9 @@ class ServiceConfig:
     #: ``fault_plan.reseeded(w)`` — independent schedules, one seed.
     fault_plan: FaultPlan | None = None
     chaos_workers: tuple[int, ...] = ()
-    #: Worker-side self-healing (checkpoint resume over survivors);
-    #: ``None`` leaves recovery to service-level re-dispatch.
-    retry_policy: RetryPolicy | None = None
+    #: Worker-side self-healing (checkpoint resume over survivors); the
+    #: default (disabled) policy leaves recovery to service-level re-dispatch.
+    retry_policy: RetryPolicy = RetryPolicy()
     #: Derives an elastic worker's straggler factor from its node
     #: (``WorkerFaultPlan.reseeded``); scheduling itself draws nothing.
     seed: int = 0

@@ -26,12 +26,12 @@ executes):
   parameters are reused for free.
 
 Fault integration: a :class:`~repro.comms.faults.FaultPlan` bound to the
-worker perturbs its batches.  With a
+worker perturbs its batches.  With an enabled
 :class:`~repro.core.solvers.resilience.RetryPolicy` the worker
 *self-heals* (relaunch over survivors, resume from checkpoint) and the
-batch completes with recovery accounting; without one the batch dies
-with a structured :class:`~repro.comms.faults.RankFailedError` and the
-service decides (retry elsewhere or fail the requests).  Either way a
+batch completes with recovery accounting; with the default (disabled)
+one the batch dies with a structured
+:class:`~repro.comms.faults.RankFailedError` and the service decides (retry elsewhere or fail the requests).  Either way a
 fired rank fault is retired from the worker's plan — a planned crash is
 a one-shot event, not a curse on every later batch.
 """
@@ -117,7 +117,7 @@ class SimWorker:
         gpu_spec: GPUSpec = GTX285,
         cluster: ClusterSpec | None = None,
         fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         functional: bool = False,
         fixed_iterations: int = 15,
         #: Track gauge residency and credit the upload on hits.
@@ -267,9 +267,7 @@ class SimWorker:
         """Drop rank faults that fired from this worker's plan (each
         batch restarts model clocks at zero, so a fired stall/crash
         would otherwise replay on every subsequent batch)."""
-        fired = tuple(
-            sorted({e.rank for e in events if e.kind in ("stall", "crash")})
-        )
+        fired = tuple(sorted({e.rank for e in FaultPlan.deaths(events)}))
         if fired and self.fault_plan is not None:
             self.fault_plan = self.fault_plan.without_ranks(fired)
         return fired

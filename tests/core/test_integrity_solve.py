@@ -74,19 +74,18 @@ class TestResidentCorruption:
         assert "resident_corrupt" in [e.kind for e in report.fault_events]
 
     def test_restore_budget_bounds_the_rung(self):
-        from repro.core.solvers.resilience import EscalationLadder
+        from repro.core.solvers.resilience import MAX_CORRUPTION_RESTORES, EscalationLadder
         from repro.gpu.precision import Precision
 
         ladder = EscalationLadder(
-            solver="bicgstab",
-            sloppy=Precision.SINGLE,
-            full=Precision.SINGLE,
-            max_corruption_restores=2,
+            solver="bicgstab", sloppy=Precision.SINGLE, full=Precision.SINGLE
         )
-        s1 = ladder.corruption_step("bicgstab", Precision.SINGLE)
-        s2 = ladder.corruption_step("bicgstab", Precision.SINGLE)
-        assert s1 is not None and s1.kind == "checkpoint_restore"
-        assert s2 is not None
+        steps = [
+            ladder.corruption_step("bicgstab", Precision.SINGLE)
+            for _ in range(MAX_CORRUPTION_RESTORES)
+        ]
+        assert MAX_CORRUPTION_RESTORES == 2
+        assert all(s is not None and s.kind == "checkpoint_restore" for s in steps)
         assert ladder.corruption_step("bicgstab", Precision.SINGLE) is None
         # The corruption budget is separate: numerical rungs still open.
         assert ladder.next_step() is not None

@@ -44,7 +44,7 @@ def lattice():
     return weak_field_gauge(geo, rng, noise=0.15), random_spinor(geo, rng)
 
 
-def _solve(lattice, *, plan=None, policy=None, **overrides):
+def _solve(lattice, *, plan=None, policy=RetryPolicy(), **overrides):
     gauge, src = lattice
     inv = paper_invert_param(
         "single-half", mass=MASS, retry_policy=policy, **overrides
@@ -134,7 +134,7 @@ class TestRankFailureRecovery:
             )
 
         with pytest.raises(RuntimeError, match="rank 1 failed") as info:
-            run(None)
+            run(RetryPolicy())
         died = root_cause(info.value, RankFailedError)
         assert (died.rank, round(died.model_time * 1e6, 3)) == (1, 426.487)
         failures = [
@@ -270,6 +270,12 @@ class TestUnits:
             RetryPolicy(max_attempts=-1)
         assert not RetryPolicy().enabled
         assert RetryPolicy(max_attempts=1).enabled
+
+    def test_no_recovery_is_spelled_retry_policy(self):
+        """``None`` is not a second "off": it is refused when the
+        parameters are built, not when a rank dies mid-solve."""
+        with pytest.raises(TypeError, match="RetryPolicy"):
+            paper_invert_param("single-half", retry_policy=None)
 
     def test_ensure_finite(self):
         assert ensure_finite("x", 1.5 + 0j, iteration=3) == 1.5 + 0j

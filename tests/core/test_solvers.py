@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.dslash import DeviceSchurOperator
 from repro.core.solvers import bicgstab_solve, cg_solve, defect_correction_solve
+from repro.core.solvers.reliable import UPDATE_CADENCE
 from repro.gpu import Precision, VirtualGPU
 from repro.lattice import LatticeGeometry, SchurOperator, make_clover, weak_field_gauge
 
@@ -186,10 +187,12 @@ class TestTimingOnlySolvers:
         assert info.flops > 0
 
     def test_mixed_timing_includes_refresh_cost(self, problem):
-        """Timing-only mixed runs pay periodic full-precision refreshes."""
+        """Timing-only mixed runs pay a full-precision refresh every
+        ``UPDATE_CADENCE`` iterations, and the iteration that ends on one
+        costs more than the iteration before it."""
         geo = problem[0]
 
-        def flops_of(cadence):
+        def run(iterations):
             gpu = VirtualGPU(enforce_memory=False, execute=False)
             hi = DeviceSchurOperator.setup(
                 gpu, None, geo, None, None, MASS, precision=Precision.DOUBLE
@@ -199,10 +202,14 @@ class TestTimingOnlySolvers:
             )
             b = hi.make_spinor("b")
             x = hi.make_spinor("x")
-            info = bicgstab_solve(
+            return bicgstab_solve(
                 hi, lo, b, x, tol=1e-8, delta=0.1, maxiter=1,
-                fixed_iterations=20, update_cadence=cadence,
+                fixed_iterations=iterations,
             )
-            return info.seconds
 
-        assert flops_of(5) > flops_of(1000)
+        for iterations in (UPDATE_CADENCE - 1, UPDATE_CADENCE, 2 * UPDATE_CADENCE + 1):
+            assert run(iterations).reliable_updates == iterations // UPDATE_CADENCE
+        before, at, plain = (
+            run(UPDATE_CADENCE - k).seconds for k in (1, 0, 2)
+        )
+        assert at - before > before - plain

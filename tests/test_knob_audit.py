@@ -11,8 +11,11 @@ The configuration surface itself is counted too: the fields of
 ``ServiceConfig`` and the policies under it, ``FaultPlan``,
 ``SimWorker``'s keyword parameters, the keywords of the four ``invert*``
 entry points, each optional feature's knobs and flags, and the options
-``build_parser()`` holds per subcommand are pinned, and the knobs
-retired to module constants may not come back as fields.
+``build_parser()`` holds per subcommand are pinned; so is the solve stack
+below the entry points (the two QUDA parameter structs and the keywords
+of the solvers, the BLAS and clover kernels and the tuning calls).  The
+knobs retired to module constants may not come back as fields or
+parameters.
 """
 
 import argparse
@@ -126,6 +129,22 @@ _RETIRED_KNOBS = {
     "integrity",  # ServiceConfig, SimWorker: the solve's own arming rule
     "alpha",  # HealthPolicy: health.HEALTH_ALPHA; ElasticPolicy: ArrivalRateEstimator's
     "HedgePolicy.refresh_points",  # health.HEDGE_REFRESH_POINTS
+    # The solve stack (owner patterns match ``<module>.<function>``):
+    "divergence_factor",  # QudaInvertParam, solvers: reliable.DIVERGENCE_FACTOR
+    "stagnation_window",  # QudaInvertParam, solvers: reliable.STAGNATION_WINDOW
+    "corruption_factor",  # QudaInvertParam, solvers: reliable.CORRUPTION_FACTOR
+    "update_cadence",  # solvers, ReliableUpdater: reliable.UPDATE_CADENCE
+    "max_corruption_restores",  # EscalationLadder: resilience.MAX_CORRUPTION_RESTORES
+    "blas.*.occupancy",  # every BLAS kernel: gpu.launch's default
+    "kernels.clover_kernel.occupancy",  # gpu.launch's default (dslash_kernel keeps its own)
+    "kernels.clover_kernel.stream",  # stream 0
+    "placement.gauge_upload_s.params",  # DEFAULT_PARAMS
+    "placement.gauge_upload_s.compressed",  # 2-row links
+    "placement.gauge_upload_s.numa_ok",  # pcie_time's default
+    "placement.SharedTuneCache.acquire.params",  # DEFAULT_PARAMS
+    "autotune.autotune.kernels",  # KERNEL_REGISTERS
+    "autotune.tune_sweep_cost_s.kernels",  # KERNEL_REGISTERS
+    "autotune.tune_sweep_cost_s.params",  # DEFAULT_PARAMS
 }
 
 #: Knobs per class: ``ServiceConfig``, every ``*Policy`` its fields
@@ -334,9 +353,10 @@ def test_generated_flags_are_declared_on_fields_that_exist():
 
 
 def test_retired_knobs_stay_constants():
-    for owner, names in _knobs().items():
+    owners = {**_knobs(), **_solve_parameters()}
+    for owner, names in owners.items():
         held = set(names) | {f"{owner}.{name}" for name in names}
-        assert not _RETIRED_KNOBS & held, owner
+        assert not [r for r in _RETIRED_KNOBS for h in held if fnmatch.fnmatchcase(h, r)], owner
     flags = {option for options in _cli_options().values() for option in options}
     assert "--no-tunecache" not in flags
     assert "--tunecache" in flags
@@ -364,3 +384,101 @@ def test_invert_keywords_are_pinned():
     assert {name: found[name] for name in _INVERT_KEYWORDS} == _INVERT_KEYWORDS
     for name, keywords in found.items():
         assert "tune" not in keywords, name
+
+
+# --------------------------------------------------------------------- #
+# The solve stack, counted
+# --------------------------------------------------------------------- #
+
+#: Fields of the two QUDA parameter structs (``QudaInvertParam`` lost
+#: ``divergence_factor``, ``stagnation_window`` and ``corruption_factor``).
+_SOLVE_FIELDS = {"QudaInvertParam": 14, "QudaGaugeParam": 3}
+
+_SOLVER = ["tol", "delta", "maxiter", "fixed_iterations", "resume", "on_refresh"]
+_REDUCTIONS = ("norm2", "cdot", "redot", "cdot_norm", "axpy_norm")
+_BLAS = (
+    "copy", "zero", "axpy", "xpay", "axpby", "scale", "update_p", "caxpy_pair", *_REDUCTIONS,
+)
+
+#: The keywords (keyword-only or defaulted parameters) of what the
+#: ``invert*`` entry points call, by ``file::qualified name`` under
+#: ``src/repro``.
+_SOLVE_KEYWORDS = {
+    "core/solvers/bicgstab.py::bicgstab_solve": _SOLVER,
+    "core/solvers/cg.py::cg_solve": _SOLVER,
+    "core/solvers/reliable.py::ReliableUpdater.__init__": [*_SOLVER, "dagger_pair"],
+    "core/solvers/resilience.py::EscalationLadder.__init__": ["solver", "sloppy", "full", "max_steps"],
+    "gpu/kernels.py::clover_kernel": [],
+    "service/placement.py::gauge_upload_s": ["mode"],
+    "service/placement.py::SharedTuneCache.acquire": [],
+    "core/autotune.py::autotune": ["spec"],
+    "core/autotune.py::tune_sweep_cost_s": ["spec", "local_volume"],
+    **{f"core/blas.py::{k}": ["qmp"] if k in _REDUCTIONS else [] for k in _BLAS},
+}
+
+
+def _definition(ref: str) -> ast.AST:
+    path, _, qualified = ref.partition("::")
+    node = ast.parse((ROOT / "src/repro" / path).read_text())
+    for part in qualified.split("."):
+        node = next(
+            n for n in node.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+        )
+    return node
+
+
+def _keywords(fn: ast.FunctionDef) -> list[str]:
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    defaulted = positional[len(positional) - len(fn.args.defaults):]
+    return [a.arg for a in defaulted] + [a.arg for a in fn.args.kwonlyargs]
+
+
+def _solve_parameters() -> dict[str, list[str]]:
+    """Owner -> every field or parameter name of the solve stack: the two
+    structs, each pinned callable and every function of ``core/blas.py``
+    (``_launch`` included), owners named ``<module>.<qualified name>``."""
+    classes = _classes()
+    owners = {name: _fields(classes[name]) for name in _SOLVE_FIELDS}
+    refs = {*_SOLVE_KEYWORDS, "core/blas.py::_launch"}
+    for ref in sorted(refs):
+        fn = _definition(ref)
+        path, _, qualified = ref.partition("::")
+        args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        owners[f"{pathlib.Path(path).stem}.{qualified}"] = [a.arg for a in args]
+    return owners
+
+
+def test_the_solve_stack_is_pinned():
+    """87 settable values before the solve side was audited (17 + 3
+    fields, 67 keywords); 38 retired to module constants leave 49."""
+    classes = _classes()
+    fields = {name: len(_fields(classes[name])) for name in _SOLVE_FIELDS}
+    assert fields == _SOLVE_FIELDS
+    keywords = {ref: _keywords(_definition(ref)) for ref in _SOLVE_KEYWORDS}
+    assert keywords == _SOLVE_KEYWORDS
+    blas = ast.parse((ROOT / "src/repro/core/blas.py").read_text())
+    public = {
+        n.name for n in blas.body
+        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+    }
+    assert public == set(_BLAS)
+    total = sum(fields.values()) + sum(len(k) for k in keywords.values())
+    assert total == 49
+
+
+def test_no_retry_policy_admits_none():
+    """``RetryPolicy()`` is the one spelling of "no recovery"."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg) and node.arg == "retry_policy":
+                annotation = node.annotation
+            elif (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "retry_policy"
+            ):
+                annotation = node.annotation
+            else:
+                continue
+            assert "None" not in ast.unparse(annotation), path
