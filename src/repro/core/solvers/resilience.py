@@ -132,10 +132,6 @@ class RetryPolicy:
         if self.max_attempts < 0:
             raise ValueError("max_attempts must be >= 0")
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_attempts > 0
-
 
 @dataclass(frozen=True)
 class RecoveryEvent:

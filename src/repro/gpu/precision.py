@@ -39,60 +39,43 @@ __all__ = [
 HALF_SCALE = 32767.0
 
 
+#: Per storage width (bytes per real): the storage dtype, the
+#: arithmetic dtype (half computes in float32), its complex twin and the
+#: optimal short-vector length ``Nvec`` (Section V-B: QUDA found float4
+#: optimal in single and double2 in double — both 16 bytes; half uses
+#: short4, 8 bytes paired with the norm array).
+_LAYOUT = {
+    8: (np.dtype(np.float64), np.dtype(np.float64), np.dtype(np.complex128), 2),
+    4: (np.dtype(np.float32), np.dtype(np.float32), np.dtype(np.complex64), 4),
+    2: (np.dtype(np.int16), np.dtype(np.float32), np.dtype(np.complex64), 4),
+}
+
+
 class Precision(enum.Enum):
     """Field storage precision.
 
     ``value`` is the storage bytes per real number.  Note ``HALF`` is fixed
     point, not IEEE fp16: the decode is ``int16 / 32767 -> [-1, 1]`` as in
     CUDA's normalized texture reads.
+
+    The layout is plain attributes of each member, set once from
+    :data:`_LAYOUT`: kernels read them per call.
     """
 
     DOUBLE = 8
     SINGLE = 4
     HALF = 2
 
-    @property
-    def real_bytes(self) -> int:
-        return self.value
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        return {
-            Precision.DOUBLE: np.dtype(np.float64),
-            Precision.SINGLE: np.dtype(np.float32),
-            Precision.HALF: np.dtype(np.int16),
-        }[self]
-
-    @property
-    def compute_dtype(self) -> np.dtype:
-        """Arithmetic dtype: half-precision fields compute in float32."""
-        return {
-            Precision.DOUBLE: np.dtype(np.float64),
-            Precision.SINGLE: np.dtype(np.float32),
-            Precision.HALF: np.dtype(np.float32),
-        }[self]
-
-    @property
-    def complex_compute_dtype(self) -> np.dtype:
-        return {
-            Precision.DOUBLE: np.dtype(np.complex128),
-            Precision.SINGLE: np.dtype(np.complex64),
-            Precision.HALF: np.dtype(np.complex64),
-        }[self]
-
-    @property
-    def needs_norm(self) -> bool:
-        """Whether spinor/clover storage carries a per-site norm array."""
-        return self is Precision.HALF
-
-    @property
-    def vector_length(self) -> int:
-        """Optimal short-vector length ``Nvec`` (Section V-B).
-
-        QUDA found float4 optimal in single and double2 in double — both 16
-        bytes; half uses short4 (8 bytes, paired with the norm array).
-        """
-        return {Precision.DOUBLE: 2, Precision.SINGLE: 4, Precision.HALF: 4}[self]
+    def __init__(self, real_bytes: int) -> None:
+        self.real_bytes = real_bytes
+        (
+            self.storage_dtype,
+            self.compute_dtype,
+            self.complex_compute_dtype,
+            self.vector_length,
+        ) = _LAYOUT[real_bytes]
+        #: Whether spinor/clover storage carries a per-site norm array.
+        self.needs_norm = real_bytes == 2
 
     @classmethod
     def parse(cls, name: "str | Precision") -> "Precision":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .request import PRIORITY_HIGH, RequestRecord, flag_field
+from .request import PRIORITY_HIGH, Notes, RequestRecord, flag_field
 
 __all__ = ["BatchPolicy", "Batch", "next_boundary", "select_batch"]
 
@@ -58,8 +58,8 @@ class BatchPolicy:
             raise ValueError("max_wait_s must be >= 0")
 
 
-@dataclass
-class Batch:
+@dataclass(slots=True)
+class Batch(Notes):
     """One dispatched multi-RHS batch and its lifecycle."""
 
     batch_id: int
@@ -97,8 +97,9 @@ class Batch:
     #: Worker-side recovery accounting (self-healing batches).
     recoveries: int = 0
     detail: str = ""
-    #: Lifecycle trace mirroring the per-request traces.
-    trace: list[tuple[float, str, str]] = field(default_factory=list)
+    #: Lifecycle notes mirroring the per-request ones, flat
+    #: (:class:`~repro.service.request.Notes`); read them as ``trace``.
+    notes: list = field(default_factory=list, repr=False)
 
     @property
     def size(self) -> int:

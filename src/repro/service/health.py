@@ -42,6 +42,7 @@ with the scheduler kernel (DESIGN.md, "Daemon lifecycle").
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from ..comms.cluster import Topology
@@ -415,13 +416,11 @@ class HealthBoard:
                 wid, failure.mode if failure is not None else "crash"
             )
         if slow:
-            batch.trace.append(
-                (
-                    k.now,
-                    "slow",
-                    f"{execution.duration_s * 1e6:.1f}us vs model "
-                    f"{predicted * 1e6:.1f}us",
-                )
+            batch.note(
+                k.now,
+                "slow",
+                f"{execution.duration_s * 1e6:.1f}us vs model "
+                f"{predicted * 1e6:.1f}us",
             )
         if trip:
             wh = self._open(wid)
@@ -429,9 +428,7 @@ class HealthBoard:
                 "" if execution is None
                 else f" (failure rate {wh.failure_rate:.2f})"
             )
-            batch.trace.append(
-                (k.now, "quarantine", f"worker {wid} quarantined{rate}")
-            )
+            batch.note(k.now, "quarantine", f"worker {wid} quarantined{rate}")
 
     def _open(self, worker_id: int) -> WorkerHealth:
         """Open the breaker on a serving worker: hold it out of the idle
@@ -750,13 +747,11 @@ class DomainState:
         batch = run.batch
         wid = batch.worker_id
         node = self.node_of(wid)
-        batch.trace.append(
-            (
-                k.now,
-                "node_dead",
-                f"send to worker {wid} timed out after "
-                f"{self.faults.detect_s * 1e6:.1f}us",
-            )
+        batch.note(
+            k.now,
+            "node_dead",
+            f"send to worker {wid} timed out after "
+            f"{self.faults.detect_s * 1e6:.1f}us",
         )
         k._surrender(
             batch,
@@ -799,9 +794,7 @@ class DomainState:
         detail = f"rack {rack} partitioned"
         for bid in k._running_on(member_ids):
             batch = k._teardown(bid, k.now)[0]
-            batch.trace.append(
-                (k.now, "partitioned", "switch uplink lost mid-batch")
-            )
+            batch.note(k.now, "partitioned", "switch uplink lost mid-batch")
             k._surrender(batch, kind="partition", detail=detail)
         k._rebalance()
 
@@ -899,7 +892,7 @@ class WorkerKills:
         detail = f"worker {worker_id} killed"
         for bid in k._running_on({worker_id}):
             batch = k._teardown(bid, k.now)[0]
-            batch.trace.append((k.now, "killed", "worker died mid-batch"))
+            batch.note(k.now, "killed", "worker died mid-batch")
             k._surrender(batch, kind="worker_crash", detail=detail)
         k.rescale()
 
@@ -983,15 +976,13 @@ class HedgeLedger:
         )
         batch.hedge_batch_id = replica.batch_id
         self.launched += 1
-        batch.trace.append(
-            (
-                k.now,
-                "hedge",
-                f"straggling ({(k.now - start) * 1e6:.1f}us elapsed); "
-                f"replica batch {replica.batch_id} on worker {wid}",
-            )
+        batch.note(
+            k.now,
+            "hedge",
+            f"straggling ({(k.now - start) * 1e6:.1f}us elapsed); "
+            f"replica batch {replica.batch_id} on worker {wid}",
         )
-        replica.trace.append((k.now, "hedge_replica", f"of batch {batch.batch_id}"))
+        replica.note(k.now, "hedge_replica", f"of batch {batch.batch_id}")
         for rec in batch.records:
             rec.batch_ids.append(replica.batch_id)
             rec.note(
@@ -1019,13 +1010,11 @@ class HedgeLedger:
         k._teardown(loser.batch_id, free_at)
         loser.hedge_cancelled = True
         loser.detail = f"hedge: batch {batch.batch_id} finished first"
-        loser.trace.append(
-            (
-                k.now,
-                "hedge_cancel",
-                f"batch {batch.batch_id} won; abandoning at "
-                f"{free_at * 1e6:.1f}us",
-            )
+        loser.note(
+            k.now,
+            "hedge_cancel",
+            f"batch {batch.batch_id} won; abandoning at "
+            f"{free_at * 1e6:.1f}us",
         )
         self.cancelled += 1
         if batch.hedge_of is not None:
@@ -1207,13 +1196,14 @@ class BrownoutController:
         mode = batch.degraded_mode = DEGRADE_MODE.get(batch.records[0].request.mode)
         if mode is not None:
             now = self.campaign.now
+            # One mode in, one mode out (the mode is in the compat key):
+            # every record of the batch shares one detail string.
+            detail = sys.intern(
+                f"brownout: serving at {mode} instead of {batch.records[0].request.mode}"
+            )
             for rec in batch.records:
                 rec.degraded = True
-                rec.note(
-                    now,
-                    "degrade",
-                    f"brownout: serving at {mode} instead of {rec.request.mode}",
-                )
+                rec.note(now, "degrade", detail)
 
     def summary(self, cols, horizon_s) -> dict:
         """The report's brownout rows: LOW requests shed, others refused

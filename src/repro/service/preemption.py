@@ -118,13 +118,11 @@ class Preemption:
         if boundary >= end - BOUNDARY_SLACK_S:
             return  # no checkpoint boundary left before completion
         batch.preempt_at_s = boundary
-        batch.trace.append(
-            (
-                k.now,
-                "preempt_scheduled",
-                f"HIGH request {trigger.request.req_id} waiting; yield at "
-                f"refresh boundary {boundary * 1e6:.1f}us",
-            )
+        batch.note(
+            k.now,
+            "preempt_scheduled",
+            f"HIGH request {trigger.request.req_id} waiting; yield at "
+            f"refresh boundary {boundary * 1e6:.1f}us",
         )
         k._push(boundary, _EV_PREEMPT, batch)
 
@@ -138,9 +136,7 @@ class Preemption:
         _, execution, _, end = entry
         batch.preempted = True
         batch.detail = "preempted at refresh boundary"
-        batch.trace.append(
-            (k.now, "preempt", f"{(end - k.now) * 1e6:.1f}us remaining")
-        )
+        batch.note(k.now, "preempt", f"{(end - k.now) * 1e6:.1f}us remaining")
         for rec in batch.records:
             rec.state = QUEUED
             rec.preemptions += 1
@@ -185,9 +181,7 @@ class Preemption:
                 f"on worker {worker_id} from checkpoint "
                 f"({run.remaining_s * 1e6:.1f}us remaining)",
             )
-        batch.trace.append(
-            (k.now, "resume", f"worker {worker_id}, from batch {parked.batch_id}")
-        )
+        batch.note(k.now, "resume", f"worker {worker_id}, from batch {parked.batch_id}")
         k.workers[worker_id].resident_key = residency_key
         k.counters.resumed_batches += 1
         k._launch(

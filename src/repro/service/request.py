@@ -11,6 +11,7 @@ a :class:`StructuredFailure` — stamped in model time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "SolveRequest",
     "StructuredFailure",
     "RequestRecord",
+    "Notes",
 ]
 
 PRIORITY_NAMES = {0: "high", 1: "normal", 2: "low"}
@@ -54,7 +56,15 @@ def flag_field(default, flag: str, help: str | None = None, *, scale: float | No
     return field(default=default, metadata=metadata)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=1024, typed=True)
+def _shared_key(config_id: int, dims: tuple, mode: str, solver: str, mass: float) -> tuple:
+    """The batching key, one tuple per distinct key (of the last 1,024):
+    a campaign draws its requests from a handful of configurations, so
+    its requests share a few keys instead of holding one each."""
+    return (config_id, dims, mode, solver, mass)
+
+
+@dataclass(frozen=True, slots=True)
 class SolveRequest:
     """One solver call submitted to the service."""
 
@@ -79,6 +89,8 @@ class SolveRequest:
     #: Owning tenant (multi-tenant campaigns); ``None`` = untenanted
     #: traffic, which bypasses quota and fairness accounting entirely.
     tenant: str | None = None
+    #: The batching key (:attr:`compat_key`), set once at construction.
+    _compat_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.dims) != 4:
@@ -90,12 +102,12 @@ class SolveRequest:
         if self.deadline_s is not None and self.deadline_s < self.arrival_s:
             raise ValueError("deadline_s must not precede arrival_s")
         # The batching key is read for every queued record on every
-        # scheduler pass; the request is frozen, so compute it once
+        # scheduler pass; the request is frozen, so look it up once
         # (hence the object.__setattr__).
         object.__setattr__(
             self,
             "_compat_key",
-            (self.config_id, self.dims, self.mode, self.solver, self.mass),
+            _shared_key(self.config_id, self.dims, self.mode, self.solver, self.mass),
         )
 
     @property
@@ -148,7 +160,7 @@ class SolveRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuredFailure:
     """Why a request terminally failed — never a bare exception string.
 
@@ -185,8 +197,41 @@ class StructuredFailure:
         )
 
 
-@dataclass
-class RequestRecord:
+#: Events whose detail is noted as one int and formatted when first
+#: read: a campaign notes one per arrival and one per admission, and a
+#: small int costs nothing where its string costs ~58 bytes.
+_DEFERRED = {"arrive": "priority {}", "admit": "depth {}"}
+
+
+class Notes:
+    """A lifecycle trace kept flat: ``notes`` holds ``time, event,
+    detail, time, event, detail, …`` in decision order — no tuple per
+    note.  A detail is a string, or for the :data:`_DEFERRED` events the
+    int its string is formatted from, in place, the first time the notes
+    are read (a checkpointed record is read at every commit while it is
+    pending)."""
+
+    __slots__ = ()
+
+    def note(self, time_s: float, event: str, detail: str | int = "") -> None:
+        self.notes.extend((time_s, event, detail))
+
+    @property
+    def trace(self) -> tuple[tuple[float, str, str], ...]:
+        """``(model time, event, detail)`` per note, in decision order."""
+        it = iter(self._formatted())
+        return tuple(zip(it, it, it))
+
+    def _formatted(self) -> list:
+        notes = self.notes
+        for i in range(2, len(notes), 3):
+            if notes[i].__class__ is not str:
+                notes[i] = _DEFERRED[notes[i - 1]].format(notes[i])
+        return notes
+
+
+@dataclass(slots=True)
+class RequestRecord(Notes):
     """The mutable lifecycle of one request inside the service."""
 
     request: SolveRequest
@@ -220,11 +265,8 @@ class RequestRecord:
     #: the service *chose* to shed this request while capacity remained
     #: for more urgent tiers.
     shed: bool = False
-    #: Lifecycle trace: (model time, event, detail), in decision order.
-    trace: list[tuple[float, str, str]] = field(default_factory=list)
-
-    def note(self, time_s: float, event: str, detail: str = "") -> None:
-        self.trace.append((time_s, event, detail))
+    #: Lifecycle notes, flat (:class:`Notes`); read them as ``trace``.
+    notes: list = field(default_factory=list, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -265,6 +307,7 @@ class RequestRecord:
     # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
+        it = iter(self._formatted())
         return {
             "request": self.request.to_json(),
             "state": self.state,
@@ -283,7 +326,7 @@ class RequestRecord:
             "preemptions": self.preemptions,
             "degraded": self.degraded,
             "shed": self.shed,
-            "trace": [[t, event, detail] for t, event, detail in self.trace],
+            "trace": [[t, event, detail] for t, event, detail in zip(it, it, it)],
         }
 
     @classmethod
@@ -310,5 +353,5 @@ class RequestRecord:
             preemptions=int(data.get("preemptions", 0)),
             degraded=bool(data.get("degraded", False)),
             shed=bool(data.get("shed", False)),
-            trace=[(t, event, detail) for t, event, detail in data["trace"]],
+            notes=[part for note in data["trace"] for part in note],
         )

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator
 
@@ -806,12 +807,12 @@ class _Campaign:
         self.arrivals_consumed += 1
         rec = RequestRecord(request=req)
         self.records.append(rec)
-        rec.note(self.now, "arrive", f"priority {req.priority}")
+        rec.note(self.now, "arrive", req.priority)
         self.arrival_est.observe(self.now)
         if not any(gate(rec) for gate in self.gates):
             if self.queue.offer(rec):
                 rec.admitted_s = self.now
-                rec.note(self.now, "admit", f"depth {len(self.queue)}")
+                rec.note(self.now, "admit", len(self.queue))
                 self._push(self.now + cfg.policy.max_wait_s, _EV_TIMEOUT, None)
                 for hook in self.on_admit:
                     hook(rec)
@@ -910,12 +911,10 @@ class _Campaign:
         if partner_id is not None and partner_id in self.running:
             # The other copy of the hedged pair is still running and
             # owns the shared records — no requeue, no terminal fail.
-            batch.trace.append(
-                (
-                    self.now,
-                    "hedge_survivor",
-                    f"records stay with running batch {partner_id}",
-                )
+            batch.note(
+                self.now,
+                "hedge_survivor",
+                f"records stay with running batch {partner_id}",
             )
             return
         max_retries = self.cfg.max_retries
@@ -1041,7 +1040,7 @@ class _Campaign:
         degraded = batch.degraded_mode
         if degraded is not None:
             where += f", degraded to {degraded}"
-        batch.trace.append((self.now, "dispatch", f"worker {wid}, {where}"))
+        batch.note(self.now, "dispatch", sys.intern(f"worker {wid}, {where}"))
         self._launch(batch, self._run_batch(batch))
 
     # ------------------------------------------------------------------ #
@@ -1070,7 +1069,7 @@ class _Campaign:
         self.placement.observe(execution)
         self.makespan = max(self.makespan, self.now)
         if execution.ok:
-            batch.trace.append((self.now, "complete", ""))
+            batch.note(self.now, "complete")
             for rec, outcome in zip(batch.records, execution.outcomes):
                 rec.state = COMPLETED
                 rec.completed_s = self.now
@@ -1078,20 +1077,24 @@ class _Campaign:
                 rec.converged = outcome["converged"]
                 rec.residual_norm = outcome["residual_norm"]
                 rec.recoveries = outcome["recoveries"]
+                # A campaign's solves share a few iteration counts: one
+                # string per distinct detail, not one per request.
                 rec.note(
                     self.now,
                     "complete",
-                    f"{outcome['iterations']} iterations"
-                    + (
-                        f", {outcome['recoveries']} recover(ies)"
-                        if outcome["recoveries"]
-                        else ""
+                    sys.intern(
+                        f"{outcome['iterations']} iterations"
+                        + (
+                            f", {outcome['recoveries']} recover(ies)"
+                            if outcome["recoveries"]
+                            else ""
+                        )
                     ),
                 )
                 self.completion_order.append(rec.request.req_id)
         else:
             failure = execution.failure
-            batch.trace.append((self.now, "worker_failure", str(failure)))
+            batch.note(self.now, "worker_failure", str(failure))
             self._surrender(
                 batch,
                 kind="worker_crash",

@@ -268,8 +268,6 @@ class TestUnits:
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=-1)
-        assert not RetryPolicy().enabled
-        assert RetryPolicy(max_attempts=1).enabled
 
     def test_no_recovery_is_spelled_retry_policy(self):
         """``None`` is not a second "off": it is refused when the
